@@ -16,7 +16,19 @@
 #include "telemetry/telemetry.hpp"
 
 #ifdef M3XU_ENABLE_SIMD
+// GCC 12's AVX-512 headers self-initialize their "undefined" vectors,
+// which -Wuninitialized reports wherever such an intrinsic inlines (a
+// header false positive fixed in later releases). Diagnostic state is
+// per source location, so this silences the header's lines only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 #endif
 
 namespace m3xu::core {
@@ -27,17 +39,21 @@ namespace {
 // accumulated in block-local variables and flushed once per block so
 // the pair loop stays free of TLS lookups. block_elements counts the
 // output elements a block covered (blocks alone no longer determine
-// that now that the register-block shape varies).
+// that now that the register-block shape varies). lane_exits counts the
+// (row, column, chunk) triples the AVX-512 kernel handed back to the
+// scalar pair path.
 telemetry::Counter uk_fp32_blocks("mxu.fp32.microkernel.blocks");
 telemetry::Counter uk_fp32_elems("mxu.fp32.microkernel.block_elements");
 telemetry::Counter uk_fp32_pairs("mxu.fp32.microkernel.pair_chunks");
 telemetry::Counter uk_fp32_falls("mxu.fp32.microkernel.pair_fallbacks");
+telemetry::Counter uk_fp32_exits("mxu.fp32.microkernel.lane_exits");
 telemetry::Counter uk_fp32c_blocks("mxu.fp32c.microkernel.blocks");
 telemetry::Counter uk_fp32c_elems("mxu.fp32c.microkernel.block_elements");
 telemetry::Counter uk_fp32c_pairs("mxu.fp32c.microkernel.pair_chunks");
 telemetry::Counter uk_fp32c_falls("mxu.fp32c.microkernel.pair_fallbacks");
+telemetry::Counter uk_fp32c_exits("mxu.fp32c.microkernel.lane_exits");
 
-// Dispatch counters: which term-build variant actually ran, per block.
+// Dispatch counters: which variant's kernel actually ran, per block.
 telemetry::Counter mk_var_scalar("mk.variant.scalar.blocks");
 telemetry::Counter mk_var_avx2("mk.variant.avx2.blocks");
 telemetry::Counter mk_var_avx512("mk.variant.avx512.blocks");
@@ -67,10 +83,11 @@ bool cpu_has_avx2() {
 
 bool cpu_has_avx512() {
 #ifdef M3XU_ENABLE_SIMD
-  // The 512-bit path also uses 256-bit ops for the 8 x i32 exp/neg
-  // streams, so it requires both feature bits.
-  static const bool ok =
-      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2");
+  // Exactly the extensions the lanes-as-columns kernel is compiled for
+  // (M3XU_AVX512_TARGET below): AVX512F for the 64-bit lane arithmetic
+  // and masks, AVX512CD for the per-lane leading-zero count.
+  static const bool ok = __builtin_cpu_supports("avx512f") &&
+                         __builtin_cpu_supports("avx512cd");
   return ok;
 #else
   return false;
@@ -91,15 +108,7 @@ MkVariant auto_variant() {
   static const MkVariant v = [] {
     MkVariant cap = best_available();
     if (const char* env = std::getenv("M3XU_MK_VARIANT")) {
-      const std::string_view s(env);
-      MkVariant req = cap;
-      if (s == "scalar") {
-        req = MkVariant::kScalar;
-      } else if (s == "avx2") {
-        req = MkVariant::kAvx2;
-      } else if (s == "avx512") {
-        req = MkVariant::kAvx512;
-      }
+      const MkVariant req = mk_variant_parse(env);
       if (static_cast<int>(req) < static_cast<int>(cap)) cap = req;
     }
     return cap;
@@ -121,6 +130,14 @@ const char* mk_variant_name(MkVariant v) {
       return "avx512";
   }
   return "unknown";
+}
+
+MkVariant mk_variant_parse(std::string_view s) {
+  if (s == "scalar") return MkVariant::kScalar;
+  if (s == "avx2") return MkVariant::kAvx2;
+  M3XU_CHECK_MSG(s == "avx512",
+                 "M3XU_MK_VARIANT must be one of scalar|avx2|avx512");
+  return MkVariant::kAvx512;
 }
 
 bool mk_variant_available(MkVariant v) {
@@ -147,6 +164,10 @@ MkVariant mk_variant_resolve(MkVariant requested) {
   return MkVariant::kScalar;
 }
 
+bool mk_partial_blocks(MkVariant resolved) {
+  return resolved == MkVariant::kAvx512;
+}
+
 bool microkernel_simd_active() {
   return mk_variant_resolve(MkVariant::kAuto) != MkVariant::kScalar;
 }
@@ -157,7 +178,7 @@ bool mk_block_supported(int mr, int nr) {
 
 MkBlockShape mk_block_resolve(int mr, int nr) {
   if (mr == 0 && nr == 0) {
-    // With a SIMD term build the decode amortization wins: 8x8 drops
+    // With a SIMD variant the decode amortization wins: 8x8 drops
     // the per-output decode cost to (8+8)/(8*8) = 0.25 decodes per
     // element-chunk vs 0.5 at 4x4. The scalar variant keeps the small
     // block (decode is a smaller share of its runtime, and the larger
@@ -337,50 +358,15 @@ __attribute__((target("avx2"))) void build_pair_avx2(const ElemSoA& a,
   _mm256_store_si256(reinterpret_cast<__m256i*>(t.neg), nn);
 }
 
-/// All 8 slots' 64-bit term streams in one 512-bit pass (the AVX2 path
-/// needs two): the same mul_epu32 recombination of the four 32x32
-/// partial products, just at full width. The 8 x i32 exp/neg streams
-/// stay on 256-bit ops - they already fit one vector there.
-__attribute__((target("avx2,avx512f"))) void build_pair_avx512(
-    const ElemSoA& a, const ElemSoA& b, bool flip_odd, PairTerms& t) {
-  const __m512i av = _mm512_load_si512(a.ab);
-  const __m512i bv = _mm512_load_si512(b.ab);
-  const __m512i ah = _mm512_srli_epi64(av, 32);
-  const __m512i bh = _mm512_srli_epi64(bv, 32);
-  const __m512i hh = _mm512_mul_epu32(ah, bh);
-  const __m512i ll = _mm512_mul_epu32(av, bv);
-  const __m512i hl = _mm512_mul_epu32(ah, bv);
-  const __m512i lh = _mm512_mul_epu32(av, bh);
-  const __m512i m24 = _mm512_set1_epi64(0xffffff);
-  _mm512_store_si512(
-      t.s0,
-      _mm512_or_si512(_mm512_slli_epi64(hh, 24), _mm512_and_si512(ll, m24)));
-  _mm512_store_si512(t.s1, _mm512_add_epi64(hl, lh));
-  const __m256i ae = _mm256_load_si256(reinterpret_cast<const __m256i*>(a.exp));
-  const __m256i be = _mm256_load_si256(reinterpret_cast<const __m256i*>(b.exp));
-  _mm256_store_si256(
-      reinterpret_cast<__m256i*>(t.sh),
-      _mm256_sub_epi32(_mm256_add_epi32(ae, be), _mm256_set1_epi32(24)));
-  const __m256i an = _mm256_load_si256(reinterpret_cast<const __m256i*>(a.neg));
-  const __m256i bn = _mm256_load_si256(reinterpret_cast<const __m256i*>(b.neg));
-  __m256i nn = _mm256_xor_si256(an, bn);
-  if (flip_odd) {
-    nn = _mm256_xor_si256(nn, _mm256_set_epi32(1, 0, 1, 0, 1, 0, 1, 0));
-  }
-  _mm256_store_si256(reinterpret_cast<__m256i*>(t.neg), nn);
-}
 #endif
 
-/// `v` must be a resolved variant (mk_variant_resolve): the SIMD cases
-/// assume the CPU support check already happened, once per block, not
-/// per pair.
+/// `v` must be a resolved variant (mk_variant_resolve): the AVX2 case
+/// assumes the CPU support check already happened, once per block, not
+/// per pair. (AVX-512 blocks run their own lanes-as-columns kernel and
+/// send only lane exits here, as kScalar.)
 inline void build_pair(MkVariant v, const ElemSoA& a, const ElemSoA& b,
                        bool flip_odd, PairTerms& t) {
 #ifdef M3XU_ENABLE_SIMD
-  if (v == MkVariant::kAvx512) {
-    build_pair_avx512(a, b, flip_odd, t);
-    return;
-  }
   if (v == MkVariant::kAvx2) {
     build_pair_avx2(a, b, flip_odd, t);
     return;
@@ -392,6 +378,10 @@ inline void build_pair(MkVariant v, const ElemSoA& a, const ElemSoA& b,
 }
 
 // --- Fused step rounding over prescan windows -------------------------
+
+/// Widest window [lo, hi] a fused step accepts: with <= 17 addends the
+/// signed sum then stays inside 128 bits (see step_round).
+constexpr int kMaxSpan = 118;
 
 /// RNE_prec(c + selected step fields of `t`), bit-identical to the
 /// ExactAccumulator route. Mirrors mxu.cpp's fused_round with the
@@ -460,7 +450,7 @@ bool step_round(const PairTerms& t, bool have_terms, int t_lo, int t_hi,
   // hi-lo-47, a crossed field below 2^25 shifted by at most hi-lo-35,
   // the register below 2^(hi-lo+1); with <= 17 addends the sum stays
   // under 2^(hi-lo+6) <= 2^124, inside the signed 128-bit window.
-  if (hi - lo > 118) return false;
+  if (hi - lo > kMaxSpan) return false;
   unsigned __int128 sum = 0;
   if (have_terms) {
     // Branchless sign application ((v ^ m) - m with m = 0 or ~0): the
@@ -573,7 +563,68 @@ inline bool finite_chunk(const PanelChunkMeta& m) {
   return (m.flags & PanelChunkMeta::kHasFinite) != 0;
 }
 
-// --- Register-blocked bodies ------------------------------------------
+// --- Scalar pair route ------------------------------------------------
+//
+// One (row, column) pair of a chunk: pair_chunk over the prebuilt slot
+// decodes, and the generic route when the prescan window fails. Each
+// returns true when the pair fell back to the generic route. The scalar
+// and AVX2 blocks run every pair through these; the AVX-512 kernel runs
+// only its lane exits through them, with kScalar term builds. Forced
+// inline: they are the scalar blocks' loop bodies.
+
+[[gnu::always_inline]] inline bool fp32_pair(
+    MkVariant v, const ElemSoA& ar, const PanelChunkMeta& am,
+    const ElemSoA& bc, const PanelChunkMeta& bm, const PackedPanelFp32A& a,
+    int row, const PackedPanelFp32B& b, int col, int k0, int kc,
+    const DpUnit& unit, const MicrokernelParams& p, float* acc) {
+  const bool have = finite_chunk(am) && finite_chunk(bm);
+  PairTerms terms;
+  int t_lo = 0;
+  int t_hi = 0;
+  if (have) {
+    t_lo = am.min_exp + bm.min_exp;
+    t_hi = am.max_exp + bm.max_exp + 23;
+    build_pair(v, ar, bc, /*flip_odd=*/false, terms);
+  }
+  if (pair_chunk(terms, have, t_lo, t_hi, p, acc)) return false;
+  generic_fp32_chunk(a, row, b, col, k0, kc, unit, p, acc);
+  return true;
+}
+
+/// `bc` and `bs` are column `col`'s decode and its slot-swapped copy.
+/// Both parts must stream for the chunk to stay fused; on any failure
+/// the whole chunk (both registers) re-runs generically from the
+/// original accumulators.
+[[gnu::always_inline]] inline bool fp32c_pair(
+    MkVariant v, const ElemSoA& ar, const PanelChunkMeta& am,
+    const ElemSoA& bc, const ElemSoA& bs, const PanelChunkMeta& bm,
+    const PackedPanelFp32cA& a, int row, const PackedPanelFp32cB& b, int col,
+    int k0, int kc, const DpUnit& unit, const MicrokernelParams& p,
+    float* acc_re, float* acc_im) {
+  const bool have = finite_chunk(am) && finite_chunk(bm);
+  PairTerms terms_re;
+  PairTerms terms_im;
+  int t_lo = 0;
+  int t_hi = 0;
+  if (have) {
+    t_lo = am.min_exp + bm.min_exp;
+    t_hi = am.max_exp + bm.max_exp + 23;
+    build_pair(v, ar, bc, /*flip_odd=*/false, terms_re);
+    build_pair(v, ar, bs, /*flip_odd=*/true, terms_im);
+  }
+  float re = *acc_re;
+  float im = *acc_im;
+  if (pair_chunk(terms_re, have, t_lo, t_hi, p, &re) &&
+      pair_chunk(terms_im, have, t_lo, t_hi, p, &im)) {
+    *acc_re = re;
+    *acc_im = im;
+    return false;
+  }
+  generic_fp32c_chunk(a, row, b, col, k0, kc, unit, p, acc_re, acc_im);
+  return true;
+}
+
+// --- Register-blocked bodies (scalar / AVX2 term build) ---------------
 //
 // Templated on the MR x NR output-block shape so each instantiation
 // keeps its accumulator array and decode state at fixed size (the
@@ -596,7 +647,6 @@ void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
   }
   ElemSoA arow[MR];
   ElemSoA bcol[NR];
-  PairTerms terms;
   std::uint64_t fallbacks = 0;
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32;
@@ -633,19 +683,9 @@ void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
     }
     for (int i = 0; i < MR; ++i) {
       for (int j = 0; j < NR; ++j) {
-        const bool have = finite_chunk(*am[i]) && finite_chunk(*bm[j]);
-        int t_lo = 0;
-        int t_hi = 0;
-        if (have) {
-          t_lo = am[i]->min_exp + bm[j]->min_exp;
-          t_hi = am[i]->max_exp + bm[j]->max_exp + 23;
-          build_pair(v, arow[i], bcol[j], /*flip_odd=*/false, terms);
-        }
-        if (!pair_chunk(terms, have, t_lo, t_hi, p, &acc[i][j])) {
-          ++fallbacks;
-          generic_fp32_chunk(a, row0 + i, b, col0 + j, k0, kc, unit, p,
-                             &acc[i][j]);
-        }
+        fallbacks += fp32_pair(v, arow[i], *am[i], bcol[j], *bm[j], a,
+                               row0 + i, b, col0 + j, k0, kc, unit, p,
+                               &acc[i][j]);
       }
     }
   }
@@ -685,8 +725,6 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
   ElemSoA arow[MR];
   ElemSoA bcol[NR];
   ElemSoA bswp[NR];
-  PairTerms terms_re;
-  PairTerms terms_im;
   std::uint64_t fallbacks = 0;
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32c;
@@ -722,29 +760,9 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
     }
     for (int i = 0; i < MR; ++i) {
       for (int j = 0; j < NR; ++j) {
-        const bool have = finite_chunk(*am[i]) && finite_chunk(*bm[j]);
-        int t_lo = 0;
-        int t_hi = 0;
-        if (have) {
-          t_lo = am[i]->min_exp + bm[j]->min_exp;
-          t_hi = am[i]->max_exp + bm[j]->max_exp + 23;
-          build_pair(v, arow[i], bcol[j], /*flip_odd=*/false, terms_re);
-          build_pair(v, arow[i], bswp[j], /*flip_odd=*/true, terms_im);
-        }
-        // Both parts must stream for the chunk to stay fused; on any
-        // failure the whole chunk (both registers) re-runs generically
-        // from the original accumulators.
-        float re = acc_re[i][j];
-        float im = acc_im[i][j];
-        if (pair_chunk(terms_re, have, t_lo, t_hi, p, &re) &&
-            pair_chunk(terms_im, have, t_lo, t_hi, p, &im)) {
-          acc_re[i][j] = re;
-          acc_im[i][j] = im;
-        } else {
-          ++fallbacks;
-          generic_fp32c_chunk(a, row0 + i, b, col0 + j, k0, kc, unit, p,
-                              &acc_re[i][j], &acc_im[i][j]);
-        }
+        fallbacks += fp32c_pair(v, arow[i], *am[i], bcol[j], bswp[j], *bm[j],
+                                a, row0 + i, b, col0 + j, k0, kc, unit, p,
+                                &acc_re[i][j], &acc_im[i][j]);
       }
     }
   }
@@ -759,39 +777,687 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
   uk_fp32c_falls.add(fallbacks);
 }
 
+#ifdef M3XU_ENABLE_SIMD
+// --- AVX-512: SIMD lanes are the block's output columns ---------------
+//
+// The scalar route rounds one (row, column) register at a time through
+// a 128-bit window (step_round). Here the 8 lanes of a 512-bit vector
+// are the (up to) 8 output columns of one block row: A's decoded slots
+// are broadcast, B's slots are read as [slot][column] vectors, and each
+// lane carries its own column's exact step sums, register, window
+// check, rounding and FP32 encode. A lane computes exactly what
+// step_round computes - RNE_prec(reg + exact step sum), over the same
+// [lo, hi] window with the same kMaxSpan limit - so an in-window lane's
+// bits are the scalar route's bits. A lane whose window check fails in
+// either step, or whose chunk-entry register is Inf/NaN, is recomputed
+// for that chunk by fp32_pair / fp32c_pair from its chunk-entry
+// register, exactly as the scalar kernel would have run it (including
+// the generic fallback and its pair_fallbacks count).
+//
+// Exact sums: a lane accumulates each step's terms relative to its
+// prescan t_lo in a lazy two-limb form, value = h * 2^60 + l. A term
+// adds its low 60 bits (a non-negative part) to l and the floor of the
+// rest to h. In a lane that passes the span check a like field (below
+// 2^48) sits at offset <= kMaxFieldOffset and a crossed field (below
+// 2^25) at most 12 higher, so 8 terms keep l < 2^63 and |h| < 2^62:
+// the slot loop needs no carry handling. The step then normalizes the
+// sum into a two's-complement 128-bit value, shifts it to the step's
+// window base lo, adds the register, and rounds with the same top-64 +
+// RNE-with-sticky tail as round_sum128.
+
+#define M3XU_AVX512_TARGET __attribute__((target("avx512f,avx512cd")))
+#define M3XU_AVX512_INLINE \
+  __attribute__((target("avx512f,avx512cd"), always_inline)) inline
+
+constexpr int kLimbBits = 60;
+constexpr std::uint64_t kLimbMask = (std::uint64_t{1} << kLimbBits) - 1;
+/// Largest like-field offset from t_lo in a lane that passes the span
+/// check: the field's msb sh + 47 <= t_hi <= t_lo + kMaxSpan.
+constexpr int kMaxFieldOffset = kMaxSpan - 47;
+constexpr int kLanes = 8;
+
+/// One K-chunk of up to kLanes B columns, transposed so slot t of every
+/// column loads as one vector (lane j = column j). Columns past a
+/// partial block's edge hold zero slots and no finite flag.
+struct BChunkLanes {
+  alignas(64) std::uint64_t ab[kMaxSlots][kLanes];  // hi_sig << 32 | lo_sig
+  alignas(64) std::uint64_t hi[kMaxSlots][kLanes];  // hi_sig
+  alignas(64) std::int64_t off[kMaxSlots][kLanes];  // exp2 - column anchor
+  alignas(64) std::int64_t noff[kMaxSlots][kLanes];  // kMaxFieldOffset - off
+  alignas(64) std::int64_t min_exp[kLanes];
+  alignas(64) std::int64_t max_exp[kLanes];
+  std::uint8_t neg[kMaxSlots];  // lane mask per slot
+  std::uint8_t finite = 0;      // lanes whose column chunk has a finite lane
+};
+
+/// Transposes one chunk of `cols` B columns: `src` is column 0's first
+/// lane of the chunk, `stride` the lane distance between columns, and
+/// `meta` column 0's prescan entry (`meta_stride` entries per column).
+/// `ns` slots are live per column, as in decode_slots.
+void decode_b_lanes(const LaneOperand* src, std::size_t stride, int cols,
+                    int ns, const PanelChunkMeta* meta, std::size_t meta_stride,
+                    BChunkLanes& out) {
+  out.finite = 0;
+  for (int t = 0; t < kMaxSlots; ++t) out.neg[t] = 0;
+  for (int j = 0; j < kLanes; ++j) {
+    const PanelChunkMeta* m = j < cols ? meta + j * meta_stride : nullptr;
+    const bool fin = m != nullptr && finite_chunk(*m);
+    const LaneOperand* s = fin ? src + j * stride : nullptr;
+    out.finite |= fin ? 1u << j : 0u;
+    out.min_exp[j] = fin ? m->min_exp : 0;
+    out.max_exp[j] = fin ? m->max_exp : 0;
+    for (int t = 0; t < kMaxSlots; ++t) {
+      std::uint64_t ab = 0;
+      std::int64_t off = 0;
+      if (fin && t < ns && s[2 * t].cls == LaneOperand::Cls::kFinite) {
+        ab = (s[2 * t].sig << 32) | s[2 * t + 1].sig;
+        off = s[2 * t].exp2 - out.min_exp[j];
+        if (s[2 * t].sign) out.neg[t] |= 1u << j;
+      }
+      out.ab[t][j] = ab;
+      out.hi[t][j] = ab >> 32;
+      out.off[t][j] = off;
+      out.noff[t][j] = kMaxFieldOffset - off;
+    }
+  }
+}
+
+/// A lane's exact step sum relative to its t_lo: h * 2^60 + l.
+struct LaneSum {
+  __m512i h;
+  __m512i l;
+};
+
+/// A lane's register: sig * 2^lsb, leading bit at `lead`; sig is 0 (and
+/// lsb/lead meaningless) in lanes outside `nz`.
+struct LaneReg {
+  __m512i sig;
+  __m512i lsb;
+  __m512i lead;
+  __mmask8 neg;
+  __mmask8 nz;
+};
+
+/// accum_prec-dependent constants, built once per block.
+struct LaneRound {
+  __m512i prec_m1;   // prec - 1
+  __m512i drop;      // 64 - prec: top-64 window bits below the significand
+  __m512i rem_mask;  // low `drop` bits
+  __m512i half;      // 1 << (drop - 1)
+  __m512i carry;     // 1 << prec: a round-up that overflowed
+  __m512i renorm;    // 1 << (prec - 1)
+  __m512i f32_drop;  // prec - 24: bits an FP32 encode drops (normal range)
+};
+
+M3XU_AVX512_TARGET LaneRound lane_round_consts(int prec) {
+  const std::uint64_t one = 1;
+  const int drop = 64 - prec;
+  return {_mm512_set1_epi64(prec - 1),
+          _mm512_set1_epi64(drop),
+          _mm512_set1_epi64(static_cast<std::int64_t>(low_mask(drop))),
+          _mm512_set1_epi64(static_cast<std::int64_t>(one << (drop - 1))),
+          _mm512_set1_epi64(static_cast<std::int64_t>(one << prec)),
+          _mm512_set1_epi64(static_cast<std::int64_t>(one << (prec - 1))),
+          _mm512_set1_epi64(prec - 24)};
+}
+
+/// Adds the signed field x placed at cnt + kOff above t_lo, where
+/// ncnt = kMaxFieldOffset - cnt. The low part is (x * 2^(cnt+kOff))
+/// mod 2^60; the high part, its floor over 2^60, is an arithmetic right
+/// shift by ncnt of x pre-scaled by 2^(kOff + kMaxFieldOffset - 60) =
+/// 2^(kOff + 11). That is exact for any cnt <= kMaxFieldOffset while
+/// |x| * 2^(kOff + 11) < 2^63 (like: 2^48 * 2^11, crossed: 2^25 *
+/// 2^23), and a count of 64 or more sign-fills - the floor of a term
+/// below 2^60.
+template <int kOff>
+M3XU_AVX512_TARGET inline void add_field(LaneSum& s, __m512i x, __m512i cnt,
+                                         __m512i ncnt) {
+  const __m512i lo_x = kOff == 0 ? x : _mm512_slli_epi64(x, kOff);
+  s.l = _mm512_add_epi64(
+      s.l, _mm512_and_si512(_mm512_sllv_epi64(lo_x, cnt),
+                            _mm512_set1_epi64(kLimbMask)));
+  s.h = _mm512_add_epi64(
+      s.h, _mm512_srav_epi64(
+               _mm512_slli_epi64(x, kOff + kMaxFieldOffset - kLimbBits),
+               ncnt));
+}
+
+/// Adds A slot (av, ah, aoff, sign mask nm already folded with B's)
+/// times B slot `tb` of every lane: the like field (ah*bh, al*bl) into
+/// s0 and the crossed field (ah*bl + al*bh) into s1. The multiplies are
+/// mul_epu32 over the 12-bit part sigs in each word's low 32 bits.
+M3XU_AVX512_TARGET inline void add_pair(__m512i av, __m512i ah, __m512i aoff,
+                                        __mmask8 nm, const BChunkLanes& bl,
+                                        int tb, LaneSum& s0, LaneSum& s1) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i bv = _mm512_load_si512(bl.ab[tb]);
+  const __m512i bh = _mm512_load_si512(bl.hi[tb]);
+  const __m512i cnt = _mm512_add_epi64(_mm512_load_si512(bl.off[tb]), aoff);
+  const __m512i ncnt = _mm512_sub_epi64(_mm512_load_si512(bl.noff[tb]), aoff);
+  const __m512i hh = _mm512_mul_epu32(ah, bh);
+  __m512i like =
+      _mm512_or_si512(_mm512_slli_epi64(hh, 24), _mm512_mul_epu32(av, bv));
+  like = _mm512_mask_sub_epi64(like, nm, zero, like);
+  add_field<0>(s0, like, cnt, ncnt);
+  __m512i crossed =
+      _mm512_add_epi64(_mm512_mul_epu32(ah, bv), _mm512_mul_epu32(av, bh));
+  crossed = _mm512_mask_sub_epi64(crossed, nm, zero, crossed);
+  add_field<12>(s1, crossed, cnt, ncnt);
+}
+
+/// Per-slot A broadcasts: the combined word, its hi part, and the
+/// slot's count offset from the row's anchor (sh - t_lo = aoff + boff).
+struct ASlot {
+  __m512i av;
+  __m512i ah;
+  __m512i aoff;
+  __mmask8 neg;  // all lanes when the A slot is negative
+};
+
+M3XU_AVX512_TARGET inline ASlot a_slot(const ElemSoA& ar, int t, int anchor) {
+  return {_mm512_set1_epi64(static_cast<std::int64_t>(ar.ab[t])),
+          _mm512_set1_epi64(static_cast<std::int64_t>(ar.ab[t] >> 32)),
+          _mm512_set1_epi64(ar.exp[t] - anchor - 24),
+          static_cast<__mmask8>(ar.neg[t] ? 0xff : 0)};
+}
+
+M3XU_AVX512_TARGET inline void normalize(LaneSum& s) {
+  s.h = _mm512_add_epi64(s.h, _mm512_srli_epi64(s.l, kLimbBits));
+  s.l = _mm512_and_si512(s.l, _mm512_set1_epi64(kLimbMask));
+}
+
+/// The idealized single-rounding sum of both fields.
+M3XU_AVX512_TARGET inline LaneSum add_sums(LaneSum a, LaneSum b) {
+  normalize(a);
+  normalize(b);
+  return {_mm512_add_epi64(a.h, b.h), _mm512_add_epi64(a.l, b.l)};
+}
+
+/// (hi:lo) <<= d for per-lane d in [0, 127], modulo 2^128 (variable
+/// shifts by 64 or more yield 0, which covers both limb crossings).
+M3XU_AVX512_TARGET inline void shl128(__m512i& hi, __m512i& lo, __m512i d) {
+  const __m512i c64 = _mm512_set1_epi64(64);
+  hi = _mm512_or_si512(
+      _mm512_or_si512(_mm512_sllv_epi64(hi, d),
+                      _mm512_srlv_epi64(lo, _mm512_sub_epi64(c64, d))),
+      _mm512_sllv_epi64(lo, _mm512_sub_epi64(d, c64)));
+  lo = _mm512_sllv_epi64(lo, d);
+}
+
+/// RNE_prec of the two's-complement 128-bit sum (hi:lo) with bit 0 at
+/// weight 2^lo_exp: round_sum128 + finish_round per lane. The leading
+/// bit must be at position <= 126 (span-checked lanes guarantee it).
+M3XU_AVX512_INLINE LaneReg lane_round(__m512i hi, __m512i lo, __m512i lo_exp,
+                                      const LaneRound& rc) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i c64 = _mm512_set1_epi64(64);
+  LaneReg out;
+  out.neg = _mm512_cmplt_epi64_mask(hi, zero);
+  // Magnitude: -(hi:lo) = (-hi - [lo != 0]) : -lo.
+  const __mmask8 borrow = out.neg & _mm512_test_epi64_mask(lo, lo);
+  lo = _mm512_mask_sub_epi64(lo, out.neg, zero, lo);
+  hi = _mm512_mask_sub_epi64(hi, out.neg, zero, hi);
+  hi = _mm512_mask_sub_epi64(hi, borrow, hi, one);
+  const __m512i any = _mm512_or_si512(hi, lo);
+  out.nz = _mm512_test_epi64_mask(any, any);
+  // Leading zeros of the 128-bit magnitude (128 when it is zero).
+  const __m512i lz_hi = _mm512_lzcnt_epi64(hi);
+  const __m512i nlz =
+      _mm512_mask_add_epi64(lz_hi, _mm512_cmpeq_epi64_mask(lz_hi, c64), lz_hi,
+                            _mm512_lzcnt_epi64(lo));
+  // top64 = the magnitude shifted left by nlz, high half; the bits of
+  // lo left below it are the sticky dust.
+  const __m512i top = _mm512_or_si512(
+      _mm512_or_si512(_mm512_sllv_epi64(hi, nlz),
+                      _mm512_srlv_epi64(lo, _mm512_sub_epi64(c64, nlz))),
+      _mm512_sllv_epi64(lo, _mm512_sub_epi64(nlz, c64)));
+  const __m512i dust = _mm512_sllv_epi64(lo, nlz);
+  const __mmask8 sticky = _mm512_test_epi64_mask(dust, dust);
+  __m512i lead = _mm512_sub_epi64(
+      _mm512_add_epi64(lo_exp, _mm512_set1_epi64(127)), nlz);
+  // finish_round: RNE of top64 to prec bits.
+  __m512i sig = _mm512_srlv_epi64(top, rc.drop);
+  const __m512i rem = _mm512_and_si512(top, rc.rem_mask);
+  const __mmask8 up =
+      _mm512_cmpgt_epu64_mask(rem, rc.half) |
+      (_mm512_cmpeq_epi64_mask(rem, rc.half) &
+       (sticky | _mm512_test_epi64_mask(sig, one)));
+  sig = _mm512_mask_add_epi64(sig, up, sig, one);
+  const __mmask8 ovf = _mm512_cmpeq_epi64_mask(sig, rc.carry);
+  sig = _mm512_mask_mov_epi64(sig, ovf, rc.renorm);
+  lead = _mm512_mask_add_epi64(lead, ovf, lead, one);
+  out.sig = _mm512_maskz_mov_epi64(out.nz, sig);
+  out.lead = lead;
+  out.lsb = _mm512_sub_epi64(lead, rc.prec_m1);
+  return out;
+}
+
+/// One architectural step for every lane: reg' = RNE_prec(reg + s),
+/// where s (relative to t_lo) holds terms only in `have` lanes. The
+/// window is step_round's: [min(t_lo, rexp), max(t_hi, lead)] over the
+/// parts present; lanes whose span exceeds kMaxSpan are added to `bad`
+/// and carry garbage.
+M3XU_AVX512_INLINE LaneReg lane_step(LaneSum s, __m512i t_lo, __m512i t_hi,
+                                     __mmask8 have, const LaneReg& r,
+                                     const LaneRound& rc, __mmask8& bad) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i c64 = _mm512_set1_epi64(64);
+  const __m512i rexp = _mm512_sub_epi64(r.lead, rc.prec_m1);
+  const __mmask8 both = have & r.nz;
+  const __mmask8 reg_only = r.nz & ~have;
+  __m512i lo = _mm512_mask_min_epi64(t_lo, both, t_lo, rexp);
+  lo = _mm512_mask_mov_epi64(lo, reg_only, rexp);
+  __m512i hi = _mm512_mask_max_epi64(t_hi, both, t_hi, r.lead);
+  hi = _mm512_mask_mov_epi64(hi, reg_only, r.lead);
+  bad |= _mm512_mask_cmpgt_epi64_mask(have | r.nz, _mm512_sub_epi64(hi, lo),
+                                      _mm512_set1_epi64(kMaxSpan));
+  // The term sum as two's-complement 128 bits, aligned to lo.
+  normalize(s);
+  __m512i x_lo = _mm512_or_si512(s.l, _mm512_slli_epi64(s.h, kLimbBits));
+  __m512i x_hi = _mm512_srai_epi64(s.h, 64 - kLimbBits);
+  shl128(x_hi, x_lo, _mm512_maskz_sub_epi64(have, t_lo, lo));
+  // The register at e = lsb - lo, negated in negative lanes.
+  const __m512i e = _mm512_sub_epi64(r.lsb, lo);
+  __m512i r_lo = _mm512_sllv_epi64(r.sig, e);
+  __m512i r_hi =
+      _mm512_or_si512(_mm512_srlv_epi64(r.sig, _mm512_sub_epi64(c64, e)),
+                      _mm512_sllv_epi64(r.sig, _mm512_sub_epi64(e, c64)));
+  const __mmask8 borrow = r.neg & _mm512_test_epi64_mask(r_lo, r_lo);
+  r_lo = _mm512_mask_sub_epi64(r_lo, r.neg, zero, r_lo);
+  r_hi = _mm512_mask_sub_epi64(r_hi, r.neg, zero, r_hi);
+  r_hi = _mm512_mask_sub_epi64(r_hi, borrow, r_hi, _mm512_set1_epi64(1));
+  x_lo = _mm512_add_epi64(x_lo, r_lo);
+  x_hi = _mm512_add_epi64(x_hi, r_hi);
+  x_hi = _mm512_mask_add_epi64(x_hi, _mm512_cmplt_epu64_mask(x_lo, r_lo), x_hi,
+                               _mm512_set1_epi64(1));
+  return lane_round(x_hi, x_lo, lo, rc);
+}
+
+/// Decodes FP32 bit patterns (one per u64 lane) into registers, like
+/// fp::unpack. Inf/NaN lanes are reported in `special` and decode as
+/// zero.
+M3XU_AVX512_INLINE LaneReg lane_decode(__m512i bits, __mmask8& special) {
+  const __m512i ef = _mm512_and_si512(_mm512_srli_epi64(bits, 23),
+                                      _mm512_set1_epi64(0xff));
+  const __m512i mant = _mm512_and_si512(bits, _mm512_set1_epi64(0x7fffff));
+  special = _mm512_cmpeq_epi64_mask(ef, _mm512_set1_epi64(0xff));
+  LaneReg r;
+  r.neg = _mm512_test_epi64_mask(bits, _mm512_set1_epi64(0x80000000));
+  r.nz = _mm512_test_epi64_mask(bits, _mm512_set1_epi64(0x7fffffff)) &
+         ~special;
+  // Normal: 1.mant at 2^(ef-150) per lsb; subnormal: mant at 2^-149.
+  r.sig = _mm512_mask_or_epi64(mant, _mm512_test_epi64_mask(ef, ef), mant,
+                               _mm512_set1_epi64(1 << 23));
+  r.sig = _mm512_maskz_mov_epi64(r.nz, r.sig);
+  r.lsb = _mm512_sub_epi64(_mm512_max_epi64(ef, _mm512_set1_epi64(1)),
+                           _mm512_set1_epi64(150));
+  r.lead = _mm512_sub_epi64(_mm512_add_epi64(r.lsb, _mm512_set1_epi64(63)),
+                            _mm512_lzcnt_epi64(r.sig));
+  return r;
+}
+
+/// Packs registers to FP32 bit patterns like fp::pack_to_float: RNE to
+/// 24 bits (fewer in the subnormal range), overflow to Inf, exact
+/// cancellation to +0.
+M3XU_AVX512_INLINE __m512i lane_encode(const LaneReg& r, const LaneRound& rc) {
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i e_cl = _mm512_max_epi64(r.lead, _mm512_set1_epi64(-126));
+  const __m512i s = _mm512_min_epi64(
+      _mm512_add_epi64(rc.f32_drop, _mm512_sub_epi64(e_cl, r.lead)),
+      _mm512_set1_epi64(64));
+  __m512i q = _mm512_srlv_epi64(r.sig, s);
+  const __m512i rem =
+      _mm512_andnot_si512(_mm512_sllv_epi64(_mm512_set1_epi64(-1), s), r.sig);
+  const __m512i half = _mm512_sllv_epi64(one, _mm512_sub_epi64(s, one));
+  const __mmask8 up =
+      _mm512_test_epi64_mask(s, s) &
+      (_mm512_cmpgt_epu64_mask(rem, half) |
+       (_mm512_cmpeq_epi64_mask(rem, half) & _mm512_test_epi64_mask(q, one)));
+  q = _mm512_mask_add_epi64(q, up, q, one);
+  // (biased exponent - 1) << 23 plus the significand with its hidden
+  // bit: a carry out of the significand bumps the exponent, and a
+  // subnormal (e_cl = -126) adds to zero.
+  __m512i bits = _mm512_add_epi64(
+      _mm512_slli_epi64(_mm512_add_epi64(e_cl, _mm512_set1_epi64(126)), 23), q);
+  bits = _mm512_min_epu64(bits, _mm512_set1_epi64(0x7f800000));
+  bits = _mm512_mask_or_epi64(bits, r.neg, bits, _mm512_set1_epi64(0x80000000));
+  return _mm512_maskz_mov_epi64(r.nz, bits);
+}
+
+/// One block row's chunk for every lane: decode the chunk-entry
+/// registers in `bits`, run both steps (or the idealized single one)
+/// over the sums, and return the new FP32 bits. Lanes that must exit
+/// are added to `exits`.
+M3XU_AVX512_INLINE __m512i lane_chunk(__m512i bits, const LaneSum& s0,
+                                      const LaneSum& s1, __m512i t_lo,
+                                      __m512i t_hi, __mmask8 have,
+                                      const MicrokernelParams& p,
+                                      const LaneRound& rc, __mmask8& exits) {
+  __mmask8 special;
+  LaneReg r = lane_decode(bits, special);
+  exits |= special;
+  if (p.per_step_rounding) {
+    r = lane_step(s0, t_lo, t_hi, have, r, rc, exits);
+    r = lane_step(s1, t_lo, t_hi, have, r, rc, exits);
+  } else {
+    r = lane_step(add_sums(s0, s1), t_lo, t_hi, have, r, rc, exits);
+  }
+  return lane_encode(r, rc);
+}
+
+/// The row's per-lane prescan window bounds.
+M3XU_AVX512_TARGET inline void lane_window(const PanelChunkMeta& am,
+                                           const BChunkLanes& bl,
+                                           __m512i& t_lo, __m512i& t_hi) {
+  t_lo = _mm512_add_epi64(_mm512_load_si512(bl.min_exp),
+                          _mm512_set1_epi64(am.min_exp));
+  t_hi = _mm512_add_epi64(_mm512_load_si512(bl.max_exp),
+                          _mm512_set1_epi64(am.max_exp + 23));
+}
+
+/// The FP32 kernel over a rows x cols block (rows <= 8, cols <= 8; a
+/// partial block masks the missing columns' lanes).
+M3XU_AVX512_TARGET void fp32_block_avx512(const PackedPanelFp32A& a, int row0,
+                                          int rows, const PackedPanelFp32B& b,
+                                          int col0, int cols,
+                                          const DpUnit& unit,
+                                          const MicrokernelParams& p,
+                                          float* c, int ldc) {
+  M3XU_CHECK(a.k == b.k);
+  M3XU_CHECK(!a.has_special && !b.has_special);
+  M3XU_CHECK(rows >= 1 && rows <= kLanes && row0 >= 0 &&
+             row0 + rows <= a.rows);
+  M3XU_CHECK(cols >= 1 && cols <= kLanes && col0 >= 0 &&
+             col0 + cols <= b.cols);
+  const int k = a.k;
+  const int nchunks = panel_chunk_count(k, kPackChunkFp32);
+  const __mmask8 lanes = static_cast<__mmask8>((1u << cols) - 1);
+  const LaneRound rc = lane_round_consts(p.accum_prec);
+  __m512i acc[kLanes];  // FP32 bits, one column per u64 lane
+  for (int i = 0; i < rows; ++i) {
+    const float* row = c + static_cast<std::size_t>(i) * ldc;
+    acc[i] = _mm512_cvtepu32_epi64(
+        _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(lanes, row)));
+  }
+  BChunkLanes bl;
+  ElemSoA ar;
+  std::uint64_t fallbacks = 0;
+  std::uint64_t exits_total = 0;
+  for (int ch = 0; ch < nchunks; ++ch) {
+    const int k0 = ch * kPackChunkFp32;
+    const int kc = std::min(kPackChunkFp32, k - k0);
+    if (p.prefetch && ch + 1 < nchunks) {
+      const int nk0 = k0 + kPackChunkFp32;
+      const int nkc = std::min(kPackChunkFp32, k - nk0);
+      for (int i = 0; i < rows; ++i) {
+        prefetch_lanes(
+            a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + nk0) * 2,
+            2 * nkc);
+      }
+      for (int j = 0; j < cols; ++j) {
+        prefetch_lanes(
+            b.like.data() + (static_cast<std::size_t>(col0 + j) * k + nk0) * 2,
+            2 * nkc);
+      }
+    }
+    decode_b_lanes(
+        b.like.data() + (static_cast<std::size_t>(col0) * k + k0) * 2,
+        static_cast<std::size_t>(2) * k, cols, kc,
+        &b.meta[static_cast<std::size_t>(col0) * nchunks + ch], nchunks, bl);
+    for (int i = 0; i < rows; ++i) {
+      const PanelChunkMeta& am =
+          a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
+      decode_slots(
+          a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * 2,
+          kc, fill_exp(am), ar);
+      const __mmask8 have = finite_chunk(am) ? bl.finite : 0;
+      LaneSum s0{};
+      LaneSum s1{};
+      if (have) {
+        for (int t = 0; t < kMaxSlots; ++t) {
+          if (ar.ab[t] == 0) continue;  // zero slot: contributes nothing
+          const ASlot as = a_slot(ar, t, am.min_exp);
+          add_pair(as.av, as.ah, as.aoff, bl.neg[t] ^ as.neg, bl, t, s0, s1);
+        }
+      }
+      __m512i t_lo, t_hi;
+      lane_window(am, bl, t_lo, t_hi);
+      __mmask8 exits = 0;
+      __m512i out =
+          lane_chunk(acc[i], s0, s1, t_lo, t_hi, have, p, rc, exits);
+      exits &= lanes;
+      if (exits != 0) {
+        // Re-run each exiting lane's chunk on the scalar pair route from
+        // its chunk-entry register.
+        alignas(64) std::uint64_t entry[kLanes];
+        alignas(64) std::uint64_t res[kLanes];
+        _mm512_store_si512(entry, acc[i]);
+        _mm512_store_si512(res, out);
+        for (int j = 0; j < cols; ++j) {
+          if (((exits >> j) & 1) == 0) continue;
+          const PanelChunkMeta& bm =
+              b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
+          ElemSoA bc;
+          decode_slots(
+              b.like.data() + (static_cast<std::size_t>(col0 + j) * k + k0) * 2,
+              kc, fill_exp(bm), bc);
+          float v = float_from_bits(static_cast<std::uint32_t>(entry[j]));
+          fallbacks += fp32_pair(MkVariant::kScalar, ar, am, bc, bm, a,
+                                 row0 + i, b, col0 + j, k0, kc, unit, p, &v);
+          res[j] = bits_of(v);
+          ++exits_total;
+        }
+        out = _mm512_load_si512(res);
+      }
+      acc[i] = out;
+    }
+  }
+  for (int i = 0; i < rows; ++i) {
+    const __m256i bits = _mm512_cvtepi64_epi32(acc[i]);
+    _mm512_mask_storeu_epi32(c + static_cast<std::size_t>(i) * ldc, lanes,
+                             _mm512_castsi256_si512(bits));
+  }
+  const std::uint64_t elems = static_cast<std::uint64_t>(rows) * cols;
+  uk_fp32_blocks.increment();
+  uk_fp32_elems.add(elems);
+  uk_fp32_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
+  uk_fp32_falls.add(fallbacks);
+  uk_fp32_exits.add(exits_total);
+}
+
+/// The FP32C kernel over a rows x cols block. Per lane, the real part
+/// pairs A slot t with B slot t and the imaginary part with B slot t^1
+/// (flipping odd slots' signs), exactly the scalar build_pair pairings
+/// over bcol / bswp; both parts share the column's prescan window.
+M3XU_AVX512_TARGET void fp32c_block_avx512(const PackedPanelFp32cA& a,
+                                           int row0, int rows,
+                                           const PackedPanelFp32cB& b,
+                                           int col0, int cols,
+                                           const DpUnit& unit,
+                                           const MicrokernelParams& p,
+                                           std::complex<float>* c, int ldc) {
+  M3XU_CHECK(a.k == b.k);
+  M3XU_CHECK(!a.has_special && !b.has_special);
+  M3XU_CHECK(rows >= 1 && rows <= kLanes && row0 >= 0 &&
+             row0 + rows <= a.rows);
+  M3XU_CHECK(cols >= 1 && cols <= kLanes && col0 >= 0 &&
+             col0 + cols <= b.cols);
+  const int k = a.k;
+  const int nchunks = panel_chunk_count(k, kPackChunkFp32c);
+  const __mmask8 lanes = static_cast<__mmask8>((1u << cols) - 1);
+  const __mmask16 words = static_cast<__mmask16>((1u << (2 * cols)) - 1);
+  const __m512i low32 = _mm512_set1_epi64(0xffffffff);
+  const LaneRound rc = lane_round_consts(p.accum_prec);
+  // A complex<float> is one u64 lane: im bits << 32 | re bits.
+  __m512i acc_re[kLanes];
+  __m512i acc_im[kLanes];
+  for (int i = 0; i < rows; ++i) {
+    const __m512i v = _mm512_maskz_loadu_epi32(
+        words, c + static_cast<std::size_t>(i) * ldc);
+    acc_re[i] = _mm512_and_si512(v, low32);
+    acc_im[i] = _mm512_srli_epi64(v, 32);
+  }
+  BChunkLanes bl;
+  ElemSoA ar;
+  std::uint64_t fallbacks = 0;
+  std::uint64_t exits_total = 0;
+  for (int ch = 0; ch < nchunks; ++ch) {
+    const int k0 = ch * kPackChunkFp32c;
+    const int kc = std::min(kPackChunkFp32c, k - k0);
+    if (p.prefetch && ch + 1 < nchunks) {
+      const int nk0 = k0 + kPackChunkFp32c;
+      const int nkc = std::min(kPackChunkFp32c, k - nk0);
+      for (int i = 0; i < rows; ++i) {
+        prefetch_lanes(a.real_lanes.data() +
+                           (static_cast<std::size_t>(row0 + i) * k + nk0) * 4,
+                       4 * nkc);
+      }
+      for (int j = 0; j < cols; ++j) {
+        prefetch_lanes(b.real_like.data() +
+                           (static_cast<std::size_t>(col0 + j) * k + nk0) * 4,
+                       4 * nkc);
+      }
+    }
+    decode_b_lanes(
+        b.real_like.data() + (static_cast<std::size_t>(col0) * k + k0) * 4,
+        static_cast<std::size_t>(4) * k, cols, 2 * kc,
+        &b.meta[static_cast<std::size_t>(col0) * nchunks + ch], nchunks, bl);
+    for (int i = 0; i < rows; ++i) {
+      const PanelChunkMeta& am =
+          a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
+      decode_slots(a.real_lanes.data() +
+                       (static_cast<std::size_t>(row0 + i) * k + k0) * 4,
+                   2 * kc, fill_exp(am), ar);
+      const __mmask8 have = finite_chunk(am) ? bl.finite : 0;
+      LaneSum re0{};
+      LaneSum re1{};
+      LaneSum im0{};
+      LaneSum im1{};
+      if (have) {
+        for (int t = 0; t < kMaxSlots; ++t) {
+          if (ar.ab[t] == 0) continue;
+          const ASlot as = a_slot(ar, t, am.min_exp);
+          add_pair(as.av, as.ah, as.aoff, bl.neg[t] ^ as.neg, bl, t, re0, re1);
+          const __mmask8 flip = (t & 1) ? 0xff : 0;
+          add_pair(as.av, as.ah, as.aoff, bl.neg[t ^ 1] ^ as.neg ^ flip, bl,
+                   t ^ 1, im0, im1);
+        }
+      }
+      __m512i t_lo, t_hi;
+      lane_window(am, bl, t_lo, t_hi);
+      __mmask8 exits = 0;
+      __m512i out_re =
+          lane_chunk(acc_re[i], re0, re1, t_lo, t_hi, have, p, rc, exits);
+      __m512i out_im =
+          lane_chunk(acc_im[i], im0, im1, t_lo, t_hi, have, p, rc, exits);
+      exits &= lanes;
+      if (exits != 0) {
+        alignas(64) std::uint64_t entry_re[kLanes];
+        alignas(64) std::uint64_t entry_im[kLanes];
+        alignas(64) std::uint64_t res_re[kLanes];
+        alignas(64) std::uint64_t res_im[kLanes];
+        _mm512_store_si512(entry_re, acc_re[i]);
+        _mm512_store_si512(entry_im, acc_im[i]);
+        _mm512_store_si512(res_re, out_re);
+        _mm512_store_si512(res_im, out_im);
+        for (int j = 0; j < cols; ++j) {
+          if (((exits >> j) & 1) == 0) continue;
+          const PanelChunkMeta& bm =
+              b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
+          ElemSoA bc;
+          ElemSoA bs;
+          decode_slots(b.real_like.data() +
+                           (static_cast<std::size_t>(col0 + j) * k + k0) * 4,
+                       2 * kc, fill_exp(bm), bc);
+          swap_slots(bc, bs);
+          float re = float_from_bits(static_cast<std::uint32_t>(entry_re[j]));
+          float im = float_from_bits(static_cast<std::uint32_t>(entry_im[j]));
+          fallbacks += fp32c_pair(MkVariant::kScalar, ar, am, bc, bs, bm, a,
+                                  row0 + i, b, col0 + j, k0, kc, unit, p, &re,
+                                  &im);
+          res_re[j] = bits_of(re);
+          res_im[j] = bits_of(im);
+          ++exits_total;
+        }
+        out_re = _mm512_load_si512(res_re);
+        out_im = _mm512_load_si512(res_im);
+      }
+      acc_re[i] = out_re;
+      acc_im[i] = out_im;
+    }
+  }
+  for (int i = 0; i < rows; ++i) {
+    _mm512_mask_storeu_epi64(
+        c + static_cast<std::size_t>(i) * ldc, lanes,
+        _mm512_or_si512(acc_re[i], _mm512_slli_epi64(acc_im[i], 32)));
+  }
+  const std::uint64_t elems = static_cast<std::uint64_t>(rows) * cols;
+  uk_fp32c_blocks.increment();
+  uk_fp32c_elems.add(elems);
+  uk_fp32c_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
+  uk_fp32c_falls.add(fallbacks);
+  uk_fp32c_exits.add(exits_total);
+}
+
+#undef M3XU_AVX512_INLINE
+#undef M3XU_AVX512_TARGET
+#endif  // M3XU_ENABLE_SIMD
+
+/// Checks a block call's extent against the resolved variant: a full
+/// p.mr x p.nr block always, a partial one only where the variant's
+/// kernel masks it (mk_partial_blocks).
+void check_block_extent(const MicrokernelParams& p, MkVariant v, int rows,
+                        int cols) {
+  M3XU_CHECK(mk_block_supported(p.mr, p.nr));
+  M3XU_CHECK(rows >= 1 && rows <= p.mr && cols >= 1 && cols <= p.nr);
+  M3XU_CHECK((rows == p.mr && cols == p.nr) || mk_partial_blocks(v));
+}
+
 }  // namespace
 
 void microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
-                            const PackedPanelFp32B& b, int col0,
-                            const DpUnit& unit, const MicrokernelParams& p,
-                            float* c, int ldc) {
+                            const PackedPanelFp32B& b, int col0, int rows,
+                            int cols, const DpUnit& unit,
+                            const MicrokernelParams& p, float* c, int ldc) {
   const MkVariant v = mk_variant_resolve(p.variant);
+  check_block_extent(p, v, rows, cols);
   count_variant_block(v);
-  if (p.mr == 4 && p.nr == 4) {
+#ifdef M3XU_ENABLE_SIMD
+  if (v == MkVariant::kAvx512) {
+    fp32_block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
+    return;
+  }
+#endif
+  if (p.mr == 4) {
     fp32_block<4, 4>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 6 && p.nr == 8) {
+  } else if (p.mr == 6) {
     fp32_block<6, 8>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 8 && p.nr == 8) {
-    fp32_block<8, 8>(a, row0, b, col0, unit, p, v, c, ldc);
   } else {
-    M3XU_CHECK(mk_block_supported(p.mr, p.nr));
+    fp32_block<8, 8>(a, row0, b, col0, unit, p, v, c, ldc);
   }
 }
 
 void microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
-                             const PackedPanelFp32cB& b, int col0,
-                             const DpUnit& unit, const MicrokernelParams& p,
+                             const PackedPanelFp32cB& b, int col0, int rows,
+                             int cols, const DpUnit& unit,
+                             const MicrokernelParams& p,
                              std::complex<float>* c, int ldc) {
   const MkVariant v = mk_variant_resolve(p.variant);
+  check_block_extent(p, v, rows, cols);
   count_variant_block(v);
-  if (p.mr == 4 && p.nr == 4) {
+#ifdef M3XU_ENABLE_SIMD
+  if (v == MkVariant::kAvx512) {
+    fp32c_block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
+    return;
+  }
+#endif
+  if (p.mr == 4) {
     fp32c_block<4, 4>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 6 && p.nr == 8) {
+  } else if (p.mr == 6) {
     fp32c_block<6, 8>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 8 && p.nr == 8) {
-    fp32c_block<8, 8>(a, row0, b, col0, unit, p, v, c, ldc);
   } else {
-    M3XU_CHECK(mk_block_supported(p.mr, p.nr));
+    fp32c_block<8, 8>(a, row0, b, col0, unit, p, v, c, ldc);
   }
 }
 

@@ -17,10 +17,11 @@
 //   - streaming eligibility and the fused-round window bound come from
 //     the panels' pack-time exponent prescan (PanelChunkMeta), decided
 //     once per (row, chunk) / (col, chunk) instead of per dot;
-//   - the term build runs over structure-of-arrays slots with a fixed
-//     trip count, with an explicit AVX2 path behind M3XU_ENABLE_SIMD
-//     (runtime-dispatched) and the scalar loop as the always-built
-//     fallback.
+//   - the scalar and AVX2 variants build terms over structure-of-arrays
+//     slots with a fixed trip count and round one output at a time; the
+//     AVX-512 variant makes the SIMD lanes the block's output columns,
+//     so the exact step sums, window checks, rounding and FP32 encode
+//     all run 8 columns per instruction (DESIGN.md section 15).
 //
 // Bit-identity: each architectural step still computes
 // reg' = RNE_prec(reg + exact step sum), and chunk boundaries still
@@ -28,13 +29,16 @@
 // per-dot ExactAccumulator route (core/fused_round.hpp documents why).
 // Any (i, j, chunk) the prescan cannot prove safe - wide exponent span,
 // non-prec-exact register, Inf/NaN register - re-runs that chunk
-// through the generic ExactAccumulator path on the same panel slices.
+// through the generic ExactAccumulator path on the same panel slices
+// (the AVX-512 kernel first hands such a lane back to the scalar pair
+// path, which makes exactly that decision).
 // Callers must keep injector-attached runs on the per-element path:
 // the microkernel has no fault hooks, by design (fault-site opportunity
 // order is defined by the per-dot schedule).
 #pragma once
 
 #include <complex>
+#include <string_view>
 
 #include "core/dp_unit.hpp"
 #include "core/packed_panel.hpp"
@@ -47,7 +51,11 @@ namespace m3xu::core {
 inline constexpr int kMicroMr = 4;
 inline constexpr int kMicroNr = 4;
 
-/// Term-build SIMD variant. kAuto resolves to the widest lane the CPU
+/// Microkernel SIMD variant. kScalar and kAvx2 round one output at a
+/// time (kAvx2 vectorizes only the term build); kAvx512 (AVX512F +
+/// AVX512CD) runs the lanes-as-columns kernel: 8 output columns per
+/// vector through the exact step sums, rounding and FP32 encode, with
+/// partial blocks masked. kAuto resolves to the widest variant the CPU
 /// supports at runtime (__builtin_cpu_supports); the scalar path is
 /// always built and every variant is bit-identical - dispatch is a
 /// pure throughput choice. The M3XU_MK_VARIANT environment variable
@@ -56,6 +64,11 @@ inline constexpr int kMicroNr = 4;
 enum class MkVariant : int { kAuto = 0, kScalar = 1, kAvx2 = 2, kAvx512 = 3 };
 
 const char* mk_variant_name(MkVariant v);
+
+/// Parses an M3XU_MK_VARIANT value: exactly "scalar", "avx2" or
+/// "avx512". Anything else fails M3XU_CHECK_MSG naming the accepted
+/// values, so a typo cannot silently leave dispatch uncapped.
+MkVariant mk_variant_parse(std::string_view s);
 
 /// True when the build compiled the variant in and the CPU supports it
 /// at runtime. kScalar and kAuto are always available.
@@ -100,22 +113,30 @@ struct MicrokernelParams {
   bool prefetch = true;
 };
 
-/// True when any SIMD term-build path is compiled in and the CPU
-/// supports it (runtime-dispatched; the scalar path is always built).
+/// True when any SIMD path is compiled in and the CPU supports it
+/// (runtime-dispatched; the scalar path is always built).
 bool microkernel_simd_active();
 
-/// Computes the p.mr x p.nr block C += A*B at panel offset
-/// (row0, col0) over the panels' full K. `c` points at the block's
-/// top-left output element. Requires row0+p.mr <= a.rows,
-/// col0+p.nr <= b.cols, a.k == b.k, and special-free panels.
+/// True when the resolved variant's kernel also takes partial blocks
+/// (fewer rows than p.mr, fewer columns than p.nr), so callers can run
+/// tile edges through it instead of the per-element path: kAvx512.
+bool mk_partial_blocks(MkVariant resolved);
+
+/// Computes the rows x cols block C += A*B at panel offset (row0, col0)
+/// over the panels' full K. `c` points at the block's top-left output
+/// element. Requires 1 <= rows <= p.mr and 1 <= cols <= p.nr, with a
+/// partial block only when mk_partial_blocks(mk_variant_resolve(
+/// p.variant)); row0+rows <= a.rows, col0+cols <= b.cols, a.k == b.k,
+/// and special-free panels.
 void microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
-                            const PackedPanelFp32B& b, int col0,
-                            const DpUnit& unit, const MicrokernelParams& p,
-                            float* c, int ldc);
+                            const PackedPanelFp32B& b, int col0, int rows,
+                            int cols, const DpUnit& unit,
+                            const MicrokernelParams& p, float* c, int ldc);
 
 void microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
-                             const PackedPanelFp32cB& b, int col0,
-                             const DpUnit& unit, const MicrokernelParams& p,
+                             const PackedPanelFp32cB& b, int col0, int rows,
+                             int cols, const DpUnit& unit,
+                             const MicrokernelParams& p,
                              std::complex<float>* c, int ldc);
 
 }  // namespace m3xu::core

@@ -635,8 +635,9 @@ void M3xuEngine::gemm_fp32_prepacked(const PackedPanelFp32A& a, int row0,
   thread_local std::array<StepOperands, 2> scratch;
   std::uint64_t n_fused = 0, n_fallback = 0, n_generic = 0;
   // Per-element loop over output sub-range [i0,i1) x [j0,j1); the
-  // microkernel covers full MR x NR interior blocks (shape from
-  // mk_block_resolve) and edge tiles fall through to this path.
+  // microkernel covers MR x NR blocks (shape from mk_block_resolve) and
+  // edge tiles fall through to this path unless the resolved variant
+  // takes partial blocks.
   const auto run_range = [&](int i0, int i1, int j0, int j1) {
   for (int i = i0; i < i1; ++i) {
     const LaneOperand* arow =
@@ -712,11 +713,16 @@ void M3xuEngine::gemm_fp32_prepacked(const PackedPanelFp32A& a, int row0,
     const MicrokernelParams mp{config_.per_step_rounding, config_.accum_prec,
                                config_.mk_variant, blk.mr, blk.nr,
                                config_.mk_prefetch};
-    const int mb = m - m % blk.mr;
-    const int nb = n - n % blk.nr;
+    // A variant whose kernel masks partial blocks covers the edges too;
+    // otherwise full blocks run here and the edges per element below.
+    const bool partial = mk_partial_blocks(mk_variant_resolve(mp.variant));
+    const int mb = partial ? m : m - m % blk.mr;
+    const int nb = partial ? n : n - n % blk.nr;
     for (int i = 0; i < mb; i += blk.mr) {
       for (int j = 0; j < nb; j += blk.nr) {
-        microkernel_fp32_block(a, row0 + i, b, col0 + j, dp12_, mp,
+        microkernel_fp32_block(a, row0 + i, b, col0 + j,
+                               std::min(blk.mr, mb - i),
+                               std::min(blk.nr, nb - j), dp12_, mp,
                                c + idx(i, ldc, j), ldc);
       }
     }
@@ -777,7 +783,8 @@ void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
     s1.b.push_back(y[0]);
   };
   // Per-element loop over [i0,i1) x [j0,j1); edge tiles around the
-  // microkernel's full blocks fall through to this path.
+  // microkernel's full blocks fall through to this path unless the
+  // resolved variant takes partial blocks.
   const auto run_range = [&](int i0, int i1, int j0, int j1) {
   for (int i = i0; i < i1; ++i) {
     const std::size_t arow = static_cast<std::size_t>(row0 + i) * k;
@@ -869,11 +876,16 @@ void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
     const MicrokernelParams mp{config_.per_step_rounding, config_.accum_prec,
                                config_.mk_variant, blk.mr, blk.nr,
                                config_.mk_prefetch};
-    const int mb = m - m % blk.mr;
-    const int nb = n - n % blk.nr;
+    // A variant whose kernel masks partial blocks covers the edges too;
+    // otherwise full blocks run here and the edges per element below.
+    const bool partial = mk_partial_blocks(mk_variant_resolve(mp.variant));
+    const int mb = partial ? m : m - m % blk.mr;
+    const int nb = partial ? n : n - n % blk.nr;
     for (int i = 0; i < mb; i += blk.mr) {
       for (int j = 0; j < nb; j += blk.nr) {
-        microkernel_fp32c_block(a, row0 + i, b, col0 + j, dp12_, mp,
+        microkernel_fp32c_block(a, row0 + i, b, col0 + j,
+                                std::min(blk.mr, mb - i),
+                                std::min(blk.nr, nb - j), dp12_, mp,
                                 c + idx(i, ldc, j), ldc);
       }
     }

@@ -91,9 +91,9 @@ struct M3xuConfig {
   /// uses it as the demotion rung below the packed fused route. See
   /// docs/RESILIENCE.md.
   bool force_generic = false;
-  /// Microkernel term-build variant (core/microkernel.hpp). kAuto
-  /// resolves to the widest SIMD lane the CPU supports; every variant
-  /// is bit-identical, so this is a throughput / reproduction knob.
+  /// Microkernel SIMD variant (core/microkernel.hpp). kAuto resolves
+  /// to the widest variant the CPU supports; every variant is
+  /// bit-identical, so this is a throughput / reproduction knob.
   MkVariant mk_variant = MkVariant::kAuto;
   /// Microkernel register-block shape. (0, 0) - the default - picks
   /// the per-CPU shape (mk_block_resolve); anything else must be a

@@ -112,10 +112,14 @@ struct AutotuneResult {
 class TuneCache {
  public:
   /// v2 added mk_mr / mk_nr / threads to each entry (and to the
-  /// checksummed canonical string). v1 files fail the version check on
-  /// load and are dropped wholesale: those problems re-tune once and
-  /// the next save() rewrites the file at the current version.
-  static constexpr int kSchemaVersion = 2;
+  /// checksummed canonical string). v3 keeps the v2 layout but drops
+  /// v2 winners: the AVX-512 lanes-as-columns kernel changed the cost
+  /// balance that picked block shapes and thread counts, and
+  /// cpu_signature()'s simd=avx512 would still match them. An older
+  /// file fails the version check on load and is dropped wholesale:
+  /// those problems re-tune once and the next save() rewrites the file
+  /// at the current version.
+  static constexpr int kSchemaVersion = 3;
 
   explicit TuneCache(std::string path);
 

@@ -6,21 +6,27 @@
 // wide exponent spans that force the per-pair generic fallback, nonzero
 // and signed-zero C, non-default rounding configs, prepacked sub-block
 // offsets, and injector-attached engines (which must stay on the
-// per-dot-identical generic path and replay identical fault logs).
+// per-dot-identical generic path and replay identical fault logs). The
+// AVX-512 lanes-as-columns kernel additionally gets lane-exit, partial-
+// block, long-K, special-register and full accum_prec sweeps with its
+// route counters checked.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/microkernel.hpp"
 #include "core/mxu.hpp"
 #include "core/packed_panel.hpp"
 #include "fault/injector.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace m3xu::core {
 namespace {
@@ -315,6 +321,38 @@ TEST(MicrokernelDispatch, ResolutionRespectsAvailability) {
   EXPECT_EQ(mk_variant_resolve(MkVariant::kScalar), MkVariant::kScalar);
 }
 
+TEST(MicrokernelDispatch, VariantCapParserRejectsUnknownValues) {
+  EXPECT_EQ(mk_variant_parse("scalar"), MkVariant::kScalar);
+  EXPECT_EQ(mk_variant_parse("avx2"), MkVariant::kAvx2);
+  EXPECT_EQ(mk_variant_parse("avx512"), MkVariant::kAvx512);
+  const ScopedCheckHandler guard(&throwing_check_failure_handler);
+  for (const char* bad : {"scalr", "", "AVX512", "auto", "avx512 ", "avx"}) {
+    try {
+      (void)mk_variant_parse(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("scalar|avx2|avx512"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(MicrokernelDispatch, EnvCapBindsAutoResolution) {
+  // The forced-scalar CI job sets M3XU_MK_VARIANT; there, auto dispatch
+  // must resolve to exactly the requested cap (clamped only by what the
+  // host supports), or the job would be testing some other kernel.
+  const char* env = std::getenv("M3XU_MK_VARIANT");
+  if (env == nullptr) GTEST_SKIP() << "M3XU_MK_VARIANT is not set";
+  const MkVariant cap = mk_variant_parse(env);
+  const MkVariant best = mk_variant_resolve(MkVariant::kAvx512);
+  const MkVariant want = static_cast<int>(cap) < static_cast<int>(best)
+                             ? cap
+                             : best;
+  EXPECT_EQ(mk_variant_resolve(MkVariant::kAuto), want)
+      << "M3XU_MK_VARIANT=" << env;
+}
+
 TEST(MicrokernelDispatch, BlockShapeResolution) {
   EXPECT_TRUE(mk_block_supported(4, 4));
   EXPECT_TRUE(mk_block_supported(6, 8));
@@ -441,6 +479,281 @@ TEST(MicrokernelDispatch, InjectorDeterminismUnderForcedDispatch) {
     forced.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, c1.data(), n);
     expect_bitwise_equal(c0, c1, "forced-dispatch-fault-replay");
     EXPECT_EQ(inj_ref.log(), inj_forced.log()) << mk_variant_name(v);
+  }
+}
+
+// --- AVX-512 lanes-as-columns kernel ----------------------------------
+//
+// The kernel's own counters: lane_exits counts (row, column, chunk)
+// triples handed back to the scalar pair path; block_elements and
+// pair_chunks must count exactly the elements a (partial) block covers.
+
+struct MkCounts {
+  std::uint64_t blocks_avx512 = 0;
+  std::uint64_t elements = 0;
+  std::uint64_t pairs = 0;
+  std::uint64_t fallbacks = 0;
+  std::uint64_t exits = 0;
+  std::uint64_t edge = 0;
+};
+
+MkCounts mk_counts(const telemetry::Snapshot& before,
+                   const telemetry::Snapshot& after,
+                   const std::string& family) {
+  const std::string p = "mxu." + family;
+  MkCounts r;
+  r.blocks_avx512 = after.counter_delta(before, "mk.variant.avx512.blocks");
+  r.elements = after.counter_delta(before, p + ".microkernel.block_elements");
+  r.pairs = after.counter_delta(before, p + ".microkernel.pair_chunks");
+  r.fallbacks = after.counter_delta(before, p + ".microkernel.pair_fallbacks");
+  r.exits = after.counter_delta(before, p + ".microkernel.lane_exits");
+  r.edge = after.counter_delta(before, p + ".elements.edge");
+  return r;
+}
+
+/// An engine pinned to the AVX-512 kernel at `shape`.
+M3xuConfig avx512_config(MkBlockShape shape = {8, 8}) {
+  M3xuConfig cfg;
+  cfg.mk_variant = MkVariant::kAvx512;
+  cfg.mk_mr = shape.mr;
+  cfg.mk_nr = shape.nr;
+  return cfg;
+}
+
+#define SKIP_WITHOUT_AVX512()                                           \
+  if (!mk_variant_available(MkVariant::kAvx512)) {                      \
+    GTEST_SKIP() << "host or build lacks AVX512F+AVX512CD: the "        \
+                    "lanes-as-columns kernel cannot run here";          \
+  }
+
+TEST(MicrokernelAvx512, Fp32LaneExitsBesideInVectorColumns) {
+  SKIP_WITHOUT_AVX512();
+  // One 8x8 block at K = 64 (8 chunks), A = 1 so each column's products
+  // are its B values. Column 0 has one tiny element in chunk 3, so that
+  // chunk's exponent span exceeds the 118-bit window: it exits there,
+  // takes the generic route, and streams in-vector again afterwards.
+  // Column 1 (C = 0) sums 8 x 1e38 in chunk 0, packs to Inf, and
+  // exits every later chunk from its Inf register. Columns 2..7 never
+  // leave the vector.
+  const M3xuConfig cfg = avx512_config();
+  const M3xuEngine micro(cfg);
+  const M3xuEngine packed = packed_only_engine(cfg);
+  const int m = 8, n = 8, k = 64;
+  Rng rng(40100);
+  const std::vector<float> a(static_cast<std::size_t>(m) * k, 1.0f);
+  auto b = random_buffer(k, n, rng, true);
+  auto c = random_buffer(m, n, rng, true);
+  b[static_cast<std::size_t>(25) * n + 0] = 1e-35f;
+  for (int kk = 0; kk < k; ++kk) {
+    b[static_cast<std::size_t>(kk) * n + 1] = 1e38f;
+  }
+  for (int i = 0; i < m; ++i) c[static_cast<std::size_t>(i) * n + 1] = 0.0f;
+  const telemetry::Snapshot before = telemetry::snapshot();
+  check_fp32(micro, packed, m, n, k, a, b, c);
+  const MkCounts got = mk_counts(before, telemetry::snapshot(), "fp32");
+#if M3XU_TELEMETRY_ENABLED
+  EXPECT_EQ(got.exits, 8u * 1 + 8u * 7);
+  EXPECT_EQ(got.fallbacks, 8u);  // only the span exits fail pair_chunk
+  EXPECT_EQ(got.pairs, static_cast<std::uint64_t>(m) * n * (k / 8));
+  EXPECT_EQ(got.blocks_avx512, 1u);
+#else
+  (void)got;
+#endif
+}
+
+TEST(MicrokernelAvx512, Fp32cLaneExitsBesideInVectorColumns) {
+  SKIP_WITHOUT_AVX512();
+  // The FP32C analogue (16 chunks of 4 elements, A = 1 + 0i): column 0
+  // has a wide-span chunk 5, column 1's real register overflows in
+  // chunk 0; a lane exits when either part's register or window needs
+  // the scalar route.
+  const M3xuConfig cfg = avx512_config();
+  const M3xuEngine micro(cfg);
+  const M3xuEngine packed = packed_only_engine(cfg);
+  const int m = 8, n = 8, k = 64;
+  Rng rng(40200);
+  const std::vector<std::complex<float>> a(static_cast<std::size_t>(m) * k,
+                                           {1.0f, 0.0f});
+  auto b = random_cbuffer(k, n, rng, true);
+  auto c = random_cbuffer(m, n, rng, true);
+  b[static_cast<std::size_t>(21) * n + 0] = {1e-35f, 0.0f};
+  for (int kk = 0; kk < k; ++kk) {
+    b[static_cast<std::size_t>(kk) * n + 1] = {1e38f, 1e37f};
+  }
+  for (int i = 0; i < m; ++i) c[static_cast<std::size_t>(i) * n + 1] = 0.0f;
+  const telemetry::Snapshot before = telemetry::snapshot();
+  check_fp32c(micro, packed, m, n, k, a, b, c);
+  const MkCounts got = mk_counts(before, telemetry::snapshot(), "fp32c");
+#if M3XU_TELEMETRY_ENABLED
+  EXPECT_EQ(got.exits, 8u * 1 + 8u * 15);
+  EXPECT_EQ(got.fallbacks, 8u);
+  EXPECT_EQ(got.pairs, static_cast<std::uint64_t>(m) * n * (k / 4));
+#else
+  (void)got;
+#endif
+}
+
+TEST(MicrokernelAvx512, PartialBlocksCoverEdgesWithExactCounts) {
+  SKIP_WITHOUT_AVX512();
+  // Every m % MR and every n % 8 in 1..7, for every block shape: the
+  // kernel masks the missing rows/columns, so nothing reaches the
+  // per-element edge path and the counters cover exactly m x n.
+  int seed = 0;
+  for (const MkBlockShape shape :
+       {MkBlockShape{4, 4}, MkBlockShape{6, 8}, MkBlockShape{8, 8}}) {
+    SCOPED_TRACE(std::to_string(shape.mr) + "x" + std::to_string(shape.nr));
+    const M3xuConfig cfg = avx512_config(shape);
+    const M3xuEngine micro(cfg);
+    const M3xuEngine packed = packed_only_engine(cfg);
+    for (int m = shape.mr; m < 2 * shape.mr; ++m) {
+      for (int r = 1; r <= 7; ++r) {
+        const int n = 8 + r;
+        const int k = 20;
+        Rng rng(40300 + seed++);
+        const auto a = random_buffer(m, k, rng, false);
+        const auto b = random_buffer(k, n, rng, false);
+        const auto c = random_buffer(m, n, rng, true);
+        telemetry::Snapshot before = telemetry::snapshot();
+        auto out = c;
+        micro.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, out.data(),
+                               n);
+        const MkCounts got = mk_counts(before, telemetry::snapshot(), "fp32");
+        check_fp32(micro, packed, m, n, k, a, b, c);
+        const int kc = 4;
+        const auto ca = random_cbuffer(m, kc, rng, false);
+        const auto cb = random_cbuffer(kc, n, rng, false);
+        const auto cc = random_cbuffer(m, n, rng, true);
+        before = telemetry::snapshot();
+        auto cout = cc;
+        micro.gemm_fp32c_packed(m, n, kc, ca.data(), kc, cb.data(), n,
+                                cout.data(), n);
+        const MkCounts cgot =
+            mk_counts(before, telemetry::snapshot(), "fp32c");
+        check_fp32c(micro, packed, m, n, kc, ca, cb, cc);
+#if M3XU_TELEMETRY_ENABLED
+        const std::uint64_t area = static_cast<std::uint64_t>(m) * n;
+        EXPECT_EQ(got.elements, area) << m << "x" << n;
+        EXPECT_EQ(got.pairs, area * ((k + 7) / 8)) << m << "x" << n;
+        EXPECT_EQ(got.edge, 0u) << m << "x" << n;
+        EXPECT_EQ(cgot.elements, area) << m << "x" << n;
+        EXPECT_EQ(cgot.pairs, area) << m << "x" << n;
+        EXPECT_EQ(cgot.edge, 0u) << m << "x" << n;
+#else
+        (void)got;
+        (void)cgot;
+#endif
+      }
+    }
+  }
+}
+
+TEST(MicrokernelAvx512, LongKBenignInputsNeverLeaveTheVector) {
+  SKIP_WITHOUT_AVX512();
+  const M3xuConfig cfg = avx512_config();
+  const M3xuEngine micro(cfg);
+  const M3xuEngine packed = packed_only_engine(cfg);
+  const int m = 16, n = 16, k = 512;
+  Rng rng(40400);
+  const auto a = random_buffer(m, k, rng, true);
+  const auto b = random_buffer(k, n, rng, true);
+  const auto c = random_buffer(m, n, rng, true);
+  telemetry::Snapshot before = telemetry::snapshot();
+  check_fp32(micro, packed, m, n, k, a, b, c);
+  const MkCounts got = mk_counts(before, telemetry::snapshot(), "fp32");
+  const auto ca = random_cbuffer(m, k, rng, true);
+  const auto cb = random_cbuffer(k, n, rng, true);
+  const auto cc = random_cbuffer(m, n, rng, true);
+  before = telemetry::snapshot();
+  check_fp32c(micro, packed, m, n, k, ca, cb, cc);
+  const MkCounts cgot = mk_counts(before, telemetry::snapshot(), "fp32c");
+#if M3XU_TELEMETRY_ENABLED
+  EXPECT_GT(got.blocks_avx512, 0u);
+  EXPECT_EQ(got.exits, 0u);
+  EXPECT_EQ(got.fallbacks, 0u);
+  EXPECT_GT(cgot.blocks_avx512, 0u);
+  EXPECT_EQ(cgot.exits, 0u);
+  EXPECT_EQ(cgot.fallbacks, 0u);
+#else
+  (void)got;
+  (void)cgot;
+#endif
+}
+
+TEST(MicrokernelAvx512, SignedZeroSubnormalAndInfRegisters) {
+  SKIP_WITHOUT_AVX512();
+  // C seeds the registers: -0 and +0 (an empty or cancelled step must
+  // give +0), subnormals (decoded at 2^-149 without a hidden bit, and
+  // re-encoded through the subnormal range), and +-Inf (the lane exits
+  // every chunk). One all-zero A row leaves its registers to pass
+  // through every chunk on their own.
+  const M3xuConfig cfg = avx512_config();
+  const M3xuEngine micro(cfg);
+  const M3xuEngine packed = packed_only_engine(cfg);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const int m = 9, n = 11, k = 24;
+  Rng rng(40500);
+  auto a = random_buffer(m, k, rng, true);
+  const auto b = random_buffer(k, n, rng, true);
+  for (int kk = 0; kk < k; ++kk) {
+    a[static_cast<std::size_t>(3) * k + kk] = 0.0f;
+    a[static_cast<std::size_t>(5) * k + kk] *= 1e-38f;
+  }
+  auto c = random_buffer(m, n, rng, true);
+  const float seeds[] = {-0.0f, 0.0f, sub, -sub, 1.17549421e-38f,
+                         -5e-39f, inf, -inf};
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    if (i % 3 != 1) c[i] = seeds[i % 8];
+  }
+  const telemetry::Snapshot before = telemetry::snapshot();
+  check_fp32(micro, packed, m, n, k, a, b, c);
+  const MkCounts got = mk_counts(before, telemetry::snapshot(), "fp32");
+  std::vector<std::complex<float>> cc(static_cast<std::size_t>(m) * n);
+  for (std::size_t i = 0; i < cc.size(); ++i) {
+    cc[i] = {seeds[i % 8], seeds[(i + 3) % 8]};
+  }
+  const int ck = 8;
+  auto ca = random_cbuffer(m, ck, rng, true);
+  for (int kk = 0; kk < ck; ++kk) {
+    ca[static_cast<std::size_t>(3) * ck + kk] = 0.0f;
+  }
+  const auto cb = random_cbuffer(ck, n, rng, true);
+  check_fp32c(micro, packed, m, n, ck, ca, cb, cc);
+#if M3XU_TELEMETRY_ENABLED
+  EXPECT_GT(got.exits, 0u);  // at least the Inf registers
+#else
+  (void)got;
+#endif
+}
+
+TEST(MicrokernelAvx512, EveryAccumPrecisionBothRegisterSemantics) {
+  SKIP_WITHOUT_AVX512();
+  // The in-vector rounding tail is parameterized by accum_prec; sweep
+  // every precision the engine accepts in both register semantics,
+  // with wide-range operands so rounding, subnormal encode and the
+  // span exits all occur.
+  for (const bool per_step : {true, false}) {
+    for (int prec = 24; prec <= 63; ++prec) {
+      SCOPED_TRACE(std::string(per_step ? "per-step" : "idealized") +
+                   " prec " + std::to_string(prec));
+      M3xuConfig cfg = avx512_config();
+      cfg.per_step_rounding = per_step;
+      cfg.accum_prec = prec;
+      const M3xuEngine micro(cfg);
+      const M3xuEngine packed = packed_only_engine(cfg);
+      Rng rng(40600 + prec + (per_step ? 100 : 0));
+      const int m = 9, n = 10, k = 40;
+      const bool benign = prec % 2 == 0;
+      const auto a = random_buffer(m, k, rng, benign);
+      const auto b = random_buffer(k, n, rng, benign);
+      const auto c = random_buffer(m, n, rng, benign);
+      check_fp32(micro, packed, m, n, k, a, b, c);
+      const int ck = 12;
+      const auto ca = random_cbuffer(m, ck, rng, benign);
+      const auto cb = random_cbuffer(ck, n, rng, benign);
+      const auto cc = random_cbuffer(m, n, rng, benign);
+      check_fp32c(micro, packed, m, n, ck, ca, cb, cc);
+    }
   }
 }
 

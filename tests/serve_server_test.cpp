@@ -272,9 +272,17 @@ TEST_F(BlockedServerTest, ShutdownShedsQueuedRequestsExplicitly) {
 }
 
 TEST(GemmServer, DeadlineMidRunResolvesDeadlineExceeded) {
+  // Every tile pass stalls its worker for 100 ms (kWorkerStall, the
+  // injector bench_serving's deadline domain uses), so the run outlasts
+  // the 30 ms deadline by construction rather than by how fast the
+  // host computes a 192^3 GEMM.
   ServerConfig cfg = base_config();
   cfg.executors = 1;
-  cfg.default_deadline_ms = 30;  // far less than a 192^3 emulated GEMM
+  cfg.default_deadline_ms = 30;
+  fault::FaultInjector inj(
+      9, fault::SiteRates::only(fault::Site::kWorkerStall, 1.0));
+  inj.stall_duration_ms = 100;
+  cfg.engine.injector = &inj;
   GemmServer server(cfg);
   const Problem p = make(192, 192, 192, 9);
   const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
