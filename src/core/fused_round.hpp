@@ -1,19 +1,18 @@
-// Shared exact-window rounding primitives for the packed M3XU datapath.
+// Exact-window rounding primitives for the packed M3XU datapath.
 //
-// Both the per-element fused streaming kernel (mxu.cpp) and the
-// register-blocked microkernel (microkernel.cpp) evaluate one
+// The register-blocked microkernel (microkernel.cpp) evaluates one
 // architectural step as
 //
 //     reg' = RNE_prec(reg + sum_i (-1)^s_i * sig_i * 2^e_i)
 //
 // with the inner sum exact, so any exact evaluation order produces
-// identical bits. These helpers implement the shared tail: extracting
-// the magnitude of a local two's-complement window sum and rounding it
-// to `prec` significand bits exactly like
+// identical bits. These helpers implement the tail: extracting the
+// magnitude of a local two's-complement window sum and rounding it to
+// `prec` significand bits exactly like
 // ExactAccumulator::round_to_precision (top-64 window + RNE with
-// sticky). Keeping them in one header is what makes the two fast paths
-// bit-identical to each other - and, transitively, to the generic
-// ExactAccumulator route - by construction.
+// sticky). That is what makes the microkernel's scalar pair route - and
+// the AVX-512 kernel, which replicates this tail per lane - bit-identical
+// to the generic ExactAccumulator route by construction.
 #pragma once
 
 #include <cstdint>

@@ -164,10 +164,6 @@ MkVariant mk_variant_resolve(MkVariant requested) {
   return MkVariant::kScalar;
 }
 
-bool mk_partial_blocks(MkVariant resolved) {
-  return resolved == MkVariant::kAvx512;
-}
-
 bool microkernel_simd_active() {
   return mk_variant_resolve(MkVariant::kAuto) != MkVariant::kScalar;
 }
@@ -384,17 +380,17 @@ inline void build_pair(MkVariant v, const ElemSoA& a, const ElemSoA& b,
 constexpr int kMaxSpan = 118;
 
 /// RNE_prec(c + selected step fields of `t`), bit-identical to the
-/// ExactAccumulator route. Mirrors mxu.cpp's fused_round with the
-/// exponent window taken from the pack-time prescan instead of a
-/// per-dot scan: [t_lo, t_hi] bounds every term (t_lo = the sides' min
-/// anchors summed, t_hi = the max lane exponents summed + 23; a pair's
-/// 48-bit product spans [sh, sh+47] with sh >= t_lo and sh+47 <= t_hi,
-/// the crossed field [sh+12, sh+36]). A conservative window only
-/// enlarges the shifts - round_sum128 normalizes on the actual leading
-/// bit - so the rounded value is unchanged; the span check merely
-/// falls back to the generic path a bit earlier than a per-dot scan
-/// would. `kLike`/`kCrossed` select the fields (both together = the
-/// idealized one-rounding-per-instruction sum). `c` may alias `*out`.
+/// ExactAccumulator route. The exponent window comes from the pack-time
+/// prescan instead of a per-dot scan: [t_lo, t_hi] bounds every term
+/// (t_lo = the sides' min anchors summed, t_hi = the max lane exponents
+/// summed + 23; a pair's 48-bit product spans [sh, sh+47] with
+/// sh >= t_lo and sh+47 <= t_hi, the crossed field [sh+12, sh+36]). A
+/// conservative window only enlarges the shifts - round_sum128
+/// normalizes on the actual leading bit - so the rounded value is
+/// unchanged; the span check merely falls back to the generic path a
+/// bit earlier than a per-dot scan would. `kLike`/`kCrossed` select
+/// the fields (both together = the idealized one-rounding-per-
+/// instruction sum). `c` may alias `*out`.
 /// Returns false with *out untouched when the chunk needs the generic
 /// ExactAccumulator route.
 template <bool kLike, bool kCrossed>
@@ -626,24 +622,26 @@ inline bool finite_chunk(const PanelChunkMeta& m) {
 
 // --- Register-blocked bodies (scalar / AVX2 term build) ---------------
 //
-// Templated on the MR x NR output-block shape so each instantiation
-// keeps its accumulator array and decode state at fixed size (the
-// compiler fully unrolls the short row/col loops). `v` is the resolved
-// term-build variant, checked once per block.
+// Templated on the MR x NR register-block shape so each instantiation
+// keeps its accumulator array and decode state at fixed size; a block
+// covers the top-left rows x cols of it (fewer at a tile edge). `v` is
+// the resolved term-build variant, checked once per block. Returns the
+// block's generic fallbacks.
 
 template <int MR, int NR>
-void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
-                int col0, const DpUnit& unit, const MicrokernelParams& p,
-                MkVariant v, float* c, int ldc) {
+std::uint64_t fp32_block(const PackedPanelFp32A& a, int row0, int rows,
+                         const PackedPanelFp32B& b, int col0, int cols,
+                         const DpUnit& unit, const MicrokernelParams& p,
+                         MkVariant v, float* c, int ldc) {
   M3XU_CHECK(a.k == b.k);
   M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(row0 >= 0 && row0 + MR <= a.rows);
-  M3XU_CHECK(col0 >= 0 && col0 + NR <= b.cols);
+  M3XU_CHECK(rows >= 1 && rows <= MR && row0 >= 0 && row0 + rows <= a.rows);
+  M3XU_CHECK(cols >= 1 && cols <= NR && col0 >= 0 && col0 + cols <= b.cols);
   const int k = a.k;
   const int nchunks = panel_chunk_count(k, kPackChunkFp32);
   float acc[MR][NR];
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < NR; ++j) acc[i][j] = c[i * ldc + j];
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) acc[i][j] = c[i * ldc + j];
   }
   ElemSoA arow[MR];
   ElemSoA bcol[NR];
@@ -651,17 +649,17 @@ void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32;
     const int kc = std::min(kPackChunkFp32, k - k0);
-    if (p.prefetch && ch + 1 < nchunks) {
+    if (ch + 1 < nchunks) {
       // Pull the next chunk's hi/lo lane runs toward L1 while this
-      // chunk's decode + MR*NR pair computes hide the latency.
+      // chunk's decode + rows*cols pair computes hide the latency.
       const int nk0 = k0 + kPackChunkFp32;
       const int nkc = std::min(kPackChunkFp32, k - nk0);
-      for (int i = 0; i < MR; ++i) {
+      for (int i = 0; i < rows; ++i) {
         prefetch_lanes(
             a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + nk0) * 2,
             2 * nkc);
       }
-      for (int j = 0; j < NR; ++j) {
+      for (int j = 0; j < cols; ++j) {
         prefetch_lanes(
             b.like.data() + (static_cast<std::size_t>(col0 + j) * k + nk0) * 2,
             2 * nkc);
@@ -669,50 +667,52 @@ void fp32_block(const PackedPanelFp32A& a, int row0, const PackedPanelFp32B& b,
     }
     const PanelChunkMeta* am[MR];
     const PanelChunkMeta* bm[NR];
-    for (int i = 0; i < MR; ++i) {
+    for (int i = 0; i < rows; ++i) {
       am[i] = &a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
       decode_slots(
           a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * 2,
           kc, fill_exp(*am[i]), arow[i]);
     }
-    for (int j = 0; j < NR; ++j) {
+    for (int j = 0; j < cols; ++j) {
       bm[j] = &b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
       decode_slots(
           b.like.data() + (static_cast<std::size_t>(col0 + j) * k + k0) * 2,
           kc, fill_exp(*bm[j]), bcol[j]);
     }
-    for (int i = 0; i < MR; ++i) {
-      for (int j = 0; j < NR; ++j) {
+    for (int i = 0; i < rows; ++i) {
+      for (int j = 0; j < cols; ++j) {
         fallbacks += fp32_pair(v, arow[i], *am[i], bcol[j], *bm[j], a,
                                row0 + i, b, col0 + j, k0, kc, unit, p,
                                &acc[i][j]);
       }
     }
   }
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < NR; ++j) c[i * ldc + j] = acc[i][j];
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) c[i * ldc + j] = acc[i][j];
   }
+  const std::uint64_t elems = static_cast<std::uint64_t>(rows) * cols;
   uk_fp32_blocks.increment();
-  uk_fp32_elems.add(static_cast<std::uint64_t>(MR) * NR);
-  uk_fp32_pairs.add(static_cast<std::uint64_t>(nchunks) * MR * NR);
+  uk_fp32_elems.add(elems);
+  uk_fp32_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
   uk_fp32_falls.add(fallbacks);
+  return fallbacks;
 }
 
 template <int MR, int NR>
-void fp32c_block(const PackedPanelFp32cA& a, int row0,
-                 const PackedPanelFp32cB& b, int col0, const DpUnit& unit,
-                 const MicrokernelParams& p, MkVariant v,
-                 std::complex<float>* c, int ldc) {
+std::uint64_t fp32c_block(const PackedPanelFp32cA& a, int row0, int rows,
+                          const PackedPanelFp32cB& b, int col0, int cols,
+                          const DpUnit& unit, const MicrokernelParams& p,
+                          MkVariant v, std::complex<float>* c, int ldc) {
   M3XU_CHECK(a.k == b.k);
   M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(row0 >= 0 && row0 + MR <= a.rows);
-  M3XU_CHECK(col0 >= 0 && col0 + NR <= b.cols);
+  M3XU_CHECK(rows >= 1 && rows <= MR && row0 >= 0 && row0 + rows <= a.rows);
+  M3XU_CHECK(cols >= 1 && cols <= NR && col0 >= 0 && col0 + cols <= b.cols);
   const int k = a.k;
   const int nchunks = panel_chunk_count(k, kPackChunkFp32c);
   float acc_re[MR][NR];
   float acc_im[MR][NR];
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < NR; ++j) {
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
       acc_re[i][j] = c[i * ldc + j].real();
       acc_im[i][j] = c[i * ldc + j].imag();
     }
@@ -729,15 +729,15 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32c;
     const int kc = std::min(kPackChunkFp32c, k - k0);
-    if (p.prefetch && ch + 1 < nchunks) {
+    if (ch + 1 < nchunks) {
       const int nk0 = k0 + kPackChunkFp32c;
       const int nkc = std::min(kPackChunkFp32c, k - nk0);
-      for (int i = 0; i < MR; ++i) {
+      for (int i = 0; i < rows; ++i) {
         prefetch_lanes(a.real_lanes.data() +
                            (static_cast<std::size_t>(row0 + i) * k + nk0) * 4,
                        4 * nkc);
       }
-      for (int j = 0; j < NR; ++j) {
+      for (int j = 0; j < cols; ++j) {
         prefetch_lanes(b.real_like.data() +
                            (static_cast<std::size_t>(col0 + j) * k + nk0) * 4,
                        4 * nkc);
@@ -745,36 +745,38 @@ void fp32c_block(const PackedPanelFp32cA& a, int row0,
     }
     const PanelChunkMeta* am[MR];
     const PanelChunkMeta* bm[NR];
-    for (int i = 0; i < MR; ++i) {
+    for (int i = 0; i < rows; ++i) {
       am[i] = &a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
       decode_slots(a.real_lanes.data() +
                        (static_cast<std::size_t>(row0 + i) * k + k0) * 4,
                    2 * kc, fill_exp(*am[i]), arow[i]);
     }
-    for (int j = 0; j < NR; ++j) {
+    for (int j = 0; j < cols; ++j) {
       bm[j] = &b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
       decode_slots(b.real_like.data() +
                        (static_cast<std::size_t>(col0 + j) * k + k0) * 4,
                    2 * kc, fill_exp(*bm[j]), bcol[j]);
       swap_slots(bcol[j], bswp[j]);
     }
-    for (int i = 0; i < MR; ++i) {
-      for (int j = 0; j < NR; ++j) {
+    for (int i = 0; i < rows; ++i) {
+      for (int j = 0; j < cols; ++j) {
         fallbacks += fp32c_pair(v, arow[i], *am[i], bcol[j], bswp[j], *bm[j],
                                 a, row0 + i, b, col0 + j, k0, kc, unit, p,
                                 &acc_re[i][j], &acc_im[i][j]);
       }
     }
   }
-  for (int i = 0; i < MR; ++i) {
-    for (int j = 0; j < NR; ++j) {
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
       c[i * ldc + j] = {acc_re[i][j], acc_im[i][j]};
     }
   }
+  const std::uint64_t elems = static_cast<std::uint64_t>(rows) * cols;
   uk_fp32c_blocks.increment();
-  uk_fp32c_elems.add(static_cast<std::uint64_t>(MR) * NR);
-  uk_fp32c_pairs.add(static_cast<std::uint64_t>(nchunks) * MR * NR);
+  uk_fp32c_elems.add(elems);
+  uk_fp32c_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
   uk_fp32c_falls.add(fallbacks);
+  return fallbacks;
 }
 
 #ifdef M3XU_ENABLE_SIMD
@@ -1158,12 +1160,10 @@ M3XU_AVX512_TARGET inline void lane_window(const PanelChunkMeta& am,
 
 /// The FP32 kernel over a rows x cols block (rows <= 8, cols <= 8; a
 /// partial block masks the missing columns' lanes).
-M3XU_AVX512_TARGET void fp32_block_avx512(const PackedPanelFp32A& a, int row0,
-                                          int rows, const PackedPanelFp32B& b,
-                                          int col0, int cols,
-                                          const DpUnit& unit,
-                                          const MicrokernelParams& p,
-                                          float* c, int ldc) {
+M3XU_AVX512_TARGET std::uint64_t fp32_block_avx512(
+    const PackedPanelFp32A& a, int row0, int rows, const PackedPanelFp32B& b,
+    int col0, int cols, const DpUnit& unit, const MicrokernelParams& p,
+    float* c, int ldc) {
   M3XU_CHECK(a.k == b.k);
   M3XU_CHECK(!a.has_special && !b.has_special);
   M3XU_CHECK(rows >= 1 && rows <= kLanes && row0 >= 0 &&
@@ -1187,7 +1187,7 @@ M3XU_AVX512_TARGET void fp32_block_avx512(const PackedPanelFp32A& a, int row0,
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32;
     const int kc = std::min(kPackChunkFp32, k - k0);
-    if (p.prefetch && ch + 1 < nchunks) {
+    if (ch + 1 < nchunks) {
       const int nk0 = k0 + kPackChunkFp32;
       const int nkc = std::min(kPackChunkFp32, k - nk0);
       for (int i = 0; i < rows; ++i) {
@@ -1264,19 +1264,17 @@ M3XU_AVX512_TARGET void fp32_block_avx512(const PackedPanelFp32A& a, int row0,
   uk_fp32_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
   uk_fp32_falls.add(fallbacks);
   uk_fp32_exits.add(exits_total);
+  return fallbacks;
 }
 
 /// The FP32C kernel over a rows x cols block. Per lane, the real part
 /// pairs A slot t with B slot t and the imaginary part with B slot t^1
 /// (flipping odd slots' signs), exactly the scalar build_pair pairings
 /// over bcol / bswp; both parts share the column's prescan window.
-M3XU_AVX512_TARGET void fp32c_block_avx512(const PackedPanelFp32cA& a,
-                                           int row0, int rows,
-                                           const PackedPanelFp32cB& b,
-                                           int col0, int cols,
-                                           const DpUnit& unit,
-                                           const MicrokernelParams& p,
-                                           std::complex<float>* c, int ldc) {
+M3XU_AVX512_TARGET std::uint64_t fp32c_block_avx512(
+    const PackedPanelFp32cA& a, int row0, int rows, const PackedPanelFp32cB& b,
+    int col0, int cols, const DpUnit& unit, const MicrokernelParams& p,
+    std::complex<float>* c, int ldc) {
   M3XU_CHECK(a.k == b.k);
   M3XU_CHECK(!a.has_special && !b.has_special);
   M3XU_CHECK(rows >= 1 && rows <= kLanes && row0 >= 0 &&
@@ -1305,7 +1303,7 @@ M3XU_AVX512_TARGET void fp32c_block_avx512(const PackedPanelFp32cA& a,
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32c;
     const int kc = std::min(kPackChunkFp32c, k - k0);
-    if (p.prefetch && ch + 1 < nchunks) {
+    if (ch + 1 < nchunks) {
       const int nk0 = k0 + kPackChunkFp32c;
       const int nkc = std::min(kPackChunkFp32c, k - nk0);
       for (int i = 0; i < rows; ++i) {
@@ -1398,67 +1396,64 @@ M3XU_AVX512_TARGET void fp32c_block_avx512(const PackedPanelFp32cA& a,
   uk_fp32c_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
   uk_fp32c_falls.add(fallbacks);
   uk_fp32c_exits.add(exits_total);
+  return fallbacks;
 }
 
 #undef M3XU_AVX512_INLINE
 #undef M3XU_AVX512_TARGET
 #endif  // M3XU_ENABLE_SIMD
 
-/// Checks a block call's extent against the resolved variant: a full
-/// p.mr x p.nr block always, a partial one only where the variant's
-/// kernel masks it (mk_partial_blocks).
-void check_block_extent(const MicrokernelParams& p, MkVariant v, int rows,
-                        int cols) {
+/// Checks a block call's extent: one p.mr x p.nr register block, full
+/// or partial.
+void check_block_extent(const MicrokernelParams& p, int rows, int cols) {
   M3XU_CHECK(mk_block_supported(p.mr, p.nr));
   M3XU_CHECK(rows >= 1 && rows <= p.mr && cols >= 1 && cols <= p.nr);
-  M3XU_CHECK((rows == p.mr && cols == p.nr) || mk_partial_blocks(v));
 }
 
 }  // namespace
 
-void microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
-                            const PackedPanelFp32B& b, int col0, int rows,
-                            int cols, const DpUnit& unit,
-                            const MicrokernelParams& p, float* c, int ldc) {
+std::uint64_t microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
+                                     const PackedPanelFp32B& b, int col0,
+                                     int rows, int cols, const DpUnit& unit,
+                                     const MicrokernelParams& p, float* c,
+                                     int ldc) {
   const MkVariant v = mk_variant_resolve(p.variant);
-  check_block_extent(p, v, rows, cols);
+  check_block_extent(p, rows, cols);
   count_variant_block(v);
 #ifdef M3XU_ENABLE_SIMD
   if (v == MkVariant::kAvx512) {
-    fp32_block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
-    return;
+    return fp32_block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
   }
 #endif
   if (p.mr == 4) {
-    fp32_block<4, 4>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 6) {
-    fp32_block<6, 8>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else {
-    fp32_block<8, 8>(a, row0, b, col0, unit, p, v, c, ldc);
+    return fp32_block<4, 4>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
   }
+  if (p.mr == 6) {
+    return fp32_block<6, 8>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
+  }
+  return fp32_block<8, 8>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
 }
 
-void microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
-                             const PackedPanelFp32cB& b, int col0, int rows,
-                             int cols, const DpUnit& unit,
-                             const MicrokernelParams& p,
-                             std::complex<float>* c, int ldc) {
+std::uint64_t microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
+                                      const PackedPanelFp32cB& b, int col0,
+                                      int rows, int cols, const DpUnit& unit,
+                                      const MicrokernelParams& p,
+                                      std::complex<float>* c, int ldc) {
   const MkVariant v = mk_variant_resolve(p.variant);
-  check_block_extent(p, v, rows, cols);
+  check_block_extent(p, rows, cols);
   count_variant_block(v);
 #ifdef M3XU_ENABLE_SIMD
   if (v == MkVariant::kAvx512) {
-    fp32c_block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
-    return;
+    return fp32c_block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
   }
 #endif
   if (p.mr == 4) {
-    fp32c_block<4, 4>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else if (p.mr == 6) {
-    fp32c_block<6, 8>(a, row0, b, col0, unit, p, v, c, ldc);
-  } else {
-    fp32c_block<8, 8>(a, row0, b, col0, unit, p, v, c, ldc);
+    return fp32c_block<4, 4>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
   }
+  if (p.mr == 6) {
+    return fp32c_block<6, 8>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
+  }
+  return fp32c_block<8, 8>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
 }
 
 }  // namespace m3xu::core

@@ -1,22 +1,22 @@
 // Register-blocked microkernel for the packed M3XU datapath.
 //
-// The per-element prepacked path (mxu.cpp) re-decodes the same A lane
-// operands for every output column, re-reads the B lanes for every row,
-// and re-derives the fused-round exponent window per dot product. The
-// microkernel computes a kMicroMr x kMicroNr output block per pass over
-// the packed K lanes instead:
+// The packed entry points (mxu.cpp) run every special-free,
+// injector-free call through this kernel: it computes an MR x NR output
+// block per pass over the packed K lanes, or a partial block (fewer rows
+// and/or columns) at the right and bottom edges:
 //
 //   - A decode is hoisted once per block row per k-chunk and reused
-//     across all NR columns; each B column decodes once and is reused
-//     across all MR rows. The decode recombines an element's two
-//     12-bit parts into one 64-bit word (they share a sign and sit 12
-//     apart, fp/split.hpp), so one 64x64->128 multiply per operand
-//     pair yields all four partial products at disjoint bit fields -
-//     both architectural steps' terms, including the step-1 crossed
-//     order and the FP32C component pairings, fall out of one product;
-//   - streaming eligibility and the fused-round window bound come from
-//     the panels' pack-time exponent prescan (PanelChunkMeta), decided
-//     once per (row, chunk) / (col, chunk) instead of per dot;
+//     across the block's columns; each B column decodes once and is
+//     reused across the block's rows. The decode recombines an
+//     element's two 12-bit parts into one 64-bit word (they share a
+//     sign and sit 12 apart, fp/split.hpp), so one 64x64->128 multiply
+//     per operand pair yields all four partial products at disjoint
+//     bit fields - both architectural steps' terms, including the
+//     step-1 crossed order and the FP32C component pairings, fall out
+//     of one product;
+//   - streaming eligibility and the exact-rounding window bound come
+//     from the panels' pack-time exponent prescan (PanelChunkMeta),
+//     decided once per (row, chunk) / (col, chunk) instead of per dot;
 //   - the scalar and AVX2 variants build terms over structure-of-arrays
 //     slots with a fixed trip count and round one output at a time; the
 //     AVX-512 variant makes the SIMD lanes the block's output columns,
@@ -32,12 +32,13 @@
 // through the generic ExactAccumulator path on the same panel slices
 // (the AVX-512 kernel first hands such a lane back to the scalar pair
 // path, which makes exactly that decision).
-// Callers must keep injector-attached runs on the per-element path:
-// the microkernel has no fault hooks, by design (fault-site opportunity
-// order is defined by the per-dot schedule).
+// Callers must keep injector-attached runs on the generic per-dot
+// reassembly route: the microkernel has no fault hooks, by design
+// (fault-site opportunity order is defined by the per-dot schedule).
 #pragma once
 
 #include <complex>
+#include <cstdint>
 #include <string_view>
 
 #include "core/dp_unit.hpp"
@@ -55,10 +56,10 @@ inline constexpr int kMicroNr = 4;
 /// time (kAvx2 vectorizes only the term build); kAvx512 (AVX512F +
 /// AVX512CD) runs the lanes-as-columns kernel: 8 output columns per
 /// vector through the exact step sums, rounding and FP32 encode, with
-/// partial blocks masked. kAuto resolves to the widest variant the CPU
-/// supports at runtime (__builtin_cpu_supports); the scalar path is
-/// always built and every variant is bit-identical - dispatch is a
-/// pure throughput choice. The M3XU_MK_VARIANT environment variable
+/// partial blocks masked. Every variant takes partial blocks. kAuto
+/// resolves to the widest variant the CPU supports at runtime
+/// (__builtin_cpu_supports); the scalar path is always built and every
+/// variant is bit-identical - dispatch is a pure throughput choice. The M3XU_MK_VARIANT environment variable
 /// (scalar / avx2 / avx512) caps what kAuto resolves to, so CI can
 /// force the non-SIMD path without touching configs.
 enum class MkVariant : int { kAuto = 0, kScalar = 1, kAvx2 = 2, kAvx512 = 3 };
@@ -108,35 +109,30 @@ struct MicrokernelParams {
   MkVariant variant = MkVariant::kAuto;
   int mr = kMicroMr;
   int nr = kMicroNr;
-  /// Software-prefetch the next packed K-chunk's hi/lo lanes while the
-  /// current chunk computes (off for tiny panels in tests).
-  bool prefetch = true;
 };
 
 /// True when any SIMD path is compiled in and the CPU supports it
 /// (runtime-dispatched; the scalar path is always built).
 bool microkernel_simd_active();
 
-/// True when the resolved variant's kernel also takes partial blocks
-/// (fewer rows than p.mr, fewer columns than p.nr), so callers can run
-/// tile edges through it instead of the per-element path: kAvx512.
-bool mk_partial_blocks(MkVariant resolved);
-
 /// Computes the rows x cols block C += A*B at panel offset (row0, col0)
 /// over the panels' full K. `c` points at the block's top-left output
-/// element. Requires 1 <= rows <= p.mr and 1 <= cols <= p.nr, with a
-/// partial block only when mk_partial_blocks(mk_variant_resolve(
-/// p.variant)); row0+rows <= a.rows, col0+cols <= b.cols, a.k == b.k,
-/// and special-free panels.
-void microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
-                            const PackedPanelFp32B& b, int col0, int rows,
-                            int cols, const DpUnit& unit,
-                            const MicrokernelParams& p, float* c, int ldc);
+/// element. Requires 1 <= rows <= p.mr and 1 <= cols <= p.nr (a partial
+/// block at a tile edge is fine), row0+rows <= a.rows, col0+cols <=
+/// b.cols, a.k == b.k, and special-free panels. Returns the number of
+/// (element, K-chunk) pairs that fell back to the generic route (also
+/// counted in mxu.fp32{,c}.microkernel.pair_fallbacks), so the caller
+/// can attribute them to the request trace.
+std::uint64_t microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
+                                     const PackedPanelFp32B& b, int col0,
+                                     int rows, int cols, const DpUnit& unit,
+                                     const MicrokernelParams& p, float* c,
+                                     int ldc);
 
-void microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
-                             const PackedPanelFp32cB& b, int col0, int rows,
-                             int cols, const DpUnit& unit,
-                             const MicrokernelParams& p,
-                             std::complex<float>* c, int ldc);
+std::uint64_t microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
+                                      const PackedPanelFp32cB& b, int col0,
+                                      int rows, int cols, const DpUnit& unit,
+                                      const MicrokernelParams& p,
+                                      std::complex<float>* c, int ldc);
 
 }  // namespace m3xu::core

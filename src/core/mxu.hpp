@@ -35,8 +35,9 @@ namespace m3xu::core {
 
 /// Non-owning view of one step's operand-buffer lane streams. The
 /// per-dot path views the vectors a schedule_* call just built; the
-/// packed path views slices of a pre-split panel - both feed the same
-/// step/rounding pipeline, so they are bit-identical by construction.
+/// packed path's generic route views the same step order reassembled
+/// from a pre-split panel - both feed the same step/rounding pipeline
+/// (run_steps), so they are bit-identical by construction.
 struct StepView {
   std::span<const LaneOperand> a;
   std::span<const LaneOperand> b;
@@ -78,17 +79,11 @@ struct M3xuConfig {
   int accum_prec = fp::ExtFloat::kM3xuAccumPrec;
   /// Accumulation-register width for the FP64 mode ("FP64 registers").
   int fp64_accum_prec = 53;
-  /// Route special-free packed GEMMs through the register-blocked
-  /// microkernel (core/microkernel.hpp). Bit-identical either way;
-  /// disabling isolates the per-element packed path (benchmarks) or
-  /// works around a platform issue. Injector-attached engines ignore
-  /// this and stay on the per-dot path regardless.
-  bool enable_microkernel = true;
   /// Force the packed entry points down the generic per-dot
-  /// reassembly path: no fused streaming kernel, no microkernel, even
+  /// reassembly path instead of the register-blocked microkernel, even
   /// for special-free panels. Bit-identical by construction (same step
   /// schedule and rounding points); the tiled driver's recovery ladder
-  /// uses it as the demotion rung below the packed fused route. See
+  /// uses it as the demotion rung below the microkernel. See
   /// docs/RESILIENCE.md.
   bool force_generic = false;
   /// Microkernel SIMD variant (core/microkernel.hpp). kAuto resolves
@@ -100,8 +95,6 @@ struct M3xuConfig {
   /// supported pair (4x4 / 6x8 / 8x8), checked at engine construction.
   int mk_mr = 0;
   int mk_nr = 0;
-  /// Software-prefetch the next packed K-chunk inside the microkernel.
-  bool mk_prefetch = true;
   /// Optional transient-fault injector (non-owning; must outlive the
   /// engine). Null - the default - keeps every datapath fault-free and
   /// the hot path unchanged. When set, the engine threads it through
@@ -164,11 +157,13 @@ class M3xuEngine {
                   int lda, const std::complex<double>* b, int ldb,
                   std::complex<double>* c, int ldc) const;
 
-  // --- Packed-operand fast path (core/packed_panel.hpp) ---------------
+  // --- Packed-operand path (core/packed_panel.hpp) --------------------
   // Bit-identical to gemm_fp32 / gemm_fp32c - same step schedule, same
   // rounding points, same fault-opportunity order - but the hi/lo split
-  // runs once per operand panel instead of once per output dot, and the
-  // inner loop streams lanes with no per-call allocation or gather.
+  // runs once per operand panel instead of once per output dot. Special-
+  // free, injector-free calls run the register-blocked microkernel
+  // (core/microkernel.hpp) over full and partial blocks; everything
+  // else reassembles each dot's steps from the packed lanes.
 
   void gemm_fp32_packed(int m, int n, int k, const float* a, int lda,
                         const float* b, int ldb, float* c, int ldc) const;

@@ -56,7 +56,7 @@ inline constexpr int kPackChunkFp32c = 4;
 /// max_exp is the plain maximum lane exp2 (hi lanes dominate), so
 /// max_a + max_b + 23 upper-bounds any product's msb. The
 /// register-blocked microkernel uses these to decide streaming
-/// eligibility and the fused-round window once per panel chunk instead
+/// eligibility and the step-rounding window once per panel chunk instead
 /// of re-deriving them per dot product.
 struct PanelChunkMeta {
   /// At least one lane in the chunk is finite (min/max_exp valid).

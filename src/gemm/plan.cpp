@@ -153,7 +153,7 @@ struct GemmPlan::Impl {
   // invalidate the pointers.
   core::M3xuEngine engine;
   core::M3xuEngine clean;
-  std::optional<core::M3xuEngine> route_nomk, route_generic;
+  std::optional<core::M3xuEngine> route_generic;
   CompiledDispatch dispatch;
   mutable LocalPanelStore b_store;
   mutable std::atomic<std::uint64_t> executions{0};
@@ -237,9 +237,6 @@ GemmPlan GemmPlan::compile(const core::M3xuConfig& engine_cfg,
   // pointer into the plan.
   impl->options.policy.quarantine = nullptr;
   if (impl->options.policy.demote) {
-    core::M3xuConfig c_nomk = engine_cfg;
-    c_nomk.enable_microkernel = false;
-    impl->route_nomk.emplace(c_nomk);
     core::M3xuConfig c_gen = engine_cfg;
     c_gen.force_generic = true;
     impl->route_generic.emplace(c_gen);
@@ -254,8 +251,6 @@ GemmPlan GemmPlan::compile(const core::M3xuConfig& engine_cfg,
   d.eps_chunk = eps_per_chunk(engine_cfg.accum_prec);
   d.engine = &impl->engine;
   d.clean = &impl->clean;
-  d.route_nomk =
-      impl->route_nomk.has_value() ? &*impl->route_nomk : nullptr;
   d.route_generic =
       impl->route_generic.has_value() ? &*impl->route_generic : nullptr;
   plan_compile_ctr.increment();

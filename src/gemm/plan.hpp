@@ -3,7 +3,7 @@
 // Every ad-hoc tiled_sgemm/tiled_cgemm call re-derives the same
 // artifacts: config validation, the mode's MMA instruction shape, the
 // per-chunk rounding bound, a fault-free engine clone for ABFT
-// recompute, route-forced clones for quarantined tiles, and - in
+// recompute, a route-forced clone for quarantined tiles, and - in
 // serving workloads - the packed B panels of weights that never
 // change. A GemmPlan compiles all of that exactly once from (problem
 // shape, dtype, PlanOptions) and then executes many times with zero
@@ -109,7 +109,7 @@ class GemmPlan {
   /// validators as the ad-hoc entry points, so invalid configs fail
   /// here, not mid-execute), freezes the MMA instruction shape and
   /// rounding bound, and constructs the engine set (primary from
-  /// `engine_cfg`, fault-free clone, route-forced clones when the
+  /// `engine_cfg`, fault-free clone, route-forced clone when the
   /// demotion ladder is on). O(1) in the problem size.
   static GemmPlan compile(const core::M3xuConfig& engine_cfg,
                           const PlanKey& key, const PlanOptions& options = {});

@@ -6,7 +6,6 @@
 // so demoting a tile trades only throughput, never numerics:
 //
 //   kMicrokernel      register-blocked packed microkernel (fastest)
-//   kPackedFused      per-element fused streaming over packed panels
 //   kGenericPerDot    generic per-dot reassembly from packed lanes
 //   kScalarReference  plain per-dot gemm over the staged buffers
 //                     (no packing at all - also the allocation-failure
@@ -45,12 +44,11 @@ class PanelCache;  // see gemm/panel_cache.hpp
 /// are *lower* rungs.
 enum class Route : int {
   kMicrokernel = 0,
-  kPackedFused = 1,
-  kGenericPerDot = 2,
-  kScalarReference = 3,
+  kGenericPerDot = 1,
+  kScalarReference = 2,
 };
 
-inline constexpr int kRouteCount = 4;
+inline constexpr int kRouteCount = 3;
 
 const char* route_name(Route route);
 

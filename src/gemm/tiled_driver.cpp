@@ -206,7 +206,7 @@ void corrupt_staged_value(const fault::FaultInjector& inj,
 /// CompiledDispatch: the caller (an ad-hoc entry point or a GemmPlan)
 /// owns the validated configs and every engine the tile loop needs -
 /// primary (possibly fault-injected), fault-free clone for ABFT
-/// recompute and the terminal scalar rung, and the route-forced clones
+/// recompute and the terminal scalar rung, and the route-forced clone
 /// for quarantined tiles' initial passes. Nothing config-derived is
 /// computed here, so a plan amortizes it all across executes.
 template <typename T>
@@ -234,17 +234,10 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
   // every pool size and schedule.
   ThreadPool& pool = exec.pool != nullptr ? *exec.pool : ThreadPool::global();
 
+  // kMicrokernel is the engine's natural preference; the scalar rung
+  // bypasses packing entirely, so route config is moot there.
   const auto initial_engine = [&](Route r) -> const core::M3xuEngine& {
-    switch (r) {
-      case Route::kPackedFused:
-        return *d.route_nomk;
-      case Route::kGenericPerDot:
-        return *d.route_generic;
-      default:
-        // kMicrokernel is the engine's natural preference; the scalar
-        // rung bypasses packing entirely, so route config is moot.
-        return engine;
-    }
+    return r == Route::kGenericPerDot ? *d.route_generic : engine;
   };
 
   std::mutex stats_mu;
@@ -603,22 +596,12 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
                 retry_base.injector->stall_duration_ms;
             retry_base.injector = &*retry_inj;
           }
-          core::M3xuConfig retry_nomk = retry_base;
-          retry_nomk.enable_microkernel = false;
           core::M3xuConfig retry_gen = retry_base;
           retry_gen.force_generic = true;
-          const core::M3xuEngine retry_eng0(retry_base);
-          const core::M3xuEngine retry_eng1(retry_nomk);
-          const core::M3xuEngine retry_eng2(retry_gen);
+          const core::M3xuEngine retry_eng(retry_base);
+          const core::M3xuEngine retry_eng_generic(retry_gen);
           const auto retry_engine = [&](Route r) -> const core::M3xuEngine& {
-            switch (r) {
-              case Route::kPackedFused:
-                return retry_eng1;
-              case Route::kGenericPerDot:
-                return retry_eng2;
-              default:
-                return retry_eng0;
-            }
+            return r == Route::kGenericPerDot ? retry_eng_generic : retry_eng;
           };
           bool false_alarm = false;
           Route rung = start_route;
@@ -838,9 +821,6 @@ struct AdHocDispatch {
                 core::MxuMode mode)
       : clean(clean_config(engine)) {
     if (policy.demote) {
-      core::M3xuConfig c_nomk = engine.config();
-      c_nomk.enable_microkernel = false;
-      nomk.emplace(c_nomk);
       core::M3xuConfig c_gen = engine.config();
       c_gen.force_generic = true;
       generic.emplace(c_gen);
@@ -855,12 +835,11 @@ struct AdHocDispatch {
     dispatch.eps_chunk = eps_per_chunk(engine.config().accum_prec);
     dispatch.engine = &engine;
     dispatch.clean = &clean;
-    dispatch.route_nomk = nomk.has_value() ? &*nomk : nullptr;
     dispatch.route_generic = generic.has_value() ? &*generic : nullptr;
   }
 
   core::M3xuEngine clean;
-  std::optional<core::M3xuEngine> nomk, generic;
+  std::optional<core::M3xuEngine> generic;
   CompiledDispatch dispatch;
 };
 
@@ -908,11 +887,9 @@ TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
                              const Matrix<float>& b, Matrix<float>& c) {
   M3XU_CHECK_MSG(dispatch.engine != nullptr && dispatch.clean != nullptr,
                  "CompiledDispatch must carry primary and clean engines");
-  M3XU_CHECK_MSG(!dispatch.policy.demote ||
-                     (dispatch.route_nomk != nullptr &&
-                      dispatch.route_generic != nullptr),
+  M3XU_CHECK_MSG(!dispatch.policy.demote || dispatch.route_generic != nullptr,
                  "CompiledDispatch with a demotion ladder must carry the "
-                 "route-forced engine clones");
+                 "route-forced engine clone");
   validate_shapes(a, b, c);
   return run_tiled<float>(dispatch, exec, a, b, c);
 }
@@ -924,11 +901,9 @@ TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
                              Matrix<std::complex<float>>& c) {
   M3XU_CHECK_MSG(dispatch.engine != nullptr && dispatch.clean != nullptr,
                  "CompiledDispatch must carry primary and clean engines");
-  M3XU_CHECK_MSG(!dispatch.policy.demote ||
-                     (dispatch.route_nomk != nullptr &&
-                      dispatch.route_generic != nullptr),
+  M3XU_CHECK_MSG(!dispatch.policy.demote || dispatch.route_generic != nullptr,
                  "CompiledDispatch with a demotion ladder must carry the "
-                 "route-forced engine clones");
+                 "route-forced engine clone");
   validate_shapes(a, b, c);
   return run_tiled<std::complex<float>>(dispatch, exec, a, b, c);
 }

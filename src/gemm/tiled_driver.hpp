@@ -173,7 +173,7 @@ TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
 /// (gemm/plan.hpp) freezes once: validated configs, the mode's MMA
 /// instruction shape, the rounding bound per K-chunk, and the engine
 /// set the driver otherwise re-derives and re-constructs on every call
-/// (fault-free clone for ABFT recompute, route-forced clones for
+/// (fault-free clone for ABFT recompute, route-forced clone for
 /// quarantined tiles' initial passes). All engine pointers are
 /// non-owning; the owner (GemmPlan, or a stack frame in the ad-hoc
 /// entries) must keep them alive across the execute call.
@@ -189,9 +189,9 @@ struct CompiledDispatch {
   const core::M3xuEngine* engine = nullptr;
   /// Fault-free clone: ABFT recompute and the terminal scalar rung.
   const core::M3xuEngine* clean = nullptr;
-  /// Route-forced clones for quarantined tiles' initial passes; must
-  /// be non-null when policy.demote is true, ignored otherwise.
-  const core::M3xuEngine* route_nomk = nullptr;
+  /// Route-forced clone (force_generic) for quarantined tiles' initial
+  /// passes; must be non-null when policy.demote is true, ignored
+  /// otherwise.
   const core::M3xuEngine* route_generic = nullptr;
 };
 

@@ -1,15 +1,15 @@
 // Property tests for the register-blocked microkernel: the packed GEMM
-// with the microkernel enabled must be bit-identical to the per-dot
-// route (and to the per-element packed path) across geometry sweeps
-// straddling the MR/NR block and K-chunk boundaries, subnormal inputs,
-// Inf/NaN operands (which bypass the microkernel at the routing seam),
-// wide exponent spans that force the per-pair generic fallback, nonzero
-// and signed-zero C, non-default rounding configs, prepacked sub-block
-// offsets, and injector-attached engines (which must stay on the
-// per-dot-identical generic path and replay identical fault logs). The
-// AVX-512 lanes-as-columns kernel additionally gets lane-exit, partial-
-// block, long-K, special-register and full accum_prec sweeps with its
-// route counters checked.
+// through the microkernel must be bit-identical to the per-dot route
+// (and to the packed path's generic per-dot reassembly) across geometry
+// sweeps straddling the MR/NR block and K-chunk boundaries, subnormal
+// inputs, Inf/NaN operands (which bypass the microkernel at the routing
+// seam), wide exponent spans that force the per-pair generic fallback,
+// nonzero and signed-zero C, non-default rounding configs, prepacked
+// sub-block offsets, and injector-attached engines (which must stay on
+// the per-dot-identical generic path and replay identical fault logs).
+// Every SIMD variant covers tile edges with partial blocks, with exact
+// route counters; the AVX-512 lanes-as-columns kernel additionally gets
+// lane-exit, long-K, special-register and full accum_prec sweeps.
 #include <gtest/gtest.h>
 
 #include <complex>
@@ -31,8 +31,10 @@
 namespace m3xu::core {
 namespace {
 
-M3xuEngine packed_only_engine(M3xuConfig cfg = {}) {
-  cfg.enable_microkernel = false;
+/// The same engine forced onto the packed path's generic per-dot
+/// reassembly: the third route check_fp32/check_fp32c compare.
+M3xuEngine generic_engine(M3xuConfig cfg = {}) {
+  cfg.force_generic = true;
   return M3xuEngine(cfg);
 }
 
@@ -73,8 +75,8 @@ void expect_bitwise_equal(const std::vector<std::complex<float>>& x,
   }
 }
 
-/// Runs one FP32 shape through per-dot, packed-without-microkernel, and
-/// packed-with-microkernel; asserts all three agree bitwise.
+/// Runs one FP32 shape through per-dot, the packed generic reassembly,
+/// and the packed microkernel; asserts all three agree bitwise.
 void check_fp32(const M3xuEngine& micro, const M3xuEngine& packed, int m,
                 int n, int k, const std::vector<float>& a,
                 const std::vector<float>& b, const std::vector<float>& c) {
@@ -105,7 +107,7 @@ TEST(MicrokernelFp32, GeometrySweepAroundBlockAndChunkBoundaries) {
   // full blocks); k straddles the FP32 chunk width 8 (partial chunk,
   // exact multiples, and the first lane of the next chunk).
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine packed = generic_engine();
   int idx = 0;
   for (const int m : {1, 3, 4, 5, 8, 9}) {
     for (const int n : {1, 3, 4, 5, 9}) {
@@ -124,7 +126,7 @@ TEST(MicrokernelFp32c, GeometrySweepAroundBlockAndChunkBoundaries) {
   // FP32C chunk width is 4; keep the sweep smaller since each complex
   // element costs four scalar dot streams.
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine packed = generic_engine();
   int idx = 0;
   for (const int m : {1, 3, 4, 5, 9}) {
     for (const int n : {1, 4, 5, 9}) {
@@ -147,7 +149,7 @@ TEST(MicrokernelFp32, SubnormalsFlushIdentically) {
   // the scalar paths (including zero-times-anything and empty sums
   // producing +0).
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine packed = generic_engine();
   const float sub_min = std::numeric_limits<float>::denorm_min();
   const float sub_max = 1.17549421e-38f;  // largest subnormal
   for (int trial = 0; trial < 4; ++trial) {
@@ -173,7 +175,7 @@ TEST(MicrokernelFp32, InfNanOperandsBypassAtRoutingSeam) {
   // whole GEMM around the microkernel; the result still has to match
   // per-dot bit-for-bit (Inf/NaN propagation included).
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine packed = generic_engine();
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   for (int trial = 0; trial < 4; ++trial) {
@@ -198,7 +200,7 @@ TEST(MicrokernelFp32, WideExponentSpansFallBackBitIdentically) {
   // seed C with huge/tiny values so the register fold exercises the
   // dropped-bits fallback.
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine packed = generic_engine();
   for (int trial = 0; trial < 6; ++trial) {
     Rng rng(7200 + trial);
     const int m = 7, n = 8, k = 24;
@@ -221,7 +223,7 @@ TEST(MicrokernelFp32, WideExponentSpansFallBackBitIdentically) {
 
 TEST(MicrokernelFp32c, WideExponentSpansFallBackBitIdentically) {
   const M3xuEngine micro;
-  const M3xuEngine packed = packed_only_engine();
+  const M3xuEngine packed = generic_engine();
   for (int trial = 0; trial < 4; ++trial) {
     Rng rng(8200 + trial);
     const int m = 5, n = 5, k = 9;
@@ -244,14 +246,14 @@ TEST(MicrokernelFp32c, WideExponentSpansFallBackBitIdentically) {
 TEST(MicrokernelFp32, NonDefaultRoundingConfigsStayBitIdentical) {
   // Both register semantics (per-step and the idealized single-rounding
   // ablation) at several accumulation precisions must agree with the
-  // per-dot route through the microkernel's fused step paths.
+  // per-dot route through the microkernel's exact step rounding.
   for (const bool per_step : {true, false}) {
     for (const int prec : {24, 48, 63}) {
       M3xuConfig cfg;
       cfg.per_step_rounding = per_step;
       cfg.accum_prec = prec;
       const M3xuEngine micro(cfg);
-      const M3xuEngine packed = packed_only_engine(cfg);
+      const M3xuEngine packed = generic_engine(cfg);
       Rng rng(9300 + prec + (per_step ? 1000 : 0));
       const int m = 6, n = 9, k = 26;
       const auto a = random_buffer(m, k, rng, false);
@@ -383,9 +385,8 @@ TEST(MicrokernelDispatch, EveryVariantAndShapeMatchesPerDot) {
       cfg.mk_variant = v;
       cfg.mk_mr = shape.mr;
       cfg.mk_nr = shape.nr;
-      cfg.mk_prefetch = (combo % 2 == 0);  // both prefetch settings
       const M3xuEngine micro(cfg);
-      const M3xuEngine packed = packed_only_engine(cfg);
+      const M3xuEngine packed = generic_engine(cfg);
 
       // Geometry straddling this shape's block boundaries and the
       // K-chunk width.
@@ -482,43 +483,116 @@ TEST(MicrokernelDispatch, InjectorDeterminismUnderForcedDispatch) {
   }
 }
 
-// --- AVX-512 lanes-as-columns kernel ----------------------------------
+// --- Route counters ----------------------------------------------------
 //
-// The kernel's own counters: lane_exits counts (row, column, chunk)
-// triples handed back to the scalar pair path; block_elements and
-// pair_chunks must count exactly the elements a (partial) block covers.
+// The kernels' own counters: blocks counts register-block calls per
+// variant; block_elements and pair_chunks must count exactly the
+// elements a (partial) block covers; lane_exits counts (row, column,
+// chunk) triples the AVX-512 kernel handed back to the scalar pair path.
 
 struct MkCounts {
   std::uint64_t blocks_avx512 = 0;
+  std::uint64_t blocks = 0;  // blocks of the variant mk_counts was asked for
   std::uint64_t elements = 0;
   std::uint64_t pairs = 0;
   std::uint64_t fallbacks = 0;
   std::uint64_t exits = 0;
-  std::uint64_t edge = 0;
 };
 
 MkCounts mk_counts(const telemetry::Snapshot& before,
                    const telemetry::Snapshot& after,
-                   const std::string& family) {
+                   const std::string& family,
+                   MkVariant variant = MkVariant::kAvx512) {
   const std::string p = "mxu." + family;
   MkCounts r;
   r.blocks_avx512 = after.counter_delta(before, "mk.variant.avx512.blocks");
+  const std::string name = mk_variant_name(variant);
+  r.blocks = after.counter_delta(before, "mk.variant." + name + ".blocks");
   r.elements = after.counter_delta(before, p + ".microkernel.block_elements");
   r.pairs = after.counter_delta(before, p + ".microkernel.pair_chunks");
   r.fallbacks = after.counter_delta(before, p + ".microkernel.pair_fallbacks");
   r.exits = after.counter_delta(before, p + ".microkernel.lane_exits");
-  r.edge = after.counter_delta(before, p + ".elements.edge");
   return r;
 }
 
-/// An engine pinned to the AVX-512 kernel at `shape`.
-M3xuConfig avx512_config(MkBlockShape shape = {8, 8}) {
+/// An engine pinned to variant `v` at `shape`.
+M3xuConfig variant_config(MkVariant v, MkBlockShape shape) {
   M3xuConfig cfg;
-  cfg.mk_variant = MkVariant::kAvx512;
+  cfg.mk_variant = v;
   cfg.mk_mr = shape.mr;
   cfg.mk_nr = shape.nr;
   return cfg;
 }
+
+/// An engine pinned to the AVX-512 kernel at `shape`.
+M3xuConfig avx512_config(MkBlockShape shape = {8, 8}) {
+  return variant_config(MkVariant::kAvx512, shape);
+}
+
+TEST(MicrokernelDispatch, PartialBlocksCoverEdgesWithExactCounts) {
+  // Every m % MR and every n % NR, for every available variant and
+  // block shape: each kernel takes the partial blocks at the right and
+  // bottom edges, so the counters cover exactly m x n and every block
+  // runs on the requested variant.
+  int seed = 0;
+  for (const MkVariant v :
+       {MkVariant::kScalar, MkVariant::kAvx2, MkVariant::kAvx512}) {
+    if (!mk_variant_available(v)) continue;  // host without that ISA
+    for (const MkBlockShape shape :
+         {MkBlockShape{4, 4}, MkBlockShape{6, 8}, MkBlockShape{8, 8}}) {
+      SCOPED_TRACE(std::string(mk_variant_name(v)) + " " +
+                   std::to_string(shape.mr) + "x" + std::to_string(shape.nr));
+      const M3xuConfig cfg = variant_config(v, shape);
+      const M3xuEngine micro(cfg);
+      const M3xuEngine packed = generic_engine(cfg);
+      for (int m = shape.mr; m < 2 * shape.mr; ++m) {
+        for (int r = 1; r <= 7; ++r) {
+          const int n = 8 + r;
+          const int k = 20;
+          Rng rng(40300 + seed++);
+          const auto a = random_buffer(m, k, rng, false);
+          const auto b = random_buffer(k, n, rng, false);
+          const auto c = random_buffer(m, n, rng, true);
+          telemetry::Snapshot before = telemetry::snapshot();
+          auto out = c;
+          micro.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n,
+                                 out.data(), n);
+          const MkCounts got =
+              mk_counts(before, telemetry::snapshot(), "fp32", v);
+          check_fp32(micro, packed, m, n, k, a, b, c);
+          const int kc = 4;
+          const auto ca = random_cbuffer(m, kc, rng, false);
+          const auto cb = random_cbuffer(kc, n, rng, false);
+          const auto cc = random_cbuffer(m, n, rng, true);
+          before = telemetry::snapshot();
+          auto cout = cc;
+          micro.gemm_fp32c_packed(m, n, kc, ca.data(), kc, cb.data(), n,
+                                  cout.data(), n);
+          const MkCounts cgot =
+              mk_counts(before, telemetry::snapshot(), "fp32c", v);
+          check_fp32c(micro, packed, m, n, kc, ca, cb, cc);
+#if M3XU_TELEMETRY_ENABLED
+          const std::uint64_t area = static_cast<std::uint64_t>(m) * n;
+          const std::uint64_t blocks =
+              static_cast<std::uint64_t>((m + shape.mr - 1) / shape.mr) *
+              ((n + shape.nr - 1) / shape.nr);
+          EXPECT_EQ(got.elements, area) << m << "x" << n;
+          EXPECT_EQ(got.pairs, area * ((k + 7) / 8)) << m << "x" << n;
+          EXPECT_EQ(got.blocks, blocks) << m << "x" << n;
+          EXPECT_EQ(cgot.elements, area) << m << "x" << n;
+          EXPECT_EQ(cgot.pairs, area) << m << "x" << n;
+          EXPECT_EQ(cgot.blocks, blocks) << m << "x" << n;
+#else
+          (void)got;
+          (void)cgot;
+#endif
+        }
+      }
+    }
+  }
+}
+
+// --- AVX-512 lanes-as-columns kernel ----------------------------------
 
 #define SKIP_WITHOUT_AVX512()                                           \
   if (!mk_variant_available(MkVariant::kAvx512)) {                      \
@@ -537,7 +611,7 @@ TEST(MicrokernelAvx512, Fp32LaneExitsBesideInVectorColumns) {
   // leave the vector.
   const M3xuConfig cfg = avx512_config();
   const M3xuEngine micro(cfg);
-  const M3xuEngine packed = packed_only_engine(cfg);
+  const M3xuEngine packed = generic_engine(cfg);
   const int m = 8, n = 8, k = 64;
   Rng rng(40100);
   const std::vector<float> a(static_cast<std::size_t>(m) * k, 1.0f);
@@ -569,7 +643,7 @@ TEST(MicrokernelAvx512, Fp32cLaneExitsBesideInVectorColumns) {
   // the scalar route.
   const M3xuConfig cfg = avx512_config();
   const M3xuEngine micro(cfg);
-  const M3xuEngine packed = packed_only_engine(cfg);
+  const M3xuEngine packed = generic_engine(cfg);
   const int m = 8, n = 8, k = 64;
   Rng rng(40200);
   const std::vector<std::complex<float>> a(static_cast<std::size_t>(m) * k,
@@ -593,65 +667,11 @@ TEST(MicrokernelAvx512, Fp32cLaneExitsBesideInVectorColumns) {
 #endif
 }
 
-TEST(MicrokernelAvx512, PartialBlocksCoverEdgesWithExactCounts) {
-  SKIP_WITHOUT_AVX512();
-  // Every m % MR and every n % 8 in 1..7, for every block shape: the
-  // kernel masks the missing rows/columns, so nothing reaches the
-  // per-element edge path and the counters cover exactly m x n.
-  int seed = 0;
-  for (const MkBlockShape shape :
-       {MkBlockShape{4, 4}, MkBlockShape{6, 8}, MkBlockShape{8, 8}}) {
-    SCOPED_TRACE(std::to_string(shape.mr) + "x" + std::to_string(shape.nr));
-    const M3xuConfig cfg = avx512_config(shape);
-    const M3xuEngine micro(cfg);
-    const M3xuEngine packed = packed_only_engine(cfg);
-    for (int m = shape.mr; m < 2 * shape.mr; ++m) {
-      for (int r = 1; r <= 7; ++r) {
-        const int n = 8 + r;
-        const int k = 20;
-        Rng rng(40300 + seed++);
-        const auto a = random_buffer(m, k, rng, false);
-        const auto b = random_buffer(k, n, rng, false);
-        const auto c = random_buffer(m, n, rng, true);
-        telemetry::Snapshot before = telemetry::snapshot();
-        auto out = c;
-        micro.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, out.data(),
-                               n);
-        const MkCounts got = mk_counts(before, telemetry::snapshot(), "fp32");
-        check_fp32(micro, packed, m, n, k, a, b, c);
-        const int kc = 4;
-        const auto ca = random_cbuffer(m, kc, rng, false);
-        const auto cb = random_cbuffer(kc, n, rng, false);
-        const auto cc = random_cbuffer(m, n, rng, true);
-        before = telemetry::snapshot();
-        auto cout = cc;
-        micro.gemm_fp32c_packed(m, n, kc, ca.data(), kc, cb.data(), n,
-                                cout.data(), n);
-        const MkCounts cgot =
-            mk_counts(before, telemetry::snapshot(), "fp32c");
-        check_fp32c(micro, packed, m, n, kc, ca, cb, cc);
-#if M3XU_TELEMETRY_ENABLED
-        const std::uint64_t area = static_cast<std::uint64_t>(m) * n;
-        EXPECT_EQ(got.elements, area) << m << "x" << n;
-        EXPECT_EQ(got.pairs, area * ((k + 7) / 8)) << m << "x" << n;
-        EXPECT_EQ(got.edge, 0u) << m << "x" << n;
-        EXPECT_EQ(cgot.elements, area) << m << "x" << n;
-        EXPECT_EQ(cgot.pairs, area) << m << "x" << n;
-        EXPECT_EQ(cgot.edge, 0u) << m << "x" << n;
-#else
-        (void)got;
-        (void)cgot;
-#endif
-      }
-    }
-  }
-}
-
 TEST(MicrokernelAvx512, LongKBenignInputsNeverLeaveTheVector) {
   SKIP_WITHOUT_AVX512();
   const M3xuConfig cfg = avx512_config();
   const M3xuEngine micro(cfg);
-  const M3xuEngine packed = packed_only_engine(cfg);
+  const M3xuEngine packed = generic_engine(cfg);
   const int m = 16, n = 16, k = 512;
   Rng rng(40400);
   const auto a = random_buffer(m, k, rng, true);
@@ -688,7 +708,7 @@ TEST(MicrokernelAvx512, SignedZeroSubnormalAndInfRegisters) {
   // through every chunk on their own.
   const M3xuConfig cfg = avx512_config();
   const M3xuEngine micro(cfg);
-  const M3xuEngine packed = packed_only_engine(cfg);
+  const M3xuEngine packed = generic_engine(cfg);
   const float inf = std::numeric_limits<float>::infinity();
   const float sub = std::numeric_limits<float>::denorm_min();
   const int m = 9, n = 11, k = 24;
@@ -740,7 +760,7 @@ TEST(MicrokernelAvx512, EveryAccumPrecisionBothRegisterSemantics) {
       cfg.per_step_rounding = per_step;
       cfg.accum_prec = prec;
       const M3xuEngine micro(cfg);
-      const M3xuEngine packed = packed_only_engine(cfg);
+      const M3xuEngine packed = generic_engine(cfg);
       Rng rng(40600 + prec + (per_step ? 100 : 0));
       const int m = 9, n = 10, k = 40;
       const bool benign = prec % 2 == 0;
@@ -760,9 +780,9 @@ TEST(MicrokernelAvx512, EveryAccumPrecisionBothRegisterSemantics) {
 // --- Fault-injection determinism recheck ------------------------------
 
 TEST(MicrokernelFault, InjectorAttachedEnginesStayDeterministic) {
-  // An injector-attached engine must ignore enable_microkernel, replay
+  // An injector-attached engine must stay off the microkernel, replay
   // the per-dot fault-opportunity order exactly, and produce identical
-  // outputs and logs whether or not the flag is set.
+  // outputs and logs on the per-dot and packed entry points.
   for (int trial = 0; trial < 3; ++trial) {
     const fault::SiteRates rates = fault::SiteRates::uniform(2e-3);
     const fault::FaultInjector inj_perdot(1500 + trial, rates);
@@ -770,7 +790,6 @@ TEST(MicrokernelFault, InjectorAttachedEnginesStayDeterministic) {
     M3xuConfig cfg_perdot, cfg_micro;
     cfg_perdot.injector = &inj_perdot;
     cfg_micro.injector = &inj_micro;
-    cfg_micro.enable_microkernel = true;
     const M3xuEngine perdot(cfg_perdot);
     const M3xuEngine micro(cfg_micro);
     Rng rng(11500 + trial);

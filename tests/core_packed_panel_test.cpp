@@ -155,7 +155,7 @@ TEST(PackedFp32, PrepackedSubBlocksMatchPerDot) {
 }
 
 TEST(PackedFp32, NonDefaultRoundingConfigsStayBitIdentical) {
-  // The fused streaming kernel must replicate both register semantics
+  // The packed path (microkernel) must replicate both register semantics
   // (per-step rounding and the single-rounding ablation) at every
   // supported accumulation-precision boundary.
   for (const bool per_step : {true, false}) {

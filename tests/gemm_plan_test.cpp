@@ -1,11 +1,14 @@
 // Tests for the compile-then-execute GemmPlan layer: bit-identity with
 // the ad-hoc resilient driver on every route rung and both dtypes,
 // prepacked B-panel reuse (hits across executes, fingerprint-guarded
-// refresh on a B change), per-execute rails, and operand validation.
+// refresh on a B change), per-execute rails, microkernel fallbacks in
+// the request trace, and operand validation.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstring>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/bits.hpp"
@@ -14,6 +17,8 @@
 #include "gemm/matrix.hpp"
 #include "gemm/plan.hpp"
 #include "gemm/tiled_driver.hpp"
+#include "telemetry/telemetry.hpp"
+#include "telemetry/trace_context.hpp"
 
 namespace m3xu::gemm {
 namespace {
@@ -39,14 +44,11 @@ bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
-/// Engine configs pinning each initial route rung: the default
-/// (microkernel), the packed-fused rung, and the generic per-dot rung.
+/// Engine configs pinning each packed route rung: the default
+/// (microkernel) and the generic per-dot rung.
 std::vector<std::pair<const char*, core::M3xuConfig>> route_configs() {
   std::vector<std::pair<const char*, core::M3xuConfig>> out;
   out.emplace_back("microkernel", core::M3xuConfig{});
-  core::M3xuConfig nomk;
-  nomk.enable_microkernel = false;
-  out.emplace_back("packed_fused", nomk);
   core::M3xuConfig generic;
   generic.force_generic = true;
   out.emplace_back("generic", generic);
@@ -210,6 +212,93 @@ TEST(GemmPlan, CompileRejectsInvalidTile) {
   EXPECT_THROW(
       GemmPlan::compile(core::M3xuConfig{}, {64, 64, 64}, options),
       CheckError);
+}
+
+/// Fills `m` with any finite floats (wide exponent spans) or with the
+/// well-scaled benign distribution.
+void fill_values(Matrix<float>& m, Rng& rng, bool wide) {
+  for (int i = 0; i < m.rows(); ++i) {
+    for (int j = 0; j < m.cols(); ++j) {
+      m(i, j) = wide ? rng.any_finite_float() : rng.scaled_float();
+    }
+  }
+}
+
+void fill_values(Matrix<std::complex<float>>& m, Rng& rng, bool wide) {
+  for (int i = 0; i < m.rows(); ++i) {
+    for (int j = 0; j < m.cols(); ++j) {
+      m(i, j) = wide ? std::complex<float>(rng.any_finite_float(),
+                                           rng.any_finite_float())
+                     : std::complex<float>(rng.scaled_float(),
+                                           rng.scaled_float());
+    }
+  }
+}
+
+struct TracedRun {
+  std::size_t fallback_events = 0;  // core.<family>.route.fallback
+  std::size_t core_events = 0;      // every core.* event
+  std::uint64_t pair_fallbacks = 0;
+};
+
+/// One traced 24x24x64 execute over a 2x2 tile grid with edge tiles.
+template <typename T>
+TracedRun traced_execute(bool wide, std::uint64_t seed) {
+  constexpr bool kCplx = std::is_same_v<T, std::complex<float>>;
+  const std::string family = kCplx ? "fp32c" : "fp32";
+  const int m = 24, n = 24, k = 64;
+  Matrix<T> a(m, k), b(k, n), c(m, n);
+  Rng rng(seed);
+  fill_values(a, rng, wide);
+  fill_values(b, rng, wide);
+  c.fill(T{});
+  PlanOptions options;
+  options.tile = TileConfig{16, 16, 16, 16, 16};
+  const GemmPlan plan =
+      GemmPlan::compile(core::M3xuConfig{}, {m, n, k, kCplx}, options);
+  telemetry::TraceContext trace("tenant", plan.label());
+  ExecRails rails;
+  rails.trace = &trace;
+  const telemetry::Snapshot before = telemetry::snapshot();
+  plan.execute(a, b, c, rails);
+  const telemetry::Snapshot after = telemetry::snapshot();
+  TracedRun r;
+  r.pair_fallbacks = after.counter_delta(
+      before, "mxu." + family + ".microkernel.pair_fallbacks");
+  const std::string fallback = "core." + family + ".route.fallback";
+  for (const telemetry::TraceEvent& e : trace.events()) {
+    r.fallback_events += fallback == e.name;
+    r.core_events += std::strncmp(e.name, "core.", 5) == 0;
+  }
+  return r;
+}
+
+TEST(GemmPlan, MicrokernelFallbacksReachTheRequestTrace) {
+  // Wide-span operands send some microkernel (element, chunk) pairs to
+  // the generic route in several tiles and blocks; the request trace
+  // gets the family's route.fallback event exactly once. Benign
+  // operands never fall back and log no core route event.
+  const TracedRun s_wide = traced_execute<float>(true, 611);
+  const TracedRun c_wide = traced_execute<std::complex<float>>(true, 612);
+  const TracedRun s_benign = traced_execute<float>(false, 613);
+  const TracedRun c_benign = traced_execute<std::complex<float>>(false, 614);
+#if M3XU_TELEMETRY_ENABLED
+  EXPECT_GT(s_wide.pair_fallbacks, 0u);
+  EXPECT_EQ(s_wide.fallback_events, 1u);
+  EXPECT_EQ(s_wide.core_events, 1u);
+  EXPECT_GT(c_wide.pair_fallbacks, 0u);
+  EXPECT_EQ(c_wide.fallback_events, 1u);
+  EXPECT_EQ(c_wide.core_events, 1u);
+  EXPECT_EQ(s_benign.pair_fallbacks, 0u);
+  EXPECT_EQ(s_benign.core_events, 0u);
+  EXPECT_EQ(c_benign.pair_fallbacks, 0u);
+  EXPECT_EQ(c_benign.core_events, 0u);
+#else
+  for (const TracedRun& r : {s_wide, c_wide, s_benign, c_benign}) {
+    EXPECT_EQ(r.core_events, 0u);
+    EXPECT_EQ(r.pair_fallbacks, 0u);
+  }
+#endif
 }
 
 TEST(GemmPlan, LabelNamesShapeAndDtype) {

@@ -47,9 +47,6 @@ bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
 std::vector<std::pair<const char*, core::M3xuConfig>> route_configs() {
   std::vector<std::pair<const char*, core::M3xuConfig>> out;
   out.emplace_back("microkernel", core::M3xuConfig{});
-  core::M3xuConfig nomk;
-  nomk.enable_microkernel = false;
-  out.emplace_back("packed_fused", nomk);
   core::M3xuConfig generic;
   generic.force_generic = true;
   out.emplace_back("generic", generic);

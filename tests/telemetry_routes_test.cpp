@@ -26,16 +26,14 @@ using m3xu::gemm::TiledGemmStats;
 namespace {
 
 /// Engine-side (output element, K-chunk) pairs attributed to `family`
-/// ("fp32" or "fp32c") between two snapshots. Every route counts each
-/// pair exactly once: the fused fast path, its per-term fallback, the
-/// generic (special/injector) path, and the microkernel's block pairs.
+/// ("fp32" or "fp32c") between two snapshots. Each of the two packed
+/// routes counts each pair exactly once: the generic (special/injector/
+/// forced) reassembly and the microkernel's block pairs.
 std::uint64_t element_chunk_pairs(const telemetry::Snapshot& after,
                                   const telemetry::Snapshot& before,
                                   const std::string& family) {
   const std::string base = "mxu." + family;
-  return after.counter_delta(before, base + ".chunks.fused") +
-         after.counter_delta(before, base + ".chunks.fallback") +
-         after.counter_delta(before, base + ".chunks.generic") +
+  return after.counter_delta(before, base + ".chunks.generic") +
          after.counter_delta(before, base + ".microkernel.pair_chunks");
 }
 
