@@ -1,8 +1,8 @@
 // GEMM throughput baseline across the two M3XU routes: per-dot
 // (re-running the data-assignment split inside the (i, j, k-chunk)
-// loop) and the packed register-blocked microkernel (split once per
-// panel, MR x NR output blocks - partial at the edges - with pack-time
-// exponent prescan). Emits BENCH_gemm.json so later changes have a perf
+// loop) and the packed register-blocked microkernel (operand words
+// packed once per panel and split in registers, MR x NR output blocks -
+// partial at the edges - with pack-time exponent prescan). Emits BENCH_gemm.json so later changes have a perf
 // trajectory to regress against; also verifies both routes produce
 // bit-identical C before reporting. Timing, JSON emission, and route
 // attribution all go through src/telemetry: each case brackets its

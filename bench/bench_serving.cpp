@@ -622,14 +622,19 @@ DomainResult chaos_cancel(int requests, std::uint64_t seed) {
   const Expect expect =
       Expect::of({RequestStatus::kOk, RequestStatus::kCancelled});
   std::vector<std::pair<RequestHandle, const Tenant*>> handles;
+  bool sent_cancel = false;
   for (int i = 0; i < requests; ++i) {
     const Tenant& t = tenants[static_cast<std::size_t>(i) % tenants.size()];
     serve::RequestOptions opts;
     opts.tenant = t.name;
     RequestHandle req = server.submit_sgemm(t.a, t.b, t.c0, opts);
     if (rng.next_below(100) < 60) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(rng.next_below(2000)));
+      // The first cancel goes out at once, so at least one lands while
+      // its request is queued or running however fast requests finish;
+      // the others wait a random delay and may arrive after completion.
+      const auto delay = std::chrono::microseconds(rng.next_below(2000));
+      if (sent_cancel) std::this_thread::sleep_for(delay);
+      sent_cancel = true;
       req->cancel("chaos tenant cancel");
     }
     handles.emplace_back(std::move(req), &t);

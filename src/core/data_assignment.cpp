@@ -126,12 +126,6 @@ LaneOperand class_operand_f64(double v) {
 
 }  // namespace
 
-bool DataAssignmentStage::is_special_fp32(float v) { return f32_is_special(v); }
-
-LaneOperand DataAssignmentStage::class_operand_fp32(float v) {
-  return class_operand_f32(v);
-}
-
 void DataAssignmentStage::corrupt_step(const fault::FaultInjector* injector,
                                        StepOperands& step, int width) {
   if (injector == nullptr) return;

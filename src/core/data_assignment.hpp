@@ -89,23 +89,10 @@ class DataAssignmentStage {
   /// Width of the FP32 mode's 12-bit significand fields (Fig 3a).
   static constexpr int kFp32PartBits = 12;
 
-  // --- Building blocks shared with the packed-panel fast path --------
-  // (core/packed_panel.hpp pre-splits operand panels once and then
-  // reassembles per-dot steps that must be bit-identical to the
-  // schedule_* functions above, including the fault-opportunity order.)
-
-  /// True when `v` takes the element-level special bypass (Inf/NaN:
-  /// exponent field all ones).
-  static bool is_special_fp32(float v);
-
-  /// The element-level bypass operand for `v`: class and sign only,
-  /// with a unit-magnitude placeholder significand for finite values.
-  static LaneOperand class_operand_fp32(float v);
-
+ private:
   /// Applies the operand-buffer fault hooks to one assembled step, in
   /// buffer order (all A lanes, then all B lanes). No-op when
-  /// `injector` is null. The schedule_* functions and the packed path
-  /// both corrupt through this, so their opportunity sequences match.
+  /// `injector` is null.
   static void corrupt_step(const fault::FaultInjector* injector,
                            StepOperands& step, int width);
 };

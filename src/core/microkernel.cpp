@@ -4,11 +4,11 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
-#include <span>
 #include <string_view>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
+#include "core/data_assignment.hpp"
 #include "core/fused_round.hpp"
 #include "fp/exact_accumulator.hpp"
 #include "fp/ext_float.hpp"
@@ -189,9 +189,11 @@ namespace {
 
 // --- Element-level operand compaction ---------------------------------
 //
-// The two 12-bit parts of one FP32 operand share a sign and differ by
-// exactly 2^12 in lsb weight (fp/split.hpp), so an element packs into
-// one 64-bit word ab = hi_sig * 2^32 + lo_sig. One 64x64->128 multiply
+// Panels hold the operands' FP32 words; the decode splits each word
+// into its two 12-bit parts in registers, as the data-assignment stage
+// does at the datapath entry (fp/split.hpp). The parts share a sign and
+// differ by exactly 2^12 in lsb weight, so an element packs into one
+// 64-bit word ab = hi_sig * 2^32 + lo_sig. One 64x64->128 multiply
 // then yields ALL FOUR partial products of an operand pair at disjoint
 // bit ranges:
 //
@@ -214,9 +216,8 @@ static_assert(kMaxSlots == kPackChunkFp32 &&
 /// One decoded operand stream, one slot per scalar (or complex
 /// component) element. Zero slots hold ab = 0 with exp = the chunk's
 /// min anchor + 12, which keeps every alignment shift in-window while
-/// the zero significand contributes nothing to any sum. The 64-bit
-/// streams are 64-byte aligned so the AVX-512 path can use aligned
-/// full-width loads/stores.
+/// the zero significand contributes nothing to any sum. The streams
+/// are aligned for the AVX2 term build's full-width loads.
 struct ElemSoA {
   alignas(64) std::uint64_t ab[kMaxSlots];  // hi_sig << 32 | lo_sig
   alignas(32) std::int32_t exp[kMaxSlots];  // hi-part exp2
@@ -241,32 +242,62 @@ inline int fill_exp(const PanelChunkMeta& m) {
   return (m.flags & PanelChunkMeta::kHasFinite) ? m.min_exp + 12 : 0;
 }
 
-/// Decodes `ns` element slots from a packed [hi, lo] lane stream (fp32
-/// panels: one slot per element; fp32c panels: the 4-lane quad is two
-/// consecutive [hi, lo] pairs, so slots alternate re / im components,
-/// the im slot carrying the packed order's sign - pre-negated in the
-/// real-part A order). Only kFinite/kZero lane classes appear here
-/// (special-free panels), and a kZero hi lane means the element is
-/// zero: the lo part can't be finite without the hi hidden bit. The
-/// tail up to kMaxSlots is zero-filled so the fixed-width term build
-/// stays exact.
-void decode_slots(const LaneOperand* src, int ns, int fill, ElemSoA& out) {
+/// Decodes `ns` slots of one row or column chunk from panel words,
+/// splitting each word as fp::split_fp32_hw does: slot t is word
+/// t % kWords of element t / kWords, elements `stride` words apart
+/// (FP32: one slot per element; FP32C: a re slot then an im slot per
+/// element). An exponent field of 0 - zero or a flushed subnormal, the
+/// only non-normal words in special-free panels - gives a zero slot.
+/// `flip_odd` negates the im slots: FP32C A rows decode in the real
+/// part's order, which carries the stage's -AI pre-negation. The tail
+/// up to kMaxSlots is zero-filled so the fixed-width term build stays
+/// exact.
+template <int kWords>
+void decode_slots(const std::uint32_t* src, std::size_t stride, int ns,
+                  int fill, bool flip_odd, ElemSoA& out) {
   for (int t = 0; t < ns; ++t) {
-    const LaneOperand& hi = src[2 * t];
-    const LaneOperand& lo = src[2 * t + 1];
-    const bool fin = hi.cls == LaneOperand::Cls::kFinite;
-    // The lo part shares hi's sign and sits exactly 12 below; its sig
-    // is 0 whenever its lane is kZero, so reading it unconditionally
-    // is exact.
-    out.ab[t] = fin ? (hi.sig << 32) | lo.sig : 0;
-    out.exp[t] = fin ? hi.exp2 : fill;
-    out.neg[t] = fin && hi.sign ? 1u : 0u;
+    const std::uint32_t w =
+        src[static_cast<std::size_t>(t / kWords) * stride + t % kWords];
+    const std::uint32_t e = (w >> 23) & 0xff;
+    const std::uint32_t sig = (w & 0x7fffff) | 0x800000;
+    const bool fin = e != 0;
+    out.ab[t] = fin ? (std::uint64_t{sig >> 12} << 32) | (sig & 0xfff) : 0;
+    out.exp[t] = fin ? static_cast<std::int32_t>(e) - kHiLsbBias : fill;
+    out.neg[t] = fin ? (w >> 31) ^ (flip_odd ? t & 1u : 0u) : 0u;
   }
   for (int t = ns; t < kMaxSlots; ++t) {
     out.ab[t] = 0;
     out.exp[t] = fill;
     out.neg[t] = 0;
   }
+}
+
+/// Row `row`'s / column `col`'s chunk at k0 with kc elements.
+void decode_chunk(const PackedPanelFp32A& a, int row, int k0, int kc,
+                  int fill, ElemSoA& out) {
+  decode_slots<1>(a.words.data() + static_cast<std::size_t>(row) * a.k + k0,
+                  1, kc, fill, false, out);
+}
+
+void decode_chunk(const PackedPanelFp32B& b, int col, int k0, int kc,
+                  int fill, ElemSoA& out) {
+  decode_slots<1>(
+      b.words.data() + static_cast<std::size_t>(k0) * b.cols + col,
+      static_cast<std::size_t>(b.cols), kc, fill, false, out);
+}
+
+void decode_chunk(const PackedPanelFp32cA& a, int row, int k0, int kc,
+                  int fill, ElemSoA& out) {
+  decode_slots<2>(
+      a.words.data() + (static_cast<std::size_t>(row) * a.k + k0) * 2, 2,
+      2 * kc, fill, /*flip_odd=*/true, out);
+}
+
+void decode_chunk(const PackedPanelFp32cB& b, int col, int k0, int kc,
+                  int fill, ElemSoA& out) {
+  decode_slots<2>(
+      b.words.data() + (static_cast<std::size_t>(k0) * b.cols + col) * 2,
+      static_cast<std::size_t>(b.cols) * 2, 2 * kc, fill, false, out);
 }
 
 /// Swaps adjacent slots (re <-> im) for the imag-part pairing, where
@@ -276,20 +307,6 @@ void swap_slots(const ElemSoA& in, ElemSoA& out) {
     out.ab[t] = in.ab[t ^ 1];
     out.exp[t] = in.exp[t ^ 1];
     out.neg[t] = in.neg[t ^ 1];
-  }
-}
-
-/// Software-prefetch a packed lane run into L1. A lane is 16 bytes, so
-/// one fp32 row-chunk (8 elements x 2 lanes) or fp32c row-chunk (4
-/// elements x 4 lanes) is 256 bytes = 4 cache lines; the panel layout
-/// makes the next chunk's offset a pure stride from PanelChunkMeta's
-/// indexing (row * k + k0), no pointer chasing.
-inline void prefetch_lanes(const LaneOperand* lanes, int count) {
-  const char* base = reinterpret_cast<const char*>(lanes);
-  const std::size_t bytes =
-      static_cast<std::size_t>(count) * sizeof(LaneOperand);
-  for (std::size_t off = 0; off < bytes; off += 64) {
-    __builtin_prefetch(base + off, /*rw=*/0, /*locality=*/3);
   }
 }
 
@@ -503,56 +520,59 @@ bool pair_chunk(const PairTerms& terms, bool have_terms, int t_lo, int t_hi,
 
 // --- Generic fallback -------------------------------------------------
 //
-// Chunks the prescan can't prove safe re-run on the same panel slices
-// through the exact replica of run_steps with a null injector (the
-// engine keeps injector-attached runs off the microkernel entirely).
+// Chunks the prescan can't prove safe re-run on the per-dot schedule:
+// the chunk's words as the operand registers, split and routed by
+// DataAssignmentStage::schedule_fp32 / schedule_fp32c with a null
+// injector (the engine keeps injector-attached runs off the
+// microkernel entirely), under run_steps' register semantics.
 
-void run_generic2(std::span<const LaneOperand> a,
-                  std::span<const LaneOperand> b_like,
-                  std::span<const LaneOperand> b_swap, const DpUnit& unit,
-                  const MicrokernelParams& p, float* acc) {
-  const fp::Unpacked c = fp::unpack(*acc);
+float run_chunk_steps(const std::array<StepOperands, 2>& steps,
+                      const DpUnit& unit, const MicrokernelParams& p,
+                      float acc) {
+  const fp::Unpacked c = fp::unpack(acc);
   if (p.per_step_rounding) {
     fp::ExtFloat reg = fp::ExtFloat::from_unpacked(c, p.accum_prec);
-    for (int st = 0; st < 2; ++st) {
+    for (const StepOperands& step : steps) {
       fp::ExactAccumulator sum;
-      unit.accumulate_dot(a, st == 0 ? b_like : b_swap, sum);
+      unit.accumulate_dot(step.a, step.b, sum);
       reg = reg.plus_exact(sum);
     }
-    *acc = reg.to_float();
-    return;
+    return reg.to_float();
   }
   fp::ExactAccumulator sum;
-  unit.accumulate_dot(a, b_like, sum);
-  unit.accumulate_dot(a, b_swap, sum);
+  for (const StepOperands& step : steps) {
+    unit.accumulate_dot(step.a, step.b, sum);
+  }
   sum.add_unpacked(c);
-  *acc = fp::pack_to_float(sum.round_to_precision(p.accum_prec));
+  return fp::pack_to_float(sum.round_to_precision(p.accum_prec));
 }
 
 void generic_fp32_chunk(const PackedPanelFp32A& a, int row,
                         const PackedPanelFp32B& b, int col, int k0, int kc,
                         const DpUnit& unit, const MicrokernelParams& p,
                         float* acc) {
-  const std::size_t aoff = (static_cast<std::size_t>(row) * a.k + k0) * 2;
-  const std::size_t boff = (static_cast<std::size_t>(col) * b.k + k0) * 2;
-  const std::size_t len = static_cast<std::size_t>(2) * kc;
-  run_generic2({a.lanes.data() + aoff, len}, {b.like.data() + boff, len},
-               {b.swapped.data() + boff, len}, unit, p, acc);
+  float av[kPackChunkFp32];
+  float bv[kPackChunkFp32];
+  panel_chunk(a, row, k0, kc, av);
+  panel_chunk(b, col, k0, kc, bv);
+  const auto n = static_cast<std::size_t>(kc);
+  *acc = run_chunk_steps(DataAssignmentStage::schedule_fp32({av, n}, {bv, n}),
+                         unit, p, *acc);
 }
 
 void generic_fp32c_chunk(const PackedPanelFp32cA& a, int row,
                          const PackedPanelFp32cB& b, int col, int k0, int kc,
                          const DpUnit& unit, const MicrokernelParams& p,
                          float* re, float* im) {
-  const std::size_t aoff = (static_cast<std::size_t>(row) * a.k + k0) * 4;
-  const std::size_t boff = (static_cast<std::size_t>(col) * b.k + k0) * 4;
-  const std::size_t len = static_cast<std::size_t>(4) * kc;
-  run_generic2({a.real_lanes.data() + aoff, len},
-               {b.real_like.data() + boff, len},
-               {b.real_swap.data() + boff, len}, unit, p, re);
-  run_generic2({a.imag_lanes.data() + aoff, len},
-               {b.imag_like.data() + boff, len},
-               {b.imag_swap.data() + boff, len}, unit, p, im);
+  std::complex<float> av[kPackChunkFp32c];
+  std::complex<float> bv[kPackChunkFp32c];
+  panel_chunk(a, row, k0, kc, av);
+  panel_chunk(b, col, k0, kc, bv);
+  const auto n = static_cast<std::size_t>(kc);
+  const DataAssignmentStage::ComplexSchedule sched =
+      DataAssignmentStage::schedule_fp32c({av, n}, {bv, n});
+  *re = run_chunk_steps(sched.real, unit, p, *re);
+  *im = run_chunk_steps(sched.imag, unit, p, *im);
 }
 
 inline bool finite_chunk(const PanelChunkMeta& m) {
@@ -649,35 +669,15 @@ std::uint64_t fp32_block(const PackedPanelFp32A& a, int row0, int rows,
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32;
     const int kc = std::min(kPackChunkFp32, k - k0);
-    if (ch + 1 < nchunks) {
-      // Pull the next chunk's hi/lo lane runs toward L1 while this
-      // chunk's decode + rows*cols pair computes hide the latency.
-      const int nk0 = k0 + kPackChunkFp32;
-      const int nkc = std::min(kPackChunkFp32, k - nk0);
-      for (int i = 0; i < rows; ++i) {
-        prefetch_lanes(
-            a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + nk0) * 2,
-            2 * nkc);
-      }
-      for (int j = 0; j < cols; ++j) {
-        prefetch_lanes(
-            b.like.data() + (static_cast<std::size_t>(col0 + j) * k + nk0) * 2,
-            2 * nkc);
-      }
-    }
     const PanelChunkMeta* am[MR];
     const PanelChunkMeta* bm[NR];
     for (int i = 0; i < rows; ++i) {
       am[i] = &a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
-      decode_slots(
-          a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * 2,
-          kc, fill_exp(*am[i]), arow[i]);
+      decode_chunk(a, row0 + i, k0, kc, fill_exp(*am[i]), arow[i]);
     }
     for (int j = 0; j < cols; ++j) {
       bm[j] = &b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
-      decode_slots(
-          b.like.data() + (static_cast<std::size_t>(col0 + j) * k + k0) * 2,
-          kc, fill_exp(*bm[j]), bcol[j]);
+      decode_chunk(b, col0 + j, k0, kc, fill_exp(*bm[j]), bcol[j]);
     }
     for (int i = 0; i < rows; ++i) {
       for (int j = 0; j < cols; ++j) {
@@ -717,7 +717,7 @@ std::uint64_t fp32c_block(const PackedPanelFp32cA& a, int row0, int rows,
       acc_im[i][j] = c[i * ldc + j].imag();
     }
   }
-  // A rows decode from the real-part order, where the im slots carry
+  // A rows decode in the real-part order, where the im slots carry
   // the stage's -AI pre-negation: exactly the sign the real part's
   // -AI*BI term needs, and flip_odd undoes it for the imag part's
   // AI*BR term. B columns decode once; a slot-swapped copy provides
@@ -729,33 +729,15 @@ std::uint64_t fp32c_block(const PackedPanelFp32cA& a, int row0, int rows,
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32c;
     const int kc = std::min(kPackChunkFp32c, k - k0);
-    if (ch + 1 < nchunks) {
-      const int nk0 = k0 + kPackChunkFp32c;
-      const int nkc = std::min(kPackChunkFp32c, k - nk0);
-      for (int i = 0; i < rows; ++i) {
-        prefetch_lanes(a.real_lanes.data() +
-                           (static_cast<std::size_t>(row0 + i) * k + nk0) * 4,
-                       4 * nkc);
-      }
-      for (int j = 0; j < cols; ++j) {
-        prefetch_lanes(b.real_like.data() +
-                           (static_cast<std::size_t>(col0 + j) * k + nk0) * 4,
-                       4 * nkc);
-      }
-    }
     const PanelChunkMeta* am[MR];
     const PanelChunkMeta* bm[NR];
     for (int i = 0; i < rows; ++i) {
       am[i] = &a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
-      decode_slots(a.real_lanes.data() +
-                       (static_cast<std::size_t>(row0 + i) * k + k0) * 4,
-                   2 * kc, fill_exp(*am[i]), arow[i]);
+      decode_chunk(a, row0 + i, k0, kc, fill_exp(*am[i]), arow[i]);
     }
     for (int j = 0; j < cols; ++j) {
       bm[j] = &b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
-      decode_slots(b.real_like.data() +
-                       (static_cast<std::size_t>(col0 + j) * k + k0) * 4,
-                   2 * kc, fill_exp(*bm[j]), bcol[j]);
+      decode_chunk(b, col0 + j, k0, kc, fill_exp(*bm[j]), bcol[j]);
       swap_slots(bcol[j], bswp[j]);
     }
     for (int i = 0; i < rows; ++i) {
@@ -784,8 +766,10 @@ std::uint64_t fp32c_block(const PackedPanelFp32cA& a, int row0, int rows,
 //
 // The scalar route rounds one (row, column) register at a time through
 // a 128-bit window (step_round). Here the 8 lanes of a 512-bit vector
-// are the (up to) 8 output columns of one block row: A's decoded slots
-// are broadcast, B's slots are read as [slot][column] vectors, and each
+// are the (up to) 8 output columns of one block row. Per chunk, each B
+// slot's 8 columns are one masked load from the row-major panel words,
+// split into parts in-vector; each A row's chunk is one masked load
+// split the same way, and its slots are broadcast. Each
 // lane carries its own column's exact step sums, register, window
 // check, rounding and FP32 encode. A lane computes exactly what
 // step_round computes - RNE_prec(reg + exact step sum), over the same
@@ -818,50 +802,149 @@ constexpr std::uint64_t kLimbMask = (std::uint64_t{1} << kLimbBits) - 1;
 constexpr int kMaxFieldOffset = kMaxSpan - 47;
 constexpr int kLanes = 8;
 
-/// One K-chunk of up to kLanes B columns, transposed so slot t of every
-/// column loads as one vector (lane j = column j). Columns past a
-/// partial block's edge hold zero slots and no finite flag.
+/// One K-chunk of up to kLanes B columns, slot t of every column in one
+/// vector (lane j = column j). Columns past a partial block's edge hold
+/// zero slots and no finite flag. Slots past a partial chunk's live
+/// count are left unset: the A slots they pair with are zero and never
+/// visited.
 struct BChunkLanes {
-  alignas(64) std::uint64_t ab[kMaxSlots][kLanes];  // hi_sig << 32 | lo_sig
-  alignas(64) std::uint64_t hi[kMaxSlots][kLanes];  // hi_sig
-  alignas(64) std::int64_t off[kMaxSlots][kLanes];  // exp2 - column anchor
-  alignas(64) std::int64_t noff[kMaxSlots][kLanes];  // kMaxFieldOffset - off
-  alignas(64) std::int64_t min_exp[kLanes];
-  alignas(64) std::int64_t max_exp[kLanes];
-  std::uint8_t neg[kMaxSlots];  // lane mask per slot
-  std::uint8_t finite = 0;      // lanes whose column chunk has a finite lane
+  __m512i lo[kMaxSlots];    // lo part sig
+  __m512i hi[kMaxSlots];    // hi part sig
+  __m512i off[kMaxSlots];   // hi exp2 - column anchor (0 in zero slots)
+  __m512i noff[kMaxSlots];  // kMaxFieldOffset - off
+  __m512i min_exp;          // column anchors
+  __m512i max_exp;
+  __mmask8 neg[kMaxSlots];  // negative lanes per slot
+  __mmask8 finite = 0;      // lanes whose column chunk has a finite lane
 };
 
-/// Transposes one chunk of `cols` B columns: `src` is column 0's first
-/// lane of the chunk, `stride` the lane distance between columns, and
-/// `meta` column 0's prescan entry (`meta_stride` entries per column).
-/// `ns` slots are live per column, as in decode_slots.
-void decode_b_lanes(const LaneOperand* src, std::size_t stride, int cols,
-                    int ns, const PanelChunkMeta* meta, std::size_t meta_stride,
-                    BChunkLanes& out) {
+/// Eight FP32 words, one per u64 lane, split as decode_slots splits
+/// them: a lane whose exponent field is 0 is a zero slot (nz clear and
+/// every field 0).
+struct LaneWords {
+  __m512i lo;   // lo part sig
+  __m512i hi;   // hi part sig
+  __m512i exp;  // hi part exp2
+  __mmask8 nz;
+  __mmask8 neg;
+};
+
+M3XU_AVX512_INLINE LaneWords split_words(__m512i w) {
+  const __m512i e =
+      _mm512_and_si512(_mm512_srli_epi64(w, 23), _mm512_set1_epi64(0xff));
+  const __m512i sig =
+      _mm512_or_si512(_mm512_and_si512(w, _mm512_set1_epi64(0x7fffff)),
+                      _mm512_set1_epi64(0x800000));
+  LaneWords s;
+  s.nz = _mm512_test_epi64_mask(e, e);
+  s.lo = _mm512_maskz_and_epi64(s.nz, sig, _mm512_set1_epi64(0xfff));
+  s.hi = _mm512_maskz_srli_epi64(s.nz, sig, 12);
+  s.exp = _mm512_maskz_sub_epi64(s.nz, e, _mm512_set1_epi64(kHiLsbBias));
+  s.neg = _mm512_mask_test_epi64_mask(s.nz, w, _mm512_set1_epi64(0x80000000));
+  return s;
+}
+
+/// Loads the words `m` selects from p[0..7], one per u64 lane; the
+/// other lanes read as zero words and nothing past them is touched.
+M3XU_AVX512_INLINE __m512i load_words(const std::uint32_t* p, __mmask8 m) {
+  return _mm512_cvtepu32_epi64(
+      _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(m, p)));
+}
+
+M3XU_AVX512_INLINE void set_b_slot(BChunkLanes& out, int t,
+                                   const LaneWords& s) {
+  out.lo[t] = s.lo;
+  out.hi[t] = s.hi;
+  out.off[t] = _mm512_maskz_sub_epi64(s.nz, s.exp, out.min_exp);
+  out.noff[t] =
+      _mm512_sub_epi64(_mm512_set1_epi64(kMaxFieldOffset), out.off[t]);
+  out.neg[t] = s.neg;
+}
+
+/// The chunk's prescan for `cols` columns (`meta` is column 0's entry,
+/// `meta_stride` entries per column).
+M3XU_AVX512_TARGET void b_lanes_prescan(const PanelChunkMeta* meta,
+                                        std::size_t meta_stride, int cols,
+                                        BChunkLanes& out) {
+  alignas(64) std::int64_t mn[kLanes] = {};
+  alignas(64) std::int64_t mx[kLanes] = {};
   out.finite = 0;
-  for (int t = 0; t < kMaxSlots; ++t) out.neg[t] = 0;
-  for (int j = 0; j < kLanes; ++j) {
-    const PanelChunkMeta* m = j < cols ? meta + j * meta_stride : nullptr;
-    const bool fin = m != nullptr && finite_chunk(*m);
-    const LaneOperand* s = fin ? src + j * stride : nullptr;
-    out.finite |= fin ? 1u << j : 0u;
-    out.min_exp[j] = fin ? m->min_exp : 0;
-    out.max_exp[j] = fin ? m->max_exp : 0;
-    for (int t = 0; t < kMaxSlots; ++t) {
-      std::uint64_t ab = 0;
-      std::int64_t off = 0;
-      if (fin && t < ns && s[2 * t].cls == LaneOperand::Cls::kFinite) {
-        ab = (s[2 * t].sig << 32) | s[2 * t + 1].sig;
-        off = s[2 * t].exp2 - out.min_exp[j];
-        if (s[2 * t].sign) out.neg[t] |= 1u << j;
-      }
-      out.ab[t][j] = ab;
-      out.hi[t][j] = ab >> 32;
-      out.off[t][j] = off;
-      out.noff[t][j] = kMaxFieldOffset - off;
-    }
+  for (int j = 0; j < cols; ++j) {
+    const PanelChunkMeta& m = meta[j * meta_stride];
+    if (!finite_chunk(m)) continue;
+    out.finite |= static_cast<__mmask8>(1u << j);
+    mn[j] = m.min_exp;
+    mx[j] = m.max_exp;
   }
+  out.min_exp = _mm512_load_si512(mn);
+  out.max_exp = _mm512_load_si512(mx);
+}
+
+/// Decodes chunk `ch` of B columns [col0, col0 + cols): each slot's
+/// columns are one masked load from the row-major words.
+M3XU_AVX512_TARGET void decode_b_lanes(const PackedPanelFp32B& b, int col0,
+                                       int cols, int ch, int kc,
+                                       BChunkLanes& out) {
+  const int nchunks = panel_chunk_count(b.k, kPackChunkFp32);
+  b_lanes_prescan(&b.meta[static_cast<std::size_t>(col0) * nchunks + ch],
+                  nchunks, cols, out);
+  const auto lanes = static_cast<__mmask8>((1u << cols) - 1);
+  const auto stride = static_cast<std::size_t>(b.cols);
+  const std::uint32_t* src =
+      b.words.data() + ch * kPackChunkFp32 * stride + col0;
+  for (int t = 0; t < kc; ++t) {
+    set_b_slot(out, t, split_words(load_words(src + t * stride, lanes)));
+  }
+}
+
+/// The FP32C form: one masked load per element brings 8 columns' (re,
+/// im) word pairs, one per u64 lane, which split into slots 2e and
+/// 2e + 1.
+M3XU_AVX512_TARGET void decode_b_lanes(const PackedPanelFp32cB& b, int col0,
+                                       int cols, int ch, int kc,
+                                       BChunkLanes& out) {
+  const int nchunks = panel_chunk_count(b.k, kPackChunkFp32c);
+  b_lanes_prescan(&b.meta[static_cast<std::size_t>(col0) * nchunks + ch],
+                  nchunks, cols, out);
+  const auto words = static_cast<__mmask16>((1u << (2 * cols)) - 1);
+  const std::size_t stride = static_cast<std::size_t>(b.cols) * 2;
+  const std::uint32_t* src = b.words.data() +
+                             ch * kPackChunkFp32c * stride +
+                             static_cast<std::size_t>(col0) * 2;
+  const __m512i low32 = _mm512_set1_epi64(0xffffffff);
+  for (int e = 0; e < kc; ++e) {
+    const __m512i v = _mm512_maskz_loadu_epi32(words, src + e * stride);
+    set_b_slot(out, 2 * e, split_words(_mm512_and_si512(v, low32)));
+    set_b_slot(out, 2 * e + 1, split_words(_mm512_srli_epi64(v, 32)));
+  }
+}
+
+/// One block row's A chunk, decoded in-vector for broadcasting: slot
+/// t's part sigs, its shift offset from the row anchor (hi exp2 -
+/// anchor - 24, so a term's offset from t_lo is the A and B offsets
+/// summed) and its sign. `nz` marks the nonzero slots.
+struct ARowSlots {
+  alignas(64) std::uint64_t lo[kMaxSlots];
+  alignas(64) std::uint64_t hi[kMaxSlots];
+  alignas(64) std::int64_t off[kMaxSlots];
+  __mmask8 nz;
+  __mmask8 neg;
+};
+
+/// Decodes `ns` consecutive slot words at `src`; `flip` negates the
+/// slots it marks (FP32C: the real part's -AI pre-negation on the im
+/// slots, as decode_chunk's flip_odd).
+M3XU_AVX512_INLINE void decode_a_lanes(const std::uint32_t* src, int ns,
+                                       int anchor, __mmask8 flip,
+                                       ARowSlots& out) {
+  const LaneWords s =
+      split_words(load_words(src, static_cast<__mmask8>((1u << ns) - 1)));
+  _mm512_store_si512(out.lo, s.lo);
+  _mm512_store_si512(out.hi, s.hi);
+  _mm512_store_si512(out.off, _mm512_maskz_sub_epi64(
+                                  s.nz, s.exp, _mm512_set1_epi64(anchor + 24)));
+  out.nz = s.nz;
+  out.neg = s.neg ^ (flip & s.nz);
 }
 
 /// A lane's exact step sum relative to its t_lo: h * 2^60 + l.
@@ -924,43 +1007,43 @@ M3XU_AVX512_TARGET inline void add_field(LaneSum& s, __m512i x, __m512i cnt,
                ncnt));
 }
 
-/// Adds A slot (av, ah, aoff, sign mask nm already folded with B's)
+/// Adds A slot (al, ah, aoff, sign mask nm already folded with B's)
 /// times B slot `tb` of every lane: the like field (ah*bh, al*bl) into
 /// s0 and the crossed field (ah*bl + al*bh) into s1. The multiplies are
-/// mul_epu32 over the 12-bit part sigs in each word's low 32 bits.
-M3XU_AVX512_TARGET inline void add_pair(__m512i av, __m512i ah, __m512i aoff,
+/// mul_epu32 over the 12-bit part sigs in each lane's low 32 bits.
+M3XU_AVX512_TARGET inline void add_pair(__m512i al, __m512i ah, __m512i aoff,
                                         __mmask8 nm, const BChunkLanes& bl,
                                         int tb, LaneSum& s0, LaneSum& s1) {
   const __m512i zero = _mm512_setzero_si512();
-  const __m512i bv = _mm512_load_si512(bl.ab[tb]);
-  const __m512i bh = _mm512_load_si512(bl.hi[tb]);
-  const __m512i cnt = _mm512_add_epi64(_mm512_load_si512(bl.off[tb]), aoff);
-  const __m512i ncnt = _mm512_sub_epi64(_mm512_load_si512(bl.noff[tb]), aoff);
-  const __m512i hh = _mm512_mul_epu32(ah, bh);
+  const __m512i blo = bl.lo[tb];
+  const __m512i bhi = bl.hi[tb];
+  const __m512i cnt = _mm512_add_epi64(bl.off[tb], aoff);
+  const __m512i ncnt = _mm512_sub_epi64(bl.noff[tb], aoff);
+  const __m512i hh = _mm512_mul_epu32(ah, bhi);
   __m512i like =
-      _mm512_or_si512(_mm512_slli_epi64(hh, 24), _mm512_mul_epu32(av, bv));
+      _mm512_or_si512(_mm512_slli_epi64(hh, 24), _mm512_mul_epu32(al, blo));
   like = _mm512_mask_sub_epi64(like, nm, zero, like);
   add_field<0>(s0, like, cnt, ncnt);
   __m512i crossed =
-      _mm512_add_epi64(_mm512_mul_epu32(ah, bv), _mm512_mul_epu32(av, bh));
+      _mm512_add_epi64(_mm512_mul_epu32(ah, blo), _mm512_mul_epu32(al, bhi));
   crossed = _mm512_mask_sub_epi64(crossed, nm, zero, crossed);
   add_field<12>(s1, crossed, cnt, ncnt);
 }
 
-/// Per-slot A broadcasts: the combined word, its hi part, and the
-/// slot's count offset from the row's anchor (sh - t_lo = aoff + boff).
+/// Per-slot A broadcasts: the part sigs and the slot's count offset
+/// from the row's anchor (sh - t_lo = aoff + boff).
 struct ASlot {
-  __m512i av;
+  __m512i al;
   __m512i ah;
   __m512i aoff;
   __mmask8 neg;  // all lanes when the A slot is negative
 };
 
-M3XU_AVX512_TARGET inline ASlot a_slot(const ElemSoA& ar, int t, int anchor) {
-  return {_mm512_set1_epi64(static_cast<std::int64_t>(ar.ab[t])),
-          _mm512_set1_epi64(static_cast<std::int64_t>(ar.ab[t] >> 32)),
-          _mm512_set1_epi64(ar.exp[t] - anchor - 24),
-          static_cast<__mmask8>(ar.neg[t] ? 0xff : 0)};
+M3XU_AVX512_TARGET inline ASlot a_slot(const ARowSlots& ar, int t) {
+  return {_mm512_set1_epi64(static_cast<std::int64_t>(ar.lo[t])),
+          _mm512_set1_epi64(static_cast<std::int64_t>(ar.hi[t])),
+          _mm512_set1_epi64(ar.off[t]),
+          static_cast<__mmask8>(((ar.neg >> t) & 1) != 0 ? 0xff : 0)};
 }
 
 M3XU_AVX512_TARGET inline void normalize(LaneSum& s) {
@@ -1152,10 +1235,8 @@ M3XU_AVX512_INLINE __m512i lane_chunk(__m512i bits, const LaneSum& s0,
 M3XU_AVX512_TARGET inline void lane_window(const PanelChunkMeta& am,
                                            const BChunkLanes& bl,
                                            __m512i& t_lo, __m512i& t_hi) {
-  t_lo = _mm512_add_epi64(_mm512_load_si512(bl.min_exp),
-                          _mm512_set1_epi64(am.min_exp));
-  t_hi = _mm512_add_epi64(_mm512_load_si512(bl.max_exp),
-                          _mm512_set1_epi64(am.max_exp + 23));
+  t_lo = _mm512_add_epi64(bl.min_exp, _mm512_set1_epi64(am.min_exp));
+  t_hi = _mm512_add_epi64(bl.max_exp, _mm512_set1_epi64(am.max_exp + 23));
 }
 
 /// The FP32 kernel over a rows x cols block (rows <= 8, cols <= 8; a
@@ -1181,44 +1262,28 @@ M3XU_AVX512_TARGET std::uint64_t fp32_block_avx512(
         _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(lanes, row)));
   }
   BChunkLanes bl;
-  ElemSoA ar;
+  ARowSlots ar;
   std::uint64_t fallbacks = 0;
   std::uint64_t exits_total = 0;
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32;
     const int kc = std::min(kPackChunkFp32, k - k0);
-    if (ch + 1 < nchunks) {
-      const int nk0 = k0 + kPackChunkFp32;
-      const int nkc = std::min(kPackChunkFp32, k - nk0);
-      for (int i = 0; i < rows; ++i) {
-        prefetch_lanes(
-            a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + nk0) * 2,
-            2 * nkc);
-      }
-      for (int j = 0; j < cols; ++j) {
-        prefetch_lanes(
-            b.like.data() + (static_cast<std::size_t>(col0 + j) * k + nk0) * 2,
-            2 * nkc);
-      }
-    }
-    decode_b_lanes(
-        b.like.data() + (static_cast<std::size_t>(col0) * k + k0) * 2,
-        static_cast<std::size_t>(2) * k, cols, kc,
-        &b.meta[static_cast<std::size_t>(col0) * nchunks + ch], nchunks, bl);
+    decode_b_lanes(b, col0, cols, ch, kc, bl);
     for (int i = 0; i < rows; ++i) {
       const PanelChunkMeta& am =
           a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
-      decode_slots(
-          a.lanes.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * 2,
-          kc, fill_exp(am), ar);
+      decode_a_lanes(
+          a.words.data() + static_cast<std::size_t>(row0 + i) * k + k0, kc,
+          am.min_exp, 0, ar);
       const __mmask8 have = finite_chunk(am) ? bl.finite : 0;
       LaneSum s0{};
       LaneSum s1{};
       if (have) {
-        for (int t = 0; t < kMaxSlots; ++t) {
-          if (ar.ab[t] == 0) continue;  // zero slot: contributes nothing
-          const ASlot as = a_slot(ar, t, am.min_exp);
-          add_pair(as.av, as.ah, as.aoff, bl.neg[t] ^ as.neg, bl, t, s0, s1);
+        // Zero slots contribute nothing: visit the nonzero ones.
+        for (unsigned live = ar.nz; live != 0; live &= live - 1) {
+          const int t = __builtin_ctz(live);
+          const ASlot as = a_slot(ar, t);
+          add_pair(as.al, as.ah, as.aoff, bl.neg[t] ^ as.neg, bl, t, s0, s1);
         }
       }
       __m512i t_lo, t_hi;
@@ -1234,16 +1299,16 @@ M3XU_AVX512_TARGET std::uint64_t fp32_block_avx512(
         alignas(64) std::uint64_t res[kLanes];
         _mm512_store_si512(entry, acc[i]);
         _mm512_store_si512(res, out);
+        ElemSoA arow;
+        decode_chunk(a, row0 + i, k0, kc, fill_exp(am), arow);
         for (int j = 0; j < cols; ++j) {
           if (((exits >> j) & 1) == 0) continue;
           const PanelChunkMeta& bm =
               b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
           ElemSoA bc;
-          decode_slots(
-              b.like.data() + (static_cast<std::size_t>(col0 + j) * k + k0) * 2,
-              kc, fill_exp(bm), bc);
+          decode_chunk(b, col0 + j, k0, kc, fill_exp(bm), bc);
           float v = float_from_bits(static_cast<std::uint32_t>(entry[j]));
-          fallbacks += fp32_pair(MkVariant::kScalar, ar, am, bc, bm, a,
+          fallbacks += fp32_pair(MkVariant::kScalar, arow, am, bc, bm, a,
                                  row0 + i, b, col0 + j, k0, kc, unit, p, &v);
           res[j] = bits_of(v);
           ++exits_total;
@@ -1297,48 +1362,31 @@ M3XU_AVX512_TARGET std::uint64_t fp32c_block_avx512(
     acc_im[i] = _mm512_srli_epi64(v, 32);
   }
   BChunkLanes bl;
-  ElemSoA ar;
+  ARowSlots ar;
   std::uint64_t fallbacks = 0;
   std::uint64_t exits_total = 0;
   for (int ch = 0; ch < nchunks; ++ch) {
     const int k0 = ch * kPackChunkFp32c;
     const int kc = std::min(kPackChunkFp32c, k - k0);
-    if (ch + 1 < nchunks) {
-      const int nk0 = k0 + kPackChunkFp32c;
-      const int nkc = std::min(kPackChunkFp32c, k - nk0);
-      for (int i = 0; i < rows; ++i) {
-        prefetch_lanes(a.real_lanes.data() +
-                           (static_cast<std::size_t>(row0 + i) * k + nk0) * 4,
-                       4 * nkc);
-      }
-      for (int j = 0; j < cols; ++j) {
-        prefetch_lanes(b.real_like.data() +
-                           (static_cast<std::size_t>(col0 + j) * k + nk0) * 4,
-                       4 * nkc);
-      }
-    }
-    decode_b_lanes(
-        b.real_like.data() + (static_cast<std::size_t>(col0) * k + k0) * 4,
-        static_cast<std::size_t>(4) * k, cols, 2 * kc,
-        &b.meta[static_cast<std::size_t>(col0) * nchunks + ch], nchunks, bl);
+    decode_b_lanes(b, col0, cols, ch, kc, bl);
     for (int i = 0; i < rows; ++i) {
       const PanelChunkMeta& am =
           a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
-      decode_slots(a.real_lanes.data() +
-                       (static_cast<std::size_t>(row0 + i) * k + k0) * 4,
-                   2 * kc, fill_exp(am), ar);
+      decode_a_lanes(
+          a.words.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * 2,
+          2 * kc, am.min_exp, /*flip=*/0xaa, ar);
       const __mmask8 have = finite_chunk(am) ? bl.finite : 0;
       LaneSum re0{};
       LaneSum re1{};
       LaneSum im0{};
       LaneSum im1{};
       if (have) {
-        for (int t = 0; t < kMaxSlots; ++t) {
-          if (ar.ab[t] == 0) continue;
-          const ASlot as = a_slot(ar, t, am.min_exp);
-          add_pair(as.av, as.ah, as.aoff, bl.neg[t] ^ as.neg, bl, t, re0, re1);
+        for (unsigned live = ar.nz; live != 0; live &= live - 1) {
+          const int t = __builtin_ctz(live);
+          const ASlot as = a_slot(ar, t);
+          add_pair(as.al, as.ah, as.aoff, bl.neg[t] ^ as.neg, bl, t, re0, re1);
           const __mmask8 flip = (t & 1) ? 0xff : 0;
-          add_pair(as.av, as.ah, as.aoff, bl.neg[t ^ 1] ^ as.neg ^ flip, bl,
+          add_pair(as.al, as.ah, as.aoff, bl.neg[t ^ 1] ^ as.neg ^ flip, bl,
                    t ^ 1, im0, im1);
         }
       }
@@ -1359,19 +1407,19 @@ M3XU_AVX512_TARGET std::uint64_t fp32c_block_avx512(
         _mm512_store_si512(entry_im, acc_im[i]);
         _mm512_store_si512(res_re, out_re);
         _mm512_store_si512(res_im, out_im);
+        ElemSoA arow;
+        decode_chunk(a, row0 + i, k0, kc, fill_exp(am), arow);
         for (int j = 0; j < cols; ++j) {
           if (((exits >> j) & 1) == 0) continue;
           const PanelChunkMeta& bm =
               b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
           ElemSoA bc;
           ElemSoA bs;
-          decode_slots(b.real_like.data() +
-                           (static_cast<std::size_t>(col0 + j) * k + k0) * 4,
-                       2 * kc, fill_exp(bm), bc);
+          decode_chunk(b, col0 + j, k0, kc, fill_exp(bm), bc);
           swap_slots(bc, bs);
           float re = float_from_bits(static_cast<std::uint32_t>(entry_re[j]));
           float im = float_from_bits(static_cast<std::uint32_t>(entry_im[j]));
-          fallbacks += fp32c_pair(MkVariant::kScalar, ar, am, bc, bs, bm, a,
+          fallbacks += fp32c_pair(MkVariant::kScalar, arow, am, bc, bs, bm, a,
                                   row0 + i, b, col0 + j, k0, kc, unit, p, &re,
                                   &im);
           res_re[j] = bits_of(re);

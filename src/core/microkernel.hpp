@@ -2,14 +2,15 @@
 //
 // The packed entry points (mxu.cpp) run every special-free,
 // injector-free call through this kernel: it computes an MR x NR output
-// block per pass over the packed K lanes, or a partial block (fewer rows
+// block per pass over the panels' K, or a partial block (fewer rows
 // and/or columns) at the right and bottom edges:
 //
 //   - A decode is hoisted once per block row per k-chunk and reused
 //     across the block's columns; each B column decodes once and is
-//     reused across the block's rows. The decode recombines an
-//     element's two 12-bit parts into one 64-bit word (they share a
-//     sign and sit 12 apart, fp/split.hpp), so one 64x64->128 multiply
+//     reused across the block's rows. The decode splits each panel
+//     word into its two 12-bit parts in registers and recombines them
+//     into one 64-bit word (they share a sign and sit 12 apart,
+//     fp/split.hpp), so one 64x64->128 multiply
 //     per operand pair yields all four partial products at disjoint
 //     bit fields - both architectural steps' terms, including the
 //     step-1 crossed order and the FP32C component pairings, fall out
@@ -29,12 +30,12 @@
 // per-dot ExactAccumulator route (core/fused_round.hpp documents why).
 // Any (i, j, chunk) the prescan cannot prove safe - wide exponent span,
 // non-prec-exact register, Inf/NaN register - re-runs that chunk
-// through the generic ExactAccumulator path on the same panel slices
-// (the AVX-512 kernel first hands such a lane back to the scalar pair
-// path, which makes exactly that decision).
+// through the per-dot schedule over the chunk's words (the AVX-512
+// kernel first hands such a lane back to the scalar pair path, which
+// makes exactly that decision).
 // Callers must keep injector-attached runs on the generic per-dot
-// reassembly route: the microkernel has no fault hooks, by design
-// (fault-site opportunity order is defined by the per-dot schedule).
+// route: the microkernel has no fault hooks, by design (fault-site
+// opportunity order is defined by the per-dot schedule).
 #pragma once
 
 #include <complex>
@@ -82,7 +83,7 @@ bool mk_variant_available(MkVariant v);
 MkVariant mk_variant_resolve(MkVariant requested);
 
 /// A rectangular register-block shape (MR x NR output accumulators per
-/// pass over the packed K lanes). Bigger blocks amortize the per-chunk
+/// pass over the panels' K). Bigger blocks amortize the per-chunk
 /// operand decode over more reuses - the decode cost per output scales
 /// as (MR+NR)/(MR*NR) - at the price of more live accumulator state.
 struct MkBlockShape {

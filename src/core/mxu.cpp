@@ -15,7 +15,7 @@ namespace {
 
 // Route counters for the FP32/FP32c datapaths (no-ops when
 // M3XU_TELEMETRY=OFF). "chunks" are kc_max-element dot fragments:
-// generic = per-dot reassembly because the panel holds specials, an
+// generic = per-dot instructions because the panel holds specials, an
 // injector is attached, or the engine forces the generic route (the
 // microkernel counts its own (element, chunk) pairs). "elements"
 // attribute whole C outputs to the route that produced them. Counts
@@ -121,30 +121,15 @@ M3xuEngine::M3xuEngine(const M3xuConfig& config)
              mk_block_supported(config_.mk_mr, config_.mk_nr));
 }
 
-namespace {
-
-/// Views one scheduled step's owning buffers (per-dot path).
-inline StepView view_of(const StepOperands& step) { return {step.a, step.b}; }
-
 template <std::size_t kSteps>
-std::array<StepView, kSteps> views_of(
-    const std::array<StepOperands, kSteps>& steps) {
-  std::array<StepView, kSteps> v;
-  for (std::size_t i = 0; i < kSteps; ++i) v[i] = view_of(steps[i]);
-  return v;
-}
-
-}  // namespace
-
-template <int kSteps>
-fp::Unpacked M3xuEngine::run_steps(const std::array<StepView, kSteps>& steps,
+fp::Unpacked M3xuEngine::run_steps(const std::array<StepOperands, kSteps>& steps,
                                    const fp::Unpacked& c, const DpUnit& unit,
                                    int prec) const {
   if (config_.per_step_rounding) {
     // The accumulation register is initialized with C (exact: C is
     // FP32/FP64, narrower than the register) and rounded once per step.
     fp::ExtFloat reg = fp::ExtFloat::from_unpacked(c, prec);
-    for (const StepView& step : steps) {
+    for (const StepOperands& step : steps) {
       fp::ExactAccumulator sum;
       unit.accumulate_dot(step.a, step.b, sum);
       reg = reg.plus_exact(sum);
@@ -161,7 +146,7 @@ fp::Unpacked M3xuEngine::run_steps(const std::array<StepView, kSteps>& steps,
   }
   // Idealized: one rounding per instruction.
   fp::ExactAccumulator sum;
-  for (const StepView& step : steps) {
+  for (const StepOperands& step : steps) {
     unit.accumulate_dot(step.a, step.b, sum);
   }
   sum.add_unpacked(c);
@@ -178,16 +163,15 @@ float M3xuEngine::mma_dot_fp32(std::span<const float> a,
   M3XU_CHECK(static_cast<int>(a.size()) <= shape_for(MxuMode::kFp32).k);
   const auto steps = DataAssignmentStage::schedule_fp32(a, b, config_.injector);
   const fp::Unpacked r =
-      run_steps<2>(views_of(steps), fp::unpack(c), dp12_, config_.accum_prec);
+      run_steps<2>(steps, fp::unpack(c), dp12_, config_.accum_prec);
   return fp::pack_to_float(r);
 }
 
 float M3xuEngine::mma_dot_passthrough(std::span<const float> a,
                                       std::span<const float> b, float c,
                                       const fp::FloatFormat& fmt) const {
-  const StepOperands step =
-      DataAssignmentStage::schedule_passthrough(a, b, fmt, config_.injector);
-  const std::array<StepView, 1> steps = {view_of(step)};
+  const std::array<StepOperands, 1> steps = {
+      DataAssignmentStage::schedule_passthrough(a, b, fmt, config_.injector)};
   // Stock Tensor-Core accumulation: FP32 registers.
   const fp::Unpacked r =
       run_steps<1>(steps, fp::unpack(c), dp12_, fp::ExtFloat::kFp32AccumPrec);
@@ -199,10 +183,10 @@ std::complex<float> M3xuEngine::mma_dot_fp32c(
     std::span<const std::complex<float>> b, std::complex<float> c) const {
   M3XU_CHECK(static_cast<int>(a.size()) <= shape_for(MxuMode::kFp32Complex).k);
   const auto sched = DataAssignmentStage::schedule_fp32c(a, b, config_.injector);
-  const fp::Unpacked re = run_steps<2>(views_of(sched.real),
+  const fp::Unpacked re = run_steps<2>(sched.real,
                                        fp::unpack(c.real()), dp12_,
                                        config_.accum_prec);
-  const fp::Unpacked im = run_steps<2>(views_of(sched.imag),
+  const fp::Unpacked im = run_steps<2>(sched.imag,
                                        fp::unpack(c.imag()), dp12_,
                                        config_.accum_prec);
   return {fp::pack_to_float(re), fp::pack_to_float(im)};
@@ -212,7 +196,7 @@ double M3xuEngine::mma_dot_fp64(std::span<const double> a,
                                 std::span<const double> b, double c) const {
   M3XU_CHECK(static_cast<int>(a.size()) <= shape_for(MxuMode::kFp64).k);
   const auto steps = DataAssignmentStage::schedule_fp64(a, b, config_.injector);
-  const fp::Unpacked r = run_steps<4>(views_of(steps), fp::unpack(c), dp27_,
+  const fp::Unpacked r = run_steps<4>(steps, fp::unpack(c), dp27_,
                                       config_.fp64_accum_prec);
   return fp::pack_to_double(r);
 }
@@ -222,10 +206,10 @@ std::complex<double> M3xuEngine::mma_dot_fp64c(
     std::span<const std::complex<double>> b, std::complex<double> c) const {
   M3XU_CHECK(static_cast<int>(a.size()) <= shape_for(MxuMode::kFp64Complex).k);
   const auto sched = DataAssignmentStage::schedule_fp64c(a, b, config_.injector);
-  const fp::Unpacked re = run_steps<4>(views_of(sched.real),
+  const fp::Unpacked re = run_steps<4>(sched.real,
                                        fp::unpack(c.real()), dp27_,
                                        config_.fp64_accum_prec);
-  const fp::Unpacked im = run_steps<4>(views_of(sched.imag),
+  const fp::Unpacked im = run_steps<4>(sched.imag,
                                        fp::unpack(c.imag()), dp27_,
                                        config_.fp64_accum_prec);
   return {fp::pack_to_double(re), fp::pack_to_double(im)};
@@ -381,12 +365,11 @@ void M3xuEngine::gemm_fp64c(int m, int n, int k,
 //
 // Special-free, injector-free calls run the register-blocked
 // microkernel over MR x NR blocks, partial at the right and bottom
-// edges (core/microkernel.hpp). Otherwise the steps are reassembled per
-// dot from the packed lanes in the exact order of
-// DataAssignmentStage::schedule_fp32/fp32c (element-level special
-// bypass depends on the operand *pair*, and operand-buffer fault
-// opportunities must fire in the per-dot order), into thread-local
-// scratch reused across dots, and run through the generic run_steps.
+// edges (core/microkernel.hpp). Otherwise every (i, j, k-chunk) runs the
+// per-dot instruction (mma_dot_fp32 / mma_dot_fp32c) over the panels'
+// words: element-level special bypass depends on the operand *pair*,
+// and operand-buffer fault opportunities must fire in the per-dot
+// order, both of which the per-dot schedule gives by construction.
 
 namespace {
 
@@ -416,8 +399,8 @@ void M3xuEngine::gemm_fp32_prepacked(const PackedPanelFp32A& a, int row0,
   M3XU_CHECK(col0 >= 0 && n >= 0 && col0 + n <= b.cols);
   const int k = a.k;
   const int kc_max = shape_for(MxuMode::kFp32).k;
+  M3XU_CHECK(kc_max == kPackChunkFp32);
   if (microkernel_route(config_, a.has_special, b.has_special, k)) {
-    M3XU_CHECK(kc_max == kPackChunkFp32);
     const MicrokernelParams mp = microkernel_params(config_);
     std::uint64_t n_fallback = 0;
     for (int i = 0; i < m; i += mp.mr) {
@@ -431,55 +414,22 @@ void M3xuEngine::gemm_fp32_prepacked(const PackedPanelFp32A& a, int row0,
                           "core.fp32.route.generic", n_fallback, 0);
     return;
   }
-  thread_local std::array<StepOperands, 2> scratch;
-  std::uint64_t n_generic = 0;
+  float av[kPackChunkFp32];
+  float bv[kPackChunkFp32];
   for (int i = 0; i < m; ++i) {
-    const LaneOperand* arow =
-        a.lanes.data() + static_cast<std::size_t>(row0 + i) * 2 * k;
-    const std::size_t abase = static_cast<std::size_t>(row0 + i) * k;
     for (int j = 0; j < n; ++j) {
-      const LaneOperand* blike =
-          b.like.data() + static_cast<std::size_t>(col0 + j) * 2 * k;
-      const std::size_t bbase = static_cast<std::size_t>(col0 + j) * k;
       float acc = c[idx(i, ldc, j)];
       for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const int kc = std::min(kc_max, k - k0);
-        ++n_generic;
-        for (StepOperands& s : scratch) {
-          s.a.clear();
-          s.b.clear();
-        }
-        for (int kk = 0; kk < kc; ++kk) {
-          const std::size_t e = static_cast<std::size_t>(k0) + kk;
-          if (a.special[abase + e] || b.special[bbase + e]) {
-            scratch[0].a.push_back(a.cls[abase + e]);
-            scratch[0].b.push_back(b.cls[bbase + e]);
-            continue;
-          }
-          const LaneOperand& ah = arow[2 * e];
-          const LaneOperand& al = arow[2 * e + 1];
-          const LaneOperand& bh = blike[2 * e];
-          const LaneOperand& bl = blike[2 * e + 1];
-          scratch[0].a.push_back(ah);
-          scratch[0].b.push_back(bh);
-          scratch[0].a.push_back(al);
-          scratch[0].b.push_back(bl);
-          scratch[1].a.push_back(ah);
-          scratch[1].b.push_back(bl);
-          scratch[1].a.push_back(al);
-          scratch[1].b.push_back(bh);
-        }
-        for (StepOperands& s : scratch) {
-          DataAssignmentStage::corrupt_step(
-              config_.injector, s, DataAssignmentStage::kFp32PartBits);
-        }
-        acc = fp::pack_to_float(run_steps<2>(views_of(scratch),
-                                             fp::unpack(acc), dp12_,
-                                             config_.accum_prec));
+        const auto kc = static_cast<std::size_t>(std::min(kc_max, k - k0));
+        panel_chunk(a, row0 + i, k0, static_cast<int>(kc), av);
+        panel_chunk(b, col0 + j, k0, static_cast<int>(kc), bv);
+        acc = mma_dot_fp32({av, kc}, {bv, kc}, acc);
       }
       c[idx(i, ldc, j)] = acc;
     }
   }
+  const std::uint64_t n_generic =
+      area(m, n) * static_cast<std::uint64_t>(panel_chunk_count(k, kc_max));
   if (config_.injector != nullptr) {
     rt_fp32_inject.add(area(m, n));
   } else if (a.has_special || b.has_special) {
@@ -499,8 +449,8 @@ void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
   M3XU_CHECK(col0 >= 0 && n >= 0 && col0 + n <= b.cols);
   const int k = a.k;
   const int kc_max = shape_for(MxuMode::kFp32Complex).k;
+  M3XU_CHECK(kc_max == kPackChunkFp32c);
   if (microkernel_route(config_, a.has_special, b.has_special, k)) {
-    M3XU_CHECK(kc_max == kPackChunkFp32c);
     const MicrokernelParams mp = microkernel_params(config_);
     std::uint64_t n_fallback = 0;
     for (int i = 0; i < m; i += mp.mr) {
@@ -514,83 +464,22 @@ void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
                           "core.fp32c.route.generic", n_fallback, 0);
     return;
   }
-  std::uint64_t n_generic = 0;
-  // Scratch step order matches schedule_fp32c: real[0..1], imag[0..1].
-  thread_local std::array<StepOperands, 4> scratch;
-  // Appends one scalar product term x*y to a step pair, with x's lanes
-  // (and bypass class) already carrying any sign flip.
-  const auto emit_term = [](StepOperands& s0, StepOperands& s1,
-                            const LaneOperand* x, const LaneOperand* y,
-                            bool special, const LaneOperand& xcls,
-                            const LaneOperand& ycls) {
-    if (special) {
-      s0.a.push_back(xcls);
-      s0.b.push_back(ycls);
-      return;
-    }
-    s0.a.push_back(x[0]);
-    s0.b.push_back(y[0]);
-    s0.a.push_back(x[1]);
-    s0.b.push_back(y[1]);
-    s1.a.push_back(x[0]);
-    s1.b.push_back(y[1]);
-    s1.a.push_back(x[1]);
-    s1.b.push_back(y[0]);
-  };
+  std::complex<float> av[kPackChunkFp32c];
+  std::complex<float> bv[kPackChunkFp32c];
   for (int i = 0; i < m; ++i) {
-    const std::size_t arow = static_cast<std::size_t>(row0 + i) * k;
-    const LaneOperand* are = a.real_lanes.data() + 4 * arow;
-    const LaneOperand* aim = a.imag_lanes.data() + 4 * arow;
     for (int j = 0; j < n; ++j) {
-      const std::size_t bcol = static_cast<std::size_t>(col0 + j) * k;
       std::complex<float> acc = c[idx(i, ldc, j)];
       for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const int kc = std::min(kc_max, k - k0);
-        ++n_generic;
-        for (StepOperands& s : scratch) {
-          s.a.clear();
-          s.b.clear();
-        }
-        for (int kk = 0; kk < kc; ++kk) {
-          const std::size_t ae = arow + k0 + kk;  // global element index
-          const std::size_t al = static_cast<std::size_t>(4) * (k0 + kk);
-          const std::size_t be = bcol + k0 + kk;
-          const bool as_re = a.special[2 * ae] != 0;
-          const bool as_im = a.special[2 * ae + 1] != 0;
-          const bool bs_re = b.special[2 * be] != 0;
-          const bool bs_im = b.special[2 * be + 1] != 0;
-          // B component lanes in canonical [brh, brl, bih, bil] order.
-          const LaneOperand* bre = b.real_like.data() + 4 * be;
-          const LaneOperand* bim = bre + 2;
-          // Term order matches schedule_fp32c: AR*BR, -AI*BI into the
-          // real steps; AR*BI, AI*BR into the imaginary steps.
-          emit_term(scratch[0], scratch[1], are + al, bre,
-                    as_re || bs_re, a.cls[2 * ae], b.cls[2 * be]);
-          emit_term(scratch[0], scratch[1], are + al + 2, bim,
-                    as_im || bs_im, a.cls[2 * ae + 1].negated(),
-                    b.cls[2 * be + 1]);
-          emit_term(scratch[2], scratch[3], aim + al, bim,
-                    as_re || bs_im, a.cls[2 * ae], b.cls[2 * be + 1]);
-          emit_term(scratch[2], scratch[3], aim + al + 2, bre,
-                    as_im || bs_re, a.cls[2 * ae + 1], b.cls[2 * be]);
-        }
-        for (StepOperands& s : scratch) {
-          DataAssignmentStage::corrupt_step(
-              config_.injector, s, DataAssignmentStage::kFp32PartBits);
-        }
-        const std::array<StepView, 2> real_steps = {view_of(scratch[0]),
-                                                    view_of(scratch[1])};
-        const std::array<StepView, 2> imag_steps = {view_of(scratch[2]),
-                                                    view_of(scratch[3])};
-        const fp::Unpacked re = run_steps<2>(real_steps, fp::unpack(acc.real()),
-                                             dp12_, config_.accum_prec);
-        const fp::Unpacked im = run_steps<2>(imag_steps, fp::unpack(acc.imag()),
-                                             dp12_, config_.accum_prec);
-        acc = {fp::pack_to_float(re), fp::pack_to_float(im)};
+        const auto kc = static_cast<std::size_t>(std::min(kc_max, k - k0));
+        panel_chunk(a, row0 + i, k0, static_cast<int>(kc), av);
+        panel_chunk(b, col0 + j, k0, static_cast<int>(kc), bv);
+        acc = mma_dot_fp32c({av, kc}, {bv, kc}, acc);
       }
       c[idx(i, ldc, j)] = acc;
     }
   }
+  const std::uint64_t n_generic =
+      area(m, n) * static_cast<std::uint64_t>(panel_chunk_count(k, kc_max));
   if (config_.injector != nullptr) {
     rt_fp32c_inject.add(area(m, n));
   } else if (a.has_special || b.has_special) {

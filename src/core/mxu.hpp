@@ -33,16 +33,6 @@
 
 namespace m3xu::core {
 
-/// Non-owning view of one step's operand-buffer lane streams. The
-/// per-dot path views the vectors a schedule_* call just built; the
-/// packed path's generic route views the same step order reassembled
-/// from a pre-split panel - both feed the same step/rounding pipeline
-/// (run_steps), so they are bit-identical by construction.
-struct StepView {
-  std::span<const LaneOperand> a;
-  std::span<const LaneOperand> b;
-};
-
 enum class MxuMode {
   kFp16,
   kBf16,
@@ -79,12 +69,12 @@ struct M3xuConfig {
   int accum_prec = fp::ExtFloat::kM3xuAccumPrec;
   /// Accumulation-register width for the FP64 mode ("FP64 registers").
   int fp64_accum_prec = 53;
-  /// Force the packed entry points down the generic per-dot
-  /// reassembly path instead of the register-blocked microkernel, even
-  /// for special-free panels. Bit-identical by construction (same step
-  /// schedule and rounding points); the tiled driver's recovery ladder
-  /// uses it as the demotion rung below the microkernel. See
-  /// docs/RESILIENCE.md.
+  /// Force the packed entry points down the generic per-dot route
+  /// (mma_dot_fp32{,c} over the panel words) instead of the
+  /// register-blocked microkernel, even for special-free panels.
+  /// Bit-identical by construction (same step schedule and rounding
+  /// points); the tiled driver's recovery ladder uses it as the
+  /// demotion rung below the microkernel. See docs/RESILIENCE.md.
   bool force_generic = false;
   /// Microkernel SIMD variant (core/microkernel.hpp). kAuto resolves
   /// to the widest variant the CPU supports; every variant is
@@ -159,11 +149,11 @@ class M3xuEngine {
 
   // --- Packed-operand path (core/packed_panel.hpp) --------------------
   // Bit-identical to gemm_fp32 / gemm_fp32c - same step schedule, same
-  // rounding points, same fault-opportunity order - but the hi/lo split
-  // runs once per operand panel instead of once per output dot. Special-
-  // free, injector-free calls run the register-blocked microkernel
-  // (core/microkernel.hpp) over full and partial blocks; everything
-  // else reassembles each dot's steps from the packed lanes.
+  // rounding points, same fault-opportunity order. Special-free,
+  // injector-free calls run the register-blocked microkernel
+  // (core/microkernel.hpp) over full and partial blocks, which splits
+  // the panels' words in registers; everything else runs
+  // mma_dot_fp32 / mma_dot_fp32c per (i, j, k-chunk) over the words.
 
   void gemm_fp32_packed(int m, int n, int k, const float* a, int lda,
                         const float* b, int ldb, float* c, int ldc) const;
@@ -182,8 +172,8 @@ class M3xuEngine {
                             int n, std::complex<float>* c, int ldc) const;
 
  private:
-  template <int kSteps>
-  fp::Unpacked run_steps(const std::array<StepView, kSteps>& steps,
+  template <std::size_t kSteps>
+  fp::Unpacked run_steps(const std::array<StepOperands, kSteps>& steps,
                          const fp::Unpacked& c, const DpUnit& unit,
                          int prec) const;
 

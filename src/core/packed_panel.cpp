@@ -2,70 +2,123 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 
+#include "common/bits.hpp"
 #include "common/check.hpp"
-#include "core/data_assignment.hpp"
-#include "fp/split.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace m3xu::core {
 
 namespace {
 
-// Elements split into packed lanes, by panel side (no-ops when
+// Elements staged into packed words, by panel side (no-ops when
 // M3XU_TELEMETRY=OFF). staged_bytes cross-checks derive from these.
 telemetry::Counter pk_fp32_a("pack.fp32.a_elements");
 telemetry::Counter pk_fp32_b("pack.fp32.b_elements");
 telemetry::Counter pk_fp32c_a("pack.fp32c.a_elements");
 telemetry::Counter pk_fp32c_b("pack.fp32c.b_elements");
 
-struct SplitLanes {
-  LaneOperand hi;
-  LaneOperand lo;
-};
-
-SplitLanes split_lanes(float v) {
-  const fp::HwSplit s = fp::split_fp32_hw(v);
-  return {from_hw_part(s.hi), from_hw_part(s.lo)};
+/// Copies a row-major rows x cols block of T (one or two FP32 words per
+/// element) into `out` as dense row-major words.
+template <typename T>
+void stage_words(const T* src, int ld, int rows, int cols,
+                 std::vector<std::uint32_t>& out) {
+  static_assert(sizeof(T) % sizeof(std::uint32_t) == 0);
+  const std::size_t row_words =
+      static_cast<std::size_t>(cols) * (sizeof(T) / sizeof(std::uint32_t));
+  out.resize(row_words * static_cast<std::size_t>(rows));
+  if (row_words == 0) return;
+  for (int r = 0; r < rows; ++r) {
+    std::memcpy(out.data() + static_cast<std::size_t>(r) * row_words,
+                src + static_cast<std::size_t>(r) * ld,
+                row_words * sizeof(std::uint32_t));
+  }
 }
 
-/// Prescans one packed row/column's chunks over lanes just written:
-/// min element-anchor / max lane exp2 over finite lanes + special flag
-/// per chunk. The anchor of a hi lane (even lane within its [hi, lo]
-/// pair) is exp2 - 12, the lsb weight of the element's combined 24-bit
-/// significand; a lo lane already sits at that weight. Anchoring the
-/// min this way lower-bounds the lsb of a *pair product's* combined
-/// 48-bit significand by min_a + min_b even for elements whose lo part
-/// is zero (see core/microkernel.cpp). `lanes`/`special` point at the
-/// row's (column's) first element; `lpe`/`spe` are lanes and special
-/// flags per element.
-void scan_chunks(const LaneOperand* lanes, const std::uint8_t* special,
-                 int lpe, int spe, int k, int chunk, PanelChunkMeta* meta) {
-  for (int c0 = 0, ci = 0; c0 < k; c0 += chunk, ++ci) {
-    const int ce = std::min(k, c0 + chunk);
-    PanelChunkMeta m;
-    int mn = INT16_MAX;
-    int mx = INT16_MIN;
-    for (int e = c0; e < ce; ++e) {
-      for (int l = 0; l < lpe; ++l) {
-        const LaneOperand& op = lanes[static_cast<std::size_t>(e) * lpe + l];
-        if (op.cls != LaneOperand::Cls::kFinite) continue;
-        mn = std::min(mn, op.exp2 - ((l & 1) == 0 ? 12 : 0));
-        mx = std::max(mx, op.exp2);
-      }
-      for (int s = 0; s < spe; ++s) {
-        if (special[static_cast<std::size_t>(e) * spe + s]) {
-          m.flags |= PanelChunkMeta::kHasSpecial;
-        }
-      }
+/// One chunk's prescan, folded word by word: the biased exponent field
+/// range of its normal words (each the exponent of both its parts),
+/// plus the special flag. Zero and subnormal words split into two zero
+/// parts (fp/split.hpp) and add nothing.
+struct ChunkScan {
+  int lo = 0xff;
+  int hi = 0;
+  std::uint8_t flags = 0;
+
+  void add(std::uint32_t w) {
+    const int e = static_cast<int>((w >> 23) & 0xff);
+    if (e == 0xff) {
+      flags |= PanelChunkMeta::kHasSpecial;
+    } else if (e != 0) {
+      lo = std::min(lo, e);
+      hi = std::max(hi, e);
     }
-    if (mn <= mx) {
-      m.flags |= PanelChunkMeta::kHasFinite;
-      m.min_exp = static_cast<std::int16_t>(mn);
-      m.max_exp = static_cast<std::int16_t>(mx);
-    }
-    meta[ci] = m;
   }
+
+  /// min_exp is the lowest element anchor: a hi part's exp2 - 12, i.e.
+  /// the lo part's lsb weight. max_exp is the highest hi-part exp2.
+  PanelChunkMeta meta() const {
+    PanelChunkMeta m;
+    m.flags = flags;
+    if (hi != 0) {
+      m.flags |= PanelChunkMeta::kHasFinite;
+      m.min_exp = static_cast<std::int16_t>(lo - kLoLsbBias);
+      m.max_exp = static_cast<std::int16_t>(hi - kHiLsbBias);
+    }
+    return m;
+  }
+};
+
+/// Prescans the chunks of one panel row (A) or column (B): element e
+/// of the line is kWords consecutive words at src + e * stride. Returns
+/// whether any chunk holds a special.
+template <int kWords>
+bool scan_line(const std::uint32_t* src, std::size_t stride, int k, int chunk,
+               PanelChunkMeta* meta) {
+  bool special = false;
+  for (int c0 = 0, ci = 0; c0 < k; c0 += chunk, ++ci) {
+    ChunkScan s;
+    const int ce = std::min(k, c0 + chunk);
+    for (int e = c0; e < ce; ++e) {
+      for (int w = 0; w < kWords; ++w) {
+        s.add(src[static_cast<std::size_t>(e) * stride + w]);
+      }
+    }
+    meta[ci] = s.meta();
+    special |= (s.flags & PanelChunkMeta::kHasSpecial) != 0;
+  }
+  return special;
+}
+
+/// Prescans every row of a row-major [rows][k] A panel.
+template <int kWords>
+bool scan_rows(const std::vector<std::uint32_t>& words, int rows, int k,
+               int chunk, std::vector<PanelChunkMeta>& meta) {
+  const int chunks = panel_chunk_count(k, chunk);
+  meta.resize(static_cast<std::size_t>(rows) * chunks);
+  bool special = false;
+  for (int r = 0; r < rows; ++r) {
+    special |= scan_line<kWords>(
+        words.data() + static_cast<std::size_t>(r) * k * kWords, kWords, k,
+        chunk, meta.data() + static_cast<std::size_t>(r) * chunks);
+  }
+  return special;
+}
+
+/// Prescans every column of a row-major [k][cols] B panel.
+template <int kWords>
+bool scan_cols(const std::vector<std::uint32_t>& words, int k, int cols,
+               int chunk, std::vector<PanelChunkMeta>& meta) {
+  const int chunks = panel_chunk_count(k, chunk);
+  meta.resize(static_cast<std::size_t>(cols) * chunks);
+  bool special = false;
+  for (int j = 0; j < cols; ++j) {
+    special |= scan_line<kWords>(
+        words.data() + static_cast<std::size_t>(j) * kWords,
+        static_cast<std::size_t>(cols) * kWords, k, chunk,
+        meta.data() + static_cast<std::size_t>(j) * chunks);
+  }
+  return special;
 }
 
 }  // namespace
@@ -75,39 +128,9 @@ void pack_fp32_a(const float* a, int lda, int rows, int k,
   M3XU_CHECK(rows >= 0 && k >= 0 && lda >= k);
   out.rows = rows;
   out.k = k;
-  out.has_special = false;
-  const std::size_t elems = static_cast<std::size_t>(rows) * k;
-  pk_fp32_a.add(elems);
-  out.lanes.resize(elems * 2);
-  out.cls.resize(elems);
-  out.special.assign(elems, 0);
-  for (int r = 0; r < rows; ++r) {
-    const float* row = a + static_cast<std::size_t>(r) * lda;
-    for (int kk = 0; kk < k; ++kk) {
-      const float v = row[kk];
-      const std::size_t e = static_cast<std::size_t>(r) * k + kk;
-      if (DataAssignmentStage::is_special_fp32(v)) {
-        out.has_special = true;
-        out.special[e] = 1;
-        out.cls[e] = DataAssignmentStage::class_operand_fp32(v);
-        out.lanes[2 * e] = LaneOperand{};
-        out.lanes[2 * e + 1] = LaneOperand{};
-        continue;
-      }
-      out.cls[e] = DataAssignmentStage::class_operand_fp32(v);
-      const SplitLanes s = split_lanes(v);
-      out.lanes[2 * e] = s.hi;
-      out.lanes[2 * e + 1] = s.lo;
-    }
-  }
-  const int chunks = panel_chunk_count(k, kPackChunkFp32);
-  out.meta.resize(static_cast<std::size_t>(rows) * chunks);
-  for (int r = 0; r < rows; ++r) {
-    const std::size_t base = static_cast<std::size_t>(r) * k;
-    scan_chunks(out.lanes.data() + 2 * base, out.special.data() + base,
-                /*lpe=*/2, /*spe=*/1, k, kPackChunkFp32,
-                out.meta.data() + static_cast<std::size_t>(r) * chunks);
-  }
+  pk_fp32_a.add(static_cast<std::size_t>(rows) * k);
+  stage_words(a, lda, rows, k, out.words);
+  out.has_special = scan_rows<1>(out.words, rows, k, kPackChunkFp32, out.meta);
 }
 
 void pack_fp32_b(const float* b, int ldb, int k, int cols,
@@ -115,43 +138,9 @@ void pack_fp32_b(const float* b, int ldb, int k, int cols,
   M3XU_CHECK(k >= 0 && cols >= 0 && ldb >= cols);
   out.k = k;
   out.cols = cols;
-  out.has_special = false;
-  const std::size_t elems = static_cast<std::size_t>(cols) * k;
-  pk_fp32_b.add(elems);
-  out.like.resize(elems * 2);
-  out.swapped.resize(elems * 2);
-  out.cls.resize(elems);
-  out.special.assign(elems, 0);
-  for (int j = 0; j < cols; ++j) {
-    for (int kk = 0; kk < k; ++kk) {
-      const float v = b[static_cast<std::size_t>(kk) * ldb + j];
-      const std::size_t e = static_cast<std::size_t>(j) * k + kk;
-      if (DataAssignmentStage::is_special_fp32(v)) {
-        out.has_special = true;
-        out.special[e] = 1;
-        out.cls[e] = DataAssignmentStage::class_operand_fp32(v);
-        out.like[2 * e] = LaneOperand{};
-        out.like[2 * e + 1] = LaneOperand{};
-        out.swapped[2 * e] = LaneOperand{};
-        out.swapped[2 * e + 1] = LaneOperand{};
-        continue;
-      }
-      out.cls[e] = DataAssignmentStage::class_operand_fp32(v);
-      const SplitLanes s = split_lanes(v);
-      out.like[2 * e] = s.hi;
-      out.like[2 * e + 1] = s.lo;
-      out.swapped[2 * e] = s.lo;
-      out.swapped[2 * e + 1] = s.hi;
-    }
-  }
-  const int chunks = panel_chunk_count(k, kPackChunkFp32);
-  out.meta.resize(static_cast<std::size_t>(cols) * chunks);
-  for (int j = 0; j < cols; ++j) {
-    const std::size_t base = static_cast<std::size_t>(j) * k;
-    scan_chunks(out.like.data() + 2 * base, out.special.data() + base,
-                /*lpe=*/2, /*spe=*/1, k, kPackChunkFp32,
-                out.meta.data() + static_cast<std::size_t>(j) * chunks);
-  }
+  pk_fp32_b.add(static_cast<std::size_t>(cols) * k);
+  stage_words(b, ldb, k, cols, out.words);
+  out.has_special = scan_cols<1>(out.words, k, cols, kPackChunkFp32, out.meta);
 }
 
 void pack_fp32c_a(const std::complex<float>* a, int lda, int rows, int k,
@@ -159,52 +148,10 @@ void pack_fp32c_a(const std::complex<float>* a, int lda, int rows, int k,
   M3XU_CHECK(rows >= 0 && k >= 0 && lda >= k);
   out.rows = rows;
   out.k = k;
-  out.has_special = false;
-  const std::size_t elems = static_cast<std::size_t>(rows) * k;
-  pk_fp32c_a.add(elems);
-  out.real_lanes.assign(elems * 4, LaneOperand{});
-  out.imag_lanes.assign(elems * 4, LaneOperand{});
-  out.cls.resize(elems * 2);
-  out.special.assign(elems * 2, 0);
-  for (int r = 0; r < rows; ++r) {
-    const std::complex<float>* row = a + static_cast<std::size_t>(r) * lda;
-    for (int kk = 0; kk < k; ++kk) {
-      const float re = row[kk].real();
-      const float im = row[kk].imag();
-      const std::size_t e = static_cast<std::size_t>(r) * k + kk;
-      out.cls[2 * e] = DataAssignmentStage::class_operand_fp32(re);
-      out.cls[2 * e + 1] = DataAssignmentStage::class_operand_fp32(im);
-      if (DataAssignmentStage::is_special_fp32(re)) {
-        out.has_special = true;
-        out.special[2 * e] = 1;
-      } else {
-        const SplitLanes s = split_lanes(re);
-        out.real_lanes[4 * e] = s.hi;
-        out.real_lanes[4 * e + 1] = s.lo;
-        out.imag_lanes[4 * e] = s.hi;
-        out.imag_lanes[4 * e + 1] = s.lo;
-      }
-      if (DataAssignmentStage::is_special_fp32(im)) {
-        out.has_special = true;
-        out.special[2 * e + 1] = 1;
-      } else {
-        const SplitLanes s = split_lanes(im);
-        out.real_lanes[4 * e + 2] = s.hi.negated();
-        out.real_lanes[4 * e + 3] = s.lo.negated();
-        out.imag_lanes[4 * e + 2] = s.hi;
-        out.imag_lanes[4 * e + 3] = s.lo;
-      }
-    }
-  }
-  const int chunks = panel_chunk_count(k, kPackChunkFp32c);
-  out.meta.resize(static_cast<std::size_t>(rows) * chunks);
-  for (int r = 0; r < rows; ++r) {
-    const std::size_t base = static_cast<std::size_t>(r) * k;
-    scan_chunks(out.real_lanes.data() + 4 * base,
-                out.special.data() + 2 * base, /*lpe=*/4, /*spe=*/2, k,
-                kPackChunkFp32c,
-                out.meta.data() + static_cast<std::size_t>(r) * chunks);
-  }
+  pk_fp32c_a.add(static_cast<std::size_t>(rows) * k);
+  stage_words(a, lda, rows, k, out.words);
+  out.has_special =
+      scan_rows<2>(out.words, rows, k, kPackChunkFp32c, out.meta);
 }
 
 void pack_fp32c_b(const std::complex<float>* b, int ldb, int k, int cols,
@@ -212,63 +159,43 @@ void pack_fp32c_b(const std::complex<float>* b, int ldb, int k, int cols,
   M3XU_CHECK(k >= 0 && cols >= 0 && ldb >= cols);
   out.k = k;
   out.cols = cols;
-  out.has_special = false;
-  const std::size_t elems = static_cast<std::size_t>(cols) * k;
-  pk_fp32c_b.add(elems);
-  out.real_like.assign(elems * 4, LaneOperand{});
-  out.real_swap.assign(elems * 4, LaneOperand{});
-  out.imag_like.assign(elems * 4, LaneOperand{});
-  out.imag_swap.assign(elems * 4, LaneOperand{});
-  out.cls.resize(elems * 2);
-  out.special.assign(elems * 2, 0);
-  for (int j = 0; j < cols; ++j) {
-    for (int kk = 0; kk < k; ++kk) {
-      const std::complex<float> v = b[static_cast<std::size_t>(kk) * ldb + j];
-      const std::size_t e = static_cast<std::size_t>(j) * k + kk;
-      out.cls[2 * e] = DataAssignmentStage::class_operand_fp32(v.real());
-      out.cls[2 * e + 1] = DataAssignmentStage::class_operand_fp32(v.imag());
-      SplitLanes sre{};
-      SplitLanes sim{};
-      if (DataAssignmentStage::is_special_fp32(v.real())) {
-        out.has_special = true;
-        out.special[2 * e] = 1;
-      } else {
-        sre = split_lanes(v.real());
-      }
-      if (DataAssignmentStage::is_special_fp32(v.imag())) {
-        out.has_special = true;
-        out.special[2 * e + 1] = 1;
-      } else {
-        sim = split_lanes(v.imag());
-      }
-      // Real part reads BR then BI, imag part BI then BR; the crossed
-      // step swaps hi/lo within each component pair.
-      out.real_like[4 * e] = sre.hi;
-      out.real_like[4 * e + 1] = sre.lo;
-      out.real_like[4 * e + 2] = sim.hi;
-      out.real_like[4 * e + 3] = sim.lo;
-      out.real_swap[4 * e] = sre.lo;
-      out.real_swap[4 * e + 1] = sre.hi;
-      out.real_swap[4 * e + 2] = sim.lo;
-      out.real_swap[4 * e + 3] = sim.hi;
-      out.imag_like[4 * e] = sim.hi;
-      out.imag_like[4 * e + 1] = sim.lo;
-      out.imag_like[4 * e + 2] = sre.hi;
-      out.imag_like[4 * e + 3] = sre.lo;
-      out.imag_swap[4 * e] = sim.lo;
-      out.imag_swap[4 * e + 1] = sim.hi;
-      out.imag_swap[4 * e + 2] = sre.lo;
-      out.imag_swap[4 * e + 3] = sre.hi;
-    }
+  pk_fp32c_b.add(static_cast<std::size_t>(cols) * k);
+  stage_words(b, ldb, k, cols, out.words);
+  out.has_special =
+      scan_cols<2>(out.words, k, cols, kPackChunkFp32c, out.meta);
+}
+
+void panel_chunk(const PackedPanelFp32A& a, int row, int k0, int kc,
+                 float* out) {
+  const std::uint32_t* src =
+      a.words.data() + static_cast<std::size_t>(row) * a.k + k0;
+  for (int t = 0; t < kc; ++t) out[t] = float_from_bits(src[t]);
+}
+
+void panel_chunk(const PackedPanelFp32B& b, int col, int k0, int kc,
+                 float* out) {
+  const std::size_t stride = static_cast<std::size_t>(b.cols);
+  const std::uint32_t* src = b.words.data() + k0 * stride + col;
+  for (int t = 0; t < kc; ++t) out[t] = float_from_bits(src[t * stride]);
+}
+
+void panel_chunk(const PackedPanelFp32cA& a, int row, int k0, int kc,
+                 std::complex<float>* out) {
+  const std::uint32_t* src =
+      a.words.data() + (static_cast<std::size_t>(row) * a.k + k0) * 2;
+  for (int t = 0; t < kc; ++t) {
+    out[t] = {float_from_bits(src[2 * t]), float_from_bits(src[2 * t + 1])};
   }
-  const int chunks = panel_chunk_count(k, kPackChunkFp32c);
-  out.meta.resize(static_cast<std::size_t>(cols) * chunks);
-  for (int j = 0; j < cols; ++j) {
-    const std::size_t base = static_cast<std::size_t>(j) * k;
-    scan_chunks(out.real_like.data() + 4 * base,
-                out.special.data() + 2 * base, /*lpe=*/4, /*spe=*/2, k,
-                kPackChunkFp32c,
-                out.meta.data() + static_cast<std::size_t>(j) * chunks);
+}
+
+void panel_chunk(const PackedPanelFp32cB& b, int col, int k0, int kc,
+                 std::complex<float>* out) {
+  const std::size_t stride = static_cast<std::size_t>(b.cols) * 2;
+  const std::uint32_t* src =
+      b.words.data() + k0 * stride + static_cast<std::size_t>(col) * 2;
+  for (int t = 0; t < kc; ++t) {
+    out[t] = {float_from_bits(src[t * stride]),
+              float_from_bits(src[t * stride + 1])};
   }
 }
 

@@ -1,42 +1,34 @@
-// Pre-split operand panels for the M3XU GEMM hot path.
+// Compact operand panels for the M3XU GEMM hot path.
 //
-// The paper's data-assignment stage splits each FP32 operand into its
-// 12-bit high/low parts *once* and holds the parts in per-step operand
-// buffers (Fig 3a). The per-dot GEMM path re-runs that split for every
-// (i, j, k-chunk) triple, so an A row-chunk is re-split n times and a B
-// column is gathered and re-split m times. These panels do the split
-// once per operand panel and lay the lane operands out so the
-// dot-product units can stream a step's operand buffers directly from
-// contiguous memory, with no per-element routing work left:
+// The paper's data-assignment stage splits each FP32 register operand
+// into its 12-bit high and low parts at the datapath entry (Fig 3a). A
+// panel therefore holds the operands exactly as staged - their 32-bit
+// words - and the register-blocked microkernel splits each word into
+// its parts in registers while it decodes a k-chunk:
 //
-//   FP32 A row i:     [ah, al]  per element - step 0 and step 1 read
-//                     the same A-side order (Eqs. 6/8);
-//   FP32 B column j:  [bh, bl]  (step-0 like-part order) and
-//                     [bl, bh]  (step-1 crossed order), both
-//                     column-contiguous.
+//   FP32 A:   row-major [row][k], one word per element;
+//   FP32 B:   row-major [k][col], one word per element (the layout the
+//             tiled driver stages B in);
+//   FP32C:    the same layouts with two words per element, re then im.
 //
-// FP32C panels additionally pre-route the four scalar product terms of
-// the complex product (SIV-B), including the sign flip on the
-// imaginary*imaginary lanes of the real part, so each of the four steps
-// again streams from one contiguous array per side.
+// Packing is a copy plus a pack-time exponent prescan per (row or
+// column, k-chunk), which the microkernel uses to decide streaming
+// eligibility and the step-rounding window once per panel chunk
+// instead of per dot product.
 //
-// Special (Inf/NaN) elements cannot be pre-split: the schedule emits an
-// element-level bypass lane whose presence depends on the *pair* of
-// operands meeting at a lane, not on either operand alone. Panels
-// therefore also record per-element class operands plus a special flag,
-// and the engine reassembles per-dot steps from the packed parts when a
-// panel contains specials - or when a fault injector is attached, where
-// the operand-buffer flip opportunities must fire in the exact per-dot
-// order of DataAssignmentStage::schedule_*. Both paths are bit-identical
-// to the schedule functions by construction (same lanes, same order,
-// same rounding points); tests/core_packed_panel_test.cpp verifies it.
+// Special (Inf/NaN) elements take the element-level bypass, whose lanes
+// depend on the *pair* of operands meeting at a lane, and fault
+// injection must fire in the per-dot opportunity order. Panels holding
+// specials, injector-attached engines and forced-generic engines
+// therefore run each (i, j, k-chunk) through the per-dot schedule
+// (M3xuEngine::mma_dot_fp32 / mma_dot_fp32c) over the panel's words:
+// the same code as the per-dot route, so it is bit-identical by
+// construction; tests/core_packed_panel_test.cpp verifies it.
 #pragma once
 
 #include <complex>
 #include <cstdint>
 #include <vector>
-
-#include "core/lane_operand.hpp"
 
 namespace m3xu::core {
 
@@ -47,6 +39,13 @@ namespace m3xu::core {
 inline constexpr int kPackChunkFp32 = 8;
 inline constexpr int kPackChunkFp32c = 4;
 
+/// Lsb weights of a normal FP32 word's two parts (fp/split.hpp), as
+/// biases on its exponent field E: the hi part (hidden 1 + top 11
+/// fraction bits) has lsb weight 2^(E - kHiLsbBias), the lo part (low
+/// 12 fraction bits) 2^(E - kLoLsbBias).
+inline constexpr int kHiLsbBias = 127 + 11;
+inline constexpr int kLoLsbBias = 127 + 23;
+
 /// Pack-time exponent prescan for one (row or column, k-chunk) pair:
 /// exponent bounds over the chunk's finite lanes plus special/emptiness
 /// flags. min_exp is the minimum *element anchor* - a hi lane counts as
@@ -54,15 +53,13 @@ inline constexpr int kPackChunkFp32c = 4;
 /// significand - so min_a + min_b lower-bounds the lsb of any pair
 /// product's combined 48-bit significand even when a lo part is zero.
 /// max_exp is the plain maximum lane exp2 (hi lanes dominate), so
-/// max_a + max_b + 23 upper-bounds any product's msb. The
-/// register-blocked microkernel uses these to decide streaming
-/// eligibility and the step-rounding window once per panel chunk instead
-/// of re-deriving them per dot product.
+/// max_a + max_b + 23 upper-bounds any product's msb. Zero and
+/// subnormal values (flushed by the split) add no finite lane.
 struct PanelChunkMeta {
   /// At least one lane in the chunk is finite (min/max_exp valid).
   static constexpr std::uint8_t kHasFinite = 1;
-  /// At least one element in the chunk is Inf/NaN (lanes are bypass
-  /// zeros; the chunk must take the per-element special path).
+  /// At least one element in the chunk is Inf/NaN (the chunk must take
+  /// the per-element special path).
   static constexpr std::uint8_t kHasSpecial = 2;
 
   std::int16_t min_exp = 0;  // anchors fit int16: |exp2 - 12| <= 161
@@ -75,84 +72,51 @@ inline int panel_chunk_count(int k, int chunk) {
   return (k + chunk - 1) / chunk;
 }
 
-/// Packed A panel for the FP32 mode: `rows` x `k` elements, split once.
+/// Packed A panel for the FP32 mode: `rows` x `k` elements.
 struct PackedPanelFp32A {
   int rows = 0;
   int k = 0;
   bool has_special = false;
-  /// Row-contiguous lane stream, 2 lanes per element: [ah, al].
-  std::vector<LaneOperand> lanes;
-  /// Per-element class/sign bypass operands (row-contiguous, 1/elem).
-  std::vector<LaneOperand> cls;
-  /// Per-element special flag (Inf/NaN exponent field), 1/elem.
-  std::vector<std::uint8_t> special;
+  /// FP32 bit patterns, row-major [row][k].
+  std::vector<std::uint32_t> words;
   /// Exponent prescan, row-major [row][chunk] at kPackChunkFp32
   /// elements per chunk.
   std::vector<PanelChunkMeta> meta;
 };
 
-/// Packed B panel for the FP32 mode: `k` x `cols` elements, stored
-/// column-contiguous so a dot product streams one column.
+/// Packed B panel for the FP32 mode: `k` x `cols` elements.
 struct PackedPanelFp32B {
   int k = 0;
   int cols = 0;
   bool has_special = false;
-  /// Column-contiguous, 2 lanes per element in step-0 order: [bh, bl].
-  std::vector<LaneOperand> like;
-  /// Same elements in step-1 crossed order: [bl, bh].
-  std::vector<LaneOperand> swapped;
-  std::vector<LaneOperand> cls;
-  std::vector<std::uint8_t> special;
+  /// FP32 bit patterns, row-major [k][col].
+  std::vector<std::uint32_t> words;
   /// Exponent prescan, [col][chunk] at kPackChunkFp32 elements per
-  /// chunk (the swapped order has the same lane multiset, so one
-  /// prescan covers both steps).
+  /// chunk.
   std::vector<PanelChunkMeta> meta;
 };
 
-/// Packed A panel for the FP32C mode. The complex product's four scalar
-/// terms are pre-routed per step pair: the real-part steps read A as
-/// [arh, arl, -aih, -ail] (the stage's sign flip on the imag*imag
-/// lanes, SIV-B), the imaginary-part steps as [arh, arl, aih, ail].
+/// Packed A panel for the FP32C mode: `rows` x `k` complex elements.
 struct PackedPanelFp32cA {
   int rows = 0;
   int k = 0;
   bool has_special = false;
-  /// Row-contiguous, 4 lanes per element, real-part order (imag lanes
-  /// negated): [arh, arl, -aih, -ail].
-  std::vector<LaneOperand> real_lanes;
-  /// Row-contiguous, 4 lanes per element, imag-part order (plain):
-  /// [arh, arl, aih, ail].
-  std::vector<LaneOperand> imag_lanes;
-  /// Per-component class operands, 2 per element: [cls_re, cls_im].
-  std::vector<LaneOperand> cls;
-  /// Per-component special flags, 2 per element: [re, im].
-  std::vector<std::uint8_t> special;
-  /// Exponent prescan, [row][chunk] at kPackChunkFp32c elements per
-  /// chunk, over real_lanes (imag_lanes share magnitudes/exponents).
+  /// FP32 bit patterns, row-major [row][k][re, im].
+  std::vector<std::uint32_t> words;
+  /// Exponent prescan over both components, [row][chunk] at
+  /// kPackChunkFp32c elements per chunk.
   std::vector<PanelChunkMeta> meta;
 };
 
-/// Packed B panel for the FP32C mode, column-contiguous. One array per
-/// (output part, step) so every step streams contiguously:
-///   real_like  = [brh, brl, bih, bil]   (real part, step 0)
-///   real_swap  = [brl, brh, bil, bih]   (real part, step 1)
-///   imag_like  = [bih, bil, brh, brl]   (imag part, step 0)
-///   imag_swap  = [bil, bih, brl, brh]   (imag part, step 1)
+/// Packed B panel for the FP32C mode: `k` x `cols` complex elements.
 struct PackedPanelFp32cB {
   int k = 0;
   int cols = 0;
   bool has_special = false;
-  std::vector<LaneOperand> real_like;
-  std::vector<LaneOperand> real_swap;
-  std::vector<LaneOperand> imag_like;
-  std::vector<LaneOperand> imag_swap;
-  /// Per-component class operands, 2 per element: [cls_re, cls_im].
-  std::vector<LaneOperand> cls;
-  /// Per-component special flags, 2 per element: [re, im].
-  std::vector<std::uint8_t> special;
-  /// Exponent prescan, [col][chunk] at kPackChunkFp32c elements per
-  /// chunk, over real_like (the other orders are permutations of the
-  /// same lanes).
+  /// FP32 bit patterns, row-major [k][col][re, im].
+  std::vector<std::uint32_t> words;
+  /// Exponent prescan over both components, [col][chunk] at
+  /// kPackChunkFp32c elements per chunk.
   std::vector<PanelChunkMeta> meta;
 };
 
@@ -167,5 +131,18 @@ void pack_fp32c_a(const std::complex<float>* a, int lda, int rows, int k,
                   PackedPanelFp32cA& out);
 void pack_fp32c_b(const std::complex<float>* b, int ldb, int k, int cols,
                   PackedPanelFp32cB& out);
+
+// Operand registers of one dot-product chunk: elements [k0, k0 + kc)
+// of A row `row` or B column `col`, as values (the per-dot schedule's
+// inputs on the generic routes).
+
+void panel_chunk(const PackedPanelFp32A& a, int row, int k0, int kc,
+                 float* out);
+void panel_chunk(const PackedPanelFp32B& b, int col, int k0, int kc,
+                 float* out);
+void panel_chunk(const PackedPanelFp32cA& a, int row, int k0, int kc,
+                 std::complex<float>* out);
+void panel_chunk(const PackedPanelFp32cB& b, int col, int k0, int kc,
+                 std::complex<float>* out);
 
 }  // namespace m3xu::core

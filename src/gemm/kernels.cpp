@@ -143,8 +143,8 @@ void run_sgemm(SgemmKernel kernel, const core::M3xuEngine& engine,
       return;
     }
     case SgemmKernel::kM3xu: {
-      // Packed fast path: B is split once and shared read-only across
-      // all row blocks; each block splits only its own A rows.
+      // Packed fast path: B is packed once and shared read-only across
+      // all row blocks; each block packs only its own A rows.
       const telemetry::ScopedTimer total_span("sgemm.m3xu");
       core::PackedPanelFp32B pb;
       {

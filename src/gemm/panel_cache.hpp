@@ -22,8 +22,10 @@
 // driver depends only on this interface. See docs/SERVING.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
+#include "common/hash.hpp"
 #include "core/packed_panel.hpp"
 
 namespace m3xu::gemm {
@@ -43,6 +45,22 @@ struct PanelKey {
   friend bool operator==(const PanelKey& a, const PanelKey& b) {
     return a.b_key == b.b_key && a.k0 == b.k0 && a.col0 == b.col0 &&
            a.kc == b.kc && a.cols == b.cols && a.cplx == b.cplx;
+  }
+};
+
+/// PanelKey hash for the panel stores' unordered maps.
+struct PanelKeyHash {
+  std::size_t operator()(const PanelKey& k) const {
+    const auto pair = [](int lo, int hi) {
+      return static_cast<std::uint32_t>(lo) |
+             std::uint64_t{static_cast<std::uint32_t>(hi)} << 32;
+    };
+    WordHash w;
+    w.mix(k.b_key);
+    w.mix(pair(k.k0, k.col0));
+    w.mix(pair(k.kc, k.cols));
+    w.mix(static_cast<std::uint64_t>(k.cplx));
+    return static_cast<std::size_t>(w.h);
   }
 };
 

@@ -1,7 +1,6 @@
 #include "gemm/plan.hpp"
 
 #include <atomic>
-#include <cstring>
 #include <mutex>
 #include <optional>
 #include <type_traits>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "core/packed_panel.hpp"
 #include "gemm/panel_cache.hpp"
 #include "telemetry/telemetry.hpp"
@@ -32,36 +32,16 @@ telemetry::Counter plan_b_hits_ctr("plan.b_panels.hits");
 telemetry::Counter plan_b_misses_ctr("plan.b_panels.misses");
 telemetry::Counter plan_b_refresh_ctr("plan.b_refresh");
 
-std::uint64_t fnv1a(const void* data, std::size_t bytes,
-                    std::uint64_t h = 0xcbf29ce484222325ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-/// Content identity of a B matrix for the plan-private store. Never 0
-/// (0 means "caching off" to the driver), so a pathological hash still
-/// caches correctly.
+/// Content identity of a B matrix for the plan-private store: a word
+/// hash of its bytes (common/hash.hpp), so B bytes that differ in any
+/// one 64-bit word always refresh the store. Never 0 (0 means "caching
+/// off" to the driver), so a pathological hash still caches correctly.
 template <typename T>
 std::uint64_t fingerprint(const Matrix<T>& b) {
-  const std::uint64_t h = fnv1a(b.data(), b.size() * sizeof(T));
-  return h != 0 ? h : 0x9e3779b97f4a7c15ull;
+  WordHash w;
+  w.mix_bytes(b.data(), b.size() * sizeof(T));
+  return w.h != 0 ? w.h : 0x9e3779b97f4a7c15ull;
 }
-
-struct PanelKeyHash {
-  std::size_t operator()(const PanelKey& k) const {
-    std::uint64_t h = fnv1a(&k.b_key, sizeof(k.b_key));
-    h = fnv1a(&k.k0, sizeof(k.k0), h);
-    h = fnv1a(&k.col0, sizeof(k.col0), h);
-    h = fnv1a(&k.kc, sizeof(k.kc), h);
-    h = fnv1a(&k.cols, sizeof(k.cols), h);
-    h = fnv1a(&k.cplx, sizeof(k.cplx), h);
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// Plan-private prepacked-B store. Unlike the serving PackCache it is
 /// unbounded (its working set is one matrix's panel grid, freed with

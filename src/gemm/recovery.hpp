@@ -6,7 +6,7 @@
 // so demoting a tile trades only throughput, never numerics:
 //
 //   kMicrokernel      register-blocked packed microkernel (fastest)
-//   kGenericPerDot    generic per-dot reassembly from packed lanes
+//   kGenericPerDot    per-dot instructions over the packed panel words
 //   kScalarReference  plain per-dot gemm over the staged buffers
 //                     (no packing at all - also the allocation-failure
 //                     fallback)

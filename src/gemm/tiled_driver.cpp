@@ -110,7 +110,7 @@ struct ChecksumTraits<std::complex<float>> {
   }
 };
 
-/// Packed-path glue per element type: staged panels are split once per
+/// Packed-path glue per element type: staged panels are packed once per
 /// mainloop iteration (at the stage step, where the shared-memory model
 /// already touches every element) and every warp tile streams the
 /// packed fragments through the engine's prepacked GEMM. perdot() is
@@ -321,7 +321,7 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
             std::chrono::milliseconds(inj->stall_duration_ms));
       }
       // Staging buffers (the shared-memory model) and their packed
-      // lane-operand panels, split once per mainloop iteration. They
+      // panels, packed once per mainloop iteration. They
       // are thread_local so a worker reuses its allocations across
       // tiles (grow-only): every slot a pass reads is written by that
       // pass's stage/pack step first, so stale contents from a prior

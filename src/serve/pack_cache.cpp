@@ -1,6 +1,7 @@
 #include "serve/pack_cache.hpp"
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace m3xu::serve {
@@ -12,83 +13,42 @@ telemetry::Counter cache_misses_ctr("serve.pack_cache.misses");
 telemetry::Counter cache_evictions_ctr("serve.pack_cache.evictions");
 telemetry::Counter cache_corrupt_ctr("serve.pack_cache.corrupt_dropped");
 
-/// FNV-1a-style rolling hash over 64-bit words. Integrity-grade, not
-/// cryptographic: it reliably catches the bit-level corruption the
-/// cache guards against.
-struct WordHash {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  }
-};
-
-void hash_lanes(WordHash& w, const std::vector<core::LaneOperand>& lanes) {
-  w.mix(lanes.size());
-  for (const core::LaneOperand& l : lanes) {
-    // Field-wise: LaneOperand has padding whose bytes are unspecified
-    // after copies, so hashing the raw struct bytes would false-trip.
-    w.mix(static_cast<std::uint64_t>(l.cls));
-    w.mix(static_cast<std::uint64_t>(l.sign));
-    w.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(l.exp2)));
-    w.mix(l.sig);
-  }
-}
-
-void hash_bytes(WordHash& w, const std::vector<std::uint8_t>& bytes) {
-  w.mix(bytes.size());
-  for (std::uint8_t b : bytes) w.mix(b);
-}
-
-void hash_meta(WordHash& w, const std::vector<core::PanelChunkMeta>& meta) {
-  w.mix(meta.size());
-  for (const core::PanelChunkMeta& m : meta) {
-    w.mix(static_cast<std::uint64_t>(static_cast<std::uint16_t>(m.min_exp)));
-    w.mix(static_cast<std::uint64_t>(static_cast<std::uint16_t>(m.max_exp)));
-    w.mix(m.flags);
-  }
-}
-
-std::uint64_t checksum_panel(const core::PackedPanelFp32B& p) {
+/// Word hash over every field of a compact B panel: dims, has_special,
+/// the operand words, and each prescan entry's min_exp, max_exp and
+/// flags (packed into one word; the struct's padding byte is left out).
+template <typename Panel>
+std::uint64_t checksum_panel(const Panel& p) {
   WordHash w;
-  w.mix(static_cast<std::uint64_t>(p.k));
-  w.mix(static_cast<std::uint64_t>(p.cols));
+  w.mix(static_cast<std::uint32_t>(p.k) |
+        std::uint64_t{static_cast<std::uint32_t>(p.cols)} << 32);
   w.mix(static_cast<std::uint64_t>(p.has_special));
-  hash_lanes(w, p.like);
-  hash_lanes(w, p.swapped);
-  hash_lanes(w, p.cls);
-  hash_bytes(w, p.special);
-  hash_meta(w, p.meta);
+  w.mix(p.words.size());
+  w.mix_bytes(p.words.data(), p.words.size() * sizeof(std::uint32_t));
+  w.mix(p.meta.size());
+  for (const core::PanelChunkMeta& m : p.meta) {
+    w.mix(static_cast<std::uint16_t>(m.min_exp) |
+          std::uint64_t{static_cast<std::uint16_t>(m.max_exp)} << 16 |
+          std::uint64_t{m.flags} << 32);
+  }
   return w.h;
 }
 
-std::uint64_t checksum_panel(const core::PackedPanelFp32cB& p) {
-  WordHash w;
-  w.mix(static_cast<std::uint64_t>(p.k));
-  w.mix(static_cast<std::uint64_t>(p.cols));
-  w.mix(static_cast<std::uint64_t>(p.has_special));
-  hash_lanes(w, p.real_like);
-  hash_lanes(w, p.real_swap);
-  hash_lanes(w, p.imag_like);
-  hash_lanes(w, p.imag_swap);
-  hash_lanes(w, p.cls);
-  hash_bytes(w, p.special);
-  hash_meta(w, p.meta);
-  return w.h;
+/// corrupt_one's flip: item `index` of the words-then-prescan order.
+template <typename Panel>
+bool flip_item(Panel& p, std::size_t index) {
+  if (index < p.words.size()) {
+    p.words[index] ^= 1u << 7;
+    return true;
+  }
+  index -= p.words.size();
+  if (index < p.meta.size()) {
+    p.meta[index].min_exp = static_cast<std::int16_t>(p.meta[index].min_exp ^ 1);
+    return true;
+  }
+  return false;
 }
 
 }  // namespace
-
-std::size_t PackCache::KeyHash::operator()(const gemm::PanelKey& k) const {
-  WordHash w;
-  w.mix(k.b_key);
-  w.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.k0)));
-  w.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.col0)));
-  w.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.kc)));
-  w.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.cols)));
-  w.mix(static_cast<std::uint64_t>(k.cplx));
-  return static_cast<std::size_t>(w.h);
-}
 
 PackCache::PackCache(std::size_t capacity, bool verify)
     : capacity_(capacity), verify_(verify) {
@@ -191,15 +151,13 @@ std::uint64_t PackCache::corrupt_dropped() const {
   return corrupt_dropped_;
 }
 
-bool PackCache::corrupt_one(std::uint64_t b_key) {
+bool PackCache::corrupt_one(std::uint64_t b_key, std::size_t index) {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, entry] : entries_) {
     if (key.b_key != b_key) continue;
-    std::vector<core::LaneOperand>* lanes =
-        key.cplx ? &entry.f32c.real_like : &entry.f32.like;
-    if (lanes->empty()) continue;
-    (*lanes)[0].sig ^= 1ull << 7;
-    return true;
+    if (key.cplx ? flip_item(entry.f32c, index) : flip_item(entry.f32, index)) {
+      return true;
+    }
   }
   return false;
 }

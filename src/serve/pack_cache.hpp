@@ -12,9 +12,10 @@
 // bytes instead of serving the corruption to every request that shares
 // the panel.
 //
-// The checksum hashes the panels field-wise (LaneOperand has padding
-// bytes whose values copy-assignment does not pin down, so a raw byte
-// hash of the structs would self-trip). See docs/SERVING.md.
+// The checksum is a word hash (common/hash.hpp) over the whole compact
+// panel - dims, has_special, operand words and prescan entries - so a
+// flipped bit anywhere in it, including in the prescan that picks the
+// microkernel's rounding window, is caught. See docs/SERVING.md.
 #pragma once
 
 #include <cstdint>
@@ -52,18 +53,17 @@ class PackCache final : public gemm::PanelCache {
   std::uint64_t evictions() const;
   std::uint64_t corrupt_dropped() const;
 
-  /// Fault hook for tests and the chaos bench: flips one significand
-  /// bit inside some cached panel of `b_key` without updating its
-  /// checksum, modeling a memory fault in the shared cache. Returns
-  /// false when no corruptible entry exists.
-  bool corrupt_one(std::uint64_t b_key);
+  /// Fault hook for tests and the chaos bench: flips one bit inside
+  /// some cached panel of `b_key` without updating its checksum,
+  /// modeling a memory fault in the shared cache. `index` picks the
+  /// panel item: operand words count first (a significand bit flips),
+  /// then prescan entries (a min_exp bit flips). Returns false when no
+  /// entry of `b_key` has that item.
+  bool corrupt_one(std::uint64_t b_key, std::size_t index = 0);
 
   void clear();
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const gemm::PanelKey& k) const;
-  };
   struct Entry {
     // Exactly one panel is populated, selected by key.cplx.
     core::PackedPanelFp32B f32;
@@ -81,7 +81,7 @@ class PackCache final : public gemm::PanelCache {
   const bool verify_;
   mutable std::mutex mu_;
   std::list<gemm::PanelKey> lru_;  // front = most recently used
-  std::unordered_map<gemm::PanelKey, Entry, KeyHash> entries_;
+  std::unordered_map<gemm::PanelKey, Entry, gemm::PanelKeyHash> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

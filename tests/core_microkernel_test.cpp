@@ -341,7 +341,7 @@ TEST(MicrokernelDispatch, VariantCapParserRejectsUnknownValues) {
 }
 
 TEST(MicrokernelDispatch, EnvCapBindsAutoResolution) {
-  // The forced-scalar CI job sets M3XU_MK_VARIANT; there, auto dispatch
+  // The forced-variant CI job sets M3XU_MK_VARIANT; there, auto dispatch
   // must resolve to exactly the requested cap (clamped only by what the
   // host supports), or the job would be testing some other kernel.
   const char* env = std::getenv("M3XU_MK_VARIANT");

@@ -1,12 +1,15 @@
 // Tests for the packed-operand fast path: the packed/prepacked engine
 // GEMMs must be bit-identical to the per-dot route on random sweeps,
 // special values, and with a fault injector attached (same sites, same
-// opportunity order, same injected flips); plus the 64-bit indexing
-// regression for leading dimensions whose virtual index crosses 2^31.
+// opportunity order, same injected flips); the panels must hold the
+// staged words and a prescan equal to one rebuilt from the per-element
+// split; plus the 64-bit indexing regression for leading dimensions
+// whose virtual index crosses 2^31.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <complex>
 #include <cstdint>
 #include <cstring>
@@ -15,9 +18,11 @@
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
+#include "core/lane_operand.hpp"
 #include "core/mxu.hpp"
 #include "core/packed_panel.hpp"
 #include "fault/injector.hpp"
+#include "fp/split.hpp"
 
 namespace m3xu::core {
 namespace {
@@ -293,6 +298,228 @@ TEST(PackedFault, Fp32cSameFaultSequenceAndOutputs) {
     EXPECT_EQ(inj_perdot.opportunities(site), inj_packed.opportunities(site));
     EXPECT_EQ(inj_perdot.injected(site), inj_packed.injected(site));
   }
+}
+
+// --- Pack-time prescan -------------------------------------------------
+
+/// A chunk's prescan rebuilt element by element from the
+/// data-assignment split: each part through fp::split_fp32_hw and
+/// from_hw_part, a finite hi lane anchored 12 below its exp2.
+struct RefChunk {
+  int min_exp = std::numeric_limits<int>::max();
+  int max_exp = std::numeric_limits<int>::min();
+  bool special = false;
+
+  void add(float v) {
+    const fp::HwSplit split = fp::split_fp32_hw(v);
+    if (!split.hi.finite) {
+      special = true;
+      return;
+    }
+    const LaneOperand hi = from_hw_part(split.hi);
+    const LaneOperand lo = from_hw_part(split.lo);
+    if (hi.cls == LaneOperand::Cls::kFinite) {
+      min_exp = std::min(min_exp, hi.exp2 - 12);
+      max_exp = std::max(max_exp, hi.exp2);
+    }
+    if (lo.cls == LaneOperand::Cls::kFinite) {
+      min_exp = std::min(min_exp, lo.exp2);
+      max_exp = std::max(max_exp, lo.exp2);
+    }
+  }
+};
+
+void expect_meta(const PanelChunkMeta& got, const RefChunk& ref, int line,
+                 int chunk) {
+  const bool finite = ref.min_exp <= ref.max_exp;
+  EXPECT_EQ((got.flags & PanelChunkMeta::kHasFinite) != 0, finite)
+      << "line " << line << " chunk " << chunk;
+  EXPECT_EQ((got.flags & PanelChunkMeta::kHasSpecial) != 0, ref.special)
+      << "line " << line << " chunk " << chunk;
+  EXPECT_EQ(got.flags & ~(PanelChunkMeta::kHasFinite |
+                          PanelChunkMeta::kHasSpecial),
+            0);
+  if (finite) {
+    EXPECT_EQ(got.min_exp, ref.min_exp) << "line " << line << " chunk "
+                                        << chunk;
+    EXPECT_EQ(got.max_exp, ref.max_exp) << "line " << line << " chunk "
+                                        << chunk;
+  }
+}
+
+/// Edge values for the prescan: signed zeros, subnormals (flushed, so
+/// no finite lane), Inf/NaN, the extreme normal exponents, and values
+/// whose lo part is zero.
+float prescan_value(Rng& rng) {
+  static const float kEdges[] = {
+      0.0f,
+      -0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -1.17549421e-38f,  // largest subnormal, negated
+      std::numeric_limits<float>::min(),
+      -std::numeric_limits<float>::min(),
+      std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      1.0f,
+      -0.75f,
+  };
+  constexpr std::size_t kCount = sizeof(kEdges) / sizeof(kEdges[0]);
+  const std::uint64_t pick = rng.next_below(2 * kCount);
+  return pick < kCount ? kEdges[pick] : rng.any_finite_float();
+}
+
+/// Calls set(e) for every element e of chunk `chunk` of a line, to plant
+/// whole-chunk patterns the random fill rarely produces.
+template <typename Set>
+void fill_chunk(int chunk, int chunk_len, int k, Set set) {
+  for (int e = chunk * chunk_len; e < std::min(k, (chunk + 1) * chunk_len);
+       ++e) {
+    set(e);
+  }
+}
+
+TEST(PackPrescan, Fp32WordsAndPrescanMatchPerElementSplit) {
+  const int rows = 5, cols = 6, k = 19, pad = 3;  // 19 % 8 != 0
+  const int chunks = panel_chunk_count(k, kPackChunkFp32);
+  Rng rng(14100);
+  std::vector<float> a(static_cast<std::size_t>(rows) * (k + pad));
+  std::vector<float> b(static_cast<std::size_t>(k) * (cols + pad));
+  for (float& v : a) v = prescan_value(rng);
+  for (float& v : b) v = prescan_value(rng);
+  const auto at = [&](int r, int kk) -> float& {
+    return a[static_cast<std::size_t>(r) * (k + pad) + kk];
+  };
+  const auto bt = [&](int kk, int j) -> float& {
+    return b[static_cast<std::size_t>(kk) * (cols + pad) + j];
+  };
+  // Whole chunks of zeros/subnormals (no finite lane), of specials, and
+  // of normals only (the last chunk is partial).
+  fill_chunk(0, kPackChunkFp32, k, [&](int e) { at(0, e) = -0.0f; });
+  fill_chunk(1, kPackChunkFp32, k, [&](int e) { at(1, e) = 1e-40f; });
+  fill_chunk(2, kPackChunkFp32, k, [&](int e) { at(2, e) = 3.5f; });
+  fill_chunk(0, kPackChunkFp32, k, [&](int e) {
+    bt(e, 1) = std::numeric_limits<float>::infinity();
+  });
+  fill_chunk(2, kPackChunkFp32, k, [&](int e) { bt(e, 2) = 0.0f; });
+
+  PackedPanelFp32A pa;
+  PackedPanelFp32B pb;
+  pack_fp32_a(a.data(), k + pad, rows, k, pa);
+  pack_fp32_b(b.data(), cols + pad, k, cols, pb);
+
+  bool a_special = false;
+  ASSERT_EQ(pa.words.size(), static_cast<std::size_t>(rows) * k);
+  ASSERT_EQ(pa.meta.size(), static_cast<std::size_t>(rows) * chunks);
+  for (int r = 0; r < rows; ++r) {
+    for (int ch = 0; ch < chunks; ++ch) {
+      RefChunk ref;
+      for (int kk = ch * kPackChunkFp32;
+           kk < std::min(k, (ch + 1) * kPackChunkFp32); ++kk) {
+        ASSERT_EQ(pa.words[static_cast<std::size_t>(r) * k + kk],
+                  bits_of(at(r, kk)));
+        ref.add(at(r, kk));
+      }
+      a_special |= ref.special;
+      expect_meta(pa.meta[static_cast<std::size_t>(r) * chunks + ch], ref, r,
+                  ch);
+    }
+  }
+  EXPECT_EQ(pa.has_special, a_special);
+
+  bool b_special = false;
+  ASSERT_EQ(pb.words.size(), static_cast<std::size_t>(k) * cols);
+  ASSERT_EQ(pb.meta.size(), static_cast<std::size_t>(cols) * chunks);
+  for (int j = 0; j < cols; ++j) {
+    for (int ch = 0; ch < chunks; ++ch) {
+      RefChunk ref;
+      for (int kk = ch * kPackChunkFp32;
+           kk < std::min(k, (ch + 1) * kPackChunkFp32); ++kk) {
+        ASSERT_EQ(pb.words[static_cast<std::size_t>(kk) * cols + j],
+                  bits_of(bt(kk, j)));
+        ref.add(bt(kk, j));
+      }
+      b_special |= ref.special;
+      expect_meta(pb.meta[static_cast<std::size_t>(j) * chunks + ch], ref, j,
+                  ch);
+    }
+  }
+  EXPECT_EQ(pb.has_special, b_special);
+}
+
+TEST(PackPrescan, Fp32cWordsAndPrescanMatchPerElementSplit) {
+  const int rows = 4, cols = 5, k = 11, pad = 2;  // 11 % 4 != 0
+  const int chunks = panel_chunk_count(k, kPackChunkFp32c);
+  using C = std::complex<float>;
+  Rng rng(14200);
+  std::vector<C> a(static_cast<std::size_t>(rows) * (k + pad));
+  std::vector<C> b(static_cast<std::size_t>(k) * (cols + pad));
+  for (C& v : a) v = {prescan_value(rng), prescan_value(rng)};
+  for (C& v : b) v = {prescan_value(rng), prescan_value(rng)};
+  const auto at = [&](int r, int kk) -> C& {
+    return a[static_cast<std::size_t>(r) * (k + pad) + kk];
+  };
+  const auto bt = [&](int kk, int j) -> C& {
+    return b[static_cast<std::size_t>(kk) * (cols + pad) + j];
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // A special in only one component leaves the other's lanes finite;
+  // an all-zero chunk has none.
+  fill_chunk(0, kPackChunkFp32c, k, [&](int e) { at(0, e) = {2.0f, nan}; });
+  fill_chunk(1, kPackChunkFp32c, k, [&](int e) { at(1, e) = {-inf, 0.0f}; });
+  fill_chunk(2, kPackChunkFp32c, k, [&](int e) { at(2, e) = {0.0f, -0.0f}; });
+  fill_chunk(1, kPackChunkFp32c, k, [&](int e) { bt(e, 0) = {1e-42f, 0.5f}; });
+  fill_chunk(2, kPackChunkFp32c, k, [&](int e) { bt(e, 3) = {0.0f, 0.0f}; });
+
+  PackedPanelFp32cA pa;
+  PackedPanelFp32cB pb;
+  pack_fp32c_a(a.data(), k + pad, rows, k, pa);
+  pack_fp32c_b(b.data(), cols + pad, k, cols, pb);
+
+  bool a_special = false;
+  ASSERT_EQ(pa.words.size(), static_cast<std::size_t>(rows) * k * 2);
+  ASSERT_EQ(pa.meta.size(), static_cast<std::size_t>(rows) * chunks);
+  for (int r = 0; r < rows; ++r) {
+    for (int ch = 0; ch < chunks; ++ch) {
+      RefChunk ref;
+      for (int kk = ch * kPackChunkFp32c;
+           kk < std::min(k, (ch + 1) * kPackChunkFp32c); ++kk) {
+        const std::size_t w = (static_cast<std::size_t>(r) * k + kk) * 2;
+        ASSERT_EQ(pa.words[w], bits_of(at(r, kk).real()));
+        ASSERT_EQ(pa.words[w + 1], bits_of(at(r, kk).imag()));
+        ref.add(at(r, kk).real());
+        ref.add(at(r, kk).imag());
+      }
+      a_special |= ref.special;
+      expect_meta(pa.meta[static_cast<std::size_t>(r) * chunks + ch], ref, r,
+                  ch);
+    }
+  }
+  EXPECT_EQ(pa.has_special, a_special);
+
+  bool b_special = false;
+  ASSERT_EQ(pb.words.size(), static_cast<std::size_t>(k) * cols * 2);
+  ASSERT_EQ(pb.meta.size(), static_cast<std::size_t>(cols) * chunks);
+  for (int j = 0; j < cols; ++j) {
+    for (int ch = 0; ch < chunks; ++ch) {
+      RefChunk ref;
+      for (int kk = ch * kPackChunkFp32c;
+           kk < std::min(k, (ch + 1) * kPackChunkFp32c); ++kk) {
+        const std::size_t w = (static_cast<std::size_t>(kk) * cols + j) * 2;
+        ASSERT_EQ(pb.words[w], bits_of(bt(kk, j).real()));
+        ASSERT_EQ(pb.words[w + 1], bits_of(bt(kk, j).imag()));
+        ref.add(bt(kk, j).real());
+        ref.add(bt(kk, j).imag());
+      }
+      b_special |= ref.special;
+      expect_meta(pb.meta[static_cast<std::size_t>(j) * chunks + ch], ref, j,
+                  ch);
+    }
+  }
+  EXPECT_EQ(pb.has_special, b_special);
 }
 
 // --- 64-bit indexing regression ---------------------------------------

@@ -138,6 +138,31 @@ TEST(GemmPlan, DifferentBRefreshesStoreAndStaysCorrect) {
   tiled_sgemm(engine, TileConfig{}, AbftConfig{}, RecoveryPolicy{},
               ExecConfig{}, p.a, b2, ref);
   EXPECT_TRUE(bits_equal(c2, ref));
+
+  // One flipped bit in B's last element must refresh the store too. The
+  // fingerprint hashes B as 64-bit words plus a byte tail: 64x64 floats
+  // end on a whole word, 3x5 floats (60 bytes) end in the tail.
+  const struct {
+    int m, n, k;
+  } shapes[] = {{64, 64, 64}, {4, 5, 3}};
+  for (const auto& s : shapes) {
+    const Problem<float> q = make<float>(s.m, s.n, s.k, 608);
+    const GemmPlan flip_plan =
+        GemmPlan::compile(core::M3xuConfig{}, {s.m, s.n, s.k});
+    Matrix<float> c_first = q.c;
+    flip_plan.execute(q.a, q.b, c_first);
+    Matrix<float> b_flip = q.b;
+    float& last = b_flip.data()[b_flip.size() - 1];
+    last = float_from_bits(bits_of(last) ^ (1u << 20));
+    Matrix<float> c_flip = q.c;
+    flip_plan.execute(q.a, b_flip, c_flip);
+    EXPECT_EQ(flip_plan.panel_stats().refreshes, 1u) << s.n << "x" << s.k;
+    EXPECT_FALSE(bits_equal(c_first, c_flip)) << s.n << "x" << s.k;
+    Matrix<float> flip_ref = q.c;
+    tiled_sgemm(engine, TileConfig{}, AbftConfig{}, RecoveryPolicy{},
+                ExecConfig{}, q.a, b_flip, flip_ref);
+    EXPECT_TRUE(bits_equal(c_flip, flip_ref)) << s.n << "x" << s.k;
+  }
 }
 
 TEST(GemmPlan, PrepackMakesFirstExecuteAllHits) {

@@ -8,6 +8,7 @@
 #include <complex>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,16 +41,34 @@ gemm::PanelKey key_for(std::uint64_t b_key, int k0 = 0) {
   return gemm::PanelKey{b_key, k0, 0, 8, 4, false};
 }
 
-bool lanes_equal(const std::vector<core::LaneOperand>& x,
-                 const std::vector<core::LaneOperand>& y) {
+bool meta_equal(const std::vector<core::PanelChunkMeta>& x,
+                const std::vector<core::PanelChunkMeta>& y) {
   if (x.size() != y.size()) return false;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i].cls != y[i].cls || x[i].sign != y[i].sign ||
-        x[i].exp2 != y[i].exp2 || x[i].sig != y[i].sig) {
+    if (x[i].min_exp != y[i].min_exp || x[i].max_exp != y[i].max_exp ||
+        x[i].flags != y[i].flags) {
       return false;
     }
   }
   return true;
+}
+
+/// Two B panels carry the same operands: equal words and prescan.
+template <typename Panel>
+bool panel_equal(const Panel& x, const Panel& y) {
+  return x.words == y.words && meta_equal(x.meta, y.meta);
+}
+
+core::PackedPanelFp32cB make_cpanel(int salt) {
+  const int k = 8, cols = 4;
+  std::vector<std::complex<float>> cb(static_cast<std::size_t>(k) * cols);
+  for (std::size_t i = 0; i < cb.size(); ++i) {
+    cb[i] = {0.5f * static_cast<float>(i + 1) + static_cast<float>(salt),
+             -1.5f};
+  }
+  core::PackedPanelFp32cB panel;
+  core::pack_fp32c_b(cb.data(), cols, k, cols, panel);
+  return panel;
 }
 
 TEST(PackCache, RoundTripsAPanelBitExactly) {
@@ -61,10 +80,8 @@ TEST(PackCache, RoundTripsAPanelBitExactly) {
   EXPECT_EQ(out.k, panel.k);
   EXPECT_EQ(out.cols, panel.cols);
   EXPECT_EQ(out.has_special, panel.has_special);
-  EXPECT_TRUE(lanes_equal(out.like, panel.like));
-  EXPECT_TRUE(lanes_equal(out.swapped, panel.swapped));
-  EXPECT_TRUE(lanes_equal(out.cls, panel.cls));
-  EXPECT_EQ(out.special, panel.special);
+  EXPECT_EQ(out.words, panel.words);
+  EXPECT_TRUE(meta_equal(out.meta, panel.meta));
 }
 
 TEST(PackCache, MissOnUnknownKeyAndCountersTrack) {
@@ -107,7 +124,7 @@ TEST(PackCache, ReinsertRefreshesInsteadOfEvicting) {
   EXPECT_EQ(cache.evictions(), 0u);
   core::PackedPanelFp32B out;
   ASSERT_TRUE(cache.get_fp32(key_for(1), &out));
-  EXPECT_TRUE(lanes_equal(out.like, make_panel(9).like));
+  EXPECT_TRUE(panel_equal(out, make_panel(9)));
 }
 
 TEST(PackCache, CorruptedEntryIsDroppedNotServed) {
@@ -122,7 +139,7 @@ TEST(PackCache, CorruptedEntryIsDroppedNotServed) {
   // A repack (what the driver does on the miss) restores service.
   cache.put_fp32(key_for(7), make_panel(7));
   ASSERT_TRUE(cache.get_fp32(key_for(7), &out));
-  EXPECT_TRUE(lanes_equal(out.like, make_panel(7).like));
+  EXPECT_TRUE(panel_equal(out, make_panel(7)));
 }
 
 TEST(PackCache, CorruptionServedWhenVerifyDisabled) {
@@ -133,7 +150,7 @@ TEST(PackCache, CorruptionServedWhenVerifyDisabled) {
   ASSERT_TRUE(cache.corrupt_one(7));
   core::PackedPanelFp32B out;
   EXPECT_TRUE(cache.get_fp32(key_for(7), &out));
-  EXPECT_FALSE(lanes_equal(out.like, make_panel(7).like));
+  EXPECT_FALSE(panel_equal(out, make_panel(7)));
   EXPECT_EQ(cache.corrupt_dropped(), 0u);
 }
 
@@ -145,21 +162,67 @@ TEST(PackCache, ComplexPanelsKeyedSeparatelyFromReal) {
   core::PackedPanelFp32cB cout_panel;
   EXPECT_FALSE(cache.get_fp32c(ckey, &cout_panel));
 
-  const int k = 8, cols = 4;
-  std::vector<std::complex<float>> cb(static_cast<std::size_t>(k) * cols);
-  for (std::size_t i = 0; i < cb.size(); ++i) {
-    cb[i] = {0.5f * static_cast<float>(i + 1), -1.5f};
-  }
-  core::PackedPanelFp32cB cpanel;
-  core::pack_fp32c_b(cb.data(), cols, k, cols, cpanel);
+  const core::PackedPanelFp32cB cpanel = make_cpanel(0);
   cache.put_fp32c(ckey, cpanel);
   ASSERT_TRUE(cache.get_fp32c(ckey, &cout_panel));
-  EXPECT_TRUE(lanes_equal(cout_panel.real_like, cpanel.real_like));
-  EXPECT_TRUE(lanes_equal(cout_panel.imag_like, cpanel.imag_like));
+  EXPECT_TRUE(panel_equal(cout_panel, cpanel));
 
   // Corruption detection covers the complex panel type too.
   ASSERT_TRUE(cache.corrupt_one(1));
   cache.clear();
+}
+
+/// Flips one bit at item `index` (words first, then prescan entries)
+/// of the only cached panel and expects the next get to drop it.
+template <typename Panel>
+void expect_flip_caught(const Panel& panel, std::size_t index) {
+  constexpr bool kCplx = std::is_same_v<Panel, core::PackedPanelFp32cB>;
+  PackCache cache(8);
+  gemm::PanelKey key = key_for(5);
+  key.cplx = kCplx;
+  Panel out;
+  const auto put = [&] {
+    if constexpr (kCplx) {
+      cache.put_fp32c(key, panel);
+    } else {
+      cache.put_fp32(key, panel);
+    }
+  };
+  const auto get = [&] {
+    if constexpr (kCplx) {
+      return cache.get_fp32c(key, &out);
+    } else {
+      return cache.get_fp32(key, &out);
+    }
+  };
+  put();
+  ASSERT_TRUE(cache.corrupt_one(5, index)) << "item " << index;
+  EXPECT_FALSE(get()) << "item " << index;
+  EXPECT_EQ(cache.corrupt_dropped(), 1u) << "item " << index;
+  EXPECT_EQ(cache.size(), 0u) << "item " << index;
+  // The repack is served again, intact.
+  put();
+  ASSERT_TRUE(get());
+  EXPECT_TRUE(panel_equal(out, panel));
+}
+
+TEST(PackCache, OneBitFlipAnywhereInACompactPanelIsCaught) {
+  // A flipped prescan entry matters as much as a flipped word: it would
+  // silently hand the microkernel a wrong rounding window.
+  const core::PackedPanelFp32B f32 = make_panel(3);
+  const core::PackedPanelFp32cB f32c = make_cpanel(3);
+  for (const std::size_t w : {std::size_t{0}, f32.words.size() / 2,
+                              f32.words.size() - 1, f32.words.size() + 1}) {
+    expect_flip_caught(f32, w);
+  }
+  for (const std::size_t w : {std::size_t{0}, f32c.words.size() / 2,
+                              f32c.words.size() - 1, f32c.words.size() + 2}) {
+    expect_flip_caught(f32c, w);
+  }
+  // Past the prescan there is nothing to flip.
+  PackCache cache(8);
+  cache.put_fp32(key_for(5), f32);
+  EXPECT_FALSE(cache.corrupt_one(5, f32.words.size() + f32.meta.size()));
 }
 
 #if M3XU_TELEMETRY_ENABLED
@@ -324,8 +387,7 @@ TEST(PackCacheConcurrency, ConcurrentTenantsGetConsistentPanels) {
         if (cache.get_fp32(key, &out)) {
           // A served panel is always intact (checksum-verified) and
           // internally consistent with its key contents.
-          if (!lanes_equal(out.like,
-                           make_panel(static_cast<int>(b_key)).like)) {
+          if (!panel_equal(out, make_panel(static_cast<int>(b_key)))) {
             fail = true;
           }
         } else {
