@@ -12,7 +12,8 @@
 //
 // Flags: --m/--n/--k sgemm geometry (default 512^3), --cm/--cn/--ck
 // cgemm geometry (default 192^3, per-dot complex is ~4x the scalar
-// cost), --reps timed repetitions per case (median reported),
+// cost), --reps timed repetitions per case (median reported with
+// min/max and the coefficient of variation),
 // --warmup untimed repetitions per case, --seed, --out=path (default
 // BENCH_gemm.json), --trace=path for a Chrome trace_event JSON of the
 // run, --metrics=path for the standalone telemetry metrics export,
@@ -31,6 +32,7 @@
 // check of the plan result against the per-dot reference (folded into
 // the exit gate).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -68,11 +70,51 @@ void per_dot_row_blocks(int m, const GemmFn& gemm) {
   });
 }
 
+/// Spread of one measurement's timed reps: min / median / max seconds
+/// and the coefficient of variation (sample standard deviation over
+/// the mean; 0 for a single rep).
+struct Spread {
+  double min = 0.0;
+  double median = 0.0;
+  double max = 0.0;
+  double cv = 0.0;
+};
+
+Spread summarize(std::vector<double> times) {
+  Spread s;
+  if (times.empty()) return s;
+  std::sort(times.begin(), times.end());
+  // Median: middle sample, or mean of the middle two for even reps.
+  const std::size_t h = times.size() / 2;
+  s.median = times.size() % 2 != 0 ? times[h]
+                                   : 0.5 * (times[h - 1] + times[h]);
+  s.min = times.front();
+  s.max = times.back();
+  if (times.size() > 1) {
+    double mean = 0.0;
+    for (const double t : times) mean += t;
+    mean /= static_cast<double>(times.size());
+    double var = 0.0;
+    for (const double t : times) var += (t - mean) * (t - mean);
+    var /= static_cast<double>(times.size() - 1);
+    s.cv = mean > 0.0 ? std::sqrt(var) / mean : 0.0;
+  }
+  return s;
+}
+
+/// Writes a spread's fields next to a measurement's median "seconds".
+void write_spread(telemetry::JsonWriter& w, const Spread& s) {
+  w.key("seconds_min").value(s.min, 6);
+  w.key("seconds_max").value(s.max, 6);
+  w.key("seconds_cv").value(s.cv, 4);
+}
+
 struct Case {
   std::string name;
   int m, n, k;
   int reps;
   double seconds;  // median of reps
+  Spread spread;
   double gflops;
   // Registry snapshots bracketing the timed reps; the delta attributes
   // engine routes (microkernel blocks, pair fallbacks, SIMD variant) to
@@ -94,12 +136,8 @@ Case time_case(const std::string& name, int m, int n, int k,
     times.push_back(sw.seconds());
   }
   out.after = telemetry::snapshot();
-  std::sort(times.begin(), times.end());
-  // Median: middle sample, or mean of the middle two for even reps.
-  const std::size_t h = times.size() / 2;
-  const double med = times.size() % 2 != 0
-                         ? times[h]
-                         : 0.5 * (times[h - 1] + times[h]);
+  out.spread = summarize(std::move(times));
+  const double med = out.spread.median;
   const double flops = flops_per_mnk * static_cast<double>(m) * n * k;
   out.name = name;
   out.m = m;
@@ -218,7 +256,8 @@ void write_route_rates(telemetry::JsonWriter& w, const std::string& family,
 /// One measured point of a thread-scaling curve.
 struct SweepPoint {
   int threads = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;  // median of reps
+  Spread spread;
   double gflops = 0.0;
   double speedup = 0.0;  // vs the curve's single-thread point
 };
@@ -284,17 +323,15 @@ void run_thread_sweep(const std::string& prefix, int m, int n, int k,
         run();
         times.push_back(sw.seconds());
       }
-      std::sort(times.begin(), times.end());
-      const std::size_t h = times.size() / 2;
-      const double med = times.size() % 2 != 0
-                             ? times[h]
-                             : 0.5 * (times[h - 1] + times[h]);
+      const Spread spread = summarize(std::move(times));
+      const double med = spread.median;
       bit_identical =
           bit_identical &&
           std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(T)) == 0;
       SweepPoint pt;
       pt.threads = t;
       pt.seconds = med;
+      pt.spread = spread;
       pt.gflops = flops / med / 1e9;
       curve.points.push_back(pt);
     }
@@ -499,11 +536,12 @@ int main(int argc, char** argv) {
   w.kv("reps", reps);
   w.kv("warmup", warmup);
   w.kv("seed", seed);
-  w.kv("timing", "median_of_reps");
+  w.kv("timing", "median_of_reps with min/max/cv spread");
   w.key("environment").begin_object();
   w.kv("threads", static_cast<std::uint64_t>(threads));
   w.kv("compiler", env.compiler);
   w.kv("git_rev", env.git_rev);
+  w.kv("git_dirty", env.git_dirty);
   w.kv("microkernel_simd", simd);
   w.kv("microkernel_variant", variant_name);
   w.kv("telemetry_enabled", static_cast<bool>(M3XU_TELEMETRY_ENABLED));
@@ -516,6 +554,7 @@ int main(int argc, char** argv) {
     w.kv("n", c.n);
     w.kv("k", c.k);
     w.key("seconds").value(c.seconds, 6);
+    write_spread(w, c.spread);
     w.key("gflops").value(c.gflops, 6);
     w.end_object();
   }
@@ -539,6 +578,7 @@ int main(int argc, char** argv) {
         w.begin_object();
         w.kv("threads", pt.threads);
         w.key("seconds").value(pt.seconds, 6);
+        write_spread(w, pt.spread);
         w.key("gflops").value(pt.gflops, 6);
         w.key("speedup_vs_single_thread").value(pt.speedup, 4);
         w.end_object();

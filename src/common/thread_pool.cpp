@@ -151,49 +151,17 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   tp_tasks.increment();
   tp_iters.add(n);
   if (workers_.empty() || n == 1) {
-    if (!options.guarded()) {
-      for (std::size_t i = 0; i < n; ++i) fn(i);
-      return;
-    }
-    // Serial guarded path: token and deadline are checked between
-    // iterations (stall detection needs a concurrent observer and a
-    // stalled serial iteration blocks the check anyway, so it reduces
-    // to the deadline here).
-    const telemetry::Stopwatch wall;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (options.token != nullptr && options.token->cancelled()) {
-        tp_cancellations.increment();
-        throw CancelledError(
-            "parallel_for cancelled: " + options.token->reason(),
-            options.token->reason_tag());
-      }
-      if (options.deadline_ms > 0 &&
-          wall.elapsed_ns() >=
-                static_cast<std::uint64_t>(options.deadline_ms) * 1'000'000) {
-        tp_deadline_fired.increment();
-        throw DeadlineExceeded("parallel_for exceeded its deadline of " +
-                               std::to_string(options.deadline_ms) + " ms");
-      }
-      fn(i);
-    }
+    run_inline(n, fn, options);
     return;
   }
   const telemetry::ScopedTimer span("threadpool.parallel_for");
-  const telemetry::Stopwatch wall;
+  const std::uint64_t start_ns = telemetry::now_ns();
   M3XU_CHECK_MSG(draining_pool_ != this,
                  "nested parallel_for: a body running on this pool must not "
                  "submit to the same pool (the inner call would wait on the "
                  "task its own thread is executing)");
   Task task;
-  task.fn = &fn;
-  task.end = n;
-  // Default grain aims for ~4 chunks per thread to balance load
-  // without excess atomics.
-  task.chunk = grain != 0
-                   ? grain
-                   : std::max<std::size_t>(1, n / (4 * thread_count()));
-  task.guarded = options.guarded();
-  task.token = options.token;
+  prepare(task, n, grain, fn, options);
   {
     // Acquire the pool. The pool runs one task at a time; concurrent
     // submitters queue here until the running task retires. The wait
@@ -214,7 +182,7 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
               options.token->reason_tag());
         }
         if (options.deadline_ms > 0 &&
-            wall.elapsed_ns() >=
+            telemetry::now_ns() - start_ns >=
                 static_cast<std::uint64_t>(options.deadline_ms) * 1'000'000) {
           tp_deadline_fired.increment();
           throw DeadlineExceeded(
@@ -228,6 +196,81 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
     current_ = &task;
     ++generation_;
   }
+  run_claimed(task, options, start_ns);
+}
+
+bool ThreadPool::try_parallel_for(std::size_t n, std::size_t grain,
+                                  const std::function<void(std::size_t)>& fn,
+                                  const ParallelOptions& options) {
+  if (workers_.empty() || n <= 1) {
+    parallel_for(n, grain, fn, options);
+    return true;
+  }
+  const std::uint64_t start_ns = telemetry::now_ns();
+  Task task;
+  prepare(task, n, grain, fn, options);
+  {
+    // Check and claim under one lock: a busy pool (another caller's
+    // task, or this thread's own task when called from a body) is
+    // reported, never waited for, so submissions_queued cannot move.
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (current_ != nullptr) return false;
+    current_ = &task;
+    ++generation_;
+  }
+  tp_tasks.increment();
+  tp_iters.add(n);
+  const telemetry::ScopedTimer span("threadpool.parallel_for");
+  run_claimed(task, options, start_ns);
+  return true;
+}
+
+void ThreadPool::run_inline(std::size_t n,
+                            const std::function<void(std::size_t)>& fn,
+                            const ParallelOptions& options) {
+  if (!options.guarded()) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // Guarded: token and deadline are checked between iterations (stall
+  // detection needs a concurrent observer and a stalled serial
+  // iteration blocks the check anyway, so it reduces to the deadline
+  // here).
+  const telemetry::Stopwatch wall;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (options.token != nullptr && options.token->cancelled()) {
+      tp_cancellations.increment();
+      throw CancelledError(
+          "parallel_for cancelled: " + options.token->reason(),
+          options.token->reason_tag());
+    }
+    if (options.deadline_ms > 0 &&
+        wall.elapsed_ns() >=
+            static_cast<std::uint64_t>(options.deadline_ms) * 1'000'000) {
+      tp_deadline_fired.increment();
+      throw DeadlineExceeded("parallel_for exceeded its deadline of " +
+                             std::to_string(options.deadline_ms) + " ms");
+    }
+    fn(i);
+  }
+}
+
+void ThreadPool::prepare(Task& task, std::size_t n, std::size_t grain,
+                         const std::function<void(std::size_t)>& fn,
+                         const ParallelOptions& options) const {
+  task.fn = &fn;
+  task.end = n;
+  // Default grain aims for ~4 chunks per thread to balance load
+  // without excess atomics.
+  task.chunk = grain != 0
+                   ? grain
+                   : std::max<std::size_t>(1, n / (4 * thread_count()));
+  task.guarded = options.guarded();
+  task.token = options.token;
+}
+
+void ThreadPool::run_claimed(Task& task, const ParallelOptions& options,
+                             std::uint64_t start_ns) {
   // Per-call watchdog: polls the task's heartbeat until the caller's
   // completion wait finishes. Spawned only for guarded calls with a
   // deadline or stall window, so the clean path never pays for it.
@@ -236,7 +279,9 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   std::int64_t remaining_deadline_ms = options.deadline_ms;
   if (options.deadline_ms > 0) {
     remaining_deadline_ms = std::max<std::int64_t>(
-        1, options.deadline_ms - wall.elapsed_ns() / 1'000'000);
+        1, options.deadline_ms -
+               static_cast<std::int64_t>(telemetry::now_ns() - start_ns) /
+                   1'000'000);
   }
   std::thread watchdog;
   std::mutex watch_mu;
@@ -301,7 +346,7 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
     watch_cv.notify_one();
     watchdog.join();
   }
-  tp_wall_ns.add(wall.elapsed_ns());
+  tp_wall_ns.add(telemetry::now_ns() - start_ns);
   // All workers have quiesced: rethrow the first captured exception on
   // the calling thread (no lock needed past the wait above). fn errors
   // outrank guard aborts - a real failure should not be masked by the

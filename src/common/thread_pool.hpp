@@ -21,7 +21,10 @@
 // threadpool.submit_wait_ns / threadpool.submissions_queued telemetry
 // expose the contention. Calling parallel_for from *inside* a body
 // running on the same pool is still misuse (it would deadlock) and
-// fails a M3XU_CHECK. See docs/SERVING.md.
+// fails a M3XU_CHECK. try_parallel_for is the non-blocking form: it
+// claims an idle pool or reports it busy, never queueing, which lets
+// the tiled driver run a request's tiles on its own thread while
+// another request holds the pool. See docs/SERVING.md.
 #pragma once
 
 #include <atomic>
@@ -97,6 +100,25 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn,
                     const ParallelOptions& options);
 
+  /// Non-blocking parallel_for: checks and claims the pool in one
+  /// step. When the pool is idle it runs exactly like parallel_for and
+  /// returns true; when another task holds it (another caller's, or
+  /// the task a body calling this is part of) it runs nothing and
+  /// returns false, so the caller can do the work itself instead of
+  /// queueing. Calls that never need the pool (n <= 1, or a pool
+  /// without workers) run serially on the caller and return true.
+  bool try_parallel_for(std::size_t n, std::size_t grain,
+                        const std::function<void(std::size_t)>& fn,
+                        const ParallelOptions& options);
+
+  /// Runs fn(i) for i in [0, n) on the calling thread in index order
+  /// with parallel_for's serial guard semantics: the token and the
+  /// deadline are checked before every iteration (stall detection
+  /// reduces to the deadline without a concurrent observer).
+  static void run_inline(std::size_t n,
+                         const std::function<void(std::size_t)>& fn,
+                         const ParallelOptions& options);
+
   /// Process-wide default pool (lazily constructed). Sized by the
   /// first of: configure_global(), the M3XU_THREADS environment
   /// variable, hardware_concurrency().
@@ -138,6 +160,15 @@ class ThreadPool {
 
   void worker_loop();
   void drain(Task& task);
+  void prepare(Task& task, std::size_t n, std::size_t grain,
+               const std::function<void(std::size_t)>& fn,
+               const ParallelOptions& options) const;
+  /// Runs a task this caller has claimed (current_ == &task) to
+  /// completion: wakes the workers, drains alongside them, releases
+  /// the pool and rethrows the first body error or guard abort.
+  /// `start_ns` anchors the deadline (it includes any queue wait).
+  void run_claimed(Task& task, const ParallelOptions& options,
+                   std::uint64_t start_ns);
 
   // The pool this thread is currently draining a task for (nullptr
   // outside drain). Lets parallel_for reject the one submission shape

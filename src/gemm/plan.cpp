@@ -1,8 +1,10 @@
 #include "gemm/plan.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <optional>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -10,6 +12,7 @@
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
+#include "common/thread_pool.hpp"
 #include "core/packed_panel.hpp"
 #include "gemm/panel_cache.hpp"
 #include "telemetry/telemetry.hpp"
@@ -117,7 +120,85 @@ class LocalPanelStore final : public PanelCache {
   std::unordered_map<PanelKey, core::PackedPanelFp32cB, PanelKeyHash> f32c_;
 };
 
+/// plan_grid's target balance bound, and the strip granularity: the
+/// microkernel's widest register block is 8 columns (one AVX-512 lane
+/// per column), so strips that start on multiples of 8 keep every
+/// block but the matrix edge's full.
+constexpr double kTargetBalance = 0.9;
+constexpr int kStripUnit = 8;
+
+/// `parts` near-equal strips of [0, extent) in kStripUnit units (the
+/// first extent-units % parts strips get one unit more); the last
+/// strip ends at extent.
+std::vector<int> near_equal_strips(int extent, long parts) {
+  const long units = (extent + kStripUnit - 1) / kStripUnit;
+  std::vector<int> edges{0};
+  for (long p = 0; p < parts; ++p) {
+    const long take = units / parts + (p < units % parts ? 1 : 0);
+    edges.push_back(static_cast<int>(
+        std::min<long>(extent, edges.back() + take * kStripUnit)));
+  }
+  return edges;
+}
+
 }  // namespace
+
+TileGrid plan_grid(const PlanKey& key, const TileConfig& tile,
+                   std::size_t threads) {
+  TileGrid uniform = TileGrid::uniform(key.m, key.n, tile);
+  if (threads <= 1 || tile.block_m % kStripUnit != 0 ||
+      tile.block_n % kStripUnit != 0 ||
+      balance_bound(uniform, threads) >= kTargetBalance) {
+    return uniform;
+  }
+  const long t = static_cast<long>(threads);
+  const long gm0 = uniform.grid_m(), gn0 = uniform.grid_n();
+  const long units_m = (key.m + kStripUnit - 1) / kStripUnit;
+  const long units_n = (key.n + kStripUnit - 1) / kStripUnit;
+  const double macs = static_cast<double>(key.m) * key.n * key.k *
+                      (key.cplx ? 4.0 : 1.0);
+  // Candidates: gm x gn near-equal strips, no strip above the block
+  // (gm >= gm0, gn >= gn0), at most threads - 1 extra strips per
+  // dimension and 4 extra tiles per thread, and - past the uniform
+  // tile count - at least kMinTileMacs per tile. (gm0, gn0) itself is
+  // always a candidate, so a small GEMM stays one tile.
+  struct Pick {
+    TileGrid grid;
+    double bound = -1.0;
+    double cost = 0.0;
+    long tiles = 0;
+  };
+  // Order: reaching the target first; then, below it, the higher
+  // bound; then the lower cost; then fewer tiles (ties go to the first
+  // seen, which has fewer row strips).
+  const auto rank = [](const Pick& p) {
+    const bool ok = p.bound >= kTargetBalance;
+    return std::make_tuple(!ok, ok ? 0.0 : -p.bound, p.cost, p.tiles);
+  };
+  Pick best;
+  for (long gm = gm0; gm <= std::min(units_m, gm0 + t - 1); ++gm) {
+    for (long gn = gn0; gn <= std::min(units_n, gn0 + t - 1); ++gn) {
+      const long tiles = gm * gn;
+      if (tiles > gm0 * gn0 &&
+          (tiles > gm0 * gn0 + 4 * t || macs / tiles < kMinTileMacs)) {
+        continue;
+      }
+      Pick c;
+      c.grid = {near_equal_strips(key.m, gm), near_equal_strips(key.n, gn)};
+      c.bound = balance_bound(c.grid, threads);
+      // Per-thread cost per K step, in elements (times threads): the
+      // greedy makespan (m*n / bound) plus the staged A + B traffic -
+      // every column strip restages its row strip's A, every row strip
+      // its column strip's B (and recomputes their ABFT column
+      // checksums), at about the cost of one element's K step each.
+      c.cost = static_cast<double>(key.m) * key.n / c.bound +
+               static_cast<double>(gn * key.m + gm * key.n);
+      c.tiles = tiles;
+      if (rank(c) < rank(best)) best = std::move(c);
+    }
+  }
+  return std::move(best.grid);
+}
 
 std::string plan_key_label(const PlanKey& key) {
   return std::string(key.cplx ? "cgemm." : "sgemm.") + std::to_string(key.m) +
@@ -137,6 +218,27 @@ struct GemmPlan::Impl {
   CompiledDispatch dispatch;
   mutable LocalPanelStore b_store;
   mutable std::atomic<std::uint64_t> executions{0};
+  // plan_grid per pool thread count, computed on first use. Entries
+  // are never erased, so returned references stay valid.
+  mutable std::mutex grids_mu;
+  mutable std::vector<std::pair<std::size_t, std::unique_ptr<const TileGrid>>>
+      grids;
+
+  const TileGrid& grid_for_threads(std::size_t threads) const {
+    const std::lock_guard<std::mutex> lock(grids_mu);
+    for (const auto& [t, g] : grids) {
+      if (t == threads) return *g;
+    }
+    grids.emplace_back(threads, std::make_unique<const TileGrid>(plan_grid(
+                                    key, options.tile, threads)));
+    return *grids.back().second;
+  }
+
+  const TileGrid& grid_for(const ThreadPool* pool) const {
+    return grid_for_threads(pool != nullptr
+                                ? pool->thread_count()
+                                : ThreadPool::global().thread_count());
+  }
 
   Impl(const core::M3xuConfig& engine_cfg, const core::M3xuConfig& clean_cfg,
        const PlanKey& k, const PlanOptions& opts)
@@ -186,7 +288,8 @@ struct GemmPlan::Impl {
       exec.b_key = fp;
     }
     validate_resilience_config(d.policy, exec);
-    TiledGemmStats stats = tiled_execute(d, exec, a, b, c);
+    TiledGemmStats stats =
+        tiled_execute(d, exec, grid_for(rails.pool), a, b, c);
     executions.fetch_add(1, std::memory_order_relaxed);
     plan_execute_ctr.increment();
     return stats;
@@ -264,16 +367,19 @@ TiledGemmStats GemmPlan::execute(const Matrix<std::complex<float>>& a,
 
 namespace {
 
-/// Stages one (kc x n_eff) B slice exactly as the driver's mainloop
-/// does (row-major, leading dimension n_eff) so prepacked panels are
-/// bit-identical to mid-execute packs.
+/// Stages one (kc x n_eff) B slice per column strip of `grid` and
+/// K-block exactly as the driver's mainloop does (row-major, leading
+/// dimension n_eff) so prepacked panels are bit-identical to
+/// mid-execute packs and carry the keys execute looks up.
 template <typename T, typename Panel, typename PackFn, typename PutFn>
-void prepack_b_impl(const Matrix<T>& b, const TileConfig& tile, bool cplx,
-                    std::uint64_t fp, const PackFn& pack, const PutFn& put) {
-  const int k = b.rows(), n = b.cols();
+void prepack_b_impl(const Matrix<T>& b, const TileGrid& grid,
+                    const TileConfig& tile, bool cplx, std::uint64_t fp,
+                    const PackFn& pack, const PutFn& put) {
+  const int k = b.rows();
   std::vector<T> b_stage;
-  for (int bn = 0; bn < n; bn += tile.block_n) {
-    const int n_eff = std::min(tile.block_n, n - bn);
+  for (std::size_t j = 0; j + 1 < grid.cols.size(); ++j) {
+    const int bn = grid.cols[j];
+    const int n_eff = grid.cols[j + 1] - bn;
     for (int k0 = 0; k0 < k; k0 += tile.block_k) {
       const int kc = std::min(tile.block_k, k - k0);
       b_stage.assign(static_cast<std::size_t>(kc) * n_eff, T{});
@@ -301,7 +407,7 @@ void GemmPlan::prepack_b(const Matrix<float>& b) {
   const std::uint64_t fp = fingerprint(b);
   impl_->b_store.retarget(fp);
   prepack_b_impl<float, core::PackedPanelFp32B>(
-      b, impl_->options.tile, false, fp,
+      b, impl_->grid_for(nullptr), impl_->options.tile, false, fp,
       [](const float* p, int ld, int kc, int cols,
          core::PackedPanelFp32B& out) {
         core::pack_fp32_b(p, ld, kc, cols, out);
@@ -319,7 +425,7 @@ void GemmPlan::prepack_b(const Matrix<std::complex<float>>& b) {
   const std::uint64_t fp = fingerprint(b);
   impl_->b_store.retarget(fp);
   prepack_b_impl<std::complex<float>, core::PackedPanelFp32cB>(
-      b, impl_->options.tile, true, fp,
+      b, impl_->grid_for(nullptr), impl_->options.tile, true, fp,
       [](const std::complex<float>* p, int ld, int kc, int cols,
          core::PackedPanelFp32cB& out) {
         core::pack_fp32c_b(p, ld, kc, cols, out);
@@ -329,6 +435,9 @@ void GemmPlan::prepack_b(const Matrix<std::complex<float>>& b) {
       });
 }
 
+const TileGrid& GemmPlan::grid(const ThreadPool* pool) const {
+  return impl_->grid_for(pool);
+}
 const PlanKey& GemmPlan::key() const { return impl_->key; }
 const TileConfig& GemmPlan::tile() const { return impl_->options.tile; }
 const PlanOptions& GemmPlan::options() const { return impl_->options; }

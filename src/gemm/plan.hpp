@@ -18,7 +18,9 @@
 // dtypes.
 //
 // Frozen at compile: tile/ABFT/recovery configs (validated), engines,
-// telemetry labels, the B-panel store. Per-execute (ExecRails):
+// telemetry labels, the B-panel store. Per pool thread count: the tile
+// grid (plan_grid), so a lone GEMM fans out across whatever pool runs
+// it. Per-execute (ExecRails):
 // cancellation token, deadline/stall watchdog windows, the tenant's
 // TileQuarantine, and an external PanelCache - everything that varies
 // request-to-request in the serving layer.
@@ -33,6 +35,7 @@
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,9 +65,36 @@ struct PlanKey {
 /// log label for one plan identity.
 std::string plan_key_label(const PlanKey& key);
 
+/// The plan's tile grid for a pool of `threads` workers - the one place
+/// a grid is chosen (DESIGN.md section 15). It keeps the TileConfig's
+/// uniform grid whenever that grid's balance_bound is >= 0.9 (so a
+/// 1-thread pool always gets it). Otherwise it picks near-equal row
+/// and column strips, none larger than block_m / block_n, with inner
+/// boundaries on multiples of the 8-wide register block: among grids
+/// reaching the 0.9 bound, the one with the least greedy makespan plus
+/// staged operand traffic (the traffic term prefers column splits for
+/// short, wide shapes and row splits for tall ones). Splitting past
+/// the uniform tile count needs at least kMinTileMacs of work per
+/// tile, so small GEMMs stay one tile.
+TileGrid plan_grid(const PlanKey& key, const TileConfig& tile,
+                   std::size_t threads);
+
+/// Minimum multiply-accumulates per tile (complex ones count four) for
+/// plan_grid to split a GEMM past its uniform tile count: twice the
+/// wall cost of one fan-out, in microkernel MACs. On a 4-vCPU AVX-512
+/// host a 4-tile fan-out onto an idle pool costs ~45 us beyond one
+/// tile (p50; the last worker starts ~27 us after the call) and the
+/// microkernel runs 1.4-2.5 ns/MAC, so 2 x 45 us is 36-64 k MACs; the
+/// constant takes the top. A 32x128x128 GEMM still splits four ways
+/// (131 k MACs per tile). DESIGN.md section 15.
+inline constexpr double kMinTileMacs = 65536.0;
+
 /// Everything a plan freezes beyond the problem identity. The policy's
 /// quarantine pointer is ignored (quarantine is a per-execute rail).
 struct PlanOptions {
+  /// block_m / block_n are the largest tile a plan runs: plan_grid may
+  /// split C finer to fill the pool. block_k and the warp tile apply
+  /// as given.
   TileConfig tile;
   AbftConfig abft;
   RecoveryPolicy policy;
@@ -89,7 +119,8 @@ struct ExecRails {
   PanelCache* b_cache = nullptr;
   std::uint64_t b_key = 0;
   /// Thread pool this execute partitions tiles across (non-owning;
-  /// null = the global pool). Bit-identical for every pool size.
+  /// null = the global pool). Its thread count picks the plan's grid
+  /// (plan_grid); bit-identical for every pool size.
   ThreadPool* pool = nullptr;
   /// Request-scoped trace this execute logs milestones into (non-
   /// owning; may be null). Forwarded to ExecConfig::trace.
@@ -137,10 +168,17 @@ class GemmPlan {
 
   /// Packs every B panel of `b` into the plan's private store now, so
   /// the first execute() against this B skips packing too. No-op when
-  /// reuse_b_panels is off. Panels are bit-identical to the ones the
-  /// driver would pack mid-execute (same staging layout).
+  /// reuse_b_panels is off. Panels follow grid() for the global pool -
+  /// the grid execute() runs when ExecRails.pool is null - and are
+  /// bit-identical to the ones the driver would pack mid-execute (same
+  /// staging layout).
   void prepack_b(const Matrix<float>& b);
   void prepack_b(const Matrix<std::complex<float>>& b);
+
+  /// The tile grid execute() runs on `pool` (null = the global pool):
+  /// plan_grid for its thread count, computed once per thread count.
+  /// Quarantine keys and panel keys follow it.
+  const TileGrid& grid(const ThreadPool* pool = nullptr) const;
 
   const PlanKey& key() const;
   const TileConfig& tile() const;

@@ -4,7 +4,9 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -48,16 +50,13 @@ telemetry::Counter rec_alloc_fallbacks_ctr("recovery.alloc_fallbacks");
 telemetry::Counter rec_degraded_ctr("recovery.degraded_tiles");
 telemetry::Counter rec_poisoned_ctr("recovery.poisoned_tiles");
 
-struct TileGrid {
-  long grid_m;
-  long grid_n;
-  long tiles() const { return grid_m * grid_n; }
-};
-
-TileGrid make_grid(const TileConfig& cfg, int m, int n) {
-  return {(m + cfg.block_m - 1) / cfg.block_m,
-          (n + cfg.block_n - 1) / cfg.block_n};
-}
+// Grid dispatch: GEMMs whose tiles fanned out across an idle pool,
+// GEMMs that found the pool held by another caller and ran their tiles
+// inline, and the static balance bound of every grid run, in per-mille
+// (the histogram's sum / count is the mean bound).
+telemetry::Counter grid_fanout_ctr("gemm.grid.fanout");
+telemetry::Counter grid_inline_busy_ctr("gemm.grid.inline_busy");
+telemetry::Histogram grid_balance_hist("gemm.grid.balance");
 
 long instr_count(int m_eff, int n_eff, int kc, int inst_m, int inst_n,
                  int inst_k) {
@@ -211,8 +210,8 @@ void corrupt_staged_value(const fault::FaultInjector& inj,
 /// computed here, so a plan amortizes it all across executes.
 template <typename T>
 TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
-                         const Matrix<T>& a, const Matrix<T>& b,
-                         Matrix<T>& c) {
+                         const TileGrid& grid, const Matrix<T>& a,
+                         const Matrix<T>& b, Matrix<T>& c) {
   using Traits = ChecksumTraits<T>;
   using Acc = typename Traits::Acc;
   const TileConfig& cfg = d.tile;
@@ -224,14 +223,14 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
   const core::M3xuEngine& clean = *d.clean;
   // K-chunk boundaries must coincide with the engine's instruction
   // chunking for bit-identical results vs the flat loop.
-  const int m = a.rows(), n = b.cols(), k = a.cols();
-  const TileGrid grid = make_grid(cfg, m, n);
+  const int k = a.cols();
+  const long grid_n = grid.grid_n();
   const long chunks = chunk_roundings(k, cfg.block_k, inst_k);
   const ParallelOptions popts{exec.token, exec.deadline_ms, exec.stall_ms};
   // Tile partitioning runs on the caller-selected pool (null = the
   // process-wide default). Tiles are independent and each tile's
   // K-chunk schedule is fixed, so the result is bit-identical for
-  // every pool size and schedule.
+  // every pool size, schedule and grid.
   ThreadPool& pool = exec.pool != nullptr ? *exec.pool : ThreadPool::global();
 
   // kMicrokernel is the engine's natural preference; the scalar rung
@@ -248,48 +247,59 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
   }
 
   // ABFT column-checksum ingredients: asum/amag depend only on a tile's
-  // block-row (sum over its A rows), so compute them once per block row
-  // instead of once per tile - an O(grid_n) saving on the O(m_eff * k)
-  // scan. Cached values are bit-identical to a per-tile recompute (same
-  // summation order), so detection behavior is unchanged.
-  std::vector<std::vector<Acc>> row_asum;
-  std::vector<std::vector<double>> row_amag;
-  if (abft.enable) {
-    row_asum.resize(static_cast<std::size_t>(grid.grid_m));
-    row_amag.resize(static_cast<std::size_t>(grid.grid_m));
-    pool.parallel_for(
-        static_cast<std::size_t>(grid.grid_m), 0,
-        [&](std::size_t r) {
-          const int bm = static_cast<int>(r) * cfg.block_m;
-          const int m_eff = std::min(cfg.block_m, m - bm);
-          std::vector<Acc>& asum = row_asum[r];
-          std::vector<double>& amag = row_amag[r];
-          asum.assign(static_cast<std::size_t>(k), Acc{});
-          amag.assign(static_cast<std::size_t>(k), 0.0);
-          for (int i = 0; i < m_eff; ++i) {
-            for (int kk = 0; kk < k; ++kk) {
-              asum[kk] += Traits::widen(a(bm + i, kk));
-              amag[kk] += Traits::mag(a(bm + i, kk));
-            }
-          }
-        },
-        popts);
-  }
+  // row strip (sum over its A rows), so the first tile of each strip
+  // to reach its check computes them once for the whole strip instead
+  // of once per tile - an O(grid_n) saving on the O(m_eff * k) scan -
+  // inside the same pool claim as the tiles. Cached values are
+  // bit-identical to a per-tile recompute (same summation order), so
+  // detection behavior is unchanged.
+  const std::size_t strips_m = abft.enable ? grid.rows.size() - 1 : 0;
+  std::vector<std::vector<Acc>> row_asum(strips_m);
+  std::vector<std::vector<double>> row_amag(strips_m);
+  std::vector<std::once_flag> row_once(strips_m);
+  const auto row_sums = [&](std::size_t r) {
+    const int bm = grid.rows[r];
+    const int m_eff = grid.rows[r + 1] - bm;
+    std::vector<Acc>& asum = row_asum[r];
+    std::vector<double>& amag = row_amag[r];
+    asum.assign(static_cast<std::size_t>(k), Acc{});
+    amag.assign(static_cast<std::size_t>(k), 0.0);
+    for (int i = 0; i < m_eff; ++i) {
+      for (int kk = 0; kk < k; ++kk) {
+        asum[kk] += Traits::widen(a(bm + i, kk));
+        amag[kk] += Traits::mag(a(bm + i, kk));
+      }
+    }
+  };
 
-  pool.parallel_for(
-      static_cast<std::size_t>(grid.tiles()), 0,
-      [&](std::size_t t) {
-    const long tile_row = static_cast<long>(t) / grid.grid_n;
-    const long tile_col = static_cast<long>(t) % grid.grid_n;
+  // How the grid ran, logged once before the first tile's work.
+  const double bound = balance_bound(grid, pool.thread_count());
+  std::once_flag dispatch_logged;
+  const auto log_dispatch = [&](const char* how) {
+    grid_balance_hist.record(
+        static_cast<std::uint64_t>(std::lround(bound * 1000.0)));
+    if (exec.trace != nullptr) {
+      char detail[48];
+      std::snprintf(detail, sizeof(detail), "%s bound=%.3f", how, bound);
+      exec.trace->event("exec.grid", grid.grid_m(), grid_n, detail);
+    }
+  };
+  const bool fan_out = grid.tiles() > 1 && pool.thread_count() > 1;
+  const char* const how = fan_out ? "fanout" : "serial";
+
+  const std::function<void(std::size_t)> run_tile = [&](std::size_t t) {
+    std::call_once(dispatch_logged, log_dispatch, how);
+    const long tile_row = static_cast<long>(t) / grid_n;
+    const long tile_col = static_cast<long>(t) % grid_n;
     // Request-scoped tracing: `trace` gets tile-level milestones, and
     // installing it as the thread-local context lets the core route
     // dispatch attribute route decisions to this request.
     telemetry::TraceContext* const trace = exec.trace;
     const telemetry::TraceContextScope trace_scope(trace);
-    const int bm = static_cast<int>(tile_row) * cfg.block_m;
-    const int bn = static_cast<int>(tile_col) * cfg.block_n;
-    const int m_eff = std::min(cfg.block_m, m - bm);
-    const int n_eff = std::min(cfg.block_n, n - bn);
+    const int bm = grid.rows[static_cast<std::size_t>(tile_row)];
+    const int bn = grid.cols[static_cast<std::size_t>(tile_col)];
+    const int m_eff = grid.rows[static_cast<std::size_t>(tile_row) + 1] - bm;
+    const int n_eff = grid.cols[static_cast<std::size_t>(tile_col) + 1] - bn;
     // The C fragment's initial contents (kept for ABFT recompute).
     std::vector<T> c_in(static_cast<std::size_t>(m_eff) * n_eff);
     for (int i = 0; i < m_eff; ++i) {
@@ -486,11 +496,11 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
       // Column checksums over the tile: expected_j = sum_i C_in[i][j]
       // + sum_k (sum_i A[i][k]) * B[k][j], and the magnitude sum that
       // scales the rounding tolerance. asum/amag come from the
-      // per-block-row cache computed above.
-      const std::vector<Acc>& asum =
-          row_asum[static_cast<std::size_t>(tile_row)];
-      const std::vector<double>& amag =
-          row_amag[static_cast<std::size_t>(tile_row)];
+      // per-row-strip cache (computed here by the strip's first tile).
+      const std::size_t strip = static_cast<std::size_t>(tile_row);
+      std::call_once(row_once[strip], row_sums, strip);
+      const std::vector<Acc>& asum = row_asum[strip];
+      const std::vector<double>& amag = row_amag[strip];
       std::vector<Acc> expected(static_cast<std::size_t>(n_eff), Acc{});
       std::vector<double> tol(static_cast<std::size_t>(n_eff), 0.0);
       for (int j = 0; j < n_eff; ++j) {
@@ -765,8 +775,20 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
     stats.recovery.alloc_fallbacks += rec.alloc_fallbacks;
     stats.recovery.degraded_tiles += rec.degraded_tiles;
     stats.recovery.poisoned_tiles += rec.poisoned_tiles;
-      },
-      popts);
+  };
+
+  // Fan out only onto an idle pool: checking and claiming it are one
+  // step, and a pool held by another request means this caller runs
+  // its own tiles in tile order instead of queueing behind it.
+  if (pool.try_parallel_for(static_cast<std::size_t>(grid.tiles()), 1,
+                            run_tile, popts)) {
+    if (fan_out) grid_fanout_ctr.increment();
+  } else {
+    grid_inline_busy_ctr.increment();
+    std::call_once(dispatch_logged, log_dispatch, "inline_busy");
+    ThreadPool::run_inline(static_cast<std::size_t>(grid.tiles()), run_tile,
+                           popts);
+  }
   if (exec.trace != nullptr) {
     exec.trace->event("exec.done", grid.tiles(),
                       static_cast<long>(stats.abft_detected));
@@ -783,6 +805,31 @@ void validate_shapes(const Matrix<T>& a, const Matrix<T>& b,
                  "tiled GEMM shape mismatch: A columns != B rows");
   M3XU_CHECK_MSG(a.rows() == c.rows() && b.cols() == c.cols(),
                  "tiled GEMM shape mismatch: C must be A.rows x B.cols");
+}
+
+/// Compiled-dispatch execute validation: the engine set the dispatch
+/// must carry, operand shapes, and a grid of ascending strips that
+/// covers C exactly.
+template <typename T>
+void validate_dispatch(const CompiledDispatch& d, const TileGrid& grid,
+                       const Matrix<T>& a, const Matrix<T>& b,
+                       const Matrix<T>& c) {
+  M3XU_CHECK_MSG(d.engine != nullptr && d.clean != nullptr,
+                 "CompiledDispatch must carry primary and clean engines");
+  M3XU_CHECK_MSG(!d.policy.demote || d.route_generic != nullptr,
+                 "CompiledDispatch with a demotion ladder must carry the "
+                 "route-forced engine clone");
+  validate_shapes(a, b, c);
+  const auto covers = [](const std::vector<int>& edges, int extent) {
+    if (edges.size() < 2 || edges.front() != 0 || edges.back() != extent) {
+      return false;
+    }
+    return std::adjacent_find(edges.begin(), edges.end(),
+                              std::greater_equal<int>()) == edges.end();
+  };
+  M3XU_CHECK_MSG(covers(grid.rows, c.rows()) && covers(grid.cols, c.cols()),
+                 "TileGrid must split C into ascending row and column "
+                 "strips that cover it exactly");
 }
 
 /// Entry-point validation shared by the public drivers.
@@ -845,6 +892,33 @@ struct AdHocDispatch {
 
 }  // namespace
 
+TileGrid TileGrid::uniform(int m, int n, const TileConfig& cfg) {
+  const auto strips = [](int extent, int block) {
+    std::vector<int> edges;
+    for (int e = 0; e < extent; e += block) edges.push_back(e);
+    edges.push_back(extent);
+    return edges;
+  };
+  return {strips(m, cfg.block_m), strips(n, cfg.block_n)};
+}
+
+double balance_bound(const TileGrid& grid, std::size_t threads) {
+  std::vector<double> load(std::max<std::size_t>(1, threads), 0.0);
+  double total = 0.0;
+  for (std::size_t i = 0; i + 1 < grid.rows.size(); ++i) {
+    for (std::size_t j = 0; j + 1 < grid.cols.size(); ++j) {
+      const double work = static_cast<double>(grid.rows[i + 1] - grid.rows[i]) *
+                          (grid.cols[j + 1] - grid.cols[j]);
+      *std::min_element(load.begin(), load.end()) += work;
+      total += work;
+    }
+  }
+  const double makespan = *std::max_element(load.begin(), load.end());
+  return makespan > 0.0
+             ? total / (static_cast<double>(load.size()) * makespan)
+             : 1.0;
+}
+
 void validate_tile_config(const TileConfig& config, int inst_k) {
   M3XU_CHECK_MSG(config.valid(),
                  "TileConfig invalid: block_m/block_n/block_k/warp_m/warp_n "
@@ -883,29 +957,20 @@ void validate_resilience_config(const RecoveryPolicy& policy,
 }
 
 TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec, const Matrix<float>& a,
-                             const Matrix<float>& b, Matrix<float>& c) {
-  M3XU_CHECK_MSG(dispatch.engine != nullptr && dispatch.clean != nullptr,
-                 "CompiledDispatch must carry primary and clean engines");
-  M3XU_CHECK_MSG(!dispatch.policy.demote || dispatch.route_generic != nullptr,
-                 "CompiledDispatch with a demotion ladder must carry the "
-                 "route-forced engine clone");
-  validate_shapes(a, b, c);
-  return run_tiled<float>(dispatch, exec, a, b, c);
+                             const ExecConfig& exec, const TileGrid& grid,
+                             const Matrix<float>& a, const Matrix<float>& b,
+                             Matrix<float>& c) {
+  validate_dispatch(dispatch, grid, a, b, c);
+  return run_tiled<float>(dispatch, exec, grid, a, b, c);
 }
 
 TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec,
+                             const ExecConfig& exec, const TileGrid& grid,
                              const Matrix<std::complex<float>>& a,
                              const Matrix<std::complex<float>>& b,
                              Matrix<std::complex<float>>& c) {
-  M3XU_CHECK_MSG(dispatch.engine != nullptr && dispatch.clean != nullptr,
-                 "CompiledDispatch must carry primary and clean engines");
-  M3XU_CHECK_MSG(!dispatch.policy.demote || dispatch.route_generic != nullptr,
-                 "CompiledDispatch with a demotion ladder must carry the "
-                 "route-forced engine clone");
-  validate_shapes(a, b, c);
-  return run_tiled<std::complex<float>>(dispatch, exec, a, b, c);
+  validate_dispatch(dispatch, grid, a, b, c);
+  return run_tiled<std::complex<float>>(dispatch, exec, grid, a, b, c);
 }
 
 TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
@@ -932,7 +997,9 @@ TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
   validate_resilience_config(policy, exec);
   const AdHocDispatch ad(engine, config, abft, policy,
                          core::MxuMode::kFp32);
-  return run_tiled<float>(ad.dispatch, exec, a, b, c);
+  return run_tiled<float>(ad.dispatch, exec,
+                          TileGrid::uniform(a.rows(), b.cols(), config), a, b,
+                          c);
 }
 
 TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
@@ -964,7 +1031,9 @@ TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
   validate_resilience_config(policy, exec);
   const AdHocDispatch ad(engine, config, abft, policy,
                          core::MxuMode::kFp32Complex);
-  return run_tiled<std::complex<float>>(ad.dispatch, exec, a, b, c);
+  return run_tiled<std::complex<float>>(
+      ad.dispatch, exec, TileGrid::uniform(a.rows(), b.cols(), config), a, b,
+      c);
 }
 
 double abft_column_tolerance(const core::M3xuEngine& engine,

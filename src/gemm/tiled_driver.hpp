@@ -18,6 +18,7 @@
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -46,6 +47,34 @@ struct TileConfig {
     return block_m % warp_m == 0 && block_n % warp_n == 0;
   }
 };
+
+/// The tile decomposition one driver call iterates: row strips
+/// [rows[i], rows[i+1]) crossed with column strips [cols[j],
+/// cols[j+1]). Tile t covers row strip t / grid_n() and column strip
+/// t % grid_n(); that flat index is what TileQuarantine keys and trace
+/// events carry. Any grid gives the same output bits: an M/N split
+/// never changes an element's K order (DESIGN.md section 15).
+struct TileGrid {
+  std::vector<int> rows;  // 0 = rows.front() < ... < rows.back() = m
+  std::vector<int> cols;  // 0 = cols.front() < ... < cols.back() = n
+
+  long grid_m() const { return static_cast<long>(rows.size()) - 1; }
+  long grid_n() const { return static_cast<long>(cols.size()) - 1; }
+  long tiles() const { return grid_m() * grid_n(); }
+
+  /// The TileConfig's fixed grid: block_m x block_n tiles, the last
+  /// row and column strip holding the remainder. The ad-hoc tiled_*
+  /// entries run exactly this grid.
+  static TileGrid uniform(int m, int n, const TileConfig& cfg);
+};
+
+/// Static balance bound of `grid` on `threads` workers: total tile
+/// work (elements; K is common to every tile) over threads x the
+/// makespan of a greedy schedule that hands each tile, in index order,
+/// to the least-loaded worker - the pool's dynamic claiming on
+/// equal-speed threads. 1.0 is perfect; a lone tile on 4 threads
+/// reads 0.25. Measured scaling efficiency can only be lower.
+double balance_bound(const TileGrid& grid, std::size_t threads);
 
 /// ABFT guard configuration for the tiled driver.
 struct AbftConfig {
@@ -77,8 +106,8 @@ class AbftFailure : public std::runtime_error {
         route_(route),
         attempts_(attempts) {}
 
-  /// Tile-grid coordinates of the failing threadblock tile (row index
-  /// bm / block_m, column index bn / block_n); -1 when unknown.
+  /// Tile-grid coordinates of the failing threadblock tile (its row
+  /// and column strip in the TileGrid the call ran); -1 when unknown.
   long tile_row() const { return tile_row_; }
   long tile_col() const { return tile_col_; }
   /// The last ladder rung the tile was attempted on.
@@ -122,7 +151,8 @@ struct TiledGemmStats {
 };
 
 /// C <- A*B + C through the tile hierarchy on the M3XU FP32 mode.
-/// Threadblock tiles are distributed over the global thread pool.
+/// Runs the TileConfig's uniform grid (TileGrid::uniform), distributed
+/// over the global thread pool.
 TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
                            const TileConfig& config, const Matrix<float>& a,
                            const Matrix<float>& b, Matrix<float>& c);
@@ -215,17 +245,25 @@ void validate_resilience_config(const RecoveryPolicy& policy,
 
 /// Executes one GEMM through a pre-compiled dispatch with zero
 /// per-call re-derivation: no config validation beyond the operand
-/// shape check, no engine clone construction, no eps/instruction-shape
-/// lookups. Bit-identical to the ad-hoc tiled_sgemm/tiled_cgemm with
-/// the same configs by construction (same run_tiled core). The
-/// ExecConfig carries the per-execute guard rails (token, deadline,
-/// B-panel cache).
+/// shape and grid checks, no engine clone construction, no
+/// eps/instruction-shape lookups. The driver iterates `grid` (the
+/// plan's choice for the pool; it must cover C exactly) and is
+/// bit-identical to the ad-hoc tiled_sgemm/tiled_cgemm for every grid
+/// by construction (same run_tiled core). The ExecConfig carries the
+/// per-execute guard rails (token, deadline, B-panel cache, pool).
+///
+/// Dispatch: a grid of more than one tile fans out across the pool
+/// when the pool is idle; when another caller holds it, the calling
+/// thread runs the tiles itself in tile order instead of queueing
+/// (ThreadPool::try_parallel_for). Same grid, same panel keys, same
+/// bits either way.
 TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec, const Matrix<float>& a,
-                             const Matrix<float>& b, Matrix<float>& c);
+                             const ExecConfig& exec, const TileGrid& grid,
+                             const Matrix<float>& a, const Matrix<float>& b,
+                             Matrix<float>& c);
 
 TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec,
+                             const ExecConfig& exec, const TileGrid& grid,
                              const Matrix<std::complex<float>>& a,
                              const Matrix<std::complex<float>>& b,
                              Matrix<std::complex<float>>& c);

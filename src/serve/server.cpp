@@ -363,13 +363,12 @@ void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
   // The driver requires a deadline backstop for stall detection, so a
   // no-deadline request runs without it.
   rails.stall_ms = remaining_ms > 0 ? config_.stall_ms : 0;
-  const long grid_m =
-      (a.rows() + config_.tile.block_m - 1) / config_.tile.block_m;
-  const long grid_n =
-      (b.cols() + config_.tile.block_n - 1) / config_.tile.block_n;
   if (config_.recovery.demote) {
-    rails.quarantine =
-        &tenant_quarantine(req->options_.tenant, grid_m, grid_n);
+    // Quarantine keys index the tiles this request runs: the plan's
+    // grid for the pool it executes on (the global pool).
+    const gemm::TileGrid& grid = plan.grid();
+    rails.quarantine = &tenant_quarantine(req->options_.tenant,
+                                          grid.grid_m(), grid.grid_n());
   }
   if (req->options_.b_key != 0) {
     rails.b_cache = &cache_;

@@ -4,8 +4,11 @@
 // Tenants submit asynchronous sgemm/cgemm requests; a bounded priority
 // queue applies admission control (reject-new or evict-lowest-priority
 // - either way the loser terminates as kShed, never a silent drop);
-// executor threads pop requests and run them on the shared ThreadPool
-// through tiled_sgemm/tiled_cgemm with the full resilience stack:
+// executor threads pop requests and run them through per-tenant
+// GemmPlans with the full resilience stack. A request whose plan grid
+// has several tiles fans them out across the shared ThreadPool when
+// the pool is idle, and runs them on its own executor thread when
+// another request holds it (never queueing for the pool):
 //
 //   - per-request deadline propagated end-to-end: a CancelTimer latches
 //     the request's CancellationToken (reason kDeadline) and the pool
@@ -50,8 +53,9 @@ namespace m3xu::serve {
 
 struct ServerConfig {
   /// Executor threads popping the submission queue. Each runs one
-  /// request at a time; their parallel_for calls queue on the shared
-  /// pool (see common/thread_pool.hpp).
+  /// request at a time: across the shared pool when it is idle, on the
+  /// executor's own thread when another request holds it (see
+  /// common/thread_pool.hpp, try_parallel_for).
   int executors = 2;
   /// Bounded submission queue: at most this many queued requests.
   std::size_t queue_capacity = 64;
@@ -69,6 +73,8 @@ struct ServerConfig {
   int max_attempts = 3;
   /// Base retry backoff, ms; doubles per retry. 0 retries immediately.
   std::int64_t retry_backoff_ms = 1;
+  /// Tiling for every request's plan: block_m / block_n cap the tile,
+  /// and each plan picks its grid for the pool (gemm::plan_grid).
   gemm::TileConfig tile;
   /// ABFT guard for every request (serving typically enables it).
   gemm::AbftConfig abft;
@@ -133,7 +139,9 @@ class GemmServer {
   const SloMonitor& slo() const { return slo_; }
 
   /// The quarantined-tile count for one tenant's grid (tests/benches;
-  /// 0 when that tenant never demoted on that grid).
+  /// 0 when that tenant never demoted on that grid). Quarantines are
+  /// keyed by the plan's grid (GemmPlan::grid() for the global pool),
+  /// not by ServerConfig::tile.
   std::size_t tenant_quarantine_size(const std::string& tenant, long grid_m,
                                      long grid_n) const;
 

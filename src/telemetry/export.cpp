@@ -21,6 +21,21 @@ std::string git_revision() {
   return rev.empty() ? "unknown" : rev;
 }
 
+namespace {
+
+/// Environment::git_dirty: tracked files differ from HEAD.
+bool git_dirty() {
+  std::FILE* pipe = ::popen(
+      "git status --porcelain --untracked-files=no 2>/dev/null", "r");
+  if (pipe == nullptr) return false;
+  std::array<char, 64> buf{};
+  const bool any = std::fgets(buf.data(), buf.size(), pipe) != nullptr;
+  ::pclose(pipe);
+  return any;
+}
+
+}  // namespace
+
 Environment collect_environment() {
   Environment env;
 #if defined(__VERSION__)
@@ -29,6 +44,7 @@ Environment collect_environment() {
   env.compiler = "unknown";
 #endif
   env.git_rev = git_revision();
+  env.git_dirty = git_dirty();
   return env;
 }
 
@@ -63,6 +79,7 @@ void write_environment(JsonWriter& w, const Environment& env) {
   w.key("environment").begin_object();
   w.kv("compiler", env.compiler);
   w.kv("git_revision", env.git_rev);
+  w.kv("git_dirty", env.git_dirty);
   w.kv("telemetry_enabled", static_cast<bool>(M3XU_TELEMETRY_ENABLED));
   w.end_object();
 }

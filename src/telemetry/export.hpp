@@ -17,6 +17,11 @@ namespace m3xu::telemetry {
 struct Environment {
   std::string compiler;  // __VERSION__ of the telemetry build
   std::string git_rev;   // short HEAD revision, or "unknown"
+  /// True when tracked files differ from git_rev (`git status
+  /// --porcelain --untracked-files=no` is non-empty): the numbers came
+  /// from an uncommitted tree on top of git_rev. False outside a
+  /// checkout.
+  bool git_dirty = false;
 };
 
 Environment collect_environment();

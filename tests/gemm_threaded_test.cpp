@@ -9,8 +9,11 @@
 // and the shared TiledGemmStats reduction are the interesting surface.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <complex>
 #include <cstring>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "gemm/matrix.hpp"
 #include "gemm/plan.hpp"
 #include "gemm/tiled_driver.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace m3xu::gemm {
 namespace {
@@ -172,6 +176,66 @@ TEST(ThreadedDriver, ForcedRegisterBlockShapesStayPoolInvariant) {
     SCOPED_TRACE(mr * 100 + nr);
     expect_pool_invariance("microkernel", cfg, AbftConfig{}, p);
   }
+}
+
+TEST(ThreadedDriver, BusyPoolRunsPlanTilesInlineWithoutQueueing) {
+  // While another thread's parallel_for holds pool P on a latch, a plan
+  // execute whose grid fans out on P must not queue behind it: it runs
+  // its own tiles on the calling thread, finishes before the latch is
+  // released, and produces the same bits. If the execute queued, it
+  // would wait on the latch forever; the timeout below turns that into
+  // a failure instead of a hang.
+  // ABFT on: the fanned-out run computes the row strip's checksum
+  // ingredients once, from whichever tile gets there first.
+  const Problem<float> p = make<float>(32, 128, 128, 907);
+  PlanOptions opts;
+  opts.abft.enable = true;
+  const GemmPlan plan = GemmPlan::compile(
+      core::M3xuConfig{}, {p.a.rows(), p.b.cols(), p.a.cols(), false}, opts);
+  ThreadPool pool(4);
+  ASSERT_EQ(plan.grid(&pool).tiles(), 4);  // 32x128x128: four 32-col strips
+
+  ExecRails rails;
+  rails.pool = &pool;
+  Matrix<float> want = p.c;
+  plan.execute(p.a, p.b, want, rails);  // idle pool: fans out
+
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    pool.parallel_for(2, 1, [&](std::size_t i) {
+      if (i != 0) return;
+      holding.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+
+  const telemetry::Snapshot before = telemetry::snapshot();
+  Matrix<float> got = p.c;
+  std::atomic<bool> done{false};
+  std::thread runner([&] {
+    plan.execute(p.a, p.b, got, rails);
+    done.store(true);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!done.load() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool finished_while_held = done.load();
+  const telemetry::Snapshot after = telemetry::snapshot();
+  release.store(true);
+  runner.join();
+  holder.join();
+
+  EXPECT_TRUE(finished_while_held)
+      << "execute waited for the busy pool instead of running inline";
+  EXPECT_TRUE(bits_equal(got, want));
+  EXPECT_EQ(after.counter_delta(before, "threadpool.submissions_queued"), 0u);
+#if M3XU_TELEMETRY_ENABLED
+  EXPECT_EQ(after.counter_delta(before, "gemm.grid.inline_busy"), 1u);
+#endif
 }
 
 }  // namespace

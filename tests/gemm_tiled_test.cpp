@@ -8,8 +8,10 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
+#include "gemm/plan.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/tiled_driver.hpp"
 
@@ -72,6 +74,39 @@ TEST(TiledGemm, StatsMatchGeometry) {
   EXPECT_DOUBLE_EQ(s.staged_bytes, 4.0 * (128 + 128) * 32 * 4);
   // MMA instructions: M*N*K / (16*8*8).
   EXPECT_EQ(s.mma_instructions, 256L * 128 * 64 / (16 * 8 * 8));
+}
+
+TEST(TiledGemm, AdHocEntriesRunTheUniformGridOnAnyPool) {
+  // The ad-hoc entries run TileConfig's exact uniform grid whatever the
+  // pool: 32x128x128 stays one 128x128 tile on a 4-thread pool, where
+  // a plan splits it into four 32-column strips (each restaging A).
+  // Same bits either way.
+  const core::M3xuEngine engine;
+  const Problem p = make(32, 128, 128, 512);
+  ThreadPool pool(4);
+  ExecConfig exec;
+  exec.pool = &pool;
+  Matrix<float> c = p.c;
+  const TiledGemmStats s = tiled_sgemm(engine, TileConfig{}, AbftConfig{},
+                                       RecoveryPolicy{}, exec, p.a, p.b, c);
+  EXPECT_EQ(s.block_tiles, 1);
+  EXPECT_EQ(s.mainloop_iterations, 4);  // K=128 / block_k=32
+  EXPECT_DOUBLE_EQ(s.staged_bytes, (32.0 + 128) * 128 * 4);
+
+  const GemmPlan plan = GemmPlan::compile(core::M3xuConfig{},
+                                          {32, 128, 128, false});
+  ExecRails rails;
+  rails.pool = &pool;
+  Matrix<float> cp = p.c;
+  const TiledGemmStats sp = plan.execute(p.a, p.b, cp, rails);
+  EXPECT_EQ(sp.block_tiles, 4);
+  EXPECT_EQ(sp.mainloop_iterations, 4 * 4);
+  EXPECT_DOUBLE_EQ(sp.staged_bytes, 4 * (32.0 + 32) * 128 * 4);
+  for (int i = 0; i < 32; ++i) {
+    for (int j = 0; j < 128; ++j) {
+      ASSERT_EQ(bits_of(cp(i, j)), bits_of(c(i, j))) << i << "," << j;
+    }
+  }
 }
 
 TEST(TiledGemm, RaggedEdgesBitIdenticalToFlatLoop) {

@@ -174,6 +174,12 @@ class BlockedServerTest : public ::testing::Test {
     cfg.executors = 1;
     cfg.queue_capacity = queue_capacity;
     cfg.admission = admission;
+    // Every tile pass stalls its worker (kWorkerStall), so the blocker
+    // occupies the only executor by construction until the test
+    // cancels it, rather than for however long the host takes to
+    // compute a 192^3 GEMM. No request queued behind it ever runs.
+    stall_.stall_duration_ms = 50;
+    cfg.engine.injector = &stall_;
     server_.emplace(cfg);
     blocker_problem_ = make(192, 192, 192, 3);
     blocker_ = server_->submit_sgemm(blocker_problem_.a, blocker_problem_.b,
@@ -187,6 +193,8 @@ class BlockedServerTest : public ::testing::Test {
     if (server_) server_->shutdown();
   }
 
+  fault::FaultInjector stall_{
+      21, fault::SiteRates::only(fault::Site::kWorkerStall, 1.0)};
   std::optional<GemmServer> server_;
   Problem blocker_problem_;
   RequestHandle blocker_;
@@ -385,6 +393,49 @@ TEST(GemmServer, QuarantineIsScopedPerTenant) {
   server.shutdown();
 }
 
+TEST(GemmServer, QuarantineKeysFollowThePlanGrid) {
+  // 32x128x128 is one 128x128 TileConfig tile, but its plan splits it
+  // across the global pool (four 32-column strips on 4 threads; one
+  // tile on a 1-thread pool). Every tile of a faulty request demotes
+  // and is quarantined under the plan's grid, and the next request on
+  // that shape starts exactly those tiles on their quarantined rung.
+  ServerConfig cfg = base_config();
+  cfg.tile = gemm::TileConfig{};
+  cfg.executors = 1;
+  const fault::FaultInjector inj(
+      15, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
+  cfg.engine.injector = &inj;
+  GemmServer server(cfg);
+  gemm::PlanOptions opts;
+  opts.tile = cfg.tile;
+  opts.abft = cfg.abft;
+  opts.policy = cfg.recovery;
+  opts.reuse_b_panels = false;
+  const gemm::GemmPlan plan =
+      gemm::GemmPlan::compile(cfg.engine, {32, 128, 128, false}, opts);
+  const gemm::TileGrid& grid = plan.grid();  // the global pool's grid
+  const Problem p = make(32, 128, 128, 15);
+
+  const RequestHandle r1 = server.submit_sgemm(p.a, p.b, p.c);
+  r1->wait();
+  ASSERT_EQ(r1->status(), RequestStatus::kOk) << r1->error();
+  EXPECT_EQ(r1->stats().block_tiles, grid.tiles());
+  EXPECT_EQ(r1->stats().recovery.quarantined, grid.tiles());
+  EXPECT_EQ(server.tenant_quarantine_size("default", grid.grid_m(),
+                                          grid.grid_n()),
+            static_cast<std::size_t>(grid.tiles()));
+  if (grid.tiles() > 1) {
+    EXPECT_EQ(server.tenant_quarantine_size("default", 1, 1), 0u);
+  }
+
+  const RequestHandle r2 = server.submit_sgemm(p.a, p.b, p.c);
+  r2->wait();
+  ASSERT_EQ(r2->status(), RequestStatus::kOk) << r2->error();
+  EXPECT_EQ(r2->stats().recovery.quarantine_hits, grid.tiles());
+  EXPECT_EQ(r2->stats().recovery.demotions, 0);
+  server.shutdown();
+}
+
 TEST(GemmServer, PackCacheCoalescesSameWeightsRequests) {
   const ServerConfig cfg = base_config();
   const core::M3xuEngine direct_engine{cfg.engine};
@@ -518,8 +569,14 @@ TEST(GemmServer, RepeatedShapesReuseOneCompiledPlan) {
 }
 
 TEST(GemmServer, CancelMidRunResolvesCancelled) {
+  // Stalled tile passes keep the request running until the cancel
+  // lands, whatever the host's speed (see BlockedServerTest).
   ServerConfig cfg = base_config();
   cfg.executors = 1;
+  fault::FaultInjector stall(
+      22, fault::SiteRates::only(fault::Site::kWorkerStall, 1.0));
+  stall.stall_duration_ms = 50;
+  cfg.engine.injector = &stall;
   GemmServer server(cfg);
   const Problem p = make(192, 192, 192, 16);
   const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
