@@ -4,12 +4,14 @@
 // domain per fault class:
 //
 //   datapath (operand_a/b, partial_product, accumulator) and
-//   staged_panel - single-tile geometry so every corruption is
-//     classifiable against the ABFT tolerance; the guarded run must
-//     detect every guaranteed-detectable corruption and leave no
-//     supra-tolerance deviation in its output (zero SDC escapes);
+//   staged_panel - single-tile geometry on a 1-thread pool so every
+//     corruption replays and is classifiable against the ABFT
+//     tolerance; the guarded run must detect every guaranteed-
+//     detectable corruption and leave no supra-tolerance deviation in
+//     its output (zero SDC escapes);
 //   alloc_failure - multi-tile SGEMM/CGEMM with injected packed-panel
-//     allocation failures; the per-dot fallback must be bit-exact;
+//     allocation failures on a 1-thread pool (the uniform grid fixes
+//     the fallback count); the per-dot fallback must be bit-exact;
 //   worker_stall  - injected worker sleeps; the GEMM must complete
 //     bit-exactly (no watchdog armed, so the stall only costs time);
 //   cancellation  - a timer thread latches a CancellationToken mid
@@ -23,6 +25,9 @@
 //
 // Flags: --quick (CI-sized trial counts), --seed, --trials (per-site
 // override), --json=path (coverage table; default stdout).
+//
+// Every GEMM runs through a GemmPlan under the default recovery ladder;
+// references are the flat engine loop.
 //
 // Exit status: nonzero on any escape, non-bit-exact clean-domain
 // result, unrecovered detection, missing expected abort, or watchdog
@@ -41,8 +46,10 @@
 #include "common/cancellation.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
+#include "gemm/plan.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
@@ -88,6 +95,33 @@ void fill(Rng& rng, gemm::Matrix<T>& mat) {
       }
     }
   }
+}
+
+/// The fault-free reference: the flat engine loop, which every tiled
+/// route matches bit for bit.
+template <typename T>
+gemm::Matrix<T> flat_ref(const gemm::Matrix<T>& a, const gemm::Matrix<T>& b,
+                         const gemm::Matrix<T>& c0) {
+  const core::M3xuEngine clean{core::M3xuConfig{}};
+  gemm::Matrix<T> ref = c0;
+  if constexpr (std::is_same_v<T, float>) {
+    clean.gemm_fp32(a.rows(), b.cols(), a.cols(), a.data(), a.ld(), b.data(),
+                    b.ld(), ref.data(), ref.ld());
+  } else {
+    clean.gemm_fp32c(a.rows(), b.cols(), a.cols(), a.data(), a.ld(),
+                     b.data(), b.ld(), ref.data(), ref.ld());
+  }
+  return ref;
+}
+
+/// Rails on a 1-thread pool: the plan keeps the TileConfig's uniform
+/// grid and runs its tiles in order, so a fresh injector with the same
+/// seed replays the same faults on the same tiles.
+gemm::ExecRails one_thread() {
+  static ThreadPool pool(1);
+  gemm::ExecRails rails;
+  rails.pool = &pool;
+  return rails;
 }
 
 /// Per-domain soak tally, serialized into the JSON coverage table.
@@ -152,6 +186,18 @@ gemm::AbftConfig soak_abft() {
   return abft;
 }
 
+/// The plan for one soak geometry on `engine` (which carries the
+/// trial's injector, if any), under the default recovery ladder. Every
+/// soak GEMM brings a fresh B, so the plan keeps no B panels.
+gemm::GemmPlan soak_plan(const core::M3xuConfig& engine, const Geometry& g,
+                         const gemm::AbftConfig& abft, bool cplx = false) {
+  gemm::PlanOptions options;
+  options.tile = g.tile;
+  options.abft = abft;
+  options.reuse_b_panels = false;
+  return gemm::GemmPlan::compile(engine, {g.m, g.n, g.k, cplx}, options);
+}
+
 /// Detect-capable domains (datapath sites + staged panels): classify
 /// the raw damage unguarded, then require the guarded resilient run to
 /// detect every guaranteed-detectable corruption and emit an output
@@ -167,8 +213,7 @@ void soak_detect_domain(DomainStats& d, fault::Site site, double rate,
     fill(rng, a);
     fill(rng, b);
     fill(rng, c0);
-    gemm::Matrix<float> ref = c0;
-    gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+    const gemm::Matrix<float> ref = flat_ref(a, b, c0);
 
     const fault::SiteRates rates = fault::SiteRates::only(site, rate);
     const std::uint64_t inj_seed = rng.seed() ^ 0xc4a05c4a05ull;
@@ -178,9 +223,8 @@ void soak_detect_domain(DomainStats& d, fault::Site site, double rate,
     const fault::FaultInjector raw_inj(inj_seed, rates);
     core::M3xuConfig raw_cfg;
     raw_cfg.injector = &raw_inj;
-    const core::M3xuEngine raw_eng(raw_cfg);
     gemm::Matrix<float> raw = c0;
-    gemm::tiled_sgemm(raw_eng, g.tile, a, b, raw);
+    soak_plan(raw_cfg, g, gemm::AbftConfig{}).execute(a, b, raw, one_thread());
     d.faults += static_cast<long>(raw_inj.total_injected());
     std::vector<double> limit(static_cast<std::size_t>(g.n), 0.0);
     bool corrupting = false;
@@ -199,14 +243,12 @@ void soak_detect_domain(DomainStats& d, fault::Site site, double rate,
     const fault::FaultInjector inj(inj_seed, rates);
     core::M3xuConfig cfg;
     cfg.injector = &inj;
-    const core::M3xuEngine eng(cfg);
-    const gemm::RecoveryPolicy policy;  // full ladder, throw terminal
     gemm::Matrix<float> fixed = c0;
     telemetry::TraceContext trace("soak", d.name);
-    gemm::ExecConfig exec;
-    exec.trace = &trace;
+    gemm::ExecRails rails = one_thread();
+    rails.trace = &trace;
     const gemm::TiledGemmStats stats =
-        gemm::tiled_sgemm(eng, g.tile, abft, policy, exec, a, b, fixed);
+        soak_plan(cfg, g, abft).execute(a, b, fixed, rails);
     const bool detected = stats.abft_detected > 0;
     if (detected && d.timeline_json.empty()) {
       d.timeline_json = trace.to_json();
@@ -242,7 +284,6 @@ void soak_detect_domain(DomainStats& d, fault::Site site, double rate,
 void soak_alloc_domain(DomainStats& d, int trials, const Rng& root) {
   const Geometry g = multi_tile();
   const gemm::AbftConfig abft = soak_abft();
-  const core::M3xuEngine clean{core::M3xuConfig{}};
   for (int trial = 0; trial < trials; ++trial) {
     Rng rng = root.split(static_cast<std::uint64_t>(trial));
     const fault::SiteRates rates =
@@ -250,18 +291,15 @@ void soak_alloc_domain(DomainStats& d, int trials, const Rng& root) {
     const fault::FaultInjector inj(rng.seed() ^ 0xa110cull, rates);
     core::M3xuConfig cfg;
     cfg.injector = &inj;
-    const core::M3xuEngine eng(cfg);
-    const gemm::RecoveryPolicy policy;
     if (trial % 2 == 0) {
       gemm::Matrix<float> a(g.m, g.k), b(g.k, g.n), c0(g.m, g.n);
       fill(rng, a);
       fill(rng, b);
       fill(rng, c0);
-      gemm::Matrix<float> ref = c0;
-      gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+      const gemm::Matrix<float> ref = flat_ref(a, b, c0);
       gemm::Matrix<float> out = c0;
-      const gemm::TiledGemmStats stats = gemm::tiled_sgemm(
-          eng, g.tile, abft, policy, gemm::ExecConfig{}, a, b, out);
+      const gemm::TiledGemmStats stats =
+          soak_plan(cfg, g, abft).execute(a, b, out, one_thread());
       d.alloc_fallbacks += stats.recovery.alloc_fallbacks;
       if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     } else {
@@ -270,11 +308,11 @@ void soak_alloc_domain(DomainStats& d, int trials, const Rng& root) {
       fill(rng, a);
       fill(rng, b);
       fill(rng, c0);
-      gemm::Matrix<C> ref = c0;
-      gemm::tiled_cgemm(clean, g.tile, a, b, ref);
+      const gemm::Matrix<C> ref = flat_ref(a, b, c0);
       gemm::Matrix<C> out = c0;
-      const gemm::TiledGemmStats stats = gemm::tiled_cgemm(
-          eng, g.tile, abft, policy, gemm::ExecConfig{}, a, b, out);
+      const gemm::TiledGemmStats stats =
+          soak_plan(cfg, g, abft, /*cplx=*/true)
+              .execute(a, b, out, one_thread());
       d.alloc_fallbacks += stats.recovery.alloc_fallbacks;
       if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     }
@@ -287,25 +325,21 @@ void soak_alloc_domain(DomainStats& d, int trials, const Rng& root) {
 /// cost time, never bits.
 void soak_stall_domain(DomainStats& d, int trials, const Rng& root) {
   const Geometry g = multi_tile();
-  const core::M3xuEngine clean{core::M3xuConfig{}};
   for (int trial = 0; trial < trials; ++trial) {
     Rng rng = root.split(static_cast<std::uint64_t>(trial));
     gemm::Matrix<float> a(g.m, g.k), b(g.k, g.n), c0(g.m, g.n);
     fill(rng, a);
     fill(rng, b);
     fill(rng, c0);
-    gemm::Matrix<float> ref = c0;
-    gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+    const gemm::Matrix<float> ref = flat_ref(a, b, c0);
     fault::FaultInjector inj(rng.seed() ^ 0x57a11ull,
                              fault::SiteRates::only(fault::Site::kWorkerStall,
                                                     0.2));
     inj.stall_duration_ms = 2;
     core::M3xuConfig cfg;
     cfg.injector = &inj;
-    const core::M3xuEngine eng(cfg);
     gemm::Matrix<float> out = c0;
-    gemm::tiled_sgemm(eng, g.tile, soak_abft(), gemm::RecoveryPolicy{},
-                      gemm::ExecConfig{}, a, b, out);
+    soak_plan(cfg, g, soak_abft()).execute(a, b, out);
     d.faults += static_cast<long>(inj.total_injected());
     if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     ++d.trials;
@@ -316,15 +350,14 @@ void soak_stall_domain(DomainStats& d, int trials, const Rng& root) {
 /// only acceptable outcomes are CancelledError or a bit-exact result.
 void soak_cancel_domain(DomainStats& d, int trials, const Rng& root) {
   const Geometry g = multi_tile();
-  const core::M3xuEngine clean{core::M3xuConfig{}};
+  const gemm::GemmPlan plan = soak_plan(core::M3xuConfig{}, g, soak_abft());
   for (int trial = 0; trial < trials; ++trial) {
     Rng rng = root.split(static_cast<std::uint64_t>(trial));
     gemm::Matrix<float> a(g.m, g.k), b(g.k, g.n), c0(g.m, g.n);
     fill(rng, a);
     fill(rng, b);
     fill(rng, c0);
-    gemm::Matrix<float> ref = c0;
-    gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+    const gemm::Matrix<float> ref = flat_ref(a, b, c0);
     CancellationToken token;
     const auto delay =
         std::chrono::microseconds(200 + 300 * (trial % 5));
@@ -332,12 +365,11 @@ void soak_cancel_domain(DomainStats& d, int trials, const Rng& root) {
       std::this_thread::sleep_for(delay);
       token.request_cancel("chaos soak cancel");
     });
-    gemm::ExecConfig exec;
-    exec.token = &token;
+    gemm::ExecRails rails;
+    rails.token = &token;
     gemm::Matrix<float> out = c0;
     try {
-      gemm::tiled_sgemm(clean, g.tile, soak_abft(), gemm::RecoveryPolicy{},
-                        exec, a, b, out);
+      plan.execute(a, b, out, rails);
       if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     } catch (const CancelledError&) {
       ++d.cancelled;
@@ -363,14 +395,13 @@ void soak_watchdog_domain(DomainStats& d, int trials, const Rng& root) {
     inj.stall_duration_ms = 50;
     core::M3xuConfig cfg;
     cfg.injector = &inj;
-    const core::M3xuEngine eng(cfg);
-    gemm::ExecConfig exec;
-    exec.stall_ms = 20;
-    exec.deadline_ms = 150;
+    const gemm::GemmPlan plan = soak_plan(cfg, g, soak_abft());
+    gemm::ExecRails rails;
+    rails.stall_ms = 20;
+    rails.deadline_ms = 150;
     gemm::Matrix<float> out = c0;
     try {
-      gemm::tiled_sgemm(eng, g.tile, soak_abft(), gemm::RecoveryPolicy{},
-                        exec, a, b, out);
+      plan.execute(a, b, out, rails);
       ++d.missing_aborts;
     } catch (const DeadlineExceeded&) {
       ++d.deadline_aborts;
@@ -384,24 +415,22 @@ void soak_watchdog_domain(DomainStats& d, int trials, const Rng& root) {
 /// watchdog-abort counter (zero false positives).
 void soak_clean_domain(DomainStats& d, int trials, const Rng& root) {
   const Geometry g = multi_tile();
-  const core::M3xuEngine clean{core::M3xuConfig{}};
+  const gemm::GemmPlan plan = soak_plan(core::M3xuConfig{}, g, soak_abft());
   for (int trial = 0; trial < trials; ++trial) {
     Rng rng = root.split(static_cast<std::uint64_t>(trial));
     gemm::Matrix<float> a(g.m, g.k), b(g.k, g.n), c0(g.m, g.n);
     fill(rng, a);
     fill(rng, b);
     fill(rng, c0);
-    gemm::Matrix<float> ref = c0;
-    gemm::tiled_sgemm(clean, g.tile, a, b, ref);
+    const gemm::Matrix<float> ref = flat_ref(a, b, c0);
     CancellationToken token;  // never cancelled
-    gemm::ExecConfig exec;
-    exec.token = &token;
-    exec.deadline_ms = 60'000;
-    exec.stall_ms = 60'000;
+    gemm::ExecRails rails;
+    rails.token = &token;
+    rails.deadline_ms = 60'000;
+    rails.stall_ms = 60'000;
     const telemetry::Snapshot before = telemetry::snapshot();
     gemm::Matrix<float> out = c0;
-    const gemm::TiledGemmStats stats = gemm::tiled_sgemm(
-        clean, g.tile, soak_abft(), gemm::RecoveryPolicy{}, exec, a, b, out);
+    const gemm::TiledGemmStats stats = plan.execute(a, b, out, rails);
     const telemetry::Snapshot after = telemetry::snapshot();
     if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     if (stats.abft_detected > 0) ++d.false_positives;

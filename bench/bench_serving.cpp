@@ -65,6 +65,7 @@
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
+#include "gemm/plan.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "serve/server.hpp"
 #include "telemetry/exposition.hpp"
@@ -148,7 +149,8 @@ std::vector<Tenant> make_tenants(int count, const Geometry& g,
     fill_random(tn.b, rng);
     fill_random(tn.c0, rng);
     tn.golden = tn.c0;
-    gemm::tiled_sgemm(clean, g.tile, tn.a, tn.b, tn.golden);
+    clean.gemm_fp32(g.m, g.n, g.k, tn.a.data(), tn.a.ld(), tn.b.data(),
+                    tn.b.ld(), tn.golden.data(), tn.golden.ld());
     if (with_limits) {
       tn.limit.resize(static_cast<std::size_t>(g.n));
       for (int j = 0; j < g.n; ++j) {
@@ -301,9 +303,12 @@ CleanResult run_clean(bool quick, std::uint64_t seed) {
   // open-loop stream runs near (but under) saturation on any machine.
   const double t0 = now_ms();
   {
-    const core::M3xuEngine clean{core::M3xuConfig{}};
+    gemm::PlanOptions options;
+    options.tile = g.tile;
+    const gemm::GemmPlan plan = gemm::GemmPlan::compile(
+        core::M3xuConfig{}, {g.m, g.n, g.k, false}, options);
     gemm::Matrix<float> warm = tenants[0].c0;
-    gemm::tiled_sgemm(clean, g.tile, tenants[0].a, tenants[0].b, warm);
+    plan.execute(tenants[0].a, tenants[0].b, warm);
   }
   const double service_ms = std::max(0.5, now_ms() - t0);
   const double mean_gap_ms = service_ms / static_cast<double>(cfg.executors);

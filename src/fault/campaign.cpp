@@ -6,7 +6,9 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "gemm/matrix.hpp"
+#include "gemm/plan.hpp"
 #include "telemetry/json.hpp"
 
 namespace m3xu::fault {
@@ -43,8 +45,28 @@ struct TrialOutcome {
   bool abft_failure = false;
 };
 
+/// One trial GEMM through a single-use plan on `pool`: `abft` off for
+/// the reference and raw runs, on (with the clean-recompute protocol)
+/// for the guarded one.
+gemm::TiledGemmStats run_plan(const core::M3xuConfig& engine,
+                              const CampaignConfig& cfg, bool abft,
+                              ThreadPool& pool, const gemm::Matrix<float>& a,
+                              const gemm::Matrix<float>& b,
+                              gemm::Matrix<float>& c) {
+  gemm::PlanOptions options;
+  options.tile = cfg.tile;
+  if (abft) options.abft = cfg.abft;
+  options.policy.demote = false;
+  options.reuse_b_panels = false;
+  const gemm::GemmPlan plan =
+      gemm::GemmPlan::compile(engine, {cfg.m, cfg.n, cfg.k, false}, options);
+  gemm::ExecRails rails;
+  rails.pool = &pool;
+  return plan.execute(a, b, c, rails);
+}
+
 TrialOutcome run_trial(const CampaignConfig& cfg, Site site, double rate,
-                       std::uint64_t trial_seed) {
+                       std::uint64_t trial_seed, ThreadPool& pool) {
   Rng rng(trial_seed);
   gemm::Matrix<float> a(cfg.m, cfg.k), b(cfg.k, cfg.n), c0(cfg.m, cfg.n);
   for (int i = 0; i < cfg.m; ++i) {
@@ -63,7 +85,7 @@ TrialOutcome run_trial(const CampaignConfig& cfg, Site site, double rate,
 
   // Fault-free reference through the same tiled path.
   gemm::Matrix<float> ref = c0;
-  gemm::tiled_sgemm(clean, cfg.tile, a, b, ref);
+  run_plan(core::M3xuConfig{}, cfg, /*abft=*/false, pool, a, b, ref);
 
   TrialOutcome out;
 
@@ -71,9 +93,8 @@ TrialOutcome run_trial(const CampaignConfig& cfg, Site site, double rate,
   const FaultInjector unguarded_inj(inj_seed, rates);
   core::M3xuConfig faulty_cfg;
   faulty_cfg.injector = &unguarded_inj;
-  const core::M3xuEngine faulty(faulty_cfg);
   gemm::Matrix<float> raw = c0;
-  gemm::tiled_sgemm(faulty, cfg.tile, a, b, raw);
+  run_plan(faulty_cfg, cfg, /*abft=*/false, pool, a, b, raw);
   out.faults = static_cast<long>(unguarded_inj.total_injected());
   out.perturbed = !bitwise_equal(raw, ref);
   for (int j = 0; j < cfg.n && !out.corrupting; ++j) {
@@ -98,11 +119,10 @@ TrialOutcome run_trial(const CampaignConfig& cfg, Site site, double rate,
   const FaultInjector guarded_inj(inj_seed, rates);
   core::M3xuConfig guarded_cfg;
   guarded_cfg.injector = &guarded_inj;
-  const core::M3xuEngine guarded(guarded_cfg);
   gemm::Matrix<float> fixed = c0;
   try {
     const gemm::TiledGemmStats stats =
-        gemm::tiled_sgemm(guarded, cfg.tile, cfg.abft, a, b, fixed);
+        run_plan(guarded_cfg, cfg, /*abft=*/true, pool, a, b, fixed);
     out.detected = stats.abft_detected > 0;
     out.corrected = out.detected && bitwise_equal(fixed, ref);
   } catch (const gemm::AbftFailure&) {
@@ -159,6 +179,9 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   M3XU_CHECK_MSG(config.abft.enable,
                  "fault campaign measures the ABFT guard; abft.enable must "
                  "be set");
+  // One thread: the plan keeps the single uniform tile, and the raw and
+  // guarded runs consult their injectors in the same order.
+  ThreadPool pool(1);
   CampaignResult result;
   result.config = config;
   std::size_t cell_index = 0;
@@ -171,7 +194,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       for (int trial = 0; trial < config.trials; ++trial) {
         const std::uint64_t trial_seed = mix(
             config.seed + cell_index * 0x10001ull * config.trials + trial);
-        const TrialOutcome out = run_trial(config, site, rate, trial_seed);
+        const TrialOutcome out =
+            run_trial(config, site, rate, trial_seed, pool);
         cell.faults_injected += out.faults;
         cell.faulted += out.faults > 0 ? 1 : 0;
         cell.perturbed += out.perturbed ? 1 : 0;

@@ -12,9 +12,11 @@
 //      guaranteed-detectable; below it, the flip hides inside legit
 //      rounding and is benign by construction);
 //   2. guarded, to measure what the ABFT checksums actually catch and
-//      what the detect/recompute protocol repairs.
-// The campaign uses a single-tile geometry so the serial parallel_for
-// path keeps the injector call order bit-reproducible.
+//      what the clean-recompute protocol (RecoveryPolicy::demote =
+//      false) repairs.
+// Both runs go through GemmPlans on a 1-thread pool with a
+// single-tile geometry, so the plan keeps one uniform tile and the
+// injector call order stays bit-reproducible.
 #pragma once
 
 #include <cstdint>

@@ -8,7 +8,7 @@
 // same column of the grid - and requests against the same weights -
 // coalesce onto one pack.
 //
-// The driver only consults the cache when ExecConfig::b_key is nonzero
+// The driver only consults the cache when ExecRails::b_key is nonzero
 // AND the executing engine carries no fault injector: injected
 // staged-panel corruption must never be published into a cache shared
 // across requests (it would turn one transient fault into a persistent
@@ -35,7 +35,7 @@ namespace m3xu::gemm {
 /// dimensions. The driver packs staged B slices of exactly (kc x cols)
 /// at matrix offset (k0, col0).
 struct PanelKey {
-  std::uint64_t b_key = 0;  // ExecConfig::b_key of the owning matrix
+  std::uint64_t b_key = 0;  // ExecRails::b_key of the owning matrix
   int k0 = 0;               // K offset of the staged slice
   int col0 = 0;             // column offset of the staged slice
   int kc = 0;               // staged K extent

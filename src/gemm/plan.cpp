@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <optional>
 #include <tuple>
 #include <type_traits>
 #include <unordered_map>
@@ -15,6 +14,7 @@
 #include "common/thread_pool.hpp"
 #include "core/packed_panel.hpp"
 #include "gemm/panel_cache.hpp"
+#include "gemm/run_tiled.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "telemetry/trace_context.hpp"
@@ -141,6 +141,25 @@ std::vector<int> near_equal_strips(int extent, long parts) {
   return edges;
 }
 
+/// Per-execute rails validation: nonsensical watchdog windows and a
+/// keyless panel cache fail with a clear message instead of
+/// misbehaving downstream.
+void validate_rails(const ExecRails& rails) {
+  M3XU_CHECK_MSG(rails.deadline_ms >= 0,
+                 "ExecRails.deadline_ms must be >= 0 (0 disables the "
+                 "deadline watchdog)");
+  M3XU_CHECK_MSG(rails.stall_ms >= 0,
+                 "ExecRails.stall_ms must be >= 0 (0 disables stall "
+                 "detection)");
+  M3XU_CHECK_MSG(rails.stall_ms == 0 || rails.deadline_ms > 0,
+                 "ExecRails.stall_ms requires a nonzero deadline_ms: stall "
+                 "detection without a wall-deadline backstop can absorb an "
+                 "arbitrarily slow trickle of progress");
+  M3XU_CHECK_MSG(rails.b_cache == nullptr || rails.b_key != 0,
+                 "ExecRails.b_cache requires a nonzero b_key identifying "
+                 "the B matrix contents");
+}
+
 }  // namespace
 
 TileGrid plan_grid(const PlanKey& key, const TileConfig& tile,
@@ -205,17 +224,28 @@ std::string plan_key_label(const PlanKey& key) {
          "x" + std::to_string(key.n) + "x" + std::to_string(key.k);
 }
 
-struct GemmPlan::Impl {
+FrozenPlan::FrozenPlan(const core::M3xuConfig& engine_cfg,
+                       const PlanKey& key, const PlanOptions& opts)
+    : options(opts),
+      shape(core::shape_for(key.cplx ? core::MxuMode::kFp32Complex
+                                     : core::MxuMode::kFp32)),
+      eps_chunk(eps_per_chunk(engine_cfg.accum_prec)),
+      engine(engine_cfg),
+      clean([&] {
+        core::M3xuConfig cfg = engine_cfg;
+        cfg.injector = nullptr;
+        return cfg;
+      }()) {
+  if (options.policy.demote) {
+    core::M3xuConfig cfg = engine_cfg;
+    cfg.force_generic = true;
+    route_generic.emplace(cfg);
+  }
+}
+
+struct GemmPlan::Impl : FrozenPlan {
   PlanKey key;
-  PlanOptions options;
   std::string label;
-  // Engine set, constructed once. `dispatch` points into these
-  // members; Impl lives behind a unique_ptr so plan moves never
-  // invalidate the pointers.
-  core::M3xuEngine engine;
-  core::M3xuEngine clean;
-  std::optional<core::M3xuEngine> route_generic;
-  CompiledDispatch dispatch;
   mutable LocalPanelStore b_store;
   mutable std::atomic<std::uint64_t> executions{0};
   // plan_grid per pool thread count, computed on first use. Entries
@@ -240,13 +270,9 @@ struct GemmPlan::Impl {
                                 : ThreadPool::global().thread_count());
   }
 
-  Impl(const core::M3xuConfig& engine_cfg, const core::M3xuConfig& clean_cfg,
-       const PlanKey& k, const PlanOptions& opts)
-      : key(k),
-        options(opts),
-        label(plan_key_label(k)),
-        engine(engine_cfg),
-        clean(clean_cfg) {}
+  Impl(const core::M3xuConfig& engine_cfg, const PlanKey& k,
+       const PlanOptions& opts)
+      : FrozenPlan(engine_cfg, k, opts), key(k), label(plan_key_label(k)) {}
 
   template <typename T>
   TiledGemmStats run(const ExecRails& rails, const Matrix<T>& a,
@@ -260,36 +286,24 @@ struct GemmPlan::Impl {
                        c.rows() == key.m && c.cols() == key.n,
                    "GemmPlan shape mismatch: operands must match the "
                    "compiled PlanKey exactly");
+    validate_rails(rails);
     const telemetry::ScopedTimer span("plan.execute");
-
-    // Per-execute rails over the frozen dispatch. The dispatch copy is
-    // a handful of words; the engines behind it are not copied.
-    CompiledDispatch d = dispatch;
-    d.policy.quarantine = rails.quarantine;
-    ExecConfig exec;
-    exec.token = rails.token;
-    exec.deadline_ms = rails.deadline_ms;
-    exec.stall_ms = rails.stall_ms;
-    exec.pool = rails.pool;
-    exec.trace = rails.trace;
     if (rails.trace != nullptr) {
       rails.trace->event("plan.execute", -1, -1, label);
     }
-    if (rails.b_cache != nullptr) {
-      exec.b_cache = rails.b_cache;
-      exec.b_key = rails.b_key;
-    } else if (options.reuse_b_panels) {
+    // Without an external cache, B panels come from the plan's private
+    // store, keyed by the fingerprint of these B bytes.
+    ExecRails r = rails;
+    if (r.b_cache == nullptr && options.reuse_b_panels) {
       const std::uint64_t fp = fingerprint(b);
       if (b_store.retarget(fp)) {
         b_store.count_refresh();
         plan_b_refresh_ctr.increment();
       }
-      exec.b_cache = &b_store;
-      exec.b_key = fp;
+      r.b_cache = &b_store;
+      r.b_key = fp;
     }
-    validate_resilience_config(d.policy, exec);
-    TiledGemmStats stats =
-        tiled_execute(d, exec, grid_for(rails.pool), a, b, c);
+    TiledGemmStats stats = run_tiled(*this, r, grid_for(r.pool), a, b, c);
     executions.fetch_add(1, std::memory_order_relaxed);
     plan_execute_ctr.increment();
     return stats;
@@ -309,53 +323,16 @@ GemmPlan GemmPlan::compile(const core::M3xuConfig& engine_cfg,
   const core::MmaShape shape = core::shape_for(
       key.cplx ? core::MxuMode::kFp32Complex : core::MxuMode::kFp32);
   validate_tile_config(options.tile, shape.k);
-  // Rails are validated per execute; compile validates the frozen
-  // policy against an empty rail set so a bad policy fails here.
-  validate_resilience_config(options.policy, ExecConfig{});
-
-  core::M3xuConfig clean_cfg = engine_cfg;
-  clean_cfg.injector = nullptr;
-  auto impl = std::make_unique<Impl>(engine_cfg, clean_cfg, key, options);
-  // The quarantine is a per-execute rail; never freeze a caller's
-  // pointer into the plan.
-  impl->options.policy.quarantine = nullptr;
-  if (impl->options.policy.demote) {
-    core::M3xuConfig c_gen = engine_cfg;
-    c_gen.force_generic = true;
-    impl->route_generic.emplace(c_gen);
-  }
-  CompiledDispatch& d = impl->dispatch;
-  d.tile = impl->options.tile;
-  d.abft = impl->options.abft;
-  d.policy = impl->options.policy;
-  d.inst_m = shape.m;
-  d.inst_n = shape.n;
-  d.inst_k = shape.k;
-  d.eps_chunk = eps_per_chunk(engine_cfg.accum_prec);
-  d.engine = &impl->engine;
-  d.clean = &impl->clean;
-  d.route_generic =
-      impl->route_generic.has_value() ? &*impl->route_generic : nullptr;
+  validate_resilience_config(options.abft, options.policy);
+  auto impl = std::make_unique<Impl>(engine_cfg, key, options);
   plan_compile_ctr.increment();
   return GemmPlan(std::move(impl));
-}
-
-TiledGemmStats GemmPlan::execute(const Matrix<float>& a,
-                                 const Matrix<float>& b,
-                                 Matrix<float>& c) const {
-  return impl_->run(ExecRails{}, a, b, c);
 }
 
 TiledGemmStats GemmPlan::execute(const Matrix<float>& a,
                                  const Matrix<float>& b, Matrix<float>& c,
                                  const ExecRails& rails) const {
   return impl_->run(rails, a, b, c);
-}
-
-TiledGemmStats GemmPlan::execute(const Matrix<std::complex<float>>& a,
-                                 const Matrix<std::complex<float>>& b,
-                                 Matrix<std::complex<float>>& c) const {
-  return impl_->run(ExecRails{}, a, b, c);
 }
 
 TiledGemmStats GemmPlan::execute(const Matrix<std::complex<float>>& a,

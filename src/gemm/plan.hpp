@@ -1,29 +1,26 @@
-// Compile-then-execute GEMM plans.
+// Compile-then-execute GEMM plans: the one way into the tiled driver.
 //
-// Every ad-hoc tiled_sgemm/tiled_cgemm call re-derives the same
-// artifacts: config validation, the mode's MMA instruction shape, the
+// A GemmPlan compiles everything a tiled GEMM would otherwise re-derive
+// per call - config validation, the mode's MMA instruction shape, the
 // per-chunk rounding bound, a fault-free engine clone for ABFT
-// recompute, a route-forced clone for quarantined tiles, and - in
-// serving workloads - the packed B panels of weights that never
-// change. A GemmPlan compiles all of that exactly once from (problem
-// shape, dtype, PlanOptions) and then executes many times with zero
-// per-call re-derivation:
+// recomputes, a route-forced clone for quarantined tiles, and - in
+// serving workloads - the packed B panels of weights that never change
+// - exactly once from (problem shape, dtype, PlanOptions), then
+// executes many times with zero per-call re-derivation:
 //
 //   GemmPlan plan = GemmPlan::compile(engine_cfg, {m, n, k, cplx});
 //   plan.execute(a, b, c);   // validated, cloned, prepacked already
 //
-// Execution is bit-identical to the ad-hoc path by construction: both
-// run the same run_tiled core (gemm/tiled_driver.cpp) with the same
-// frozen configs - verified by tests across every route rung and both
-// dtypes.
+// Execution is bit-identical to the flat engine loop for every route
+// rung, grid and pool size - verified by tests across both dtypes.
 //
 // Frozen at compile: tile/ABFT/recovery configs (validated), engines,
-// telemetry labels, the B-panel store. Per pool thread count: the tile
+// telemetry label, the B-panel store. Per pool thread count: the tile
 // grid (plan_grid), so a lone GEMM fans out across whatever pool runs
-// it. Per-execute (ExecRails):
-// cancellation token, deadline/stall watchdog windows, the tenant's
-// TileQuarantine, and an external PanelCache - everything that varies
-// request-to-request in the serving layer.
+// it. Per-execute (ExecRails, gemm/recovery.hpp): cancellation token,
+// deadline/stall watchdog windows, the tenant's TileQuarantine, an
+// external PanelCache, the pool and the request trace - everything
+// that varies request-to-request in the serving layer.
 //
 // B-panel reuse: with PlanOptions.reuse_b_panels (default on) the plan
 // owns a private panel store keyed by a fingerprint of the B bytes.
@@ -89,8 +86,7 @@ TileGrid plan_grid(const PlanKey& key, const TileConfig& tile,
 /// (131 k MACs per tile). DESIGN.md section 15.
 inline constexpr double kMinTileMacs = 65536.0;
 
-/// Everything a plan freezes beyond the problem identity. The policy's
-/// quarantine pointer is ignored (quarantine is a per-execute rail).
+/// Everything a plan freezes beyond the problem identity.
 struct PlanOptions {
   /// block_m / block_n are the largest tile a plan runs: plan_grid may
   /// split C finer to fill the pool. block_k and the warp tile apply
@@ -105,28 +101,6 @@ struct PlanOptions {
   bool reuse_b_panels = true;
 };
 
-/// Per-execute guard rails - the request-scoped counterpart of the
-/// frozen PlanOptions. Mirrors ExecConfig but adds the quarantine
-/// (frozen policies cannot carry per-tenant state).
-struct ExecRails {
-  const CancellationToken* token = nullptr;
-  std::int64_t deadline_ms = 0;
-  std::int64_t stall_ms = 0;
-  /// Per-tenant tile memory for this execute; may be null.
-  TileQuarantine* quarantine = nullptr;
-  /// External shared prepacked-B cache (e.g. the serving PackCache).
-  /// Takes precedence over the plan's private store when non-null.
-  PanelCache* b_cache = nullptr;
-  std::uint64_t b_key = 0;
-  /// Thread pool this execute partitions tiles across (non-owning;
-  /// null = the global pool). Its thread count picks the plan's grid
-  /// (plan_grid); bit-identical for every pool size.
-  ThreadPool* pool = nullptr;
-  /// Request-scoped trace this execute logs milestones into (non-
-  /// owning; may be null). Forwarded to ExecConfig::trace.
-  telemetry::TraceContext* trace = nullptr;
-};
-
 /// Pack/reuse statistics of a plan's private B-panel store.
 struct PlanPanelStats {
   std::uint64_t hits = 0;      // packs skipped (panel served from store)
@@ -136,12 +110,12 @@ struct PlanPanelStats {
 
 class GemmPlan {
  public:
-  /// Compiles a plan: validates every config (through the same
-  /// validators as the ad-hoc entry points, so invalid configs fail
-  /// here, not mid-execute), freezes the MMA instruction shape and
-  /// rounding bound, and constructs the engine set (primary from
-  /// `engine_cfg`, fault-free clone, route-forced clone when the
-  /// demotion ladder is on). O(1) in the problem size.
+  /// Compiles a plan: validates every config (validate_tile_config,
+  /// validate_resilience_config - so invalid configs fail here, not
+  /// mid-execute), freezes the MMA instruction shape and rounding
+  /// bound, and constructs the engine set (primary from `engine_cfg`,
+  /// fault-free clone, route-forced clone when the demotion ladder is
+  /// on). O(1) in the problem size.
   static GemmPlan compile(const core::M3xuConfig& engine_cfg,
                           const PlanKey& key, const PlanOptions& options = {});
 
@@ -152,19 +126,14 @@ class GemmPlan {
   ~GemmPlan();
 
   /// C <- A*B + C with the plan's frozen configuration. Operands must
-  /// match key() exactly (M3XU_CHECK). Bit-identical to the ad-hoc
-  /// driver with the same configs.
+  /// match key() exactly and the rails must be well-formed
+  /// (M3XU_CHECK). Bit-identical to the flat engine loop on every pool.
   TiledGemmStats execute(const Matrix<float>& a, const Matrix<float>& b,
-                         Matrix<float>& c) const;
-  TiledGemmStats execute(const Matrix<float>& a, const Matrix<float>& b,
-                         Matrix<float>& c, const ExecRails& rails) const;
-  TiledGemmStats execute(const Matrix<std::complex<float>>& a,
-                         const Matrix<std::complex<float>>& b,
-                         Matrix<std::complex<float>>& c) const;
+                         Matrix<float>& c, const ExecRails& rails = {}) const;
   TiledGemmStats execute(const Matrix<std::complex<float>>& a,
                          const Matrix<std::complex<float>>& b,
                          Matrix<std::complex<float>>& c,
-                         const ExecRails& rails) const;
+                         const ExecRails& rails = {}) const;
 
   /// Packs every B panel of `b` into the plan's private store now, so
   /// the first execute() against this B skips packing too. No-op when

@@ -17,8 +17,9 @@
 // clone (the "trusted scalar unit"), whose deterministic reproduction
 // either passes the checksum or proves the mismatch is a tolerance
 // artifact - so a full ladder always terminates. Persistent offenders
-// can be remembered in a TileQuarantine so later calls start them on a
-// lower rung directly. See docs/RESILIENCE.md.
+// can be remembered in a TileQuarantine (ExecRails::quarantine) so
+// later calls start them on a lower rung directly. See
+// docs/RESILIENCE.md.
 #pragma once
 
 #include <cstdint>
@@ -105,9 +106,13 @@ class TileQuarantine {
 
 /// How the driver escalates when a tile's ABFT checksum keeps failing.
 struct RecoveryPolicy {
-  /// Master switch. false reproduces the legacy protocol exactly:
-  /// AbftConfig::max_recompute fault-free recomputes on the original
-  /// route, then AbftFailure - no ladder, no quarantine.
+  /// Master switch. false runs the clean-recompute protocol instead of
+  /// the ladder: up to AbftConfig::max_recompute recomputes on the
+  /// fault-free clone, then AbftFailure - no ladder, no quarantine.
+  /// Every recompute is fault-free, so a transient fault recovers
+  /// bit-exactly; a ladder retry runs the primary datapath again and
+  /// can pick up a new flip below the checksum tolerance
+  /// (docs/FAULT_INJECTION.md).
   bool demote = true;
   /// Retry attempts per rung before demoting one rung further. The
   /// terminal scalar rung always gets at least 2 attempts so its
@@ -126,40 +131,46 @@ struct RecoveryPolicy {
     kPoison,   // overwrite the tile with quiet NaNs, count, continue
   };
   Terminal terminal = Terminal::kThrow;
-  /// Optional cross-call tile memory (non-owning; may be null).
-  TileQuarantine* quarantine = nullptr;
   /// Root for the per-tile deterministic retry streams: tile t's retry
   /// injector is seeded from Rng(seed ^ injector seed).split(t), so
   /// recovery replays identically regardless of thread interleaving.
   std::uint64_t retry_seed = 0x5eedbed5ull;
 };
 
-/// Execution guard rails threaded through the driver's parallel_for
-/// calls and its per-chunk checkpoints. All default-off: the default
-/// ExecConfig leaves the driver byte-identical to the unguarded path.
-struct ExecConfig {
+/// Per-execute guard rails: the request-scoped counterpart of a plan's
+/// frozen PlanOptions (gemm/plan.hpp), read by the driver's tile loop,
+/// its parallel_for calls and its per-chunk checkpoints. All
+/// default-off: default rails leave the driver byte-identical to the
+/// unguarded path.
+struct ExecRails {
   /// Cooperative cancellation, polled per tile and per staged K-block.
   const CancellationToken* token = nullptr;
   /// Watchdog wall deadline per parallel_for call, in ms (0 = none).
   std::int64_t deadline_ms = 0;
   /// Watchdog no-progress window, in ms (0 = none). Requires a nonzero
-  /// deadline_ms as a backstop (validated at driver entry).
+  /// deadline_ms as a backstop (validated per execute).
   std::int64_t stall_ms = 0;
-  /// Optional shared prepacked-B cache (non-owning; may be null). Only
-  /// consulted when b_key is nonzero and the engine carries no fault
-  /// injector - injected staged-panel corruption must never enter a
-  /// cache shared across requests. Ladder retries always repack
-  /// locally, so a corrupted cached panel cannot defeat recovery.
+  /// Per-tenant tile memory for this execute (non-owning; may be
+  /// null). Read and written only by the demotion ladder.
+  TileQuarantine* quarantine = nullptr;
+  /// Optional shared prepacked-B cache (non-owning; may be null), e.g.
+  /// the serving PackCache; takes precedence over a plan's private
+  /// store. Only consulted when b_key is nonzero and the engine
+  /// carries no fault injector - injected staged-panel corruption must
+  /// never enter a cache shared across requests. Ladder retries always
+  /// repack locally, so a corrupted cached panel cannot defeat
+  /// recovery.
   PanelCache* b_cache = nullptr;
   /// Caller-assigned identity of the B matrix contents for cache keys
   /// (0 = caching disabled for this call). Callers must guarantee two
   /// calls share a b_key only when their B bytes are identical.
   std::uint64_t b_key = 0;
   /// Thread pool the driver partitions the tile grid across (non-
-  /// owning; null = ThreadPool::global()). Results are bit-identical
-  /// for every pool size - tiles are independent and each tile's
-  /// K-chunk schedule is fixed - so this only chooses where the work
-  /// runs (benchmark thread sweeps, per-tenant pools).
+  /// owning; null = ThreadPool::global()). Its thread count picks the
+  /// plan's grid (plan_grid); results are bit-identical for every pool
+  /// size - tiles are independent and each tile's K-chunk schedule is
+  /// fixed - so this only chooses where the work runs (benchmark
+  /// thread sweeps, per-tenant pools, deterministic fault replay).
   ThreadPool* pool = nullptr;
   /// Optional request-scoped trace (non-owning; may be null). The
   /// driver logs tile-level milestones - pack-cache hits, ABFT

@@ -19,6 +19,7 @@
 #include "core/packed_panel.hpp"
 #include "fault/injector.hpp"
 #include "gemm/panel_cache.hpp"
+#include "gemm/run_tiled.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "telemetry/trace_context.hpp"
@@ -201,26 +202,29 @@ void corrupt_staged_value(const fault::FaultInjector& inj,
   v = {re, im};
 }
 
-/// Shared implementation over the element type, driven entirely by a
-/// CompiledDispatch: the caller (an ad-hoc entry point or a GemmPlan)
-/// owns the validated configs and every engine the tile loop needs -
-/// primary (possibly fault-injected), fault-free clone for ABFT
-/// recompute and the terminal scalar rung, and the route-forced clone
-/// for quarantined tiles' initial passes. Nothing config-derived is
-/// computed here, so a plan amortizes it all across executes.
+}  // namespace
+
+/// Shared implementation over the element type, driven entirely by the
+/// plan's frozen state: GemmPlan owns the validated configs and every
+/// engine the tile loop needs - primary (possibly fault-injected),
+/// fault-free clone for clean recomputes and the terminal scalar rung,
+/// and the route-forced clone for quarantined tiles' initial passes.
+/// Nothing config-derived is computed here, so a plan amortizes it all
+/// across executes.
 template <typename T>
-TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
+TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                          const TileGrid& grid, const Matrix<T>& a,
                          const Matrix<T>& b, Matrix<T>& c) {
   using Traits = ChecksumTraits<T>;
   using Acc = typename Traits::Acc;
-  const TileConfig& cfg = d.tile;
-  const AbftConfig& abft = d.abft;
-  const RecoveryPolicy& policy = d.policy;
-  const int inst_m = d.inst_m, inst_n = d.inst_n, inst_k = d.inst_k;
-  const double eps_chunk = d.eps_chunk;
-  const core::M3xuEngine& engine = *d.engine;
-  const core::M3xuEngine& clean = *d.clean;
+  const TileConfig& cfg = plan.options.tile;
+  const AbftConfig& abft = plan.options.abft;
+  const RecoveryPolicy& policy = plan.options.policy;
+  const int inst_m = plan.shape.m, inst_n = plan.shape.n,
+            inst_k = plan.shape.k;
+  const double eps_chunk = plan.eps_chunk;
+  const core::M3xuEngine& engine = plan.engine;
+  const core::M3xuEngine& clean = plan.clean;
   // K-chunk boundaries must coincide with the engine's instruction
   // chunking for bit-identical results vs the flat loop.
   const int k = a.cols();
@@ -236,7 +240,7 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
   // kMicrokernel is the engine's natural preference; the scalar rung
   // bypasses packing entirely, so route config is moot there.
   const auto initial_engine = [&](Route r) -> const core::M3xuEngine& {
-    return r == Route::kGenericPerDot ? *d.route_generic : engine;
+    return r == Route::kGenericPerDot ? *plan.route_generic : engine;
   };
 
   std::mutex stats_mu;
@@ -472,9 +476,9 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
 
     // Quarantined tiles start directly on their recorded rung.
     Route start_route = Route::kMicrokernel;
-    if (policy.demote && policy.quarantine != nullptr) {
+    if (policy.demote && exec.quarantine != nullptr) {
       Route q = start_route;
-      if (policy.quarantine->lookup(static_cast<long>(t), &q)) {
+      if (exec.quarantine->lookup(static_cast<long>(t), &q)) {
         start_route = std::min(q, policy.floor, [](Route x, Route y) {
           return static_cast<int>(x) < static_cast<int>(y);
         });
@@ -542,9 +546,9 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
         bool resolved = false;
         std::vector<T> prev = c_frag;
         if (!policy.demote) {
-          // Legacy protocol: bounded fault-free recomputes on the
-          // original route, then AbftFailure.
-          const int attempts = std::max(1, abft.max_recompute);
+          // Clean-recompute protocol: bounded recomputes on the
+          // fault-free clone, then AbftFailure.
+          const int attempts = abft.max_recompute;
           for (int attempt = 0; attempt < attempts && !resolved; ++attempt) {
             std::vector<T> redo = c_in;
             compute_tile(clean, Route::kMicrokernel, redo, nullptr,
@@ -671,8 +675,8 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
           }
           if (resolved && !false_alarm &&
               static_cast<int>(rung) > static_cast<int>(start_route) &&
-              policy.quarantine != nullptr) {
-            if (policy.quarantine->demote(static_cast<long>(t), rung)) {
+              exec.quarantine != nullptr) {
+            if (exec.quarantine->demote(static_cast<long>(t), rung)) {
               ++local.recovery.quarantined;
               if (trace != nullptr) {
                 trace->event("recovery.quarantined", static_cast<long>(t),
@@ -796,101 +800,13 @@ TiledGemmStats run_tiled(const CompiledDispatch& d, const ExecConfig& exec,
   return stats;
 }
 
-/// Operand-shape validation shared by the public drivers and the
-/// compiled-dispatch execute path.
-template <typename T>
-void validate_shapes(const Matrix<T>& a, const Matrix<T>& b,
-                     const Matrix<T>& c) {
-  M3XU_CHECK_MSG(a.cols() == b.rows(),
-                 "tiled GEMM shape mismatch: A columns != B rows");
-  M3XU_CHECK_MSG(a.rows() == c.rows() && b.cols() == c.cols(),
-                 "tiled GEMM shape mismatch: C must be A.rows x B.cols");
-}
-
-/// Compiled-dispatch execute validation: the engine set the dispatch
-/// must carry, operand shapes, and a grid of ascending strips that
-/// covers C exactly.
-template <typename T>
-void validate_dispatch(const CompiledDispatch& d, const TileGrid& grid,
-                       const Matrix<T>& a, const Matrix<T>& b,
-                       const Matrix<T>& c) {
-  M3XU_CHECK_MSG(d.engine != nullptr && d.clean != nullptr,
-                 "CompiledDispatch must carry primary and clean engines");
-  M3XU_CHECK_MSG(!d.policy.demote || d.route_generic != nullptr,
-                 "CompiledDispatch with a demotion ladder must carry the "
-                 "route-forced engine clone");
-  validate_shapes(a, b, c);
-  const auto covers = [](const std::vector<int>& edges, int extent) {
-    if (edges.size() < 2 || edges.front() != 0 || edges.back() != extent) {
-      return false;
-    }
-    return std::adjacent_find(edges.begin(), edges.end(),
-                              std::greater_equal<int>()) == edges.end();
-  };
-  M3XU_CHECK_MSG(covers(grid.rows, c.rows()) && covers(grid.cols, c.cols()),
-                 "TileGrid must split C into ascending row and column "
-                 "strips that cover it exactly");
-}
-
-/// Entry-point validation shared by the public drivers.
-template <typename T>
-void validate_entry(const TileConfig& cfg, int inst_k, const Matrix<T>& a,
-                    const Matrix<T>& b, const Matrix<T>& c) {
-  validate_tile_config(cfg, inst_k);
-  validate_shapes(a, b, c);
-}
-
-/// Fault-free clone of the caller's engine for ABFT recompute: same
-/// arithmetic configuration with the injector stripped (and any route
-/// forcing lifted, so the recompute runs the engine's natural route).
-core::M3xuConfig clean_config(const core::M3xuEngine& engine) {
-  core::M3xuConfig cfg = engine.config();
-  cfg.injector = nullptr;
-  return cfg;
-}
-
-/// The legacy overloads run with recovery demotion off, which
-/// reproduces the original clean-recompute-or-throw protocol exactly.
-RecoveryPolicy legacy_policy() {
-  RecoveryPolicy policy;
-  policy.demote = false;
-  return policy;
-}
-
-/// Stack-owned engine set + dispatch for the ad-hoc entry points: the
-/// same clones a GemmPlan would freeze, built per call (the historical
-/// behavior). Keeping the ad-hoc path on the exact same run_tiled core
-/// as the plan path is what makes plan-vs-ad-hoc bit-identity hold by
-/// construction.
-struct AdHocDispatch {
-  AdHocDispatch(const core::M3xuEngine& engine, const TileConfig& config,
-                const AbftConfig& abft, const RecoveryPolicy& policy,
-                core::MxuMode mode)
-      : clean(clean_config(engine)) {
-    if (policy.demote) {
-      core::M3xuConfig c_gen = engine.config();
-      c_gen.force_generic = true;
-      generic.emplace(c_gen);
-    }
-    const core::MmaShape shape = core::shape_for(mode);
-    dispatch.tile = config;
-    dispatch.abft = abft;
-    dispatch.policy = policy;
-    dispatch.inst_m = shape.m;
-    dispatch.inst_n = shape.n;
-    dispatch.inst_k = shape.k;
-    dispatch.eps_chunk = eps_per_chunk(engine.config().accum_prec);
-    dispatch.engine = &engine;
-    dispatch.clean = &clean;
-    dispatch.route_generic = generic.has_value() ? &*generic : nullptr;
-  }
-
-  core::M3xuEngine clean;
-  std::optional<core::M3xuEngine> generic;
-  CompiledDispatch dispatch;
-};
-
-}  // namespace
+template TiledGemmStats run_tiled<float>(const FrozenPlan&, const ExecRails&,
+                                         const TileGrid&, const Matrix<float>&,
+                                         const Matrix<float>&, Matrix<float>&);
+template TiledGemmStats run_tiled<std::complex<float>>(
+    const FrozenPlan&, const ExecRails&, const TileGrid&,
+    const Matrix<std::complex<float>>&, const Matrix<std::complex<float>>&,
+    Matrix<std::complex<float>>&);
 
 TileGrid TileGrid::uniform(int m, int n, const TileConfig& cfg) {
   const auto strips = [](int extent, int block) {
@@ -929,111 +845,24 @@ void validate_tile_config(const TileConfig& config, int inst_k) {
                  "instruction K so chunk rounding boundaries line up");
 }
 
-/// Catch nonsensical resilience-knob combinations at the API boundary
-/// with a clear message instead of downstream misbehavior (negative
-/// retries silently becoming one attempt, a stall watchdog with no
-/// deadline backstop, an out-of-range demotion floor).
-void validate_resilience_config(const RecoveryPolicy& policy,
-                                const ExecConfig& exec) {
+/// Catch nonsensical resilience knobs where they enter (plan compile,
+/// server construction) with a clear message instead of downstream
+/// misbehavior: a NaN or negative tolerance that fails every checksum,
+/// a recompute budget or retry count below one silently becoming one
+/// attempt, an out-of-range demotion floor.
+void validate_resilience_config(const AbftConfig& abft,
+                                const RecoveryPolicy& policy) {
+  M3XU_CHECK_MSG(std::isfinite(abft.tolerance_scale) &&
+                     abft.tolerance_scale >= 0.0,
+                 "AbftConfig.tolerance_scale must be finite and >= 0");
+  M3XU_CHECK_MSG(abft.max_recompute >= 1,
+                 "AbftConfig.max_recompute must be >= 1");
   M3XU_CHECK_MSG(policy.retries_per_route >= 0,
                  "RecoveryPolicy.retries_per_route must be >= 0");
   M3XU_CHECK_MSG(static_cast<int>(policy.floor) >= 0 &&
                      static_cast<int>(policy.floor) < kRouteCount,
                  "RecoveryPolicy.floor must be a valid Route rung "
                  "(kMicrokernel..kScalarReference)");
-  M3XU_CHECK_MSG(exec.deadline_ms >= 0,
-                 "ExecConfig.deadline_ms must be >= 0 (0 disables the "
-                 "deadline watchdog)");
-  M3XU_CHECK_MSG(exec.stall_ms >= 0,
-                 "ExecConfig.stall_ms must be >= 0 (0 disables stall "
-                 "detection)");
-  M3XU_CHECK_MSG(exec.stall_ms == 0 || exec.deadline_ms > 0,
-                 "ExecConfig.stall_ms requires a nonzero deadline_ms: stall "
-                 "detection without a wall-deadline backstop can absorb an "
-                 "arbitrarily slow trickle of progress");
-  M3XU_CHECK_MSG(exec.b_cache == nullptr || exec.b_key != 0,
-                 "ExecConfig.b_cache requires a nonzero b_key identifying "
-                 "the B matrix contents");
-}
-
-TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec, const TileGrid& grid,
-                             const Matrix<float>& a, const Matrix<float>& b,
-                             Matrix<float>& c) {
-  validate_dispatch(dispatch, grid, a, b, c);
-  return run_tiled<float>(dispatch, exec, grid, a, b, c);
-}
-
-TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec, const TileGrid& grid,
-                             const Matrix<std::complex<float>>& a,
-                             const Matrix<std::complex<float>>& b,
-                             Matrix<std::complex<float>>& c) {
-  validate_dispatch(dispatch, grid, a, b, c);
-  return run_tiled<std::complex<float>>(dispatch, exec, grid, a, b, c);
-}
-
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const Matrix<float>& a,
-                           const Matrix<float>& b, Matrix<float>& c) {
-  return tiled_sgemm(engine, config, AbftConfig{}, a, b, c);
-}
-
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const Matrix<float>& a, const Matrix<float>& b,
-                           Matrix<float>& c) {
-  return tiled_sgemm(engine, config, abft, legacy_policy(), ExecConfig{}, a,
-                     b, c);
-}
-
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const RecoveryPolicy& policy,
-                           const ExecConfig& exec, const Matrix<float>& a,
-                           const Matrix<float>& b, Matrix<float>& c) {
-  const core::MmaShape shape = core::shape_for(core::MxuMode::kFp32);
-  validate_entry(config, shape.k, a, b, c);
-  validate_resilience_config(policy, exec);
-  const AdHocDispatch ad(engine, config, abft, policy,
-                         core::MxuMode::kFp32);
-  return run_tiled<float>(ad.dispatch, exec,
-                          TileGrid::uniform(a.rows(), b.cols(), config), a, b,
-                          c);
-}
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c) {
-  return tiled_cgemm(engine, config, AbftConfig{}, a, b, c);
-}
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c) {
-  return tiled_cgemm(engine, config, abft, legacy_policy(), ExecConfig{}, a,
-                     b, c);
-}
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const RecoveryPolicy& policy,
-                           const ExecConfig& exec,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c) {
-  const core::MmaShape shape = core::shape_for(core::MxuMode::kFp32Complex);
-  validate_entry(config, shape.k, a, b, c);
-  validate_resilience_config(policy, exec);
-  const AdHocDispatch ad(engine, config, abft, policy,
-                         core::MxuMode::kFp32Complex);
-  return run_tiled<std::complex<float>>(
-      ad.dispatch, exec, TileGrid::uniform(a.rows(), b.cols(), config), a, b,
-      c);
 }
 
 double abft_column_tolerance(const core::M3xuEngine& engine,

@@ -11,10 +11,14 @@
 // tolerance): per threadblock tile it maintains column-checksum
 // vectors in double precision, verifies the tile's output against a
 // mode-aware ULP tolerance after the mainloop, and on mismatch
-// recomputes the tile fault-free (bounded retries, then a structured
-// AbftFailure instead of an abort). With AbftConfig.enable == false
-// (the default) the driver is byte-for-byte the unguarded seed path.
-// See docs/FAULT_INJECTION.md for the tolerance derivation.
+// recovers the tile through the RecoveryPolicy (the demotion ladder,
+// or fault-free recomputes), ending in a structured AbftFailure
+// instead of an abort. With AbftConfig.enable == false (the default)
+// the driver is byte-for-byte the unguarded seed path. See
+// docs/FAULT_INJECTION.md for the tolerance derivation.
+//
+// GemmPlan (gemm/plan.hpp) is the only way into the driver; this
+// header holds the configs, stats and errors it shares with callers.
 #pragma once
 
 #include <complex>
@@ -63,8 +67,8 @@ struct TileGrid {
   long tiles() const { return grid_m() * grid_n(); }
 
   /// The TileConfig's fixed grid: block_m x block_n tiles, the last
-  /// row and column strip holding the remainder. The ad-hoc tiled_*
-  /// entries run exactly this grid.
+  /// row and column strip holding the remainder. plan_grid keeps it on
+  /// a 1-thread pool.
   static TileGrid uniform(int m, int n, const TileConfig& cfg);
 };
 
@@ -83,21 +87,22 @@ struct AbftConfig {
   bool enable = false;
   /// Multiplier on the derived worst-case rounding bound. 1.0 already
   /// covers the bound with 2x headroom; raise it to trade detection
-  /// sensitivity for fewer false alarms on adversarial inputs.
+  /// sensitivity for fewer false alarms on adversarial inputs. Finite
+  /// and >= 0; 0 flags every tile (tests use it to force detections).
   double tolerance_scale = 1.0;
-  /// Fault-free recompute attempts per detected tile before the driver
-  /// gives up with AbftFailure.
+  /// Fault-free recompute attempts per detected tile under the
+  /// clean-recompute protocol (RecoveryPolicy::demote == false) before
+  /// the driver gives up with AbftFailure. >= 1.
   int max_recompute = 2;
 };
 
 /// Thrown when a tile keeps failing its checksum after the recovery
-/// protocol is exhausted (legacy recomputes, or the full demotion
+/// protocol is exhausted (clean recomputes, or the full demotion
 /// ladder under a RecoveryPolicy with Terminal::kThrow). Carries the
 /// tile's grid coordinates, the last route attempted, and the total
 /// recompute attempts, so recovery reports and logs are actionable.
 class AbftFailure : public std::runtime_error {
  public:
-  explicit AbftFailure(const std::string& what) : std::runtime_error(what) {}
   AbftFailure(const std::string& what, long tile_row, long tile_col,
               Route route, int attempts)
       : std::runtime_error(what),
@@ -145,135 +150,32 @@ struct TiledGemmStats {
   long abft_recovered = 0;     // tiles recovered by a passing recompute
   long abft_false_alarms = 0;  // deterministic reproduction => tolerance
                                // artifact, original result kept
-  // What the recovery ladder did (all zero in legacy mode and on clean
-  // runs). See gemm/recovery.hpp.
+  // What the recovery ladder did (all zero under the clean-recompute
+  // protocol and on clean runs). See gemm/recovery.hpp.
   RecoveryReport recovery;
 };
 
-/// C <- A*B + C through the tile hierarchy on the M3XU FP32 mode.
-/// Runs the TileConfig's uniform grid (TileGrid::uniform), distributed
-/// over the global thread pool.
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const Matrix<float>& a,
-                           const Matrix<float>& b, Matrix<float>& c);
-
-/// ABFT-guarded variant. With abft.enable the per-tile checksums are
-/// verified and failing tiles are recomputed on a fault-free clone of
-/// the engine (same arithmetic config, injector stripped).
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const Matrix<float>& a, const Matrix<float>& b,
-                           Matrix<float>& c);
-
-/// Complex variant on the FP32C mode.
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c);
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c);
-
-/// Resilient variants: ABFT detection feeds the RecoveryPolicy's
-/// retry-then-demote ladder (gemm/recovery.hpp) instead of the legacy
-/// clean-recompute-or-throw protocol, and the ExecConfig threads a
-/// cooperative CancellationToken plus the ThreadPool watchdog through
-/// the tile loop. With the default policy every transient fault
-/// recovers bit-exactly (the terminal scalar rung runs fault-free);
-/// stats.recovery reports what the ladder did.
-TiledGemmStats tiled_sgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const RecoveryPolicy& policy,
-                           const ExecConfig& exec, const Matrix<float>& a,
-                           const Matrix<float>& b, Matrix<float>& c);
-
-TiledGemmStats tiled_cgemm(const core::M3xuEngine& engine,
-                           const TileConfig& config, const AbftConfig& abft,
-                           const RecoveryPolicy& policy,
-                           const ExecConfig& exec,
-                           const Matrix<std::complex<float>>& a,
-                           const Matrix<std::complex<float>>& b,
-                           Matrix<std::complex<float>>& c);
-
-/// Per-call-invariant state the compile-then-execute plan layer
-/// (gemm/plan.hpp) freezes once: validated configs, the mode's MMA
-/// instruction shape, the rounding bound per K-chunk, and the engine
-/// set the driver otherwise re-derives and re-constructs on every call
-/// (fault-free clone for ABFT recompute, route-forced clone for
-/// quarantined tiles' initial passes). All engine pointers are
-/// non-owning; the owner (GemmPlan, or a stack frame in the ad-hoc
-/// entries) must keep them alive across the execute call.
-struct CompiledDispatch {
-  TileConfig tile;
-  AbftConfig abft;
-  RecoveryPolicy policy;
-  int inst_m = 0;
-  int inst_n = 0;
-  int inst_k = 0;
-  double eps_chunk = 0.0;
-  /// Primary datapath (may carry a fault injector).
-  const core::M3xuEngine* engine = nullptr;
-  /// Fault-free clone: ABFT recompute and the terminal scalar rung.
-  const core::M3xuEngine* clean = nullptr;
-  /// Route-forced clone (force_generic) for quarantined tiles' initial
-  /// passes; must be non-null when policy.demote is true, ignored
-  /// otherwise.
-  const core::M3xuEngine* route_generic = nullptr;
-};
-
-/// Worst-case relative rounding error one K-chunk contributes to an
-/// output element: half an output-format ULP from the FP32 pack plus
-/// the per-step accumulation-register roundings (two steps at
-/// 2^(1-accum_prec) each, folded into one term with headroom). The
-/// plan layer freezes this into CompiledDispatch.eps_chunk at compile.
-double eps_per_chunk(int accum_prec);
-
-/// Config-only validation shared by the ad-hoc entries and plan
-/// compile: tile shape sanity (via TileConfig::valid()) and the
-/// K-chunk alignment that keeps the hierarchy bit-identical to the
-/// flat loop. Fails through M3XU_CHECK_MSG.
+/// Config-only validation GemmPlan::compile runs (and GemmServer's
+/// constructor, for every mode it may serve): tile shape sanity (via
+/// TileConfig::valid()) and the K-chunk alignment that keeps the
+/// hierarchy bit-identical to the flat loop. Fails through
+/// M3XU_CHECK_MSG.
 void validate_tile_config(const TileConfig& config, int inst_k);
 
-/// Resilience-knob validation shared by the policy-taking entries and
-/// plan compile (see tiled_driver.cpp for the rationale per check).
-void validate_resilience_config(const RecoveryPolicy& policy,
-                                const ExecConfig& exec);
-
-/// Executes one GEMM through a pre-compiled dispatch with zero
-/// per-call re-derivation: no config validation beyond the operand
-/// shape and grid checks, no engine clone construction, no
-/// eps/instruction-shape lookups. The driver iterates `grid` (the
-/// plan's choice for the pool; it must cover C exactly) and is
-/// bit-identical to the ad-hoc tiled_sgemm/tiled_cgemm for every grid
-/// by construction (same run_tiled core). The ExecConfig carries the
-/// per-execute guard rails (token, deadline, B-panel cache, pool).
-///
-/// Dispatch: a grid of more than one tile fans out across the pool
-/// when the pool is idle; when another caller holds it, the calling
-/// thread runs the tiles itself in tile order instead of queueing
-/// (ThreadPool::try_parallel_for). Same grid, same panel keys, same
-/// bits either way.
-TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec, const TileGrid& grid,
-                             const Matrix<float>& a, const Matrix<float>& b,
-                             Matrix<float>& c);
-
-TiledGemmStats tiled_execute(const CompiledDispatch& dispatch,
-                             const ExecConfig& exec, const TileGrid& grid,
-                             const Matrix<std::complex<float>>& a,
-                             const Matrix<std::complex<float>>& b,
-                             Matrix<std::complex<float>>& c);
+/// ABFT and recovery-policy validation, run at the same two places:
+/// a finite, non-negative tolerance_scale (0 stays legal), max_recompute
+/// >= 1, retries_per_route >= 0 and a floor that names a Route rung.
+/// Fails through M3XU_CHECK_MSG.
+void validate_resilience_config(const AbftConfig& abft,
+                                const RecoveryPolicy& policy);
 
 /// The per-column ABFT detection tolerance the guarded FP32 driver
 /// uses for one threadblock tile spanning rows [bm, bm+m_eff) and all
 /// of K, evaluated for column `j` of C. Exposed so the fault campaign
 /// and the property tests can classify a deviation as
 /// guaranteed-detectable (> 2x tolerance) or sub-tolerance. For the
-/// campaign's single-tile geometry this is the whole-matrix column.
+/// campaign's single-tile geometry (on a 1-thread pool, where the
+/// plan keeps the uniform grid) this is the whole-matrix column.
 double abft_column_tolerance(const core::M3xuEngine& engine,
                              const TileConfig& config, const AbftConfig& abft,
                              const Matrix<float>& a, const Matrix<float>& b,

@@ -94,6 +94,13 @@ GemmServer::GemmServer(const ServerConfig& config)
   M3XU_CHECK_MSG(config_.stall_ms >= 0, "ServerConfig.stall_ms must be >= 0");
   M3XU_CHECK_MSG(config_.quarantine_tiles_per_tenant >= 1,
                  "ServerConfig.quarantine_tiles_per_tenant must be >= 1");
+  // The plan configs every request compiles with: a bad one fails here,
+  // not on an executor thread at the first request.
+  gemm::validate_tile_config(config_.tile,
+                             core::shape_for(core::MxuMode::kFp32).k);
+  gemm::validate_tile_config(config_.tile,
+                             core::shape_for(core::MxuMode::kFp32Complex).k);
+  gemm::validate_resilience_config(config_.abft, config_.recovery);
   executors_.reserve(static_cast<std::size_t>(config_.executors));
   for (int i = 0; i < config_.executors; ++i) {
     executors_.emplace_back([this] { executor_loop(); });

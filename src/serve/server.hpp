@@ -78,8 +78,8 @@ struct ServerConfig {
   gemm::TileConfig tile;
   /// ABFT guard for every request (serving typically enables it).
   gemm::AbftConfig abft;
-  /// Recovery ladder template. The quarantine field is ignored: the
-  /// server substitutes the per-tenant quarantine for each request.
+  /// Recovery ladder template. Under the ladder each request runs with
+  /// its tenant's quarantine (ExecRails::quarantine).
   gemm::RecoveryPolicy recovery;
   /// LRU capacity of each tenant's per-grid TileQuarantine.
   std::size_t quarantine_tiles_per_tenant =

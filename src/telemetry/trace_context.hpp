@@ -2,10 +2,10 @@
 // identity (process-unique request id + tenant + label) and a bounded,
 // causally-ordered event log from admission to terminal resolution.
 // The serving layer creates one per request and threads a pointer down
-// through ExecRails -> ExecConfig into the tiled driver and recovery
-// ladder; layers without a rails pointer (the core route dispatch)
-// reach the active context through a thread-local scope installed by
-// the driver around each tile.
+// through ExecRails into the tiled driver and recovery ladder; layers
+// without a rails pointer (the core route dispatch) reach the active
+// context through a thread-local scope installed by the driver around
+// each tile.
 //
 // Events are request-level milestones (admission, queue wait, pack
 // cache hits, ABFT detections, retries, demotions, terminal status),

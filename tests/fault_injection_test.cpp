@@ -1,6 +1,6 @@
 // Tests for the fault-injection framework and the ABFT guard: injector
 // determinism, the detect-or-below-tolerance property for single-bit
-// flips, the detect/recompute recovery protocol, and the campaign
+// flips, the clean-recompute recovery protocol, and the campaign
 // runner's reproducibility.
 #include <gtest/gtest.h>
 
@@ -9,10 +9,12 @@
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "fp/unpacked.hpp"
 #include "gemm/matrix.hpp"
+#include "gemm/plan.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/tiled_driver.hpp"
 
@@ -103,6 +105,43 @@ Problem make(int m, int n, int k, std::uint64_t seed) {
   return p;
 }
 
+/// The fault-free reference: the flat engine loop, which the tiled
+/// driver matches bit for bit.
+gemm::Matrix<float> flat_ref(const Problem& p) {
+  const core::M3xuEngine clean;
+  gemm::Matrix<float> ref = p.c;
+  clean.gemm_fp32(p.a.rows(), p.b.cols(), p.a.cols(), p.a.data(), p.a.ld(),
+                  p.b.data(), p.b.ld(), ref.data(), ref.ld());
+  return ref;
+}
+
+/// The 1-thread pool: a plan keeps the uniform grid there and runs its
+/// tiles in order, so a fresh injector with the same seed replays the
+/// same flips on the same tiles.
+ThreadPool* one_thread() {
+  static ThreadPool pool(1);
+  return &pool;
+}
+
+/// C <- A*B + C through a plan compiled for this call, recovering
+/// detections with the clean-recompute protocol (RecoveryPolicy::demote
+/// = false). A null `pool` runs on the global pool.
+gemm::TiledGemmStats run_plan(const core::M3xuConfig& engine,
+                              const gemm::TileConfig& tile,
+                              const gemm::AbftConfig& abft, const Problem& p,
+                              gemm::Matrix<float>& c,
+                              ThreadPool* pool = nullptr) {
+  gemm::PlanOptions options;
+  options.tile = tile;
+  options.abft = abft;
+  options.policy.demote = false;
+  const gemm::GemmPlan plan = gemm::GemmPlan::compile(
+      engine, {p.a.rows(), p.b.cols(), p.a.cols(), false}, options);
+  gemm::ExecRails rails;
+  rails.pool = pool;
+  return plan.execute(p.a, p.b, c, rails);
+}
+
 // Every injected single-bit flip is either detected by the ABFT guard
 // or its effect on every output element stays below twice the mode's
 // column tolerance (i.e. provably inside the legitimate rounding band).
@@ -115,8 +154,7 @@ TEST(AbftProperty, FlipDetectedOrBelowTolerance) {
   int injected_trials = 0, detected_trials = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const Problem p = make(m, n, k, 9000 + trial);
-    gemm::Matrix<float> ref = p.c;
-    gemm::tiled_sgemm(clean, tile, p.a, p.b, ref);
+    const gemm::Matrix<float> ref = flat_ref(p);
     const Site site = static_cast<Site>(trial % kSiteCount);
     const std::uint64_t seed = 777 + trial;
     // Low rate: typically a handful of flips per run (a 32x32x64 run
@@ -126,19 +164,17 @@ TEST(AbftProperty, FlipDetectedOrBelowTolerance) {
     const FaultInjector raw_inj(seed, rates);
     core::M3xuConfig cfg;
     cfg.injector = &raw_inj;
-    const core::M3xuEngine faulty(cfg);
     gemm::Matrix<float> raw = p.c;
-    gemm::tiled_sgemm(faulty, tile, p.a, p.b, raw);
+    run_plan(cfg, tile, gemm::AbftConfig{}, p, raw, one_thread());
     if (raw_inj.total_injected() == 0) continue;
     ++injected_trials;
 
     const FaultInjector guard_inj(seed, rates);
     core::M3xuConfig gcfg;
     gcfg.injector = &guard_inj;
-    const core::M3xuEngine guarded(gcfg);
     gemm::Matrix<float> fixed = p.c;
     const gemm::TiledGemmStats stats =
-        gemm::tiled_sgemm(guarded, tile, abft, p.a, p.b, fixed);
+        run_plan(gcfg, tile, abft, p, fixed, one_thread());
     // The guarded pass replays the identical flips.
     EXPECT_EQ(guard_inj.log(), raw_inj.log());
     detected_trials += stats.abft_detected > 0 ? 1 : 0;
@@ -175,18 +211,14 @@ TEST(AbftProperty, FlipDetectedOrBelowTolerance) {
 TEST(Abft, RecoversFromHeavyInjection) {
   const Problem p = make(48, 48, 96, 3111);
   const gemm::TileConfig tile{48, 48, 32, 16, 16};
-  const core::M3xuEngine clean;
-  gemm::Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(clean, tile, p.a, p.b, ref);
+  const gemm::Matrix<float> ref = flat_ref(p);
 
   const FaultInjector inj(21, SiteRates::uniform(1e-4));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const core::M3xuEngine faulty(cfg);
   gemm::Matrix<float> c = p.c;
-  const gemm::TiledGemmStats stats =
-      gemm::tiled_sgemm(faulty, tile, gemm::AbftConfig{true, 1.0, 2}, p.a,
-                        p.b, c);
+  const gemm::TiledGemmStats stats = run_plan(
+      cfg, tile, gemm::AbftConfig{true, 1.0, 2}, p, c, one_thread());
   ASSERT_GT(inj.total_injected(), 0u);
   ASSERT_GT(stats.abft_detected, 0);
   EXPECT_EQ(stats.abft_recovered, stats.abft_detected);
@@ -206,10 +238,8 @@ TEST(Abft, ZeroToleranceWithFaultsExhaustsRetries) {
   const FaultInjector inj(3, SiteRates::only(Site::kOperandA, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const core::M3xuEngine faulty(cfg);
   gemm::Matrix<float> c = p.c;
-  EXPECT_THROW(gemm::tiled_sgemm(faulty, tile, gemm::AbftConfig{true, 0.0, 1},
-                                 p.a, p.b, c),
+  EXPECT_THROW(run_plan(cfg, tile, gemm::AbftConfig{true, 0.0, 1}, p, c),
                gemm::AbftFailure);
 }
 
@@ -218,12 +248,10 @@ TEST(Abft, ZeroToleranceCleanEngineIsFalseAlarm) {
   // which the driver classifies as a tolerance artifact and accepts.
   const Problem p = make(32, 32, 32, 3333);
   const gemm::TileConfig tile{32, 32, 32, 16, 16};
-  const core::M3xuEngine clean;
-  gemm::Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(clean, tile, p.a, p.b, ref);
+  const gemm::Matrix<float> ref = flat_ref(p);
   gemm::Matrix<float> c = p.c;
-  const gemm::TiledGemmStats stats = gemm::tiled_sgemm(
-      clean, tile, gemm::AbftConfig{true, 0.0, 2}, p.a, p.b, c);
+  const gemm::TiledGemmStats stats = run_plan(
+      core::M3xuConfig{}, tile, gemm::AbftConfig{true, 0.0, 2}, p, c);
   EXPECT_GT(stats.abft_detected, 0);
   EXPECT_GT(stats.abft_false_alarms, 0);
   EXPECT_EQ(stats.abft_recovered, 0);

@@ -1,5 +1,5 @@
 // Tests for the compile-then-execute GemmPlan layer: bit-identity with
-// the ad-hoc resilient driver on every route rung and both dtypes,
+// the flat engine loop on every route rung and both dtypes,
 // prepacked B-panel reuse (hits across executes, fingerprint-guarded
 // refresh on a B change), per-execute rails, microkernel fallbacks in
 // the request trace, and operand validation.
@@ -44,6 +44,22 @@ bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
+/// C <- A*B + C on the flat engine loop: the reference every tiled
+/// route matches bit for bit.
+template <typename T>
+Matrix<T> flat_ref(const core::M3xuEngine& engine, const Matrix<T>& a,
+                   const Matrix<T>& b, const Matrix<T>& c) {
+  Matrix<T> ref = c;
+  if constexpr (std::is_same_v<T, float>) {
+    engine.gemm_fp32(a.rows(), b.cols(), a.cols(), a.data(), a.ld(),
+                     b.data(), b.ld(), ref.data(), ref.ld());
+  } else {
+    engine.gemm_fp32c(a.rows(), b.cols(), a.cols(), a.data(), a.ld(),
+                      b.data(), b.ld(), ref.data(), ref.ld());
+  }
+  return ref;
+}
+
 /// Engine configs pinning each packed route rung: the default
 /// (microkernel) and the generic per-dot rung.
 std::vector<std::pair<const char*, core::M3xuConfig>> route_configs() {
@@ -55,15 +71,13 @@ std::vector<std::pair<const char*, core::M3xuConfig>> route_configs() {
   return out;
 }
 
-TEST(GemmPlan, SgemmBitIdenticalToAdHocOnEveryRoute) {
+TEST(GemmPlan, SgemmBitIdenticalToFlatLoopOnEveryRoute) {
   const TileConfig tile{64, 64, 16, 32, 32};
   const AbftConfig abft{true};
   const RecoveryPolicy policy;
   const Problem<float> p = make<float>(100, 90, 130, 601);
   for (const auto& [name, cfg] : route_configs()) {
-    const core::M3xuEngine engine(cfg);
-    Matrix<float> ad_hoc = p.c;
-    tiled_sgemm(engine, tile, abft, policy, ExecConfig{}, p.a, p.b, ad_hoc);
+    const Matrix<float> flat = flat_ref(core::M3xuEngine(cfg), p.a, p.b, p.c);
 
     PlanOptions options;
     options.tile = tile;
@@ -73,21 +87,19 @@ TEST(GemmPlan, SgemmBitIdenticalToAdHocOnEveryRoute) {
                                             options);
     Matrix<float> planned = p.c;
     plan.execute(p.a, p.b, planned);
-    EXPECT_TRUE(bits_equal(planned, ad_hoc)) << "route " << name;
+    EXPECT_TRUE(bits_equal(planned, flat)) << "route " << name;
     EXPECT_EQ(plan.executions(), 1u);
   }
 }
 
-TEST(GemmPlan, CgemmBitIdenticalToAdHocOnEveryRoute) {
+TEST(GemmPlan, CgemmBitIdenticalToFlatLoopOnEveryRoute) {
   using C = std::complex<float>;
   const TileConfig tile{64, 64, 16, 32, 32};
   const AbftConfig abft{true};
   const RecoveryPolicy policy;
   const Problem<C> p = make<C>(60, 52, 68, 602);
   for (const auto& [name, cfg] : route_configs()) {
-    const core::M3xuEngine engine(cfg);
-    Matrix<C> ad_hoc = p.c;
-    tiled_cgemm(engine, tile, abft, policy, ExecConfig{}, p.a, p.b, ad_hoc);
+    const Matrix<C> flat = flat_ref(core::M3xuEngine(cfg), p.a, p.b, p.c);
 
     PlanOptions options;
     options.tile = tile;
@@ -97,7 +109,7 @@ TEST(GemmPlan, CgemmBitIdenticalToAdHocOnEveryRoute) {
         GemmPlan::compile(cfg, {60, 52, 68, true}, options);
     Matrix<C> planned = p.c;
     plan.execute(p.a, p.b, planned);
-    EXPECT_TRUE(bits_equal(planned, ad_hoc)) << "route " << name;
+    EXPECT_TRUE(bits_equal(planned, flat)) << "route " << name;
   }
 }
 
@@ -131,12 +143,10 @@ TEST(GemmPlan, DifferentBRefreshesStoreAndStaysCorrect) {
   plan.execute(p.a, b2, c2);  // new B bytes: fingerprint must not match
   EXPECT_EQ(plan.panel_stats().refreshes, 1u);
 
-  // The second result must equal the ad-hoc driver on (a, b2) - a
-  // stale panel from the first B would corrupt it.
+  // The second result must equal the flat loop on (a, b2) - a stale
+  // panel from the first B would corrupt it.
   const core::M3xuEngine engine;
-  Matrix<float> ref = p.c;
-  tiled_sgemm(engine, TileConfig{}, AbftConfig{}, RecoveryPolicy{},
-              ExecConfig{}, p.a, b2, ref);
+  const Matrix<float> ref = flat_ref(engine, p.a, b2, p.c);
   EXPECT_TRUE(bits_equal(c2, ref));
 
   // One flipped bit in B's last element must refresh the store too. The
@@ -158,9 +168,7 @@ TEST(GemmPlan, DifferentBRefreshesStoreAndStaysCorrect) {
     flip_plan.execute(q.a, b_flip, c_flip);
     EXPECT_EQ(flip_plan.panel_stats().refreshes, 1u) << s.n << "x" << s.k;
     EXPECT_FALSE(bits_equal(c_first, c_flip)) << s.n << "x" << s.k;
-    Matrix<float> flip_ref = q.c;
-    tiled_sgemm(engine, TileConfig{}, AbftConfig{}, RecoveryPolicy{},
-                ExecConfig{}, q.a, b_flip, flip_ref);
+    const Matrix<float> flip_ref = flat_ref(engine, q.a, b_flip, q.c);
     EXPECT_TRUE(bits_equal(c_flip, flip_ref)) << s.n << "x" << s.k;
   }
 }
@@ -175,10 +183,7 @@ TEST(GemmPlan, PrepackMakesFirstExecuteAllHits) {
   EXPECT_EQ(stats.misses, 0u) << "prepacked panels must cover every tile";
   EXPECT_GT(stats.hits, 0u);
 
-  const core::M3xuEngine engine;
-  Matrix<float> ref = p.c;
-  tiled_sgemm(engine, TileConfig{}, AbftConfig{}, RecoveryPolicy{},
-              ExecConfig{}, p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(core::M3xuEngine{}, p.a, p.b, p.c);
   EXPECT_TRUE(bits_equal(c, ref));
 }
 
@@ -191,16 +196,13 @@ TEST(GemmPlan, CgemmPrepackServesComplexPanels) {
   plan.execute(p.a, p.b, c);
   EXPECT_EQ(plan.panel_stats().misses, 0u);
 
-  const core::M3xuEngine engine;
-  Matrix<C> ref = p.c;
-  tiled_cgemm(engine, TileConfig{}, AbftConfig{}, RecoveryPolicy{},
-              ExecConfig{}, p.a, p.b, ref);
+  const Matrix<C> ref = flat_ref(core::M3xuEngine{}, p.a, p.b, p.c);
   EXPECT_TRUE(bits_equal(c, ref));
 }
 
 TEST(GemmPlan, PlanSurvivesMove) {
-  // The dispatch points into pimpl-owned engines; moving the plan must
-  // not invalidate it.
+  // The engines live behind the plan's pimpl; moving the plan must not
+  // invalidate them.
   const Problem<float> p = make<float>(64, 64, 64, 608);
   GemmPlan original = GemmPlan::compile(core::M3xuConfig{}, {64, 64, 64});
   Matrix<float> before = p.c;

@@ -1,10 +1,11 @@
 // Threaded tiled-driver determinism: partitioning the tile grid over a
 // ThreadPool is a throughput lever only. For every route rung and both
 // dtypes, the result must be bit-identical whatever pool the caller
-// supplies (1, 2, or 8 threads via ExecConfig::pool / ExecRails::pool,
-// or the process-global pool), identical across repeated runs on the
-// same pool (no schedule-dependent accumulation order), and identical
-// with the ABFT guard on. Runs under `ctest -L tsan` in the
+// supplies (1, 2, or 8 threads via ExecRails::pool, or the
+// process-global pool) and whatever grid the plan picks for it,
+// identical across repeated runs on the same pool (no
+// schedule-dependent accumulation order), and identical with the ABFT
+// guard on. Runs under `ctest -L tsan` in the
 // M3XU_SANITIZE=thread CI job, where the per-thread staging scratch
 // and the shared TiledGemmStats reduction are the interesting surface.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <complex>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,38 +65,42 @@ const TileConfig kTile{64, 64, 16, 32, 32};
 
 constexpr int kPoolSizes[] = {1, 2, 8};
 
+/// C <- p.c + A*B through `plan` on `pool` (null = the global pool).
 template <typename T>
-void run_adhoc(const core::M3xuEngine& engine, const AbftConfig& abft,
-               ThreadPool* pool, const Problem<T>& p, Matrix<T>& c) {
-  ExecConfig exec;
-  exec.pool = pool;
+void run_on(const GemmPlan& plan, ThreadPool* pool, const Problem<T>& p,
+            Matrix<T>& c) {
+  ExecRails rails;
+  rails.pool = pool;
   c = p.c;
-  if constexpr (std::is_same_v<T, float>) {
-    tiled_sgemm(engine, kTile, abft, RecoveryPolicy{}, exec, p.a, p.b, c);
-  } else {
-    tiled_cgemm(engine, kTile, abft, RecoveryPolicy{}, exec, p.a, p.b, c);
-  }
+  plan.execute(p.a, p.b, c, rails);
 }
 
 template <typename T>
 void expect_pool_invariance(const char* route, const core::M3xuConfig& cfg,
                             const AbftConfig& abft, const Problem<T>& p) {
   SCOPED_TRACE(route);
-  const core::M3xuEngine engine(cfg);
+  PlanOptions options;
+  options.tile = kTile;
+  options.abft = abft;
+  const GemmPlan plan = GemmPlan::compile(
+      cfg,
+      {p.a.rows(), p.b.cols(), p.a.cols(),
+       std::is_same_v<T, std::complex<float>>},
+      options);
 
   // Reference: the global pool (whatever size the host gave it).
   Matrix<T> ref(p.c.rows(), p.c.cols());
-  run_adhoc(engine, abft, nullptr, p, ref);
+  run_on(plan, nullptr, p, ref);
 
   for (const int threads : kPoolSizes) {
     SCOPED_TRACE(threads);
     ThreadPool pool(static_cast<std::size_t>(threads));
     Matrix<T> c1(p.c.rows(), p.c.cols());
     Matrix<T> c2(p.c.rows(), p.c.cols());
-    run_adhoc(engine, abft, &pool, p, c1);
+    run_on(plan, &pool, p, c1);
     // Second run on the same (already warm) pool: chunk claiming order
     // differs run to run; the bits must not.
-    run_adhoc(engine, abft, &pool, p, c2);
+    run_on(plan, &pool, p, c2);
     EXPECT_TRUE(bits_equal(c1, ref)) << "pool size " << threads;
     EXPECT_TRUE(bits_equal(c1, c2)) << "repeat on pool size " << threads;
   }

@@ -5,6 +5,7 @@
 
 #include <complex>
 #include <string>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -31,6 +32,33 @@ Problem make(int m, int n, int k, std::uint64_t seed) {
   return p;
 }
 
+/// Rails on a 1-thread pool, where a plan runs TileConfig's uniform
+/// grid: the geometry the traffic counters below are written for.
+ExecRails one_thread() {
+  static ThreadPool pool(1);
+  ExecRails rails;
+  rails.pool = &pool;
+  return rails;
+}
+
+/// C <- A*B + C through a plan compiled for this one call. Detections
+/// take the clean-recompute protocol these ABFT tests were written for.
+template <typename T>
+TiledGemmStats run_plan(const TileConfig& tile, const Matrix<T>& a,
+                        const Matrix<T>& b, Matrix<T>& c,
+                        const AbftConfig& abft = {},
+                        const ExecRails& rails = {}) {
+  PlanOptions options;
+  options.tile = tile;
+  options.abft = abft;
+  options.policy.demote = false;
+  const GemmPlan plan = GemmPlan::compile(
+      core::M3xuConfig{},
+      {a.rows(), b.cols(), a.cols(), std::is_same_v<T, std::complex<float>>},
+      options);
+  return plan.execute(a, b, c, rails);
+}
+
 class TileSweep : public ::testing::TestWithParam<TileConfig> {};
 
 TEST_P(TileSweep, BitIdenticalToFlatEngineLoop) {
@@ -42,7 +70,7 @@ TEST_P(TileSweep, BitIdenticalToFlatEngineLoop) {
   engine.gemm_fp32(100, 90, 130, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
                    flat.data(), flat.ld());
   Matrix<float> tiled = p.c;
-  tiled_sgemm(engine, GetParam(), p.a, p.b, tiled);
+  run_plan(GetParam(), p.a, p.b, tiled);
   for (int i = 0; i < 100; ++i) {
     for (int j = 0; j < 90; ++j) {
       ASSERT_EQ(bits_of(tiled(i, j)), bits_of(flat(i, j))) << i << "," << j;
@@ -63,11 +91,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(TiledGemm, StatsMatchGeometry) {
-  const core::M3xuEngine engine;
   const Problem p = make(256, 128, 64, 502);
   Matrix<float> c = p.c;
   const TileConfig cfg{128, 128, 32, 64, 32};
-  const TiledGemmStats s = tiled_sgemm(engine, cfg, p.a, p.b, c);
+  const TiledGemmStats s =
+      run_plan(cfg, p.a, p.b, c, {}, one_thread());
   EXPECT_EQ(s.block_tiles, 2);             // 256/128 x 128/128
   EXPECT_EQ(s.mainloop_iterations, 2 * 2);  // K=64 / block_k=32 per tile
   // Staged bytes: per tile-iteration (block_m + block_n) * block_k * 4.
@@ -76,25 +104,21 @@ TEST(TiledGemm, StatsMatchGeometry) {
   EXPECT_EQ(s.mma_instructions, 256L * 128 * 64 / (16 * 8 * 8));
 }
 
-TEST(TiledGemm, AdHocEntriesRunTheUniformGridOnAnyPool) {
-  // The ad-hoc entries run TileConfig's exact uniform grid whatever the
-  // pool: 32x128x128 stays one 128x128 tile on a 4-thread pool, where
-  // a plan splits it into four 32-column strips (each restaging A).
-  // Same bits either way.
-  const core::M3xuEngine engine;
+TEST(TiledGemm, PlanGridSplitsOnlyPastOneThread) {
+  // On one thread a plan runs TileConfig's exact uniform grid:
+  // 32x128x128 stays one 128x128 tile. On a 4-thread pool it splits
+  // into four 32-column strips (each restaging A). Same bits either
+  // way.
   const Problem p = make(32, 128, 128, 512);
-  ThreadPool pool(4);
-  ExecConfig exec;
-  exec.pool = &pool;
+  const GemmPlan plan = GemmPlan::compile(core::M3xuConfig{},
+                                          {32, 128, 128, false});
   Matrix<float> c = p.c;
-  const TiledGemmStats s = tiled_sgemm(engine, TileConfig{}, AbftConfig{},
-                                       RecoveryPolicy{}, exec, p.a, p.b, c);
+  const TiledGemmStats s = plan.execute(p.a, p.b, c, one_thread());
   EXPECT_EQ(s.block_tiles, 1);
   EXPECT_EQ(s.mainloop_iterations, 4);  // K=128 / block_k=32
   EXPECT_DOUBLE_EQ(s.staged_bytes, (32.0 + 128) * 128 * 4);
 
-  const GemmPlan plan = GemmPlan::compile(core::M3xuConfig{},
-                                          {32, 128, 128, false});
+  ThreadPool pool(4);
   ExecRails rails;
   rails.pool = &pool;
   Matrix<float> cp = p.c;
@@ -116,7 +140,7 @@ TEST(TiledGemm, RaggedEdgesBitIdenticalToFlatLoop) {
   engine.gemm_fp32(77, 45, 53, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
                    flat.data(), flat.ld());
   Matrix<float> c = p.c;
-  tiled_sgemm(engine, TileConfig{64, 64, 16, 32, 32}, p.a, p.b, c);
+  run_plan(TileConfig{64, 64, 16, 32, 32}, p.a, p.b, c);
   for (int i = 0; i < 77; ++i) {
     for (int j = 0; j < 45; ++j) {
       ASSERT_EQ(bits_of(c(i, j)), bits_of(flat(i, j))) << i << "," << j;
@@ -139,7 +163,7 @@ TEST(TiledGemm, ComplexBitIdenticalToFlatLoop) {
   Matrix<std::complex<float>> flat = c;
   engine.gemm_fp32c(m, n, k, a.data(), k, b.data(), n, flat.data(), n);
   Matrix<std::complex<float>> tiled = c;
-  tiled_cgemm(engine, TileConfig{32, 32, 8, 16, 16}, a, b, tiled);
+  run_plan(TileConfig{32, 32, 8, 16, 16}, a, b, tiled);
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       ASSERT_EQ(bits_of(tiled(i, j).real()), bits_of(flat(i, j).real()));
@@ -151,12 +175,14 @@ TEST(TiledGemm, ComplexBitIdenticalToFlatLoop) {
 TEST(TiledGemm, RepeatedRunsAreDeterministic) {
   // Tiles are independent, so concurrent scheduling order cannot leak
   // into the results: repeated runs are bit-identical.
-  const core::M3xuEngine engine;
   const Problem p = make(130, 130, 64, 505);
   Matrix<float> c1 = p.c, c2 = p.c;
-  const TileConfig cfg{64, 64, 32, 32, 32};
-  tiled_sgemm(engine, cfg, p.a, p.b, c1);
-  tiled_sgemm(engine, cfg, p.a, p.b, c2);
+  PlanOptions options;
+  options.tile = TileConfig{64, 64, 32, 32, 32};
+  const GemmPlan plan =
+      GemmPlan::compile(core::M3xuConfig{}, {130, 130, 64, false}, options);
+  plan.execute(p.a, p.b, c1);
+  plan.execute(p.a, p.b, c2);
   for (int i = 0; i < 130; ++i) {
     for (int j = 0; j < 130; ++j) {
       ASSERT_EQ(bits_of(c1(i, j)), bits_of(c2(i, j)));
@@ -167,13 +193,12 @@ TEST(TiledGemm, RepeatedRunsAreDeterministic) {
 TEST(TiledGemm, AbftCleanPathBitIdenticalWithZeroCounters) {
   // Enabling the guard on a fault-free engine must not change a single
   // bit of the output, and no counter beyond tile_checks may move.
-  const core::M3xuEngine engine;
   const Problem p = make(100, 90, 130, 507);
   const TileConfig cfg{64, 64, 16, 32, 32};
   Matrix<float> plain = p.c, guarded = p.c;
-  const TiledGemmStats s0 = tiled_sgemm(engine, cfg, p.a, p.b, plain);
+  const TiledGemmStats s0 = run_plan(cfg, p.a, p.b, plain);
   const TiledGemmStats s1 =
-      tiled_sgemm(engine, cfg, AbftConfig{true, 1.0, 2}, p.a, p.b, guarded);
+      run_plan(cfg, p.a, p.b, guarded, AbftConfig{true, 1.0, 2});
   for (int i = 0; i < 100; ++i) {
     for (int j = 0; j < 90; ++j) {
       ASSERT_EQ(bits_of(guarded(i, j)), bits_of(plain(i, j))) << i << "," << j;
@@ -192,7 +217,6 @@ TEST(TiledGemm, AbftCleanPathBitIdenticalWithZeroCounters) {
 }
 
 TEST(TiledGemm, AbftCleanPathComplexBitIdentical) {
-  const core::M3xuEngine engine;
   Rng rng(508);
   const int m = 48, n = 40, k = 36;
   Matrix<std::complex<float>> a(m, k), b(k, n), c(m, n);
@@ -201,9 +225,9 @@ TEST(TiledGemm, AbftCleanPathComplexBitIdentical) {
   fill_random(c, rng);
   Matrix<std::complex<float>> plain = c, guarded = c;
   const TileConfig cfg{32, 32, 8, 16, 16};
-  tiled_cgemm(engine, cfg, a, b, plain);
+  run_plan(cfg, a, b, plain);
   const TiledGemmStats s =
-      tiled_cgemm(engine, cfg, AbftConfig{true, 1.0, 2}, a, b, guarded);
+      run_plan(cfg, a, b, guarded, AbftConfig{true, 1.0, 2});
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
       ASSERT_EQ(bits_of(guarded(i, j).real()), bits_of(plain(i, j).real()));
@@ -226,8 +250,8 @@ TEST(TiledGemm, AbftMultiColumnGridSharesRowChecksums) {
   engine.gemm_fp32(96, 130, 72, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
                    flat.data(), flat.ld());
   Matrix<float> guarded = p.c;
-  const TiledGemmStats s =
-      tiled_sgemm(engine, cfg, AbftConfig{true, 1.0, 2}, p.a, p.b, guarded);
+  const TiledGemmStats s = run_plan(cfg, p.a, p.b, guarded,
+                                    AbftConfig{true, 1.0, 2}, one_thread());
   for (int i = 0; i < 96; ++i) {
     for (int j = 0; j < 130; ++j) {
       ASSERT_EQ(bits_of(guarded(i, j)), bits_of(flat(i, j))) << i << "," << j;
@@ -248,15 +272,20 @@ TEST(TiledGemm, AbftMultiTileRecoversUnderInjection) {
   const TileConfig cfg{48, 48, 24, 24, 24};
   const core::M3xuEngine clean;
   Matrix<float> ref = p.c;
-  tiled_sgemm(clean, cfg, p.a, p.b, ref);
+  clean.gemm_fp32(96, 96, 48, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
+                  ref.data(), ref.ld());
 
   const fault::FaultInjector inj(37, fault::SiteRates::uniform(1e-4));
   core::M3xuConfig mcfg;
   mcfg.injector = &inj;
-  const core::M3xuEngine faulty(mcfg);
+  PlanOptions options;
+  options.tile = cfg;
+  options.abft = AbftConfig{true, 1.0, 4};
+  options.policy.demote = false;  // the clean-recompute protocol
+  const GemmPlan plan =
+      GemmPlan::compile(mcfg, {96, 96, 48, false}, options);
   Matrix<float> c = p.c;
-  const TiledGemmStats s =
-      tiled_sgemm(faulty, cfg, AbftConfig{true, 1.0, 4}, p.a, p.b, c);
+  const TiledGemmStats s = plan.execute(p.a, p.b, c, one_thread());
   EXPECT_EQ(s.block_tiles, 4);
   ASSERT_GT(inj.total_injected(), 0u);
   ASSERT_GT(s.abft_detected, 0);
@@ -269,33 +298,15 @@ TEST(TiledGemm, AbftMultiTileRecoversUnderInjection) {
 }
 
 TEST(TiledGemm, InvalidTileConfigReportsClearMessage) {
-  const core::M3xuEngine engine;
   const Problem p = make(32, 32, 32, 509);
   Matrix<float> c = p.c;
   const ScopedCheckHandler guard(&throwing_check_failure_handler);
   try {
     // warp_m does not divide block_m.
-    tiled_sgemm(engine, TileConfig{48, 32, 16, 32, 16}, p.a, p.b, c);
+    run_plan(TileConfig{48, 32, 16, 32, 16}, p.a, p.b, c);
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("TileConfig invalid"),
-              std::string::npos);
-  }
-}
-
-TEST(TiledGemm, ShapeMismatchReportsClearMessage) {
-  const core::M3xuEngine engine;
-  Rng rng(510);
-  Matrix<float> a(32, 16), b(24, 32), c(32, 32);  // A.cols != B.rows
-  fill_random(a, rng);
-  fill_random(b, rng);
-  fill_random(c, rng);
-  const ScopedCheckHandler guard(&throwing_check_failure_handler);
-  try {
-    tiled_sgemm(engine, TileConfig{32, 32, 16, 16, 16}, a, b, c);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("A columns != B rows"),
               std::string::npos);
   }
 }
@@ -326,26 +337,24 @@ TEST(TileConfigValid, RejectsNonPositiveFieldsWithoutUb) {
 TEST(TiledGemm, ZeroWarpTileFailsTheEntryCheckCleanly) {
   // The driver's M3XU_CHECK path must reach the handler (and not trip
   // UB inside valid()) for the same malformed configs.
-  const core::M3xuEngine engine;
   const Problem p = make(32, 32, 32, 511);
   Matrix<float> c = p.c;
   const ScopedCheckHandler guard(&throwing_check_failure_handler);
   EXPECT_THROW(
-      tiled_sgemm(engine, TileConfig{64, 64, 16, 0, 32}, p.a, p.b, c),
+      run_plan(TileConfig{64, 64, 16, 0, 32}, p.a, p.b, c),
       CheckError);
   EXPECT_THROW(
-      tiled_sgemm(engine, TileConfig{64, 64, -8, 32, 32}, p.a, p.b, c),
+      run_plan(TileConfig{64, 64, -8, 32, 32}, p.a, p.b, c),
       CheckError);
 }
 
 TEST(TiledGemm, RejectsMisalignedBlockK) {
-  const core::M3xuEngine engine;
   const Problem p = make(32, 32, 32, 506);
   Matrix<float> c = p.c;
   // block_k must be a multiple of the FP32 instruction K (8).
-  EXPECT_DEATH(tiled_sgemm(engine, TileConfig{32, 32, 12, 16, 16}, p.a, p.b,
-                           c),
-               "");
+  EXPECT_DEATH(
+      run_plan(TileConfig{32, 32, 12, 16, 16}, p.a, p.b, c),
+      "");
 }
 
 }  // namespace

@@ -1,23 +1,30 @@
 // Tests for the resilient execution layer around the tiled GEMM
 // driver: the retry-then-demote ladder, tile quarantine, terminal
 // behaviors, allocation-failure fallback, staged-panel faults, the
-// NaN-aware checksum, and legacy-protocol equivalence.
+// NaN-aware checksum, and the clean-recompute protocol.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <limits>
+#include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/panel_cache.hpp"
+#include "gemm/plan.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "telemetry/telemetry.hpp"
+#include "telemetry/trace_context.hpp"
 
 namespace m3xu::gemm {
 namespace {
@@ -46,12 +53,61 @@ Problem make(int m, int n, int k, std::uint64_t seed) {
   return p;
 }
 
+/// The fault-free reference: the flat engine loop, which the tiled
+/// driver matches bit for bit.
+template <typename T>
+Matrix<T> flat_ref(const Matrix<T>& a, const Matrix<T>& b,
+                   const Matrix<T>& c) {
+  const core::M3xuEngine clean;
+  Matrix<T> ref = c;
+  if constexpr (std::is_same_v<T, float>) {
+    clean.gemm_fp32(a.rows(), b.cols(), a.cols(), a.data(), a.ld(), b.data(),
+                    b.ld(), ref.data(), ref.ld());
+  } else {
+    clean.gemm_fp32c(a.rows(), b.cols(), a.cols(), a.data(), a.ld(),
+                     b.data(), b.ld(), ref.data(), ref.ld());
+  }
+  return ref;
+}
+
+Matrix<float> flat_ref(const Problem& p) { return flat_ref(p.a, p.b, p.c); }
+
+/// Rails on a 1-thread pool: the plan keeps TileConfig's uniform grid
+/// and runs its tiles in order, so injected faults land on the same
+/// tiles every run and grid-dependent counts are exact.
+ExecRails one_thread() {
+  static ThreadPool pool(1);
+  ExecRails rails;
+  rails.pool = &pool;
+  return rails;
+}
+
+/// C <- A*B + C through a plan compiled for this one call.
+template <typename T>
+TiledGemmStats run_plan(const core::M3xuConfig& engine,
+                        const PlanOptions& options, const Matrix<T>& a,
+                        const Matrix<T>& b, Matrix<T>& c,
+                        const ExecRails& rails = {}) {
+  const GemmPlan plan = GemmPlan::compile(
+      engine,
+      {a.rows(), b.cols(), a.cols(), std::is_same_v<T, std::complex<float>>},
+      options);
+  return plan.execute(a, b, c, rails);
+}
+
 TileConfig single_tile_cfg() { return TileConfig{32, 32, 32, 16, 16}; }
 
 AbftConfig abft_on() {
   AbftConfig abft;
   abft.enable = true;
   return abft;
+}
+
+/// The clean-recompute protocol (no demotion ladder).
+RecoveryPolicy clean_recompute() {
+  RecoveryPolicy policy;
+  policy.demote = false;
+  return policy;
 }
 
 long total_recovered(const RecoveryReport& rec) {
@@ -110,38 +166,63 @@ TEST(TileQuarantine, EvictionCounterIsExported) {
 }
 #endif
 
-TEST(ResilienceValidation, RejectsMalformedPolicyAndExecConfigs) {
+TEST(ResilienceValidation, RejectsMalformedPolicyAbftAndRails) {
   const ScopedCheckHandler guard(throwing_check_failure_handler);
   const Problem p = make(32, 32, 32, 90);
-  const core::M3xuEngine clean{core::M3xuConfig{}};
+  const core::M3xuConfig clean;
+  const PlanKey key{32, 32, 32, false};
   Matrix<float> out = p.c;
 
+  // Frozen configs fail at compile.
   RecoveryPolicy bad_retries;
   bad_retries.retries_per_route = -1;
-  EXPECT_THROW(tiled_sgemm(clean, single_tile_cfg(), abft_on(), bad_retries,
-                           ExecConfig{}, p.a, p.b, out),
+  EXPECT_THROW(GemmPlan::compile(clean, key,
+                                 {single_tile_cfg(), abft_on(), bad_retries}),
                CheckError);
 
   RecoveryPolicy bad_floor;
   bad_floor.floor = static_cast<Route>(kRouteCount);
-  EXPECT_THROW(tiled_sgemm(clean, single_tile_cfg(), abft_on(), bad_floor,
-                           ExecConfig{}, p.a, p.b, out),
-               CheckError);
+  EXPECT_THROW(
+      GemmPlan::compile(clean, key, {single_tile_cfg(), abft_on(), bad_floor}),
+      CheckError);
 
-  ExecConfig negative_deadline;
+  // A NaN, infinite or negative tolerance fails every checksum (or
+  // none); a recompute budget below one used to run one recompute.
+  for (const double scale : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -1.0}) {
+    AbftConfig bad_tolerance = abft_on();
+    bad_tolerance.tolerance_scale = scale;
+    EXPECT_THROW(GemmPlan::compile(clean, key,
+                                   {single_tile_cfg(), bad_tolerance, {}}),
+                 CheckError)
+        << scale;
+  }
+  for (const int budget : {0, -5}) {
+    AbftConfig bad_budget = abft_on();
+    bad_budget.max_recompute = budget;
+    EXPECT_THROW(
+        GemmPlan::compile(clean, key, {single_tile_cfg(), bad_budget, {}}),
+        CheckError)
+        << budget;
+  }
+  // A zero tolerance stays legal: tests use it to force detections.
+  AbftConfig zero_tolerance = abft_on();
+  zero_tolerance.tolerance_scale = 0.0;
+  EXPECT_NO_THROW(
+      GemmPlan::compile(clean, key, {single_tile_cfg(), zero_tolerance, {}}));
+
+  // Rails fail at execute.
+  const GemmPlan plan =
+      GemmPlan::compile(clean, key, {single_tile_cfg(), abft_on(), {}});
+  ExecRails negative_deadline;
   negative_deadline.deadline_ms = -5;
-  EXPECT_THROW(tiled_sgemm(clean, single_tile_cfg(), abft_on(),
-                           RecoveryPolicy{}, negative_deadline, p.a, p.b,
-                           out),
-               CheckError);
+  EXPECT_THROW(plan.execute(p.a, p.b, out, negative_deadline), CheckError);
 
   // Stall detection without a wall-deadline backstop is rejected: a
   // trickle of progress would never terminate.
-  ExecConfig stall_only;
+  ExecRails stall_only;
   stall_only.stall_ms = 10;
-  EXPECT_THROW(tiled_sgemm(clean, single_tile_cfg(), abft_on(),
-                           RecoveryPolicy{}, stall_only, p.a, p.b, out),
-               CheckError);
+  EXPECT_THROW(plan.execute(p.a, p.b, out, stall_only), CheckError);
 
   // A panel cache requires a nonzero B-identity key.
   struct NullCache final : PanelCache {
@@ -156,18 +237,15 @@ TEST(ResilienceValidation, RejectsMalformedPolicyAndExecConfigs) {
                    const core::PackedPanelFp32cB&) override {}
   };
   NullCache cache;
-  ExecConfig keyless_cache;
+  ExecRails keyless_cache;
   keyless_cache.b_cache = &cache;
-  EXPECT_THROW(tiled_sgemm(clean, single_tile_cfg(), abft_on(),
-                           RecoveryPolicy{}, keyless_cache, p.a, p.b, out),
-               CheckError);
+  EXPECT_THROW(plan.execute(p.a, p.b, out, keyless_cache), CheckError);
 
   // The valid combinations still run.
-  ExecConfig ok;
+  ExecRails ok;
   ok.deadline_ms = 60'000;
   ok.stall_ms = 60'000;
-  EXPECT_NO_THROW(tiled_sgemm(clean, single_tile_cfg(), abft_on(),
-                              RecoveryPolicy{}, ok, p.a, p.b, out));
+  EXPECT_NO_THROW(plan.execute(p.a, p.b, out, ok));
 }
 
 TEST(Resilience, LadderWalksToScalarAndRecoversBitExact) {
@@ -176,20 +254,16 @@ TEST(Resilience, LadderWalksToScalarAndRecoversBitExact) {
   // walk all the way down; the scalar rung runs fault-free and its
   // recovery is bit-exact by construction.
   const Problem p = make(32, 32, 64, 77);
-  const core::M3xuEngine clean{core::M3xuConfig{}};
-  Matrix<float> ref = p.c;
-  tiled_sgemm(clean, single_tile_cfg(), p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(p);
 
   const fault::FaultInjector inj(
       1234, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const core::M3xuEngine eng(cfg);
   const RecoveryPolicy policy;  // defaults: full ladder, throw terminal
   Matrix<float> out = p.c;
-  const TiledGemmStats stats = tiled_sgemm(eng, single_tile_cfg(), abft_on(),
-                                           policy, ExecConfig{}, p.a, p.b,
-                                           out);
+  const TiledGemmStats stats = run_plan(
+      cfg, {single_tile_cfg(), abft_on(), policy}, p.a, p.b, out, one_thread());
   EXPECT_EQ(stats.abft_detected, 1);
   EXPECT_EQ(stats.recovery.demotions, 2);
   EXPECT_EQ(stats.recovery.demoted_to[static_cast<int>(
@@ -210,22 +284,20 @@ TEST(Resilience, LadderWalksToScalarAndRecoversBitExact) {
 
 TEST(Resilience, QuarantineSkipsTheLadderOnTheNextCall) {
   const Problem p = make(32, 32, 64, 78);
-  const core::M3xuEngine clean{core::M3xuConfig{}};
-  Matrix<float> ref = p.c;
-  tiled_sgemm(clean, single_tile_cfg(), p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(p);
 
   const fault::FaultInjector inj(
       99, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const core::M3xuEngine eng(cfg);
+  const GemmPlan plan = GemmPlan::compile(cfg, {32, 32, 64, false},
+                                          {single_tile_cfg(), abft_on(), {}});
   TileQuarantine quarantine;
-  RecoveryPolicy policy;
-  policy.quarantine = &quarantine;
+  ExecRails rails = one_thread();
+  rails.quarantine = &quarantine;
 
   Matrix<float> out1 = p.c;
-  const TiledGemmStats s1 = tiled_sgemm(eng, single_tile_cfg(), abft_on(),
-                                        policy, ExecConfig{}, p.a, p.b, out1);
+  const TiledGemmStats s1 = plan.execute(p.a, p.b, out1, rails);
   EXPECT_EQ(s1.recovery.demotions, 2);
   EXPECT_EQ(s1.recovery.quarantined, 1);
   EXPECT_EQ(quarantine.size(), 1u);
@@ -235,8 +307,7 @@ TEST(Resilience, QuarantineSkipsTheLadderOnTheNextCall) {
   // rung - still detected (the primary pass is faulty), but recovery
   // needs zero demotions now.
   Matrix<float> out2 = p.c;
-  const TiledGemmStats s2 = tiled_sgemm(eng, single_tile_cfg(), abft_on(),
-                                        policy, ExecConfig{}, p.a, p.b, out2);
+  const TiledGemmStats s2 = plan.execute(p.a, p.b, out2, rails);
   EXPECT_EQ(s2.recovery.quarantine_hits, 1);
   EXPECT_EQ(s2.recovery.demotions, 0);
   EXPECT_TRUE(bitwise_equal(out2, ref));
@@ -250,14 +321,13 @@ TEST(Resilience, TerminalThrowCarriesTileAndRouteContext) {
       7, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const core::M3xuEngine eng(cfg);
   RecoveryPolicy policy;
   policy.floor = Route::kMicrokernel;
   policy.retries_per_route = 2;
   Matrix<float> out = p.c;
   try {
-    tiled_sgemm(eng, single_tile_cfg(), abft_on(), policy, ExecConfig{}, p.a,
-                p.b, out);
+    run_plan(cfg, {single_tile_cfg(), abft_on(), policy}, p.a, p.b, out,
+             one_thread());
     FAIL() << "expected AbftFailure";
   } catch (const AbftFailure& e) {
     EXPECT_EQ(e.tile_row(), 0);
@@ -273,14 +343,12 @@ TEST(Resilience, TerminalPoisonOverwritesTheTileWithNaNs) {
       8, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const core::M3xuEngine eng(cfg);
   RecoveryPolicy policy;
   policy.floor = Route::kMicrokernel;
   policy.terminal = RecoveryPolicy::Terminal::kPoison;
   Matrix<float> out = p.c;
-  const TiledGemmStats stats = tiled_sgemm(eng, single_tile_cfg(), abft_on(),
-                                           policy, ExecConfig{}, p.a, p.b,
-                                           out);
+  const TiledGemmStats stats = run_plan(
+      cfg, {single_tile_cfg(), abft_on(), policy}, p.a, p.b, out, one_thread());
   EXPECT_EQ(stats.recovery.poisoned_tiles, 1);
   EXPECT_EQ(stats.recovery.degraded_tiles, 0);
   for (int i = 0; i < out.rows(); ++i) {
@@ -296,14 +364,12 @@ TEST(Resilience, TerminalDegradeKeepsTheSuspectResult) {
       9, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const core::M3xuEngine eng(cfg);
   RecoveryPolicy policy;
   policy.floor = Route::kMicrokernel;
   policy.terminal = RecoveryPolicy::Terminal::kDegrade;
   Matrix<float> out = p.c;
-  const TiledGemmStats stats = tiled_sgemm(eng, single_tile_cfg(), abft_on(),
-                                           policy, ExecConfig{}, p.a, p.b,
-                                           out);
+  const TiledGemmStats stats = run_plan(
+      cfg, {single_tile_cfg(), abft_on(), policy}, p.a, p.b, out, one_thread());
   EXPECT_EQ(stats.recovery.degraded_tiles, 1);
   EXPECT_EQ(stats.recovery.poisoned_tiles, 0);
 }
@@ -312,20 +378,16 @@ TEST(Resilience, AllocFailureFallsBackBitExact) {
   // Every staged K-block loses its packed panels; the per-dot fallback
   // must deliver the same bits with no ABFT involvement.
   const Problem p = make(64, 64, 64, 82);
-  const core::M3xuEngine clean{core::M3xuConfig{}};
   const TileConfig tile{32, 32, 32, 16, 16};  // 2x2 tile grid
-  Matrix<float> ref = p.c;
-  tiled_sgemm(clean, tile, p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(p);
 
   const fault::FaultInjector inj(
       5, fault::SiteRates::only(fault::Site::kAllocFailure, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const core::M3xuEngine eng(cfg);
   Matrix<float> out = p.c;
-  const TiledGemmStats stats = tiled_sgemm(eng, tile, abft_on(),
-                                           RecoveryPolicy{}, ExecConfig{},
-                                           p.a, p.b, out);
+  const TiledGemmStats stats =
+      run_plan(cfg, {tile, abft_on(), {}}, p.a, p.b, out);
   EXPECT_TRUE(bitwise_equal(out, ref));
   EXPECT_EQ(stats.abft_detected, 0);
   EXPECT_EQ(stats.recovery.alloc_fallbacks, stats.mainloop_iterations);
@@ -338,19 +400,15 @@ TEST(Resilience, AllocFailureFallsBackBitExactComplex) {
   fill_random(a, rng);
   fill_random(b, rng);
   fill_random(c0, rng);
-  const core::M3xuEngine clean{core::M3xuConfig{}};
-  Matrix<C> ref = c0;
-  tiled_cgemm(clean, single_tile_cfg(), a, b, ref);
+  const Matrix<C> ref = flat_ref(a, b, c0);
 
   const fault::FaultInjector inj(
       6, fault::SiteRates::only(fault::Site::kAllocFailure, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const core::M3xuEngine eng(cfg);
   Matrix<C> out = c0;
-  const TiledGemmStats stats = tiled_cgemm(eng, single_tile_cfg(), abft_on(),
-                                           RecoveryPolicy{}, ExecConfig{}, a,
-                                           b, out);
+  const TiledGemmStats stats =
+      run_plan(cfg, {single_tile_cfg(), abft_on(), {}}, a, b, out);
   EXPECT_GT(stats.recovery.alloc_fallbacks, 0);
   for (int i = 0; i < 32; ++i) {
     for (int j = 0; j < 32; ++j) {
@@ -368,19 +426,16 @@ TEST(Resilience, StagedPanelFaultsNeverEscapeAboveTolerance) {
   const Problem p = make(32, 32, 64, 84);
   const core::M3xuEngine clean{core::M3xuConfig{}};
   const AbftConfig abft = abft_on();
-  Matrix<float> ref = p.c;
-  tiled_sgemm(clean, single_tile_cfg(), p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(p);
   long detections = 0;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     const fault::FaultInjector inj(
         seed, fault::SiteRates::only(fault::Site::kStagedPanel, 2e-3));
     core::M3xuConfig cfg;
     cfg.injector = &inj;
-    const core::M3xuEngine eng(cfg);
     Matrix<float> out = p.c;
-    const TiledGemmStats stats = tiled_sgemm(eng, single_tile_cfg(), abft,
-                                             RecoveryPolicy{}, ExecConfig{},
-                                             p.a, p.b, out);
+    const TiledGemmStats stats = run_plan(cfg, {single_tile_cfg(), abft, {}},
+                                          p.a, p.b, out, one_thread());
     detections += stats.abft_detected;
     EXPECT_EQ(stats.abft_recovered + stats.abft_false_alarms,
               stats.abft_detected);
@@ -407,72 +462,116 @@ TEST(Resilience, NaNInputTripsTheChecksumAsFalseAlarmNotEscape) {
   // the false alarm and the NaN propagates honestly.
   Problem p = make(32, 32, 64, 85);
   p.c(3, 4) = std::numeric_limits<float>::quiet_NaN();
-  const core::M3xuEngine clean{core::M3xuConfig{}};
   Matrix<float> out = p.c;
   const TiledGemmStats stats =
-      tiled_sgemm(clean, single_tile_cfg(), abft_on(), p.a, p.b, out);
+      run_plan(core::M3xuConfig{}, {single_tile_cfg(), abft_on(),
+                                    clean_recompute()},
+               p.a, p.b, out, one_thread());
   EXPECT_EQ(stats.abft_detected, 1);
   EXPECT_EQ(stats.abft_false_alarms, 1);
   EXPECT_TRUE(std::isnan(out(3, 4)));
 }
 
-TEST(Resilience, LegacyModeMatchesLegacyOverloadUnderInjection) {
-  // policy.demote == false must reproduce the legacy detect/recompute
-  // protocol bit-for-bit, including the stats it reports.
+TEST(Resilience, CleanRecomputeNeverEngagesTheLadder) {
+  // policy.demote == false recovers through fault-free recomputes
+  // alone: the ladder's retry, demotion and rung counters stay zero.
   const Problem p = make(32, 32, 64, 86);
-  const fault::SiteRates rates =
-      fault::SiteRates::only(fault::Site::kOperandA, 1e-3);
+  const fault::FaultInjector inj(
+      42, fault::SiteRates::only(fault::Site::kOperandA, 1e-3));
+  core::M3xuConfig cfg;
+  cfg.injector = &inj;
+  Matrix<float> out = p.c;
+  const TiledGemmStats stats =
+      run_plan(cfg, {single_tile_cfg(), abft_on(), clean_recompute()}, p.a,
+               p.b, out, one_thread());
+  ASSERT_GT(stats.abft_detected, 0);
+  EXPECT_EQ(stats.abft_recovered + stats.abft_false_alarms,
+            stats.abft_detected);
+  EXPECT_EQ(stats.recovery.retries, 0);
+  EXPECT_EQ(stats.recovery.demotions, 0);
+  EXPECT_EQ(total_recovered(stats.recovery), 0);
+}
 
-  const fault::FaultInjector inj_a(42, rates);
-  core::M3xuConfig cfg_a;
-  cfg_a.injector = &inj_a;
-  const core::M3xuEngine eng_a(cfg_a);
-  Matrix<float> out_a = p.c;
-  const TiledGemmStats legacy =
-      tiled_sgemm(eng_a, single_tile_cfg(), abft_on(), p.a, p.b, out_a);
+TEST(Resilience, CleanRecomputeOnASplitGridRecoversBitExact) {
+  // On 4 threads plan_grid splits 48x48x96 into three 48x16 column
+  // tiles that run concurrently on one shared injector. Whichever tiles
+  // the faults land on, every detected tile is recomputed on the
+  // fault-free clone, so it matches the flat loop bit for bit; an
+  // undetected tile keeps at most a sub-tolerance deviation.
+  const int m = 48, n = 48, k = 96;
+  const Problem p = make(m, n, k, 91);
+  const Matrix<float> ref = flat_ref(p);
+  const TileConfig tile{48, 48, 32, 16, 16};
+  const AbftConfig abft = abft_on();
+  const fault::FaultInjector inj(43, fault::SiteRates::uniform(1e-4));
+  core::M3xuConfig cfg;
+  cfg.injector = &inj;
+  const GemmPlan plan =
+      GemmPlan::compile(cfg, {m, n, k, false}, {tile, abft, clean_recompute()});
+  ThreadPool pool(4);
+  const TileGrid& grid = plan.grid(&pool);
+  ASSERT_EQ(grid.grid_m(), 1);
+  ASSERT_EQ(grid.grid_n(), 3);
 
-  const fault::FaultInjector inj_b(42, rates);
-  core::M3xuConfig cfg_b;
-  cfg_b.injector = &inj_b;
-  const core::M3xuEngine eng_b(cfg_b);
-  RecoveryPolicy no_ladder;
-  no_ladder.demote = false;
-  Matrix<float> out_b = p.c;
-  const TiledGemmStats compat = tiled_sgemm(eng_b, single_tile_cfg(),
-                                            abft_on(), no_ladder,
-                                            ExecConfig{}, p.a, p.b, out_b);
+  telemetry::TraceContext trace("test", "split_clean_recompute");
+  ExecRails rails;
+  rails.pool = &pool;
+  rails.trace = &trace;
+  Matrix<float> out = p.c;
+  const TiledGemmStats stats = plan.execute(p.a, p.b, out, rails);
+  ASSERT_GT(inj.total_injected(), 0u);
+  ASSERT_GT(stats.abft_detected, 0);
+  EXPECT_EQ(stats.abft_recovered + stats.abft_false_alarms,
+            stats.abft_detected);
+  EXPECT_EQ(stats.recovery.retries, 0);
+  EXPECT_EQ(stats.recovery.demotions, 0);
 
-  EXPECT_TRUE(bitwise_equal(out_a, out_b));
-  EXPECT_EQ(legacy.abft_detected, compat.abft_detected);
-  EXPECT_EQ(legacy.abft_recomputed, compat.abft_recomputed);
-  EXPECT_EQ(legacy.abft_recovered, compat.abft_recovered);
-  EXPECT_EQ(legacy.abft_false_alarms, compat.abft_false_alarms);
-  // Legacy mode never engages the ladder.
-  EXPECT_EQ(legacy.recovery.retries, 0);
-  EXPECT_EQ(compat.recovery.retries, 0);
-  EXPECT_EQ(compat.recovery.demotions, 0);
-  EXPECT_EQ(total_recovered(compat.recovery), 0);
+  std::set<long> detected;
+  for (const telemetry::TraceEvent& e : trace.events()) {
+    if (std::string(e.name) == "abft.detect") detected.insert(e.a0);
+  }
+#if M3XU_TELEMETRY_ENABLED
+  EXPECT_EQ(static_cast<long>(detected.size()), stats.abft_detected);
+#endif
+  const core::M3xuEngine clean;
+  for (long t = 0; t < grid.tiles(); ++t) {
+    const int bn = grid.cols[static_cast<std::size_t>(t)];
+    const int bn_end = grid.cols[static_cast<std::size_t>(t) + 1];
+    for (int j = bn; j < bn_end; ++j) {
+      const double limit = 2.0 * abft_column_tolerance(clean, tile, abft, p.a,
+                                                       p.b, p.c, 0, m, j);
+      for (int i = 0; i < m; ++i) {
+        if (detected.count(t) != 0) {
+          ASSERT_EQ(bits32(out(i, j)), bits32(ref(i, j)))
+              << "tile " << t << " at " << i << "," << j;
+        } else {
+          const double dev = std::fabs(static_cast<double>(out(i, j)) -
+                                       static_cast<double>(ref(i, j)));
+          ASSERT_TRUE(dev <= limit) << "tile " << t << " at " << i << ","
+                                    << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(Resilience, CleanResilientPathBitIdenticalToUnguarded) {
   // The full resilient configuration on a clean engine changes nothing
   // about the numerics.
   const Problem p = make(64, 48, 96, 87);
-  const core::M3xuEngine clean{core::M3xuConfig{}};
   const TileConfig tile{32, 32, 32, 16, 16};
-  Matrix<float> ref = p.c;
-  tiled_sgemm(clean, tile, p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(p);
   TileQuarantine quarantine;
-  RecoveryPolicy policy;
-  policy.quarantine = &quarantine;
   CancellationToken token;
-  ExecConfig exec;
-  exec.token = &token;
-  exec.deadline_ms = 60'000;
-  exec.stall_ms = 60'000;
+  ExecRails rails;
+  rails.token = &token;
+  rails.deadline_ms = 60'000;
+  rails.stall_ms = 60'000;
+  rails.quarantine = &quarantine;
   Matrix<float> out = p.c;
-  const TiledGemmStats stats =
-      tiled_sgemm(clean, tile, abft_on(), policy, exec, p.a, p.b, out);
+  const TiledGemmStats stats = run_plan(core::M3xuConfig{},
+                                        {tile, abft_on(), {}}, p.a, p.b, out,
+                                        rails);
   EXPECT_TRUE(bitwise_equal(out, ref));
   EXPECT_EQ(stats.abft_detected, 0);
   EXPECT_EQ(stats.recovery.retries, 0);
@@ -481,15 +580,14 @@ TEST(Resilience, CleanResilientPathBitIdenticalToUnguarded) {
 
 TEST(Resilience, CancellationTokenAbortsTheDriver) {
   const Problem p = make(96, 96, 64, 88);
-  const core::M3xuEngine clean{core::M3xuConfig{}};
   const TileConfig tile{32, 32, 32, 16, 16};
   CancellationToken token;
   token.request_cancel("test abort");
-  ExecConfig exec;
-  exec.token = &token;
+  ExecRails rails;
+  rails.token = &token;
   Matrix<float> out = p.c;
-  EXPECT_THROW(tiled_sgemm(clean, tile, abft_on(), RecoveryPolicy{}, exec,
-                           p.a, p.b, out),
+  EXPECT_THROW(run_plan(core::M3xuConfig{}, {tile, abft_on(), {}}, p.a, p.b,
+                        out, rails),
                CancelledError);
 }
 

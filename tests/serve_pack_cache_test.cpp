@@ -16,6 +16,7 @@
 #include "core/packed_panel.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/panel_cache.hpp"
+#include "gemm/plan.hpp"
 #include "gemm/recovery.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "serve/pack_cache.hpp"
@@ -246,6 +247,18 @@ TEST(PackCache, TelemetryMirrorsCounters) {
 }
 #endif
 
+/// A plan without its private B-panel store: an execute packs every B
+/// panel itself unless the rails bring a cache.
+gemm::GemmPlan uncached_plan(const gemm::PlanKey& key,
+                             const gemm::TileConfig& tile,
+                             const gemm::AbftConfig& abft) {
+  gemm::PlanOptions options;
+  options.tile = tile;
+  options.abft = abft;
+  options.reuse_b_panels = false;
+  return gemm::GemmPlan::compile(core::M3xuConfig{}, key, options);
+}
+
 /// End-to-end bit-identity: the same GEMM run uncached, cache-cold, and
 /// cache-warm must produce byte-identical C. This is the property that
 /// licenses sharing packed panels across tenants at all.
@@ -257,29 +270,25 @@ TEST(PackCacheDriver, CachedRunsAreBitIdenticalToUncached) {
   gemm::fill_random(b, rng);
   gemm::fill_random(c0, rng);
 
-  core::M3xuConfig ecfg;
-  const core::M3xuEngine engine(ecfg);
-  const gemm::TileConfig tile{32, 32, 32, 16, 16};
   gemm::AbftConfig abft;
   abft.enable = true;
-  gemm::RecoveryPolicy policy;
-  policy.demote = true;
+  const gemm::GemmPlan plan =
+      uncached_plan({m, n, k, false}, {32, 32, 32, 16, 16}, abft);
 
   gemm::Matrix<float> c_plain = c0;
-  gemm::tiled_sgemm(engine, tile, abft, policy, gemm::ExecConfig{}, a, b,
-                    c_plain);
+  plan.execute(a, b, c_plain);
 
   PackCache cache(64);
-  gemm::ExecConfig exec;
-  exec.b_cache = &cache;
-  exec.b_key = 0xB0B;
+  gemm::ExecRails rails;
+  rails.b_cache = &cache;
+  rails.b_key = 0xB0B;
 
   gemm::Matrix<float> c_cold = c0;
-  gemm::tiled_sgemm(engine, tile, abft, policy, exec, a, b, c_cold);
+  plan.execute(a, b, c_cold, rails);
   EXPECT_GT(cache.size(), 0u);  // the cold run populated the cache
 
   gemm::Matrix<float> c_warm = c0;
-  gemm::tiled_sgemm(engine, tile, abft, policy, exec, a, b, c_warm);
+  plan.execute(a, b, c_warm, rails);
   EXPECT_GT(cache.hits(), 0u);  // the warm run actually hit
 
   ASSERT_EQ(std::memcmp(c_plain.data(), c_cold.data(),
@@ -298,27 +307,23 @@ TEST(PackCacheDriver, ComplexCachedRunsAreBitIdenticalToUncached) {
   gemm::fill_random(b, rng);
   gemm::fill_random(c0, rng);
 
-  core::M3xuConfig ecfg;
-  const core::M3xuEngine engine(ecfg);
-  const gemm::TileConfig tile{16, 16, 32, 16, 16};
   gemm::AbftConfig abft;
   abft.enable = true;
-  gemm::RecoveryPolicy policy;
-  policy.demote = true;
+  const gemm::GemmPlan plan =
+      uncached_plan({m, n, k, true}, {16, 16, 32, 16, 16}, abft);
 
   gemm::Matrix<std::complex<float>> c_plain = c0;
-  gemm::tiled_cgemm(engine, tile, abft, policy, gemm::ExecConfig{}, a, b,
-                    c_plain);
+  plan.execute(a, b, c_plain);
 
   PackCache cache(64);
-  gemm::ExecConfig exec;
-  exec.b_cache = &cache;
-  exec.b_key = 0xC0C;
+  gemm::ExecRails rails;
+  rails.b_cache = &cache;
+  rails.b_key = 0xC0C;
 
   gemm::Matrix<std::complex<float>> c_cold = c0;
-  gemm::tiled_cgemm(engine, tile, abft, policy, exec, a, b, c_cold);
+  plan.execute(a, b, c_cold, rails);
   gemm::Matrix<std::complex<float>> c_warm = c0;
-  gemm::tiled_cgemm(engine, tile, abft, policy, exec, a, b, c_warm);
+  plan.execute(a, b, c_warm, rails);
   EXPECT_GT(cache.hits(), 0u);
 
   ASSERT_EQ(std::memcmp(c_plain.data(), c_cold.data(),
@@ -341,26 +346,22 @@ TEST(PackCacheDriver, CorruptionBetweenRunsStillYieldsBitIdenticalResult) {
   gemm::fill_random(b, rng);
   gemm::fill_random(c0, rng);
 
-  core::M3xuConfig ecfg;
-  const core::M3xuEngine engine(ecfg);
-  const gemm::TileConfig tile{32, 32, 32, 16, 16};
+  const gemm::GemmPlan plan =
+      uncached_plan({m, n, k, false}, {32, 32, 32, 16, 16}, {});
 
   gemm::Matrix<float> c_plain = c0;
-  gemm::tiled_sgemm(engine, tile, gemm::AbftConfig{}, gemm::RecoveryPolicy{},
-                    gemm::ExecConfig{}, a, b, c_plain);
+  plan.execute(a, b, c_plain);
 
   PackCache cache(64);
-  gemm::ExecConfig exec;
-  exec.b_cache = &cache;
-  exec.b_key = 0xDEAD;
+  gemm::ExecRails rails;
+  rails.b_cache = &cache;
+  rails.b_key = 0xDEAD;
   gemm::Matrix<float> c_cold = c0;
-  gemm::tiled_sgemm(engine, tile, gemm::AbftConfig{}, gemm::RecoveryPolicy{},
-                    exec, a, b, c_cold);
+  plan.execute(a, b, c_cold, rails);
   ASSERT_TRUE(cache.corrupt_one(0xDEAD));
   const std::uint64_t drops_before = cache.corrupt_dropped();
   gemm::Matrix<float> c_after = c0;
-  gemm::tiled_sgemm(engine, tile, gemm::AbftConfig{}, gemm::RecoveryPolicy{},
-                    exec, a, b, c_after);
+  plan.execute(a, b, c_after, rails);
   EXPECT_GT(cache.corrupt_dropped(), drops_before);
   ASSERT_EQ(std::memcmp(c_plain.data(), c_after.data(),
                         sizeof(float) * static_cast<std::size_t>(m) * n),

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
@@ -47,6 +48,16 @@ Problem make(int m, int n, int k, std::uint64_t seed) {
   return p;
 }
 
+/// C <- A*B + C on the flat engine loop: the reference every served
+/// result matches bit for bit.
+Matrix<float> flat_ref(const core::M3xuEngine& engine, const Matrix<float>& a,
+                       const Matrix<float>& b, const Matrix<float>& c) {
+  Matrix<float> ref = c;
+  engine.gemm_fp32(a.rows(), b.cols(), a.cols(), a.data(), a.ld(), b.data(),
+                   b.ld(), ref.data(), ref.ld());
+  return ref;
+}
+
 /// Small-tile config so modest matrices exercise a multi-tile grid.
 ServerConfig base_config() {
   ServerConfig cfg;
@@ -74,8 +85,7 @@ TEST(GemmServer, SgemmRequestCompletesOkBitIdenticalToDirectRun) {
   const Problem p = make(64, 48, 96, 1);
   const ServerConfig cfg = base_config();
   const core::M3xuEngine direct_engine{cfg.engine};
-  Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(direct_engine, cfg.tile, p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(direct_engine, p.a, p.b, p.c);
 
   GemmServer server(cfg);
   const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
@@ -96,7 +106,8 @@ TEST(GemmServer, CgemmRequestCompletesOk) {
   const ServerConfig cfg = base_config();
   const core::M3xuEngine direct_engine{cfg.engine};
   Matrix<C> ref = c0;
-  gemm::tiled_cgemm(direct_engine, cfg.tile, a, b, ref);
+  direct_engine.gemm_fp32c(32, 32, 32, a.data(), a.ld(), b.data(), b.ld(),
+                           ref.data(), ref.ld());
 
   GemmServer server(cfg);
   const RequestHandle req = server.submit_cgemm(a, b, c0);
@@ -109,6 +120,30 @@ TEST(GemmServer, CgemmRequestCompletesOk) {
       ASSERT_EQ(bits32(out(i, j).imag()), bits32(ref(i, j).imag()));
     }
   }
+}
+
+TEST(GemmServer, ConstructorRejectsMalformedPlanConfigs) {
+  // Every request compiles a plan from these configs: a bad one fails
+  // at construction, not on an executor thread at the first request.
+  const ScopedCheckHandler guard(&throwing_check_failure_handler);
+  const auto rejects = [](void (*mutate)(ServerConfig&)) {
+    ServerConfig cfg = base_config();
+    mutate(cfg);
+    try {
+      GemmServer server(cfg);
+    } catch (const CheckError&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(
+      rejects([](ServerConfig& c) { c.recovery.retries_per_route = -1; }));
+  EXPECT_TRUE(rejects([](ServerConfig& c) { c.abft.tolerance_scale = -1; }));
+  EXPECT_TRUE(rejects([](ServerConfig& c) { c.abft.max_recompute = 0; }));
+  EXPECT_TRUE(rejects([](ServerConfig& c) { c.tile.warp_m = 0; }));
+  // block_k = 4 fits the FP32C instruction K but not FP32's.
+  EXPECT_TRUE(rejects([](ServerConfig& c) { c.tile.block_k = 4; }));
+  EXPECT_FALSE(rejects([](ServerConfig&) {}));
 }
 
 TEST(GemmServer, InvalidShapesResolveFailedAtSubmission) {
@@ -134,10 +169,8 @@ TEST(GemmServer, ConcurrentTenantsAllReachOkWithCorrectResults) {
   std::vector<Matrix<float>> refs;
   for (int t = 0; t < kTenants; ++t) {
     problems.push_back(make(48, 48, 64, 100 + static_cast<std::uint64_t>(t)));
-    Matrix<float> ref = problems.back().c;
-    gemm::tiled_sgemm(direct_engine, cfg.tile, problems.back().a,
-                      problems.back().b, ref);
-    refs.push_back(std::move(ref));
+    refs.push_back(flat_ref(direct_engine, problems.back().a,
+                            problems.back().b, problems.back().c));
   }
 
   GemmServer server(cfg);
@@ -440,8 +473,7 @@ TEST(GemmServer, PackCacheCoalescesSameWeightsRequests) {
   const ServerConfig cfg = base_config();
   const core::M3xuEngine direct_engine{cfg.engine};
   const Problem p = make(64, 64, 64, 14);
-  Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(direct_engine, cfg.tile, p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(direct_engine, p.a, p.b, p.c);
 
   GemmServer server(cfg);
   RequestOptions opts;
@@ -463,8 +495,7 @@ TEST(GemmServer, CorruptedSharedPanelIsRepackedNotServed) {
   const ServerConfig cfg = base_config();
   const core::M3xuEngine direct_engine{cfg.engine};
   const Problem p = make(64, 64, 64, 15);
-  Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(direct_engine, cfg.tile, p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(direct_engine, p.a, p.b, p.c);
 
   GemmServer server(cfg);
   RequestOptions opts;
@@ -547,8 +578,7 @@ TEST(GemmServer, RepeatedShapesReuseOneCompiledPlan) {
   const ServerConfig cfg = base_config();
   const core::M3xuEngine direct_engine{cfg.engine};
   const Problem p = make(64, 64, 64, 19);
-  Matrix<float> ref = p.c;
-  gemm::tiled_sgemm(direct_engine, cfg.tile, p.a, p.b, ref);
+  const Matrix<float> ref = flat_ref(direct_engine, p.a, p.b, p.c);
 
   GemmServer server(cfg);
   EXPECT_EQ(server.plan_count(), 0u);

@@ -10,10 +10,13 @@
 #include <complex>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/mxu.hpp"
 #include "gemm/matrix.hpp"
+#include "gemm/plan.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -37,6 +40,27 @@ std::uint64_t element_chunk_pairs(const telemetry::Snapshot& after,
          after.counter_delta(before, base + ".microkernel.pair_chunks");
 }
 
+/// One GEMM through a plan on a 1-thread pool, where the plan runs
+/// TileConfig's uniform grid: the geometry the counts below assume.
+/// Detections take the clean-recompute protocol.
+template <typename T>
+TiledGemmStats run_plan(const m3xu::gemm::TileConfig& tile,
+                        const Matrix<T>& a, const Matrix<T>& b, Matrix<T>& c,
+                        const m3xu::gemm::AbftConfig& abft = {}) {
+  static m3xu::ThreadPool pool(1);
+  m3xu::gemm::PlanOptions options;
+  options.tile = tile;
+  options.abft = abft;
+  options.policy.demote = false;
+  const m3xu::gemm::GemmPlan plan = m3xu::gemm::GemmPlan::compile(
+      m3xu::core::M3xuConfig{},
+      {a.rows(), b.cols(), a.cols(), std::is_same_v<T, std::complex<float>>},
+      options);
+  m3xu::gemm::ExecRails rails;
+  rails.pool = &pool;
+  return plan.execute(a, b, c, rails);
+}
+
 std::uint64_t packed_elements(const telemetry::Snapshot& after,
                               const telemetry::Snapshot& before,
                               const std::string& family) {
@@ -57,10 +81,9 @@ TEST(TelemetryRoutes, TiledSgemmStatsMatchEngineCounters) {
   m3xu::gemm::fill_random(a, rng);
   m3xu::gemm::fill_random(b, rng);
   c.fill(0.0f);
-  const M3xuEngine engine;
   const m3xu::gemm::TileConfig cfg;
   const telemetry::Snapshot before = telemetry::snapshot();
-  const TiledGemmStats stats = m3xu::gemm::tiled_sgemm(engine, cfg, a, b, c);
+  const TiledGemmStats stats = run_plan(cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
   ASSERT_GT(stats.mma_instructions, 0);
   const m3xu::core::MmaShape shape =
@@ -89,7 +112,6 @@ TEST(TelemetryRoutes, TiledSgemmUnalignedGeometry) {
   m3xu::gemm::fill_random(a, rng);
   m3xu::gemm::fill_random(b, rng);
   c.fill(0.0f);
-  const M3xuEngine engine;
   m3xu::gemm::TileConfig cfg;
   const int inst_k = m3xu::core::shape_for(m3xu::core::MxuMode::kFp32).k;
   std::uint64_t chunks = 0;  // sum over mainloop panels of ceil(kc / inst_k)
@@ -98,7 +120,7 @@ TEST(TelemetryRoutes, TiledSgemmUnalignedGeometry) {
     chunks += static_cast<std::uint64_t>((kc + inst_k - 1) / inst_k);
   }
   const telemetry::Snapshot before = telemetry::snapshot();
-  const TiledGemmStats stats = m3xu::gemm::tiled_sgemm(engine, cfg, a, b, c);
+  const TiledGemmStats stats = run_plan(cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
   const m3xu::core::MmaShape shape =
       m3xu::core::shape_for(m3xu::core::MxuMode::kFp32);
@@ -123,7 +145,6 @@ TEST(TelemetryRoutes, TiledCgemmStatsMatchEngineCounters) {
   m3xu::gemm::fill_random(a, rng);
   m3xu::gemm::fill_random(b, rng);
   c.fill({});
-  const M3xuEngine engine;
   m3xu::gemm::TileConfig cfg;
   cfg.block_m = 64;
   cfg.block_n = 64;
@@ -131,7 +152,7 @@ TEST(TelemetryRoutes, TiledCgemmStatsMatchEngineCounters) {
   cfg.warp_m = 32;
   cfg.warp_n = 32;
   const telemetry::Snapshot before = telemetry::snapshot();
-  const TiledGemmStats stats = m3xu::gemm::tiled_cgemm(engine, cfg, a, b, c);
+  const TiledGemmStats stats = run_plan(cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
   ASSERT_GT(stats.mma_instructions, 0);
   const m3xu::core::MmaShape shape =
@@ -176,13 +197,11 @@ TEST(TelemetryRoutes, AbftCountersMirrorStats) {
   m3xu::gemm::fill_random(a, rng);
   m3xu::gemm::fill_random(b, rng);
   c.fill(0.0f);
-  const M3xuEngine engine;
   const m3xu::gemm::TileConfig cfg;
   m3xu::gemm::AbftConfig abft;
   abft.enable = true;
   const telemetry::Snapshot before = telemetry::snapshot();
-  const TiledGemmStats stats =
-      m3xu::gemm::tiled_sgemm(engine, cfg, abft, a, b, c);
+  const TiledGemmStats stats = run_plan(cfg, a, b, c, abft);
   const telemetry::Snapshot after = telemetry::snapshot();
   ASSERT_GT(stats.abft_tile_checks, 0);
 #if M3XU_TELEMETRY_ENABLED
