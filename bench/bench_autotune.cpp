@@ -200,6 +200,7 @@ int main(int argc, char** argv) {
   w.key("environment").begin_object();
   w.kv("compiler", env.compiler);
   w.kv("git_rev", env.git_rev);
+  w.kv("git_dirty", env.git_dirty);
   w.end_object();
   w.key("cases").begin_array();
   for (const TunedCase& c : tuned) write_case(w, c);

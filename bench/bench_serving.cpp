@@ -885,7 +885,9 @@ int main(int argc, char** argv) {
   }
 
   // Serving-counter deltas across the whole run: the JSON artifact
-  // doubles as a telemetry integration check.
+  // doubles as a telemetry integration check. panel_cache.* counts
+  // every PanelCache in the process, so it includes the private store
+  // of the clean mode's rate-calibration plan.
   const telemetry::Snapshot after = telemetry::snapshot();
   w.key("telemetry").begin_object();
   for (const char* name :
@@ -893,8 +895,8 @@ int main(int argc, char** argv) {
         "serve.requests.degraded", "serve.requests.deadline_exceeded",
         "serve.requests.shed", "serve.requests.cancelled",
         "serve.requests.failed", "serve.requests.retries",
-        "serve.shed.rejected", "serve.shed.evicted", "serve.pack_cache.hits",
-        "serve.pack_cache.misses", "serve.pack_cache.corrupt_dropped",
+        "serve.shed.rejected", "serve.shed.evicted", "panel_cache.hits",
+        "panel_cache.misses", "panel_cache.corrupt_dropped",
         "recovery.quarantine_evictions", "threadpool.submissions_queued",
         "cancel.user", "cancel.deadline", "cancel.shed", "cancel.stall"}) {
     w.kv(name, after.counter_delta(before, name));

@@ -85,8 +85,7 @@ void apply(const core::M3xuEngine& engine, const CMat& gate, CMat& u) {
   u = out;
 }
 
-std::vector<double> run(const core::M3xuEngine& engine, const CMat& u,
-                        int basis_state) {
+std::vector<double> run(const CMat& u, int basis_state) {
   std::vector<double> probs(kDim);
   for (int i = 0; i < kDim; ++i) {
     probs[static_cast<std::size_t>(i)] = std::norm(
@@ -104,7 +103,7 @@ int main() {
   CMat ghz = identity();
   apply(engine, hadamard(0), ghz);
   for (int q = 0; q + 1 < kQubits; ++q) apply(engine, cnot(q, q + 1), ghz);
-  const auto ghz_probs = run(engine, ghz, 0);
+  const auto ghz_probs = run(ghz, 0);
   std::printf("GHZ(|00000>): P(|0...0>) = %.6f, P(|1...1>) = %.6f\n",
               ghz_probs[0], ghz_probs[kDim - 1]);
   double ghz_other = 0.0;
@@ -119,7 +118,7 @@ int main() {
       apply(engine, controlled_phase(c, q, M_PI / (1 << (q - c))), qft);
     }
   }
-  const auto qft_probs = run(engine, qft, 5);  // arbitrary basis input
+  const auto qft_probs = run(qft, 5);  // arbitrary basis input
   double min_p = 1.0, max_p = 0.0;
   for (double p : qft_probs) {
     min_p = std::min(min_p, p);

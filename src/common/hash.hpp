@@ -1,5 +1,5 @@
 // Integrity-grade content hashing shared by the plan's B fingerprint
-// and the serving PackCache's panel checksum.
+// and the PanelCache's panel checksum.
 #pragma once
 
 #include <cstddef>

@@ -1,17 +1,16 @@
-#include "serve/pack_cache.hpp"
+#include "gemm/panel_cache.hpp"
 
 #include "common/check.hpp"
-#include "common/hash.hpp"
 #include "telemetry/telemetry.hpp"
 
-namespace m3xu::serve {
+namespace m3xu::gemm {
 
 namespace {
 
-telemetry::Counter cache_hits_ctr("serve.pack_cache.hits");
-telemetry::Counter cache_misses_ctr("serve.pack_cache.misses");
-telemetry::Counter cache_evictions_ctr("serve.pack_cache.evictions");
-telemetry::Counter cache_corrupt_ctr("serve.pack_cache.corrupt_dropped");
+telemetry::Counter cache_hits_ctr("panel_cache.hits");
+telemetry::Counter cache_misses_ctr("panel_cache.misses");
+telemetry::Counter cache_evictions_ctr("panel_cache.evictions");
+telemetry::Counter cache_corrupt_ctr("panel_cache.corrupt_dropped");
 
 /// Word hash over every field of a compact B panel: dims, has_special,
 /// the operand words, and each prescan entry's min_exp, max_exp and
@@ -50,13 +49,13 @@ bool flip_item(Panel& p, std::size_t index) {
 
 }  // namespace
 
-PackCache::PackCache(std::size_t capacity, bool verify)
+PanelCache::PanelCache(std::size_t capacity, bool verify)
     : capacity_(capacity), verify_(verify) {
-  M3XU_CHECK_MSG(capacity_ > 0, "PackCache capacity must be positive");
+  M3XU_CHECK_MSG(capacity_ > 0, "PanelCache capacity must be positive");
 }
 
-template <typename Panel, Panel PackCache::Entry::*Member>
-bool PackCache::get_impl(const gemm::PanelKey& key, Panel* out) {
+template <typename Panel, Panel PanelCache::Entry::*Member>
+bool PanelCache::get_impl(const PanelKey& key, Panel* out) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
@@ -83,15 +82,17 @@ bool PackCache::get_impl(const gemm::PanelKey& key, Panel* out) {
   return true;
 }
 
-template <typename Panel, Panel PackCache::Entry::*Member>
-void PackCache::put_impl(const gemm::PanelKey& key, const Panel& panel) {
+template <typename Panel, Panel PanelCache::Entry::*Member>
+void PanelCache::put_impl(const PanelKey& key, const Panel& panel) {
   const std::lock_guard<std::mutex> lock(mu_);
+  // Without verify nothing ever reads the checksum.
+  const std::uint64_t checksum = verify_ ? checksum_panel(panel) : 0;
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Replacement (e.g. repack after a corruption drop raced another
     // packer): refresh in place.
     it->second.*Member = panel;
-    it->second.checksum = checksum_panel(panel);
+    it->second.checksum = checksum;
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return;
   }
@@ -104,54 +105,52 @@ void PackCache::put_impl(const gemm::PanelKey& key, const Panel& panel) {
   lru_.push_front(key);
   Entry entry;
   entry.*Member = panel;
-  entry.checksum = checksum_panel(panel);
+  entry.checksum = checksum;
   entry.lru_it = lru_.begin();
   entries_.emplace(key, std::move(entry));
 }
 
-bool PackCache::get_fp32(const gemm::PanelKey& key,
-                         core::PackedPanelFp32B* out) {
+bool PanelCache::get(const PanelKey& key, core::PackedPanelFp32B* out) {
   return get_impl<core::PackedPanelFp32B, &Entry::f32>(key, out);
 }
 
-bool PackCache::get_fp32c(const gemm::PanelKey& key,
-                          core::PackedPanelFp32cB* out) {
+bool PanelCache::get(const PanelKey& key, core::PackedPanelFp32cB* out) {
   return get_impl<core::PackedPanelFp32cB, &Entry::f32c>(key, out);
 }
 
-void PackCache::put_fp32(const gemm::PanelKey& key,
-                         const core::PackedPanelFp32B& panel) {
+void PanelCache::put(const PanelKey& key,
+                     const core::PackedPanelFp32B& panel) {
   put_impl<core::PackedPanelFp32B, &Entry::f32>(key, panel);
 }
 
-void PackCache::put_fp32c(const gemm::PanelKey& key,
-                          const core::PackedPanelFp32cB& panel) {
+void PanelCache::put(const PanelKey& key,
+                     const core::PackedPanelFp32cB& panel) {
   put_impl<core::PackedPanelFp32cB, &Entry::f32c>(key, panel);
 }
 
-std::size_t PackCache::size() const {
+std::size_t PanelCache::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
 }
 
-std::uint64_t PackCache::hits() const {
+std::uint64_t PanelCache::hits() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return hits_;
 }
-std::uint64_t PackCache::misses() const {
+std::uint64_t PanelCache::misses() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return misses_;
 }
-std::uint64_t PackCache::evictions() const {
+std::uint64_t PanelCache::evictions() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return evictions_;
 }
-std::uint64_t PackCache::corrupt_dropped() const {
+std::uint64_t PanelCache::corrupt_dropped() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return corrupt_dropped_;
 }
 
-bool PackCache::corrupt_one(std::uint64_t b_key, std::size_t index) {
+bool PanelCache::corrupt_one(std::uint64_t b_key, std::size_t index) {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, entry] : entries_) {
     if (key.b_key != b_key) continue;
@@ -162,10 +161,10 @@ bool PackCache::corrupt_one(std::uint64_t b_key, std::size_t index) {
   return false;
 }
 
-void PackCache::clear() {
+void PanelCache::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
   lru_.clear();
 }
 
-}  // namespace m3xu::serve
+}  // namespace m3xu::gemm

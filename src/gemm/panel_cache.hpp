@@ -1,29 +1,42 @@
-// Seam between the tiled driver and an external prepacked-B cache.
+// The prepacked-B panel cache: an LRU of packed B panels with
+// checksummed entries, and the one store the tiled driver reads packed
+// B panels from.
 //
-// Serving workloads are dominated by many GEMMs against a small set of
-// shared B matrices (weights), and the pack step re-splits the same B
-// panel for every request and every tile row that touches it. A
+// Many GEMMs run against few B matrices (serving weights, a plan
+// executed against the same B), and the pack step re-splits the same B
+// panel for every tile row and every call that touches it. A
 // PanelCache lets the driver reuse a previously packed B panel keyed by
-// (caller-assigned B identity, K-block, column block): tiles in the
-// same column of the grid - and requests against the same weights -
-// coalesce onto one pack.
+// (B identity, K-block, column block): tiles in the same column of the
+// grid - and requests against the same weights - coalesce onto one
+// pack. Two kinds of instance exist: the GemmServer's cache, shared
+// across tenants (verify on), and each GemmPlan's private store
+// (verify off, unbounded, one B at a time; see gemm/plan.hpp).
 //
-// The driver only consults the cache when ExecRails::b_key is nonzero
+// The driver only consults a cache when ExecRails::b_key is nonzero
 // AND the executing engine carries no fault injector: injected
 // staged-panel corruption must never be published into a cache shared
 // across requests (it would turn one transient fault into a persistent
 // cross-request one). Ladder retries always repack locally for the
 // same reason, so recovery is never at the mercy of a cached panel.
 //
-// Implementations own eviction, thread safety, and integrity: get()
-// must return false (a miss) for an entry it cannot vouch for, so a
-// corrupted cached panel is repacked instead of served. The concrete
-// LRU + checksum implementation lives in src/serve/pack_cache.hpp; the
-// driver depends only on this interface. See docs/SERVING.md.
+// With verify on, every entry carries a checksum computed at insertion
+// and re-verified on every hit: a corrupted cached panel (chaos benches
+// flip bits via corrupt_one(), and any real memory fault looks the
+// same) is detected, dropped, and counted in
+// panel_cache.corrupt_dropped - the caller repacks from source bytes
+// instead of serving the corruption to every request that shares the
+// panel. The checksum is a word hash (common/hash.hpp) over the whole
+// compact panel - dims, has_special, operand words and prescan entries
+// - so a flipped bit anywhere in it, including in the prescan that
+// picks the microkernel's rounding window, is caught. See
+// docs/SERVING.md.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <list>
+#include <mutex>
+#include <unordered_map>
 
 #include "common/hash.hpp"
 #include "core/packed_panel.hpp"
@@ -48,7 +61,7 @@ struct PanelKey {
   }
 };
 
-/// PanelKey hash for the panel stores' unordered maps.
+/// PanelKey hash for the cache's unordered map.
 struct PanelKeyHash {
   std::size_t operator()(const PanelKey& k) const {
     const auto pair = [](int lo, int hi) {
@@ -64,25 +77,68 @@ struct PanelKeyHash {
   }
 };
 
-/// Abstract prepacked-B panel cache (see file comment). All methods
-/// must be safe to call concurrently from driver worker threads.
+/// LRU prepacked-B panel cache (see file comment). Every method is
+/// safe to call concurrently from driver worker threads.
 class PanelCache {
  public:
-  virtual ~PanelCache() = default;
+  /// `capacity` = max cached panels (LRU eviction past it). `verify`
+  /// checksums entries at put and re-checks them on every get;
+  /// disabling trades the integrity guarantee for lookup speed.
+  explicit PanelCache(std::size_t capacity, bool verify = true);
 
   /// On a verified hit, copies the cached panel into *out and returns
-  /// true. Returns false on a miss or when the entry fails integrity
-  /// verification (the implementation should invalidate it so the
-  /// repacked panel replaces it).
-  virtual bool get_fp32(const PanelKey& key, core::PackedPanelFp32B* out) = 0;
-  virtual bool get_fp32c(const PanelKey& key,
-                         core::PackedPanelFp32cB* out) = 0;
+  /// true. Returns false on a miss or when the entry fails its checksum
+  /// (the entry is dropped so the repacked panel replaces it).
+  bool get(const PanelKey& key, core::PackedPanelFp32B* out);
+  bool get(const PanelKey& key, core::PackedPanelFp32cB* out);
 
   /// Publishes a freshly packed panel (copied in).
-  virtual void put_fp32(const PanelKey& key,
-                        const core::PackedPanelFp32B& panel) = 0;
-  virtual void put_fp32c(const PanelKey& key,
-                         const core::PackedPanelFp32cB& panel) = 0;
+  void put(const PanelKey& key, const core::PackedPanelFp32B& panel);
+  void put(const PanelKey& key, const core::PackedPanelFp32cB& panel);
+
+  std::size_t size() const;
+  std::size_t capacity() const { return capacity_; }
+
+  // Lifetime totals (also mirrored into panel_cache.* telemetry).
+  std::uint64_t hits() const;
+  std::uint64_t misses() const;
+  std::uint64_t evictions() const;
+  std::uint64_t corrupt_dropped() const;
+
+  /// Fault hook for tests and the chaos bench: flips one bit inside
+  /// some cached panel of `b_key` without updating its checksum,
+  /// modeling a memory fault in the shared cache. `index` picks the
+  /// panel item: operand words count first (a significand bit flips),
+  /// then prescan entries (a min_exp bit flips). Returns false when no
+  /// entry of `b_key` has that item.
+  bool corrupt_one(std::uint64_t b_key, std::size_t index = 0);
+
+  /// Drops every entry; the lifetime totals keep counting.
+  void clear();
+
+ private:
+  struct Entry {
+    // Exactly one panel is populated, selected by key.cplx.
+    core::PackedPanelFp32B f32;
+    core::PackedPanelFp32cB f32c;
+    std::uint64_t checksum = 0;
+    std::list<PanelKey>::iterator lru_it;
+  };
+
+  template <typename Panel, Panel Entry::*Member>
+  bool get_impl(const PanelKey& key, Panel* out);
+  template <typename Panel, Panel Entry::*Member>
+  void put_impl(const PanelKey& key, const Panel& panel);
+
+  const std::size_t capacity_;
+  const bool verify_;
+  mutable std::mutex mu_;
+  std::list<PanelKey> lru_;  // front = most recently used
+  std::unordered_map<PanelKey, Entry, PanelKeyHash> entries_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t corrupt_dropped_ = 0;
 };
 
 }  // namespace m3xu::gemm

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <mutex>
 #include <tuple>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,14 +25,11 @@ namespace {
 
 // Plan lifecycle counters (no-ops with M3XU_TELEMETRY=OFF). compile /
 // execute reconcile against the serving layer's plan-reuse counters;
-// the b_panels pair measures how much pack work the private store
-// absorbs, and b_refresh counts executes that brought different B
-// bytes than the store held.
+// b_refresh counts executes that brought different B bytes than the
+// private store held (its hits and misses count in panel_cache.*).
 telemetry::Counter plan_compile_ctr("plan.compile");
 telemetry::Counter plan_execute_ctr("plan.execute");
 telemetry::Counter plan_prepack_ctr("plan.prepack_panels");
-telemetry::Counter plan_b_hits_ctr("plan.b_panels.hits");
-telemetry::Counter plan_b_misses_ctr("plan.b_panels.misses");
 telemetry::Counter plan_b_refresh_ctr("plan.b_refresh");
 
 /// Content identity of a B matrix for the plan-private store: a word
@@ -45,80 +42,6 @@ std::uint64_t fingerprint(const Matrix<T>& b) {
   w.mix_bytes(b.data(), b.size() * sizeof(T));
   return w.h != 0 ? w.h : 0x9e3779b97f4a7c15ull;
 }
-
-/// Plan-private prepacked-B store. Unlike the serving PackCache it is
-/// unbounded (its working set is one matrix's panel grid, freed with
-/// the plan) and unchecksummed (it is private mutable state of one
-/// plan, not shared across trust domains). Entries are keyed with the
-/// owning B's fingerprint as b_key, so concurrent executes against
-/// different B matrices can never serve each other's panels; clearing
-/// on a fingerprint change only bounds memory.
-class LocalPanelStore final : public PanelCache {
- public:
-  bool get_fp32(const PanelKey& key, core::PackedPanelFp32B* out) override {
-    return get_impl(f32_, key, out);
-  }
-  bool get_fp32c(const PanelKey& key, core::PackedPanelFp32cB* out) override {
-    return get_impl(f32c_, key, out);
-  }
-  void put_fp32(const PanelKey& key,
-                const core::PackedPanelFp32B& panel) override {
-    put_impl(f32_, key, panel);
-  }
-  void put_fp32c(const PanelKey& key,
-                 const core::PackedPanelFp32cB& panel) override {
-    put_impl(f32c_, key, panel);
-  }
-
-  /// Points the store at B contents `fp`; a change drops every held
-  /// panel. Returns true when the store was retargeted (counted as a
-  /// refresh by the caller), false when `fp` already matches.
-  bool retarget(std::uint64_t fp) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (fp == current_fp_) return false;
-    const bool had_panels = !f32_.empty() || !f32c_.empty();
-    f32_.clear();
-    f32c_.clear();
-    current_fp_ = fp;
-    return had_panels;
-  }
-
-  PlanPanelStats stats() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-  void count_refresh() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.refreshes;
-  }
-
- private:
-  template <typename Map, typename Panel>
-  bool get_impl(Map& map, const PanelKey& key, Panel* out) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = map.find(key);
-    if (it == map.end()) {
-      ++stats_.misses;
-      plan_b_misses_ctr.increment();
-      return false;
-    }
-    *out = it->second;
-    ++stats_.hits;
-    plan_b_hits_ctr.increment();
-    return true;
-  }
-  template <typename Map, typename Panel>
-  void put_impl(Map& map, const PanelKey& key, const Panel& panel) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    map[key] = panel;
-  }
-
-  mutable std::mutex mu_;
-  std::uint64_t current_fp_ = 0;
-  PlanPanelStats stats_;
-  std::unordered_map<PanelKey, core::PackedPanelFp32B, PanelKeyHash> f32_;
-  std::unordered_map<PanelKey, core::PackedPanelFp32cB, PanelKeyHash> f32c_;
-};
 
 /// plan_grid's target balance bound, and the strip granularity: the
 /// microkernel's widest register block is 8 columns (one AVX-512 lane
@@ -246,7 +169,16 @@ FrozenPlan::FrozenPlan(const core::M3xuConfig& engine_cfg,
 struct GemmPlan::Impl : FrozenPlan {
   PlanKey key;
   std::string label;
-  mutable LocalPanelStore b_store;
+  // The private B store holds one B's panels at a time (retarget
+  // clears it on a B-bytes change), so the LRU never bounds it. It is
+  // unverified: a verified hit costs about as much as repacking the
+  // panel, and the store is not shared across requests.
+  mutable PanelCache b_store{std::numeric_limits<std::size_t>::max(),
+                             /*verify=*/false};
+  // Fingerprint of the B bytes b_store was last pointed at.
+  mutable std::mutex b_mu;
+  mutable std::uint64_t b_fp = 0;
+  mutable std::atomic<std::uint64_t> refreshes{0};
   mutable std::atomic<std::uint64_t> executions{0};
   // plan_grid per pool thread count, computed on first use. Entries
   // are never erased, so returned references stay valid.
@@ -274,6 +206,20 @@ struct GemmPlan::Impl : FrozenPlan {
        const PlanOptions& opts)
       : FrozenPlan(engine_cfg, k, opts), key(k), label(plan_key_label(k)) {}
 
+  /// Points b_store at the B bytes with fingerprint `fp`; a change
+  /// drops every held panel. Returns whether panels were dropped.
+  /// Panel keys carry the fingerprint, so concurrent executes against
+  /// different B never serve each other's panels: clearing only bounds
+  /// memory.
+  bool retarget(std::uint64_t fp) const {
+    const std::lock_guard<std::mutex> lock(b_mu);
+    if (fp == b_fp) return false;
+    b_fp = fp;
+    const bool had_panels = b_store.size() > 0;
+    b_store.clear();
+    return had_panels;
+  }
+
   template <typename T>
   TiledGemmStats run(const ExecRails& rails, const Matrix<T>& a,
                      const Matrix<T>& b, Matrix<T>& c) const {
@@ -296,8 +242,8 @@ struct GemmPlan::Impl : FrozenPlan {
     ExecRails r = rails;
     if (r.b_cache == nullptr && options.reuse_b_panels) {
       const std::uint64_t fp = fingerprint(b);
-      if (b_store.retarget(fp)) {
-        b_store.count_refresh();
+      if (retarget(fp)) {
+        refreshes.fetch_add(1, std::memory_order_relaxed);
         plan_b_refresh_ctr.increment();
       }
       r.b_cache = &b_store;
@@ -307,6 +253,44 @@ struct GemmPlan::Impl : FrozenPlan {
     executions.fetch_add(1, std::memory_order_relaxed);
     plan_execute_ctr.increment();
     return stats;
+  }
+
+  /// Fills b_store with every B panel of `b` for the global pool's
+  /// grid. Stages one (kc x n_eff) B slice per column strip and K-block
+  /// exactly as the driver's mainloop does (row-major, leading
+  /// dimension n_eff), so prepacked panels are bit-identical to
+  /// mid-execute packs and carry the keys execute looks up.
+  template <typename T, typename Panel>
+  void prepack(const Matrix<T>& b,
+               void (*pack)(const T*, int, int, int, Panel&)) {
+    constexpr bool kCplx = std::is_same_v<T, std::complex<float>>;
+    M3XU_CHECK_MSG(key.cplx == kCplx, "GemmPlan dtype mismatch in prepack_b");
+    M3XU_CHECK_MSG(b.rows() == key.k && b.cols() == key.n,
+                   "GemmPlan shape mismatch: B must be k x n of the PlanKey");
+    if (!options.reuse_b_panels) return;
+    const std::uint64_t fp = fingerprint(b);
+    retarget(fp);
+    const TileGrid& grid = grid_for(nullptr);
+    const int block_k = options.tile.block_k;
+    std::vector<T> b_stage;
+    for (std::size_t j = 0; j + 1 < grid.cols.size(); ++j) {
+      const int bn = grid.cols[j];
+      const int n_eff = grid.cols[j + 1] - bn;
+      for (int k0 = 0; k0 < key.k; k0 += block_k) {
+        const int kc = std::min(block_k, key.k - k0);
+        b_stage.assign(static_cast<std::size_t>(kc) * n_eff, T{});
+        for (int kk = 0; kk < kc; ++kk) {
+          for (int jj = 0; jj < n_eff; ++jj) {
+            b_stage[static_cast<std::size_t>(kk) * n_eff + jj] =
+                b(k0 + kk, bn + jj);
+          }
+        }
+        Panel panel;
+        pack(b_stage.data(), n_eff, kc, n_eff, panel);
+        b_store.put(PanelKey{fp, k0, bn, kc, n_eff, kCplx}, panel);
+        plan_prepack_ctr.increment();
+      }
+    }
   }
 };
 
@@ -342,74 +326,12 @@ TiledGemmStats GemmPlan::execute(const Matrix<std::complex<float>>& a,
   return impl_->run(rails, a, b, c);
 }
 
-namespace {
-
-/// Stages one (kc x n_eff) B slice per column strip of `grid` and
-/// K-block exactly as the driver's mainloop does (row-major, leading
-/// dimension n_eff) so prepacked panels are bit-identical to
-/// mid-execute packs and carry the keys execute looks up.
-template <typename T, typename Panel, typename PackFn, typename PutFn>
-void prepack_b_impl(const Matrix<T>& b, const TileGrid& grid,
-                    const TileConfig& tile, bool cplx, std::uint64_t fp,
-                    const PackFn& pack, const PutFn& put) {
-  const int k = b.rows();
-  std::vector<T> b_stage;
-  for (std::size_t j = 0; j + 1 < grid.cols.size(); ++j) {
-    const int bn = grid.cols[j];
-    const int n_eff = grid.cols[j + 1] - bn;
-    for (int k0 = 0; k0 < k; k0 += tile.block_k) {
-      const int kc = std::min(tile.block_k, k - k0);
-      b_stage.assign(static_cast<std::size_t>(kc) * n_eff, T{});
-      for (int kk = 0; kk < kc; ++kk) {
-        for (int j = 0; j < n_eff; ++j) {
-          b_stage[static_cast<std::size_t>(kk) * n_eff + j] =
-              b(k0 + kk, bn + j);
-        }
-      }
-      Panel panel;
-      pack(b_stage.data(), n_eff, kc, n_eff, panel);
-      put(PanelKey{fp, k0, bn, kc, n_eff, cplx}, panel);
-      plan_prepack_ctr.increment();
-    }
-  }
-}
-
-}  // namespace
-
 void GemmPlan::prepack_b(const Matrix<float>& b) {
-  M3XU_CHECK_MSG(!impl_->key.cplx, "GemmPlan dtype mismatch in prepack_b");
-  M3XU_CHECK_MSG(b.rows() == impl_->key.k && b.cols() == impl_->key.n,
-                 "GemmPlan shape mismatch: B must be k x n of the PlanKey");
-  if (!impl_->options.reuse_b_panels) return;
-  const std::uint64_t fp = fingerprint(b);
-  impl_->b_store.retarget(fp);
-  prepack_b_impl<float, core::PackedPanelFp32B>(
-      b, impl_->grid_for(nullptr), impl_->options.tile, false, fp,
-      [](const float* p, int ld, int kc, int cols,
-         core::PackedPanelFp32B& out) {
-        core::pack_fp32_b(p, ld, kc, cols, out);
-      },
-      [&](const PanelKey& key, const core::PackedPanelFp32B& panel) {
-        impl_->b_store.put_fp32(key, panel);
-      });
+  impl_->prepack(b, core::pack_fp32_b);
 }
 
 void GemmPlan::prepack_b(const Matrix<std::complex<float>>& b) {
-  M3XU_CHECK_MSG(impl_->key.cplx, "GemmPlan dtype mismatch in prepack_b");
-  M3XU_CHECK_MSG(b.rows() == impl_->key.k && b.cols() == impl_->key.n,
-                 "GemmPlan shape mismatch: B must be k x n of the PlanKey");
-  if (!impl_->options.reuse_b_panels) return;
-  const std::uint64_t fp = fingerprint(b);
-  impl_->b_store.retarget(fp);
-  prepack_b_impl<std::complex<float>, core::PackedPanelFp32cB>(
-      b, impl_->grid_for(nullptr), impl_->options.tile, true, fp,
-      [](const std::complex<float>* p, int ld, int kc, int cols,
-         core::PackedPanelFp32cB& out) {
-        core::pack_fp32c_b(p, ld, kc, cols, out);
-      },
-      [&](const PanelKey& key, const core::PackedPanelFp32cB& panel) {
-        impl_->b_store.put_fp32c(key, panel);
-      });
+  impl_->prepack(b, core::pack_fp32c_b);
 }
 
 const TileGrid& GemmPlan::grid(const ThreadPool* pool) const {
@@ -423,7 +345,8 @@ std::uint64_t GemmPlan::executions() const {
   return impl_->executions.load(std::memory_order_relaxed);
 }
 PlanPanelStats GemmPlan::panel_stats() const {
-  return impl_->b_store.stats();
+  return {impl_->b_store.hits(), impl_->b_store.misses(),
+          impl_->refreshes.load(std::memory_order_relaxed)};
 }
 
 }  // namespace m3xu::gemm

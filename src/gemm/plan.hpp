@@ -23,10 +23,11 @@
 // that varies request-to-request in the serving layer.
 //
 // B-panel reuse: with PlanOptions.reuse_b_panels (default on) the plan
-// owns a private panel store keyed by a fingerprint of the B bytes.
-// Repeat executes against the same B skip the pack step entirely;
-// executing with a different B is detected by the fingerprint and
-// repacks (counted in plan.b_refresh), never served stale. prepack_b()
+// owns a private B-panel store - a PanelCache (gemm/panel_cache.hpp)
+// without checksums - keyed by a fingerprint of the B bytes. Repeat
+// executes against the same B skip the pack step entirely; executing
+// with a different B is detected by the fingerprint and repacks
+// (counted in plan.b_refresh), never served stale. prepack_b()
 // optionally fills the store at compile time so even the first execute
 // skips packing. See docs/PLAN.md.
 #pragma once
@@ -101,7 +102,8 @@ struct PlanOptions {
   bool reuse_b_panels = true;
 };
 
-/// Pack/reuse statistics of a plan's private B-panel store.
+/// Pack/reuse statistics of a plan's private B-panel store: its
+/// PanelCache's hits and misses, and the plan's refreshes.
 struct PlanPanelStats {
   std::uint64_t hits = 0;      // packs skipped (panel served from store)
   std::uint64_t misses = 0;    // packs performed and published

@@ -154,12 +154,12 @@ struct ExecRails {
   /// null). Read and written only by the demotion ladder.
   TileQuarantine* quarantine = nullptr;
   /// Optional shared prepacked-B cache (non-owning; may be null), e.g.
-  /// the serving PackCache; takes precedence over a plan's private
-  /// store. Only consulted when b_key is nonzero and the engine
-  /// carries no fault injector - injected staged-panel corruption must
-  /// never enter a cache shared across requests. Ladder retries always
-  /// repack locally, so a corrupted cached panel cannot defeat
-  /// recovery.
+  /// the GemmServer's; takes precedence over a plan's private store
+  /// (another PanelCache). Only consulted when b_key is nonzero and
+  /// the engine carries no fault injector - injected staged-panel
+  /// corruption must never enter a cache shared across requests.
+  /// Ladder retries always repack locally, so a corrupted cached panel
+  /// cannot defeat recovery.
   PanelCache* b_cache = nullptr;
   /// Caller-assigned identity of the B matrix contents for cache keys
   /// (0 = caching disabled for this call). Callers must guarantee two

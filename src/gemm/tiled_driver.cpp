@@ -131,13 +131,6 @@ struct PackedOps<float> {
   static void pack_b(const float* p, int ld, int k, int cols, PanelB& out) {
     core::pack_fp32_b(p, ld, k, cols, out);
   }
-  static bool cache_get(PanelCache& cache, const PanelKey& key, PanelB* out) {
-    return cache.get_fp32(key, out);
-  }
-  static void cache_put(PanelCache& cache, const PanelKey& key,
-                        const PanelB& panel) {
-    cache.put_fp32(key, panel);
-  }
   static void mma(const core::M3xuEngine& engine, const PanelA& a, int row0,
                   const PanelB& b, int col0, int m, int n, float* c,
                   int ldc) {
@@ -162,13 +155,6 @@ struct PackedOps<std::complex<float>> {
   static void pack_b(const std::complex<float>* p, int ld, int k, int cols,
                      PanelB& out) {
     core::pack_fp32c_b(p, ld, k, cols, out);
-  }
-  static bool cache_get(PanelCache& cache, const PanelKey& key, PanelB* out) {
-    return cache.get_fp32c(key, out);
-  }
-  static void cache_put(PanelCache& cache, const PanelKey& key,
-                        const PanelB& panel) {
-    cache.put_fp32c(key, panel);
   }
   static void mma(const core::M3xuEngine& engine, const PanelA& a, int row0,
                   const PanelB& b, int col0, int m, int n,
@@ -411,8 +397,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
               if (cacheable) {
                 const PanelKey key{exec.b_key, k0,   bn,
                                    kc,         n_eff, PackedOps<T>::kCplx};
-                b_cached =
-                    PackedOps<T>::cache_get(*exec.b_cache, key, &b_panel);
+                b_cached = exec.b_cache->get(key, &b_panel);
                 if (trace != nullptr) {
                   trace->event(b_cached ? "pack.cache.hit" : "pack.cache.miss",
                                static_cast<long>(t), k0);
@@ -420,7 +405,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                 if (!b_cached) {
                   PackedOps<T>::pack_b(b_stage.data(), n_eff, kc, n_eff,
                                        b_panel);
-                  PackedOps<T>::cache_put(*exec.b_cache, key, b_panel);
+                  exec.b_cache->put(key, b_panel);
                 }
               } else {
                 PackedOps<T>::pack_b(b_stage.data(), n_eff, kc, n_eff,

@@ -276,8 +276,8 @@ const gemm::GemmPlan& GemmServer::tenant_plan(const std::string& tenant,
     options.abft = config_.abft;
     options.policy = config_.recovery;
     // B varies per request here; cross-request panel sharing is the
-    // checksummed PackCache's job (ExecRails.b_cache), not the plan's
-    // private store.
+    // server's checksummed PanelCache's job (ExecRails.b_cache), not
+    // the plan's private store.
     options.reuse_b_panels = false;
     slot = std::make_unique<gemm::GemmPlan>(
         gemm::GemmPlan::compile(config_.engine, key, options));

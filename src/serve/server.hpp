@@ -20,9 +20,9 @@
 //   - per-tenant tile quarantine: repeat offenders start demoted on
 //     later requests of the *same* tenant and grid only - one tenant's
 //     faults never demote a neighbor's route;
-//   - a shared checksummed LRU prepacked-B cache (PackCache) so
-//     same-weights requests coalesce their pack work, with corruption
-//     detected and repacked rather than served.
+//   - a shared checksummed LRU prepacked-B cache (gemm::PanelCache)
+//     so same-weights requests coalesce their pack work, with
+//     corruption detected and repacked rather than served.
 //
 // Isolation contract: requests share only the thread pool, the
 // checksummed pack cache, and the engine configuration. Matrices are
@@ -41,11 +41,11 @@
 
 #include "common/thread_pool.hpp"
 #include "core/mxu.hpp"
+#include "gemm/panel_cache.hpp"
 #include "gemm/plan.hpp"
 #include "gemm/recovery.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "serve/bounded_queue.hpp"
-#include "serve/pack_cache.hpp"
 #include "serve/request.hpp"
 #include "serve/slo.hpp"
 
@@ -129,7 +129,7 @@ class GemmServer {
   void shutdown();
 
   std::size_t queued() const { return queue_.size(); }
-  PackCache& pack_cache() { return cache_; }
+  gemm::PanelCache& pack_cache() { return cache_; }
   const ServerConfig& config() const { return config_; }
 
   /// The SLO monitor every terminal resolution feeds. Non-const so
@@ -178,7 +178,7 @@ class GemmServer {
                          const std::string& error);
 
   const ServerConfig config_;
-  PackCache cache_;
+  gemm::PanelCache cache_;
   SloMonitor slo_;
   BoundedQueue<RequestHandle> queue_;
   mutable std::mutex quarantine_mu_;

@@ -57,11 +57,13 @@ class TraceRegistry {
     return origin_ns_;
   }
 
-  int attach(Ring* ring) {
+  /// Names the ring before publishing it: collect() reads tid of every
+  /// live ring under mu_.
+  void attach(Ring* ring) {
     const std::lock_guard<std::mutex> lock(mu_);
     if (origin_ns_ == 0) origin_ns_ = now_ns();
+    ring->tid = next_tid_++;
     live_.push_back(ring);
-    return next_tid_++;
   }
 
   void detach(Ring* ring) {
@@ -109,7 +111,7 @@ class TraceRegistry {
 
 struct RingOwner {
   Ring ring;
-  RingOwner() { ring.tid = TraceRegistry::instance().attach(&ring); }
+  RingOwner() { TraceRegistry::instance().attach(&ring); }
   ~RingOwner() { TraceRegistry::instance().detach(&ring); }
 };
 

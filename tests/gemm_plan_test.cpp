@@ -1,15 +1,18 @@
 // Tests for the compile-then-execute GemmPlan layer: bit-identity with
 // the flat engine loop on every route rung and both dtypes,
 // prepacked B-panel reuse (hits across executes, fingerprint-guarded
-// refresh on a B change), per-execute rails, microkernel fallbacks in
-// the request trace, and operand validation.
+// refresh on a B change, concurrent executes against different B),
+// per-execute rails, microkernel fallbacks in the request trace, and
+// operand validation.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
@@ -198,6 +201,45 @@ TEST(GemmPlan, CgemmPrepackServesComplexPanels) {
 
   const Matrix<C> ref = flat_ref(core::M3xuEngine{}, p.a, p.b, p.c);
   EXPECT_TRUE(bits_equal(c, ref));
+}
+
+TEST(GemmPlan, ConcurrentExecutesOnDifferentBNeverShareStorePanels) {
+  // Executes racing on one plan retarget its store at each other's B;
+  // panel keys carry the B fingerprint, so none may serve a panel of
+  // the other B, however the retargets and the driver's lookups
+  // interleave.
+  const int m = 64, n = 96, k = 96;
+  const Problem<float> p = make<float>(m, n, k, 609);
+  Matrix<float> b2(k, n);
+  Rng rng(610);
+  fill_random(b2, rng);
+  const Matrix<float>* bs[2] = {&p.b, &b2};
+  const core::M3xuEngine engine;
+  const Matrix<float> refs[2] = {flat_ref(engine, p.a, p.b, p.c),
+                                 flat_ref(engine, p.a, b2, p.c)};
+
+  PlanOptions options;
+  options.tile = TileConfig{32, 32, 32, 16, 16};
+  const GemmPlan plan =
+      GemmPlan::compile(core::M3xuConfig{}, {m, n, k}, options);
+  constexpr int kThreads = 4, kExecutes = 12;
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kExecutes; ++i) {
+        const int which = (t + i) % 2;
+        Matrix<float> c = p.c;
+        plan.execute(p.a, *bs[which], c);
+        wrong[static_cast<std::size_t>(t)] += !bits_equal(c, refs[which]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  EXPECT_GT(plan.panel_stats().refreshes, 0u);
 }
 
 TEST(GemmPlan, PlanSurvivesMove) {

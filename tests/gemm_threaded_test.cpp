@@ -174,7 +174,7 @@ TEST(ThreadedDriver, ForcedRegisterBlockShapesStayPoolInvariant) {
   // threading: every supported MRxNR shape is bit-identical across
   // pool sizes.
   const Problem<float> p = make<float>(96, 80, 64, 906);
-  for (const auto [mr, nr] :
+  for (const auto& [mr, nr] :
        {std::pair{4, 4}, std::pair{6, 8}, std::pair{8, 8}}) {
     core::M3xuConfig cfg;
     cfg.mk_mr = mr;

@@ -225,18 +225,7 @@ TEST(ResilienceValidation, RejectsMalformedPolicyAbftAndRails) {
   EXPECT_THROW(plan.execute(p.a, p.b, out, stall_only), CheckError);
 
   // A panel cache requires a nonzero B-identity key.
-  struct NullCache final : PanelCache {
-    bool get_fp32(const PanelKey&, core::PackedPanelFp32B*) override {
-      return false;
-    }
-    bool get_fp32c(const PanelKey&, core::PackedPanelFp32cB*) override {
-      return false;
-    }
-    void put_fp32(const PanelKey&, const core::PackedPanelFp32B&) override {}
-    void put_fp32c(const PanelKey&,
-                   const core::PackedPanelFp32cB&) override {}
-  };
-  NullCache cache;
+  PanelCache cache(1);
   ExecRails keyless_cache;
   keyless_cache.b_cache = &cache;
   EXPECT_THROW(plan.execute(p.a, p.b, out, keyless_cache), CheckError);

@@ -1,7 +1,8 @@
-// Tests for the checksummed LRU prepacked-B panel cache (PackCache):
-// LRU eviction order, corruption detection -> drop -> repack, hit/miss
-// accounting, bit-identical cached-vs-uncached GEMM results through the
-// driver, and concurrent multi-tenant access (tsan-labeled).
+// Tests for the checksummed LRU prepacked-B panel cache (gemm::PanelCache,
+// the serving PackCache): LRU eviction order, corruption detection ->
+// drop -> repack, hit/miss accounting, bit-identical cached-vs-uncached
+// GEMM results through the driver, and concurrent multi-tenant access
+// (tsan-labeled).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +20,6 @@
 #include "gemm/plan.hpp"
 #include "gemm/recovery.hpp"
 #include "gemm/tiled_driver.hpp"
-#include "serve/pack_cache.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace m3xu::serve {
@@ -73,11 +73,11 @@ core::PackedPanelFp32cB make_cpanel(int salt) {
 }
 
 TEST(PackCache, RoundTripsAPanelBitExactly) {
-  PackCache cache(8);
+  gemm::PanelCache cache(8);
   const core::PackedPanelFp32B panel = make_panel(1);
-  cache.put_fp32(key_for(1), panel);
+  cache.put(key_for(1), panel);
   core::PackedPanelFp32B out;
-  ASSERT_TRUE(cache.get_fp32(key_for(1), &out));
+  ASSERT_TRUE(cache.get(key_for(1), &out));
   EXPECT_EQ(out.k, panel.k);
   EXPECT_EQ(out.cols, panel.cols);
   EXPECT_EQ(out.has_special, panel.has_special);
@@ -86,86 +86,86 @@ TEST(PackCache, RoundTripsAPanelBitExactly) {
 }
 
 TEST(PackCache, MissOnUnknownKeyAndCountersTrack) {
-  PackCache cache(8);
+  gemm::PanelCache cache(8);
   core::PackedPanelFp32B out;
-  EXPECT_FALSE(cache.get_fp32(key_for(42), &out));
+  EXPECT_FALSE(cache.get(key_for(42), &out));
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
-  cache.put_fp32(key_for(42), make_panel(0));
-  EXPECT_TRUE(cache.get_fp32(key_for(42), &out));
+  cache.put(key_for(42), make_panel(0));
+  EXPECT_TRUE(cache.get(key_for(42), &out));
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(PackCache, EvictsLeastRecentlyUsedFirst) {
-  PackCache cache(3);
-  cache.put_fp32(key_for(1), make_panel(1));
-  cache.put_fp32(key_for(2), make_panel(2));
-  cache.put_fp32(key_for(3), make_panel(3));
+  gemm::PanelCache cache(3);
+  cache.put(key_for(1), make_panel(1));
+  cache.put(key_for(2), make_panel(2));
+  cache.put(key_for(3), make_panel(3));
   ASSERT_EQ(cache.size(), 3u);
   // Touch key 1 so key 2 becomes the LRU victim.
   core::PackedPanelFp32B out;
-  ASSERT_TRUE(cache.get_fp32(key_for(1), &out));
-  cache.put_fp32(key_for(4), make_panel(4));
+  ASSERT_TRUE(cache.get(key_for(1), &out));
+  cache.put(key_for(4), make_panel(4));
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_TRUE(cache.get_fp32(key_for(1), &out));
-  EXPECT_FALSE(cache.get_fp32(key_for(2), &out));  // evicted
-  EXPECT_TRUE(cache.get_fp32(key_for(3), &out));
-  EXPECT_TRUE(cache.get_fp32(key_for(4), &out));
+  EXPECT_TRUE(cache.get(key_for(1), &out));
+  EXPECT_FALSE(cache.get(key_for(2), &out));  // evicted
+  EXPECT_TRUE(cache.get(key_for(3), &out));
+  EXPECT_TRUE(cache.get(key_for(4), &out));
 }
 
 TEST(PackCache, ReinsertRefreshesInsteadOfEvicting) {
-  PackCache cache(2);
-  cache.put_fp32(key_for(1), make_panel(1));
-  cache.put_fp32(key_for(2), make_panel(2));
+  gemm::PanelCache cache(2);
+  cache.put(key_for(1), make_panel(1));
+  cache.put(key_for(2), make_panel(2));
   // Re-putting an existing key replaces in place: no eviction.
-  cache.put_fp32(key_for(1), make_panel(9));
+  cache.put(key_for(1), make_panel(9));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
   core::PackedPanelFp32B out;
-  ASSERT_TRUE(cache.get_fp32(key_for(1), &out));
+  ASSERT_TRUE(cache.get(key_for(1), &out));
   EXPECT_TRUE(panel_equal(out, make_panel(9)));
 }
 
 TEST(PackCache, CorruptedEntryIsDroppedNotServed) {
-  PackCache cache(8);
-  cache.put_fp32(key_for(7), make_panel(7));
+  gemm::PanelCache cache(8);
+  cache.put(key_for(7), make_panel(7));
   ASSERT_TRUE(cache.corrupt_one(7));
   core::PackedPanelFp32B out;
   // The checksum trips: the hit becomes a miss and the entry is gone.
-  EXPECT_FALSE(cache.get_fp32(key_for(7), &out));
+  EXPECT_FALSE(cache.get(key_for(7), &out));
   EXPECT_EQ(cache.corrupt_dropped(), 1u);
   EXPECT_EQ(cache.size(), 0u);
   // A repack (what the driver does on the miss) restores service.
-  cache.put_fp32(key_for(7), make_panel(7));
-  ASSERT_TRUE(cache.get_fp32(key_for(7), &out));
+  cache.put(key_for(7), make_panel(7));
+  ASSERT_TRUE(cache.get(key_for(7), &out));
   EXPECT_TRUE(panel_equal(out, make_panel(7)));
 }
 
 TEST(PackCache, CorruptionServedWhenVerifyDisabled) {
   // Documents the trade: verify=false skips the integrity re-check, so
   // the corrupted panel is served. Serving keeps verify on.
-  PackCache cache(8, /*verify=*/false);
-  cache.put_fp32(key_for(7), make_panel(7));
+  gemm::PanelCache cache(8, /*verify=*/false);
+  cache.put(key_for(7), make_panel(7));
   ASSERT_TRUE(cache.corrupt_one(7));
   core::PackedPanelFp32B out;
-  EXPECT_TRUE(cache.get_fp32(key_for(7), &out));
+  EXPECT_TRUE(cache.get(key_for(7), &out));
   EXPECT_FALSE(panel_equal(out, make_panel(7)));
   EXPECT_EQ(cache.corrupt_dropped(), 0u);
 }
 
 TEST(PackCache, ComplexPanelsKeyedSeparatelyFromReal) {
-  PackCache cache(8);
-  cache.put_fp32(key_for(1), make_panel(1));
+  gemm::PanelCache cache(8);
+  cache.put(key_for(1), make_panel(1));
   gemm::PanelKey ckey = key_for(1);
   ckey.cplx = true;
   core::PackedPanelFp32cB cout_panel;
-  EXPECT_FALSE(cache.get_fp32c(ckey, &cout_panel));
+  EXPECT_FALSE(cache.get(ckey, &cout_panel));
 
   const core::PackedPanelFp32cB cpanel = make_cpanel(0);
-  cache.put_fp32c(ckey, cpanel);
-  ASSERT_TRUE(cache.get_fp32c(ckey, &cout_panel));
+  cache.put(ckey, cpanel);
+  ASSERT_TRUE(cache.get(ckey, &cout_panel));
   EXPECT_TRUE(panel_equal(cout_panel, cpanel));
 
   // Corruption detection covers the complex panel type too.
@@ -177,33 +177,18 @@ TEST(PackCache, ComplexPanelsKeyedSeparatelyFromReal) {
 /// of the only cached panel and expects the next get to drop it.
 template <typename Panel>
 void expect_flip_caught(const Panel& panel, std::size_t index) {
-  constexpr bool kCplx = std::is_same_v<Panel, core::PackedPanelFp32cB>;
-  PackCache cache(8);
+  gemm::PanelCache cache(8);
   gemm::PanelKey key = key_for(5);
-  key.cplx = kCplx;
+  key.cplx = std::is_same_v<Panel, core::PackedPanelFp32cB>;
   Panel out;
-  const auto put = [&] {
-    if constexpr (kCplx) {
-      cache.put_fp32c(key, panel);
-    } else {
-      cache.put_fp32(key, panel);
-    }
-  };
-  const auto get = [&] {
-    if constexpr (kCplx) {
-      return cache.get_fp32c(key, &out);
-    } else {
-      return cache.get_fp32(key, &out);
-    }
-  };
-  put();
+  cache.put(key, panel);
   ASSERT_TRUE(cache.corrupt_one(5, index)) << "item " << index;
-  EXPECT_FALSE(get()) << "item " << index;
+  EXPECT_FALSE(cache.get(key, &out)) << "item " << index;
   EXPECT_EQ(cache.corrupt_dropped(), 1u) << "item " << index;
   EXPECT_EQ(cache.size(), 0u) << "item " << index;
   // The repack is served again, intact.
-  put();
-  ASSERT_TRUE(get());
+  cache.put(key, panel);
+  ASSERT_TRUE(cache.get(key, &out));
   EXPECT_TRUE(panel_equal(out, panel));
 }
 
@@ -221,28 +206,28 @@ TEST(PackCache, OneBitFlipAnywhereInACompactPanelIsCaught) {
     expect_flip_caught(f32c, w);
   }
   // Past the prescan there is nothing to flip.
-  PackCache cache(8);
-  cache.put_fp32(key_for(5), f32);
+  gemm::PanelCache cache(8);
+  cache.put(key_for(5), f32);
   EXPECT_FALSE(cache.corrupt_one(5, f32.words.size() + f32.meta.size()));
 }
 
 #if M3XU_TELEMETRY_ENABLED
 TEST(PackCache, TelemetryMirrorsCounters) {
   const telemetry::Snapshot before = telemetry::snapshot();
-  PackCache cache(2);
+  gemm::PanelCache cache(2);
   core::PackedPanelFp32B out;
-  cache.get_fp32(key_for(1), &out);       // miss
-  cache.put_fp32(key_for(1), make_panel(1));
-  cache.get_fp32(key_for(1), &out);       // hit
-  cache.put_fp32(key_for(2), make_panel(2));
-  cache.put_fp32(key_for(3), make_panel(3));  // evicts
+  cache.get(key_for(1), &out);       // miss
+  cache.put(key_for(1), make_panel(1));
+  cache.get(key_for(1), &out);       // hit
+  cache.put(key_for(2), make_panel(2));
+  cache.put(key_for(3), make_panel(3));  // evicts
   ASSERT_TRUE(cache.corrupt_one(3));
-  cache.get_fp32(key_for(3), &out);       // corrupt drop
+  cache.get(key_for(3), &out);       // corrupt drop
   const telemetry::Snapshot after = telemetry::snapshot();
-  EXPECT_GE(after.counter_delta(before, "serve.pack_cache.misses"), 2u);
-  EXPECT_GE(after.counter_delta(before, "serve.pack_cache.hits"), 1u);
-  EXPECT_GE(after.counter_delta(before, "serve.pack_cache.evictions"), 1u);
-  EXPECT_GE(after.counter_delta(before, "serve.pack_cache.corrupt_dropped"),
+  EXPECT_GE(after.counter_delta(before, "panel_cache.misses"), 2u);
+  EXPECT_GE(after.counter_delta(before, "panel_cache.hits"), 1u);
+  EXPECT_GE(after.counter_delta(before, "panel_cache.evictions"), 1u);
+  EXPECT_GE(after.counter_delta(before, "panel_cache.corrupt_dropped"),
             1u);
 }
 #endif
@@ -278,7 +263,7 @@ TEST(PackCacheDriver, CachedRunsAreBitIdenticalToUncached) {
   gemm::Matrix<float> c_plain = c0;
   plan.execute(a, b, c_plain);
 
-  PackCache cache(64);
+  gemm::PanelCache cache(64);
   gemm::ExecRails rails;
   rails.b_cache = &cache;
   rails.b_key = 0xB0B;
@@ -315,7 +300,7 @@ TEST(PackCacheDriver, ComplexCachedRunsAreBitIdenticalToUncached) {
   gemm::Matrix<std::complex<float>> c_plain = c0;
   plan.execute(a, b, c_plain);
 
-  PackCache cache(64);
+  gemm::PanelCache cache(64);
   gemm::ExecRails rails;
   rails.b_cache = &cache;
   rails.b_key = 0xC0C;
@@ -352,7 +337,7 @@ TEST(PackCacheDriver, CorruptionBetweenRunsStillYieldsBitIdenticalResult) {
   gemm::Matrix<float> c_plain = c0;
   plan.execute(a, b, c_plain);
 
-  PackCache cache(64);
+  gemm::PanelCache cache(64);
   gemm::ExecRails rails;
   rails.b_cache = &cache;
   rails.b_key = 0xDEAD;
@@ -372,7 +357,7 @@ TEST(PackCacheDriver, CorruptionBetweenRunsStillYieldsBitIdenticalResult) {
 /// correctness here is "no data race, every hit returns an intact
 /// panel" - corruption injection races against readers on purpose.
 TEST(PackCacheConcurrency, ConcurrentTenantsGetConsistentPanels) {
-  PackCache cache(16);
+  gemm::PanelCache cache(16);
   constexpr int kThreads = 6;
   constexpr int kRounds = 200;
   std::atomic<bool> fail{false};
@@ -385,14 +370,14 @@ TEST(PackCacheConcurrency, ConcurrentTenantsGetConsistentPanels) {
         const std::uint64_t b_key =
             static_cast<std::uint64_t>((t + r) % 8 + 1);
         const gemm::PanelKey key = key_for(static_cast<int>(b_key));
-        if (cache.get_fp32(key, &out)) {
+        if (cache.get(key, &out)) {
           // A served panel is always intact (checksum-verified) and
           // internally consistent with its key contents.
           if (!panel_equal(out, make_panel(static_cast<int>(b_key)))) {
             fail = true;
           }
         } else {
-          cache.put_fp32(key, make_panel(static_cast<int>(b_key)));
+          cache.put(key, make_panel(static_cast<int>(b_key)));
         }
         if (t == 0 && r % 50 == 13) {
           cache.corrupt_one(b_key);  // chaos: readers must survive it
