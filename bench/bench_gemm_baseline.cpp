@@ -20,12 +20,14 @@
 // --json-only to suppress the human-readable table, --threads=N to
 // size the global pool (must win the race to the first pool use, so it
 // is applied straight from flag parsing), --thread-sweep=1,2,4 to
-// additionally run every route through the threaded tiled driver on a
-// dedicated pool per listed size - each point is gated bitwise against
-// the single-threaded per-dot reference and recorded as a
-// "thread_scaling" curve (seconds / GFLOP/s / speedup vs the
+// additionally run the microkernel route through the threaded tiled
+// driver on a dedicated pool per listed size - each point is gated
+// bitwise against the single-threaded per-dot reference and recorded
+// as a "thread_scaling" curve (seconds / GFLOP/s / speedup vs the
 // single-thread point) labeled with the microkernel variant that
-// actually ran, --plan to
+// actually ran - and to run the per-dot route once per listed size,
+// untimed, at a small geometry, gated bitwise against the flat engine
+// loop ("perdot_pool_gate"), --plan to
 // additionally benchmark the compile-then-execute GemmPlan layer:
 // compile+prepack cost, first-execute cost, repeat-execute median,
 // whether repeat executes amortize compilation, and a bit-identity
@@ -33,11 +35,13 @@
 // the exit gate).
 #include <algorithm>
 #include <cmath>
+#include <complex>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -282,11 +286,11 @@ std::vector<int> parse_counts(const std::string& csv) {
   return out;
 }
 
-/// Thread-scaling sweep for one dtype: each route's plan runs through
-/// the threaded tiled driver on a dedicated pool per listed size
-/// (ExecRails.pool), and every point is gated bitwise against the
-/// single-threaded per-dot reference - the scaling curve is a perf
-/// report, never a results fork.
+/// Thread-scaling sweep for one dtype: the microkernel route's plan
+/// runs through the threaded tiled driver on a dedicated pool per
+/// listed size (ExecRails.pool), and every point is gated bitwise
+/// against the single-threaded per-dot reference - the scaling curve is
+/// a perf report, never a results fork.
 template <typename T>
 void run_thread_sweep(const std::string& prefix, int m, int n, int k,
                       bool cplx, double flops_per_mnk,
@@ -294,57 +298,90 @@ void run_thread_sweep(const std::string& prefix, int m, int n, int k,
                       const gemm::Matrix<T>& a, const gemm::Matrix<T>& b,
                       const gemm::Matrix<T>& c_ref,
                       std::vector<SweepCurve>& curves, bool& bit_identical) {
-  struct RouteCfg {
-    const char* route;
-    core::M3xuConfig cfg;
-  };
+  const double flops = flops_per_mnk * static_cast<double>(m) * n * k;
+  const gemm::GemmPlan plan =
+      gemm::GemmPlan::compile(core::M3xuConfig{}, {m, n, k, cplx});
+  SweepCurve curve;
+  curve.name = prefix + "_microkernel";
+  gemm::Matrix<T> c(m, n);
+  for (const int t : counts) {
+    ThreadPool pool(static_cast<std::size_t>(t));
+    gemm::ExecRails rails;
+    rails.pool = &pool;
+    const auto run = [&] {
+      c.fill(T{});
+      plan.execute(a, b, c, rails);
+    };
+    for (int wu = 0; wu < warmup; ++wu) run();
+    std::vector<double> times;
+    for (int rep = 0; rep < std::max(1, reps); ++rep) {
+      const telemetry::Stopwatch sw;
+      run();
+      times.push_back(sw.seconds());
+    }
+    const Spread spread = summarize(std::move(times));
+    const double med = spread.median;
+    bit_identical =
+        bit_identical &&
+        std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(T)) == 0;
+    SweepPoint pt;
+    pt.threads = t;
+    pt.seconds = med;
+    pt.spread = spread;
+    pt.gflops = flops / med / 1e9;
+    curve.points.push_back(pt);
+  }
+  // Speedup relative to the curve's own threads == 1 point (first
+  // point when the sweep list omits 1).
+  double base = curve.points.front().seconds;
+  for (const SweepPoint& pt : curve.points) {
+    if (pt.threads == 1) base = pt.seconds;
+  }
+  for (SweepPoint& pt : curve.points) pt.speedup = base / pt.seconds;
+  curves.push_back(std::move(curve));
+}
+
+/// The per-dot route's pool gate for one dtype. The per-dot route is
+/// the bit-identity reference, not a perf subject, so it runs untimed
+/// at the bench_smoke geometry: a force_generic plan executes once on a
+/// dedicated pool per listed size, and each result must equal the flat
+/// engine loop on the same operands bit for bit.
+template <typename T>
+bool perdot_pool_gate(int m, int n, int k, const std::vector<int>& counts,
+                      const core::M3xuEngine& engine, Rng& rng) {
+  constexpr bool kComplex = std::is_same_v<T, std::complex<float>>;
+  gemm::Matrix<T> a(m, k), b(k, n), c_ref(m, n), c(m, n);
+  gemm::fill_random(a, rng);
+  gemm::fill_random(b, rng);
+  c_ref.fill(T{});
+  if constexpr (kComplex) {
+    engine.gemm_fp32c(m, n, k, a.data(), a.ld(), b.data(), b.ld(),
+                      c_ref.data(), c_ref.ld());
+  } else {
+    engine.gemm_fp32(m, n, k, a.data(), a.ld(), b.data(), b.ld(),
+                     c_ref.data(), c_ref.ld());
+  }
   core::M3xuConfig perdot_cfg;
   perdot_cfg.force_generic = true;
-  const RouteCfg routes[] = {{"microkernel", core::M3xuConfig{}},
-                             {"perdot", perdot_cfg}};
-  const double flops = flops_per_mnk * static_cast<double>(m) * n * k;
-  for (const RouteCfg& r : routes) {
-    const gemm::GemmPlan plan = gemm::GemmPlan::compile(r.cfg, {m, n, k, cplx});
-    SweepCurve curve;
-    curve.name = prefix + "_" + r.route;
-    gemm::Matrix<T> c(m, n);
-    for (const int t : counts) {
-      ThreadPool pool(static_cast<std::size_t>(t));
-      gemm::ExecRails rails;
-      rails.pool = &pool;
-      const auto run = [&] {
-        c.fill(T{});
-        plan.execute(a, b, c, rails);
-      };
-      for (int wu = 0; wu < warmup; ++wu) run();
-      std::vector<double> times;
-      for (int rep = 0; rep < std::max(1, reps); ++rep) {
-        const telemetry::Stopwatch sw;
-        run();
-        times.push_back(sw.seconds());
-      }
-      const Spread spread = summarize(std::move(times));
-      const double med = spread.median;
-      bit_identical =
-          bit_identical &&
-          std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(T)) == 0;
-      SweepPoint pt;
-      pt.threads = t;
-      pt.seconds = med;
-      pt.spread = spread;
-      pt.gflops = flops / med / 1e9;
-      curve.points.push_back(pt);
-    }
-    // Speedup relative to the curve's own threads == 1 point (first
-    // point when the sweep list omits 1).
-    double base = curve.points.front().seconds;
-    for (const SweepPoint& pt : curve.points) {
-      if (pt.threads == 1) base = pt.seconds;
-    }
-    for (SweepPoint& pt : curve.points) pt.speedup = base / pt.seconds;
-    curves.push_back(std::move(curve));
+  const gemm::GemmPlan plan =
+      gemm::GemmPlan::compile(perdot_cfg, {m, n, k, kComplex});
+  bool same = true;
+  for (const int t : counts) {
+    ThreadPool pool(static_cast<std::size_t>(t));
+    gemm::ExecRails rails;
+    rails.pool = &pool;
+    c.fill(T{});
+    plan.execute(a, b, c, rails);
+    same = same &&
+           std::memcmp(c.data(), c_ref.data(), c.size() * sizeof(T)) == 0;
   }
+  return same;
 }
+
+/// The per-dot pool gate's geometry: bench_smoke's, whose sizes are
+/// not multiples of any tile or register-block shape.
+constexpr int kGateM = 100, kGateN = 90, kGateK = 96;
+constexpr int kGateCm = 45, kGateCn = 45, kGateCk = 48;
 
 }  // namespace
 
@@ -382,6 +419,10 @@ int main(int argc, char** argv) {
   std::vector<SweepCurve> curves;
   bool bit_identical = true;
   std::optional<PlanReport> plan_sgemm, plan_cgemm;
+  // Own operand stream, so the gate leaves the timed cases' inputs as
+  // they are.
+  Rng gate_rng(seed + 1);
+  bool perdot_gate = true;
 
   {
     gemm::Matrix<float> a(m, k), b(k, n);
@@ -418,6 +459,9 @@ int main(int argc, char** argv) {
       run_thread_sweep<float>("sgemm", m, n, k, false, 2.0, sweep_counts,
                               reps, warmup, a, b, c_perdot, curves,
                               bit_identical);
+      perdot_gate = perdot_pool_gate<float>(kGateM, kGateN, kGateK,
+                                            sweep_counts, engine, gate_rng) &&
+                    perdot_gate;
     }
   }
 
@@ -459,8 +503,13 @@ int main(int argc, char** argv) {
       run_thread_sweep<std::complex<float>>("cgemm", cm, cn, ck, true, 8.0,
                                             sweep_counts, reps, warmup, a, b,
                                             c_perdot, curves, bit_identical);
+      perdot_gate = perdot_pool_gate<std::complex<float>>(
+                        kGateCm, kGateCn, kGateCk, sweep_counts, engine,
+                        gate_rng) &&
+                    perdot_gate;
     }
   }
+  bit_identical = bit_identical && perdot_gate;
 
   // Look route cases up by name: with --plan the vector also carries
   // the plan cases, so fixed indices would misattribute.
@@ -514,7 +563,11 @@ int main(int argc, char** argv) {
       }
       std::printf("\n");
     }
-    if (!curves.empty()) std::printf("\n");
+    if (!curves.empty()) {
+      std::printf("per-dot pool gate (%dx%dx%d / %dx%dx%d, untimed): %s\n\n",
+                  kGateM, kGateN, kGateK, kGateCm, kGateCn, kGateCk,
+                  perdot_gate ? "bit-identical" : "MISMATCH");
+    }
     if (plan_sgemm.has_value() && plan_cgemm.has_value()) {
       std::printf("plan: sgemm compile %.3fs + first %.3fs, repeat %.3fs "
                   "(%samortized)\nplan: cgemm compile %.3fs + first %.3fs, "
@@ -587,6 +640,18 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_array();
+    w.key("perdot_pool_gate").begin_object();
+    w.key("sgemm_mnk").begin_array();
+    for (const int d : {kGateM, kGateN, kGateK}) w.value(d);
+    w.end_array();
+    w.key("cgemm_mnk").begin_array();
+    for (const int d : {kGateCm, kGateCn, kGateCk}) w.value(d);
+    w.end_array();
+    w.key("threads").begin_array();
+    for (const int t : sweep_counts) w.value(t);
+    w.end_array();
+    w.kv("bit_identical", perdot_gate);
+    w.end_object();
     w.end_object();
   }
   if (plan_sgemm.has_value() && plan_cgemm.has_value()) {

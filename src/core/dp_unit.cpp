@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "fault/injector.hpp"
+#include "fp/ext_float.hpp"
 
 namespace m3xu::core {
 
@@ -140,6 +141,34 @@ void DpUnit::accumulate_dot(std::span<const LaneOperand> a,
   for (std::size_t i = 0; i < count; ++i) {
     sum.add_scaled(products[i].sign, products[i].sig, products[i].exp);
   }
+}
+
+fp::Unpacked DpUnit::run_steps(std::span<const StepOperands> steps,
+                               const fp::Unpacked& c, int prec,
+                               bool per_step_rounding) const {
+  const fault::FaultInjector* const inj = config_.injector;
+  if (per_step_rounding) {
+    fp::ExtFloat reg = fp::ExtFloat::from_unpacked(c, prec);
+    for (const StepOperands& step : steps) {
+      fp::ExactAccumulator sum;
+      accumulate_dot(step.a, step.b, sum);
+      reg = reg.plus_exact(sum);
+      if (inj != nullptr) {
+        reg = fp::ExtFloat::from_unpacked(
+            inj->corrupt_unpacked(fault::Site::kAccumulator, reg.value(),
+                                  prec),
+            prec);
+      }
+    }
+    return reg.value();
+  }
+  fp::ExactAccumulator sum;
+  for (const StepOperands& step : steps) accumulate_dot(step.a, step.b, sum);
+  sum.add_unpacked(c);
+  const fp::Unpacked r = sum.round_to_precision(prec);
+  return inj != nullptr
+             ? inj->corrupt_unpacked(fault::Site::kAccumulator, r, prec)
+             : r;
 }
 
 }  // namespace m3xu::core

@@ -14,8 +14,10 @@
 
 #include <span>
 
+#include "core/data_assignment.hpp"
 #include "core/lane_operand.hpp"
 #include "fp/exact_accumulator.hpp"
+#include "fp/unpacked.hpp"
 
 namespace m3xu::fault {
 class FaultInjector;
@@ -47,6 +49,17 @@ class DpUnit {
   void accumulate_dot(std::span<const LaneOperand> a,
                       std::span<const LaneOperand> b,
                       fp::ExactAccumulator& sum) const;
+
+  /// Runs one instruction's steps into an accumulation register of
+  /// `prec` significand bits that starts at `c` (exact: C is narrower
+  /// than the register). per_step_rounding rounds the register after
+  /// every step (the 48-bit register datapath); otherwise the steps'
+  /// exact sum rounds once (the idealized ablation). With an injector
+  /// attached, each register write-back is one Site::kAccumulator flip
+  /// opportunity on the `prec`-bit significand.
+  fp::Unpacked run_steps(std::span<const StepOperands> steps,
+                         const fp::Unpacked& c, int prec,
+                         bool per_step_rounding) const;
 
   const DpUnitConfig& config() const { return config_; }
 

@@ -1,17 +1,15 @@
 #include "core/microkernel.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <span>
 #include <string_view>
 
 #include "common/bits.hpp"
 #include "common/check.hpp"
 #include "core/data_assignment.hpp"
 #include "core/fused_round.hpp"
-#include "fp/exact_accumulator.hpp"
-#include "fp/ext_float.hpp"
 #include "fp/unpacked.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -42,16 +40,34 @@ namespace {
 // that now that the register-block shape varies). lane_exits counts the
 // (row, column, chunk) triples the AVX-512 kernel handed back to the
 // scalar pair path.
-telemetry::Counter uk_fp32_blocks("mxu.fp32.microkernel.blocks");
-telemetry::Counter uk_fp32_elems("mxu.fp32.microkernel.block_elements");
-telemetry::Counter uk_fp32_pairs("mxu.fp32.microkernel.pair_chunks");
-telemetry::Counter uk_fp32_falls("mxu.fp32.microkernel.pair_fallbacks");
-telemetry::Counter uk_fp32_exits("mxu.fp32.microkernel.lane_exits");
-telemetry::Counter uk_fp32c_blocks("mxu.fp32c.microkernel.blocks");
-telemetry::Counter uk_fp32c_elems("mxu.fp32c.microkernel.block_elements");
-telemetry::Counter uk_fp32c_pairs("mxu.fp32c.microkernel.pair_chunks");
-telemetry::Counter uk_fp32c_falls("mxu.fp32c.microkernel.pair_fallbacks");
-telemetry::Counter uk_fp32c_exits("mxu.fp32c.microkernel.lane_exits");
+struct MkCounters {
+  telemetry::Counter blocks;
+  telemetry::Counter elems;
+  telemetry::Counter pairs;
+  telemetry::Counter falls;
+  telemetry::Counter exits;
+
+  /// One block's flush: rows x cols outputs over nchunks K-chunks.
+  void add_block(int rows, int cols, int nchunks, std::uint64_t fallbacks,
+                 std::uint64_t lane_exits) {
+    const std::uint64_t n = static_cast<std::uint64_t>(rows) * cols;
+    blocks.increment();
+    elems.add(n);
+    pairs.add(static_cast<std::uint64_t>(nchunks) * n);
+    falls.add(fallbacks);
+    exits.add(lane_exits);
+  }
+};
+MkCounters uk_fp32{telemetry::Counter("mxu.fp32.microkernel.blocks"),
+                   telemetry::Counter("mxu.fp32.microkernel.block_elements"),
+                   telemetry::Counter("mxu.fp32.microkernel.pair_chunks"),
+                   telemetry::Counter("mxu.fp32.microkernel.pair_fallbacks"),
+                   telemetry::Counter("mxu.fp32.microkernel.lane_exits")};
+MkCounters uk_fp32c{telemetry::Counter("mxu.fp32c.microkernel.blocks"),
+                    telemetry::Counter("mxu.fp32c.microkernel.block_elements"),
+                    telemetry::Counter("mxu.fp32c.microkernel.pair_chunks"),
+                    telemetry::Counter("mxu.fp32c.microkernel.pair_fallbacks"),
+                    telemetry::Counter("mxu.fp32c.microkernel.lane_exits")};
 
 // Dispatch counters: which variant's kernel actually ran, per block.
 telemetry::Counter mk_var_scalar("mk.variant.scalar.blocks");
@@ -524,46 +540,32 @@ bool pair_chunk(const PairTerms& terms, bool have_terms, int t_lo, int t_hi,
 // the chunk's words as the operand registers, split and routed by
 // DataAssignmentStage::schedule_fp32 / schedule_fp32c with a null
 // injector (the engine keeps injector-attached runs off the
-// microkernel entirely), under run_steps' register semantics.
+// microkernel entirely), through DpUnit::run_steps. `acc` holds the
+// chunk's register streams: one float for FP32, (re, im) for FP32C.
 
-float run_chunk_steps(const std::array<StepOperands, 2>& steps,
-                      const DpUnit& unit, const MicrokernelParams& p,
-                      float acc) {
-  const fp::Unpacked c = fp::unpack(acc);
-  if (p.per_step_rounding) {
-    fp::ExtFloat reg = fp::ExtFloat::from_unpacked(c, p.accum_prec);
-    for (const StepOperands& step : steps) {
-      fp::ExactAccumulator sum;
-      unit.accumulate_dot(step.a, step.b, sum);
-      reg = reg.plus_exact(sum);
-    }
-    return reg.to_float();
-  }
-  fp::ExactAccumulator sum;
-  for (const StepOperands& step : steps) {
-    unit.accumulate_dot(step.a, step.b, sum);
-  }
-  sum.add_unpacked(c);
-  return fp::pack_to_float(sum.round_to_precision(p.accum_prec));
+float run_chunk(std::span<const StepOperands> steps, const DpUnit& unit,
+                const MicrokernelParams& p, float acc) {
+  return fp::pack_to_float(unit.run_steps(steps, fp::unpack(acc),
+                                          p.accum_prec, p.per_step_rounding));
 }
 
-void generic_fp32_chunk(const PackedPanelFp32A& a, int row,
-                        const PackedPanelFp32B& b, int col, int k0, int kc,
-                        const DpUnit& unit, const MicrokernelParams& p,
-                        float* acc) {
+void generic_chunk(const PackedPanelFp32A& a, int row,
+                   const PackedPanelFp32B& b, int col, int k0, int kc,
+                   const DpUnit& unit, const MicrokernelParams& p,
+                   float* acc) {
   float av[kPackChunkFp32];
   float bv[kPackChunkFp32];
   panel_chunk(a, row, k0, kc, av);
   panel_chunk(b, col, k0, kc, bv);
   const auto n = static_cast<std::size_t>(kc);
-  *acc = run_chunk_steps(DataAssignmentStage::schedule_fp32({av, n}, {bv, n}),
-                         unit, p, *acc);
+  acc[0] = run_chunk(DataAssignmentStage::schedule_fp32({av, n}, {bv, n}),
+                     unit, p, acc[0]);
 }
 
-void generic_fp32c_chunk(const PackedPanelFp32cA& a, int row,
-                         const PackedPanelFp32cB& b, int col, int k0, int kc,
-                         const DpUnit& unit, const MicrokernelParams& p,
-                         float* re, float* im) {
+void generic_chunk(const PackedPanelFp32cA& a, int row,
+                   const PackedPanelFp32cB& b, int col, int k0, int kc,
+                   const DpUnit& unit, const MicrokernelParams& p,
+                   float* acc) {
   std::complex<float> av[kPackChunkFp32c];
   std::complex<float> bv[kPackChunkFp32c];
   panel_chunk(a, row, k0, kc, av);
@@ -571,104 +573,155 @@ void generic_fp32c_chunk(const PackedPanelFp32cA& a, int row,
   const auto n = static_cast<std::size_t>(kc);
   const DataAssignmentStage::ComplexSchedule sched =
       DataAssignmentStage::schedule_fp32c({av, n}, {bv, n});
-  *re = run_chunk_steps(sched.real, unit, p, *re);
-  *im = run_chunk_steps(sched.imag, unit, p, *im);
+  acc[0] = run_chunk(sched.real, unit, p, acc[0]);
+  acc[1] = run_chunk(sched.imag, unit, p, acc[1]);
 }
 
 inline bool finite_chunk(const PanelChunkMeta& m) {
   return (m.flags & PanelChunkMeta::kHasFinite) != 0;
 }
 
+// --- Datapath families ------------------------------------------------
+//
+// FP32C runs on the FP32 datapath with a second register stream: every
+// output carries a real and an imaginary register, both fed from the
+// same A-row and B-column decodes. Family names what differs; the
+// bodies below are written once and instantiated for both panel pairs.
+
+template <typename PanelA>
+struct Family;
+
+template <>
+struct Family<PackedPanelFp32A> {
+  using PanelB = PackedPanelFp32B;
+  using CElem = float;
+  static constexpr int kChunk = kPackChunkFp32;
+  static constexpr int kStreams = 1;
+  static MkCounters& counters() { return uk_fp32; }
+};
+
+template <>
+struct Family<PackedPanelFp32cA> {
+  using PanelB = PackedPanelFp32cB;
+  using CElem = std::complex<float>;  // (re, im): one float per stream
+  static constexpr int kChunk = kPackChunkFp32c;
+  static constexpr int kStreams = 2;
+  static MkCounters& counters() { return uk_fp32c; }
+};
+
+template <typename PanelA>
+using PanelBOf = typename Family<PanelA>::PanelB;
+template <typename PanelA>
+using CElemOf = typename Family<PanelA>::CElem;
+
+/// C element `e`'s register streams. The standard lets a
+/// std::complex<float> be accessed as float[2] ([complex.numbers]), so
+/// FP32C's (re, im) sit where FP32's one float does.
+template <typename CElem>
+float* streams_of(CElem* e) {
+  return reinterpret_cast<float*>(e);
+}
+
+/// A block call's panel preconditions: one K, special-free panels, and
+/// a rows x cols extent of at most max_rows x max_cols inside them.
+template <typename PanelA>
+void check_block(const PanelA& a, int row0, int rows, int max_rows,
+                 const PanelBOf<PanelA>& b, int col0, int cols,
+                 int max_cols) {
+  M3XU_CHECK(a.k == b.k);
+  M3XU_CHECK(!a.has_special && !b.has_special);
+  M3XU_CHECK(rows >= 1 && rows <= max_rows && row0 >= 0 &&
+             row0 + rows <= a.rows);
+  M3XU_CHECK(cols >= 1 && cols <= max_cols && col0 >= 0 &&
+             col0 + cols <= b.cols);
+}
+
+/// Column `col`'s chunk, one decode per register stream. FP32C A rows
+/// decode in the real part's order, where the im slots carry the
+/// stage's -AI pre-negation: exactly the sign the real part's -AI*BI
+/// term needs (build_pair's flip_odd undoes it for the imaginary
+/// part's AI*BR). The imaginary stream takes the slot-swapped copy, so
+/// A slot t meets B slot t^1: the crossed pairing (AR*BI, AI*BR).
+template <typename PanelA>
+void decode_column(const PanelBOf<PanelA>& b, int col, int k0, int kc,
+                   int fill, ElemSoA* out) {
+  decode_chunk(b, col, k0, kc, fill, out[0]);
+  if constexpr (Family<PanelA>::kStreams == 2) swap_slots(out[0], out[1]);
+}
+
 // --- Scalar pair route ------------------------------------------------
 //
-// One (row, column) pair of a chunk: pair_chunk over the prebuilt slot
-// decodes, and the generic route when the prescan window fails. Each
-// returns true when the pair fell back to the generic route. The scalar
-// and AVX2 blocks run every pair through these; the AVX-512 kernel runs
-// only its lane exits through them, with kScalar term builds. Forced
-// inline: they are the scalar blocks' loop bodies.
+// One (row, column) pair of a chunk: pair_chunk per register stream
+// over the prebuilt slot decodes (`bc`: decode_column's), and the
+// generic route when the prescan window fails. Every stream must stay
+// fused; on any failure the whole chunk (every stream) re-runs
+// generically from the entry registers in `acc`. Returns true when the
+// pair fell back to the generic route. The scalar and AVX2 blocks run
+// every pair through it; the AVX-512 kernel runs only its lane exits
+// through it, with kScalar term builds. Forced inline: it is the scalar
+// blocks' loop body.
 
-[[gnu::always_inline]] inline bool fp32_pair(
+template <typename PanelA>
+[[gnu::always_inline]] inline bool mk_pair(
     MkVariant v, const ElemSoA& ar, const PanelChunkMeta& am,
-    const ElemSoA& bc, const PanelChunkMeta& bm, const PackedPanelFp32A& a,
-    int row, const PackedPanelFp32B& b, int col, int k0, int kc,
-    const DpUnit& unit, const MicrokernelParams& p, float* acc) {
+    const ElemSoA* bc, const PanelChunkMeta& bm, const PanelA& a, int row,
+    const PanelBOf<PanelA>& b, int col, int k0, int kc, const DpUnit& unit,
+    const MicrokernelParams& p, float* acc) {
+  constexpr int kStreams = Family<PanelA>::kStreams;
   const bool have = finite_chunk(am) && finite_chunk(bm);
-  PairTerms terms;
+  PairTerms terms[kStreams];
   int t_lo = 0;
   int t_hi = 0;
   if (have) {
     t_lo = am.min_exp + bm.min_exp;
     t_hi = am.max_exp + bm.max_exp + 23;
-    build_pair(v, ar, bc, /*flip_odd=*/false, terms);
+    for (int s = 0; s < kStreams; ++s) {
+      build_pair(v, ar, bc[s], /*flip_odd=*/s == 1, terms[s]);
+    }
   }
-  if (pair_chunk(terms, have, t_lo, t_hi, p, acc)) return false;
-  generic_fp32_chunk(a, row, b, col, k0, kc, unit, p, acc);
-  return true;
-}
-
-/// `bc` and `bs` are column `col`'s decode and its slot-swapped copy.
-/// Both parts must stream for the chunk to stay fused; on any failure
-/// the whole chunk (both registers) re-runs generically from the
-/// original accumulators.
-[[gnu::always_inline]] inline bool fp32c_pair(
-    MkVariant v, const ElemSoA& ar, const PanelChunkMeta& am,
-    const ElemSoA& bc, const ElemSoA& bs, const PanelChunkMeta& bm,
-    const PackedPanelFp32cA& a, int row, const PackedPanelFp32cB& b, int col,
-    int k0, int kc, const DpUnit& unit, const MicrokernelParams& p,
-    float* acc_re, float* acc_im) {
-  const bool have = finite_chunk(am) && finite_chunk(bm);
-  PairTerms terms_re;
-  PairTerms terms_im;
-  int t_lo = 0;
-  int t_hi = 0;
-  if (have) {
-    t_lo = am.min_exp + bm.min_exp;
-    t_hi = am.max_exp + bm.max_exp + 23;
-    build_pair(v, ar, bc, /*flip_odd=*/false, terms_re);
-    build_pair(v, ar, bs, /*flip_odd=*/true, terms_im);
+  float out[kStreams];
+  bool fused = true;
+  for (int s = 0; s < kStreams && fused; ++s) {
+    out[s] = acc[s];
+    fused = pair_chunk(terms[s], have, t_lo, t_hi, p, &out[s]);
   }
-  float re = *acc_re;
-  float im = *acc_im;
-  if (pair_chunk(terms_re, have, t_lo, t_hi, p, &re) &&
-      pair_chunk(terms_im, have, t_lo, t_hi, p, &im)) {
-    *acc_re = re;
-    *acc_im = im;
+  if (fused) {
+    std::copy_n(out, kStreams, acc);
     return false;
   }
-  generic_fp32c_chunk(a, row, b, col, k0, kc, unit, p, acc_re, acc_im);
+  generic_chunk(a, row, b, col, k0, kc, unit, p, acc);
   return true;
 }
 
-// --- Register-blocked bodies (scalar / AVX2 term build) ---------------
+// --- Register-blocked body (scalar / AVX2 term build) -----------------
 //
-// Templated on the MR x NR register-block shape so each instantiation
-// keeps its accumulator array and decode state at fixed size; a block
-// covers the top-left rows x cols of it (fewer at a tile edge). `v` is
-// the resolved term-build variant, checked once per block. Returns the
-// block's generic fallbacks.
+// Templated on the family and the MR x NR register-block shape so each
+// instantiation keeps its accumulator array and decode state at fixed
+// size; a block covers the top-left rows x cols of it (fewer at a tile
+// edge). `v` is the resolved term-build variant, checked once per
+// block. Returns the block's generic fallbacks.
 
-template <int MR, int NR>
-std::uint64_t fp32_block(const PackedPanelFp32A& a, int row0, int rows,
-                         const PackedPanelFp32B& b, int col0, int cols,
-                         const DpUnit& unit, const MicrokernelParams& p,
-                         MkVariant v, float* c, int ldc) {
-  M3XU_CHECK(a.k == b.k);
-  M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(rows >= 1 && rows <= MR && row0 >= 0 && row0 + rows <= a.rows);
-  M3XU_CHECK(cols >= 1 && cols <= NR && col0 >= 0 && col0 + cols <= b.cols);
+template <typename PanelA, int MR, int NR>
+std::uint64_t block_scalar(const PanelA& a, int row0, int rows,
+                           const PanelBOf<PanelA>& b, int col0, int cols,
+                           const DpUnit& unit, const MicrokernelParams& p,
+                           MkVariant v, CElemOf<PanelA>* c, int ldc) {
+  using F = Family<PanelA>;
+  check_block(a, row0, rows, MR, b, col0, cols, NR);
   const int k = a.k;
-  const int nchunks = panel_chunk_count(k, kPackChunkFp32);
-  float acc[MR][NR];
+  const int nchunks = panel_chunk_count(k, F::kChunk);
+  float acc[MR][NR][F::kStreams];  // laid out as C's elements
   for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) acc[i][j] = c[i * ldc + j];
+    for (int j = 0; j < cols; ++j) {
+      std::copy_n(streams_of(c + i * ldc + j), F::kStreams, acc[i][j]);
+    }
   }
   ElemSoA arow[MR];
-  ElemSoA bcol[NR];
+  ElemSoA bcol[NR][F::kStreams];
   std::uint64_t fallbacks = 0;
   for (int ch = 0; ch < nchunks; ++ch) {
-    const int k0 = ch * kPackChunkFp32;
-    const int kc = std::min(kPackChunkFp32, k - k0);
+    const int k0 = ch * F::kChunk;
+    const int kc = std::min(F::kChunk, k - k0);
     const PanelChunkMeta* am[MR];
     const PanelChunkMeta* bm[NR];
     for (int i = 0; i < rows; ++i) {
@@ -677,87 +730,22 @@ std::uint64_t fp32_block(const PackedPanelFp32A& a, int row0, int rows,
     }
     for (int j = 0; j < cols; ++j) {
       bm[j] = &b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
-      decode_chunk(b, col0 + j, k0, kc, fill_exp(*bm[j]), bcol[j]);
+      decode_column<PanelA>(b, col0 + j, k0, kc, fill_exp(*bm[j]), bcol[j]);
     }
     for (int i = 0; i < rows; ++i) {
       for (int j = 0; j < cols; ++j) {
-        fallbacks += fp32_pair(v, arow[i], *am[i], bcol[j], *bm[j], a,
-                               row0 + i, b, col0 + j, k0, kc, unit, p,
-                               &acc[i][j]);
-      }
-    }
-  }
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) c[i * ldc + j] = acc[i][j];
-  }
-  const std::uint64_t elems = static_cast<std::uint64_t>(rows) * cols;
-  uk_fp32_blocks.increment();
-  uk_fp32_elems.add(elems);
-  uk_fp32_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
-  uk_fp32_falls.add(fallbacks);
-  return fallbacks;
-}
-
-template <int MR, int NR>
-std::uint64_t fp32c_block(const PackedPanelFp32cA& a, int row0, int rows,
-                          const PackedPanelFp32cB& b, int col0, int cols,
-                          const DpUnit& unit, const MicrokernelParams& p,
-                          MkVariant v, std::complex<float>* c, int ldc) {
-  M3XU_CHECK(a.k == b.k);
-  M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(rows >= 1 && rows <= MR && row0 >= 0 && row0 + rows <= a.rows);
-  M3XU_CHECK(cols >= 1 && cols <= NR && col0 >= 0 && col0 + cols <= b.cols);
-  const int k = a.k;
-  const int nchunks = panel_chunk_count(k, kPackChunkFp32c);
-  float acc_re[MR][NR];
-  float acc_im[MR][NR];
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) {
-      acc_re[i][j] = c[i * ldc + j].real();
-      acc_im[i][j] = c[i * ldc + j].imag();
-    }
-  }
-  // A rows decode in the real-part order, where the im slots carry
-  // the stage's -AI pre-negation: exactly the sign the real part's
-  // -AI*BI term needs, and flip_odd undoes it for the imag part's
-  // AI*BR term. B columns decode once; a slot-swapped copy provides
-  // the imag part's crossed component pairing (AR*BI, AI*BR).
-  ElemSoA arow[MR];
-  ElemSoA bcol[NR];
-  ElemSoA bswp[NR];
-  std::uint64_t fallbacks = 0;
-  for (int ch = 0; ch < nchunks; ++ch) {
-    const int k0 = ch * kPackChunkFp32c;
-    const int kc = std::min(kPackChunkFp32c, k - k0);
-    const PanelChunkMeta* am[MR];
-    const PanelChunkMeta* bm[NR];
-    for (int i = 0; i < rows; ++i) {
-      am[i] = &a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
-      decode_chunk(a, row0 + i, k0, kc, fill_exp(*am[i]), arow[i]);
-    }
-    for (int j = 0; j < cols; ++j) {
-      bm[j] = &b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
-      decode_chunk(b, col0 + j, k0, kc, fill_exp(*bm[j]), bcol[j]);
-      swap_slots(bcol[j], bswp[j]);
-    }
-    for (int i = 0; i < rows; ++i) {
-      for (int j = 0; j < cols; ++j) {
-        fallbacks += fp32c_pair(v, arow[i], *am[i], bcol[j], bswp[j], *bm[j],
-                                a, row0 + i, b, col0 + j, k0, kc, unit, p,
-                                &acc_re[i][j], &acc_im[i][j]);
+        fallbacks += mk_pair(v, arow[i], *am[i], bcol[j], *bm[j], a,
+                             row0 + i, b, col0 + j, k0, kc, unit, p,
+                             acc[i][j]);
       }
     }
   }
   for (int i = 0; i < rows; ++i) {
     for (int j = 0; j < cols; ++j) {
-      c[i * ldc + j] = {acc_re[i][j], acc_im[i][j]};
+      std::copy_n(acc[i][j], F::kStreams, streams_of(c + i * ldc + j));
     }
   }
-  const std::uint64_t elems = static_cast<std::uint64_t>(rows) * cols;
-  uk_fp32c_blocks.increment();
-  uk_fp32c_elems.add(elems);
-  uk_fp32c_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
-  uk_fp32c_falls.add(fallbacks);
+  F::counters().add_block(rows, cols, nchunks, fallbacks, 0);
   return fallbacks;
 }
 
@@ -776,8 +764,8 @@ std::uint64_t fp32c_block(const PackedPanelFp32cA& a, int row0, int rows,
 // [lo, hi] window with the same kMaxSpan limit - so an in-window lane's
 // bits are the scalar route's bits. A lane whose window check fails in
 // either step, or whose chunk-entry register is Inf/NaN, is recomputed
-// for that chunk by fp32_pair / fp32c_pair from its chunk-entry
-// register, exactly as the scalar kernel would have run it (including
+// for that chunk by mk_pair from its chunk-entry registers,
+// exactly as the scalar kernel would have run it (including
 // the generic fallback and its pair_fallbacks count).
 //
 // Exact sums: a lane accumulates each step's terms relative to its
@@ -1239,211 +1227,134 @@ M3XU_AVX512_TARGET inline void lane_window(const PanelChunkMeta& am,
   t_hi = _mm512_add_epi64(bl.max_exp, _mm512_set1_epi64(am.max_exp + 23));
 }
 
-/// The FP32 kernel over a rows x cols block (rows <= 8, cols <= 8; a
-/// partial block masks the missing columns' lanes).
-M3XU_AVX512_TARGET std::uint64_t fp32_block_avx512(
-    const PackedPanelFp32A& a, int row0, int rows, const PackedPanelFp32B& b,
+/// The kernel over a rows x cols block (rows <= 8, cols <= 8; a partial
+/// block masks the missing columns' lanes). FP32C is the two-stream
+/// instance: per lane, the real stream pairs A slot t with B slot t and
+/// the imaginary stream pairs it with B slot t^1 (flipping odd slots'
+/// signs), exactly the scalar build_pair pairings over decode_column's
+/// two decodes; both streams share the column's prescan window. Each
+/// FP32C difference is an `if constexpr` branch with both streams
+/// written out: a loop over a runtime stream index around lane_chunk
+/// stays rolled at -O2 and runs slower (DESIGN.md section 15).
+template <typename PanelA>
+M3XU_AVX512_TARGET std::uint64_t block_avx512(
+    const PanelA& a, int row0, int rows, const PanelBOf<PanelA>& b,
     int col0, int cols, const DpUnit& unit, const MicrokernelParams& p,
-    float* c, int ldc) {
-  M3XU_CHECK(a.k == b.k);
-  M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(rows >= 1 && rows <= kLanes && row0 >= 0 &&
-             row0 + rows <= a.rows);
-  M3XU_CHECK(cols >= 1 && cols <= kLanes && col0 >= 0 &&
-             col0 + cols <= b.cols);
+    CElemOf<PanelA>* c, int ldc) {
+  using F = Family<PanelA>;
+  constexpr int S = F::kStreams;
+  check_block(a, row0, rows, kLanes, b, col0, cols, kLanes);
   const int k = a.k;
-  const int nchunks = panel_chunk_count(k, kPackChunkFp32);
+  const int nchunks = panel_chunk_count(k, F::kChunk);
   const __mmask8 lanes = static_cast<__mmask8>((1u << cols) - 1);
   const LaneRound rc = lane_round_consts(p.accum_prec);
-  __m512i acc[kLanes];  // FP32 bits, one column per u64 lane
+  // FP32 bits, one column per u64 lane: acc[0] the real (or only)
+  // stream, acc[1] FP32C's imaginary stream.
+  __m512i acc[S][kLanes];
   for (int i = 0; i < rows; ++i) {
-    const float* row = c + static_cast<std::size_t>(i) * ldc;
-    acc[i] = _mm512_cvtepu32_epi64(
-        _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(lanes, row)));
-  }
-  BChunkLanes bl;
-  ARowSlots ar;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t exits_total = 0;
-  for (int ch = 0; ch < nchunks; ++ch) {
-    const int k0 = ch * kPackChunkFp32;
-    const int kc = std::min(kPackChunkFp32, k - k0);
-    decode_b_lanes(b, col0, cols, ch, kc, bl);
-    for (int i = 0; i < rows; ++i) {
-      const PanelChunkMeta& am =
-          a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
-      decode_a_lanes(
-          a.words.data() + static_cast<std::size_t>(row0 + i) * k + k0, kc,
-          am.min_exp, 0, ar);
-      const __mmask8 have = finite_chunk(am) ? bl.finite : 0;
-      LaneSum s0{};
-      LaneSum s1{};
-      if (have) {
-        // Zero slots contribute nothing: visit the nonzero ones.
-        for (unsigned live = ar.nz; live != 0; live &= live - 1) {
-          const int t = __builtin_ctz(live);
-          const ASlot as = a_slot(ar, t);
-          add_pair(as.al, as.ah, as.aoff, bl.neg[t] ^ as.neg, bl, t, s0, s1);
-        }
-      }
-      __m512i t_lo, t_hi;
-      lane_window(am, bl, t_lo, t_hi);
-      __mmask8 exits = 0;
-      __m512i out =
-          lane_chunk(acc[i], s0, s1, t_lo, t_hi, have, p, rc, exits);
-      exits &= lanes;
-      if (exits != 0) {
-        // Re-run each exiting lane's chunk on the scalar pair route from
-        // its chunk-entry register.
-        alignas(64) std::uint64_t entry[kLanes];
-        alignas(64) std::uint64_t res[kLanes];
-        _mm512_store_si512(entry, acc[i]);
-        _mm512_store_si512(res, out);
-        ElemSoA arow;
-        decode_chunk(a, row0 + i, k0, kc, fill_exp(am), arow);
-        for (int j = 0; j < cols; ++j) {
-          if (((exits >> j) & 1) == 0) continue;
-          const PanelChunkMeta& bm =
-              b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
-          ElemSoA bc;
-          decode_chunk(b, col0 + j, k0, kc, fill_exp(bm), bc);
-          float v = float_from_bits(static_cast<std::uint32_t>(entry[j]));
-          fallbacks += fp32_pair(MkVariant::kScalar, arow, am, bc, bm, a,
-                                 row0 + i, b, col0 + j, k0, kc, unit, p, &v);
-          res[j] = bits_of(v);
-          ++exits_total;
-        }
-        out = _mm512_load_si512(res);
-      }
-      acc[i] = out;
+    const CElemOf<PanelA>* row = c + static_cast<std::size_t>(i) * ldc;
+    if constexpr (S == 2) {
+      // A complex<float> is one u64 lane: im bits << 32 | re bits.
+      const __m512i v = _mm512_maskz_loadu_epi32(
+          static_cast<__mmask16>((1u << (2 * cols)) - 1), row);
+      acc[0][i] = _mm512_and_si512(v, _mm512_set1_epi64(0xffffffff));
+      acc[1][i] = _mm512_srli_epi64(v, 32);
+    } else {
+      acc[0][i] = _mm512_cvtepu32_epi64(
+          _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(lanes, row)));
     }
   }
-  for (int i = 0; i < rows; ++i) {
-    const __m256i bits = _mm512_cvtepi64_epi32(acc[i]);
-    _mm512_mask_storeu_epi32(c + static_cast<std::size_t>(i) * ldc, lanes,
-                             _mm512_castsi256_si512(bits));
-  }
-  const std::uint64_t elems = static_cast<std::uint64_t>(rows) * cols;
-  uk_fp32_blocks.increment();
-  uk_fp32_elems.add(elems);
-  uk_fp32_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
-  uk_fp32_falls.add(fallbacks);
-  uk_fp32_exits.add(exits_total);
-  return fallbacks;
-}
-
-/// The FP32C kernel over a rows x cols block. Per lane, the real part
-/// pairs A slot t with B slot t and the imaginary part with B slot t^1
-/// (flipping odd slots' signs), exactly the scalar build_pair pairings
-/// over bcol / bswp; both parts share the column's prescan window.
-M3XU_AVX512_TARGET std::uint64_t fp32c_block_avx512(
-    const PackedPanelFp32cA& a, int row0, int rows, const PackedPanelFp32cB& b,
-    int col0, int cols, const DpUnit& unit, const MicrokernelParams& p,
-    std::complex<float>* c, int ldc) {
-  M3XU_CHECK(a.k == b.k);
-  M3XU_CHECK(!a.has_special && !b.has_special);
-  M3XU_CHECK(rows >= 1 && rows <= kLanes && row0 >= 0 &&
-             row0 + rows <= a.rows);
-  M3XU_CHECK(cols >= 1 && cols <= kLanes && col0 >= 0 &&
-             col0 + cols <= b.cols);
-  const int k = a.k;
-  const int nchunks = panel_chunk_count(k, kPackChunkFp32c);
-  const __mmask8 lanes = static_cast<__mmask8>((1u << cols) - 1);
-  const __mmask16 words = static_cast<__mmask16>((1u << (2 * cols)) - 1);
-  const __m512i low32 = _mm512_set1_epi64(0xffffffff);
-  const LaneRound rc = lane_round_consts(p.accum_prec);
-  // A complex<float> is one u64 lane: im bits << 32 | re bits.
-  __m512i acc_re[kLanes];
-  __m512i acc_im[kLanes];
-  for (int i = 0; i < rows; ++i) {
-    const __m512i v = _mm512_maskz_loadu_epi32(
-        words, c + static_cast<std::size_t>(i) * ldc);
-    acc_re[i] = _mm512_and_si512(v, low32);
-    acc_im[i] = _mm512_srli_epi64(v, 32);
-  }
   BChunkLanes bl;
   ARowSlots ar;
   std::uint64_t fallbacks = 0;
   std::uint64_t exits_total = 0;
   for (int ch = 0; ch < nchunks; ++ch) {
-    const int k0 = ch * kPackChunkFp32c;
-    const int kc = std::min(kPackChunkFp32c, k - k0);
+    const int k0 = ch * F::kChunk;
+    const int kc = std::min(F::kChunk, k - k0);
     decode_b_lanes(b, col0, cols, ch, kc, bl);
     for (int i = 0; i < rows; ++i) {
       const PanelChunkMeta& am =
           a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
+      // FP32C rows decode as 2 * kc (re, im) slots with the real part's
+      // -AI pre-negation on the im slots, as decode_chunk does.
       decode_a_lanes(
-          a.words.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * 2,
-          2 * kc, am.min_exp, /*flip=*/0xaa, ar);
+          a.words.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * S,
+          S * kc, am.min_exp, S == 2 ? 0xaa : 0, ar);
       const __mmask8 have = finite_chunk(am) ? bl.finite : 0;
       LaneSum re0{};
       LaneSum re1{};
       LaneSum im0{};
       LaneSum im1{};
       if (have) {
+        // Zero slots contribute nothing: visit the nonzero ones.
         for (unsigned live = ar.nz; live != 0; live &= live - 1) {
           const int t = __builtin_ctz(live);
           const ASlot as = a_slot(ar, t);
           add_pair(as.al, as.ah, as.aoff, bl.neg[t] ^ as.neg, bl, t, re0, re1);
-          const __mmask8 flip = (t & 1) ? 0xff : 0;
-          add_pair(as.al, as.ah, as.aoff, bl.neg[t ^ 1] ^ as.neg ^ flip, bl,
-                   t ^ 1, im0, im1);
+          if constexpr (S == 2) {
+            const __mmask8 flip = (t & 1) ? 0xff : 0;
+            add_pair(as.al, as.ah, as.aoff, bl.neg[t ^ 1] ^ as.neg ^ flip, bl,
+                     t ^ 1, im0, im1);
+          }
         }
       }
       __m512i t_lo, t_hi;
       lane_window(am, bl, t_lo, t_hi);
       __mmask8 exits = 0;
-      __m512i out_re =
-          lane_chunk(acc_re[i], re0, re1, t_lo, t_hi, have, p, rc, exits);
-      __m512i out_im =
-          lane_chunk(acc_im[i], im0, im1, t_lo, t_hi, have, p, rc, exits);
+      __m512i out[S];
+      out[0] = lane_chunk(acc[0][i], re0, re1, t_lo, t_hi, have, p, rc, exits);
+      if constexpr (S == 2) {
+        out[1] =
+            lane_chunk(acc[1][i], im0, im1, t_lo, t_hi, have, p, rc, exits);
+      }
       exits &= lanes;
       if (exits != 0) {
-        alignas(64) std::uint64_t entry_re[kLanes];
-        alignas(64) std::uint64_t entry_im[kLanes];
-        alignas(64) std::uint64_t res_re[kLanes];
-        alignas(64) std::uint64_t res_im[kLanes];
-        _mm512_store_si512(entry_re, acc_re[i]);
-        _mm512_store_si512(entry_im, acc_im[i]);
-        _mm512_store_si512(res_re, out_re);
-        _mm512_store_si512(res_im, out_im);
+        // Re-run each exiting lane's chunk on the scalar pair route from
+        // its chunk-entry registers.
+        alignas(64) std::uint64_t entry[S][kLanes];
+        alignas(64) std::uint64_t res[S][kLanes];
+        _mm512_store_si512(entry[0], acc[0][i]);
+        _mm512_store_si512(res[0], out[0]);
+        if constexpr (S == 2) {
+          _mm512_store_si512(entry[1], acc[1][i]);
+          _mm512_store_si512(res[1], out[1]);
+        }
         ElemSoA arow;
         decode_chunk(a, row0 + i, k0, kc, fill_exp(am), arow);
         for (int j = 0; j < cols; ++j) {
           if (((exits >> j) & 1) == 0) continue;
           const PanelChunkMeta& bm =
               b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
-          ElemSoA bc;
-          ElemSoA bs;
-          decode_chunk(b, col0 + j, k0, kc, fill_exp(bm), bc);
-          swap_slots(bc, bs);
-          float re = float_from_bits(static_cast<std::uint32_t>(entry_re[j]));
-          float im = float_from_bits(static_cast<std::uint32_t>(entry_im[j]));
-          fallbacks += fp32c_pair(MkVariant::kScalar, arow, am, bc, bs, bm, a,
-                                  row0 + i, b, col0 + j, k0, kc, unit, p, &re,
-                                  &im);
-          res_re[j] = bits_of(re);
-          res_im[j] = bits_of(im);
+          ElemSoA bc[S];
+          decode_column<PanelA>(b, col0 + j, k0, kc, fill_exp(bm), bc);
+          float v[S];
+          for (int s = 0; s < S; ++s) {
+            v[s] = float_from_bits(static_cast<std::uint32_t>(entry[s][j]));
+          }
+          fallbacks += mk_pair(MkVariant::kScalar, arow, am, bc, bm, a,
+                               row0 + i, b, col0 + j, k0, kc, unit, p, v);
+          for (int s = 0; s < S; ++s) res[s][j] = bits_of(v[s]);
           ++exits_total;
         }
-        out_re = _mm512_load_si512(res_re);
-        out_im = _mm512_load_si512(res_im);
+        out[0] = _mm512_load_si512(res[0]);
+        if constexpr (S == 2) out[1] = _mm512_load_si512(res[1]);
       }
-      acc_re[i] = out_re;
-      acc_im[i] = out_im;
+      acc[0][i] = out[0];
+      if constexpr (S == 2) acc[1][i] = out[1];
     }
   }
   for (int i = 0; i < rows; ++i) {
-    _mm512_mask_storeu_epi64(
-        c + static_cast<std::size_t>(i) * ldc, lanes,
-        _mm512_or_si512(acc_re[i], _mm512_slli_epi64(acc_im[i], 32)));
+    CElemOf<PanelA>* row = c + static_cast<std::size_t>(i) * ldc;
+    if constexpr (S == 2) {
+      _mm512_mask_storeu_epi64(
+          row, lanes,
+          _mm512_or_si512(acc[0][i], _mm512_slli_epi64(acc[1][i], 32)));
+    } else {
+      _mm512_mask_storeu_epi32(
+          row, lanes, _mm512_castsi256_si512(_mm512_cvtepi64_epi32(acc[0][i])));
+    }
   }
-  const std::uint64_t elems = static_cast<std::uint64_t>(rows) * cols;
-  uk_fp32c_blocks.increment();
-  uk_fp32c_elems.add(elems);
-  uk_fp32c_pairs.add(static_cast<std::uint64_t>(nchunks) * elems);
-  uk_fp32c_falls.add(fallbacks);
-  uk_fp32c_exits.add(exits_total);
+  F::counters().add_block(rows, cols, nchunks, fallbacks, exits_total);
   return fallbacks;
 }
 
@@ -1451,57 +1362,51 @@ M3XU_AVX512_TARGET std::uint64_t fp32c_block_avx512(
 #undef M3XU_AVX512_TARGET
 #endif  // M3XU_ENABLE_SIMD
 
-/// Checks a block call's extent: one p.mr x p.nr register block, full
-/// or partial.
-void check_block_extent(const MicrokernelParams& p, int rows, int cols) {
+/// Resolves the variant once per block and runs the matching body for a
+/// rows x cols block (one p.mr x p.nr register block, full or partial).
+template <typename PanelA>
+std::uint64_t dispatch_block(const PanelA& a, int row0,
+                             const PanelBOf<PanelA>& b, int col0, int rows,
+                             int cols, const DpUnit& unit,
+                             const MicrokernelParams& p, CElemOf<PanelA>* c,
+                             int ldc) {
+  const MkVariant v = mk_variant_resolve(p.variant);
   M3XU_CHECK(mk_block_supported(p.mr, p.nr));
   M3XU_CHECK(rows >= 1 && rows <= p.mr && cols >= 1 && cols <= p.nr);
+  count_variant_block(v);
+#ifdef M3XU_ENABLE_SIMD
+  if (v == MkVariant::kAvx512) {
+    return block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
+  }
+#endif
+  if (p.mr == 4) {
+    return block_scalar<PanelA, 4, 4>(a, row0, rows, b, col0, cols, unit, p,
+                                      v, c, ldc);
+  }
+  if (p.mr == 6) {
+    return block_scalar<PanelA, 6, 8>(a, row0, rows, b, col0, cols, unit, p,
+                                      v, c, ldc);
+  }
+  return block_scalar<PanelA, 8, 8>(a, row0, rows, b, col0, cols, unit, p, v,
+                                    c, ldc);
 }
 
 }  // namespace
 
-std::uint64_t microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
-                                     const PackedPanelFp32B& b, int col0,
-                                     int rows, int cols, const DpUnit& unit,
-                                     const MicrokernelParams& p, float* c,
-                                     int ldc) {
-  const MkVariant v = mk_variant_resolve(p.variant);
-  check_block_extent(p, rows, cols);
-  count_variant_block(v);
-#ifdef M3XU_ENABLE_SIMD
-  if (v == MkVariant::kAvx512) {
-    return fp32_block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
-  }
-#endif
-  if (p.mr == 4) {
-    return fp32_block<4, 4>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
-  }
-  if (p.mr == 6) {
-    return fp32_block<6, 8>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
-  }
-  return fp32_block<8, 8>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
+std::uint64_t microkernel_block(const PackedPanelFp32A& a, int row0,
+                                const PackedPanelFp32B& b, int col0, int rows,
+                                int cols, const DpUnit& unit,
+                                const MicrokernelParams& p, float* c,
+                                int ldc) {
+  return dispatch_block(a, row0, b, col0, rows, cols, unit, p, c, ldc);
 }
 
-std::uint64_t microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
-                                      const PackedPanelFp32cB& b, int col0,
-                                      int rows, int cols, const DpUnit& unit,
-                                      const MicrokernelParams& p,
-                                      std::complex<float>* c, int ldc) {
-  const MkVariant v = mk_variant_resolve(p.variant);
-  check_block_extent(p, rows, cols);
-  count_variant_block(v);
-#ifdef M3XU_ENABLE_SIMD
-  if (v == MkVariant::kAvx512) {
-    return fp32c_block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
-  }
-#endif
-  if (p.mr == 4) {
-    return fp32c_block<4, 4>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
-  }
-  if (p.mr == 6) {
-    return fp32c_block<6, 8>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
-  }
-  return fp32c_block<8, 8>(a, row0, rows, b, col0, cols, unit, p, v, c, ldc);
+std::uint64_t microkernel_block(const PackedPanelFp32cA& a, int row0,
+                                const PackedPanelFp32cB& b, int col0, int rows,
+                                int cols, const DpUnit& unit,
+                                const MicrokernelParams& p,
+                                std::complex<float>* c, int ldc) {
+  return dispatch_block(a, row0, b, col0, rows, cols, unit, p, c, ldc);
 }
 
 }  // namespace m3xu::core

@@ -24,6 +24,14 @@
 //     so the exact step sums, window checks, rounding and FP32 encode
 //     all run 8 columns per instruction (DESIGN.md section 15).
 //
+// Each route is written once - one scalar/AVX2 block template, one
+// pair routine, one AVX-512 block template and one dispatcher - and
+// instantiated for the FP32 and FP32C panel pairs. FP32C is the
+// instance with two register streams per output (real and imaginary),
+// as M3XU runs it on the FP32 datapath with a second register and the
+// sign flip that subtracts AI*BI; its differences are compile-time
+// branches on the stream count.
+//
 // Bit-identity: each architectural step still computes
 // reg' = RNE_prec(reg + exact step sum), and chunk boundaries still
 // pack the register to FP32, so results are bit-identical to the
@@ -123,17 +131,18 @@ bool microkernel_simd_active();
 /// b.cols, a.k == b.k, and special-free panels. Returns the number of
 /// (element, K-chunk) pairs that fell back to the generic route (also
 /// counted in mxu.fp32{,c}.microkernel.pair_fallbacks), so the caller
-/// can attribute them to the request trace.
-std::uint64_t microkernel_fp32_block(const PackedPanelFp32A& a, int row0,
-                                     const PackedPanelFp32B& b, int col0,
-                                     int rows, int cols, const DpUnit& unit,
-                                     const MicrokernelParams& p, float* c,
-                                     int ldc);
+/// can attribute them to the request trace. Both overloads run the same
+/// bodies: FP32C is their two-register-stream instance.
+std::uint64_t microkernel_block(const PackedPanelFp32A& a, int row0,
+                                const PackedPanelFp32B& b, int col0, int rows,
+                                int cols, const DpUnit& unit,
+                                const MicrokernelParams& p, float* c,
+                                int ldc);
 
-std::uint64_t microkernel_fp32c_block(const PackedPanelFp32cA& a, int row0,
-                                      const PackedPanelFp32cB& b, int col0,
-                                      int rows, int cols, const DpUnit& unit,
-                                      const MicrokernelParams& p,
-                                      std::complex<float>* c, int ldc);
+std::uint64_t microkernel_block(const PackedPanelFp32cA& a, int row0,
+                                const PackedPanelFp32cB& b, int col0, int rows,
+                                int cols, const DpUnit& unit,
+                                const MicrokernelParams& p,
+                                std::complex<float>* c, int ldc);
 
 }  // namespace m3xu::core

@@ -1,6 +1,8 @@
 #include "core/mxu.hpp"
 
-#include <array>
+#include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -21,14 +23,20 @@ namespace {
 // attribute whole C outputs to the route that produced them. Counts
 // are accumulated in function-local variables and flushed once per
 // call.
-telemetry::Counter rt_fp32_generic("mxu.fp32.chunks.generic");
-telemetry::Counter rt_fp32_special("mxu.fp32.elements.bypass_special");
-telemetry::Counter rt_fp32_inject("mxu.fp32.elements.bypass_injector");
-telemetry::Counter rt_fp32_perdot("mxu.fp32.elements.perdot");
-telemetry::Counter rt_fp32c_generic("mxu.fp32c.chunks.generic");
-telemetry::Counter rt_fp32c_special("mxu.fp32c.elements.bypass_special");
-telemetry::Counter rt_fp32c_inject("mxu.fp32c.elements.bypass_injector");
-telemetry::Counter rt_fp32c_perdot("mxu.fp32c.elements.perdot");
+struct RouteCounters {
+  telemetry::Counter generic;
+  telemetry::Counter special;
+  telemetry::Counter inject;
+  telemetry::Counter perdot;
+};
+RouteCounters rt_fp32{telemetry::Counter("mxu.fp32.chunks.generic"),
+                      telemetry::Counter("mxu.fp32.elements.bypass_special"),
+                      telemetry::Counter("mxu.fp32.elements.bypass_injector"),
+                      telemetry::Counter("mxu.fp32.elements.perdot")};
+RouteCounters rt_fp32c{telemetry::Counter("mxu.fp32c.chunks.generic"),
+                       telemetry::Counter("mxu.fp32c.elements.bypass_special"),
+                       telemetry::Counter("mxu.fp32c.elements.bypass_injector"),
+                       telemetry::Counter("mxu.fp32c.elements.perdot")};
 
 inline std::uint64_t area(int rows, int cols) {
   return static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols);
@@ -121,49 +129,13 @@ M3xuEngine::M3xuEngine(const M3xuConfig& config)
              mk_block_supported(config_.mk_mr, config_.mk_nr));
 }
 
-template <std::size_t kSteps>
-fp::Unpacked M3xuEngine::run_steps(const std::array<StepOperands, kSteps>& steps,
-                                   const fp::Unpacked& c, const DpUnit& unit,
-                                   int prec) const {
-  if (config_.per_step_rounding) {
-    // The accumulation register is initialized with C (exact: C is
-    // FP32/FP64, narrower than the register) and rounded once per step.
-    fp::ExtFloat reg = fp::ExtFloat::from_unpacked(c, prec);
-    for (const StepOperands& step : steps) {
-      fp::ExactAccumulator sum;
-      unit.accumulate_dot(step.a, step.b, sum);
-      reg = reg.plus_exact(sum);
-      if (config_.injector != nullptr) {
-        // Each step's register write-back is one flip opportunity on
-        // the architectural `prec`-bit significand.
-        reg = fp::ExtFloat::from_unpacked(
-            config_.injector->corrupt_unpacked(fault::Site::kAccumulator,
-                                               reg.value(), prec),
-            prec);
-      }
-    }
-    return reg.value();
-  }
-  // Idealized: one rounding per instruction.
-  fp::ExactAccumulator sum;
-  for (const StepOperands& step : steps) {
-    unit.accumulate_dot(step.a, step.b, sum);
-  }
-  sum.add_unpacked(c);
-  fp::Unpacked r = sum.round_to_precision(prec);
-  if (config_.injector != nullptr) {
-    r = config_.injector->corrupt_unpacked(fault::Site::kAccumulator, r,
-                                           prec);
-  }
-  return r;
-}
-
 float M3xuEngine::mma_dot_fp32(std::span<const float> a,
                                std::span<const float> b, float c) const {
   M3XU_CHECK(static_cast<int>(a.size()) <= shape_for(MxuMode::kFp32).k);
   const auto steps = DataAssignmentStage::schedule_fp32(a, b, config_.injector);
-  const fp::Unpacked r =
-      run_steps<2>(steps, fp::unpack(c), dp12_, config_.accum_prec);
+  const fp::Unpacked r = dp12_.run_steps(steps, fp::unpack(c),
+                                         config_.accum_prec,
+                                         config_.per_step_rounding);
   return fp::pack_to_float(r);
 }
 
@@ -174,7 +146,8 @@ float M3xuEngine::mma_dot_passthrough(std::span<const float> a,
       DataAssignmentStage::schedule_passthrough(a, b, fmt, config_.injector)};
   // Stock Tensor-Core accumulation: FP32 registers.
   const fp::Unpacked r =
-      run_steps<1>(steps, fp::unpack(c), dp12_, fp::ExtFloat::kFp32AccumPrec);
+      dp12_.run_steps(steps, fp::unpack(c), fp::ExtFloat::kFp32AccumPrec,
+                      config_.per_step_rounding);
   return fp::pack_to_float(r);
 }
 
@@ -183,12 +156,12 @@ std::complex<float> M3xuEngine::mma_dot_fp32c(
     std::span<const std::complex<float>> b, std::complex<float> c) const {
   M3XU_CHECK(static_cast<int>(a.size()) <= shape_for(MxuMode::kFp32Complex).k);
   const auto sched = DataAssignmentStage::schedule_fp32c(a, b, config_.injector);
-  const fp::Unpacked re = run_steps<2>(sched.real,
-                                       fp::unpack(c.real()), dp12_,
-                                       config_.accum_prec);
-  const fp::Unpacked im = run_steps<2>(sched.imag,
-                                       fp::unpack(c.imag()), dp12_,
-                                       config_.accum_prec);
+  const fp::Unpacked re =
+      dp12_.run_steps(sched.real, fp::unpack(c.real()), config_.accum_prec,
+                      config_.per_step_rounding);
+  const fp::Unpacked im =
+      dp12_.run_steps(sched.imag, fp::unpack(c.imag()), config_.accum_prec,
+                      config_.per_step_rounding);
   return {fp::pack_to_float(re), fp::pack_to_float(im)};
 }
 
@@ -196,8 +169,9 @@ double M3xuEngine::mma_dot_fp64(std::span<const double> a,
                                 std::span<const double> b, double c) const {
   M3XU_CHECK(static_cast<int>(a.size()) <= shape_for(MxuMode::kFp64).k);
   const auto steps = DataAssignmentStage::schedule_fp64(a, b, config_.injector);
-  const fp::Unpacked r = run_steps<4>(steps, fp::unpack(c), dp27_,
-                                      config_.fp64_accum_prec);
+  const fp::Unpacked r =
+      dp27_.run_steps(steps, fp::unpack(c), config_.fp64_accum_prec,
+                      config_.per_step_rounding);
   return fp::pack_to_double(r);
 }
 
@@ -206,12 +180,12 @@ std::complex<double> M3xuEngine::mma_dot_fp64c(
     std::span<const std::complex<double>> b, std::complex<double> c) const {
   M3XU_CHECK(static_cast<int>(a.size()) <= shape_for(MxuMode::kFp64Complex).k);
   const auto sched = DataAssignmentStage::schedule_fp64c(a, b, config_.injector);
-  const fp::Unpacked re = run_steps<4>(sched.real,
-                                       fp::unpack(c.real()), dp27_,
-                                       config_.fp64_accum_prec);
-  const fp::Unpacked im = run_steps<4>(sched.imag,
-                                       fp::unpack(c.imag()), dp27_,
-                                       config_.fp64_accum_prec);
+  const fp::Unpacked re =
+      dp27_.run_steps(sched.real, fp::unpack(c.real()),
+                      config_.fp64_accum_prec, config_.per_step_rounding);
+  const fp::Unpacked im =
+      dp27_.run_steps(sched.imag, fp::unpack(c.imag()),
+                      config_.fp64_accum_prec, config_.per_step_rounding);
   return {fp::pack_to_double(re), fp::pack_to_double(im)};
 }
 
@@ -225,140 +199,109 @@ inline std::size_t idx(int row, int ld, int col) {
          static_cast<std::size_t>(col);
 }
 
-/// Gathers a strided B column chunk into a contiguous fragment (models
-/// the shared-memory -> register fragment load).
+/// The register a stored element occupies: FP16 and BF16 widen to
+/// float, every other type is its own register.
+inline float reg_of(fp::Half x) { return x.to_float(); }
+inline float reg_of(fp::Bf16 x) { return x.to_float(); }
 template <typename T>
-void gather_column(const T* b, int ldb, int j, int k0, int kc, T* out) {
-  for (int kk = 0; kk < kc; ++kk) out[kk] = b[idx(k0 + kk, ldb, j)];
+T reg_of(T x) {
+  return x;
+}
+
+/// The flat per-dot loop behind every gemm_* entry: each output runs
+/// its K in kc_max-element instruction chunks, gathering each chunk's A
+/// row and B column into operand registers (the shared-memory ->
+/// register fragment loads) and feeding them to `dot` with the running
+/// accumulator.
+template <typename TIn, typename TAcc, typename Dot>
+void perdot_gemm(int m, int n, int k, int kc_max, const TIn* a, int lda,
+                 const TIn* b, int ldb, TAcc* c, int ldc, const Dot& dot) {
+  using Reg = decltype(reg_of(std::declval<TIn>()));
+  std::vector<Reg> arow(static_cast<std::size_t>(kc_max));
+  std::vector<Reg> bcol(static_cast<std::size_t>(kc_max));
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      TAcc acc = c[idx(i, ldc, j)];
+      for (int k0 = 0; k0 < k; k0 += kc_max) {
+        const int kc = std::min(kc_max, k - k0);
+        for (int kk = 0; kk < kc; ++kk) {
+          arow[kk] = reg_of(a[idx(i, lda, k0 + kk)]);
+          bcol[kk] = reg_of(b[idx(k0 + kk, ldb, j)]);
+        }
+        const auto n_kc = static_cast<std::size_t>(kc);
+        acc = dot(std::span<const Reg>(arow.data(), n_kc),
+                  std::span<const Reg>(bcol.data(), n_kc), acc);
+      }
+      c[idx(i, ldc, j)] = acc;
+    }
+  }
 }
 
 }  // namespace
 
 void M3xuEngine::gemm_fp32(int m, int n, int k, const float* a, int lda,
                            const float* b, int ldb, float* c, int ldc) const {
-  const int kc_max = shape_for(MxuMode::kFp32).k;
-  std::vector<float> bcol(static_cast<std::size_t>(kc_max));
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      float acc = c[idx(i, ldc, j)];
-      for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const int kc = std::min(kc_max, k - k0);
-        gather_column(b, ldb, j, k0, kc, bcol.data());
-        acc = mma_dot_fp32({a + idx(i, lda, k0), static_cast<std::size_t>(kc)},
-                           {bcol.data(), static_cast<std::size_t>(kc)}, acc);
-      }
-      c[idx(i, ldc, j)] = acc;
-    }
-  }
-  rt_fp32_perdot.add(area(m, n));
+  perdot_gemm(m, n, k, shape_for(MxuMode::kFp32).k, a, lda, b, ldb, c, ldc,
+              [this](auto x, auto y, float acc) {
+                return mma_dot_fp32(x, y, acc);
+              });
+  rt_fp32.perdot.add(area(m, n));
 }
 
 void M3xuEngine::gemm_fp16(int m, int n, int k, const fp::Half* a, int lda,
                            const fp::Half* b, int ldb, float* c,
                            int ldc) const {
-  const int kc_max = shape_for(MxuMode::kFp16).k;
-  std::vector<float> arow(static_cast<std::size_t>(kc_max));
-  std::vector<float> bcol(static_cast<std::size_t>(kc_max));
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      float acc = c[idx(i, ldc, j)];
-      for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const int kc = std::min(kc_max, k - k0);
-        for (int kk = 0; kk < kc; ++kk) {
-          arow[kk] = a[idx(i, lda, k0 + kk)].to_float();
-          bcol[kk] = b[idx(k0 + kk, ldb, j)].to_float();
-        }
-        acc = mma_dot_passthrough(
-            {arow.data(), static_cast<std::size_t>(kc)},
-            {bcol.data(), static_cast<std::size_t>(kc)}, acc, fp::kFp16);
-      }
-      c[idx(i, ldc, j)] = acc;
-    }
-  }
+  perdot_gemm(m, n, k, shape_for(MxuMode::kFp16).k, a, lda, b, ldb, c, ldc,
+              [this](auto x, auto y, float acc) {
+                return mma_dot_passthrough(x, y, acc, fp::kFp16);
+              });
 }
 
 void M3xuEngine::gemm_bf16(int m, int n, int k, const fp::Bf16* a, int lda,
                            const fp::Bf16* b, int ldb, float* c,
                            int ldc) const {
-  const int kc_max = shape_for(MxuMode::kBf16).k;
-  std::vector<float> arow(static_cast<std::size_t>(kc_max));
-  std::vector<float> bcol(static_cast<std::size_t>(kc_max));
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      float acc = c[idx(i, ldc, j)];
-      for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const int kc = std::min(kc_max, k - k0);
-        for (int kk = 0; kk < kc; ++kk) {
-          arow[kk] = a[idx(i, lda, k0 + kk)].to_float();
-          bcol[kk] = b[idx(k0 + kk, ldb, j)].to_float();
-        }
-        acc = mma_dot_passthrough(
-            {arow.data(), static_cast<std::size_t>(kc)},
-            {bcol.data(), static_cast<std::size_t>(kc)}, acc, fp::kBf16);
-      }
-      c[idx(i, ldc, j)] = acc;
-    }
-  }
+  perdot_gemm(m, n, k, shape_for(MxuMode::kBf16).k, a, lda, b, ldb, c, ldc,
+              [this](auto x, auto y, float acc) {
+                return mma_dot_passthrough(x, y, acc, fp::kBf16);
+              });
 }
 
 void M3xuEngine::gemm_tf32(int m, int n, int k, const float* a, int lda,
                            const float* b, int ldb, float* c, int ldc) const {
-  const int kc_max = shape_for(MxuMode::kTf32).k;
-  std::vector<float> bcol(static_cast<std::size_t>(kc_max));
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      float acc = c[idx(i, ldc, j)];
-      for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const int kc = std::min(kc_max, k - k0);
-        gather_column(b, ldb, j, k0, kc, bcol.data());
-        // The stage rounds FP32 register contents to TF32 on ingest.
-        acc = mma_dot_passthrough(
-            {a + idx(i, lda, k0), static_cast<std::size_t>(kc)},
-            {bcol.data(), static_cast<std::size_t>(kc)}, acc, fp::kTf32);
-      }
-      c[idx(i, ldc, j)] = acc;
-    }
-  }
+  // The stage rounds FP32 register contents to TF32 on ingest.
+  perdot_gemm(m, n, k, shape_for(MxuMode::kTf32).k, a, lda, b, ldb, c, ldc,
+              [this](auto x, auto y, float acc) {
+                return mma_dot_passthrough(x, y, acc, fp::kTf32);
+              });
 }
 
 void M3xuEngine::gemm_fp32c(int m, int n, int k, const std::complex<float>* a,
                             int lda, const std::complex<float>* b, int ldb,
                             std::complex<float>* c, int ldc) const {
-  const int kc_max = shape_for(MxuMode::kFp32Complex).k;
-  std::vector<std::complex<float>> bcol(static_cast<std::size_t>(kc_max));
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      std::complex<float> acc = c[idx(i, ldc, j)];
-      for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const int kc = std::min(kc_max, k - k0);
-        gather_column(b, ldb, j, k0, kc, bcol.data());
-        acc = mma_dot_fp32c({a + idx(i, lda, k0), static_cast<std::size_t>(kc)},
-                            {bcol.data(), static_cast<std::size_t>(kc)}, acc);
-      }
-      c[idx(i, ldc, j)] = acc;
-    }
-  }
-  rt_fp32c_perdot.add(area(m, n));
+  perdot_gemm(m, n, k, shape_for(MxuMode::kFp32Complex).k, a, lda, b, ldb, c,
+              ldc, [this](auto x, auto y, std::complex<float> acc) {
+                return mma_dot_fp32c(x, y, acc);
+              });
+  rt_fp32c.perdot.add(area(m, n));
+}
+
+void M3xuEngine::gemm_fp64(int m, int n, int k, const double* a, int lda,
+                           const double* b, int ldb, double* c,
+                           int ldc) const {
+  perdot_gemm(m, n, k, shape_for(MxuMode::kFp64).k, a, lda, b, ldb, c, ldc,
+              [this](auto x, auto y, double acc) {
+                return mma_dot_fp64(x, y, acc);
+              });
 }
 
 void M3xuEngine::gemm_fp64c(int m, int n, int k,
                             const std::complex<double>* a, int lda,
                             const std::complex<double>* b, int ldb,
                             std::complex<double>* c, int ldc) const {
-  const int kc_max = shape_for(MxuMode::kFp64Complex).k;
-  std::vector<std::complex<double>> bcol(static_cast<std::size_t>(kc_max));
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      std::complex<double> acc = c[idx(i, ldc, j)];
-      for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const int kc = std::min(kc_max, k - k0);
-        gather_column(b, ldb, j, k0, kc, bcol.data());
-        acc = mma_dot_fp64c({a + idx(i, lda, k0), static_cast<std::size_t>(kc)},
-                            {bcol.data(), static_cast<std::size_t>(kc)}, acc);
-      }
-      c[idx(i, ldc, j)] = acc;
-    }
-  }
+  perdot_gemm(m, n, k, shape_for(MxuMode::kFp64Complex).k, a, lda, b, ldb, c,
+              ldc, [this](auto x, auto y, std::complex<double> acc) {
+                return mma_dot_fp64c(x, y, acc);
+              });
 }
 
 // --- Packed-operand path ----------------------------------------------
@@ -389,105 +332,96 @@ MicrokernelParams microkernel_params(const M3xuConfig& cfg) {
           blk.nr};
 }
 
+/// What the packed body reads per datapath, keyed by C's element type:
+/// the instruction mode (its K is the panels' prescan chunk), the
+/// per-dot instruction, the route counters and the trace event names.
+template <typename T>
+struct PackedFamily;
+
+template <>
+struct PackedFamily<float> {
+  static constexpr MxuMode kMode = MxuMode::kFp32;
+  static constexpr int kChunk = kPackChunkFp32;
+  static constexpr auto kDot = &M3xuEngine::mma_dot_fp32;
+  static constexpr const char* kFallbackEvent = "core.fp32.route.fallback";
+  static constexpr const char* kGenericEvent = "core.fp32.route.generic";
+  static RouteCounters& counters() { return rt_fp32; }
+};
+
+template <>
+struct PackedFamily<std::complex<float>> {
+  static constexpr MxuMode kMode = MxuMode::kFp32Complex;
+  static constexpr int kChunk = kPackChunkFp32c;
+  static constexpr auto kDot = &M3xuEngine::mma_dot_fp32c;
+  static constexpr const char* kFallbackEvent = "core.fp32c.route.fallback";
+  static constexpr const char* kGenericEvent = "core.fp32c.route.generic";
+  static RouteCounters& counters() { return rt_fp32c; }
+};
+
 }  // namespace
 
-void M3xuEngine::gemm_fp32_prepacked(const PackedPanelFp32A& a, int row0,
-                                     const PackedPanelFp32B& b, int col0,
-                                     int m, int n, float* c, int ldc) const {
+template <typename PanelA, typename PanelB, typename T>
+void M3xuEngine::gemm_prepacked(const PanelA& a, int row0, const PanelB& b,
+                                int col0, int m, int n, T* c,
+                                int ldc) const {
+  using F = PackedFamily<T>;
   M3XU_CHECK(a.k == b.k);
   M3XU_CHECK(row0 >= 0 && m >= 0 && row0 + m <= a.rows);
   M3XU_CHECK(col0 >= 0 && n >= 0 && col0 + n <= b.cols);
   const int k = a.k;
-  const int kc_max = shape_for(MxuMode::kFp32).k;
-  M3XU_CHECK(kc_max == kPackChunkFp32);
+  const int kc_max = shape_for(F::kMode).k;
+  M3XU_CHECK(kc_max == F::kChunk);
   if (microkernel_route(config_, a.has_special, b.has_special, k)) {
     const MicrokernelParams mp = microkernel_params(config_);
     std::uint64_t n_fallback = 0;
     for (int i = 0; i < m; i += mp.mr) {
       for (int j = 0; j < n; j += mp.nr) {
-        n_fallback += microkernel_fp32_block(
+        n_fallback += microkernel_block(
             a, row0 + i, b, col0 + j, std::min(mp.mr, m - i),
             std::min(mp.nr, n - j), dp12_, mp, c + idx(i, ldc, j), ldc);
       }
     }
-    trace_route_decisions("core.fp32.route.fallback",
-                          "core.fp32.route.generic", n_fallback, 0);
+    trace_route_decisions(F::kFallbackEvent, F::kGenericEvent, n_fallback,
+                          0);
     return;
   }
-  float av[kPackChunkFp32];
-  float bv[kPackChunkFp32];
+  T av[F::kChunk];
+  T bv[F::kChunk];
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
-      float acc = c[idx(i, ldc, j)];
+      T acc = c[idx(i, ldc, j)];
       for (int k0 = 0; k0 < k; k0 += kc_max) {
         const auto kc = static_cast<std::size_t>(std::min(kc_max, k - k0));
         panel_chunk(a, row0 + i, k0, static_cast<int>(kc), av);
         panel_chunk(b, col0 + j, k0, static_cast<int>(kc), bv);
-        acc = mma_dot_fp32({av, kc}, {bv, kc}, acc);
+        acc = (this->*F::kDot)({av, kc}, {bv, kc}, acc);
       }
       c[idx(i, ldc, j)] = acc;
     }
   }
   const std::uint64_t n_generic =
       area(m, n) * static_cast<std::uint64_t>(panel_chunk_count(k, kc_max));
+  RouteCounters& rt = F::counters();
   if (config_.injector != nullptr) {
-    rt_fp32_inject.add(area(m, n));
+    rt.inject.add(area(m, n));
   } else if (a.has_special || b.has_special) {
-    rt_fp32_special.add(area(m, n));
+    rt.special.add(area(m, n));
   }
-  rt_fp32_generic.add(n_generic);
-  trace_route_decisions("core.fp32.route.fallback",
-                        "core.fp32.route.generic", 0, n_generic);
+  rt.generic.add(n_generic);
+  trace_route_decisions(F::kFallbackEvent, F::kGenericEvent, 0, n_generic);
+}
+
+void M3xuEngine::gemm_fp32_prepacked(const PackedPanelFp32A& a, int row0,
+                                     const PackedPanelFp32B& b, int col0,
+                                     int m, int n, float* c, int ldc) const {
+  gemm_prepacked(a, row0, b, col0, m, n, c, ldc);
 }
 
 void M3xuEngine::gemm_fp32c_prepacked(const PackedPanelFp32cA& a, int row0,
                                       const PackedPanelFp32cB& b, int col0,
                                       int m, int n, std::complex<float>* c,
                                       int ldc) const {
-  M3XU_CHECK(a.k == b.k);
-  M3XU_CHECK(row0 >= 0 && m >= 0 && row0 + m <= a.rows);
-  M3XU_CHECK(col0 >= 0 && n >= 0 && col0 + n <= b.cols);
-  const int k = a.k;
-  const int kc_max = shape_for(MxuMode::kFp32Complex).k;
-  M3XU_CHECK(kc_max == kPackChunkFp32c);
-  if (microkernel_route(config_, a.has_special, b.has_special, k)) {
-    const MicrokernelParams mp = microkernel_params(config_);
-    std::uint64_t n_fallback = 0;
-    for (int i = 0; i < m; i += mp.mr) {
-      for (int j = 0; j < n; j += mp.nr) {
-        n_fallback += microkernel_fp32c_block(
-            a, row0 + i, b, col0 + j, std::min(mp.mr, m - i),
-            std::min(mp.nr, n - j), dp12_, mp, c + idx(i, ldc, j), ldc);
-      }
-    }
-    trace_route_decisions("core.fp32c.route.fallback",
-                          "core.fp32c.route.generic", n_fallback, 0);
-    return;
-  }
-  std::complex<float> av[kPackChunkFp32c];
-  std::complex<float> bv[kPackChunkFp32c];
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      std::complex<float> acc = c[idx(i, ldc, j)];
-      for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const auto kc = static_cast<std::size_t>(std::min(kc_max, k - k0));
-        panel_chunk(a, row0 + i, k0, static_cast<int>(kc), av);
-        panel_chunk(b, col0 + j, k0, static_cast<int>(kc), bv);
-        acc = mma_dot_fp32c({av, kc}, {bv, kc}, acc);
-      }
-      c[idx(i, ldc, j)] = acc;
-    }
-  }
-  const std::uint64_t n_generic =
-      area(m, n) * static_cast<std::uint64_t>(panel_chunk_count(k, kc_max));
-  if (config_.injector != nullptr) {
-    rt_fp32c_inject.add(area(m, n));
-  } else if (a.has_special || b.has_special) {
-    rt_fp32c_special.add(area(m, n));
-  }
-  rt_fp32c_generic.add(n_generic);
-  trace_route_decisions("core.fp32c.route.fallback",
-                        "core.fp32c.route.generic", 0, n_generic);
+  gemm_prepacked(a, row0, b, col0, m, n, c, ldc);
 }
 
 void M3xuEngine::gemm_fp32_packed(int m, int n, int k, const float* a,
@@ -509,25 +443,6 @@ void M3xuEngine::gemm_fp32c_packed(int m, int n, int k,
   pack_fp32c_a(a, lda, m, k, pa);
   pack_fp32c_b(b, ldb, k, n, pb);
   gemm_fp32c_prepacked(pa, 0, pb, 0, m, n, c, ldc);
-}
-
-void M3xuEngine::gemm_fp64(int m, int n, int k, const double* a, int lda,
-                           const double* b, int ldb, double* c,
-                           int ldc) const {
-  const int kc_max = shape_for(MxuMode::kFp64).k;
-  std::vector<double> bcol(static_cast<std::size_t>(kc_max));
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      double acc = c[idx(i, ldc, j)];
-      for (int k0 = 0; k0 < k; k0 += kc_max) {
-        const int kc = std::min(kc_max, k - k0);
-        gather_column(b, ldb, j, k0, kc, bcol.data());
-        acc = mma_dot_fp64({a + idx(i, lda, k0), static_cast<std::size_t>(kc)},
-                           {bcol.data(), static_cast<std::size_t>(kc)}, acc);
-      }
-      c[idx(i, ldc, j)] = acc;
-    }
-  }
 }
 
 }  // namespace m3xu::core

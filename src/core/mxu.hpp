@@ -172,10 +172,12 @@ class M3xuEngine {
                             int n, std::complex<float>* c, int ldc) const;
 
  private:
-  template <std::size_t kSteps>
-  fp::Unpacked run_steps(const std::array<StepOperands, kSteps>& steps,
-                         const fp::Unpacked& c, const DpUnit& unit,
-                         int prec) const;
+  /// The one body behind gemm_fp32{,c}_prepacked: the route decision,
+  /// the microkernel walk or the generic per-dot walk, and the route
+  /// counters and trace events of the panels' datapath.
+  template <typename PanelA, typename PanelB, typename T>
+  void gemm_prepacked(const PanelA& a, int row0, const PanelB& b, int col0,
+                      int m, int n, T* c, int ldc) const;
 
   M3xuConfig config_;
   DpUnit dp12_;  // 12-bit multipliers (FP16..FP32C modes)

@@ -340,9 +340,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
         const int kc = std::min(cfg.block_k, k - k0);
         {
           // Stage the A and B panels (cp.async in the real kernel).
-          const telemetry::ScopedTimer span(
-              "tile.stage", counters != nullptr ? &counters->stage_seconds
-                                                : nullptr);
+          const telemetry::ScopedTimer span("tile.stage");
           for (int i = 0; i < m_eff; ++i) {
             for (int kk = 0; kk < kc; ++kk) {
               a_stage[static_cast<std::size_t>(i) * cfg.block_k + kk] =
@@ -381,9 +379,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
               inj != nullptr && inj->trigger(fault::Site::kAllocFailure);
           if (!alloc_failed) {
             try {
-              const telemetry::ScopedTimer span(
-                  "tile.pack", counters != nullptr ? &counters->pack_seconds
-                                                   : nullptr);
+              const telemetry::ScopedTimer span("tile.pack");
               PackedOps<T>::pack_a(a_stage.data(), cfg.block_k, m_eff, kc,
                                    a_panel);
               // The B panel for this (K-block, column block) is shared
@@ -430,10 +426,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
           ++counters->mainloop_iterations;
         }
         // Warp tiles over the block tile.
-        const telemetry::ScopedTimer span(
-            "tile.mainloop", counters != nullptr
-                                 ? &counters->mainloop_seconds
-                                 : nullptr);
+        const telemetry::ScopedTimer span("tile.mainloop");
         for (int wm = 0; wm < m_eff; wm += cfg.warp_m) {
           const int wm_eff = std::min(cfg.warp_m, m_eff - wm);
           for (int wn = 0; wn < n_eff; wn += cfg.warp_n) {
@@ -480,7 +473,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                  /*allow_cache=*/true);
 
     if (abft.enable) {
-      const telemetry::ScopedTimer span("tile.abft", &local.abft_seconds);
+      const telemetry::ScopedTimer span("tile.abft");
       ++local.abft_tile_checks;
       // Column checksums over the tile: expected_j = sum_i C_in[i][j]
       // + sum_k (sum_i A[i][k]) * B[k][j], and the magnitude sum that
@@ -711,8 +704,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
     }
 
     {
-      const telemetry::ScopedTimer span("tile.epilogue",
-                                        &local.epilogue_seconds);
+      const telemetry::ScopedTimer span("tile.epilogue");
       for (int i = 0; i < m_eff; ++i) {
         for (int j = 0; j < n_eff; ++j) {
           c(bm + i, bn + j) = c_frag[static_cast<std::size_t>(i) * n_eff + j];
@@ -743,11 +735,6 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
     stats.mainloop_iterations += local.mainloop_iterations;
     stats.staged_bytes += local.staged_bytes;
     stats.mma_instructions += local.mma_instructions;
-    stats.stage_seconds += local.stage_seconds;
-    stats.pack_seconds += local.pack_seconds;
-    stats.mainloop_seconds += local.mainloop_seconds;
-    stats.epilogue_seconds += local.epilogue_seconds;
-    stats.abft_seconds += local.abft_seconds;
     stats.abft_tile_checks += local.abft_tile_checks;
     stats.abft_detected += local.abft_detected;
     stats.abft_recomputed += local.abft_recomputed;

@@ -134,14 +134,6 @@ struct TiledGemmStats {
   long mainloop_iterations = 0;  // summed over tiles
   double staged_bytes = 0.0;  // global -> staging traffic
   long mma_instructions = 0;  // engine MMA-shape invocations
-  // Per-phase CPU seconds summed over tiles (across pool threads, so
-  // they can exceed wall time). Fed by telemetry scoped timers: all
-  // zero in M3XU_TELEMETRY=OFF builds.
-  double stage_seconds = 0.0;     // global -> staging copies
-  double pack_seconds = 0.0;      // lane-operand panel splits
-  double mainloop_seconds = 0.0;  // warp-tile MMA loops
-  double epilogue_seconds = 0.0;  // C fragment write-back
-  double abft_seconds = 0.0;      // checksum verify + recompute
   // ABFT counters; all zero when the guard is disabled or nothing
   // trips the checksum.
   long abft_tile_checks = 0;   // tiles verified

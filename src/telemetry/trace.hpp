@@ -33,25 +33,16 @@ inline constexpr std::size_t kSpanRingCapacity = 4096;
 void emit_span(const char* name, std::uint64_t start_ns,
                std::uint64_t dur_ns);
 
-/// RAII span: emits [construction, destruction) under `name`. When
-/// `accum_seconds` is non-null the duration is also added to it, so a
-/// caller can fold phase times into its own stats struct (the tiled
-/// driver folds these into TiledGemmStats).
+/// RAII span: emits [construction, destruction) under `name`.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const char* name, double* accum_seconds = nullptr)
-      : name_(name), accum_(accum_seconds), t0_(now_ns()) {}
-  ~ScopedTimer() {
-    const std::uint64_t dur = now_ns() - t0_;
-    if (accum_ != nullptr) *accum_ += static_cast<double>(dur) * 1e-9;
-    emit_span(name_, t0_, dur);
-  }
+  explicit ScopedTimer(const char* name) : name_(name), t0_(now_ns()) {}
+  ~ScopedTimer() { emit_span(name_, t0_, now_ns() - t0_); }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
  private:
   const char* name_;
-  double* accum_;
   std::uint64_t t0_;
 };
 
@@ -78,7 +69,7 @@ inline void emit_span(const char*, std::uint64_t, std::uint64_t) {}
 
 class ScopedTimer {
  public:
-  explicit ScopedTimer(const char*, double* = nullptr) {}
+  explicit ScopedTimer(const char*) {}
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 };

@@ -515,6 +515,20 @@ MkCounts mk_counts(const telemetry::Snapshot& before,
   return r;
 }
 
+/// Every mxu.<family>.microkernel.* delta, summed: a window that ran
+/// only the other datapath must book none of them.
+std::uint64_t family_mk_total(const telemetry::Snapshot& before,
+                              const telemetry::Snapshot& after,
+                              const std::string& family) {
+  std::uint64_t total = 0;
+  for (const char* name : {"blocks", "block_elements", "pair_chunks",
+                           "pair_fallbacks", "lane_exits"}) {
+    total += after.counter_delta(before,
+                                 "mxu." + family + ".microkernel." + name);
+  }
+  return total;
+}
+
 /// An engine pinned to variant `v` at `shape`.
 M3xuConfig variant_config(MkVariant v, MkBlockShape shape) {
   M3xuConfig cfg;
@@ -557,8 +571,10 @@ TEST(MicrokernelDispatch, PartialBlocksCoverEdgesWithExactCounts) {
           auto out = c;
           micro.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n,
                                  out.data(), n);
-          const MkCounts got =
-              mk_counts(before, telemetry::snapshot(), "fp32", v);
+          telemetry::Snapshot after = telemetry::snapshot();
+          const MkCounts got = mk_counts(before, after, "fp32", v);
+          EXPECT_EQ(family_mk_total(before, after, "fp32c"), 0u)
+              << m << "x" << n;
           check_fp32(micro, packed, m, n, k, a, b, c);
           const int kc = 4;
           const auto ca = random_cbuffer(m, kc, rng, false);
@@ -568,8 +584,10 @@ TEST(MicrokernelDispatch, PartialBlocksCoverEdgesWithExactCounts) {
           auto cout = cc;
           micro.gemm_fp32c_packed(m, n, kc, ca.data(), kc, cb.data(), n,
                                   cout.data(), n);
-          const MkCounts cgot =
-              mk_counts(before, telemetry::snapshot(), "fp32c", v);
+          after = telemetry::snapshot();
+          const MkCounts cgot = mk_counts(before, after, "fp32c", v);
+          EXPECT_EQ(family_mk_total(before, after, "fp32"), 0u)
+              << m << "x" << n;
           check_fp32c(micro, packed, m, n, kc, ca, cb, cc);
 #if M3XU_TELEMETRY_ENABLED
           const std::uint64_t area = static_cast<std::uint64_t>(m) * n;

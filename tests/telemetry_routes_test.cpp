@@ -1,25 +1,29 @@
 // Cross-checks the tiled driver's hand-maintained TiledGemmStats
 // against the engine/pack telemetry counters: the two are independent
 // bookkeeping paths over the same work, so aligned geometries must
-// agree exactly. Also pins the per-dot element counter and the ABFT
-// counter mirror. In M3XU_TELEMETRY=OFF builds the counter deltas are
-// all zero while TiledGemmStats still counts; both branches are
-// asserted.
+// agree exactly. Also pins the per-dot element counter, the generic
+// routes' per-datapath counter families and the ABFT counter mirror.
+// In M3XU_TELEMETRY=OFF builds the counter deltas are all zero while
+// TiledGemmStats still counts; both branches are asserted.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <string>
 #include <type_traits>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/mxu.hpp"
+#include "fault/injector.hpp"
 #include "gemm/matrix.hpp"
 #include "gemm/plan.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "telemetry/telemetry.hpp"
 
+namespace fault = m3xu::fault;
 namespace telemetry = m3xu::telemetry;
 using m3xu::Rng;
 using m3xu::core::M3xuEngine;
@@ -188,6 +192,118 @@ TEST(TelemetryRoutes, PerDotElementCounter) {
 #else
   EXPECT_EQ(after.counter_delta(before, "mxu.fp32.elements.perdot"), 0u);
 #endif
+}
+
+namespace {
+
+/// The engine's per-datapath route counters, as suffixes of
+/// "mxu.<family>.": the generic and per-dot routes' books, and the
+/// microkernel's, which a generic call must leave alone.
+const char* const kRouteCounters[] = {
+    "chunks.generic",           "elements.bypass_special",
+    "elements.bypass_injector", "elements.perdot",
+    "microkernel.blocks",       "microkernel.block_elements",
+    "microkernel.pair_chunks",  "microkernel.pair_fallbacks",
+    "microkernel.lane_exits"};
+
+/// Asserts that the window [before, after) booked exactly `want` under
+/// mxu.<own>.* (every other route counter of the family 0) and nothing
+/// under mxu.<other>.*. With telemetry off every delta reads 0.
+void expect_books(const telemetry::Snapshot& before,
+                  const telemetry::Snapshot& after, const std::string& own,
+                  const std::string& other,
+                  const std::map<std::string, std::uint64_t>& want,
+                  const char* what) {
+  for (const std::string name : kRouteCounters) {
+    const auto it = want.find(name);
+    const std::uint64_t expected =
+        M3XU_TELEMETRY_ENABLED && it != want.end() ? it->second : 0;
+    EXPECT_EQ(after.counter_delta(before, "mxu." + own + "." + name),
+              expected)
+        << what << ": mxu." << own << "." << name;
+    EXPECT_EQ(after.counter_delta(before, "mxu." + other + "." + name), 0u)
+        << what << ": mxu." << other << "." << name;
+  }
+}
+
+/// Each generic route of one datapath - a force_generic engine, panels
+/// holding an Inf, an attached (zero-rate) injector, and the flat
+/// per-dot loop - books its elements and chunks under its own family.
+template <typename T>
+void check_generic_route_books(const std::string& own,
+                               const std::string& other, int chunk_k) {
+  constexpr bool kComplex = std::is_same_v<T, std::complex<float>>;
+  const int m = 12, n = 10, k = 20;  // K ends in a partial chunk
+  Rng rng(kComplex ? 53 : 47);
+  Matrix<T> a(m, k), b(k, n), b_inf(k, n);
+  m3xu::gemm::fill_random(a, rng);
+  m3xu::gemm::fill_random(b, rng);
+  b_inf = b;
+  b_inf(3, 4) = T{std::numeric_limits<float>::infinity()};
+  const std::uint64_t area = static_cast<std::uint64_t>(m) * n;
+  const std::uint64_t chunks = area * ((k + chunk_k - 1) / chunk_k);
+
+  m3xu::core::M3xuConfig forced;
+  forced.force_generic = true;
+  const fault::FaultInjector quiet(61, fault::SiteRates{});
+  m3xu::core::M3xuConfig injected;
+  injected.injector = &quiet;
+  const M3xuEngine plain;
+  const M3xuEngine generic(forced);
+  const M3xuEngine faulty(injected);
+
+  const auto packed = [&](const M3xuEngine& e, const Matrix<T>& bm) {
+    Matrix<T> c(m, n);
+    c.fill(T{});
+    if constexpr (kComplex) {
+      e.gemm_fp32c_packed(m, n, k, a.data(), a.ld(), bm.data(), bm.ld(),
+                          c.data(), c.ld());
+    } else {
+      e.gemm_fp32_packed(m, n, k, a.data(), a.ld(), bm.data(), bm.ld(),
+                         c.data(), c.ld());
+    }
+  };
+  const auto flat = [&] {
+    Matrix<T> c(m, n);
+    c.fill(T{});
+    if constexpr (kComplex) {
+      plain.gemm_fp32c(m, n, k, a.data(), a.ld(), b.data(), b.ld(), c.data(),
+                       c.ld());
+    } else {
+      plain.gemm_fp32(m, n, k, a.data(), a.ld(), b.data(), b.ld(), c.data(),
+                      c.ld());
+    }
+  };
+
+  telemetry::Snapshot before = telemetry::snapshot();
+  packed(generic, b);
+  expect_books(before, telemetry::snapshot(), own, other,
+               {{"chunks.generic", chunks}}, "force_generic");
+  before = telemetry::snapshot();
+  packed(plain, b_inf);
+  expect_books(before, telemetry::snapshot(), own, other,
+               {{"chunks.generic", chunks},
+                {"elements.bypass_special", area}},
+               "special");
+  before = telemetry::snapshot();
+  packed(faulty, b);
+  expect_books(before, telemetry::snapshot(), own, other,
+               {{"chunks.generic", chunks},
+                {"elements.bypass_injector", area}},
+               "injector");
+  before = telemetry::snapshot();
+  flat();
+  expect_books(before, telemetry::snapshot(), own, other,
+               {{"elements.perdot", area}}, "flat");
+}
+
+}  // namespace
+
+TEST(TelemetryRoutes, GenericRouteCountsBookToTheirFamily) {
+  check_generic_route_books<float>("fp32", "fp32c",
+                                   m3xu::core::kPackChunkFp32);
+  check_generic_route_books<std::complex<float>>(
+      "fp32c", "fp32", m3xu::core::kPackChunkFp32c);
 }
 
 TEST(TelemetryRoutes, AbftCountersMirrorStats) {
