@@ -15,12 +15,10 @@
 // --json-only to suppress the table.
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/thread_pool.hpp"
 #include "common/rng.hpp"
 #include "core/mxu.hpp"
 #include "gemm/autotune.hpp"
@@ -38,16 +36,15 @@ struct TunedCase {
   gemm::PlanKey key;
   gemm::AutotuneResult result;
   double speedup = 0.0;     // default_seconds / best_seconds (>= 1 means win)
-  bool reloaded_ok = false; // cache round-trip returned the same config
-  bool reloaded_bits_ok = false;  // reloaded config reproduces the bits
+  bool reloaded_ok = false; // cache round-trip returned the same tile
+  bool reloaded_bits_ok = false;  // reloaded tile reproduces the bits
 };
 
-/// Executes `tuned` (tile + register-block shape + optional dedicated
-/// pool) and the default config on identical deterministic operands and
-/// compares the results bitwise.
+/// Executes the `tuned` tile and the default tile on identical
+/// deterministic operands and compares the results bitwise.
 template <typename T>
 bool reproduces_default_bits(const gemm::PlanKey& key,
-                             const gemm::TunedConfig& tuned,
+                             const gemm::TileConfig& tuned,
                              std::uint64_t seed) {
   gemm::Matrix<T> a(key.m, key.k), b(key.k, key.n), c0(key.m, key.n);
   Rng rng(seed);
@@ -60,21 +57,12 @@ bool reproduces_default_bits(const gemm::PlanKey& key,
   gemm::Matrix<T> c_ref = c0;
   ref_plan.execute(a, b, c_ref);
 
-  core::M3xuConfig tuned_cfg;
-  tuned_cfg.mk_mr = tuned.mk_mr;
-  tuned_cfg.mk_nr = tuned.mk_nr;
   gemm::PlanOptions tuned_opts;
-  tuned_opts.tile = tuned.tile;
+  tuned_opts.tile = tuned;
   const gemm::GemmPlan tuned_plan =
-      gemm::GemmPlan::compile(tuned_cfg, key, tuned_opts);
+      gemm::GemmPlan::compile(core::M3xuConfig{}, key, tuned_opts);
   gemm::Matrix<T> c_tuned = c0;
-  std::optional<ThreadPool> pool;
-  gemm::ExecRails rails;
-  if (tuned.threads > 0) {
-    pool.emplace(static_cast<std::size_t>(tuned.threads));
-    rails.pool = &*pool;
-  }
-  tuned_plan.execute(a, b, c_tuned, rails);
+  tuned_plan.execute(a, b, c_tuned);
 
   return std::memcmp(c_ref.data(), c_tuned.data(),
                      c_ref.size() * sizeof(T)) == 0;
@@ -93,14 +81,13 @@ TunedCase tune_one(const gemm::PlanKey& key, const gemm::AutotuneOptions& opts,
                     : 0.0;
 
   // Cache round trip: a fresh TuneCache over the same file must serve
-  // the stored config (from_cache), and that config must reproduce the
-  // default config's result bitwise.
+  // the stored tile (from_cache), and that tile must reproduce the
+  // default tile's result bitwise.
   gemm::TuneCache reloaded(cache_path);
   reloaded.load();
   const gemm::AutotuneResult again =
       gemm::autotune(core::M3xuConfig{}, key, opts, &reloaded);
-  out.reloaded_ok =
-      again.from_cache && gemm::same_tuned(again.best, out.result.best);
+  out.reloaded_ok = again.from_cache && again.best == out.result.best;
   out.reloaded_bits_ok =
       key.cplx ? reproduces_default_bits<std::complex<float>>(key, again.best,
                                                               opts.seed)
@@ -112,20 +99,16 @@ void write_case(telemetry::JsonWriter& w, const TunedCase& c) {
   w.begin_object();
   w.kv("key", gemm::plan_key_label(c.key));
   w.key("tile").begin_object();
-  w.kv("block_m", c.result.best.tile.block_m);
-  w.kv("block_n", c.result.best.tile.block_n);
-  w.kv("block_k", c.result.best.tile.block_k);
-  w.kv("warp_m", c.result.best.tile.warp_m);
-  w.kv("warp_n", c.result.best.tile.warp_n);
+  w.kv("block_m", c.result.best.block_m);
+  w.kv("block_n", c.result.best.block_n);
+  w.kv("block_k", c.result.best.block_k);
+  w.kv("warp_m", c.result.best.warp_m);
+  w.kv("warp_n", c.result.best.warp_n);
   w.end_object();
-  w.kv("mk_mr", c.result.best.mk_mr);
-  w.kv("mk_nr", c.result.best.mk_nr);
-  w.kv("threads", c.result.best.threads);
   w.key("best_seconds").value(c.result.best_seconds, 6);
   w.key("default_seconds").value(c.result.default_seconds, 6);
   w.key("tuned_vs_default_speedup").value(c.speedup, 4);
   w.kv("candidates_tried", c.result.candidates_tried);
-  w.kv("candidates_invalid", c.result.candidates_invalid);
   w.kv("bit_mismatches", c.result.bit_mismatches);
   w.kv("from_cache", c.result.from_cache);
   w.kv("cache_reload_ok", c.reloaded_ok);
@@ -173,9 +156,9 @@ int main(int argc, char** argv) {
     for (const TunedCase& c : tuned) {
       char tile[64];
       std::snprintf(tile, sizeof(tile), "%dx%dx%d/%dx%d",
-                    c.result.best.tile.block_m, c.result.best.tile.block_n,
-                    c.result.best.tile.block_k, c.result.best.tile.warp_m,
-                    c.result.best.tile.warp_n);
+                    c.result.best.block_m, c.result.best.block_n,
+                    c.result.best.block_k, c.result.best.warp_m,
+                    c.result.best.warp_n);
       std::printf("%-18s %-22s %9.4f %9.4f %7.2fx %6s %6s\n",
                   gemm::plan_key_label(c.key).c_str(), tile,
                   c.result.default_seconds, c.result.best_seconds, c.speedup,
@@ -196,6 +179,7 @@ int main(int argc, char** argv) {
   w.kv("reps", opts.reps);
   w.kv("seed", opts.seed);
   w.kv("cache_file", cache_path);
+  w.kv("tune_cache_schema_version", gemm::TuneCache::kSchemaVersion);
   w.kv("cpu_signature", gemm::cpu_signature());
   w.key("environment").begin_object();
   w.kv("compiler", env.compiler);

@@ -185,7 +185,7 @@ bool microkernel_simd_active() {
 }
 
 bool mk_block_supported(int mr, int nr) {
-  return (mr == 4 && nr == 4) || (mr == 6 && nr == 8) || (mr == 8 && nr == 8);
+  return (mr == 4 && nr == 4) || (mr == 8 && nr == 8);
 }
 
 MkBlockShape mk_block_resolve(int mr, int nr) {
@@ -1381,10 +1381,6 @@ std::uint64_t dispatch_block(const PanelA& a, int row0,
 #endif
   if (p.mr == 4) {
     return block_scalar<PanelA, 4, 4>(a, row0, rows, b, col0, cols, unit, p,
-                                      v, c, ldc);
-  }
-  if (p.mr == 6) {
-    return block_scalar<PanelA, 6, 8>(a, row0, rows, b, col0, cols, unit, p,
                                       v, c, ldc);
   }
   return block_scalar<PanelA, 8, 8>(a, row0, rows, b, col0, cols, unit, p, v,

@@ -99,7 +99,7 @@ struct MkBlockShape {
   int nr = kMicroNr;
 };
 
-/// The template-instantiated shape set: 4x4, 6x8, 8x8.
+/// The template-instantiated shape set: 4x4 and 8x8.
 bool mk_block_supported(int mr, int nr);
 
 /// Resolves a configured shape: (0, 0) picks the per-CPU default (8x8

@@ -124,7 +124,6 @@ M3xuEngine::M3xuEngine(const M3xuConfig& config)
       dp27_(DpUnitConfig{DataAssignmentStage::kFp64PartBits,
                          /*enable_fast_path=*/true, config.injector}) {
   M3XU_CHECK(config_.accum_prec >= 24 && config_.accum_prec <= 63);
-  M3XU_CHECK(config_.fp64_accum_prec >= 53 && config_.fp64_accum_prec <= 63);
   M3XU_CHECK((config_.mk_mr == 0 && config_.mk_nr == 0) ||
              mk_block_supported(config_.mk_mr, config_.mk_nr));
 }
@@ -170,7 +169,7 @@ double M3xuEngine::mma_dot_fp64(std::span<const double> a,
   M3XU_CHECK(static_cast<int>(a.size()) <= shape_for(MxuMode::kFp64).k);
   const auto steps = DataAssignmentStage::schedule_fp64(a, b, config_.injector);
   const fp::Unpacked r =
-      dp27_.run_steps(steps, fp::unpack(c), config_.fp64_accum_prec,
+      dp27_.run_steps(steps, fp::unpack(c), fp::ExtFloat::kFp64AccumPrec,
                       config_.per_step_rounding);
   return fp::pack_to_double(r);
 }
@@ -182,10 +181,10 @@ std::complex<double> M3xuEngine::mma_dot_fp64c(
   const auto sched = DataAssignmentStage::schedule_fp64c(a, b, config_.injector);
   const fp::Unpacked re =
       dp27_.run_steps(sched.real, fp::unpack(c.real()),
-                      config_.fp64_accum_prec, config_.per_step_rounding);
+                      fp::ExtFloat::kFp64AccumPrec, config_.per_step_rounding);
   const fp::Unpacked im =
       dp27_.run_steps(sched.imag, fp::unpack(c.imag()),
-                      config_.fp64_accum_prec, config_.per_step_rounding);
+                      fp::ExtFloat::kFp64AccumPrec, config_.per_step_rounding);
   return {fp::pack_to_double(re), fp::pack_to_double(im)};
 }
 

@@ -66,9 +66,9 @@ struct M3xuConfig {
   /// false = idealized single rounding per MMA instruction (ablation).
   bool per_step_rounding = true;
   /// Accumulation-register significand width for FP32/FP32C modes.
+  /// The FP64 modes accumulate in FP64 registers
+  /// (fp::ExtFloat::kFp64AccumPrec).
   int accum_prec = fp::ExtFloat::kM3xuAccumPrec;
-  /// Accumulation-register width for the FP64 mode ("FP64 registers").
-  int fp64_accum_prec = 53;
   /// Force the packed entry points down the generic per-dot route
   /// (mma_dot_fp32{,c} over the panel words) instead of the
   /// register-blocked microkernel, even for special-free panels.
@@ -82,7 +82,7 @@ struct M3xuConfig {
   MkVariant mk_variant = MkVariant::kAuto;
   /// Microkernel register-block shape. (0, 0) - the default - picks
   /// the per-CPU shape (mk_block_resolve); anything else must be a
-  /// supported pair (4x4 / 6x8 / 8x8), checked at engine construction.
+  /// supported pair (4x4 / 8x8), checked at engine construction.
   int mk_mr = 0;
   int mk_nr = 0;
   /// Optional transient-fault injector (non-owning; must outlive the

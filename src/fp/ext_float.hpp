@@ -16,6 +16,7 @@ class ExtFloat {
   /// Significand precisions used by the hardware models.
   static constexpr int kM3xuAccumPrec = 48;
   static constexpr int kFp32AccumPrec = 24;
+  static constexpr int kFp64AccumPrec = 53;
 
   /// Zero with the given precision.
   explicit ExtFloat(int prec);

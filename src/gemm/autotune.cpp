@@ -7,11 +7,8 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <thread>
 
-#include "common/check.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/microkernel.hpp"
 #include "gemm/matrix.hpp"
 #include "telemetry/export.hpp"
@@ -62,35 +59,23 @@ double median(std::vector<double>& xs) {
   return xs[xs.size() / 2];
 }
 
-bool candidate_ok(const TileConfig& tile, int inst_k) {
-  return tile.valid() && tile.block_k % inst_k == 0;
-}
-
-bool same_tile(const TileConfig& a, const TileConfig& b) {
-  return a.block_m == b.block_m && a.block_n == b.block_n &&
-         a.block_k == b.block_k && a.warp_m == b.warp_m &&
-         a.warp_n == b.warp_n;
-}
-
-/// The microkernel shape / thread-count overrides a usable entry may
-/// carry: (0, 0) or a supported block pair, and a sane worker count.
-bool extras_ok(const TunedConfig& t) {
-  const bool mk_ok = (t.mk_mr == 0 && t.mk_nr == 0) ||
-                     core::mk_block_supported(t.mk_mr, t.mk_nr);
-  return mk_ok && t.threads >= 0 && t.threads < 4096;
+/// The checks plan compile applies to a tile for `key`'s mode.
+bool tile_ok(const TileConfig& tile, const PlanKey& key) {
+  const core::MmaShape shape = core::shape_for(
+      key.cplx ? core::MxuMode::kFp32Complex : core::MxuMode::kFp32);
+  return tile.valid() && tile.block_k % shape.k == 0;
 }
 
 /// Canonical per-entry string the integrity checksum covers. Any field
 /// edit - including flipping cplx or a warp size - breaks the
 /// checksum, so hand-edited or bit-rotted entries are dropped on load.
 std::string canonical_entry(const PlanKey& key, const std::string& signature,
-                            const TunedConfig& t) {
+                            const TileConfig& t) {
   std::ostringstream os;
   os << "v" << TuneCache::kSchemaVersion << "|" << key.m << "|" << key.n
      << "|" << key.k << "|" << (key.cplx ? 1 : 0) << "|" << signature << "|"
-     << t.tile.block_m << "|" << t.tile.block_n << "|" << t.tile.block_k
-     << "|" << t.tile.warp_m << "|" << t.tile.warp_n << "|" << t.mk_mr << "|"
-     << t.mk_nr << "|" << t.threads;
+     << t.block_m << "|" << t.block_n << "|" << t.block_k << "|" << t.warp_m
+     << "|" << t.warp_n;
   return os.str();
 }
 
@@ -113,141 +98,63 @@ bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
-/// Stage-2 candidate set: microkernel register-block shapes x thread
-/// counts, searched at the winning tile. (0, 0) / 0 entries mean "no
-/// override" - the stage-1 winner itself - and lead the set so ties
-/// resolve toward the least-constrained config. Thread candidates only
-/// appear on multi-core hosts (a 1-worker pool is the serial baseline
-/// already measured in stage 1).
-std::vector<TunedConfig> stage2_candidates(const TileConfig& best_tile,
-                                           bool quick) {
-  std::vector<std::pair<int, int>> shapes{{0, 0}, {4, 4}, {6, 8}, {8, 8}};
-  if (quick) shapes = {{0, 0}, {8, 8}};
-  std::vector<int> threads{0};
-  const int hw =
-      static_cast<int>(std::thread::hardware_concurrency());
-  if (hw > 1) {
-    threads.push_back(hw);
-    if (!quick && hw > 2) threads.push_back(hw / 2);
-  }
-  std::vector<TunedConfig> out;
-  for (const auto& [mr, nr] : shapes) {
-    for (const int t : threads) {
-      out.push_back(TunedConfig{best_tile, mr, nr, t});
-    }
-  }
-  return out;
-}
-
 /// The search body, shared by both dtypes. The reference result is the
-/// default-config plan's output on the fixed operands; every candidate
-/// - tile, register-block shape, or thread count - must reproduce it
-/// bitwise to stay in the race.
+/// default tile's output on the fixed operands; every candidate must
+/// reproduce it bitwise to stay in the race.
 template <typename T>
 AutotuneResult search(const core::M3xuConfig& engine_cfg, const PlanKey& key,
                       const AutotuneOptions& options) {
   AutotuneResult result;
-  const core::MmaShape shape = core::shape_for(
-      key.cplx ? core::MxuMode::kFp32Complex : core::MxuMode::kFp32);
-
-  std::vector<TileConfig> candidates =
-      options.candidates.empty() ? default_candidates(key, options.quick)
-                                 : options.candidates;
-
   const TuneProblem<T> problem(key, options.seed);
   const int reps = std::max(1, options.reps);
 
-  // Reference: the default config's result (plans reuse B panels, so
+  // Reference: the default tile's result (plans reuse B panels, so
   // repeat executes inside the timing loop exercise the cached-pack
   // path the production loop runs).
-  const TileConfig default_tile{};
-  PlanOptions default_opts;
-  default_opts.tile = default_tile;
-  const GemmPlan default_plan = GemmPlan::compile(engine_cfg, key, default_opts);
+  PlanOptions plan_opts;
   Matrix<T> reference = problem.c0;
-  default_plan.execute(problem.a, problem.b, reference);
+  GemmPlan::compile(engine_cfg, key, plan_opts)
+      .execute(problem.a, problem.b, reference);
 
   Matrix<T> scratch(key.m, key.n);
-  const auto measure_plan = [&](const GemmPlan& plan, const ExecRails& rails) {
-    std::vector<double> times;
-    times.reserve(static_cast<std::size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-      std::memcpy(scratch.data(), problem.c0.data(),
-                  scratch.size() * sizeof(T));
-      const telemetry::Stopwatch sw;
-      plan.execute(problem.a, problem.b, scratch, rails);
-      times.push_back(sw.seconds());
-    }
-    return median(times);
-  };
-
-  // Gate + measure one candidate; returns its score, or nullopt when
-  // the bit gate failed. Thread-count overrides run on a candidate-
-  // private pool threaded through ExecRails, so the gate covers the
-  // exact threaded execution the tuned config recommends.
-  const auto try_candidate =
-      [&](const TunedConfig& cand) -> std::optional<double> {
-    core::M3xuConfig cand_cfg = engine_cfg;
-    cand_cfg.mk_mr = cand.mk_mr;
-    cand_cfg.mk_nr = cand.mk_nr;
-    PlanOptions plan_opts;
-    plan_opts.tile = cand.tile;
-    const GemmPlan plan = GemmPlan::compile(cand_cfg, key, plan_opts);
-    std::optional<ThreadPool> local_pool;
-    ExecRails rails;
-    if (cand.threads > 0) {
-      local_pool.emplace(static_cast<std::size_t>(cand.threads));
-      rails.pool = &*local_pool;
-    }
-    // Bit-identity gate: one execute against the fixed operands,
-    // compared bitwise to the default config's result.
+  const auto reset_scratch = [&] {
     std::memcpy(scratch.data(), problem.c0.data(),
                 scratch.size() * sizeof(T));
-    plan.execute(problem.a, problem.b, scratch, rails);
-    if (!bits_equal(scratch, reference)) {
-      ++result.bit_mismatches;
-      return std::nullopt;
-    }
-    const double seconds =
-        options.measure ? options.measure(cand) : measure_plan(plan, rails);
-    ++result.candidates_tried;
-    tune_candidates_ctr.increment();
-    return seconds;
   };
 
-  result.best = TunedConfig{default_tile, 0, 0, 0};
-  result.best_seconds = 0.0;
   bool have_best = false;
-
-  // Stage 1: tile shapes (default microkernel shape, caller's pool).
-  for (const TileConfig& tile : candidates) {
-    if (!candidate_ok(tile, shape.k)) {
-      ++result.candidates_invalid;
+  for (const TileConfig& tile : default_candidates(key, options.quick)) {
+    plan_opts.tile = tile;
+    const GemmPlan plan = GemmPlan::compile(engine_cfg, key, plan_opts);
+    // Bit-identity gate: one execute against the fixed operands,
+    // compared bitwise to the default tile's result.
+    reset_scratch();
+    plan.execute(problem.a, problem.b, scratch);
+    if (!bits_equal(scratch, reference)) {
+      ++result.bit_mismatches;
       continue;
     }
-    const TunedConfig cand{tile, 0, 0, 0};
-    const std::optional<double> seconds = try_candidate(cand);
-    if (!seconds.has_value()) continue;
-    if (same_tile(tile, default_tile)) result.default_seconds = *seconds;
-    if (!have_best || *seconds < result.best_seconds) {
+    double seconds = 0.0;
+    if (options.measure) {
+      seconds = options.measure(tile);
+    } else {
+      std::vector<double> times;
+      times.reserve(static_cast<std::size_t>(reps));
+      for (int r = 0; r < reps; ++r) {
+        reset_scratch();
+        const telemetry::Stopwatch sw;
+        plan.execute(problem.a, problem.b, scratch);
+        times.push_back(sw.seconds());
+      }
+      seconds = median(times);
+    }
+    ++result.candidates_tried;
+    tune_candidates_ctr.increment();
+    if (tile == TileConfig{}) result.default_seconds = seconds;
+    if (!have_best || seconds < result.best_seconds) {
       have_best = true;
-      result.best = cand;
-      result.best_seconds = *seconds;
-    }
-  }
-
-  // Stage 2: register-block shape x thread count at the winning tile.
-  // Strictly-less comparison keeps the no-override entry on ties.
-  for (const TunedConfig& cand :
-       stage2_candidates(result.best.tile, options.quick)) {
-    if (cand.mk_mr == 0 && cand.mk_nr == 0 && cand.threads == 0) {
-      continue;  // the stage-1 winner itself, already measured
-    }
-    const std::optional<double> seconds = try_candidate(cand);
-    if (!seconds.has_value()) continue;
-    if (have_best && *seconds < result.best_seconds) {
-      result.best = cand;
-      result.best_seconds = *seconds;
+      result.best = tile;
+      result.best_seconds = seconds;
     }
   }
   tune_search_ctr.increment();
@@ -256,15 +163,9 @@ AutotuneResult search(const core::M3xuConfig& engine_cfg, const PlanKey& key,
 
 }  // namespace
 
-bool same_tuned(const TunedConfig& a, const TunedConfig& b) {
-  return same_tile(a.tile, b.tile) && a.mk_mr == b.mk_mr &&
-         a.mk_nr == b.mk_nr && a.threads == b.threads;
-}
-
 std::string cpu_signature() {
-  const telemetry::Environment env = telemetry::collect_environment();
   std::ostringstream os;
-  os << env.compiler << "|" << cpu_model() << "|simd="
+  os << telemetry::compiler_version() << "|" << cpu_model() << "|simd="
      << core::mk_variant_name(core::mk_variant_resolve(core::MkVariant::kAuto));
   return os.str();
 }
@@ -273,10 +174,9 @@ std::vector<TileConfig> default_candidates(const PlanKey& key, bool quick) {
   std::vector<TileConfig> out;
   const auto push = [&](int bm, int bn, int bk, int wm, int wn) {
     const TileConfig tile{bm, bn, bk, wm, wn};
-    for (const TileConfig& existing : out) {
-      if (same_tile(existing, tile)) return;
+    if (std::find(out.begin(), out.end(), tile) == out.end()) {
+      out.push_back(tile);
     }
-    out.push_back(tile);
   };
   // The default config leads: it is the baseline the speedup is
   // reported against and the fallback when nothing beats it.
@@ -308,8 +208,8 @@ TuneCache::TuneCache(std::string path) : path_(std::move(path)) {}
 
 std::uint64_t TuneCache::entry_checksum(const PlanKey& key,
                                         const std::string& signature,
-                                        const TunedConfig& tuned) {
-  return fnv1a(canonical_entry(key, signature, tuned));
+                                        const TileConfig& tile) {
+  return fnv1a(canonical_entry(key, signature, tile));
 }
 
 bool TuneCache::load() {
@@ -353,17 +253,13 @@ bool TuneCache::load() {
       const telemetry::JsonValue* v = tile_v->find(name);
       return v != nullptr ? static_cast<int>(v->as_int(-1)) : -1;
     };
-    entry.tuned.tile.block_m = tile_field("block_m");
-    entry.tuned.tile.block_n = tile_field("block_n");
-    entry.tuned.tile.block_k = tile_field("block_k");
-    entry.tuned.tile.warp_m = tile_field("warp_m");
-    entry.tuned.tile.warp_n = tile_field("warp_n");
-    // v2 width/parallelism overrides. Absent fields parse as -1 and
-    // fail extras_ok below, so a truncated entry is rejected, not
-    // silently defaulted.
-    entry.tuned.mk_mr = static_cast<int>(field("mk_mr"));
-    entry.tuned.mk_nr = static_cast<int>(field("mk_nr"));
-    entry.tuned.threads = static_cast<int>(field("threads"));
+    // Absent fields parse as -1 and fail valid() below, so a truncated
+    // entry is rejected, not silently defaulted.
+    entry.tile.block_m = tile_field("block_m");
+    entry.tile.block_n = tile_field("block_n");
+    entry.tile.block_k = tile_field("block_k");
+    entry.tile.warp_m = tile_field("warp_m");
+    entry.tile.warp_n = tile_field("warp_n");
     const telemetry::JsonValue* seconds = e.find("seconds");
     entry.seconds = seconds != nullptr ? seconds->as_double(0.0) : 0.0;
     const telemetry::JsonValue* checksum = e.find("checksum");
@@ -382,10 +278,9 @@ bool TuneCache::load() {
     // checksum mismatch (bit rot / hand edits).
     const bool well_formed = entry.key.m > 0 && entry.key.n > 0 &&
                              entry.key.k > 0 && !entry.signature.empty() &&
-                             entry.tuned.tile.valid() &&
-                             extras_ok(entry.tuned);
+                             entry.tile.valid();
     const std::uint64_t expected =
-        entry_checksum(entry.key, entry.signature, entry.tuned);
+        entry_checksum(entry.key, entry.signature, entry.tile);
     if (!well_formed || !checksum_ok || stored_checksum != expected) {
       ++rejected_;
       tune_cache_reject_ctr.increment();
@@ -410,20 +305,17 @@ bool TuneCache::save() const {
     w.kv("cplx", e.key.cplx);
     w.kv("cpu", e.signature);
     w.key("tile").begin_object();
-    w.kv("block_m", e.tuned.tile.block_m);
-    w.kv("block_n", e.tuned.tile.block_n);
-    w.kv("block_k", e.tuned.tile.block_k);
-    w.kv("warp_m", e.tuned.tile.warp_m);
-    w.kv("warp_n", e.tuned.tile.warp_n);
+    w.kv("block_m", e.tile.block_m);
+    w.kv("block_n", e.tile.block_n);
+    w.kv("block_k", e.tile.block_k);
+    w.kv("warp_m", e.tile.warp_m);
+    w.kv("warp_n", e.tile.warp_n);
     w.end_object();
-    w.kv("mk_mr", e.tuned.mk_mr);
-    w.kv("mk_nr", e.tuned.mk_nr);
-    w.kv("threads", e.tuned.threads);
     w.key("seconds").value(e.seconds, 9);
     // As a string: JSON numbers round-trip through double in the
     // parser, which cannot represent a full 64-bit checksum exactly.
     w.kv("checksum",
-         std::to_string(entry_checksum(e.key, e.signature, e.tuned)));
+         std::to_string(entry_checksum(e.key, e.signature, e.tile)));
     w.end_object();
   }
   w.end_array();
@@ -435,38 +327,35 @@ bool TuneCache::save() const {
   return static_cast<bool>(out);
 }
 
-std::optional<TunedConfig> TuneCache::lookup(
+std::optional<TileConfig> TuneCache::lookup(
     const PlanKey& key, const std::string& signature) const {
   for (const Entry& e : entries_) {
-    if (e.key == key && e.signature == signature) return e.tuned;
+    if (e.key == key && e.signature == signature) return e.tile;
   }
   return std::nullopt;
 }
 
 void TuneCache::store(const PlanKey& key, const std::string& signature,
-                      const TunedConfig& tuned, double seconds) {
+                      const TileConfig& tile, double seconds) {
   for (Entry& e : entries_) {
     if (e.key == key && e.signature == signature) {
-      e.tuned = tuned;
+      e.tile = tile;
       e.seconds = seconds;
       return;
     }
   }
-  entries_.push_back(Entry{key, signature, tuned, seconds});
+  entries_.push_back(Entry{key, signature, tile, seconds});
 }
 
 AutotuneResult autotune(const core::M3xuConfig& engine_cfg, const PlanKey& key,
                         const AutotuneOptions& options, TuneCache* cache) {
   const std::string signature = cpu_signature();
   if (cache != nullptr) {
-    const core::MmaShape shape = core::shape_for(
-        key.cplx ? core::MxuMode::kFp32Complex : core::MxuMode::kFp32);
-    const std::optional<TunedConfig> hit = cache->lookup(key, signature);
-    // A cached config is re-validated against today's constraints: a
+    const std::optional<TileConfig> hit = cache->lookup(key, signature);
+    // A cached tile is re-validated against today's constraints: a
     // cache written by an older build whose constraints differ must
-    // never hand the driver an invalid config.
-    if (hit.has_value() && candidate_ok(hit->tile, shape.k) &&
-        extras_ok(*hit)) {
+    // never hand the driver an invalid tile.
+    if (hit.has_value() && tile_ok(*hit, key)) {
       tune_cache_hit_ctr.increment();
       AutotuneResult result;
       result.best = *hit;

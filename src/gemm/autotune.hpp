@@ -4,20 +4,12 @@
 // pack granularity, per-tile parallel slack), but the best choice
 // depends on the problem shape and the host - exactly what a static
 // default cannot know. autotune() searches a candidate TileConfig set
-// for one (shape, dtype) problem, rejects invalid candidates through
-// the same validators as plan compile, gates every candidate on
+// for one (shape, dtype) problem, gates every candidate on
 // bit-identity against the default-config result (the tile hierarchy
 // must never change results - a mismatch is a driver bug, not a
 // tuning preference), measures the survivors, and returns the fastest.
 //
-// The search runs in two stages: tile shapes first (the cache-blocking
-// lever), then - with the winning tile frozen - microkernel register-
-// block shape and thread count (the width/parallelism levers). Every
-// candidate in both stages is gated on bit-identity, including each
-// thread-count candidate (run on its own pool), so a tuned config can
-// never change results, only where and how fast they are computed.
-//
-// Tuned configs persist across processes in a versioned JSON cache
+// Tuned tiles persist across processes in a versioned JSON cache
 // (TuneCache) keyed by (problem shape, dtype, cpu signature). Load
 // validates schema version and a per-entry checksum and silently drops
 // anything corrupt, stale, or invalid - a damaged cache file costs a
@@ -44,31 +36,14 @@ namespace m3xu::gemm {
 /// config tuned for one SIMD width may be wrong for another).
 std::string cpu_signature();
 
-/// Everything autotune() can tune: the tile hierarchy plus the
-/// microkernel register-block shape and a recommended thread count.
-/// mk_mr/mk_nr = 0 and threads = 0 mean "no override" (the engine's
-/// per-CPU shape default, the caller's / global pool) - the config the
-/// search gates everything against.
-struct TunedConfig {
-  TileConfig tile;
-  int mk_mr = 0;
-  int mk_nr = 0;
-  /// Dedicated-pool worker count the measurement ran on (0 = defer to
-  /// the execution-time pool). Callers honor it by passing a pool of
-  /// this size via ExecRails; results are bit-identical either way.
-  int threads = 0;
-};
-
-bool same_tuned(const TunedConfig& a, const TunedConfig& b);
-
-/// The candidate tile set autotune() searches when the caller does not
-/// supply one: the default TileConfig first (it is the baseline every
-/// candidate is gated against), then block/warp/chunk combinations
-/// filtered to TileConfig::valid() and the mode's instruction-K
-/// alignment, and trimmed to shapes that are not degenerate for the
-/// problem (a block larger than the whole matrix in both dimensions
-/// duplicates an existing candidate's behavior). `quick` trims to a
-/// handful of candidates for CI smoke runs.
+/// The candidate tile set autotune() searches: the default TileConfig
+/// first (it is the baseline every candidate is gated against), then
+/// block/warp/chunk combinations trimmed to shapes that are not
+/// degenerate for the problem (a block larger than the whole matrix in
+/// both dimensions duplicates an existing candidate's behavior). Every
+/// candidate is TileConfig::valid() with block_k a multiple of the FP32
+/// and FP32C instruction K, so the search validates none. `quick` trims
+/// to a handful of candidates for CI smoke runs.
 std::vector<TileConfig> default_candidates(const PlanKey& key, bool quick);
 
 struct AutotuneOptions {
@@ -77,28 +52,23 @@ struct AutotuneOptions {
   int reps = 3;
   /// Trimmed candidate set (CI smoke).
   bool quick = false;
-  /// Explicit tile-candidate override; empty means
-  /// default_candidates(). Stage 2 (register-block shape x thread
-  /// count) always uses its built-in candidate set.
-  std::vector<TileConfig> candidates;
   /// Measurement hook: seconds for one candidate, lower is better.
   /// Tests inject a deterministic synthetic cost here; the default
   /// (unset) measures wall-clock plan.execute() with a Stopwatch.
-  std::function<double(const TunedConfig&)> measure;
+  std::function<double(const TileConfig&)> measure;
   /// Seed for the deterministic operands the bit-identity gate and the
   /// default measurement run against.
   std::uint64_t seed = 0x74756e65;  // "tune"
 };
 
 struct AutotuneResult {
-  TunedConfig best;
+  TileConfig best;
   /// Median seconds of the winning candidate (0 when served from
   /// cache or when a custom measure hook returned a synthetic cost).
   double best_seconds = 0.0;
   /// Median seconds of the default TileConfig, for speedup reporting.
   double default_seconds = 0.0;
-  int candidates_tried = 0;    // measured candidates (validity survivors)
-  int candidates_invalid = 0;  // rejected by the validators
+  int candidates_tried = 0;  // measured candidates (bit-gate survivors)
   /// Candidates whose result differed bitwise from the default-config
   /// result. Always 0 unless the driver is broken; benches fail on it.
   int bit_mismatches = 0;
@@ -106,20 +76,17 @@ struct AutotuneResult {
   bool from_cache = false;
 };
 
-/// Versioned on-disk store of tuned configs, keyed by (problem shape,
+/// Versioned on-disk store of tuned tiles, keyed by (problem shape,
 /// dtype, cpu signature). One JSON document per path; load() drops
 /// invalid entries, save() rewrites the whole document.
 class TuneCache {
  public:
-  /// v2 added mk_mr / mk_nr / threads to each entry (and to the
-  /// checksummed canonical string). v3 keeps the v2 layout but drops
-  /// v2 winners: the AVX-512 lanes-as-columns kernel changed the cost
-  /// balance that picked block shapes and thread counts, and
-  /// cpu_signature()'s simd=avx512 would still match them. An older
-  /// file fails the version check on load and is dropped wholesale:
-  /// those problems re-tune once and the next save() rewrites the file
-  /// at the current version.
-  static constexpr int kSchemaVersion = 3;
+  /// v4 entries and checksums carry the tile alone; v2 and v3 also
+  /// carried a register-block shape and thread count, which the search
+  /// no longer tunes. An older file fails the version check on load and
+  /// is dropped wholesale: those problems re-tune once and the next
+  /// save() rewrites the file at the current version.
+  static constexpr int kSchemaVersion = 4;
 
   explicit TuneCache(std::string path);
 
@@ -133,13 +100,13 @@ class TuneCache {
   /// Rewrites the cache file. Returns false on I/O failure.
   bool save() const;
 
-  /// The tuned config recorded for (key, signature), if any.
-  std::optional<TunedConfig> lookup(const PlanKey& key,
-                                    const std::string& signature) const;
+  /// The tuned tile recorded for (key, signature), if any.
+  std::optional<TileConfig> lookup(const PlanKey& key,
+                                   const std::string& signature) const;
 
-  /// Records (overwrites) the tuned config for (key, signature).
+  /// Records (overwrites) the tuned tile for (key, signature).
   void store(const PlanKey& key, const std::string& signature,
-             const TunedConfig& tuned, double seconds);
+             const TileConfig& tile, double seconds);
 
   std::size_t size() const { return entries_.size(); }
   /// Entries dropped by the last load() (corrupt checksum, invalid
@@ -148,17 +115,17 @@ class TuneCache {
   const std::string& path() const { return path_; }
 
   /// The integrity checksum an entry must carry (FNV-1a over the
-  /// canonical identity+config string). Exposed so tests can craft
+  /// canonical identity+tile string). Exposed so tests can craft
   /// fixture files with valid and deliberately broken checksums.
   static std::uint64_t entry_checksum(const PlanKey& key,
                                       const std::string& signature,
-                                      const TunedConfig& tuned);
+                                      const TileConfig& tile);
 
  private:
   struct Entry {
     PlanKey key;
     std::string signature;
-    TunedConfig tuned;
+    TileConfig tile;
     double seconds = 0.0;
   };
 
@@ -167,11 +134,10 @@ class TuneCache {
   std::size_t rejected_ = 0;
 };
 
-/// Searches for the fastest bit-identical TunedConfig for `key` on
-/// engines built from `engine_cfg` (tiles first, then register-block
-/// shape x thread count at the winning tile). With a cache, a valid
-/// hit for (key, cpu_signature()) short-circuits the search
-/// (from_cache), and a completed search is stored back and saved.
+/// Searches for the fastest bit-identical TileConfig for `key` on
+/// engines built from `engine_cfg`. With a cache, a valid hit for
+/// (key, cpu_signature()) short-circuits the search (from_cache), and
+/// a completed search is stored back and saved.
 AutotuneResult autotune(const core::M3xuConfig& engine_cfg, const PlanKey& key,
                         const AutotuneOptions& options = {},
                         TuneCache* cache = nullptr);

@@ -131,10 +131,6 @@ struct RecoveryPolicy {
     kPoison,   // overwrite the tile with quiet NaNs, count, continue
   };
   Terminal terminal = Terminal::kThrow;
-  /// Root for the per-tile deterministic retry streams: tile t's retry
-  /// injector is seeded from Rng(seed ^ injector seed).split(t), so
-  /// recovery replays identically regardless of thread interleaving.
-  std::uint64_t retry_seed = 0x5eedbed5ull;
 };
 
 /// Per-execute guard rails: the request-scoped counterpart of a plan's

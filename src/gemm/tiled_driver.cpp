@@ -32,6 +32,11 @@ double eps_per_chunk(int accum_prec) {
 
 namespace {
 
+/// Root for the per-tile deterministic retry streams: tile t's retry
+/// injector is seeded from Rng(kRetrySeed ^ injector seed).split(t), so
+/// recovery replays identically regardless of thread interleaving.
+constexpr std::uint64_t kRetrySeed = 0x5eedbed5ull;
+
 // ABFT outcome counters, mirroring the TiledGemmStats fields so fault
 // recovery shows up in the process-wide metrics export (no-ops when
 // M3XU_TELEMETRY=OFF).
@@ -574,13 +579,12 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
           // counters are shared across tiles, so retries through it
           // would depend on thread interleaving. Each tile instead
           // gets a private injector seeded from
-          // Rng(retry_seed ^ primary seed).split(tile) - a pure
+          // Rng(kRetrySeed ^ primary seed).split(tile) - a pure
           // function of (seeds, tile index).
           std::optional<fault::FaultInjector> retry_inj;
           core::M3xuConfig retry_base = engine.config();
           if (retry_base.injector != nullptr) {
-            retry_inj.emplace(Rng(policy.retry_seed ^
-                                  retry_base.injector->seed())
+            retry_inj.emplace(Rng(kRetrySeed ^ retry_base.injector->seed())
                                   .split(static_cast<std::uint64_t>(t))
                                   .seed(),
                               retry_base.injector->rates());

@@ -50,6 +50,8 @@ struct TileConfig {
     }
     return block_m % warp_m == 0 && block_n % warp_n == 0;
   }
+
+  bool operator==(const TileConfig&) const = default;
 };
 
 /// The tile decomposition one driver call iterates: row strips

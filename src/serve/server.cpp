@@ -92,8 +92,6 @@ GemmServer::GemmServer(const ServerConfig& config)
                  "ServerConfig.default_deadline_ms must be >= 0 (use "
                  "RequestOptions.deadline_ms < 0 for per-request opt-out)");
   M3XU_CHECK_MSG(config_.stall_ms >= 0, "ServerConfig.stall_ms must be >= 0");
-  M3XU_CHECK_MSG(config_.quarantine_tiles_per_tenant >= 1,
-                 "ServerConfig.quarantine_tiles_per_tenant must be >= 1");
   // The plan configs every request compiles with: a bad one fails here,
   // not on an executor thread at the first request.
   gemm::validate_tile_config(config_.tile,
@@ -252,8 +250,7 @@ gemm::TileQuarantine& GemmServer::tenant_quarantine(const std::string& tenant,
   const std::lock_guard<std::mutex> lock(quarantine_mu_);
   auto& slot = quarantines_[std::make_tuple(tenant, grid_m, grid_n)];
   if (slot == nullptr) {
-    slot = std::make_unique<gemm::TileQuarantine>(
-        config_.quarantine_tiles_per_tenant);
+    slot = std::make_unique<gemm::TileQuarantine>();
   }
   return *slot;
 }

@@ -79,11 +79,9 @@ struct ServerConfig {
   /// ABFT guard for every request (serving typically enables it).
   gemm::AbftConfig abft;
   /// Recovery ladder template. Under the ladder each request runs with
-  /// its tenant's quarantine (ExecRails::quarantine).
+  /// its tenant's quarantine (ExecRails::quarantine), one per tile grid,
+  /// each holding up to TileQuarantine::kDefaultCapacity tiles.
   gemm::RecoveryPolicy recovery;
-  /// LRU capacity of each tenant's per-grid TileQuarantine.
-  std::size_t quarantine_tiles_per_tenant =
-      gemm::TileQuarantine::kDefaultCapacity;
   /// Shared prepacked-B cache: max cached panels, and whether hits
   /// re-verify the entry checksum.
   std::size_t pack_cache_entries = 256;

@@ -36,13 +36,17 @@ bool git_dirty() {
 
 }  // namespace
 
+std::string compiler_version() {
+#if defined(__VERSION__)
+  return __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 Environment collect_environment() {
   Environment env;
-#if defined(__VERSION__)
-  env.compiler = __VERSION__;
-#else
-  env.compiler = "unknown";
-#endif
+  env.compiler = compiler_version();
   env.git_rev = git_revision();
   env.git_dirty = git_dirty();
   return env;

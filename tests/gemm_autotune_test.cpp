@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/mxu.hpp"
 #include "gemm/autotune.hpp"
 #include "gemm/tiled_driver.hpp"
 
@@ -31,19 +32,10 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
-bool same_tile(const TileConfig& a, const TileConfig& b) {
-  return a.block_m == b.block_m && a.block_n == b.block_n &&
-         a.block_k == b.block_k && a.warp_m == b.warp_m &&
-         a.warp_n == b.warp_n;
-}
-
 /// Synthetic cost: prefers one specific candidate, deterministic across
-/// runs, so search outcomes do not depend on wall-clock noise. Stage-2
-/// candidates share the winning tile, so the flat tile-based cost also
-/// pins the width/parallelism overrides to "none" (strictly-less keeps
-/// the stage-1 winner on ties).
-double synthetic_cost(const TunedConfig& t) {
-  return (t.tile.block_m == 32 && t.tile.block_n == 32) ? 1.0 : 2.0;
+/// runs, so search outcomes do not depend on wall-clock noise.
+double synthetic_cost(const TileConfig& t) {
+  return (t.block_m == 32 && t.block_n == 32) ? 1.0 : 2.0;
 }
 
 TEST(CpuSignature, NonEmptyAndStable) {
@@ -53,17 +45,33 @@ TEST(CpuSignature, NonEmptyAndStable) {
 }
 
 TEST(DefaultCandidates, StartWithDefaultAndAllValid) {
-  const PlanKey key{256, 256, 256, false};
-  for (const bool quick : {false, true}) {
-    const std::vector<TileConfig> cands = default_candidates(key, quick);
-    ASSERT_FALSE(cands.empty());
-    EXPECT_TRUE(same_tile(cands.front(), TileConfig{}));
-    for (const TileConfig& tile : cands) {
-      EXPECT_TRUE(tile.valid());
+  // The search runs every candidate straight into plan compile, so the
+  // generator alone guarantees what compile validates: a valid tile
+  // whose block_k is a multiple of the mode's instruction K. Shapes:
+  // the perfbench workloads (512^3 and 32x128x128 FP32, 228x228x96
+  // FP32C) and bench_autotune's full and quick defaults.
+  const PlanKey keys[] = {{512, 512, 512, false}, {32, 128, 128, false},
+                          {228, 228, 96, true},   {256, 256, 256, false},
+                          {128, 128, 128, true},  {96, 96, 96, false},
+                          {48, 48, 48, true}};
+  for (const PlanKey& key : keys) {
+    SCOPED_TRACE(plan_key_label(key));
+    const int inst_k =
+        core::shape_for(key.cplx ? core::MxuMode::kFp32Complex
+                                 : core::MxuMode::kFp32)
+            .k;
+    for (const bool quick : {false, true}) {
+      const std::vector<TileConfig> cands = default_candidates(key, quick);
+      ASSERT_FALSE(cands.empty());
+      EXPECT_EQ(cands.front(), TileConfig{});
+      for (const TileConfig& tile : cands) {
+        EXPECT_TRUE(tile.valid());
+        EXPECT_EQ(tile.block_k % inst_k, 0) << tile.block_k;
+      }
     }
+    EXPECT_LT(default_candidates(key, true).size(),
+              default_candidates(key, false).size());
   }
-  EXPECT_LT(default_candidates(key, true).size(),
-            default_candidates(key, false).size());
 }
 
 TEST(Autotune, DeterministicUnderFixedSeedAndCostModel) {
@@ -75,37 +83,13 @@ TEST(Autotune, DeterministicUnderFixedSeedAndCostModel) {
 
   const AutotuneResult first = autotune(core::M3xuConfig{}, key, opts);
   const AutotuneResult second = autotune(core::M3xuConfig{}, key, opts);
-  EXPECT_TRUE(same_tuned(first.best, second.best));
+  EXPECT_EQ(first.best, second.best);
   EXPECT_EQ(first.candidates_tried, second.candidates_tried);
   EXPECT_EQ(first.bit_mismatches, 0);
   EXPECT_EQ(second.bit_mismatches, 0);
-  // The synthetic cost singles out the 32x32 block candidate and no
-  // width/parallelism override (flat cost across stage 2).
-  EXPECT_EQ(first.best.tile.block_m, 32);
-  EXPECT_EQ(first.best.tile.block_n, 32);
-  EXPECT_EQ(first.best.mk_mr, 0);
-  EXPECT_EQ(first.best.mk_nr, 0);
-  EXPECT_EQ(first.best.threads, 0);
-}
-
-TEST(Autotune, Stage2PicksCheaperRegisterBlockShape) {
-  // A cost model that rewards the 8x8 register block makes stage 2
-  // override the microkernel shape - and the winner passed the same
-  // bit-identity gate as every tile candidate.
-  const PlanKey key{64, 64, 64, false};
-  AutotuneOptions opts;
-  opts.quick = true;
-  opts.reps = 1;
-  opts.measure = [](const TunedConfig& t) {
-    double cost = (t.tile.block_m == 32 && t.tile.block_n == 32) ? 1.0 : 2.0;
-    if (t.mk_mr == 8 && t.mk_nr == 8) cost -= 0.5;
-    return cost;
-  };
-  const AutotuneResult result = autotune(core::M3xuConfig{}, key, opts);
-  EXPECT_EQ(result.bit_mismatches, 0);
-  EXPECT_EQ(result.best.tile.block_m, 32);
-  EXPECT_EQ(result.best.mk_mr, 8);
-  EXPECT_EQ(result.best.mk_nr, 8);
+  // The synthetic cost singles out the 32x32 block candidate.
+  EXPECT_EQ(first.best.block_m, 32);
+  EXPECT_EQ(first.best.block_n, 32);
 }
 
 TEST(Autotune, EveryQuickCandidateIsBitIdentical) {
@@ -128,7 +112,7 @@ TEST(Autotune, EveryQuickCandidateIsBitIdentical) {
 TEST(TuneCache, RoundTripsThroughTheFile) {
   const std::string path = temp_path("tune_roundtrip.json");
   const PlanKey key{96, 96, 96, false};
-  const TunedConfig tuned{TileConfig{32, 32, 32, 16, 16}, 6, 8, 2};
+  const TileConfig tuned{32, 32, 32, 16, 16};
 
   TuneCache writer(path);
   writer.store(key, cpu_signature(), tuned, 0.5);
@@ -138,9 +122,9 @@ TEST(TuneCache, RoundTripsThroughTheFile) {
   ASSERT_TRUE(reader.load());
   EXPECT_EQ(reader.size(), 1u);
   EXPECT_EQ(reader.rejected(), 0u);
-  const std::optional<TunedConfig> hit = reader.lookup(key, cpu_signature());
+  const std::optional<TileConfig> hit = reader.lookup(key, cpu_signature());
   ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(same_tuned(*hit, tuned));
+  EXPECT_EQ(*hit, tuned);
   // Different shape or signature: no hit.
   EXPECT_FALSE(reader.lookup({96, 96, 97, false}, cpu_signature()));
   EXPECT_FALSE(reader.lookup(key, "other-host"));
@@ -163,7 +147,7 @@ TEST(TuneCache, SecondAutotuneIsServedFromCache) {
   const AutotuneResult reloaded =
       autotune(core::M3xuConfig{}, key, opts, &fresh);
   EXPECT_TRUE(reloaded.from_cache);
-  EXPECT_TRUE(same_tuned(reloaded.best, tuned.best));
+  EXPECT_EQ(reloaded.best, tuned.best);
 }
 
 TEST(TuneCache, GarbageFileLoadsEmptyAndRetunes) {
@@ -190,29 +174,35 @@ TEST(TuneCache, GarbageFileLoadsEmptyAndRetunes) {
 }
 
 TEST(TuneCache, SchemaVersionMismatchIsRejectedWhole) {
-  const std::string path = temp_path("tune_schema.json");
-  const PlanKey key{96, 96, 96, false};
-  TuneCache writer(path);
-  writer.store(key, cpu_signature(), TunedConfig{}, 0.5);
-  ASSERT_TRUE(writer.save());
+  // 3 is the last schema whose entries carried a register-block shape
+  // and thread count; such files migrate by re-tuning, like any other.
+  for (const int version : {3, 999}) {
+    SCOPED_TRACE(version);
+    const std::string path = temp_path("tune_schema.json");
+    const PlanKey key{96, 96, 96, false};
+    TuneCache writer(path);
+    writer.store(key, cpu_signature(), TileConfig{}, 0.5);
+    ASSERT_TRUE(writer.save());
 
-  std::string text = read_file(path);
-  const std::string want =
-      "\"schema_version\": " + std::to_string(TuneCache::kSchemaVersion);
-  const std::size_t pos = text.find(want);
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, want.size(), "\"schema_version\": 999");
-  write_file(path, text);
+    std::string text = read_file(path);
+    const std::string want =
+        "\"schema_version\": " + std::to_string(TuneCache::kSchemaVersion);
+    const std::size_t pos = text.find(want);
+    ASSERT_NE(pos, std::string::npos);
+    text.replace(pos, want.size(),
+                 "\"schema_version\": " + std::to_string(version));
+    write_file(path, text);
 
-  TuneCache reader(path);
-  EXPECT_FALSE(reader.load());
-  EXPECT_EQ(reader.size(), 0u);
+    TuneCache reader(path);
+    EXPECT_FALSE(reader.load());
+    EXPECT_EQ(reader.size(), 0u);
+  }
 }
 
 TEST(TuneCache, TamperedTileFailsItsChecksum) {
   const std::string path = temp_path("tune_tamper.json");
   const PlanKey key{96, 96, 96, false};
-  const TunedConfig tuned{TileConfig{64, 64, 32, 32, 32}, 0, 0, 0};
+  const TileConfig tuned{64, 64, 32, 32, 32};
   TuneCache writer(path);
   writer.store(key, cpu_signature(), tuned, 0.5);
   ASSERT_TRUE(writer.save());
@@ -238,8 +228,8 @@ TEST(TuneCache, InvalidTileIsRejectedEvenWithValidChecksum) {
   // must still reject it - the checksum proves integrity, not validity.
   const std::string path = temp_path("tune_invalid_tile.json");
   const PlanKey key{64, 64, 64, false};
-  TunedConfig bad{};
-  bad.tile.block_m = 0;
+  TileConfig bad{};
+  bad.block_m = 0;
   const std::uint64_t sum =
       TuneCache::entry_checksum(key, cpu_signature(), bad);
 
@@ -251,33 +241,14 @@ TEST(TuneCache, InvalidTileIsRejectedEvenWithValidChecksum) {
       << "      \"cplx\": false,\n"
       << "      \"cpu\": \"" << cpu_signature() << "\",\n"
       << "      \"tile\": {\n"
-      << "        \"block_m\": " << bad.tile.block_m << ",\n"
-      << "        \"block_n\": " << bad.tile.block_n << ",\n"
-      << "        \"block_k\": " << bad.tile.block_k << ",\n"
-      << "        \"warp_m\": " << bad.tile.warp_m << ",\n"
-      << "        \"warp_n\": " << bad.tile.warp_n << "\n      },\n"
-      << "      \"mk_mr\": " << bad.mk_mr << ",\n"
-      << "      \"mk_nr\": " << bad.mk_nr << ",\n"
-      << "      \"threads\": " << bad.threads << ",\n"
+      << "        \"block_m\": " << bad.block_m << ",\n"
+      << "        \"block_n\": " << bad.block_n << ",\n"
+      << "        \"block_k\": " << bad.block_k << ",\n"
+      << "        \"warp_m\": " << bad.warp_m << ",\n"
+      << "        \"warp_n\": " << bad.warp_n << "\n      },\n"
       << "      \"seconds\": 0.5,\n"
       << "      \"checksum\": \"" << sum << "\"\n    }\n  ]\n}\n";
   write_file(path, doc.str());
-
-  TuneCache reader(path);
-  EXPECT_TRUE(reader.load());
-  EXPECT_EQ(reader.size(), 0u);
-  EXPECT_EQ(reader.rejected(), 1u);
-}
-
-TEST(TuneCache, UnsupportedRegisterBlockIsRejectedOnLoad) {
-  // Same validity-vs-integrity split as the invalid-tile case: a v2
-  // entry whose mk_mr/mk_nr pair no microkernel template implements is
-  // dropped on load even though its checksum is correct.
-  const std::string path = temp_path("tune_bad_mk.json");
-  const PlanKey key{96, 96, 96, false};
-  TuneCache writer(path);
-  writer.store(key, cpu_signature(), TunedConfig{TileConfig{}, 5, 5, 0}, 0.5);
-  ASSERT_TRUE(writer.save());
 
   TuneCache reader(path);
   EXPECT_TRUE(reader.load());
@@ -292,7 +263,7 @@ TEST(TuneCache, NumericChecksumIsRejected) {
   const std::string path = temp_path("tune_numeric_checksum.json");
   const PlanKey key{96, 96, 96, false};
   TuneCache writer(path);
-  writer.store(key, cpu_signature(), TunedConfig{}, 0.5);
+  writer.store(key, cpu_signature(), TileConfig{}, 0.5);
   ASSERT_TRUE(writer.save());
 
   std::string text = read_file(path);

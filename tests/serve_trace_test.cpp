@@ -49,16 +49,18 @@ ServerConfig base_config() {
 
 /// seq of the first event with `name`, or -1 when absent. seq is the
 /// context's append order, i.e. the causal order of the timeline.
-long first_seq(const std::vector<telemetry::TraceEvent>& events,
-               const std::string& name) {
+[[maybe_unused]] long first_seq(
+    const std::vector<telemetry::TraceEvent>& events,
+    const std::string& name) {
   for (const telemetry::TraceEvent& e : events) {
     if (name == e.name) return static_cast<long>(e.seq);
   }
   return -1;
 }
 
-long count_events(const std::vector<telemetry::TraceEvent>& events,
-                  const std::string& name) {
+[[maybe_unused]] long count_events(
+    const std::vector<telemetry::TraceEvent>& events,
+    const std::string& name) {
   long n = 0;
   for (const telemetry::TraceEvent& e : events) {
     if (name == e.name) ++n;

@@ -90,9 +90,9 @@ TEST(TelemetryRoutes, TiledSgemmStatsMatchEngineCounters) {
   const TiledGemmStats stats = run_plan(cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
   ASSERT_GT(stats.mma_instructions, 0);
+#if M3XU_TELEMETRY_ENABLED
   const m3xu::core::MmaShape shape =
       m3xu::core::shape_for(m3xu::core::MxuMode::kFp32);
-#if M3XU_TELEMETRY_ENABLED
   EXPECT_EQ(element_chunk_pairs(after, before, "fp32"),
             static_cast<std::uint64_t>(stats.mma_instructions) * shape.m *
                 shape.n);
@@ -124,11 +124,11 @@ TEST(TelemetryRoutes, TiledSgemmUnalignedGeometry) {
     chunks += static_cast<std::uint64_t>((kc + inst_k - 1) / inst_k);
   }
   const telemetry::Snapshot before = telemetry::snapshot();
-  const TiledGemmStats stats = run_plan(cfg, a, b, c);
+  [[maybe_unused]] const TiledGemmStats stats = run_plan(cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
+#if M3XU_TELEMETRY_ENABLED
   const m3xu::core::MmaShape shape =
       m3xu::core::shape_for(m3xu::core::MxuMode::kFp32);
-#if M3XU_TELEMETRY_ENABLED
   const std::uint64_t pairs = element_chunk_pairs(after, before, "fp32");
   EXPECT_EQ(pairs, static_cast<std::uint64_t>(m) * n * chunks);
   EXPECT_LE(pairs, static_cast<std::uint64_t>(stats.mma_instructions) *
@@ -159,9 +159,9 @@ TEST(TelemetryRoutes, TiledCgemmStatsMatchEngineCounters) {
   const TiledGemmStats stats = run_plan(cfg, a, b, c);
   const telemetry::Snapshot after = telemetry::snapshot();
   ASSERT_GT(stats.mma_instructions, 0);
+#if M3XU_TELEMETRY_ENABLED
   const m3xu::core::MmaShape shape =
       m3xu::core::shape_for(m3xu::core::MxuMode::kFp32Complex);
-#if M3XU_TELEMETRY_ENABLED
   EXPECT_EQ(element_chunk_pairs(after, before, "fp32c"),
             static_cast<std::uint64_t>(stats.mma_instructions) * shape.m *
                 shape.n);
