@@ -32,9 +32,8 @@ double eps_per_chunk(int accum_prec) {
 
 namespace {
 
-/// Root for the per-tile deterministic retry streams: tile t's retry
-/// injector is seeded from Rng(kRetrySeed ^ injector seed).split(t), so
-/// recovery replays identically regardless of thread interleaving.
+/// Root of the per-tile retry injector seeds (the demotion ladder in
+/// run_tiled explains why they are per tile).
 constexpr std::uint64_t kRetrySeed = 0x5eedbed5ull;
 
 // ABFT outcome counters, mirroring the TiledGemmStats fields so fault
