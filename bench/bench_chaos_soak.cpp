@@ -13,7 +13,8 @@
 //     allocation failures on a 1-thread pool (the uniform grid fixes
 //     the fallback count); the per-dot fallback must be bit-exact;
 //   worker_stall  - injected worker sleeps; the GEMM must complete
-//     bit-exactly (no watchdog armed, so the stall only costs time);
+//     bit-exactly (no deadline or stall window, so the stall only
+//     costs time);
 //   cancellation  - a timer thread latches a CancellationToken mid
 //     GEMM; the call either completes bit-exactly or throws
 //     CancelledError - nothing else;
@@ -321,7 +322,7 @@ void soak_alloc_domain(DomainStats& d, int trials, const Rng& root) {
   }
 }
 
-/// Worker-stall domain without a watchdog: injected sleeps must only
+/// Worker-stall domain without time limits: injected sleeps must only
 /// cost time, never bits.
 void soak_stall_domain(DomainStats& d, int trials, const Rng& root) {
   const Geometry g = multi_tile();

@@ -53,6 +53,7 @@
 #include "gemm/matrix.hpp"
 #include "gemm/plan.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/exposition.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/stopwatch.hpp"
 #include "telemetry/telemetry.hpp"
@@ -681,7 +682,8 @@ int main(int argc, char** argv) {
                  trace_path.c_str());
     return 2;
   }
-  if (!metrics_path.empty() && !telemetry::export_json(metrics_path)) {
+  if (!metrics_path.empty() &&
+      !telemetry::write_snapshot_json(metrics_path)) {
     std::fprintf(stderr, "bench_gemm_baseline: cannot write %s\n",
                  metrics_path.c_str());
     return 2;

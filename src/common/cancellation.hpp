@@ -1,32 +1,24 @@
 // Cooperative cancellation for long-running parallel work.
 //
 // A CancellationToken is a thread-safe flag plus a human-readable
-// reason and a machine-readable CancelReason tag. Producers (a timeout
-// thread, the serving layer's admission control, an RPC layer) call
+// reason and a machine-readable CancelReason tag. Producers (the
+// serving layer's admission control, an RPC layer, a user) call
 // request_cancel(); consumers (ThreadPool::parallel_for, the tiled
-// GEMM driver's per-chunk checkpoints) poll cancelled() or call
+// GEMM driver's per-K-block checkpoints) poll cancelled() or call
 // check(), which throws CancelledError. Cancellation is purely
-// cooperative: work only stops at the next checkpoint, so a
-// non-cooperative stall needs the ThreadPool watchdog (deadline /
-// stall detection in ParallelOptions) on top.
-//
-// cancel_after() arms a background one-shot timer (CancelTimer, RAII:
-// destroying the timer disarms it) that latches the token after a wall
-// delay - the serving layer uses it to propagate per-request deadlines
-// end-to-end without polling. The reason tag distinguishes who pulled
-// the trigger (user cancel, deadline, load shed, stall watchdog), is
-// carried on CancelledError, and is mirrored into cancel.* telemetry
-// counters. See docs/RESILIENCE.md and docs/SERVING.md.
+// cooperative: work only stops at the next checkpoint. Wall deadlines
+// and stall windows (ParallelOptions, gemm::ExecRails) are read off
+// the clock at those same checkpoints and abort with DeadlineExceeded.
+// The reason tag distinguishes who pulled the trigger (user cancel,
+// deadline, load shed, stall), is carried on CancelledError, and is
+// mirrored into cancel.* telemetry counters when a token latches. See
+// docs/RESILIENCE.md and docs/SERVING.md.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "telemetry/telemetry.hpp"
 
@@ -40,9 +32,9 @@ namespace m3xu {
 enum class CancelReason : int {
   kUnspecified = 0,  // legacy callers that never tagged their cancel
   kUser = 1,         // an explicit caller-initiated cancel
-  kDeadline = 2,     // a wall deadline elapsed (timer or watchdog)
+  kDeadline = 2,     // a wall deadline elapsed
   kShed = 3,         // admission control / load shedding
-  kStall = 4,        // the watchdog saw no progress for the stall window
+  kStall = 4,        // no iteration completed for the stall window
 };
 
 inline const char* cancel_reason_name(CancelReason reason) {
@@ -89,10 +81,10 @@ inline void count_cancel_reason(CancelReason reason) {
 }
 }  // namespace detail
 
-/// A run was cancelled via a CancellationToken (or aborted by the
-/// ThreadPool watchdog, whose errors derive from this so one catch
-/// clause covers every cooperative abort). reason() carries the
-/// CancelReason tag of whoever triggered the abort.
+/// A run was cancelled via a CancellationToken (or aborted by a time
+/// limit, whose errors derive from this so one catch clause covers
+/// every cooperative abort). reason() carries the CancelReason tag of
+/// whoever triggered the abort.
 class CancelledError : public std::runtime_error {
  public:
   explicit CancelledError(const std::string& what,
@@ -105,8 +97,8 @@ class CancelledError : public std::runtime_error {
   CancelReason reason_;
 };
 
-/// The ThreadPool watchdog aborted a parallel_for: either the wall
-/// deadline elapsed (reason kDeadline) or no worker made progress for
+/// A guarded run hit a time limit at a checkpoint: either the wall
+/// deadline elapsed (reason kDeadline) or no iteration completed for
 /// the stall window (reason kStall). The message distinguishes the two
 /// as well.
 class DeadlineExceeded : public CancelledError {
@@ -115,8 +107,6 @@ class DeadlineExceeded : public CancelledError {
                             CancelReason reason = CancelReason::kDeadline)
       : CancelledError(what, reason) {}
 };
-
-class CancelTimer;
 
 class CancellationToken {
  public:
@@ -163,62 +153,11 @@ class CancellationToken {
     }
   }
 
-  /// Arms a one-shot timer that latches this token with `tag` after
-  /// `delay_ms` of wall time. Returns the RAII timer: the token is
-  /// only latched while the timer is alive, and destroying it disarms
-  /// (and joins) the timer thread, so the token's lifetime safely
-  /// bounds the timer's. Defined below CancelTimer.
-  CancelTimer cancel_after(std::int64_t delay_ms,
-                           CancelReason tag = CancelReason::kDeadline,
-                           const std::string& reason = "deadline exceeded");
-
  private:
   std::atomic<bool> cancelled_{false};
   mutable std::mutex mu_;
   std::string reason_;
   CancelReason tag_ = CancelReason::kUnspecified;
 };
-
-/// One-shot deadline timer bound to a CancellationToken (see
-/// CancellationToken::cancel_after). Non-copyable and non-movable: it
-/// owns a thread whose closure captures `this`. Keep it on the stack
-/// (or as a member) that outlives neither the token nor the work it
-/// guards; its destructor wakes and joins the thread, so disarming a
-/// not-yet-fired timer is prompt (no sleep-out wait).
-class CancelTimer {
- public:
-  CancelTimer(CancellationToken& token, std::int64_t delay_ms,
-              CancelReason tag, const std::string& reason)
-      : thread_([this, &token, delay_ms, tag, reason] {
-          std::unique_lock<std::mutex> lock(mu_);
-          cv_.wait_for(lock, std::chrono::milliseconds(delay_ms),
-                       [&] { return disarmed_; });
-          if (!disarmed_) token.request_cancel(reason, tag);
-        }) {}
-
-  CancelTimer(const CancelTimer&) = delete;
-  CancelTimer& operator=(const CancelTimer&) = delete;
-
-  ~CancelTimer() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      disarmed_ = true;
-    }
-    cv_.notify_one();
-    thread_.join();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool disarmed_ = false;
-  std::thread thread_;
-};
-
-inline CancelTimer CancellationToken::cancel_after(std::int64_t delay_ms,
-                                                   CancelReason tag,
-                                                   const std::string& reason) {
-  return CancelTimer(*this, delay_ms, tag, reason);
-}
 
 }  // namespace m3xu

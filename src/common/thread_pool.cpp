@@ -23,9 +23,10 @@ telemetry::Counter tp_iters("threadpool.iterations");
 telemetry::Counter tp_busy_ns("threadpool.worker_busy_ns");
 telemetry::Counter tp_wall_ns("threadpool.wall_ns");
 telemetry::Histogram tp_depth("threadpool.queue_depth");
-// Guard-rail outcomes: every watchdog launch, and every abort by
-// cause. Clean guarded runs bump watches only - the zero-false-
-// positive property tests assert on exactly these counters.
+// Guard-rail outcomes: every pooled call with a time limit, and every
+// abort the pool's own checks latch, by cause. Clean guarded runs bump
+// watches only - the zero-false-positive property tests assert on
+// exactly these counters.
 telemetry::Counter tp_cancellations("threadpool.cancellations");
 telemetry::Counter tp_watches("threadpool.watchdog.watches");
 telemetry::Counter tp_deadline_fired("threadpool.watchdog.deadline_fired");
@@ -34,6 +35,17 @@ telemetry::Counter tp_stalls("threadpool.watchdog.stalls_detected");
 // and how long they queued before acquiring it.
 telemetry::Counter tp_submit_queued("threadpool.submissions_queued");
 telemetry::Histogram tp_submit_wait("threadpool.submit_wait_ns");
+
+/// The now_ns() instant `options.deadline_ms` after `start_ns`.
+std::uint64_t deadline_at(const ParallelOptions& options,
+                          std::uint64_t start_ns) {
+  return start_ns + static_cast<std::uint64_t>(options.deadline_ms) * 1'000'000;
+}
+
+std::string deadline_message(const ParallelOptions& options) {
+  return "parallel_for exceeded its deadline of " +
+         std::to_string(options.deadline_ms) + " ms";
+}
 
 }  // namespace
 
@@ -58,6 +70,39 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
+bool ThreadPool::Task::stopping(bool completed) {
+  if (stop_cause.load(std::memory_order_relaxed) != kStopNone) return true;
+  int cause = kStopNone;
+  if (!completed && token != nullptr && token->cancelled()) {
+    cause = kStopToken;
+  } else if (timed()) {
+    const std::uint64_t now = telemetry::now_ns();
+    if (completed && stall_ns != 0) {
+      // The gap since the previous completion. A gap that reached the
+      // stall window before the deadline is a stall even if it ends
+      // past the deadline: the window was the first limit crossed.
+      // Concurrent completions may swap in slightly out of order; a
+      // negative gap is no stall.
+      const std::uint64_t last = last_progress_ns.exchange(now);
+      if (now > last && now - last >= stall_ns &&
+          (deadline_ns == 0 || last + stall_ns < deadline_ns)) {
+        cause = kStopStall;
+      }
+    }
+    if (cause == kStopNone && deadline_ns != 0 && now >= deadline_ns) {
+      cause = kStopDeadline;
+    }
+  }
+  if (cause == kStopNone) return false;
+  int expected = kStopNone;
+  if (stop_cause.compare_exchange_strong(expected, cause)) {
+    if (cause == kStopToken) tp_cancellations.increment();
+    if (cause == kStopDeadline) tp_deadline_fired.increment();
+    if (cause == kStopStall) tp_stalls.increment();
+  }
+  return true;
+}
+
 void ThreadPool::drain(Task& task) {
   const ThreadPool* const prev_pool = draining_pool_;
   draining_pool_ = this;
@@ -67,30 +112,10 @@ void ThreadPool::drain(Task& task) {
     if (begin >= task.end) break;
     tp_depth.record(task.end - begin);
     std::size_t end = std::min(begin + task.chunk, task.end);
-    bool skip = task.failed.load(std::memory_order_relaxed);
-    if (task.guarded && !skip) {
-      if (task.stop_cause.load(std::memory_order_relaxed) == kStopNone &&
-          task.token != nullptr && task.token->cancelled()) {
-        int expected = kStopNone;
-        if (task.stop_cause.compare_exchange_strong(expected, kStopToken)) {
-          tp_cancellations.increment();
-        }
-      }
-      skip = task.stop_cause.load(std::memory_order_relaxed) != kStopNone;
-    }
-    if (!skip) {
+    if (!task.failed.load(std::memory_order_relaxed)) {
       for (std::size_t i = begin; i < end; ++i) {
-        if (task.guarded) {
-          if (task.token != nullptr && task.token->cancelled()) {
-            int expected = kStopNone;
-            if (task.stop_cause.compare_exchange_strong(expected,
-                                                        kStopToken)) {
-              tp_cancellations.increment();
-            }
-          }
-          if (task.stop_cause.load(std::memory_order_relaxed) != kStopNone) {
-            break;  // remaining iterations counted below
-          }
+        if (task.guarded && task.stopping(false)) {
+          break;  // remaining iterations counted below
         }
         try {
           (*task.fn)(i);
@@ -102,9 +127,7 @@ void ThreadPool::drain(Task& task) {
           task.failed.store(true, std::memory_order_relaxed);
           break;  // skip the rest of this chunk
         }
-        if (task.guarded) {
-          task.progress.fetch_add(1, std::memory_order_relaxed);
-        }
+        if (task.timed()) task.stopping(true);
       }
     }
     // Iterations skipped after a failure or guard abort still count as
@@ -161,7 +184,6 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
                  "submit to the same pool (the inner call would wait on the "
                  "task its own thread is executing)");
   Task task;
-  prepare(task, n, grain, fn, options);
   {
     // Acquire the pool. The pool runs one task at a time; concurrent
     // submitters queue here until the running task retires. The wait
@@ -182,17 +204,15 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
               options.token->reason_tag());
         }
         if (options.deadline_ms > 0 &&
-            telemetry::now_ns() - start_ns >=
-                static_cast<std::uint64_t>(options.deadline_ms) * 1'000'000) {
+            telemetry::now_ns() >= deadline_at(options, start_ns)) {
           tp_deadline_fired.increment();
-          throw DeadlineExceeded(
-              "parallel_for exceeded its deadline of " +
-              std::to_string(options.deadline_ms) +
-              " ms while queued for the pool");
+          throw DeadlineExceeded(deadline_message(options) +
+                                 " while queued for the pool");
         }
       }
       tp_submit_wait.record(static_cast<std::uint64_t>(queued.elapsed_ns()));
     }
+    prepare(task, n, grain, fn, options, start_ns);
     current_ = &task;
     ++generation_;
   }
@@ -208,13 +228,13 @@ bool ThreadPool::try_parallel_for(std::size_t n, std::size_t grain,
   }
   const std::uint64_t start_ns = telemetry::now_ns();
   Task task;
-  prepare(task, n, grain, fn, options);
   {
     // Check and claim under one lock: a busy pool (another caller's
     // task, or this thread's own task when called from a body) is
     // reported, never waited for, so submissions_queued cannot move.
     const std::lock_guard<std::mutex> lock(mu_);
     if (current_ != nullptr) return false;
+    prepare(task, n, grain, fn, options, start_ns);
     current_ = &task;
     ++generation_;
   }
@@ -232,11 +252,16 @@ void ThreadPool::run_inline(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Guarded: token and deadline are checked between iterations (stall
-  // detection needs a concurrent observer and a stalled serial
-  // iteration blocks the check anyway, so it reduces to the deadline
-  // here).
-  const telemetry::Stopwatch wall;
+  // Guarded: the token is checked before every iteration, the
+  // deadline before and after each.
+  const std::uint64_t deadline_ns =
+      options.deadline_ms > 0 ? deadline_at(options, telemetry::now_ns()) : 0;
+  const auto check_deadline = [&] {
+    if (deadline_ns != 0 && telemetry::now_ns() >= deadline_ns) {
+      tp_deadline_fired.increment();
+      throw DeadlineExceeded(deadline_message(options));
+    }
+  };
   for (std::size_t i = 0; i < n; ++i) {
     if (options.token != nullptr && options.token->cancelled()) {
       tp_cancellations.increment();
@@ -244,20 +269,16 @@ void ThreadPool::run_inline(std::size_t n,
           "parallel_for cancelled: " + options.token->reason(),
           options.token->reason_tag());
     }
-    if (options.deadline_ms > 0 &&
-        wall.elapsed_ns() >=
-            static_cast<std::uint64_t>(options.deadline_ms) * 1'000'000) {
-      tp_deadline_fired.increment();
-      throw DeadlineExceeded("parallel_for exceeded its deadline of " +
-                             std::to_string(options.deadline_ms) + " ms");
-    }
+    check_deadline();
     fn(i);
   }
+  check_deadline();
 }
 
 void ThreadPool::prepare(Task& task, std::size_t n, std::size_t grain,
                          const std::function<void(std::size_t)>& fn,
-                         const ParallelOptions& options) const {
+                         const ParallelOptions& options,
+                         std::uint64_t start_ns) const {
   task.fn = &fn;
   task.end = n;
   // Default grain aims for ~4 chunks per thread to balance load
@@ -267,64 +288,18 @@ void ThreadPool::prepare(Task& task, std::size_t n, std::size_t grain,
                    : std::max<std::size_t>(1, n / (4 * thread_count()));
   task.guarded = options.guarded();
   task.token = options.token;
+  if (options.deadline_ms > 0) {
+    task.deadline_ns = deadline_at(options, start_ns);
+  }
+  if (options.stall_ms > 0) {
+    task.stall_ns = static_cast<std::uint64_t>(options.stall_ms) * 1'000'000;
+    task.last_progress_ns.store(telemetry::now_ns(), std::memory_order_relaxed);
+  }
 }
 
 void ThreadPool::run_claimed(Task& task, const ParallelOptions& options,
                              std::uint64_t start_ns) {
-  // Per-call watchdog: polls the task's heartbeat until the caller's
-  // completion wait finishes. Spawned only for guarded calls with a
-  // deadline or stall window, so the clean path never pays for it.
-  // Started after pool acquisition (the queue wait above already
-  // enforces the deadline), watching only the remaining budget.
-  std::int64_t remaining_deadline_ms = options.deadline_ms;
-  if (options.deadline_ms > 0) {
-    remaining_deadline_ms = std::max<std::int64_t>(
-        1, options.deadline_ms -
-               static_cast<std::int64_t>(telemetry::now_ns() - start_ns) /
-                   1'000'000);
-  }
-  std::thread watchdog;
-  std::mutex watch_mu;
-  std::condition_variable watch_cv;
-  bool watch_done = false;
-  if (options.deadline_ms > 0 || options.stall_ms > 0) {
-    tp_watches.increment();
-    watchdog = std::thread([&] {
-      using clock = std::chrono::steady_clock;
-      const auto t0 = clock::now();
-      std::size_t last_progress = 0;
-      auto last_change = t0;
-      std::unique_lock<std::mutex> lock(watch_mu);
-      while (!watch_done) {
-        watch_cv.wait_for(lock, std::chrono::milliseconds(1));
-        if (watch_done) break;
-        const auto now = clock::now();
-        if (options.deadline_ms > 0 &&
-            now - t0 >= std::chrono::milliseconds(remaining_deadline_ms)) {
-          int expected = kStopNone;
-          if (task.stop_cause.compare_exchange_strong(expected,
-                                                      kStopDeadline)) {
-            tp_deadline_fired.increment();
-          }
-        }
-        if (options.stall_ms > 0) {
-          const std::size_t p = task.progress.load(std::memory_order_relaxed);
-          if (p != last_progress) {
-            last_progress = p;
-            last_change = now;
-          } else if (p < task.end &&
-                     now - last_change >=
-                         std::chrono::milliseconds(options.stall_ms)) {
-            int expected = kStopNone;
-            if (task.stop_cause.compare_exchange_strong(expected,
-                                                        kStopStall)) {
-              tp_stalls.increment();
-            }
-          }
-        }
-      }
-    });
-  }
+  if (task.timed()) tp_watches.increment();
   cv_.notify_all();
   drain(task);
   {
@@ -338,14 +313,6 @@ void ThreadPool::run_claimed(Task& task, const ParallelOptions& options,
   }
   // Hand the pool to the next queued submitter, if any.
   submit_cv_.notify_one();
-  if (watchdog.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(watch_mu);
-      watch_done = true;
-    }
-    watch_cv.notify_one();
-    watchdog.join();
-  }
   tp_wall_ns.add(telemetry::now_ns() - start_ns);
   // All workers have quiesced: rethrow the first captured exception on
   // the calling thread (no lock needed past the wait above). fn errors
@@ -360,8 +327,7 @@ void ThreadPool::run_claimed(Task& task, const ParallelOptions& options,
           task.token != nullptr ? task.token->reason_tag()
                                 : CancelReason::kUnspecified);
     case kStopDeadline:
-      throw DeadlineExceeded("parallel_for exceeded its deadline of " +
-                             std::to_string(options.deadline_ms) + " ms");
+      throw DeadlineExceeded(deadline_message(options));
     case kStopStall:
       throw DeadlineExceeded(
           "parallel_for stalled: no iteration completed for " +
@@ -428,10 +394,11 @@ void parallel_for(std::size_t n, std::size_t grain,
 
 }  // namespace m3xu
 
-// Watchdog limitation, documented here next to the implementation: a
+// Time-limit limitation, documented here next to the implementation: a
 // worker that never returns from fn cannot be preempted - the
-// completion wait above still blocks on its chunk. The watchdog's job
-// is to convert a *finite* stall (a slow syscall, an injected delay, a
-// contended lock) into a clean DeadlineExceeded instead of silently
-// absorbing it, and to stop the rest of the grid from piling in after
-// it. Truly unbounded hangs need process-level supervision.
+// completion wait above still blocks on its chunk, and the checks only
+// run at iteration boundaries. Their job is to convert a *finite*
+// stall (a slow syscall, an injected delay, a contended lock) into a
+// clean DeadlineExceeded instead of silently absorbing it, and to stop
+// the rest of the grid from piling in after it. Truly unbounded hangs
+// need process-level supervision.

@@ -6,11 +6,14 @@
 // (chunk order is deterministic regardless of thread count).
 //
 // parallel_for can optionally run *guarded* (ParallelOptions): a
-// cooperative CancellationToken is polled between iterations, and a
-// per-call watchdog thread enforces a wall deadline and detects
-// stalled progress. Guarding is strictly opt-in - the default options
-// leave the hot path byte-identical to the unguarded pool (no extra
-// thread, no per-iteration atomics). See docs/RESILIENCE.md.
+// cooperative CancellationToken is polled before every iteration, and
+// a wall deadline and a stall window are read off the clock at the
+// same iteration boundaries (before each iteration and after each
+// completed one). No helper thread watches the clock, so a limit takes
+// effect at the next boundary. Guarding is strictly opt-in - the
+// default options leave the hot path byte-identical to the unguarded
+// pool (no per-iteration atomics), and a token-only call reads no
+// clock. See docs/RESILIENCE.md.
 //
 // Concurrent submissions: parallel_for may be called from multiple OS
 // threads at once (the multi-tenant GemmServer does exactly this).
@@ -48,16 +51,21 @@ struct ParallelOptions {
   /// latched token makes workers skip their remaining iterations and
   /// parallel_for throw CancelledError after quiescing.
   const CancellationToken* token = nullptr;
-  /// Wall-clock budget for the whole call, in ms (0 = none). When it
-  /// elapses the watchdog stops further iterations and parallel_for
-  /// throws DeadlineExceeded.
+  /// Wall-clock budget for the whole call, in ms (0 = none), counted
+  /// from entry (queue wait included) and checked before every
+  /// iteration and after every completed one. Once it has elapsed no
+  /// further iteration starts and parallel_for throws
+  /// DeadlineExceeded - also when the iteration that crossed it was
+  /// the last.
   std::int64_t deadline_ms = 0;
-  /// No-progress window, in ms (0 = none): if no iteration completes
-  /// for this long while work remains, the watchdog flags a stalled
-  /// worker and parallel_for throws DeadlineExceeded. Note the abort
-  /// is still cooperative - a worker stuck *inside* fn is only
-  /// reclaimed when fn returns; the watchdog bounds the damage by
-  /// cancelling everything after it.
+  /// No-progress window, in ms (0 = none; pooled calls only): a
+  /// completed iteration that ends a gap of at least this long since
+  /// the previous completion (or since the task started) flags a
+  /// stall, unless the deadline elapsed before the gap reached the
+  /// window, and parallel_for throws DeadlineExceeded (kStall). The
+  /// abort is cooperative - a worker stuck *inside* fn is only seen
+  /// when fn returns; the check bounds the damage by skipping
+  /// everything after it.
   std::int64_t stall_ms = 0;
 
   bool guarded() const {
@@ -91,11 +99,11 @@ class ThreadPool {
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t)>& fn);
 
-  /// Guarded variant: cooperative cancellation + watchdog per
+  /// Guarded variant: cooperative cancellation and time limits per
   /// `options`. Exceptions thrown by fn take priority over guard
-  /// aborts; otherwise a latched token throws CancelledError and a
-  /// fired deadline / stall detection throws DeadlineExceeded, in both
-  /// cases only after every worker has quiesced.
+  /// aborts; otherwise a latched token throws CancelledError and an
+  /// elapsed deadline / detected stall throws DeadlineExceeded, in
+  /// both cases only after every worker has quiesced.
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t)>& fn,
                     const ParallelOptions& options);
@@ -112,9 +120,10 @@ class ThreadPool {
                         const ParallelOptions& options);
 
   /// Runs fn(i) for i in [0, n) on the calling thread in index order
-  /// with parallel_for's serial guard semantics: the token and the
-  /// deadline are checked before every iteration (stall detection
-  /// reduces to the deadline without a concurrent observer).
+  /// with parallel_for's serial guard semantics: the token is checked
+  /// before every iteration and the deadline before and after each
+  /// (stall_ms is not checked here: stall detection is the pooled
+  /// path's).
   static void run_inline(std::size_t n,
                          const std::function<void(std::size_t)>& fn,
                          const ParallelOptions& options);
@@ -132,7 +141,7 @@ class ThreadPool {
   static bool configure_global(std::size_t threads);
 
  private:
-  // Why the watchdog aborted (Task::stop_cause values).
+  // Why a guarded task stopped (Task::stop_cause values).
   enum : int { kStopNone = 0, kStopToken = 1, kStopDeadline = 2,
                kStopStall = 3 };
 
@@ -147,26 +156,42 @@ class ThreadPool {
     std::atomic<bool> failed{false};
     std::mutex error_mu;
     std::exception_ptr error;
-    // Guarded-mode state. `guarded` is a plain bool set before the
-    // task is published, so unguarded drains pay one predictable
-    // branch and no atomics beyond the existing ones.
+    // Guarded-mode state, set before the task is published, so
+    // unguarded drains pay one predictable branch and no atomics
+    // beyond the existing ones.
     bool guarded = false;
     const CancellationToken* token = nullptr;
+    // Time limits in telemetry::now_ns() units (0 = none): the
+    // deadline instant and the stall window. Only a task with one
+    // reads the clock.
+    std::uint64_t deadline_ns = 0;
+    std::uint64_t stall_ns = 0;
     std::atomic<int> stop_cause{kStopNone};
-    // Completed-iteration heartbeat for stall detection (finer-grained
-    // than `done`, which advances per chunk).
-    std::atomic<std::size_t> progress{0};
+    // Clock reading at the latest completed iteration (the task's
+    // publication before the first): the stall check's heartbeat.
+    std::atomic<std::uint64_t> last_progress_ns{0};
+
+    bool timed() const { return deadline_ns != 0 || stall_ns != 0; }
+    /// One guard checkpoint: latches the first stop cause it sees -
+    /// the token and the deadline before an iteration, the stall
+    /// window and the deadline after a completed one (`completed`),
+    /// whichever was crossed first - and returns whether the task is
+    /// stopping.
+    bool stopping(bool completed);
   };
 
   void worker_loop();
   void drain(Task& task);
+  /// Fills `task` for publication; called under mu_ right before
+  /// current_ = &task, so the stall heartbeat starts after any queue
+  /// wait while the deadline counts from `start_ns`, the call's entry.
   void prepare(Task& task, std::size_t n, std::size_t grain,
                const std::function<void(std::size_t)>& fn,
-               const ParallelOptions& options) const;
+               const ParallelOptions& options, std::uint64_t start_ns) const;
   /// Runs a task this caller has claimed (current_ == &task) to
   /// completion: wakes the workers, drains alongside them, releases
   /// the pool and rethrows the first body error or guard abort.
-  /// `start_ns` anchors the deadline (it includes any queue wait).
+  /// `start_ns` is the call's entry (threadpool.wall_ns counts from it).
   void run_claimed(Task& task, const ParallelOptions& options,
                    std::uint64_t start_ns);
 

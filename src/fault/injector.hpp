@@ -28,7 +28,8 @@
 //   kAllocFailure - a boolean event: packed-panel staging "fails to
 //     allocate" and the driver must take its unpacked fallback;
 //   kWorkerStall  - a boolean event: the worker computing a tile
-//     sleeps for stall_duration_ms (exercises the pool watchdog).
+//     sleeps for stall_duration_ms (exercises the deadline and stall
+//     checks).
 #pragma once
 
 #include <array>

@@ -98,9 +98,18 @@ bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
+/// Alternating rounds that settle the default against the finalist,
+/// and the rounds the finalist must win to replace the default.
+constexpr int kFinalRounds = 5;
+constexpr int kFinalWins = 4;
+
 /// The search body, shared by both dtypes. The reference result is the
 /// default tile's output on the fixed operands; every candidate must
-/// reproduce it bitwise to stay in the race.
+/// reproduce it bitwise to stay in the race. One pass scores every
+/// survivor once and picks the fastest non-default one as finalist;
+/// the finalist then races the default in alternating rounds, since a
+/// single pass's scores drift with the host (a default timed first and
+/// once read up to 1.9x its own re-measure at the end of the pass).
 template <typename T>
 AutotuneResult search(const core::M3xuConfig& engine_cfg, const PlanKey& key,
                       const AutotuneOptions& options) {
@@ -121,11 +130,26 @@ AutotuneResult search(const core::M3xuConfig& engine_cfg, const PlanKey& key,
     std::memcpy(scratch.data(), problem.c0.data(),
                 scratch.size() * sizeof(T));
   };
+  // One score: the measure hook, or the median of `reps` executes.
+  const auto score = [&](const GemmPlan& plan) {
+    if (options.measure) return options.measure(plan.tile());
+    std::vector<double> times;
+    times.reserve(static_cast<std::size_t>(reps));
+    for (int r = 0; r < reps; ++r) {
+      reset_scratch();
+      const telemetry::Stopwatch sw;
+      plan.execute(problem.a, problem.b, scratch);
+      times.push_back(sw.seconds());
+    }
+    return median(times);
+  };
 
-  bool have_best = false;
+  std::optional<GemmPlan> default_plan;
+  std::optional<GemmPlan> finalist;
+  double finalist_seconds = 0.0;
   for (const TileConfig& tile : default_candidates(key, options.quick)) {
     plan_opts.tile = tile;
-    const GemmPlan plan = GemmPlan::compile(engine_cfg, key, plan_opts);
+    GemmPlan plan = GemmPlan::compile(engine_cfg, key, plan_opts);
     // Bit-identity gate: one execute against the fixed operands,
     // compared bitwise to the default tile's result.
     reset_scratch();
@@ -134,27 +158,37 @@ AutotuneResult search(const core::M3xuConfig& engine_cfg, const PlanKey& key,
       ++result.bit_mismatches;
       continue;
     }
-    double seconds = 0.0;
-    if (options.measure) {
-      seconds = options.measure(tile);
-    } else {
-      std::vector<double> times;
-      times.reserve(static_cast<std::size_t>(reps));
-      for (int r = 0; r < reps; ++r) {
-        reset_scratch();
-        const telemetry::Stopwatch sw;
-        plan.execute(problem.a, problem.b, scratch);
-        times.push_back(sw.seconds());
-      }
-      seconds = median(times);
-    }
+    const double seconds = score(plan);
     ++result.candidates_tried;
     tune_candidates_ctr.increment();
-    if (tile == TileConfig{}) result.default_seconds = seconds;
-    if (!have_best || seconds < result.best_seconds) {
-      have_best = true;
-      result.best = tile;
-      result.best_seconds = seconds;
+    if (tile == TileConfig{}) {
+      result.default_seconds = seconds;
+      default_plan.emplace(std::move(plan));
+    } else if (!finalist || seconds < finalist_seconds) {
+      finalist_seconds = seconds;
+      finalist.emplace(std::move(plan));
+    }
+  }
+  result.best_seconds = result.default_seconds;
+  if (default_plan && finalist) {
+    // Alternate which plan goes first, so drift during the rounds
+    // favors neither.
+    std::vector<double> times[2];
+    int finalist_wins = 0;
+    for (int round = 0; round < kFinalRounds; ++round) {
+      double t[2] = {};
+      for (int slot = 0; slot < 2; ++slot) {
+        const int which = (round + slot) % 2;
+        t[which] = score(which == 0 ? *default_plan : *finalist);
+        times[which].push_back(t[which]);
+      }
+      if (t[1] < t[0]) ++finalist_wins;
+    }
+    result.default_seconds = median(times[0]);
+    result.best_seconds = result.default_seconds;
+    if (finalist_wins >= kFinalWins) {
+      result.best = finalist->tile();
+      result.best_seconds = median(times[1]);
     }
   }
   tune_search_ctr.increment();

@@ -7,7 +7,10 @@
 // for one (shape, dtype) problem, gates every candidate on
 // bit-identity against the default-config result (the tile hierarchy
 // must never change results - a mismatch is a driver bug, not a
-// tuning preference), measures the survivors, and returns the fastest.
+// tuning preference), and scores the survivors once. The fastest
+// non-default survivor then races the default in alternating rounds
+// and replaces it only when it wins at least 4 of 5: one pass's scores
+// drift too much with the host to pick a winner alone.
 //
 // Tuned tiles persist across processes in a versioned JSON cache
 // (TuneCache) keyed by (problem shape, dtype, cpu signature). Load
@@ -47,12 +50,14 @@ std::string cpu_signature();
 std::vector<TileConfig> default_candidates(const PlanKey& key, bool quick);
 
 struct AutotuneOptions {
-  /// Timed executes per candidate; the median is the candidate's
-  /// score. 1 is fine for CI smoke; benchmarks use more.
+  /// Timed executes per score; the median is the score. The pass
+  /// scores each candidate once, the final rounds the default and the
+  /// finalist once per round. 1 is fine for CI smoke; benchmarks use
+  /// more.
   int reps = 3;
   /// Trimmed candidate set (CI smoke).
   bool quick = false;
-  /// Measurement hook: seconds for one candidate, lower is better.
+  /// Measurement hook: one score in seconds, lower is better.
   /// Tests inject a deterministic synthetic cost here; the default
   /// (unset) measures wall-clock plan.execute() with a Stopwatch.
   std::function<double(const TileConfig&)> measure;
@@ -63,10 +68,12 @@ struct AutotuneOptions {
 
 struct AutotuneResult {
   TileConfig best;
-  /// Median seconds of the winning candidate (0 when served from
-  /// cache or when a custom measure hook returned a synthetic cost).
+  /// Median score of `best` over the final rounds - the default's when
+  /// it kept its place (0 when served from cache).
   double best_seconds = 0.0;
-  /// Median seconds of the default TileConfig, for speedup reporting.
+  /// Median score of the default TileConfig over the final rounds (its
+  /// pass score when no other candidate survived), for speedup
+  /// reporting.
   double default_seconds = 0.0;
   int candidates_tried = 0;  // measured candidates (bit-gate survivors)
   /// Candidates whose result differed bitwise from the default-config

@@ -64,13 +64,13 @@ std::vector<int> near_equal_strips(int extent, long parts) {
   return edges;
 }
 
-/// Per-execute rails validation: nonsensical watchdog windows and a
-/// keyless panel cache fail with a clear message instead of
+/// Per-execute rails validation: nonsensical deadline or stall windows
+/// and a keyless panel cache fail with a clear message instead of
 /// misbehaving downstream.
 void validate_rails(const ExecRails& rails) {
   M3XU_CHECK_MSG(rails.deadline_ms >= 0,
                  "ExecRails.deadline_ms must be >= 0 (0 disables the "
-                 "deadline watchdog)");
+                 "deadline)");
   M3XU_CHECK_MSG(rails.stall_ms >= 0,
                  "ExecRails.stall_ms must be >= 0 (0 disables stall "
                  "detection)");

@@ -18,7 +18,7 @@
 // telemetry label, the B-panel store. Per pool thread count: the tile
 // grid (plan_grid), so a lone GEMM fans out across whatever pool runs
 // it. Per-execute (ExecRails, gemm/recovery.hpp): cancellation token,
-// deadline/stall watchdog windows, the tenant's TileQuarantine, an
+// deadline and stall windows, the tenant's TileQuarantine, an
 // external PanelCache, the pool and the request trace - everything
 // that varies request-to-request in the serving layer.
 //

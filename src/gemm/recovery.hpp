@@ -141,10 +141,15 @@ struct RecoveryPolicy {
 struct ExecRails {
   /// Cooperative cancellation, polled per tile and per staged K-block.
   const CancellationToken* token = nullptr;
-  /// Watchdog wall deadline per parallel_for call, in ms (0 = none).
+  /// Wall deadline for the execute, in ms (0 = none). Binds where the
+  /// token does, per tile and per staged K-block: once it has elapsed
+  /// the execute throws DeadlineExceeded (kDeadline).
   std::int64_t deadline_ms = 0;
-  /// Watchdog no-progress window, in ms (0 = none). Requires a nonzero
-  /// deadline_ms as a backstop (validated per execute).
+  /// No-progress window, in ms (0 = none): a tile that completes after
+  /// a gap this long since the previous completion aborts the execute
+  /// with DeadlineExceeded (kStall); only a grid fanned out over the
+  /// pool checks it. Requires a nonzero deadline_ms as a backstop
+  /// (validated per execute).
   std::int64_t stall_ms = 0;
   /// Per-tenant tile memory for this execute (non-owning; may be
   /// null). Read and written only by the demotion ladder.

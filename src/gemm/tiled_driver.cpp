@@ -20,6 +20,7 @@
 #include "fault/injector.hpp"
 #include "gemm/panel_cache.hpp"
 #include "gemm/run_tiled.hpp"
+#include "telemetry/stopwatch.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
 #include "telemetry/trace_context.hpp"
@@ -221,6 +222,14 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
   const long grid_n = grid.grid_n();
   const long chunks = chunk_roundings(k, cfg.block_k, inst_k);
   const ParallelOptions popts{exec.token, exec.deadline_ms, exec.stall_ms};
+  // The per-K-block checkpoint below enforces the token and the
+  // deadline inside a tile (the pool checks them between tiles); the
+  // deadline counts from this call's start.
+  const std::uint64_t deadline_ns =
+      exec.deadline_ms > 0
+          ? telemetry::now_ns() +
+                static_cast<std::uint64_t>(exec.deadline_ms) * 1'000'000
+          : 0;
   // Tile partitioning runs on the caller-selected pool (null = the
   // process-wide default). Tiles are independent and each tile's
   // K-chunk schedule is fixed, so the result is bit-identical for
@@ -318,7 +327,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                                   bool allow_cache) {
       const fault::FaultInjector* inj = eng.config().injector;
       // kWorkerStall: one opportunity per tile pass. The injected
-      // delay is finite, so the pool watchdog can convert it into a
+      // delay is finite, so the next checkpoint can convert it into a
       // clean abort instead of an indefinite hang.
       if (inj != nullptr && inj->trigger(fault::Site::kWorkerStall)) {
         std::this_thread::sleep_for(
@@ -341,6 +350,10 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
       if (b_stage.size() < b_need) b_stage.resize(b_need);
       for (int k0 = 0; k0 < k; k0 += cfg.block_k) {
         if (exec.token != nullptr) exec.token->check();
+        if (deadline_ns != 0 && telemetry::now_ns() >= deadline_ns) {
+          throw DeadlineExceeded("GEMM exceeded its deadline of " +
+                                 std::to_string(exec.deadline_ms) + " ms");
+        }
         const int kc = std::min(cfg.block_k, k - k0);
         {
           // Stage the A and B panels (cp.async in the real kernel).

@@ -303,8 +303,8 @@ void GemmServer::run_request(const RequestHandle& req) {
   if (req->trace_ != nullptr) {
     req->trace_->event("request.dequeue", static_cast<long>(wait_ns / 1000));
   }
-  // Requests that died while queued (user cancel, deadline timer at a
-  // higher layer) resolve without touching the pool.
+  // Requests whose token was latched while queued (a user cancel, a
+  // shed) resolve without touching the pool.
   if (req->token_.cancelled()) {
     resolve_and_count(req, status_for_cancel(req->token_.reason_tag()),
                       "aborted while queued: " + req->token_.reason());
@@ -336,26 +336,13 @@ void GemmServer::run_request(const RequestHandle& req) {
 template <typename T>
 void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
                               gemm::Matrix<T>& b, gemm::Matrix<T>& c) {
-  // Remaining wall budget; the CancelTimer latches the request token
-  // when it runs out, covering queue-of-pool waits and everything the
-  // per-call watchdog cannot see. Both fire as "deadline".
+  // The deadline counts from submission across every attempt: each
+  // attempt's rails carry the budget left at its start, and the retry
+  // backoff polls it. Only a request with a deadline reads the clock.
   const std::int64_t deadline_ms = effective_deadline_ms(req);
-  std::int64_t remaining_ms = 0;
-  std::optional<CancelTimer> timer;
-  if (deadline_ms > 0) {
-    remaining_ms = deadline_ms - (now_ns() - req->submit_ns_) / 1'000'000;
-    if (remaining_ms <= 0) {
-      // Lost the race between the queued-expiry check and execution
-      // entry (executor descheduled in between). Resolve as the
-      // deadline outcome it is; arming a clamped floor-1ms timer here
-      // would start real work just to cancel it moments later.
-      resolve_and_count(req, RequestStatus::kDeadlineExceeded,
-                        "deadline exceeded before execution start");
-      return;
-    }
-    timer.emplace(req->token_, remaining_ms, CancelReason::kDeadline,
-                  "request deadline exceeded");
-  }
+  const auto remaining_ms = [&] {
+    return deadline_ms - (now_ns() - req->submit_ns_) / 1'000'000;
+  };
 
   const gemm::PlanKey plan_key{a.rows(), b.cols(), a.cols(),
                                std::is_same_v<T, std::complex<float>>};
@@ -363,10 +350,9 @@ void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
 
   gemm::ExecRails rails;
   rails.token = &req->token_;
-  rails.deadline_ms = remaining_ms;
   // The driver requires a deadline backstop for stall detection, so a
   // no-deadline request runs without it.
-  rails.stall_ms = remaining_ms > 0 ? config_.stall_ms : 0;
+  rails.stall_ms = deadline_ms > 0 ? config_.stall_ms : 0;
   if (config_.recovery.demote) {
     // Quarantine keys index the tiles this request runs: the plan's
     // grid for the pool it executes on (the global pool).
@@ -384,6 +370,19 @@ void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
   // accumulates into C in place).
   const gemm::Matrix<T> c0 = c;
   for (int attempt = 1;; ++attempt) {
+    if (deadline_ms > 0) {
+      rails.deadline_ms = remaining_ms();
+      if (rails.deadline_ms <= 0) {
+        // Also the race between the queued-expiry check and execution
+        // entry (executor descheduled in between): starting real work
+        // just to abort it moments later would only waste the pool.
+        resolve_and_count(req, RequestStatus::kDeadlineExceeded,
+                          attempt == 1
+                              ? "deadline exceeded before execution start"
+                              : "deadline exceeded before a retry");
+        return;
+      }
+    }
     {
       const std::lock_guard<std::mutex> lock(req->mu_);
       req->attempts_ = attempt;
@@ -405,9 +404,9 @@ void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
       return;
     } catch (const DeadlineExceeded& e) {
       if (e.reason() == CancelReason::kStall) {
-        // A watchdog stall is transient (a slow worker, an injected
-        // delay): worth another attempt if budget remains.
-        transient = "watchdog stall";
+        // A stall is transient (a slow worker, an injected delay):
+        // worth another attempt if budget remains.
+        transient = "stall";
         detail = e.what();
       } else {
         resolve_and_count(req, RequestStatus::kDeadlineExceeded, e.what());
@@ -439,10 +438,10 @@ void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
       return;
     }
     srv_retries.increment();
-    // Exponential backoff, polling the token AND the shutdown flag so
-    // a cancel, the deadline timer, or server stop cuts the wait
-    // short - an executor sleeping out a long backoff must not stall
-    // shutdown's join.
+    // Exponential backoff, polling the token, the deadline AND the
+    // shutdown flag so a cancel, an expired budget, or server stop
+    // cuts the wait short - an executor sleeping out a long backoff
+    // must not stall shutdown's join.
     std::int64_t backoff_ms = config_.retry_backoff_ms
                               << std::min(attempt - 1, 20);
     if (req->trace_ != nullptr) {
@@ -450,7 +449,8 @@ void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
                          static_cast<long>(backoff_ms), transient);
     }
     while (backoff_ms > 0 && !req->token_.cancelled() &&
-           !shut_down_.load(std::memory_order_acquire)) {
+           !shut_down_.load(std::memory_order_acquire) &&
+           (deadline_ms == 0 || remaining_ms() > 0)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       --backoff_ms;
     }

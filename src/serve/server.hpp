@@ -10,11 +10,12 @@
 // the pool is idle, and runs them on its own executor thread when
 // another request holds it (never queueing for the pool):
 //
-//   - per-request deadline propagated end-to-end: a CancelTimer latches
-//     the request's CancellationToken (reason kDeadline) and the pool
-//     watchdog bounds each parallel_for, so a request expires whether
-//     it is queued, staging, or mid-mainloop;
-//   - retry-with-backoff for transient failures (watchdog stalls,
+//   - per-request deadline counted from submission: the executor
+//     checks it at dequeue and before every attempt, and each
+//     attempt's ExecRails carry the budget left, which binds per tile
+//     and per staged K-block, so a request expires whether it is
+//     queued, staging, mid-mainloop or backing off between attempts;
+//   - retry-with-backoff for transient failures (stalls,
 //     allocation failures, exhausted ABFT ladders) up to max_attempts,
 //     restoring the original C operand before each attempt;
 //   - per-tenant tile quarantine: repeat offenders start demoted on
@@ -63,9 +64,9 @@ struct ServerConfig {
   /// Default wall deadline per request, ms from submission (0 = none).
   /// RequestOptions::deadline_ms overrides per request.
   std::int64_t default_deadline_ms = 0;
-  /// Watchdog no-progress window per parallel_for, ms. Applied only to
-  /// requests that have an effective deadline (the driver requires the
-  /// deadline backstop).
+  /// No-progress window per attempt, ms (gemm::ExecRails::stall_ms).
+  /// Applied only to requests that have an effective deadline (the
+  /// driver requires the deadline backstop).
   std::int64_t stall_ms = 0;
   /// Execution attempts per request: 1 initial + (max_attempts - 1)
   /// retries for transient failures (stall, bad_alloc, exhausted ABFT

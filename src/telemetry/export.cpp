@@ -88,25 +88,6 @@ void write_environment(JsonWriter& w, const Environment& env) {
   w.end_object();
 }
 
-std::string metrics_json() {
-  JsonWriter w;
-  w.begin_object();
-  write_environment(w, collect_environment());
-  write_metrics(w, snapshot());
-  w.end_object();
-  return w.str();
-}
-
-bool export_json(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string doc = metrics_json();
-  const bool ok =
-      std::fwrite(doc.data(), 1, doc.size(), f) == doc.size() &&
-      std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
-}
-
 void print_summary(const Snapshot& snap, std::FILE* out) {
   if (snap.counters.empty() && snap.histograms.empty()) {
     std::fprintf(out, "telemetry: no metrics recorded%s\n",

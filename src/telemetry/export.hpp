@@ -1,6 +1,7 @@
-// The single metrics export pipeline: one snapshot, three sinks -
-// a standalone metrics JSON file, a JSON fragment benches embed in
-// their own documents, and a human-readable summary table rendered
+// The metrics export building blocks: environment metadata and the
+// counters/histograms JSON fragment benches embed in their own
+// documents (and telemetry/exposition.hpp wraps into the standalone
+// metrics document), plus a human-readable summary table rendered
 // through common/table. All of it works (emitting empty sections) in
 // M3XU_TELEMETRY=OFF builds so callers compile unchanged.
 #pragma once
@@ -41,11 +42,6 @@ void write_metrics(JsonWriter& w, const Snapshot& snap);
 /// Writes environment metadata into an open object of `w` under an
 /// "environment" key (callers may add their own fields next to it).
 void write_environment(JsonWriter& w, const Environment& env);
-
-/// Standalone metrics document: telemetry state + environment. Returns
-/// false on I/O failure.
-bool export_json(const std::string& path);
-std::string metrics_json();
 
 /// Renders the snapshot's counters and histograms as fixed-width text
 /// tables (common/table) to `out`.

@@ -1,16 +1,9 @@
 #include "telemetry/exposition.hpp"
 
-#include <atomic>
 #include <cctype>
-#include <chrono>
-#include <condition_variable>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <mutex>
-#include <thread>
-#include <utility>
 
 #include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
@@ -18,8 +11,6 @@
 namespace m3xu::telemetry {
 
 namespace {
-
-Counter c_dumps("exposition.dumps");
 
 bool write_file(const std::string& path, const std::string& doc) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -296,116 +287,6 @@ bool prometheus_lint(std::string_view text, std::string* error) {
     }
   }
   return true;
-}
-
-namespace {
-
-// Signal-hit well shared by all dumpers (in practice one). A handler
-// may only touch lock-free atomics; the worker thread polls this.
-std::atomic<std::uint64_t> g_signal_hits{0};
-
-void on_dump_signal(int) {
-  g_signal_hits.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-struct MetricsDumper::Impl {
-  DumpOptions opts;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool stopping = false;
-  bool stopped = false;
-  std::atomic<std::uint64_t> dumps{0};
-  void (*prev_handler)(int) = nullptr;
-  bool owns_signal = false;
-  // Baseline for the global hit counter, captured BEFORE the handler
-  // is installed so a signal that lands while the worker thread is
-  // still starting up is not absorbed into the baseline.
-  std::uint64_t seen_hits = 0;
-  std::thread worker;
-
-  bool dump() {
-    bool ok = true;
-    if (!opts.prometheus_path.empty()) {
-      ok = write_prometheus(opts.prometheus_path) && ok;
-    }
-    if (!opts.json_path.empty()) {
-      ok = write_snapshot_json(opts.json_path) && ok;
-    }
-    dumps.fetch_add(1, std::memory_order_relaxed);
-    c_dumps.increment();
-    return ok;
-  }
-
-  void run() {
-    using Clock = std::chrono::steady_clock;
-    auto last_dump = Clock::now();
-    const std::int64_t poll_ms =
-        opts.period_ms > 0 ? std::min<std::int64_t>(opts.period_ms, 100) : 50;
-    std::unique_lock<std::mutex> lock(mu);
-    while (!stopping) {
-      cv.wait_for(lock, std::chrono::milliseconds(poll_ms));
-      if (stopping) break;
-      bool want = false;
-      const std::uint64_t hits =
-          g_signal_hits.load(std::memory_order_relaxed);
-      if (owns_signal && hits != seen_hits) {
-        seen_hits = hits;
-        want = true;
-      }
-      const auto now = Clock::now();
-      if (opts.period_ms > 0 &&
-          now - last_dump >= std::chrono::milliseconds(opts.period_ms)) {
-        want = true;
-      }
-      if (want) {
-        last_dump = now;
-        lock.unlock();
-        dump();
-        lock.lock();
-      }
-    }
-  }
-};
-
-MetricsDumper::MetricsDumper(DumpOptions options) : impl_(new Impl) {
-  impl_->opts = std::move(options);
-  if (impl_->opts.signal_number != 0) {
-    impl_->seen_hits = g_signal_hits.load(std::memory_order_relaxed);
-    impl_->prev_handler =
-        std::signal(impl_->opts.signal_number, &on_dump_signal);
-    impl_->owns_signal = impl_->prev_handler != SIG_ERR;
-  }
-  if (impl_->opts.period_ms > 0 || impl_->owns_signal) {
-    impl_->worker = std::thread([this] { impl_->run(); });
-  }
-}
-
-MetricsDumper::~MetricsDumper() {
-  stop();
-  delete impl_;
-}
-
-bool MetricsDumper::dump_now() { return impl_->dump(); }
-
-std::uint64_t MetricsDumper::dumps() const {
-  return impl_->dumps.load(std::memory_order_relaxed);
-}
-
-void MetricsDumper::stop() {
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mu);
-    if (impl_->stopped) return;
-    impl_->stopped = true;
-    impl_->stopping = true;
-  }
-  impl_->cv.notify_all();
-  if (impl_->worker.joinable()) impl_->worker.join();
-  if (impl_->owns_signal) {
-    std::signal(impl_->opts.signal_number, impl_->prev_handler);
-    impl_->owns_signal = false;
-  }
 }
 
 }  // namespace m3xu::telemetry

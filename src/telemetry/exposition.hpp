@@ -1,11 +1,10 @@
 // Live metrics exposition: renders the telemetry registry as
 // Prometheus text format (counters plus cumulative-bucket histograms)
-// and as a schema-versioned JSON snapshot, on demand or continuously
-// via MetricsDumper (periodic file dump + optional snapshot-on-signal).
+// and as the schema-versioned JSON metrics document, on demand.
 //
 // Exposition adds zero hot-path locking: it only calls snapshot(),
 // which aggregates the existing sharded registry under the registry
-// mutex, exactly like the JSON metrics export. In M3XU_TELEMETRY=OFF
+// mutex. In M3XU_TELEMETRY=OFF
 // builds everything still compiles and runs; the rendered documents
 // are just empty (and still pass prometheus_lint).
 //
@@ -38,8 +37,8 @@ std::string prometheus_text(const Snapshot& snap);
 /// prometheus_text(snapshot()).
 std::string prometheus_text();
 
-/// The snapshot as a JSON document: {"schema_version", "environment",
-/// "counters", "histograms"} in the metrics-export layout.
+/// The snapshot as the process's one JSON metrics document:
+/// {"schema_version", "environment", "counters", "histograms"}.
 std::string snapshot_json(const Snapshot& snap);
 std::string snapshot_json();
 
@@ -55,41 +54,5 @@ bool write_snapshot_json(const std::string& path);
 /// _count. Returns true on success; on failure `error` (when non-null)
 /// receives a one-line description including the offending line.
 bool prometheus_lint(std::string_view text, std::string* error = nullptr);
-
-/// Background exposition: dumps the configured renderings every
-/// `period_ms`, and additionally whenever `signal_number` (e.g.
-/// SIGUSR1) is delivered to the process. Either trigger may be
-/// disabled (period_ms == 0 / signal_number == 0); with both disabled
-/// only dump_now() dumps. At most one dumper should own a given signal
-/// at a time; the previous handler is restored on stop().
-struct DumpOptions {
-  std::string prometheus_path;  // empty: skip this rendering
-  std::string json_path;        // empty: skip this rendering
-  std::int64_t period_ms = 0;
-  int signal_number = 0;
-};
-
-class MetricsDumper {
- public:
-  explicit MetricsDumper(DumpOptions options);
-  ~MetricsDumper();
-  MetricsDumper(const MetricsDumper&) = delete;
-  MetricsDumper& operator=(const MetricsDumper&) = delete;
-
-  /// Renders and writes both configured paths now; false if any
-  /// configured write failed.
-  bool dump_now();
-
-  /// Completed dumps (manual, periodic, and signal-triggered).
-  std::uint64_t dumps() const;
-
-  /// Stops the background thread and releases the signal handler.
-  /// Idempotent; also called by the destructor.
-  void stop();
-
- private:
-  struct Impl;
-  Impl* impl_;
-};
 
 }  // namespace m3xu::telemetry

@@ -1,7 +1,7 @@
-// Tests for cooperative cancellation and the thread-pool watchdog:
-// token semantics, mid-parallel_for cancellation, deadline and stall
-// detection (injected delays), exception priority, and the
-// zero-false-positive guarantee on clean guarded runs.
+// Tests for cooperative cancellation and the thread pool's deadline
+// and stall checks: token semantics, mid-parallel_for cancellation,
+// deadline and stall detection (injected delays), exception priority,
+// and the zero-false-positive guarantee on clean guarded runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -249,69 +249,6 @@ TEST(CancellationReason, ReasonCountersTrackTokenLatches) {
   EXPECT_GE(after.counter_delta(before, "cancel.deadline"), 1u);
 }
 #endif
-
-TEST(CancelTimer, CancelAfterLatchesTokenWithDeadlineReason) {
-  CancellationToken token;
-  {
-    CancelTimer timer = token.cancel_after(10);
-    const auto t0 = std::chrono::steady_clock::now();
-    while (!token.cancelled() &&
-           std::chrono::steady_clock::now() - t0 <
-               std::chrono::seconds(5)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  ASSERT_TRUE(token.cancelled());
-  EXPECT_EQ(token.reason_tag(), CancelReason::kDeadline);
-  EXPECT_THROW(token.check(), CancelledError);
-}
-
-TEST(CancelTimer, DestructionDisarmsBeforeFiring) {
-  CancellationToken token;
-  {
-    CancelTimer timer = token.cancel_after(60'000);
-  }  // destroyed long before the 60s delay
-  EXPECT_FALSE(token.cancelled());
-}
-
-TEST(CancelTimer, CustomReasonTagPropagates) {
-  CancellationToken token;
-  {
-    CancelTimer timer =
-        token.cancel_after(1, CancelReason::kShed, "shed by test");
-    const auto t0 = std::chrono::steady_clock::now();
-    while (!token.cancelled() &&
-           std::chrono::steady_clock::now() - t0 <
-               std::chrono::seconds(5)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  ASSERT_TRUE(token.cancelled());
-  EXPECT_EQ(token.reason_tag(), CancelReason::kShed);
-  EXPECT_NE(token.reason().find("shed by test"), std::string::npos);
-}
-
-TEST(CancelTimer, AbortsARunningParallelFor) {
-  ThreadPool pool(4);
-  CancellationToken token;
-  CancelTimer timer = token.cancel_after(20);
-  ParallelOptions options;
-  options.token = &token;
-  std::atomic<std::size_t> ran{0};
-  try {
-    pool.parallel_for(
-        10'000, 1,
-        [&](std::size_t) {
-          ++ran;
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        },
-        options);
-    FAIL() << "expected CancelledError from the deadline timer";
-  } catch (const CancelledError& e) {
-    EXPECT_EQ(e.reason(), CancelReason::kDeadline);
-  }
-  EXPECT_LT(ran.load(), 10'000u);
-}
 
 TEST(Watchdog, GuardedRunStillCoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);

@@ -580,5 +580,26 @@ TEST(Resilience, CancellationTokenAbortsTheDriver) {
                CancelledError);
 }
 
+TEST(Resilience, DeadlineBindsInsideASingleTile) {
+  // One tile on a 1-thread pool runs inline, and its injected stall
+  // outlasts the deadline: the checkpoints inside and after the tile
+  // must abort the execute instead of letting it return late.
+  const Problem p = make(32, 32, 32, 89);
+  fault::FaultInjector inj(
+      89, fault::SiteRates::only(fault::Site::kWorkerStall, 1.0));
+  inj.stall_duration_ms = 50;
+  core::M3xuConfig engine;
+  engine.injector = &inj;
+  ExecRails rails = one_thread();
+  rails.deadline_ms = 20;
+  Matrix<float> out = p.c;
+  try {
+    run_plan(engine, {single_tile_cfg(), {}, {}}, p.a, p.b, out, rails);
+    FAIL() << "expected DeadlineExceeded";
+  } catch (const DeadlineExceeded& e) {
+    EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+  }
+}
+
 }  // namespace
 }  // namespace m3xu::gemm

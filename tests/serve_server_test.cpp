@@ -331,6 +331,30 @@ TEST(GemmServer, DeadlineMidRunResolvesDeadlineExceeded) {
   EXPECT_EQ(req->status(), RequestStatus::kDeadlineExceeded) << req->error();
 }
 
+TEST(GemmServer, StallAbortThenRetryKeepsTheSubmissionDeadline) {
+  // Every tile pass stalls 50 ms, past the 10 ms stall window, so the
+  // first attempt ends in a (retryable) stall abort. The retry must
+  // run on the budget left since submission - at most 30 ms, less
+  // than one stall - so the request resolves kDeadlineExceeded on its
+  // second attempt at the latest instead of retrying into kFailed.
+  ServerConfig cfg = base_config();
+  cfg.executors = 1;
+  cfg.default_deadline_ms = 80;
+  cfg.stall_ms = 10;
+  cfg.max_attempts = 5;
+  cfg.retry_backoff_ms = 0;
+  fault::FaultInjector inj(
+      23, fault::SiteRates::only(fault::Site::kWorkerStall, 1.0));
+  inj.stall_duration_ms = 50;
+  cfg.engine.injector = &inj;
+  GemmServer server(cfg);
+  const Problem p = make(64, 64, 64, 23);
+  const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
+  req->wait();
+  EXPECT_EQ(req->status(), RequestStatus::kDeadlineExceeded) << req->error();
+  EXPECT_LE(req->attempts(), 2) << req->error();
+}
+
 TEST(GemmServer, PerRequestDeadlineOptOutOverridesServerDefault) {
   ServerConfig cfg = base_config();
   cfg.default_deadline_ms = 60'000;

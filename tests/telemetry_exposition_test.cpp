@@ -1,20 +1,17 @@
 // Metrics exposition tests: Prometheus text rendering (counters,
 // cumulative histogram buckets, name sanitization), the dependency-free
 // line-format lint (positive and negative cases), the JSON snapshot
-// document, file dumps, and the MetricsDumper background triggers
-// (manual, periodic, signal). Synthetic Snapshot inputs keep the
+// document and file dumps. Synthetic Snapshot inputs keep the
 // rendering tests exact in both M3XU_TELEMETRY builds; the
 // registry-backed paths degrade to empty-but-valid documents when
 // telemetry is compiled out.
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "telemetry/exposition.hpp"
 #include "telemetry/json.hpp"
@@ -166,57 +163,4 @@ TEST(Exposition, WritesBothRenderingsToFiles) {
 TEST(Exposition, WriteFailsOnUnwritablePath) {
   EXPECT_FALSE(telemetry::write_prometheus("/nonexistent-dir/x.prom"));
   EXPECT_FALSE(telemetry::write_snapshot_json("/nonexistent-dir/x.json"));
-}
-
-TEST(MetricsDumper, ManualDumpWritesFiles) {
-  telemetry::DumpOptions opts;
-  opts.prometheus_path = ::testing::TempDir() + "dumper_manual.prom";
-  opts.json_path = ::testing::TempDir() + "dumper_manual.json";
-  telemetry::MetricsDumper dumper(opts);
-  EXPECT_TRUE(dumper.dump_now());
-  EXPECT_GE(dumper.dumps(), 1u);
-  std::string error;
-  EXPECT_TRUE(
-      telemetry::prometheus_lint(read_file(opts.prometheus_path), &error))
-      << error;
-  EXPECT_TRUE(
-      telemetry::JsonValue::parse(read_file(opts.json_path)).has_value());
-  dumper.stop();
-  std::remove(opts.prometheus_path.c_str());
-  std::remove(opts.json_path.c_str());
-}
-
-TEST(MetricsDumper, PeriodicDumpFires) {
-  telemetry::DumpOptions opts;
-  opts.prometheus_path = ::testing::TempDir() + "dumper_periodic.prom";
-  opts.period_ms = 20;
-  telemetry::MetricsDumper dumper(opts);
-  for (int i = 0; i < 200 && dumper.dumps() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GE(dumper.dumps(), 1u);
-  dumper.stop();
-  std::remove(opts.prometheus_path.c_str());
-}
-
-TEST(MetricsDumper, SignalTriggersDump) {
-  telemetry::DumpOptions opts;
-  opts.prometheus_path = ::testing::TempDir() + "dumper_signal.prom";
-  opts.signal_number = SIGUSR1;
-  telemetry::MetricsDumper dumper(opts);
-  std::raise(SIGUSR1);
-  for (int i = 0; i < 200 && dumper.dumps() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GE(dumper.dumps(), 1u);
-  dumper.stop();
-  // The previous handler is restored: raising again must not crash or
-  // dump further (default SIGUSR1 disposition was replaced by ignore
-  // here to keep the test alive).
-  std::signal(SIGUSR1, SIG_IGN);
-  std::raise(SIGUSR1);
-  const std::uint64_t after_stop = dumper.dumps();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(dumper.dumps(), after_stop);
-  std::remove(opts.prometheus_path.c_str());
 }

@@ -15,6 +15,7 @@
 
 #include "common/thread_pool.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/exposition.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/model_clock.hpp"
 #include "telemetry/stopwatch.hpp"
@@ -230,7 +231,7 @@ TEST(TraceJson, EventsCarryCompleteEventSchema) {
 TEST(Export, MetricsJsonHasEnvironmentCountersHistograms) {
   static telemetry::Counter ctr("test.export_visible");
   ctr.add(5);
-  const std::string j = telemetry::metrics_json();
+  const std::string j = telemetry::snapshot_json();
   EXPECT_NE(j.find("\"environment\""), std::string::npos);
   EXPECT_NE(j.find("\"counters\""), std::string::npos);
   EXPECT_NE(j.find("\"histograms\""), std::string::npos);
