@@ -333,11 +333,14 @@ TEST(GemmServer, DeadlineMidRunResolvesDeadlineExceeded) {
 
 TEST(GemmServer, StallAbortThenRetryKeepsTheSubmissionDeadline) {
   // Every tile pass stalls 50 ms, past the 10 ms stall window, so the
-  // first attempt ends in a (retryable) stall abort. The retry must
-  // run on the budget left since submission - at most 30 ms, less
-  // than one stall - so the request resolves kDeadlineExceeded on its
-  // second attempt at the latest instead of retrying into kFailed.
+  // first attempt ends in a (retryable) stall abort. The tiles are
+  // small, so they complete well inside the 80 ms deadline and the
+  // abort is the stall, not the deadline. The retry must run on the
+  // budget left since submission - at most 30 ms, less than one
+  // stall - so the request resolves kDeadlineExceeded on its second
+  // attempt at the latest instead of retrying into kFailed.
   ServerConfig cfg = base_config();
+  cfg.tile = gemm::TileConfig{16, 16, 16, 16, 16};
   cfg.executors = 1;
   cfg.default_deadline_ms = 80;
   cfg.stall_ms = 10;
@@ -348,7 +351,7 @@ TEST(GemmServer, StallAbortThenRetryKeepsTheSubmissionDeadline) {
   inj.stall_duration_ms = 50;
   cfg.engine.injector = &inj;
   GemmServer server(cfg);
-  const Problem p = make(64, 64, 64, 23);
+  const Problem p = make(32, 32, 16, 23);
   const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
   req->wait();
   EXPECT_EQ(req->status(), RequestStatus::kDeadlineExceeded) << req->error();
