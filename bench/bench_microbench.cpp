@@ -5,7 +5,10 @@
 // sizing functional experiments.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <complex>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,6 +17,7 @@
 #include "core/multi_part.hpp"
 #include "core/outer_product.hpp"
 #include "core/mxu.hpp"
+#include "core/packed_panel.hpp"
 #include "fft/gemm_fft.hpp"
 #include "gemm/plan.hpp"
 #include "fp/exact_accumulator.hpp"
@@ -193,6 +197,79 @@ void BM_OuterProductTile(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m * n * k);
 }
 BENCHMARK(BM_OuterProductTile);
+
+/// Single-thread microkernel probe: one engine call over operands
+/// packed once, outside the timed loop, so the time is the kernel's
+/// (the microkernel route of gemm_fp32{,c}_prepacked on the host's
+/// widest variant). C is reset every iteration. Before timing, one run
+/// is compared bitwise with a force_generic engine (the per-dot
+/// route); a mismatch skips the benchmark with an error. Reports
+/// ns_per_mac: nanoseconds per real or complex multiply-accumulate.
+template <typename T, typename PanelA, typename PanelB>
+void run_prepacked_probe(
+    benchmark::State& state, int m, int n, int k,
+    void (*pack_a)(const T*, int, int, int, PanelA&),
+    void (*pack_b)(const T*, int, int, int, PanelB&),
+    void (core::M3xuEngine::*gemm)(const PanelA&, int, const PanelB&, int,
+                                   int, int, T*, int) const) {
+  Rng rng(14);
+  const auto draw = [&rng] {
+    if constexpr (std::is_same_v<T, float>) {
+      return rng.scaled_float();
+    } else {
+      const float re = rng.scaled_float();
+      return T(re, rng.scaled_float());
+    }
+  };
+  std::vector<T> a(static_cast<std::size_t>(m) * k);
+  std::vector<T> b(static_cast<std::size_t>(k) * n);
+  std::vector<T> c0(static_cast<std::size_t>(m) * n);
+  for (auto& v : a) v = draw();
+  for (auto& v : b) v = draw();
+  for (auto& v : c0) v = draw();
+  PanelA pa;
+  PanelB pb;
+  pack_a(a.data(), k, m, k, pa);
+  pack_b(b.data(), n, k, n, pb);
+  const core::M3xuEngine engine;
+  core::M3xuConfig generic_cfg;
+  generic_cfg.force_generic = true;
+  const core::M3xuEngine generic(generic_cfg);
+  std::vector<T> c = c0;
+  std::vector<T> ref = c0;
+  (engine.*gemm)(pa, 0, pb, 0, m, n, c.data(), n);
+  (generic.*gemm)(pa, 0, pb, 0, m, n, ref.data(), n);
+  if (std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)) != 0) {
+    state.SkipWithError("microkernel result differs from the per-dot route");
+    return;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    std::memcpy(c.data(), c0.data(), c.size() * sizeof(T));
+    (engine.*gemm)(pa, 0, pb, 0, m, n, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double, std::nano> ns =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_mac"] =
+      ns.count() / (static_cast<double>(m) * n * k *
+                    static_cast<double>(state.iterations()));
+}
+
+void BM_MicrokernelFp32Prepacked(benchmark::State& state) {
+  run_prepacked_probe(state, 128, 128, 512, core::pack_fp32_a,
+                      core::pack_fp32_b,
+                      &core::M3xuEngine::gemm_fp32_prepacked);
+}
+BENCHMARK(BM_MicrokernelFp32Prepacked)->Unit(benchmark::kMillisecond);
+
+void BM_MicrokernelFp32cPrepacked(benchmark::State& state) {
+  run_prepacked_probe(state, 128, 128, 96, core::pack_fp32c_a,
+                      core::pack_fp32c_b,
+                      &core::M3xuEngine::gemm_fp32c_prepacked);
+}
+BENCHMARK(BM_MicrokernelFp32cPrepacked)->Unit(benchmark::kMillisecond);
 
 void BM_TiledSgemm(benchmark::State& state) {
   Rng rng(13);

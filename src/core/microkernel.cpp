@@ -771,13 +771,19 @@ std::uint64_t block_scalar(const PanelA& a, int row0, int rows,
 // Exact sums: a lane accumulates each step's terms relative to its
 // prescan t_lo in a lazy two-limb form, value = h * 2^60 + l. A term
 // adds its low 60 bits (a non-negative part) to l and the floor of the
-// rest to h. In a lane that passes the span check a like field (below
-// 2^48) sits at offset <= kMaxFieldOffset and a crossed field (below
-// 2^25) at most 12 higher, so 8 terms keep l < 2^63 and |h| < 2^62:
-// the slot loop needs no carry handling. The step then normalizes the
-// sum into a two's-complement 128-bit value, shifts it to the step's
-// window base lo, adds the register, and rounds with the same top-64 +
-// RNE-with-sticky tail as round_sum128.
+// rest to h. The parts are signed (negated by the operand's sign), so
+// each product already carries its term's sign. In a lane that passes
+// the span check a like field (below 2^48) sits at offset <=
+// kMaxFieldOffset and a crossed field (below 2^25) at most 12 higher,
+// each contributing below 2^59 to |h|. When the step folds the
+// register in (fold_step: prec <= 48, the register a 48-bit field at
+// an offset <= kMaxFieldOffset), a lane holds 9 terms: l < 9 * 2^60 <
+// 2^64 and |h| < 9 * 2^59 < 2^63, so the slot loop needs no carry
+// handling and normalize() shifts l logically, as an unsigned limb.
+// The step then rounds the normalized two's-complement 128-bit value at
+// base t_lo; the general step (lane_step) instead shifts the 8-term sum
+// to the window base lo and adds the register in 128 bits. Both round
+// with the same top-64 + RNE-with-sticky tail as round_sum128.
 
 #define M3XU_AVX512_TARGET __attribute__((target("avx512f,avx512cd")))
 #define M3XU_AVX512_INLINE \
@@ -791,18 +797,19 @@ constexpr int kMaxFieldOffset = kMaxSpan - 47;
 constexpr int kLanes = 8;
 
 /// One K-chunk of up to kLanes B columns, slot t of every column in one
-/// vector (lane j = column j). Columns past a partial block's edge hold
-/// zero slots and no finite flag. Slots past a partial chunk's live
-/// count are left unset: the A slots they pair with are zero and never
-/// visited.
+/// vector (lane j = column j). The parts are signed: negated in lanes
+/// whose word is negative, so a product of signed A and B parts carries
+/// the term's sign. Columns past a partial block's edge hold zero slots
+/// and no finite flag. Slots past a partial chunk's live count are left
+/// unset: the A slots they pair with are zero and never visited.
 struct BChunkLanes {
-  __m512i lo[kMaxSlots];    // lo part sig
-  __m512i hi[kMaxSlots];    // hi part sig
+  __m512i lo[kMaxSlots];    // signed lo part sig
+  __m512i hi[kMaxSlots];    // signed hi part sig
+  __m512i sig[kMaxSlots];   // signed 24-bit significand, hi * 2^12 + lo
   __m512i off[kMaxSlots];   // hi exp2 - column anchor (0 in zero slots)
   __m512i noff[kMaxSlots];  // kMaxFieldOffset - off
   __m512i min_exp;          // column anchors
   __m512i max_exp;
-  __mmask8 neg[kMaxSlots];  // negative lanes per slot
   __mmask8 finite = 0;      // lanes whose column chunk has a finite lane
 };
 
@@ -810,8 +817,7 @@ struct BChunkLanes {
 /// them: a lane whose exponent field is 0 is a zero slot (nz clear and
 /// every field 0).
 struct LaneWords {
-  __m512i lo;   // lo part sig
-  __m512i hi;   // hi part sig
+  __m512i sig;  // 24-bit significand
   __m512i exp;  // hi part exp2
   __mmask8 nz;
   __mmask8 neg;
@@ -820,16 +826,31 @@ struct LaneWords {
 M3XU_AVX512_INLINE LaneWords split_words(__m512i w) {
   const __m512i e =
       _mm512_and_si512(_mm512_srli_epi64(w, 23), _mm512_set1_epi64(0xff));
-  const __m512i sig =
-      _mm512_or_si512(_mm512_and_si512(w, _mm512_set1_epi64(0x7fffff)),
-                      _mm512_set1_epi64(0x800000));
   LaneWords s;
   s.nz = _mm512_test_epi64_mask(e, e);
-  s.lo = _mm512_maskz_and_epi64(s.nz, sig, _mm512_set1_epi64(0xfff));
-  s.hi = _mm512_maskz_srli_epi64(s.nz, sig, 12);
+  s.sig = _mm512_maskz_or_epi64(
+      s.nz, _mm512_and_si512(w, _mm512_set1_epi64(0x7fffff)),
+      _mm512_set1_epi64(0x800000));
   s.exp = _mm512_maskz_sub_epi64(s.nz, e, _mm512_set1_epi64(kHiLsbBias));
   s.neg = _mm512_mask_test_epi64_mask(s.nz, w, _mm512_set1_epi64(0x80000000));
   return s;
+}
+
+/// A slot's three signed parts: lo, hi and the whole significand, each
+/// negated in the lanes `neg` marks.
+struct SignedParts {
+  __m512i lo;
+  __m512i hi;
+  __m512i sig;
+};
+
+M3XU_AVX512_INLINE SignedParts signed_parts(__m512i sig, __mmask8 neg) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i lo = _mm512_and_si512(sig, _mm512_set1_epi64(0xfff));
+  const __m512i hi = _mm512_srli_epi64(sig, 12);
+  return {_mm512_mask_sub_epi64(lo, neg, zero, lo),
+          _mm512_mask_sub_epi64(hi, neg, zero, hi),
+          _mm512_mask_sub_epi64(sig, neg, zero, sig)};
 }
 
 /// Loads the words `m` selects from p[0..7], one per u64 lane; the
@@ -841,12 +862,13 @@ M3XU_AVX512_INLINE __m512i load_words(const std::uint32_t* p, __mmask8 m) {
 
 M3XU_AVX512_INLINE void set_b_slot(BChunkLanes& out, int t,
                                    const LaneWords& s) {
-  out.lo[t] = s.lo;
-  out.hi[t] = s.hi;
+  const SignedParts sp = signed_parts(s.sig, s.neg);
+  out.lo[t] = sp.lo;
+  out.hi[t] = sp.hi;
+  out.sig[t] = sp.sig;
   out.off[t] = _mm512_maskz_sub_epi64(s.nz, s.exp, out.min_exp);
   out.noff[t] =
       _mm512_sub_epi64(_mm512_set1_epi64(kMaxFieldOffset), out.off[t]);
-  out.neg[t] = s.neg;
 }
 
 /// The chunk's prescan for `cols` columns (`meta` is column 0's entry,
@@ -908,31 +930,41 @@ M3XU_AVX512_TARGET void decode_b_lanes(const PackedPanelFp32cB& b, int col0,
 }
 
 /// One block row's A chunk, decoded in-vector for broadcasting: slot
-/// t's part sigs, its shift offset from the row anchor (hi exp2 -
-/// anchor - 24, so a term's offset from t_lo is the A and B offsets
-/// summed) and its sign. `nz` marks the nonzero slots.
+/// t's signed parts per register stream and its shift offset from the
+/// row anchor (hi exp2 - anchor - 24, so a term's offset from t_lo is
+/// the A and B offsets summed). Stream 0 carries FP32C's -AI
+/// pre-negation on the im slots (the real part's order, as
+/// decode_chunk's flip_odd); FP32C's stream 1, the imaginary part,
+/// keeps the unflipped signs, which is the flip its odd slots need.
+/// `nz` marks the nonzero slots.
+template <int S>
 struct ARowSlots {
-  alignas(64) std::uint64_t lo[kMaxSlots];
-  alignas(64) std::uint64_t hi[kMaxSlots];
+  alignas(64) std::int64_t lo[S][kMaxSlots];
+  alignas(64) std::int64_t hi[S][kMaxSlots];
+  alignas(64) std::int64_t sig[S][kMaxSlots];
   alignas(64) std::int64_t off[kMaxSlots];
   __mmask8 nz;
-  __mmask8 neg;
 };
 
-/// Decodes `ns` consecutive slot words at `src`; `flip` negates the
-/// slots it marks (FP32C: the real part's -AI pre-negation on the im
-/// slots, as decode_chunk's flip_odd).
+template <int S>
+M3XU_AVX512_INLINE void store_a_stream(ARowSlots<S>& out, int stream,
+                                       const SignedParts& sp) {
+  _mm512_store_si512(out.lo[stream], sp.lo);
+  _mm512_store_si512(out.hi[stream], sp.hi);
+  _mm512_store_si512(out.sig[stream], sp.sig);
+}
+
+/// Decodes `ns` consecutive slot words at `src`.
+template <int S>
 M3XU_AVX512_INLINE void decode_a_lanes(const std::uint32_t* src, int ns,
-                                       int anchor, __mmask8 flip,
-                                       ARowSlots& out) {
+                                       int anchor, ARowSlots<S>& out) {
   const LaneWords s =
       split_words(load_words(src, static_cast<__mmask8>((1u << ns) - 1)));
-  _mm512_store_si512(out.lo, s.lo);
-  _mm512_store_si512(out.hi, s.hi);
+  store_a_stream(out, 0, signed_parts(s.sig, S == 2 ? s.neg ^ 0xaa : s.neg));
+  if constexpr (S == 2) store_a_stream(out, 1, signed_parts(s.sig, s.neg));
   _mm512_store_si512(out.off, _mm512_maskz_sub_epi64(
                                   s.nz, s.exp, _mm512_set1_epi64(anchor + 24)));
   out.nz = s.nz;
-  out.neg = s.neg ^ (flip & s.nz);
 }
 
 /// A lane's exact step sum relative to its t_lo: h * 2^60 + l.
@@ -960,6 +992,7 @@ struct LaneRound {
   __m512i carry;     // 1 << prec: a round-up that overflowed
   __m512i renorm;    // 1 << (prec - 1)
   __m512i f32_drop;  // prec - 24: bits an FP32 encode drops (normal range)
+  bool fold;         // prec <= 48: the register fits a like field
 };
 
 M3XU_AVX512_TARGET LaneRound lane_round_consts(int prec) {
@@ -971,67 +1004,65 @@ M3XU_AVX512_TARGET LaneRound lane_round_consts(int prec) {
           _mm512_set1_epi64(static_cast<std::int64_t>(one << (drop - 1))),
           _mm512_set1_epi64(static_cast<std::int64_t>(one << prec)),
           _mm512_set1_epi64(static_cast<std::int64_t>(one << (prec - 1))),
-          _mm512_set1_epi64(prec - 24)};
+          _mm512_set1_epi64(prec - 24),
+          prec <= 48};
 }
 
-/// Adds the signed field x placed at cnt + kOff above t_lo, where
-/// ncnt = kMaxFieldOffset - cnt. The low part is (x * 2^(cnt+kOff))
-/// mod 2^60; the high part, its floor over 2^60, is an arithmetic right
-/// shift by ncnt of x pre-scaled by 2^(kOff + kMaxFieldOffset - 60) =
-/// 2^(kOff + 11). That is exact for any cnt <= kMaxFieldOffset while
-/// |x| * 2^(kOff + 11) < 2^63 (like: 2^48 * 2^11, crossed: 2^25 *
-/// 2^23), and a count of 64 or more sign-fills - the floor of a term
-/// below 2^60.
-template <int kOff>
+/// Adds the signed field x placed at cnt above t_lo, where ncnt =
+/// kMaxFieldOffset - cnt. The low part is (x * 2^cnt) mod 2^60; the
+/// high part, its floor over 2^60, is an arithmetic right shift by ncnt
+/// of x pre-scaled by 2^(kMaxFieldOffset - 60) = 2^11. That is exact
+/// for any cnt <= kMaxFieldOffset while |x| * 2^11 < 2^63 (a like field
+/// is below 2^48, a crossed field below 2^37 in its 2^12-scaled form),
+/// and a count of 64 or more sign-fills - the floor of a term below
+/// 2^60.
 M3XU_AVX512_TARGET inline void add_field(LaneSum& s, __m512i x, __m512i cnt,
                                          __m512i ncnt) {
-  const __m512i lo_x = kOff == 0 ? x : _mm512_slli_epi64(x, kOff);
-  s.l = _mm512_add_epi64(
-      s.l, _mm512_and_si512(_mm512_sllv_epi64(lo_x, cnt),
-                            _mm512_set1_epi64(kLimbMask)));
+  s.l = _mm512_add_epi64(s.l, _mm512_and_si512(_mm512_sllv_epi64(x, cnt),
+                                               _mm512_set1_epi64(kLimbMask)));
   s.h = _mm512_add_epi64(
       s.h, _mm512_srav_epi64(
-               _mm512_slli_epi64(x, kOff + kMaxFieldOffset - kLimbBits),
-               ncnt));
+               _mm512_slli_epi64(x, kMaxFieldOffset - kLimbBits), ncnt));
 }
 
-/// Adds A slot (al, ah, aoff, sign mask nm already folded with B's)
-/// times B slot `tb` of every lane: the like field (ah*bh, al*bl) into
-/// s0 and the crossed field (ah*bl + al*bh) into s1. The multiplies are
-/// mul_epu32 over the 12-bit part sigs in each lane's low 32 bits.
-M3XU_AVX512_TARGET inline void add_pair(__m512i al, __m512i ah, __m512i aoff,
-                                        __mmask8 nm, const BChunkLanes& bl,
-                                        int tb, LaneSum& s0, LaneSum& s1) {
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i blo = bl.lo[tb];
-  const __m512i bhi = bl.hi[tb];
-  const __m512i cnt = _mm512_add_epi64(bl.off[tb], aoff);
-  const __m512i ncnt = _mm512_sub_epi64(bl.noff[tb], aoff);
-  const __m512i hh = _mm512_mul_epu32(ah, bhi);
-  __m512i like =
-      _mm512_or_si512(_mm512_slli_epi64(hh, 24), _mm512_mul_epu32(al, blo));
-  like = _mm512_mask_sub_epi64(like, nm, zero, like);
-  add_field<0>(s0, like, cnt, ncnt);
-  __m512i crossed =
-      _mm512_add_epi64(_mm512_mul_epu32(ah, blo), _mm512_mul_epu32(al, bhi));
-  crossed = _mm512_mask_sub_epi64(crossed, nm, zero, crossed);
-  add_field<12>(s1, crossed, cnt, ncnt);
-}
-
-/// Per-slot A broadcasts: the part sigs and the slot's count offset
-/// from the row's anchor (sh - t_lo = aoff + boff).
+/// Per-slot A broadcasts of one register stream: the signed parts and
+/// the slot's count offset from the row's anchor (sh - t_lo = aoff +
+/// boff).
 struct ASlot {
-  __m512i al;
-  __m512i ah;
-  __m512i aoff;
-  __mmask8 neg;  // all lanes when the A slot is negative
+  __m512i lo;
+  __m512i hi;
+  __m512i sig;
+  __m512i off;
 };
 
-M3XU_AVX512_TARGET inline ASlot a_slot(const ARowSlots& ar, int t) {
-  return {_mm512_set1_epi64(static_cast<std::int64_t>(ar.lo[t])),
-          _mm512_set1_epi64(static_cast<std::int64_t>(ar.hi[t])),
-          _mm512_set1_epi64(ar.off[t]),
-          static_cast<__mmask8>(((ar.neg >> t) & 1) != 0 ? 0xff : 0)};
+template <int S>
+M3XU_AVX512_TARGET inline ASlot a_slot(const ARowSlots<S>& ar, int stream,
+                                       int t) {
+  return {_mm512_set1_epi64(ar.lo[stream][t]),
+          _mm512_set1_epi64(ar.hi[stream][t]),
+          _mm512_set1_epi64(ar.sig[stream][t]), _mm512_set1_epi64(ar.off[t])};
+}
+
+/// Adds A slot `a` times B slot `tb` of every lane: the like field into
+/// s0 and the crossed field into s1. With signed parts (sa = ah * 2^12
+/// + al, likewise sb) three signed 32x32 multiplies give both:
+///   c12  = (ah*bl + al*bh) * 2^12             (below 2^37)
+///   like = sa*sb - c12 = ah*bh * 2^24 + al*bl  (below 2^48)
+/// c12 is the crossed field scaled to the like field's lsb, so both go
+/// in at the same offset. Each carries the sign of the product: the
+/// same signed integers as the unsigned fields negated by that sign.
+M3XU_AVX512_TARGET inline void add_pair(const ASlot& a, const BChunkLanes& bl,
+                                        int tb, LaneSum& s0, LaneSum& s1) {
+  const __m512i cnt = _mm512_add_epi64(bl.off[tb], a.off);
+  const __m512i ncnt = _mm512_sub_epi64(bl.noff[tb], a.off);
+  const __m512i c12 = _mm512_slli_epi64(
+      _mm512_add_epi64(_mm512_mul_epi32(a.hi, bl.lo[tb]),
+                       _mm512_mul_epi32(a.lo, bl.hi[tb])),
+      12);
+  const __m512i like =
+      _mm512_sub_epi64(_mm512_mul_epi32(a.sig, bl.sig[tb]), c12);
+  add_field(s0, like, cnt, ncnt);
+  add_field(s1, c12, cnt, ncnt);
 }
 
 M3XU_AVX512_TARGET inline void normalize(LaneSum& s) {
@@ -1147,6 +1178,52 @@ M3XU_AVX512_INLINE LaneReg lane_step(LaneSum s, __m512i t_lo, __m512i t_hi,
   return lane_round(x_hi, x_lo, lo, rc);
 }
 
+/// lane_step with the register folded into the exact sum, for a vector
+/// where every lane with terms and a nonzero register has the
+/// register's 48-bit lsb, lead - 47, at or above t_lo (and prec <= 48,
+/// so rexp >= lead - 47). There lane_step's window [min(t_lo, rexp),
+/// max(t_hi, lead)] has base t_lo, and the register - its significand
+/// shifted up to a 48-bit one and signed (a decoded FP32 register has
+/// 24 bits or fewer, a rounded one prec) - is one more like-sized field
+/// at offset lead - 47 - t_lo, which the span check caps at
+/// kMaxFieldOffset. Lanes without terms round the register alone at
+/// base lead - 47 (offset 0). Same window, same exact value, same
+/// rounding: the result is lane_step's bit for bit, without aligning
+/// the sum and the register in 128 bits first.
+M3XU_AVX512_INLINE LaneReg fold_step(LaneSum s, __m512i t_lo, __m512i t_hi,
+                                     __mmask8 have, const LaneReg& r,
+                                     const LaneRound& rc, __mmask8& bad) {
+  const __m512i lsb48 = _mm512_sub_epi64(r.lead, _mm512_set1_epi64(47));
+  const __m512i base = _mm512_mask_mov_epi64(lsb48, have, t_lo);
+  const __m512i hi = _mm512_mask_max_epi64(t_hi, have & r.nz, t_hi, r.lead);
+  bad |= _mm512_mask_cmpgt_epi64_mask(have, _mm512_sub_epi64(hi, t_lo),
+                                      _mm512_set1_epi64(kMaxSpan));
+  const __m512i cnt = _mm512_sub_epi64(lsb48, base);
+  __m512i x = _mm512_sllv_epi64(r.sig, _mm512_sub_epi64(r.lsb, lsb48));
+  x = _mm512_mask_sub_epi64(x, r.neg, _mm512_setzero_si512(), x);
+  add_field(s, x, cnt,
+            _mm512_sub_epi64(_mm512_set1_epi64(kMaxFieldOffset), cnt));
+  normalize(s);
+  return lane_round(_mm512_srai_epi64(s.h, 64 - kLimbBits),
+                    _mm512_or_si512(s.l, _mm512_slli_epi64(s.h, kLimbBits)),
+                    base, rc);
+}
+
+/// One step: fold_step when the register folds in every lane (one
+/// masked compare and a kortest), else the general lane_step.
+M3XU_AVX512_INLINE LaneReg chunk_step(const LaneSum& s, __m512i t_lo,
+                                      __m512i t_hi, __mmask8 have,
+                                      const LaneReg& r, const LaneRound& rc,
+                                      __mmask8& bad) {
+  if (rc.fold &&
+      _mm512_mask_cmplt_epi64_mask(
+          have & r.nz, _mm512_sub_epi64(r.lead, _mm512_set1_epi64(47)),
+          t_lo) == 0) {
+    return fold_step(s, t_lo, t_hi, have, r, rc, bad);
+  }
+  return lane_step(s, t_lo, t_hi, have, r, rc, bad);
+}
+
 /// Decodes FP32 bit patterns (one per u64 lane) into registers, like
 /// fp::unpack. Inf/NaN lanes are reported in `special` and decode as
 /// zero.
@@ -1211,10 +1288,10 @@ M3XU_AVX512_INLINE __m512i lane_chunk(__m512i bits, const LaneSum& s0,
   LaneReg r = lane_decode(bits, special);
   exits |= special;
   if (p.per_step_rounding) {
-    r = lane_step(s0, t_lo, t_hi, have, r, rc, exits);
-    r = lane_step(s1, t_lo, t_hi, have, r, rc, exits);
+    r = chunk_step(s0, t_lo, t_hi, have, r, rc, exits);
+    r = chunk_step(s1, t_lo, t_hi, have, r, rc, exits);
   } else {
-    r = lane_step(add_sums(s0, s1), t_lo, t_hi, have, r, rc, exits);
+    r = chunk_step(add_sums(s0, s1), t_lo, t_hi, have, r, rc, exits);
   }
   return lane_encode(r, rc);
 }
@@ -1230,132 +1307,193 @@ M3XU_AVX512_TARGET inline void lane_window(const PanelChunkMeta& am,
 /// The kernel over a rows x cols block (rows <= 8, cols <= 8; a partial
 /// block masks the missing columns' lanes). FP32C is the two-stream
 /// instance: per lane, the real stream pairs A slot t with B slot t and
-/// the imaginary stream pairs it with B slot t^1 (flipping odd slots'
+/// the imaginary stream pairs it with B slot t^1 (with A's unflipped
 /// signs), exactly the scalar build_pair pairings over decode_column's
 /// two decodes; both streams share the column's prescan window. Each
 /// FP32C difference is an `if constexpr` branch with both streams
 /// written out: a loop over a runtime stream index around lane_chunk
 /// stays rolled at -O2 and runs slower (DESIGN.md section 15).
+///
+/// Rows run in pairs (rows_chunk<2>; an odd last row alone): one pass
+/// over B's slots builds both rows' sums, so each B slot vector is
+/// loaded once for two rows, and both rows' lane_chunk calls run back
+/// to back before either row's exits, so their rounding chains
+/// overlap.
+template <typename PanelA>
+class Avx512Block {
+ public:
+  using F = Family<PanelA>;
+  static constexpr int S = F::kStreams;
+
+  M3XU_AVX512_TARGET Avx512Block(const PanelA& a, int row0, int rows,
+                                 const PanelBOf<PanelA>& b, int col0,
+                                 int cols, const DpUnit& unit,
+                                 const MicrokernelParams& p)
+      : a_(a), row0_(row0), rows_(rows), b_(b), col0_(col0), cols_(cols),
+        unit_(unit), p_(p), rc_(lane_round_consts(p.accum_prec)),
+        lanes_(static_cast<__mmask8>((1u << cols) - 1)),
+        nchunks_(panel_chunk_count(a.k, F::kChunk)) {}
+
+  M3XU_AVX512_TARGET std::uint64_t run(CElemOf<PanelA>* c, int ldc) {
+    for (int i = 0; i < rows_; ++i) {
+      const CElemOf<PanelA>* row = c + static_cast<std::size_t>(i) * ldc;
+      if constexpr (S == 2) {
+        // A complex<float> is one u64 lane: im bits << 32 | re bits.
+        const __m512i v = _mm512_maskz_loadu_epi32(
+            static_cast<__mmask16>((1u << (2 * cols_)) - 1), row);
+        acc_[0][i] = _mm512_and_si512(v, _mm512_set1_epi64(0xffffffff));
+        acc_[1][i] = _mm512_srli_epi64(v, 32);
+      } else {
+        acc_[0][i] = _mm512_cvtepu32_epi64(
+            _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(lanes_, row)));
+      }
+    }
+    for (int ch = 0; ch < nchunks_; ++ch) {
+      const int k0 = ch * F::kChunk;
+      const int kc = std::min(F::kChunk, a_.k - k0);
+      decode_b_lanes(b_, col0_, cols_, ch, kc, bl_);
+      int i = 0;
+      for (; i + 1 < rows_; i += 2) rows_chunk<2>(i, ch, k0, kc);
+      if (i < rows_) rows_chunk<1>(i, ch, k0, kc);
+    }
+    for (int i = 0; i < rows_; ++i) {
+      CElemOf<PanelA>* row = c + static_cast<std::size_t>(i) * ldc;
+      if constexpr (S == 2) {
+        _mm512_mask_storeu_epi64(
+            row, lanes_,
+            _mm512_or_si512(acc_[0][i], _mm512_slli_epi64(acc_[1][i], 32)));
+      } else {
+        _mm512_mask_storeu_epi32(
+            row, lanes_,
+            _mm512_castsi256_si512(_mm512_cvtepi64_epi32(acc_[0][i])));
+      }
+    }
+    F::counters().add_block(rows_, cols_, nchunks_, fallbacks_, exits_);
+    return fallbacks_;
+  }
+
+ private:
+  /// Chunk `ch` of block rows [i, i + R).
+  template <int R>
+  M3XU_AVX512_INLINE void rows_chunk(int i, int ch, int k0, int kc) {
+    const PanelChunkMeta* am[R];
+    ARowSlots<S> ar[R];
+    __mmask8 have[R];
+    unsigned live = 0;
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r) {
+      const int row = row0_ + i + r;
+      am[r] = &a_.meta[static_cast<std::size_t>(row) * nchunks_ + ch];
+      // FP32C rows decode as 2 * kc (re, im) slots.
+      decode_a_lanes(
+          a_.words.data() + (static_cast<std::size_t>(row) * a_.k + k0) * S,
+          S * kc, am[r]->min_exp, ar[r]);
+      have[r] = finite_chunk(*am[r]) ? bl_.finite : 0;
+      if (have[r] != 0) live |= ar[r].nz;
+    }
+    // [row][stream][step]. Zero slots contribute nothing: visit the
+    // union of the rows' nonzero ones (a slot zero in one row adds an
+    // exact zero there).
+    LaneSum sum[R][S][2] = {};
+    for (unsigned l = live; l != 0; l &= l - 1) {
+      const int t = __builtin_ctz(l);
+#pragma GCC unroll 2
+      for (int r = 0; r < R; ++r) {
+        add_pair(a_slot(ar[r], 0, t), bl_, t, sum[r][0][0], sum[r][0][1]);
+      }
+    }
+    if constexpr (S == 2) {
+      for (unsigned l = live; l != 0; l &= l - 1) {
+        const int t = __builtin_ctz(l);
+#pragma GCC unroll 2
+        for (int r = 0; r < R; ++r) {
+          add_pair(a_slot(ar[r], 1, t), bl_, t ^ 1, sum[r][1][0],
+                   sum[r][1][1]);
+        }
+      }
+    }
+    __m512i out[R][S];
+    __mmask8 exits[R];
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r) {
+      __m512i t_lo, t_hi;
+      lane_window(*am[r], bl_, t_lo, t_hi);
+      exits[r] = 0;
+      out[r][0] = lane_chunk(acc_[0][i + r], sum[r][0][0], sum[r][0][1], t_lo,
+                             t_hi, have[r], p_, rc_, exits[r]);
+      if constexpr (S == 2) {
+        out[r][1] = lane_chunk(acc_[1][i + r], sum[r][1][0], sum[r][1][1],
+                               t_lo, t_hi, have[r], p_, rc_, exits[r]);
+      }
+    }
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r) {
+      const __mmask8 ex = exits[r] & lanes_;
+      if (ex != 0) redo_exits(i + r, ch, k0, kc, *am[r], ex, out[r]);
+      acc_[0][i + r] = out[r][0];
+      if constexpr (S == 2) acc_[1][i + r] = out[r][1];
+    }
+  }
+
+  /// Re-runs each exiting lane's chunk on the scalar pair route from
+  /// its chunk-entry registers (acc_, still unchanged), overwriting the
+  /// lane in `out`.
+  M3XU_AVX512_TARGET void redo_exits(int i, int ch, int k0, int kc,
+                                     const PanelChunkMeta& am,
+                                     __mmask8 exits, __m512i* out) {
+    alignas(64) std::uint64_t entry[S][kLanes];
+    alignas(64) std::uint64_t res[S][kLanes];
+    for (int s = 0; s < S; ++s) {
+      _mm512_store_si512(entry[s], acc_[s][i]);
+      _mm512_store_si512(res[s], out[s]);
+    }
+    ElemSoA arow;
+    decode_chunk(a_, row0_ + i, k0, kc, fill_exp(am), arow);
+    for (int j = 0; j < cols_; ++j) {
+      if (((exits >> j) & 1) == 0) continue;
+      const PanelChunkMeta& bm =
+          b_.meta[static_cast<std::size_t>(col0_ + j) * nchunks_ + ch];
+      ElemSoA bc[S];
+      decode_column<PanelA>(b_, col0_ + j, k0, kc, fill_exp(bm), bc);
+      float v[S];
+      for (int s = 0; s < S; ++s) {
+        v[s] = float_from_bits(static_cast<std::uint32_t>(entry[s][j]));
+      }
+      fallbacks_ += mk_pair(MkVariant::kScalar, arow, am, bc, bm, a_,
+                            row0_ + i, b_, col0_ + j, k0, kc, unit_, p_, v);
+      for (int s = 0; s < S; ++s) res[s][j] = bits_of(v[s]);
+      ++exits_;
+    }
+    for (int s = 0; s < S; ++s) out[s] = _mm512_load_si512(res[s]);
+  }
+
+  const PanelA& a_;
+  const int row0_;
+  const int rows_;
+  const PanelBOf<PanelA>& b_;
+  const int col0_;
+  const int cols_;
+  const DpUnit& unit_;
+  const MicrokernelParams& p_;
+  const LaneRound rc_;
+  const __mmask8 lanes_;
+  const int nchunks_;
+  // FP32 bits, one column per u64 lane: acc_[0] the real (or only)
+  // stream, acc_[1] FP32C's imaginary stream.
+  __m512i acc_[S][kLanes];
+  BChunkLanes bl_;
+  std::uint64_t fallbacks_ = 0;
+  std::uint64_t exits_ = 0;
+};
+
 template <typename PanelA>
 M3XU_AVX512_TARGET std::uint64_t block_avx512(
     const PanelA& a, int row0, int rows, const PanelBOf<PanelA>& b,
     int col0, int cols, const DpUnit& unit, const MicrokernelParams& p,
     CElemOf<PanelA>* c, int ldc) {
-  using F = Family<PanelA>;
-  constexpr int S = F::kStreams;
   check_block(a, row0, rows, kLanes, b, col0, cols, kLanes);
-  const int k = a.k;
-  const int nchunks = panel_chunk_count(k, F::kChunk);
-  const __mmask8 lanes = static_cast<__mmask8>((1u << cols) - 1);
-  const LaneRound rc = lane_round_consts(p.accum_prec);
-  // FP32 bits, one column per u64 lane: acc[0] the real (or only)
-  // stream, acc[1] FP32C's imaginary stream.
-  __m512i acc[S][kLanes];
-  for (int i = 0; i < rows; ++i) {
-    const CElemOf<PanelA>* row = c + static_cast<std::size_t>(i) * ldc;
-    if constexpr (S == 2) {
-      // A complex<float> is one u64 lane: im bits << 32 | re bits.
-      const __m512i v = _mm512_maskz_loadu_epi32(
-          static_cast<__mmask16>((1u << (2 * cols)) - 1), row);
-      acc[0][i] = _mm512_and_si512(v, _mm512_set1_epi64(0xffffffff));
-      acc[1][i] = _mm512_srli_epi64(v, 32);
-    } else {
-      acc[0][i] = _mm512_cvtepu32_epi64(
-          _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(lanes, row)));
-    }
-  }
-  BChunkLanes bl;
-  ARowSlots ar;
-  std::uint64_t fallbacks = 0;
-  std::uint64_t exits_total = 0;
-  for (int ch = 0; ch < nchunks; ++ch) {
-    const int k0 = ch * F::kChunk;
-    const int kc = std::min(F::kChunk, k - k0);
-    decode_b_lanes(b, col0, cols, ch, kc, bl);
-    for (int i = 0; i < rows; ++i) {
-      const PanelChunkMeta& am =
-          a.meta[static_cast<std::size_t>(row0 + i) * nchunks + ch];
-      // FP32C rows decode as 2 * kc (re, im) slots with the real part's
-      // -AI pre-negation on the im slots, as decode_chunk does.
-      decode_a_lanes(
-          a.words.data() + (static_cast<std::size_t>(row0 + i) * k + k0) * S,
-          S * kc, am.min_exp, S == 2 ? 0xaa : 0, ar);
-      const __mmask8 have = finite_chunk(am) ? bl.finite : 0;
-      LaneSum re0{};
-      LaneSum re1{};
-      LaneSum im0{};
-      LaneSum im1{};
-      if (have) {
-        // Zero slots contribute nothing: visit the nonzero ones.
-        for (unsigned live = ar.nz; live != 0; live &= live - 1) {
-          const int t = __builtin_ctz(live);
-          const ASlot as = a_slot(ar, t);
-          add_pair(as.al, as.ah, as.aoff, bl.neg[t] ^ as.neg, bl, t, re0, re1);
-          if constexpr (S == 2) {
-            const __mmask8 flip = (t & 1) ? 0xff : 0;
-            add_pair(as.al, as.ah, as.aoff, bl.neg[t ^ 1] ^ as.neg ^ flip, bl,
-                     t ^ 1, im0, im1);
-          }
-        }
-      }
-      __m512i t_lo, t_hi;
-      lane_window(am, bl, t_lo, t_hi);
-      __mmask8 exits = 0;
-      __m512i out[S];
-      out[0] = lane_chunk(acc[0][i], re0, re1, t_lo, t_hi, have, p, rc, exits);
-      if constexpr (S == 2) {
-        out[1] =
-            lane_chunk(acc[1][i], im0, im1, t_lo, t_hi, have, p, rc, exits);
-      }
-      exits &= lanes;
-      if (exits != 0) {
-        // Re-run each exiting lane's chunk on the scalar pair route from
-        // its chunk-entry registers.
-        alignas(64) std::uint64_t entry[S][kLanes];
-        alignas(64) std::uint64_t res[S][kLanes];
-        _mm512_store_si512(entry[0], acc[0][i]);
-        _mm512_store_si512(res[0], out[0]);
-        if constexpr (S == 2) {
-          _mm512_store_si512(entry[1], acc[1][i]);
-          _mm512_store_si512(res[1], out[1]);
-        }
-        ElemSoA arow;
-        decode_chunk(a, row0 + i, k0, kc, fill_exp(am), arow);
-        for (int j = 0; j < cols; ++j) {
-          if (((exits >> j) & 1) == 0) continue;
-          const PanelChunkMeta& bm =
-              b.meta[static_cast<std::size_t>(col0 + j) * nchunks + ch];
-          ElemSoA bc[S];
-          decode_column<PanelA>(b, col0 + j, k0, kc, fill_exp(bm), bc);
-          float v[S];
-          for (int s = 0; s < S; ++s) {
-            v[s] = float_from_bits(static_cast<std::uint32_t>(entry[s][j]));
-          }
-          fallbacks += mk_pair(MkVariant::kScalar, arow, am, bc, bm, a,
-                               row0 + i, b, col0 + j, k0, kc, unit, p, v);
-          for (int s = 0; s < S; ++s) res[s][j] = bits_of(v[s]);
-          ++exits_total;
-        }
-        out[0] = _mm512_load_si512(res[0]);
-        if constexpr (S == 2) out[1] = _mm512_load_si512(res[1]);
-      }
-      acc[0][i] = out[0];
-      if constexpr (S == 2) acc[1][i] = out[1];
-    }
-  }
-  for (int i = 0; i < rows; ++i) {
-    CElemOf<PanelA>* row = c + static_cast<std::size_t>(i) * ldc;
-    if constexpr (S == 2) {
-      _mm512_mask_storeu_epi64(
-          row, lanes,
-          _mm512_or_si512(acc[0][i], _mm512_slli_epi64(acc[1][i], 32)));
-    } else {
-      _mm512_mask_storeu_epi32(
-          row, lanes, _mm512_castsi256_si512(_mm512_cvtepi64_epi32(acc[0][i])));
-    }
-  }
-  F::counters().add_block(rows, cols, nchunks, fallbacks, exits_total);
-  return fallbacks;
+  return Avx512Block<PanelA>(a, row0, rows, b, col0, cols, unit, p).run(c,
+                                                                         ldc);
 }
 
 #undef M3XU_AVX512_INLINE

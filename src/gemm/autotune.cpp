@@ -102,6 +102,7 @@ bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
 /// and the rounds the finalist must win to replace the default.
 constexpr int kFinalRounds = 5;
 constexpr int kFinalWins = 4;
+static_assert(kFinalRounds == 5, "the default's spread is its 2nd to 4th");
 
 /// The search body, shared by both dtypes. The reference result is the
 /// default tile's output on the fixed operands; every candidate must
@@ -186,9 +187,15 @@ AutotuneResult search(const core::M3xuConfig& engine_cfg, const PlanKey& key,
     }
     result.default_seconds = median(times[0]);
     result.best_seconds = result.default_seconds;
-    if (finalist_wins >= kFinalWins) {
+    // The default's own spread across the rounds (times[0] is sorted
+    // now): a finalist must beat its median by more than that, or a
+    // default that read slow through a transient loses its place.
+    const double spread = times[0][3] - times[0][1];
+    const double finalist_seconds_med = median(times[1]);
+    if (finalist_wins >= kFinalWins &&
+        result.default_seconds - finalist_seconds_med > spread) {
       result.best = finalist->tile();
-      result.best_seconds = median(times[1]);
+      result.best_seconds = finalist_seconds_med;
     }
   }
   tune_search_ctr.increment();

@@ -12,11 +12,14 @@
 // lane-exit, long-K, special-register and full accum_prec sweeps.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <complex>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -795,6 +798,221 @@ TEST(MicrokernelAvx512, EveryAccumPrecisionBothRegisterSemantics) {
       check_fp32c(micro, packed, m, n, ck, ca, cb, cc);
     }
   }
+}
+
+TEST(MicrokernelAvx512, RegisterBelowTermWindowTakesGeneralStep) {
+  SKIP_WITHOUT_AVX512();
+  // Products of one-octave operands span [t_lo, t_hi] = [-46, 1] while
+  // C near 2^-60 puts the register's 48-bit lsb (lead - 47 ~ -107)
+  // below t_lo. The window [rexp, t_hi] is 108 bits, inside the
+  // 118-bit limit, so no lane exits, but the register cannot be folded
+  // into the term sum at a non-negative offset from t_lo: the first
+  // chunk's steps take the general lane step (window base rexp). Later
+  // steps fold only where the O(1) register's leading bit reaches
+  // t_lo + 47 = 1.
+  for (const int prec : {24, 48}) {
+    SCOPED_TRACE("prec " + std::to_string(prec));
+    M3xuConfig cfg = avx512_config();
+    cfg.accum_prec = prec;
+    const M3xuEngine micro(cfg);
+    const M3xuEngine packed = generic_engine(cfg);
+    const int m = 9, n = 8, k = 24;
+    Rng rng(40800 + prec);
+    const auto octave = [&rng] {
+      const float x = rng.uniform(1.0f, 2.0f);
+      return rng.next_below(2) != 0 ? -x : x;
+    };
+    std::vector<float> a(static_cast<std::size_t>(m) * k);
+    std::vector<float> b(static_cast<std::size_t>(k) * n);
+    std::vector<float> c(static_cast<std::size_t>(m) * n);
+    for (auto& x : a) x = octave();
+    for (auto& x : b) x = octave();
+    for (auto& x : c) x = __builtin_ldexpf(octave(), -60);
+    const telemetry::Snapshot before = telemetry::snapshot();
+    check_fp32(micro, packed, m, n, k, a, b, c);
+    const MkCounts got = mk_counts(before, telemetry::snapshot(), "fp32");
+#if M3XU_TELEMETRY_ENABLED
+    EXPECT_EQ(got.exits, 0u);
+    EXPECT_EQ(got.fallbacks, 0u);
+#else
+    (void)got;
+#endif
+  }
+}
+
+/// The input families the randomized sweep draws from.
+enum class SweepFamily {
+  kScaled,       // Rng::scaled_float
+  kOctave,       // one exponent octave per matrix
+  kSubnormal,    // subnormal words and products near the FP32 floor
+  kCancelling,   // +-x pairs and C = -first product: registers hit zero
+  kTinyC,        // C near 2^-60 against O(1) products: the general step
+  kWideSpan,     // sprinkled large/small exponents: lane exits
+};
+constexpr int kSweepFamilies = 6;
+
+/// One operand or C value of family `f`; `octave` is the case's
+/// exponent for kOctave.
+float sweep_value(SweepFamily f, Rng& rng, int octave) {
+  switch (f) {
+    case SweepFamily::kScaled:
+      return rng.scaled_float();
+    case SweepFamily::kOctave: {
+      const float x = __builtin_ldexpf(rng.uniform(1.0f, 2.0f), octave);
+      return rng.next_below(2) != 0 ? -x : x;
+    }
+    case SweepFamily::kSubnormal: {
+      const std::uint64_t r = rng.next_below(4);
+      if (r == 0) return 0.0f;
+      if (r == 1) {  // a subnormal word
+        return float_from_bits((rng.next_u32() & 0x807fffffu) | 1u);
+      }
+      return __builtin_ldexpf(rng.uniform(-1.0f, 1.0f),
+                              -58 - static_cast<int>(rng.next_below(12)));
+    }
+    case SweepFamily::kCancelling:
+      return __builtin_ldexpf(rng.next_below(2) != 0 ? -1.0f : 1.0f,
+                              static_cast<int>(rng.next_below(9)) - 4);
+    case SweepFamily::kTinyC: {
+      const float x = __builtin_ldexpf(rng.uniform(1.0f, 2.0f),
+                                       static_cast<int>(rng.next_below(3)) - 1);
+      return rng.next_below(2) != 0 ? -x : x;
+    }
+    case SweepFamily::kWideSpan: {
+      const float x = rng.scaled_float();
+      if (rng.next_below(8) != 0) return x;
+      const int e = 30 + static_cast<int>(rng.next_below(60));
+      return __builtin_ldexpf(x, rng.next_below(2) != 0 ? e : -e);
+    }
+  }
+  return 0.0f;
+}
+
+/// A, B and C of one sweep case in family `f` (T = float or
+/// std::complex<float>). kCancelling pairs each odd K index with the
+/// one before it (same A, negated B) with probability 3/4 and seeds
+/// half the C elements with minus their first product; kTinyC and
+/// kSubnormal draw C near 2^-60 and near the FP32 floor.
+template <typename T>
+void sweep_operands(SweepFamily f, Rng& rng, int m, int n, int k,
+                    std::vector<T>& a, std::vector<T>& b, std::vector<T>& c) {
+  const int octave = static_cast<int>(rng.next_below(9)) - 4;
+  const auto value = [&](SweepFamily g) -> T {
+    if constexpr (std::is_same_v<T, float>) {
+      return sweep_value(g, rng, octave);
+    } else {
+      const float re = sweep_value(g, rng, octave);
+      return {re, sweep_value(g, rng, octave)};
+    }
+  };
+  a.resize(static_cast<std::size_t>(m) * k);
+  b.resize(static_cast<std::size_t>(k) * n);
+  c.resize(static_cast<std::size_t>(m) * n);
+  const SweepFamily operand_family =
+      f == SweepFamily::kCancelling ? SweepFamily::kScaled : f;
+  for (auto& x : a) {
+    x = value(operand_family);
+    if (f != SweepFamily::kCancelling) continue;
+    // A signed power of two (FP32C: purely real or purely imaginary),
+    // so every product is exact and C can cancel one.
+    const T p = value(f);
+    if constexpr (std::is_same_v<T, float>) {
+      x = p;
+    } else {
+      x = rng.next_below(2) != 0 ? T(p.real(), 0.0f) : T(0.0f, p.imag());
+    }
+  }
+  for (auto& x : b) x = value(operand_family);
+  if (f == SweepFamily::kCancelling) {
+    for (int kk = 1; kk < k; kk += 2) {
+      if (rng.next_below(4) == 0) continue;
+      for (int i = 0; i < m; ++i) {
+        a[static_cast<std::size_t>(i) * k + kk] =
+            a[static_cast<std::size_t>(i) * k + kk - 1];
+      }
+      for (int j = 0; j < n; ++j) {
+        b[static_cast<std::size_t>(kk) * n + j] =
+            -b[static_cast<std::size_t>(kk - 1) * n + j];
+      }
+    }
+  }
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      T& x = c[static_cast<std::size_t>(i) * n + j];
+      switch (f) {
+        case SweepFamily::kCancelling:
+          // A is a signed power of two, so the product is exact.
+          x = rng.next_below(2) != 0
+                  ? -(a[static_cast<std::size_t>(i) * k] * b[j])
+                  : value(SweepFamily::kScaled);
+          break;
+        case SweepFamily::kTinyC:
+          x = value(SweepFamily::kOctave) * T(__builtin_ldexpf(1.0f, -60));
+          break;
+        default:
+          x = value(operand_family);
+          break;
+      }
+    }
+  }
+}
+
+TEST(MicrokernelAvx512, RandomizedDifferentialSweep) {
+  SKIP_WITHOUT_AVX512();
+  // Seeded random cases for about 3 s: m, n in 1..17 (full and partial
+  // 8-wide blocks, odd and even row counts), k in 1..70 (partial
+  // chunks), accum_prec in {24, 47, 48, 49, 63} (both sides of the
+  // 48-bit register fold), per-step or idealized rounding, FP32 or
+  // FP32C, and one input family per case. Every output bit of the
+  // AVX-512 kernel must equal the per-dot route's.
+  const int precs[] = {24, 47, 48, 49, 63};
+  Rng rng(40900);
+  const auto start = std::chrono::steady_clock::now();
+  int cases = 0;
+  while (std::chrono::steady_clock::now() - start < std::chrono::seconds(3)) {
+    const int m = 1 + static_cast<int>(rng.next_below(17));
+    const int n = 1 + static_cast<int>(rng.next_below(17));
+    const int k = 1 + static_cast<int>(rng.next_below(70));
+    M3xuConfig cfg = avx512_config();
+    cfg.accum_prec = precs[rng.next_below(5)];
+    cfg.per_step_rounding = rng.next_below(2) != 0;
+    const bool cplx = rng.next_below(2) != 0;
+    const auto family = static_cast<SweepFamily>(rng.next_below(kSweepFamilies));
+    SCOPED_TRACE("case " + std::to_string(cases) + ": " +
+                 std::to_string(m) + "x" + std::to_string(n) + "x" +
+                 std::to_string(k) + (cplx ? " fp32c" : " fp32") +
+                 " prec " + std::to_string(cfg.accum_prec) +
+                 (cfg.per_step_rounding ? " per-step" : " idealized") +
+                 " family " + std::to_string(static_cast<int>(family)));
+    const M3xuEngine micro(cfg);
+    const M3xuEngine perdot = generic_engine(cfg);
+    if (cplx) {
+      std::vector<std::complex<float>> a, b, c;
+      sweep_operands(family, rng, m, n, k, a, b, c);
+      auto got = c;
+      auto want = c;
+      micro.gemm_fp32c_packed(m, n, k, a.data(), k, b.data(), n, got.data(),
+                              n);
+      perdot.gemm_fp32c_packed(m, n, k, a.data(), k, b.data(), n,
+                               want.data(), n);
+      expect_bitwise_equal(want, got, "microkernel-vs-perdot");
+    } else {
+      std::vector<float> a, b, c;
+      sweep_operands(family, rng, m, n, k, a, b, c);
+      auto got = c;
+      auto want = c;
+      micro.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, got.data(),
+                             n);
+      perdot.gemm_fp32_packed(m, n, k, a.data(), k, b.data(), n, want.data(),
+                              n);
+      expect_bitwise_equal(want, got, "microkernel-vs-perdot");
+    }
+    if (HasFatalFailure()) return;
+    ++cases;
+  }
+  RecordProperty("cases", cases);
+  std::printf("[ sweep    ] %d random cases\n", cases);
+  EXPECT_GT(cases, 0);
 }
 
 // --- Fault-injection determinism recheck ------------------------------

@@ -92,6 +92,28 @@ TEST(Autotune, DeterministicUnderFixedSeedAndCostModel) {
   EXPECT_EQ(first.best.block_n, 32);
 }
 
+TEST(Autotune, FinalistMustBeatTheDefaultsSpread) {
+  // The default reads 2.0 and 1.0 alternately (a noisy host): 2.0 in
+  // the pass, then 1.0, 2.0, 1.0, 2.0, 1.0 in the five final rounds.
+  // The finalist reads a constant 0.95, so it wins every round, but
+  // its median beats the default's (1.0) by less than the default's
+  // own spread across the rounds (2nd to 4th sorted: 1.0 to 2.0), so
+  // the default keeps its place.
+  const PlanKey key{64, 64, 64, false};
+  AutotuneOptions opts;
+  opts.quick = true;
+  opts.reps = 1;
+  int default_reads = 0;
+  opts.measure = [&default_reads](const TileConfig& t) {
+    if (t == TileConfig{}) return (default_reads++ % 2 == 0) ? 2.0 : 1.0;
+    return 0.95;
+  };
+  const AutotuneResult result = autotune(core::M3xuConfig{}, key, opts);
+  EXPECT_EQ(result.best, TileConfig{});
+  EXPECT_EQ(result.best_seconds, result.default_seconds);
+  EXPECT_EQ(default_reads, 6);  // the pass and the five final rounds
+}
+
 TEST(Autotune, EveryQuickCandidateIsBitIdentical) {
   // The gate itself: no candidate in the default quick set may change
   // result bits for either dtype.
