@@ -1403,6 +1403,9 @@ class Avx512Block {
       }
     }
     if constexpr (S == 2) {
+      // The imaginary stream (A slot t times B slot t^1) in a pass of
+      // its own: the streams share no B slot, and one stream at a time
+      // keeps both rows' sums in registers.
       for (unsigned l = live; l != 0; l &= l - 1) {
         const int t = __builtin_ctz(l);
 #pragma GCC unroll 2
