@@ -481,9 +481,8 @@ std::string coverage_json(const std::vector<DomainStats>& domains,
   w.key("telemetry").begin_object();
   for (const char* name :
        {"recovery.retries", "recovery.demotions", "recovery.recovered",
-        "recovery.alloc_fallbacks", "recovery.quarantined",
-        "recovery.degraded_tiles", "recovery.poisoned_tiles",
-        "abft.detected", "abft.recovered", "abft.false_alarms",
+        "recovery.alloc_fallbacks", "recovery.quarantined", "abft.detected",
+        "abft.recovered", "abft.false_alarms",
         "threadpool.cancellations", "threadpool.watchdog.watches",
         "threadpool.watchdog.deadline_fired",
         "threadpool.watchdog.stalls_detected"}) {

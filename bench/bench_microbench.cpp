@@ -141,7 +141,8 @@ void BM_GemmFftForward(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmFftForward)->Arg(256)->Arg(1024);
 
-void BM_GemmFp32Engine64(benchmark::State& state) {
+// The flat per-dot gemm_fp32 loop at 32x32x32.
+void BM_GemmFp32PerDot32(benchmark::State& state) {
   const core::M3xuEngine engine;
   Rng rng(9);
   const int n = 32;
@@ -154,7 +155,7 @@ void BM_GemmFp32Engine64(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_GemmFp32Engine64);
+BENCHMARK(BM_GemmFp32PerDot32);
 
 void BM_Int32MultistepDot(benchmark::State& state) {
   Rng rng(10);

@@ -13,8 +13,7 @@
 //     datapath injection through the server's engine; kOk results must
 //     carry no supra-tolerance deviation vs the golden result (the
 //     ABFT detectability bar; undetectable sub-tolerance residue is
-//     benign by construction), kDegraded must be policy-authorized,
-//     kFailed must carry a structured error;
+//     benign by construction), kFailed must carry a structured error;
 //   alloc_failure - injected packed-panel allocation failures; kOk
 //     results must be bit-identical (the per-dot fallback is exact);
 //   worker_stall  - injected worker sleeps with no deadline; requests
@@ -40,7 +39,7 @@
 // ServerConfig::trace_requests, paired back-to-back per round, the
 // median per-round process-CPU ratio compared against the <= 2%
 // telemetry budget) and, in chaos
-// mode, attach per-request timelines: degraded/failed requests embed
+// mode, attach per-request timelines: failed/expired requests embed
 // their TraceContext event log in the JSON artifact.
 //
 // Flags: --mode=clean|chaos|both (default both), --quick (CI sizes),
@@ -79,7 +78,7 @@ using serve::RequestStatus;
 
 namespace {
 
-constexpr int kStatusCount = 8;
+constexpr int kStatusCount = 8;  // RequestStatus values span 0..7
 
 bool bitwise_equal(const gemm::Matrix<float>& x, const gemm::Matrix<float>& y) {
   for (int i = 0; i < x.rows(); ++i) {
@@ -171,8 +170,8 @@ struct Tally {
   long counts[kStatusCount] = {};
   long violations = 0;
   std::vector<std::string> notes;  // first few violation descriptions
-  // A few degraded/failed/deadline requests kept alive so their
-  // per-request trace timelines can be embedded in the JSON artifact.
+  // A few failed/deadline requests kept alive so their per-request
+  // trace timelines can be embedded in the JSON artifact.
   std::vector<RequestHandle> trace_samples;
 
   void violate(const std::string& what) {
@@ -203,15 +202,14 @@ struct Expect {
 };
 
 /// Waits the request out and enforces the serving contract: a terminal
-/// status from the allowed set, bit-correct kOk output, policy-backed
-/// kDegraded, structured kFailed.
+/// status from the allowed set, bit-correct kOk output, structured
+/// kFailed.
 void settle(const RequestHandle& req, const Tenant& tenant, const Expect& e,
             Tally& tally) {
   req->wait();
   const RequestStatus s = req->status();
   ++tally.counts[static_cast<int>(s) % kStatusCount];
-  if ((s == RequestStatus::kDegraded || s == RequestStatus::kFailed ||
-       s == RequestStatus::kDeadlineExceeded) &&
+  if ((s == RequestStatus::kFailed || s == RequestStatus::kDeadlineExceeded) &&
       req->trace() != nullptr && tally.trace_samples.size() < 2) {
     tally.trace_samples.push_back(req);
   }
@@ -248,13 +246,6 @@ void settle(const RequestHandle& req, const Tenant& tenant, const Expect& e,
       }
       break;
     }
-    case RequestStatus::kDegraded:
-      if (req->stats().recovery.degraded_tiles +
-              req->stats().recovery.poisoned_tiles ==
-          0) {
-        tally.violate(tenant.name + ": kDegraded without degraded tiles");
-      }
-      break;
     case RequestStatus::kFailed:
       if (req->error().empty()) {
         tally.violate(tenant.name + ": kFailed without a structured error");
@@ -380,10 +371,10 @@ CleanResult run_clean(bool quick, std::uint64_t seed) {
     }
   }
   result.wall_s = (now_ms() - wall_start) / 1e3;
-  const long good =
-      result.tally.ok() + result.tally.of(RequestStatus::kDegraded);
   result.goodput_rps =
-      result.wall_s > 0 ? static_cast<double>(good) / result.wall_s : 0.0;
+      result.wall_s > 0
+          ? static_cast<double>(result.tally.ok()) / result.wall_s
+          : 0.0;
   result.shed_rate =
       result.tally.total() > 0
           ? static_cast<double>(result.tally.of(RequestStatus::kShed)) /
@@ -536,8 +527,7 @@ DomainResult chaos_datapath(fault::Site site, double rate, int requests,
   serve::GemmServer server(cfg);
 
   const Expect expect =
-      Expect::of({RequestStatus::kOk, RequestStatus::kDegraded,
-                  RequestStatus::kFailed},
+      Expect::of({RequestStatus::kOk, RequestStatus::kFailed},
                  BitGate::kTolerance);
   std::vector<std::pair<RequestHandle, const Tenant*>> handles;
   for (int i = 0; i < requests; ++i) {
@@ -850,17 +840,16 @@ int main(int argc, char** argv) {
     domains.push_back(chaos_deadline(quick ? 4 : 10, s()));
     domains.push_back(chaos_shed(quick ? 16 : 40, s()));
 
-    std::printf("%-16s %9s %5s %9s %6s %7s %6s %6s %11s %5s\n", "domain",
-                "requests", "ok", "degraded", "shed", "cancel", "ddl",
-                "fail", "violations", "pass");
+    std::printf("%-16s %9s %5s %6s %7s %6s %6s %11s %5s\n", "domain",
+                "requests", "ok", "shed", "cancel", "ddl", "fail",
+                "violations", "pass");
     w.key("chaos").begin_object();
     w.key("domains").begin_array();
     for (const DomainResult& d : domains) {
       const bool dpass = d.tally.violations == 0 && d.required_seen;
       pass = pass && dpass;
-      std::printf("%-16s %9ld %5ld %9ld %6ld %7ld %6ld %6ld %11ld %5s\n",
+      std::printf("%-16s %9ld %5ld %6ld %7ld %6ld %6ld %11ld %5s\n",
                   d.name.c_str(), d.tally.total(), d.tally.ok(),
-                  d.tally.of(RequestStatus::kDegraded),
                   d.tally.of(RequestStatus::kShed),
                   d.tally.of(RequestStatus::kCancelled),
                   d.tally.of(RequestStatus::kDeadlineExceeded),
@@ -870,7 +859,7 @@ int main(int argc, char** argv) {
       json_tally(w, d.tally);
       w.kv("required_outcome_seen", d.required_seen).kv("pass", dpass);
       if (!d.tally.trace_samples.empty()) {
-        // Per-request timelines of degraded/failed/expired requests:
+        // Per-request timelines of failed/expired requests:
         // admission -> ABFT detections -> ladder walk -> terminal.
         w.key("timeline_samples").begin_array();
         for (const RequestHandle& r : d.tally.trace_samples) {
@@ -892,10 +881,10 @@ int main(int argc, char** argv) {
   w.key("telemetry").begin_object();
   for (const char* name :
        {"serve.requests.submitted", "serve.requests.ok",
-        "serve.requests.degraded", "serve.requests.deadline_exceeded",
-        "serve.requests.shed", "serve.requests.cancelled",
-        "serve.requests.failed", "serve.requests.retries",
-        "serve.shed.rejected", "serve.shed.evicted", "panel_cache.hits",
+        "serve.requests.deadline_exceeded", "serve.requests.shed",
+        "serve.requests.cancelled", "serve.requests.failed",
+        "serve.requests.retries", "serve.shed.rejected",
+        "serve.shed.evicted", "panel_cache.hits",
         "panel_cache.misses", "panel_cache.corrupt_dropped",
         "recovery.quarantine_evictions", "threadpool.submissions_queued",
         "cancel.user", "cancel.deadline", "cancel.shed", "cancel.stall"}) {

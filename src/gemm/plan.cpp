@@ -307,7 +307,7 @@ GemmPlan GemmPlan::compile(const core::M3xuConfig& engine_cfg,
   const core::MmaShape shape = core::shape_for(
       key.cplx ? core::MxuMode::kFp32Complex : core::MxuMode::kFp32);
   validate_tile_config(options.tile, shape.k);
-  validate_resilience_config(options.abft, options.policy);
+  validate_resilience_config(options.abft);
   auto impl = std::make_unique<Impl>(engine_cfg, key, options);
   plan_compile_ctr.increment();
   return GemmPlan(std::move(impl));

@@ -11,15 +11,14 @@
 //                     (no packing at all - also the allocation-failure
 //                     fallback)
 //
-// On an ABFT detection the driver retries the tile a bounded number of
-// times per rung, then demotes one rung and retries again, down to
-// RecoveryPolicy::floor. The bottom rung runs on the fault-free engine
+// On an ABFT detection the driver retries the tile once on its rung,
+// then demotes one rung and retries again, always down to
+// kScalarReference. The bottom rung runs twice on the fault-free engine
 // clone (the "trusted scalar unit"), whose deterministic reproduction
 // either passes the checksum or proves the mismatch is a tolerance
-// artifact - so a full ladder always terminates. Persistent offenders
-// can be remembered in a TileQuarantine (ExecRails::quarantine) so
-// later calls start them on a lower rung directly. See
-// docs/RESILIENCE.md.
+// artifact - so every detection settles. Persistent offenders can be
+// remembered in a TileQuarantine (ExecRails::quarantine) so later calls
+// start them on a lower rung directly. See docs/RESILIENCE.md.
 #pragma once
 
 #include <cstdint>
@@ -104,33 +103,18 @@ class TileQuarantine {
   std::unordered_map<long, Entry> tiles_;
 };
 
-/// How the driver escalates when a tile's ABFT checksum keeps failing.
+/// How the driver recovers a tile whose ABFT checksum fails. The ladder
+/// itself is fixed - one attempt per faulty rung, two on the fault-free
+/// scalar rung - so the one choice is which protocol runs.
 struct RecoveryPolicy {
-  /// Master switch. false runs the clean-recompute protocol instead of
-  /// the ladder: up to AbftConfig::max_recompute recomputes on the
-  /// fault-free clone, then AbftFailure - no ladder, no quarantine.
+  /// true walks the demotion ladder. false runs the clean-recompute
+  /// protocol instead: up to AbftConfig::max_recompute recomputes on
+  /// the fault-free clone, then AbftFailure - no ladder, no quarantine.
   /// Every recompute is fault-free, so a transient fault recovers
   /// bit-exactly; a ladder retry runs the primary datapath again and
   /// can pick up a new flip below the checksum tolerance
   /// (docs/FAULT_INJECTION.md).
   bool demote = true;
-  /// Retry attempts per rung before demoting one rung further. The
-  /// terminal scalar rung always gets at least 2 attempts so its
-  /// deterministic reproduction can prove a false alarm.
-  int retries_per_route = 1;
-  /// Lowest rung the ladder may demote to. Raising the floor above
-  /// kScalarReference makes the terminal behavior reachable even for
-  /// tolerance artifacts (used by tests); the default floor guarantees
-  /// recovery for every transient fault.
-  Route floor = Route::kScalarReference;
-  /// What happens when the ladder hits the floor without a passing
-  /// checksum.
-  enum class Terminal {
-    kThrow,    // AbftFailure with tile coordinates / route / attempts
-    kDegrade,  // keep the suspect tile result, count it, continue
-    kPoison,   // overwrite the tile with quiet NaNs, count, continue
-  };
-  Terminal terminal = Terminal::kThrow;
 };
 
 /// Per-execute guard rails: the request-scoped counterpart of a plan's
@@ -175,10 +159,10 @@ struct ExecRails {
   ThreadPool* pool = nullptr;
   /// Optional request-scoped trace (non-owning; may be null). The
   /// driver logs tile-level milestones - pack-cache hits, ABFT
-  /// detections, ladder retries/demotions, quarantine activity,
-  /// terminal degradations - into it and installs it as the active
-  /// thread-local context around each tile so the core route dispatch
-  /// can attribute route decisions to the request.
+  /// detections, ladder retries/demotions, quarantine activity - into
+  /// it and installs it as the active thread-local context around each
+  /// tile so the core route dispatch can attribute route decisions to
+  /// the request.
   telemetry::TraceContext* trace = nullptr;
 };
 
@@ -194,8 +178,6 @@ struct RecoveryReport {
   long alloc_fallbacks = 0;  // staged K-blocks that lost their packed
                              // panels (bad_alloc or injected) and ran
                              // the unpacked per-dot fallback
-  long degraded_tiles = 0;   // Terminal::kDegrade outcomes
-  long poisoned_tiles = 0;   // Terminal::kPoison outcomes
 };
 
 }  // namespace m3xu::gemm

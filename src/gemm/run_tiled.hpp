@@ -33,7 +33,7 @@ struct FrozenPlan {
   double eps_chunk;
   /// Primary datapath (may carry a fault injector).
   core::M3xuEngine engine;
-  /// Fault-free clone: clean recomputes and the terminal scalar rung.
+  /// Fault-free clone: clean recomputes and the bottom scalar rung.
   core::M3xuEngine clean;
   /// Route-forced clone (force_generic) for quarantined tiles' initial
   /// passes; present exactly when options.policy.demote is set.

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -53,8 +52,6 @@ telemetry::Counter rec_recovered_ctr("recovery.recovered");
 telemetry::Counter rec_quarantined_ctr("recovery.quarantined");
 telemetry::Counter rec_quarantine_hits_ctr("recovery.quarantine_hits");
 telemetry::Counter rec_alloc_fallbacks_ctr("recovery.alloc_fallbacks");
-telemetry::Counter rec_degraded_ctr("recovery.degraded_tiles");
-telemetry::Counter rec_poisoned_ctr("recovery.poisoned_tiles");
 
 // Grid dispatch: GEMMs whose tiles fanned out across an idle pool,
 // GEMMs that found the pool held by another caller and ran their tiles
@@ -98,7 +95,6 @@ struct ChecksumTraits<float> {
   static Acc widen(float v) { return v; }
   static double mag(float v) { return std::fabs(static_cast<double>(v)); }
   static double residual(Acc v) { return std::fabs(v); }
-  static float poison() { return std::numeric_limits<float>::quiet_NaN(); }
 };
 
 template <>
@@ -109,10 +105,14 @@ struct ChecksumTraits<std::complex<float>> {
   }
   static double mag(std::complex<float> v) { return std::abs(widen(v)); }
   static double residual(Acc v) { return std::abs(v); }
-  static std::complex<float> poison() {
-    return {std::numeric_limits<float>::quiet_NaN(),
-            std::numeric_limits<float>::quiet_NaN()};
-  }
+};
+
+/// How one recovery attempt on a detected tile ended.
+enum class Attempt {
+  kRecovered,   // the recompute passed the checksum
+  kFalseAlarm,  // it failed with the previous attempt's bits: a
+                // tolerance artifact of this input, not a fault
+  kFailed,      // it failed with new bits
 };
 
 /// Packed-path glue per element type: staged panels are packed once per
@@ -198,7 +198,7 @@ void corrupt_staged_value(const fault::FaultInjector& inj,
 /// Shared implementation over the element type, driven entirely by the
 /// plan's frozen state: GemmPlan owns the validated configs and every
 /// engine the tile loop needs - primary (possibly fault-injected),
-/// fault-free clone for clean recomputes and the terminal scalar rung,
+/// fault-free clone for clean recomputes and the bottom scalar rung,
 /// and the route-forced clone for quarantined tiles' initial passes.
 /// Nothing config-derived is computed here, so a plan amortizes it all
 /// across executes.
@@ -474,9 +474,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
     if (policy.demote && exec.quarantine != nullptr) {
       Route q = start_route;
       if (exec.quarantine->lookup(static_cast<long>(t), &q)) {
-        start_route = std::min(q, policy.floor, [](Route x, Route y) {
-          return static_cast<int>(x) < static_cast<int>(y);
-        });
+        start_route = q;
         ++local.recovery.quarantine_hits;
         if (trace != nullptr) {
           trace->event("recovery.quarantine_hit", static_cast<long>(t),
@@ -538,38 +536,43 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
           trace->event("abft.detect", static_cast<long>(t),
                        static_cast<long>(start_route));
         }
-        bool resolved = false;
+        // One recovery attempt, shared by both protocols: recompute the
+        // tile from its initial C on (eng, route) and classify it. A
+        // settled attempt (recovered, or a false alarm whose bits are
+        // kept) becomes the tile's result; a failed one becomes the
+        // bits the next attempt is compared against.
         std::vector<T> prev = c_frag;
+        const auto attempt = [&](const core::M3xuEngine& eng,
+                                 Route route) -> Attempt {
+          std::vector<T> redo = c_in;
+          compute_tile(eng, route, redo, nullptr, /*allow_cache=*/false);
+          ++local.abft_recomputed;
+          if (verify(redo)) {
+            c_frag = std::move(redo);
+            ++local.abft_recovered;
+            return Attempt::kRecovered;
+          }
+          if (std::memcmp(redo.data(), prev.data(),
+                          redo.size() * sizeof(T)) == 0) {
+            c_frag = std::move(redo);
+            ++local.abft_false_alarms;
+            return Attempt::kFalseAlarm;
+          }
+          prev = std::move(redo);
+          return Attempt::kFailed;
+        };
+        Attempt outcome = Attempt::kFailed;
         if (!policy.demote) {
           // Clean-recompute protocol: bounded recomputes on the
           // fault-free clone, then AbftFailure.
           const int attempts = abft.max_recompute;
-          for (int attempt = 0; attempt < attempts && !resolved; ++attempt) {
-            std::vector<T> redo = c_in;
-            compute_tile(clean, Route::kMicrokernel, redo, nullptr,
-                         /*allow_cache=*/false);
-            ++local.abft_recomputed;
+          for (int i = 0; i < attempts && outcome == Attempt::kFailed; ++i) {
+            outcome = attempt(clean, Route::kMicrokernel);
             if (trace != nullptr) {
-              trace->event("abft.recompute", static_cast<long>(t), attempt);
-            }
-            if (verify(redo)) {
-              c_frag = std::move(redo);
-              ++local.abft_recovered;
-              resolved = true;
-            } else if (std::memcmp(redo.data(), prev.data(),
-                                   redo.size() * sizeof(T)) == 0) {
-              // The deterministic fault-free engine reproduced the same
-              // bits: the residual is a tolerance artifact of this
-              // input, not a transient fault. Keep the reproduced
-              // result.
-              c_frag = std::move(redo);
-              ++local.abft_false_alarms;
-              resolved = true;
-            } else {
-              prev = std::move(redo);
+              trace->event("abft.recompute", static_cast<long>(t), i);
             }
           }
-          if (!resolved) {
+          if (outcome == Attempt::kFailed) {
             throw AbftFailure(
                 "ABFT: tile at (" + std::to_string(bm) + "," +
                     std::to_string(bn) +
@@ -580,12 +583,10 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                 tile_row, tile_col, Route::kMicrokernel, attempts);
           }
         } else {
-          // Demotion ladder. Retries at each rung re-run the tile on
-          // the *primary* datapath forced to that route (transient
-          // faults clear on re-execution); the terminal scalar rung
-          // runs on the fault-free clone, whose deterministic result
-          // either passes the checksum or proves a false alarm - so
-          // the default ladder always terminates.
+          // Demotion ladder. A retry on a faulty rung re-runs the tile
+          // on the *primary* datapath forced to that route (transient
+          // faults clear on re-execution); the bottom scalar rung runs
+          // on the fault-free clone.
           //
           // Retry determinism: the primary injector's opportunity
           // counters are shared across tiles, so retries through it
@@ -611,54 +612,30 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
           const auto retry_engine = [&](Route r) -> const core::M3xuEngine& {
             return r == Route::kGenericPerDot ? retry_eng_generic : retry_eng;
           };
-          bool false_alarm = false;
           Route rung = start_route;
-          int total_attempts = 0;
           for (;;) {
-            const bool scalar_clean = rung == Route::kScalarReference;
-            int attempts_here = std::max(1, policy.retries_per_route);
-            if (scalar_clean) attempts_here = std::max(2, attempts_here);
-            for (int attempt = 0; attempt < attempts_here && !resolved;
-                 ++attempt) {
-              std::vector<T> redo = c_in;
+            const bool scalar = rung == Route::kScalarReference;
+            for (int i = 0; i < (scalar ? 2 : 1) && outcome == Attempt::kFailed;
+                 ++i) {
               if (trace != nullptr) {
                 trace->event("recovery.retry", static_cast<long>(t),
                              static_cast<long>(rung));
               }
-              compute_tile(scalar_clean ? clean : retry_engine(rung), rung,
-                           redo, nullptr, /*allow_cache=*/false);
-              ++local.abft_recomputed;
+              outcome = attempt(scalar ? clean : retry_engine(rung), rung);
               ++local.recovery.retries;
-              ++total_attempts;
-              if (verify(redo)) {
-                c_frag = std::move(redo);
-                ++local.abft_recovered;
+              if (outcome == Attempt::kRecovered) {
                 ++local.recovery.recovered_on[static_cast<int>(rung)];
-                resolved = true;
                 if (trace != nullptr) {
                   trace->event("recovery.recovered", static_cast<long>(t),
                                static_cast<long>(rung));
                 }
-              } else if (std::memcmp(redo.data(), prev.data(),
-                                     redo.size() * sizeof(T)) == 0) {
-                // Two identical results that both fail the checksum:
-                // tolerance artifact, not a fault. Keep the bits.
-                c_frag = std::move(redo);
-                ++local.abft_false_alarms;
-                resolved = true;
-                false_alarm = true;
-                if (trace != nullptr) {
-                  trace->event("abft.false_alarm", static_cast<long>(t),
-                               static_cast<long>(rung));
-                }
-              } else {
-                prev = std::move(redo);
+              } else if (outcome == Attempt::kFalseAlarm &&
+                         trace != nullptr) {
+                trace->event("abft.false_alarm", static_cast<long>(t),
+                             static_cast<long>(rung));
               }
             }
-            if (resolved ||
-                static_cast<int>(rung) >= static_cast<int>(policy.floor)) {
-              break;
-            }
+            if (outcome != Attempt::kFailed || scalar) break;
             rung = static_cast<Route>(static_cast<int>(rung) + 1);
             ++local.recovery.demotions;
             ++local.recovery.demoted_to[static_cast<int>(rung)];
@@ -667,7 +644,10 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                            static_cast<long>(rung), route_name(rung));
             }
           }
-          if (resolved && !false_alarm &&
+          // The scalar rung always settles: its two attempts run on the
+          // deterministic fault-free clone, so the second either passes
+          // the checksum or reproduces the first one's bits.
+          if (outcome == Attempt::kRecovered &&
               static_cast<int>(rung) > static_cast<int>(start_route) &&
               exec.quarantine != nullptr) {
             if (exec.quarantine->demote(static_cast<long>(t), rung)) {
@@ -676,43 +656,6 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                 trace->event("recovery.quarantined", static_cast<long>(t),
                              static_cast<long>(rung));
               }
-            }
-          }
-          if (!resolved) {
-            switch (policy.terminal) {
-              case RecoveryPolicy::Terminal::kThrow:
-                if (trace != nullptr) {
-                  trace->event("abft.unrecovered", static_cast<long>(t),
-                               static_cast<long>(rung));
-                }
-                throw AbftFailure(
-                    "ABFT: tile (" + std::to_string(tile_row) + "," +
-                        std::to_string(tile_col) +
-                        ") failed its column checksum after " +
-                        std::to_string(total_attempts) +
-                        " attempts down to route " +
-                        route_name(rung) + " (tolerance_scale=" +
-                        std::to_string(abft.tolerance_scale) + ")",
-                    tile_row, tile_col, rung, total_attempts);
-              case RecoveryPolicy::Terminal::kDegrade:
-                // Keep the last attempt's bits (already in prev /
-                // c_frag lineage) and carry on degraded.
-                ++local.recovery.degraded_tiles;
-                if (trace != nullptr) {
-                  trace->event("recovery.degraded_tile",
-                               static_cast<long>(t),
-                               static_cast<long>(rung));
-                }
-                break;
-              case RecoveryPolicy::Terminal::kPoison:
-                std::fill(c_frag.begin(), c_frag.end(), Traits::poison());
-                ++local.recovery.poisoned_tiles;
-                if (trace != nullptr) {
-                  trace->event("recovery.poisoned_tile",
-                               static_cast<long>(t),
-                               static_cast<long>(rung));
-                }
-                break;
             }
           }
         }
@@ -745,8 +688,6 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
         static_cast<std::uint64_t>(rec.quarantine_hits));
     rec_alloc_fallbacks_ctr.add(
         static_cast<std::uint64_t>(rec.alloc_fallbacks));
-    rec_degraded_ctr.add(static_cast<std::uint64_t>(rec.degraded_tiles));
-    rec_poisoned_ctr.add(static_cast<std::uint64_t>(rec.poisoned_tiles));
     const std::lock_guard<std::mutex> lock(stats_mu);
     stats.mainloop_iterations += local.mainloop_iterations;
     stats.staged_bytes += local.staged_bytes;
@@ -765,8 +706,6 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
     stats.recovery.quarantined += rec.quarantined;
     stats.recovery.quarantine_hits += rec.quarantine_hits;
     stats.recovery.alloc_fallbacks += rec.alloc_fallbacks;
-    stats.recovery.degraded_tiles += rec.degraded_tiles;
-    stats.recovery.poisoned_tiles += rec.poisoned_tiles;
   };
 
   // Fan out only onto an idle pool: checking and claiming it are one
@@ -836,21 +775,13 @@ void validate_tile_config(const TileConfig& config, int inst_k) {
 /// Catch nonsensical resilience knobs where they enter (plan compile,
 /// server construction) with a clear message instead of downstream
 /// misbehavior: a NaN or negative tolerance that fails every checksum,
-/// a recompute budget or retry count below one silently becoming one
-/// attempt, an out-of-range demotion floor.
-void validate_resilience_config(const AbftConfig& abft,
-                                const RecoveryPolicy& policy) {
+/// a recompute budget below one silently becoming one attempt.
+void validate_resilience_config(const AbftConfig& abft) {
   M3XU_CHECK_MSG(std::isfinite(abft.tolerance_scale) &&
                      abft.tolerance_scale >= 0.0,
                  "AbftConfig.tolerance_scale must be finite and >= 0");
   M3XU_CHECK_MSG(abft.max_recompute >= 1,
                  "AbftConfig.max_recompute must be >= 1");
-  M3XU_CHECK_MSG(policy.retries_per_route >= 0,
-                 "RecoveryPolicy.retries_per_route must be >= 0");
-  M3XU_CHECK_MSG(static_cast<int>(policy.floor) >= 0 &&
-                     static_cast<int>(policy.floor) < kRouteCount,
-                 "RecoveryPolicy.floor must be a valid Route rung "
-                 "(kMicrokernel..kScalarReference)");
 }
 
 double abft_column_tolerance(const core::M3xuEngine& engine,

@@ -11,11 +11,12 @@
 // tolerance): per threadblock tile it maintains column-checksum
 // vectors in double precision, verifies the tile's output against a
 // mode-aware ULP tolerance after the mainloop, and on mismatch
-// recovers the tile through the RecoveryPolicy (the demotion ladder,
-// or fault-free recomputes), ending in a structured AbftFailure
-// instead of an abort. With AbftConfig.enable == false (the default)
-// the driver is byte-for-byte the unguarded seed path. See
-// docs/FAULT_INJECTION.md for the tolerance derivation.
+// recovers the tile through the RecoveryPolicy: the demotion ladder,
+// which always settles, or bounded fault-free recomputes, which end
+// in a structured AbftFailure instead of an abort when they run out.
+// With AbftConfig.enable == false (the default) the driver is
+// byte-for-byte the unguarded seed path. See docs/FAULT_INJECTION.md
+// for the tolerance derivation.
 //
 // GemmPlan (gemm/plan.hpp) is the only way into the driver; this
 // header holds the configs, stats and errors it shares with callers.
@@ -98,11 +99,11 @@ struct AbftConfig {
   int max_recompute = 2;
 };
 
-/// Thrown when a tile keeps failing its checksum after the recovery
-/// protocol is exhausted (clean recomputes, or the full demotion
-/// ladder under a RecoveryPolicy with Terminal::kThrow). Carries the
-/// tile's grid coordinates, the last route attempted, and the total
-/// recompute attempts, so recovery reports and logs are actionable.
+/// Thrown when a tile keeps failing its checksum after every clean
+/// recompute (RecoveryPolicy::demote == false; the demotion ladder
+/// always settles, so it never throws this). Carries the tile's grid
+/// coordinates, the route attempted, and the recompute count, so
+/// recovery reports and logs are actionable.
 class AbftFailure : public std::runtime_error {
  public:
   AbftFailure(const std::string& what, long tile_row, long tile_col,
@@ -117,9 +118,9 @@ class AbftFailure : public std::runtime_error {
   /// and column strip in the TileGrid the call ran); -1 when unknown.
   long tile_row() const { return tile_row_; }
   long tile_col() const { return tile_col_; }
-  /// The last ladder rung the tile was attempted on.
+  /// The route the recomputes ran on.
   Route route() const { return route_; }
-  /// Recompute attempts spent across all rungs before giving up.
+  /// Recompute attempts spent before giving up.
   int attempts() const { return attempts_; }
 
  private:
@@ -156,12 +157,10 @@ struct TiledGemmStats {
 /// M3XU_CHECK_MSG.
 void validate_tile_config(const TileConfig& config, int inst_k);
 
-/// ABFT and recovery-policy validation, run at the same two places:
-/// a finite, non-negative tolerance_scale (0 stays legal), max_recompute
-/// >= 1, retries_per_route >= 0 and a floor that names a Route rung.
-/// Fails through M3XU_CHECK_MSG.
-void validate_resilience_config(const AbftConfig& abft,
-                                const RecoveryPolicy& policy);
+/// ABFT validation, run at the same two places: a finite, non-negative
+/// tolerance_scale (0 stays legal) and max_recompute >= 1. Fails
+/// through M3XU_CHECK_MSG.
+void validate_resilience_config(const AbftConfig& abft);
 
 /// The per-column ABFT detection tolerance the guarded FP32 driver
 /// uses for one threadblock tile spanning rows [bm, bm+m_eff) and all

@@ -7,15 +7,12 @@
 //
 //   kOk                bit-identical result (clean run, or every fault
 //                      recovered by the ladder)
-//   kDegraded          the recovery policy's terminal accepted suspect
-//                      or poisoned tiles (Terminal::kDegrade/kPoison);
-//                      stats().recovery says which and how many
 //   kDeadlineExceeded  the request's deadline elapsed (queued or
 //                      mid-run)
 //   kShed              admission control rejected or evicted it
 //   kCancelled         the caller's explicit cancel()
 //   kFailed            a structured error (exhausted retries, invalid
-//                      config, ...); error() carries the message
+//                      shapes, ...); error() carries the message
 //
 // There is no silent-drop path: shutdown and eviction both resolve
 // pending requests to kShed. See docs/SERVING.md.
@@ -36,11 +33,12 @@
 
 namespace m3xu::serve {
 
+/// Trace events carry these numbers ("request.done"), so they stay
+/// fixed; 3 is retired.
 enum class RequestStatus : int {
   kQueued = 0,
   kRunning = 1,
   kOk = 2,
-  kDegraded = 3,
   kDeadlineExceeded = 4,
   kShed = 5,
   kCancelled = 6,
@@ -55,8 +53,6 @@ inline const char* request_status_name(RequestStatus s) {
       return "running";
     case RequestStatus::kOk:
       return "ok";
-    case RequestStatus::kDegraded:
-      return "degraded";
     case RequestStatus::kDeadlineExceeded:
       return "deadline_exceeded";
     case RequestStatus::kShed:
@@ -122,11 +118,11 @@ class Request {
     token_.request_cancel(reason, CancelReason::kUser);
   }
 
-  /// Result matrix; valid only in kOk / kDegraded.
+  /// Result matrix; valid only in kOk.
   const gemm::Matrix<float>& result_f32() const { return c_; }
   const gemm::Matrix<std::complex<float>>& result_c64() const { return cc_; }
 
-  /// Driver stats of the successful attempt (kOk / kDegraded only).
+  /// Driver stats of the successful attempt (kOk only).
   const gemm::TiledGemmStats& stats() const { return stats_; }
   /// Structured error message (kFailed; also set for kShed /
   /// kDeadlineExceeded / kCancelled with the abort reason).

@@ -16,7 +16,6 @@ namespace {
 // one terminal counter, so their sums reconcile.
 telemetry::Counter srv_submitted("serve.requests.submitted");
 telemetry::Counter srv_ok("serve.requests.ok");
-telemetry::Counter srv_degraded("serve.requests.degraded");
 telemetry::Counter srv_deadline("serve.requests.deadline_exceeded");
 telemetry::Counter srv_shed("serve.requests.shed");
 telemetry::Counter srv_cancelled("serve.requests.cancelled");
@@ -39,9 +38,6 @@ void count_terminal(RequestStatus s) {
   switch (s) {
     case RequestStatus::kOk:
       srv_ok.increment();
-      break;
-    case RequestStatus::kDegraded:
-      srv_degraded.increment();
       break;
     case RequestStatus::kDeadlineExceeded:
       srv_deadline.increment();
@@ -98,7 +94,7 @@ GemmServer::GemmServer(const ServerConfig& config)
                              core::shape_for(core::MxuMode::kFp32).k);
   gemm::validate_tile_config(config_.tile,
                              core::shape_for(core::MxuMode::kFp32Complex).k);
-  gemm::validate_resilience_config(config_.abft, config_.recovery);
+  gemm::validate_resilience_config(config_.abft);
   executors_.reserve(static_cast<std::size_t>(config_.executors));
   for (int i = 0; i < config_.executors; ++i) {
     executors_.emplace_back([this] { executor_loop(); });
@@ -395,12 +391,7 @@ void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
     try {
       if (attempt > 1) c = c0;
       req->stats_ = plan.execute(a, b, c, rails);
-      const bool degraded = req->stats_.recovery.degraded_tiles +
-                                req->stats_.recovery.poisoned_tiles >
-                            0;
-      resolve_and_count(
-          req, degraded ? RequestStatus::kDegraded : RequestStatus::kOk,
-          degraded ? "degraded per policy: suspect tiles accepted" : "");
+      resolve_and_count(req, RequestStatus::kOk, "");
       return;
     } catch (const DeadlineExceeded& e) {
       if (e.reason() == CancelReason::kStall) {
@@ -416,8 +407,9 @@ void GemmServer::run_attempts(const RequestHandle& req, gemm::Matrix<T>& a,
       resolve_and_count(req, status_for_cancel(e.reason()), e.what());
       return;
     } catch (const gemm::AbftFailure& e) {
-      // The ladder bottomed out under Terminal::kThrow. A fresh
-      // attempt re-runs the full ladder (new retry streams).
+      // Clean recompute (recovery.demote == false) ran out of
+      // recomputes; the ladder always settles. A fresh attempt runs
+      // the primary datapath again.
       transient = "unrecovered ABFT failure";
       detail = e.what();
     } catch (const std::bad_alloc&) {

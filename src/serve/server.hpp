@@ -16,7 +16,7 @@
 //     and per staged K-block, so a request expires whether it is
 //     queued, staging, mid-mainloop or backing off between attempts;
 //   - retry-with-backoff for transient failures (stalls,
-//     allocation failures, exhausted ABFT ladders) up to max_attempts,
+//     allocation failures, exhausted ABFT recomputes) up to max_attempts,
 //     restoring the original C operand before each attempt;
 //   - per-tenant tile quarantine: repeat offenders start demoted on
 //     later requests of the *same* tenant and grid only - one tenant's
@@ -69,8 +69,8 @@ struct ServerConfig {
   /// driver requires the deadline backstop).
   std::int64_t stall_ms = 0;
   /// Execution attempts per request: 1 initial + (max_attempts - 1)
-  /// retries for transient failures (stall, bad_alloc, exhausted ABFT
-  /// ladder with Terminal::kThrow).
+  /// retries for transient failures (stall, bad_alloc, AbftFailure from
+  /// clean recompute run out - recovery.demote == false).
   int max_attempts = 3;
   /// Base retry backoff, ms; doubles per retry. 0 retries immediately.
   std::int64_t retry_backoff_ms = 1;
@@ -88,7 +88,7 @@ struct ServerConfig {
   std::size_t pack_cache_entries = 256;
   bool pack_cache_verify = true;
   /// Engine configuration for the primary datapath. May carry a fault
-  /// injector (chaos benches do); ABFT recomputes and the terminal
+  /// injector (chaos benches do); ABFT recomputes and the bottom
   /// scalar rung always run a fault-free clone.
   core::M3xuConfig engine;
   /// Create a request-scoped TraceContext per submission and thread it

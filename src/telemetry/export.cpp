@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "common/table.hpp"
-
 namespace m3xu::telemetry {
 
 std::string git_revision() {
@@ -86,34 +84,6 @@ void write_environment(JsonWriter& w, const Environment& env) {
   w.kv("git_dirty", env.git_dirty);
   w.kv("telemetry_enabled", static_cast<bool>(M3XU_TELEMETRY_ENABLED));
   w.end_object();
-}
-
-void print_summary(const Snapshot& snap, std::FILE* out) {
-  if (snap.counters.empty() && snap.histograms.empty()) {
-    std::fprintf(out, "telemetry: no metrics recorded%s\n",
-                 M3XU_TELEMETRY_ENABLED ? "" : " (built with telemetry off)");
-    return;
-  }
-  if (!snap.counters.empty()) {
-    Table t({"counter", "value"});
-    for (const auto& [name, value] : snap.counters) {
-      t.add_row({name, std::to_string(value)});
-    }
-    t.print(out);
-  }
-  if (!snap.histograms.empty()) {
-    std::fprintf(out, "\n");
-    Table t({"histogram", "count", "mean", "max_bucket"});
-    for (const Snapshot::HistogramValue& h : snap.histograms) {
-      int top = 0;
-      for (int b = 0; b < kHistBuckets; ++b) {
-        if (h.buckets[static_cast<std::size_t>(b)] != 0) top = b;
-      }
-      t.add_row({h.name, std::to_string(h.count), Table::num(h.mean(), 2),
-                 "2^" + std::to_string(top)});
-    }
-    t.print(out);
-  }
 }
 
 }  // namespace m3xu::telemetry

@@ -1,12 +1,10 @@
 // The metrics export building blocks: environment metadata and the
 // counters/histograms JSON fragment benches embed in their own
 // documents (and telemetry/exposition.hpp wraps into the standalone
-// metrics document), plus a human-readable summary table rendered
-// through common/table. All of it works (emitting empty sections) in
+// metrics document). All of it works (emitting empty sections) in
 // M3XU_TELEMETRY=OFF builds so callers compile unchanged.
 #pragma once
 
-#include <cstdio>
 #include <string>
 
 #include "telemetry/json.hpp"
@@ -42,9 +40,5 @@ void write_metrics(JsonWriter& w, const Snapshot& snap);
 /// Writes environment metadata into an open object of `w` under an
 /// "environment" key (callers may add their own fields next to it).
 void write_environment(JsonWriter& w, const Environment& env);
-
-/// Renders the snapshot's counters and histograms as fixed-width text
-/// tables (common/table) to `out`.
-void print_summary(const Snapshot& snap, std::FILE* out);
 
 }  // namespace m3xu::telemetry

@@ -232,15 +232,23 @@ TEST(Abft, RecoversFromHeavyInjection) {
 TEST(Abft, ZeroToleranceWithFaultsExhaustsRetries) {
   // tolerance_scale = 0 makes even legitimate rounding trip the check;
   // with live injection and a single recompute the driver cannot settle
-  // and must surface the structured error (not abort).
+  // and must surface the structured error (not abort), naming the tile,
+  // the route and the recomputes spent.
   const Problem p = make(32, 32, 32, 3222);
   const gemm::TileConfig tile{32, 32, 32, 16, 16};
   const FaultInjector inj(3, SiteRates::only(Site::kOperandA, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
   gemm::Matrix<float> c = p.c;
-  EXPECT_THROW(run_plan(cfg, tile, gemm::AbftConfig{true, 0.0, 1}, p, c),
-               gemm::AbftFailure);
+  try {
+    run_plan(cfg, tile, gemm::AbftConfig{true, 0.0, 1}, p, c, one_thread());
+    FAIL() << "expected AbftFailure";
+  } catch (const gemm::AbftFailure& e) {
+    EXPECT_EQ(e.tile_row(), 0);
+    EXPECT_EQ(e.tile_col(), 0);
+    EXPECT_EQ(e.route(), gemm::Route::kMicrokernel);
+    EXPECT_EQ(e.attempts(), 1);
+  }
 }
 
 TEST(Abft, ZeroToleranceCleanEngineIsFalseAlarm) {

@@ -1,13 +1,14 @@
 // Tests for the resilient execution layer around the tiled GEMM
-// driver: the retry-then-demote ladder, tile quarantine, terminal
-// behaviors, allocation-failure fallback, staged-panel faults, the
-// NaN-aware checksum, and the clean-recompute protocol.
+// driver: the retry-then-demote ladder, tile quarantine,
+// allocation-failure fallback, staged-panel faults, the NaN-aware
+// checksum, and the clean-recompute protocol.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
@@ -31,10 +32,11 @@ namespace {
 
 std::uint32_t bits32(float v) { return std::bit_cast<std::uint32_t>(v); }
 
-bool bitwise_equal(const Matrix<float>& x, const Matrix<float>& y) {
+template <typename T>
+bool bitwise_equal(const Matrix<T>& x, const Matrix<T>& y) {
   for (int i = 0; i < x.rows(); ++i) {
     for (int j = 0; j < x.cols(); ++j) {
-      if (bits32(x(i, j)) != bits32(y(i, j))) return false;
+      if (std::memcmp(&x(i, j), &y(i, j), sizeof(T)) != 0) return false;
     }
   }
   return true;
@@ -173,21 +175,9 @@ TEST(ResilienceValidation, RejectsMalformedPolicyAbftAndRails) {
   const PlanKey key{32, 32, 32, false};
   Matrix<float> out = p.c;
 
-  // Frozen configs fail at compile.
-  RecoveryPolicy bad_retries;
-  bad_retries.retries_per_route = -1;
-  EXPECT_THROW(GemmPlan::compile(clean, key,
-                                 {single_tile_cfg(), abft_on(), bad_retries}),
-               CheckError);
-
-  RecoveryPolicy bad_floor;
-  bad_floor.floor = static_cast<Route>(kRouteCount);
-  EXPECT_THROW(
-      GemmPlan::compile(clean, key, {single_tile_cfg(), abft_on(), bad_floor}),
-      CheckError);
-
-  // A NaN, infinite or negative tolerance fails every checksum (or
-  // none); a recompute budget below one used to run one recompute.
+  // Frozen configs fail at compile. A NaN, infinite or negative
+  // tolerance fails every checksum (or none); a recompute budget below
+  // one used to run one recompute.
   for (const double scale : {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(), -1.0}) {
     AbftConfig bad_tolerance = abft_on();
@@ -237,22 +227,26 @@ TEST(ResilienceValidation, RejectsMalformedPolicyAbftAndRails) {
   EXPECT_NO_THROW(plan.execute(p.a, p.b, out, ok));
 }
 
-TEST(Resilience, LadderWalksToScalarAndRecoversBitExact) {
-  // Rate-1.0 accumulator faults corrupt every pass through the primary
-  // datapath (and every per-tile retry injector), so the ladder must
-  // walk all the way down; the scalar rung runs fault-free and its
-  // recovery is bit-exact by construction.
-  const Problem p = make(32, 32, 64, 77);
-  const Matrix<float> ref = flat_ref(p);
+/// One detected tile under rate-1.0 faults at `site`: every pass
+/// through the primary datapath (and every per-tile retry injector) is
+/// corrupted, so the ladder must walk all the way down; the scalar rung
+/// runs fault-free and its recovery is bit-exact by construction.
+template <typename T>
+void expect_ladder_walks_to_scalar(fault::Site site) {
+  Matrix<T> a(32, 64), b(64, 32), c0(32, 32);
+  Rng rng(77);
+  fill_random(a, rng);
+  fill_random(b, rng);
+  fill_random(c0, rng);
+  const Matrix<T> ref = flat_ref(a, b, c0);
 
-  const fault::FaultInjector inj(
-      1234, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
+  const fault::FaultInjector inj(1234, fault::SiteRates::only(site, 1.0));
   core::M3xuConfig cfg;
   cfg.injector = &inj;
-  const RecoveryPolicy policy;  // defaults: full ladder, throw terminal
-  Matrix<float> out = p.c;
+  const RecoveryPolicy policy;  // the ladder
+  Matrix<T> out = c0;
   const TiledGemmStats stats = run_plan(
-      cfg, {single_tile_cfg(), abft_on(), policy}, p.a, p.b, out, one_thread());
+      cfg, {single_tile_cfg(), abft_on(), policy}, a, b, out, one_thread());
   EXPECT_EQ(stats.abft_detected, 1);
   EXPECT_EQ(stats.recovery.demotions, 2);
   EXPECT_EQ(stats.recovery.demoted_to[static_cast<int>(
@@ -265,10 +259,26 @@ TEST(Resilience, LadderWalksToScalarAndRecoversBitExact) {
   // scalar rung recovers on its first attempt.
   EXPECT_EQ(stats.recovery.retries, 3);
   EXPECT_TRUE(bitwise_equal(out, ref));
-  // Every detection resolves one way or another under the default
-  // ladder (throw terminal would have escaped the call).
+  // The ladder settles every detection.
   EXPECT_EQ(stats.abft_recovered + stats.abft_false_alarms,
             stats.abft_detected);
+}
+
+TEST(Resilience, LadderWalksToScalarAndRecoversBitExact) {
+  for (const fault::Site site :
+       {fault::Site::kOperandA, fault::Site::kOperandB,
+        fault::Site::kPartialProduct, fault::Site::kAccumulator,
+        fault::Site::kStagedPanel}) {
+    SCOPED_TRACE(fault::site_name(site));
+    {
+      SCOPED_TRACE("fp32");
+      expect_ladder_walks_to_scalar<float>(site);
+    }
+    {
+      SCOPED_TRACE("fp32c");
+      expect_ladder_walks_to_scalar<std::complex<float>>(site);
+    }
+  }
 }
 
 TEST(Resilience, QuarantineSkipsTheLadderOnTheNextCall) {
@@ -300,67 +310,6 @@ TEST(Resilience, QuarantineSkipsTheLadderOnTheNextCall) {
   EXPECT_EQ(s2.recovery.quarantine_hits, 1);
   EXPECT_EQ(s2.recovery.demotions, 0);
   EXPECT_TRUE(bitwise_equal(out2, ref));
-}
-
-TEST(Resilience, TerminalThrowCarriesTileAndRouteContext) {
-  // Floor at the top rung with persistent faults: the ladder cannot
-  // demote, so the terminal fires after retries_per_route attempts.
-  const Problem p = make(32, 32, 64, 79);
-  const fault::FaultInjector inj(
-      7, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
-  core::M3xuConfig cfg;
-  cfg.injector = &inj;
-  RecoveryPolicy policy;
-  policy.floor = Route::kMicrokernel;
-  policy.retries_per_route = 2;
-  Matrix<float> out = p.c;
-  try {
-    run_plan(cfg, {single_tile_cfg(), abft_on(), policy}, p.a, p.b, out,
-             one_thread());
-    FAIL() << "expected AbftFailure";
-  } catch (const AbftFailure& e) {
-    EXPECT_EQ(e.tile_row(), 0);
-    EXPECT_EQ(e.tile_col(), 0);
-    EXPECT_EQ(e.route(), Route::kMicrokernel);
-    EXPECT_EQ(e.attempts(), 2);
-  }
-}
-
-TEST(Resilience, TerminalPoisonOverwritesTheTileWithNaNs) {
-  const Problem p = make(32, 32, 64, 80);
-  const fault::FaultInjector inj(
-      8, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
-  core::M3xuConfig cfg;
-  cfg.injector = &inj;
-  RecoveryPolicy policy;
-  policy.floor = Route::kMicrokernel;
-  policy.terminal = RecoveryPolicy::Terminal::kPoison;
-  Matrix<float> out = p.c;
-  const TiledGemmStats stats = run_plan(
-      cfg, {single_tile_cfg(), abft_on(), policy}, p.a, p.b, out, one_thread());
-  EXPECT_EQ(stats.recovery.poisoned_tiles, 1);
-  EXPECT_EQ(stats.recovery.degraded_tiles, 0);
-  for (int i = 0; i < out.rows(); ++i) {
-    for (int j = 0; j < out.cols(); ++j) {
-      ASSERT_TRUE(std::isnan(out(i, j))) << i << "," << j;
-    }
-  }
-}
-
-TEST(Resilience, TerminalDegradeKeepsTheSuspectResult) {
-  const Problem p = make(32, 32, 64, 81);
-  const fault::FaultInjector inj(
-      9, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
-  core::M3xuConfig cfg;
-  cfg.injector = &inj;
-  RecoveryPolicy policy;
-  policy.floor = Route::kMicrokernel;
-  policy.terminal = RecoveryPolicy::Terminal::kDegrade;
-  Matrix<float> out = p.c;
-  const TiledGemmStats stats = run_plan(
-      cfg, {single_tile_cfg(), abft_on(), policy}, p.a, p.b, out, one_thread());
-  EXPECT_EQ(stats.recovery.degraded_tiles, 1);
-  EXPECT_EQ(stats.recovery.poisoned_tiles, 0);
 }
 
 TEST(Resilience, AllocFailureFallsBackBitExact) {

@@ -136,8 +136,6 @@ TEST(GemmServer, ConstructorRejectsMalformedPlanConfigs) {
     }
     return false;
   };
-  EXPECT_TRUE(
-      rejects([](ServerConfig& c) { c.recovery.retries_per_route = -1; }));
   EXPECT_TRUE(rejects([](ServerConfig& c) { c.abft.tolerance_scale = -1; }));
   EXPECT_TRUE(rejects([](ServerConfig& c) { c.abft.max_recompute = 0; }));
   EXPECT_TRUE(rejects([](ServerConfig& c) { c.tile.warp_m = 0; }));
@@ -370,35 +368,16 @@ TEST(GemmServer, PerRequestDeadlineOptOutOverridesServerDefault) {
   EXPECT_EQ(req->status(), RequestStatus::kOk) << req->error();
 }
 
-TEST(GemmServer, DegradedPerPolicyResolvesDegraded) {
-  // Persistent faults with the ladder floored at the top rung and a
-  // degrade terminal: the request completes with the suspect result
-  // and reports kDegraded.
-  ServerConfig cfg = base_config();
-  const fault::FaultInjector inj(
-      11, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
-  cfg.engine.injector = &inj;
-  cfg.recovery.floor = gemm::Route::kMicrokernel;
-  cfg.recovery.terminal = gemm::RecoveryPolicy::Terminal::kDegrade;
-  GemmServer server(cfg);
-  const Problem p = make(32, 32, 64, 11);
-  const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
-  req->wait();
-  ASSERT_EQ(req->status(), RequestStatus::kDegraded) << req->error();
-  EXPECT_GT(req->stats().recovery.degraded_tiles, 0);
-  server.shutdown();
-}
-
 TEST(GemmServer, ExhaustedLadderRetriesThenFails) {
-  // Terminal::kThrow with a floored ladder: every attempt exhausts its
-  // retries and throws AbftFailure; the server retries max_attempts
-  // times, then resolves kFailed with a structured error.
+  // Clean recompute with zero tolerance and one recompute: every
+  // attempt exhausts it and throws AbftFailure; the server retries
+  // max_attempts times, then resolves kFailed with a structured error.
   ServerConfig cfg = base_config();
   const fault::FaultInjector inj(
       12, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
   cfg.engine.injector = &inj;
-  cfg.recovery.floor = gemm::Route::kMicrokernel;
-  cfg.recovery.retries_per_route = 1;
+  cfg.recovery.demote = false;
+  cfg.abft = gemm::AbftConfig{true, 0.0, 1};
   cfg.max_attempts = 2;
   cfg.retry_backoff_ms = 0;
   GemmServer server(cfg);
@@ -570,8 +549,8 @@ TEST(GemmServer, ShutdownDuringRetryBackoffResolvesPromptly) {
   const fault::FaultInjector inj(
       18, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
   cfg.engine.injector = &inj;
-  cfg.recovery.floor = gemm::Route::kMicrokernel;
-  cfg.recovery.retries_per_route = 1;
+  cfg.recovery.demote = false;
+  cfg.abft = gemm::AbftConfig{true, 0.0, 1};
   cfg.executors = 1;
   cfg.max_attempts = 3;
   cfg.retry_backoff_ms = 60'000;  // far longer than the test budget

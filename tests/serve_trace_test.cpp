@@ -1,6 +1,6 @@
 // Acceptance tests for request-scoped tracing in the serving stack:
-// under injected faults, every degraded/recovered/failed request must
-// carry a single per-request event timeline linking admission -> ABFT
+// under injected faults, every recovered/failed request must carry a
+// single per-request event timeline linking admission -> ABFT
 // detection -> retry/demotion rung -> final outcome, in causal order.
 // Also covers: tracing disabled (trace_requests=false), shed/evicted
 // timelines, request-id uniqueness across concurrent requests, and
@@ -72,22 +72,20 @@ ServerConfig base_config() {
 
 #if M3XU_TELEMETRY_ENABLED
 
-// The acceptance path: persistent injected faults with a floored
-// ladder and a degrade terminal. The request resolves kDegraded and
-// its timeline must link admission -> ABFT detection -> the demotion
-// walk -> the terminal outcome, causally ordered.
-TEST(ServeTrace, DegradedRequestTimelineIsCausallyComplete) {
+// The acceptance path: persistent injected faults walk the whole
+// ladder. The request resolves kOk and its timeline must link
+// admission -> ABFT detection -> the demotion walk -> the recovery ->
+// the terminal outcome, causally ordered.
+TEST(ServeTrace, LadderWalkTimelineIsCausallyComplete) {
   ServerConfig cfg = base_config();
   const fault::FaultInjector inj(
       11, fault::SiteRates::only(fault::Site::kAccumulator, 1.0));
   cfg.engine.injector = &inj;
-  cfg.recovery.floor = gemm::Route::kMicrokernel;
-  cfg.recovery.terminal = gemm::RecoveryPolicy::Terminal::kDegrade;
   GemmServer server(cfg);
   const Problem p = make(32, 32, 64, 11);
   const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
   req->wait();
-  ASSERT_EQ(req->status(), RequestStatus::kDegraded) << req->error();
+  ASSERT_EQ(req->status(), RequestStatus::kOk) << req->error();
   ASSERT_NE(req->trace(), nullptr);
 
   const std::vector<telemetry::TraceEvent> events = req->trace()->events();
@@ -99,7 +97,8 @@ TEST(ServeTrace, DegradedRequestTimelineIsCausallyComplete) {
   const long exec = first_seq(events, "exec.start");
   const long detect = first_seq(events, "abft.detect");
   const long retry = first_seq(events, "recovery.retry");
-  const long degraded = first_seq(events, "recovery.degraded_tile");
+  const long demote = first_seq(events, "recovery.demote");
+  const long recovered = first_seq(events, "recovery.recovered");
   const long done = first_seq(events, "request.done");
 
   // Presence: every link of the chain is in the single per-request log.
@@ -111,7 +110,8 @@ TEST(ServeTrace, DegradedRequestTimelineIsCausallyComplete) {
   ASSERT_GE(exec, 0);
   ASSERT_GE(detect, 0);
   ASSERT_GE(retry, 0);
-  ASSERT_GE(degraded, 0);
+  ASSERT_GE(demote, 0);
+  ASSERT_GE(recovered, 0);
   ASSERT_GE(done, 0);
 
   // Causal order: admission precedes execution precedes detection
@@ -123,18 +123,20 @@ TEST(ServeTrace, DegradedRequestTimelineIsCausallyComplete) {
   EXPECT_LT(plan, exec);
   EXPECT_LT(exec, detect);
   EXPECT_LT(detect, retry);
-  EXPECT_LT(retry, degraded);
-  EXPECT_LT(degraded, done);
+  EXPECT_LT(retry, demote);
+  EXPECT_LT(demote, recovered);
+  EXPECT_LT(recovered, done);
 
   // The terminal event records the final outcome and is last.
   const telemetry::TraceEvent& last = events.back();
   EXPECT_STREQ(last.name, "request.done");
-  EXPECT_EQ(last.a0, static_cast<long>(RequestStatus::kDegraded));
-  EXPECT_EQ(last.detail, "degraded");
+  EXPECT_EQ(last.a0, static_cast<long>(RequestStatus::kOk));
+  EXPECT_EQ(last.detail, "ok");
 
-  // The degrade terminal never fired a demotion (the floor IS the top
-  // rung), so the walk shows retries at the floor rung only.
-  EXPECT_EQ(count_events(events, "recovery.demote"), 0);
+  // Faults on every primary pass: the walk takes both demotions and
+  // recovers once, on the scalar rung.
+  EXPECT_EQ(count_events(events, "recovery.demote"), 2);
+  EXPECT_EQ(count_events(events, "recovery.recovered"), 1);
   server.shutdown();
 }
 
@@ -154,9 +156,7 @@ TEST(ServeTrace, RecoveredRequestTimelineShowsLadderWalk) {
     const Problem p = make(48, 48, 96, 100 + static_cast<std::uint64_t>(i));
     const RequestHandle req = server.submit_sgemm(p.a, p.b, p.c);
     req->wait();
-    ASSERT_TRUE(req->status() == RequestStatus::kOk ||
-                req->status() == RequestStatus::kDegraded)
-        << req->error();
+    ASSERT_EQ(req->status(), RequestStatus::kOk) << req->error();
     ASSERT_NE(req->trace(), nullptr);
     if (req->stats().abft_detected == 0) continue;
     saw_detection = true;
