@@ -53,7 +53,6 @@
 #include "gemm/matrix.hpp"
 #include "gemm/plan.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/exposition.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/stopwatch.hpp"
 #include "telemetry/telemetry.hpp"

@@ -44,9 +44,9 @@
 //
 // Flags: --mode=clean|chaos|both (default both), --quick (CI sizes),
 // --seed, --json=path (schema-versioned metrics artifact; default
-// stdout), --metrics-dump=prefix (write <prefix>.prom + <prefix>.json
-// expositions at exit and self-lint the Prometheus text; exits
-// nonzero if the lint fails).
+// stdout), --metrics-dump=prefix (write the JSON metrics document to
+// <prefix>.json at exit and read it back; exits 2 unless it parses
+// with the current schema_version and its counters and histograms).
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -55,7 +55,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <fstream>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,7 +70,7 @@
 #include "gemm/plan.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "serve/server.hpp"
-#include "telemetry/exposition.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace_context.hpp"
@@ -909,28 +912,36 @@ int main(int argc, char** argv) {
     std::fclose(f);
   }
 
-  // Optional live-metrics exposition dump + self-lint (the CI
-  // metrics-smoke step): whatever this process exposes must parse as
-  // Prometheus text format.
+  // Optional metrics dump (the CI metrics steps): the process's JSON
+  // metrics document, read back from disk so a malformed or
+  // incomplete document fails the run.
   const std::string metrics_prefix = cli.get("metrics-dump", "");
   if (!metrics_prefix.empty()) {
-    const std::string prom_path = metrics_prefix + ".prom";
     const std::string snap_path = metrics_prefix + ".json";
-    if (!telemetry::write_prometheus(prom_path) ||
-        !telemetry::write_snapshot_json(snap_path)) {
+    if (!telemetry::write_snapshot_json(snap_path)) {
       std::fprintf(stderr, "bench_serving: cannot write metrics dump %s\n",
-                   metrics_prefix.c_str());
+                   snap_path.c_str());
       return 2;
     }
-    std::string lint_error;
-    if (!telemetry::prometheus_lint(telemetry::prometheus_text(),
-                                    &lint_error)) {
-      std::fprintf(stderr, "bench_serving: prometheus lint FAILED: %s\n",
-                   lint_error.c_str());
+    std::ifstream in(snap_path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::optional<telemetry::JsonValue> doc =
+        telemetry::JsonValue::parse(text.str());
+    const telemetry::JsonValue* version =
+        doc.has_value() ? doc->find("schema_version") : nullptr;
+    if (version == nullptr ||
+        version->as_int(-1) != telemetry::kExpositionSchemaVersion ||
+        doc->find("counters") == nullptr ||
+        doc->find("histograms") == nullptr) {
+      std::fprintf(stderr,
+                   "bench_serving: metrics dump %s does not read back as a "
+                   "schema %d document with counters and histograms\n",
+                   snap_path.c_str(), telemetry::kExpositionSchemaVersion);
       return 2;
     }
-    std::printf("metrics dump: %s + %s (prometheus lint ok)\n",
-                prom_path.c_str(), snap_path.c_str());
+    std::printf("metrics dump: %s (schema %d, read back ok)\n",
+                snap_path.c_str(), telemetry::kExpositionSchemaVersion);
   }
 
   std::printf("\nserving bench: %s\n", pass ? "PASS" : "FAIL");

@@ -152,12 +152,12 @@ class Request {
   /// Executor-side: publish a terminal status exactly once. Later
   /// calls are ignored, so racing resolutions (e.g. a cancel landing
   /// while the executor finishes) keep the first outcome.
-  // Resolution is two-phase so terminal side effects (the trace's
-  // "request.done" event, the SLO sample) complete BEFORE any waiter
-  // wakes: claim_terminal() wins the idempotence race without
+  // Resolution is two-phase so terminal side effects (the terminal
+  // counter, the trace's "request.done" event) complete BEFORE any
+  // waiter wakes: claim_terminal() wins the idempotence race without
   // publishing; publish_resolution() then stores the outcome and
   // notifies. A wait() that returns therefore always observes the
-  // finished timeline and a monitor that already counted the request.
+  // finished timeline and counters that already counted the request.
   bool claim_terminal() {
     const std::lock_guard<std::mutex> lock(mu_);
     if (claimed_ || is_terminal(status_)) return false;

@@ -74,7 +74,6 @@ RequestStatus status_for_cancel(CancelReason reason) {
 GemmServer::GemmServer(const ServerConfig& config)
     : config_(config),
       cache_(config.pack_cache_entries, config.pack_cache_verify),
-      slo_(config.slo),
       queue_(config.queue_capacity, config.admission) {
   M3XU_CHECK_MSG(config_.executors >= 1,
                  "ServerConfig.executors must be >= 1");
@@ -104,23 +103,19 @@ GemmServer::GemmServer(const ServerConfig& config)
 GemmServer::~GemmServer() { shutdown(); }
 
 void GemmServer::shutdown() {
-  if (shut_down_.exchange(true)) {
-    // Second caller (or the destructor after an explicit shutdown):
-    // executors are already joined or being joined by the first.
-    for (auto& t : executors_) {
-      if (t.joinable()) t.join();
+  // One caller runs the body; a concurrent caller (or the destructor
+  // after an explicit shutdown) waits in call_once until it returns,
+  // so no two threads ever join the same executor.
+  std::call_once(shutdown_once_, [this] {
+    shut_down_.store(true);
+    // Stop admission and shed everything still queued - explicitly, so
+    // no request ever just disappears.
+    for (const RequestHandle& req : queue_.close()) {
+      req->token_.request_cancel("server shutdown", CancelReason::kShed);
+      resolve_and_count(req, RequestStatus::kShed, "shed: server shutdown");
     }
-    return;
-  }
-  // Stop admission and shed everything still queued - explicitly, so
-  // no request ever just disappears.
-  for (const RequestHandle& req : queue_.close()) {
-    req->token_.request_cancel("server shutdown", CancelReason::kShed);
-    resolve_and_count(req, RequestStatus::kShed, "shed: server shutdown");
-  }
-  for (auto& t : executors_) {
-    if (t.joinable()) t.join();
-  }
+    for (auto& t : executors_) t.join();
+  });
 }
 
 RequestHandle GemmServer::submit_sgemm(gemm::Matrix<float> a,
@@ -232,11 +227,6 @@ void GemmServer::resolve_and_count(const RequestHandle& req, RequestStatus s,
     req->trace_->event("request.done", static_cast<long>(s), req->attempts(),
                        request_status_name(s));
   }
-  const std::uint64_t latency_ns = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(0, now_ns() - req->submit_ns_));
-  slo_.record(s, latency_ns,
-              static_cast<std::uint64_t>(req->stats_.recovery.demotions),
-              static_cast<std::uint64_t>(req->stats_.abft_detected));
   req->publish_resolution(s, error);
 }
 

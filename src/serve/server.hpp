@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -48,7 +49,6 @@
 #include "gemm/tiled_driver.hpp"
 #include "serve/bounded_queue.hpp"
 #include "serve/request.hpp"
-#include "serve/slo.hpp"
 
 namespace m3xu::serve {
 
@@ -97,9 +97,6 @@ struct ServerConfig {
   /// one allocation plus microsecond-scale event logging per request;
   /// compiles out entirely with M3XU_TELEMETRY=OFF.
   bool trace_requests = true;
-  /// Rolling-window SLO monitor fed by every terminal resolution. The
-  /// default thresholds never breach; see serve/slo.hpp.
-  SloConfig slo;
 };
 
 class GemmServer {
@@ -124,18 +121,14 @@ class GemmServer {
                              RequestOptions options = {});
 
   /// Stops admission, sheds every queued request (kShed), lets running
-  /// requests finish, joins executors. Idempotent.
+  /// requests finish, joins executors. Idempotent: the first call does
+  /// the work, and every call (concurrent ones and the destructor's
+  /// included) returns once the executors are joined.
   void shutdown();
 
   std::size_t queued() const { return queue_.size(); }
   gemm::PanelCache& pack_cache() { return cache_; }
   const ServerConfig& config() const { return config_; }
-
-  /// The SLO monitor every terminal resolution feeds. Non-const so
-  /// external verifiers (chaos benches checking results against a
-  /// reference) can report SDC escapes into it.
-  SloMonitor& slo() { return slo_; }
-  const SloMonitor& slo() const { return slo_; }
 
   /// The quarantined-tile count for one tenant's grid (tests/benches;
   /// 0 when that tenant never demoted on that grid). Quarantines are
@@ -178,7 +171,6 @@ class GemmServer {
 
   const ServerConfig config_;
   gemm::PanelCache cache_;
-  SloMonitor slo_;
   BoundedQueue<RequestHandle> queue_;
   mutable std::mutex quarantine_mu_;
   std::map<std::tuple<std::string, long, long>,
@@ -189,6 +181,7 @@ class GemmServer {
            std::unique_ptr<gemm::GemmPlan>>
       plans_;
   std::vector<std::thread> executors_;
+  std::once_flag shutdown_once_;
   std::atomic<bool> shut_down_{false};
 };
 

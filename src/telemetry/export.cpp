@@ -86,4 +86,24 @@ void write_environment(JsonWriter& w, const Environment& env) {
   w.end_object();
 }
 
+std::string snapshot_json(const Snapshot& snap) {
+  JsonWriter w;
+  w.begin_object();
+  w.kv("schema_version", kExpositionSchemaVersion);
+  write_environment(w, collect_environment());
+  write_metrics(w, snap);
+  w.end_object();
+  return w.str();
+}
+
+std::string snapshot_json() { return snapshot_json(snapshot()); }
+
+bool write_snapshot_json(const std::string& path) {
+  const std::string doc = snapshot_json() + "\n";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  return std::fclose(f) == 0 && ok;
+}
+
 }  // namespace m3xu::telemetry

@@ -1,7 +1,7 @@
-// The metrics export building blocks: environment metadata and the
-// counters/histograms JSON fragment benches embed in their own
-// documents (and telemetry/exposition.hpp wraps into the standalone
-// metrics document). All of it works (emitting empty sections) in
+// The metrics export: environment metadata, the counters/histograms
+// JSON fragment benches embed in their own documents, and the
+// process's one standalone metrics document (snapshot_json), which
+// wraps both. All of it works (emitting empty sections) in
 // M3XU_TELEMETRY=OFF builds so callers compile unchanged.
 #pragma once
 
@@ -11,6 +11,9 @@
 #include "telemetry/telemetry.hpp"
 
 namespace m3xu::telemetry {
+
+/// Schema version stamped into the snapshot_json document.
+inline constexpr int kExpositionSchemaVersion = 1;
 
 /// Build/host metadata stamped into exported artifacts.
 struct Environment {
@@ -40,5 +43,14 @@ void write_metrics(JsonWriter& w, const Snapshot& snap);
 /// Writes environment metadata into an open object of `w` under an
 /// "environment" key (callers may add their own fields next to it).
 void write_environment(JsonWriter& w, const Environment& env);
+
+/// The snapshot as the process's one JSON metrics document:
+/// {"schema_version", "environment", "counters", "histograms"}.
+std::string snapshot_json(const Snapshot& snap);
+/// snapshot_json(snapshot()).
+std::string snapshot_json();
+
+/// Writes snapshot_json() to `path`; false on I/O failure.
+bool write_snapshot_json(const std::string& path);
 
 }  // namespace m3xu::telemetry

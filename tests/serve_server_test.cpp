@@ -1,14 +1,19 @@
 // Tests for the fault-tolerant multi-tenant GemmServer: request
 // lifecycle (every submission ends in exactly one terminal status),
 // admission control and load shedding, deadline propagation, retry,
-// per-tenant quarantine isolation, shared pack-cache coalescing, and
-// shutdown semantics. Concurrency-sensitive (tsan-labeled).
+// per-tenant quarantine isolation, shared pack-cache coalescing,
+// shutdown semantics, and the serve.requests.* outcome counters.
+// Concurrency-sensitive (tsan-labeled).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <complex>
 #include <cstdint>
+#include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -18,6 +23,7 @@
 #include "gemm/matrix.hpp"
 #include "gemm/tiled_driver.hpp"
 #include "serve/server.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace m3xu::serve {
 namespace {
@@ -142,6 +148,46 @@ TEST(GemmServer, ConstructorRejectsMalformedPlanConfigs) {
   // block_k = 4 fits the FP32C instruction K but not FP32's.
   EXPECT_TRUE(rejects([](ServerConfig& c) { c.tile.block_k = 4; }));
   EXPECT_FALSE(rejects([](ServerConfig&) {}));
+}
+
+TEST(GemmServer, EverySubmissionCountsOneTerminalOutcome) {
+  // serve.requests.submitted reconciles with the five terminal
+  // counters: every submission, admitted or not, bumps submitted and
+  // exactly one of them.
+  const telemetry::Snapshot before = telemetry::snapshot();
+  GemmServer server(base_config());
+  std::vector<RequestHandle> valid;
+  for (int i = 0; i < 6; ++i) {
+    const Problem p = make(64, 48, 32, 40 + static_cast<std::uint64_t>(i));
+    valid.push_back(server.submit_sgemm(p.a, p.b, p.c));
+  }
+  for (const RequestHandle& req : valid) {
+    req->wait();
+    EXPECT_EQ(req->status(), RequestStatus::kOk) << req->error();
+  }
+  const RequestHandle invalid = server.submit_sgemm(
+      Matrix<float>(8, 4), Matrix<float>(5, 8), Matrix<float>(8, 8));
+  EXPECT_EQ(invalid->status(), RequestStatus::kFailed);
+  server.shutdown();
+  const Problem p = make(32, 32, 32, 46);
+  const RequestHandle late = server.submit_sgemm(p.a, p.b, p.c);
+  EXPECT_EQ(late->status(), RequestStatus::kShed);
+#if M3XU_TELEMETRY_ENABLED
+  const telemetry::Snapshot after = telemetry::snapshot();
+  const auto delta = [&](const char* name) {
+    return after.counter_delta(before, name);
+  };
+  const std::uint64_t submitted = delta("serve.requests.submitted");
+  EXPECT_EQ(submitted, 8u);
+  EXPECT_EQ(delta("serve.requests.ok"), 6u);
+  EXPECT_EQ(delta("serve.requests.failed"), 1u);
+  EXPECT_EQ(delta("serve.requests.shed"), 1u);
+  EXPECT_EQ(submitted, delta("serve.requests.ok") +
+                           delta("serve.requests.deadline_exceeded") +
+                           delta("serve.requests.shed") +
+                           delta("serve.requests.cancelled") +
+                           delta("serve.requests.failed"));
+#endif
 }
 
 TEST(GemmServer, InvalidShapesResolveFailedAtSubmission) {
@@ -578,6 +624,61 @@ TEST(GemmServer, ShutdownDuringRetryBackoffResolvesPromptly) {
   EXPECT_NE(req->error().find("shutdown during retry backoff"),
             std::string::npos)
       << req->error();
+}
+
+TEST(GemmServer, ConcurrentShutdownJoinsOnce) {
+  // Two threads calling shutdown() at once must both return, with the
+  // executors joined once and every request resolved once. A caller
+  // stuck in shutdown() fails the test after a deadline; the server and
+  // its callers are then leaked rather than waited on.
+  const Problem p = make(64, 64, 64, 23);
+  for (int round = 0; round < 10; ++round) {
+    auto server = std::make_unique<GemmServer>(base_config());
+    std::vector<RequestHandle> reqs;
+    for (int i = 0; i < 6; ++i) {
+      reqs.push_back(server->submit_sgemm(p.a, p.b, p.c));
+    }
+    GemmServer* const raw = server.get();
+    const auto go = std::make_shared<std::atomic<bool>>(false);
+    const auto returned = std::make_shared<std::atomic<int>>(0);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 2; ++t) {
+      callers.emplace_back([raw, go, returned] {
+        while (!go->load()) std::this_thread::yield();
+        raw->shutdown();
+        returned->fetch_add(1);
+      });
+    }
+    go->store(true);
+    const auto t0 = std::chrono::steady_clock::now();
+    while (returned->load() < 2 &&
+           std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (returned->load() < 2) {
+      for (std::thread& c : callers) c.detach();
+      (void)server.release();
+      FAIL() << "a concurrent shutdown() did not return within 10 s in round "
+             << round;
+    }
+    for (std::thread& c : callers) c.join();
+    for (const RequestHandle& req : reqs) {
+      ASSERT_TRUE(req->done()) << "round " << round;
+      // Run before shutdown closed the queue, or shed from it.
+      EXPECT_TRUE(req->status() == RequestStatus::kOk ||
+                  req->status() == RequestStatus::kShed)
+          << request_status_name(req->status());
+#if M3XU_TELEMETRY_ENABLED
+      const std::vector<telemetry::TraceEvent> events = req->trace()->events();
+      EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                              [](const telemetry::TraceEvent& e) {
+                                return std::string_view(e.name) ==
+                                       "request.done";
+                              }),
+                1);
+#endif
+    }
+  }
 }
 
 TEST(GemmServer, RepeatedShapesReuseOneCompiledPlan) {

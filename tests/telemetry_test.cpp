@@ -1,21 +1,24 @@
 // Telemetry subsystem tests: sharded counter aggregation (including
 // under the thread pool and across thread exit), histogram bucketing,
 // the span ring (wraparound, trace JSON schema), ModelClock, the JSON
-// writer, and the metrics export. Every test also compiles and passes
+// writer, and the metrics export (the JSON metrics document and its
+// file dump). Every test also compiles and passes
 // in an M3XU_TELEMETRY=OFF build, where the recording paths are no-ops
 // and the exports emit empty sections.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/exposition.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/model_clock.hpp"
 #include "telemetry/stopwatch.hpp"
@@ -34,6 +37,27 @@ std::size_t count_occurrences(const std::string& s, const std::string& sub) {
     ++n;
   }
   return n;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+telemetry::Snapshot synthetic_snapshot() {
+  telemetry::Snapshot snap;
+  snap.counters.emplace_back("serve.requests.ok", 41u);
+  snap.counters.emplace_back("odd name-with.chars", 7u);
+  telemetry::Snapshot::HistogramValue h;
+  h.name = "serve.request_latency_ns";
+  h.buckets[3] = 2;   // values with bit width 3 (<= 7)
+  h.buckets[10] = 5;  // values with bit width 10 (<= 1023)
+  h.count = 7;
+  h.sum = 4000;
+  snap.histograms.push_back(h);
+  return snap;
 }
 
 const telemetry::Snapshot::HistogramValue* find_hist(
@@ -253,6 +277,32 @@ TEST(Export, SnapshotMatchesBuildConfig) {
   EXPECT_TRUE(snap.counters.empty());
   EXPECT_TRUE(snap.histograms.empty());
 #endif
+}
+
+TEST(SnapshotJson, ParsesWithSchemaVersion) {
+  const std::string json = telemetry::snapshot_json(synthetic_snapshot());
+  const auto doc = telemetry::JsonValue::parse(json);
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_NE(doc->find("schema_version"), nullptr);
+  EXPECT_EQ(doc->find("schema_version")->as_int(),
+            telemetry::kExpositionSchemaVersion);
+  const telemetry::JsonValue* counters = doc->find("counters");
+  ASSERT_NE(counters, nullptr);
+  const telemetry::JsonValue* ok = counters->find("serve.requests.ok");
+  ASSERT_NE(ok, nullptr);
+  EXPECT_EQ(ok->as_uint(), 41u);
+  ASSERT_NE(doc->find("histograms"), nullptr);
+}
+
+TEST(Export, WritesSnapshotJsonToFile) {
+  const std::string json_path = ::testing::TempDir() + "telemetry_test.json";
+  ASSERT_TRUE(telemetry::write_snapshot_json(json_path));
+  EXPECT_TRUE(telemetry::JsonValue::parse(read_file(json_path)).has_value());
+  std::remove(json_path.c_str());
+}
+
+TEST(Export, WriteSnapshotJsonFailsOnUnwritablePath) {
+  EXPECT_FALSE(telemetry::write_snapshot_json("/nonexistent-dir/x.json"));
 }
 
 TEST(Stopwatch, MonotoneNonNegative) {
