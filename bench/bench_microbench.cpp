@@ -199,47 +199,25 @@ void BM_OuterProductTile(benchmark::State& state) {
 }
 BENCHMARK(BM_OuterProductTile);
 
-/// Single-thread microkernel probe: one engine call over operands
-/// packed once, outside the timed loop, so the time is the kernel's
-/// (the microkernel route of gemm_fp32{,c}_prepacked on the host's
-/// widest variant). C is reset every iteration. Before timing, one run
-/// is compared bitwise with a force_generic engine (the per-dot
-/// route); a mismatch skips the benchmark with an error. Reports
-/// ns_per_mac: nanoseconds per real or complex multiply-accumulate.
-template <typename T, typename PanelA, typename PanelB>
-void run_prepacked_probe(
-    benchmark::State& state, int m, int n, int k,
-    void (*pack_a)(const T*, int, int, int, PanelA&),
-    void (*pack_b)(const T*, int, int, int, PanelB&),
-    void (core::M3xuEngine::*gemm)(const PanelA&, int, const PanelB&, int,
-                                   int, int, T*, int) const) {
-  Rng rng(14);
-  const auto draw = [&rng] {
-    if constexpr (std::is_same_v<T, float>) {
-      return rng.scaled_float();
-    } else {
-      const float re = rng.scaled_float();
-      return T(re, rng.scaled_float());
-    }
-  };
-  std::vector<T> a(static_cast<std::size_t>(m) * k);
-  std::vector<T> b(static_cast<std::size_t>(k) * n);
-  std::vector<T> c0(static_cast<std::size_t>(m) * n);
-  for (auto& v : a) v = draw();
-  for (auto& v : b) v = draw();
-  for (auto& v : c0) v = draw();
-  PanelA pa;
-  PanelB pb;
-  pack_a(a.data(), k, m, k, pa);
-  pack_b(b.data(), n, k, n, pb);
+/// Gates and times one single-thread microkernel probe. `run(engine,
+/// c)` makes the probe's engine calls into C; its operands are packed
+/// beforehand, outside the timed loop, so the time is the kernel's (the
+/// microkernel route of gemm_fp32{,c}_prepacked on the host's widest
+/// variant). C is reset to `c0` every iteration. Before timing, one run
+/// is compared bitwise with a force_generic engine (the per-dot route);
+/// a mismatch skips the benchmark with an error. Reports ns_per_mac:
+/// nanoseconds per real or complex multiply-accumulate.
+template <typename T, typename Run>
+void gate_and_time(benchmark::State& state, const std::vector<T>& c0,
+                   double macs, Run run) {
   const core::M3xuEngine engine;
   core::M3xuConfig generic_cfg;
   generic_cfg.force_generic = true;
   const core::M3xuEngine generic(generic_cfg);
   std::vector<T> c = c0;
   std::vector<T> ref = c0;
-  (engine.*gemm)(pa, 0, pb, 0, m, n, c.data(), n);
-  (generic.*gemm)(pa, 0, pb, 0, m, n, ref.data(), n);
+  run(engine, c.data());
+  run(generic, ref.data());
   if (std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)) != 0) {
     state.SkipWithError("microkernel result differs from the per-dot route");
     return;
@@ -247,15 +225,59 @@ void run_prepacked_probe(
   const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     std::memcpy(c.data(), c0.data(), c.size() * sizeof(T));
-    (engine.*gemm)(pa, 0, pb, 0, m, n, c.data(), n);
+    run(engine, c.data());
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   const std::chrono::duration<double, std::nano> ns =
       std::chrono::steady_clock::now() - start;
   state.counters["ns_per_mac"] =
-      ns.count() / (static_cast<double>(m) * n * k *
-                    static_cast<double>(state.iterations()));
+      ns.count() / (macs * static_cast<double>(state.iterations()));
+}
+
+/// Operands of an m x n x k probe, drawn with Rng::scaled_float (the
+/// perfbench workloads' distribution).
+template <typename T>
+struct ProbeOperands {
+  std::vector<T> a, b, c0;
+
+  ProbeOperands(int m, int n, int k) {
+    Rng rng(14);
+    const auto draw = [&rng] {
+      if constexpr (std::is_same_v<T, float>) {
+        return rng.scaled_float();
+      } else {
+        const float re = rng.scaled_float();
+        return T(re, rng.scaled_float());
+      }
+    };
+    a.resize(static_cast<std::size_t>(m) * k);
+    b.resize(static_cast<std::size_t>(k) * n);
+    c0.resize(static_cast<std::size_t>(m) * n);
+    for (auto& v : a) v = draw();
+    for (auto& v : b) v = draw();
+    for (auto& v : c0) v = draw();
+  }
+};
+
+/// One engine call over all of an m x n x k problem's rows, columns and
+/// K, packed once.
+template <typename T, typename PanelA, typename PanelB>
+void run_prepacked_probe(
+    benchmark::State& state, int m, int n, int k,
+    void (*pack_a)(const T*, int, int, int, PanelA&),
+    void (*pack_b)(const T*, int, int, int, PanelB&),
+    void (core::M3xuEngine::*gemm)(const PanelA&, int, const PanelB&, int,
+                                   int, int, T*, int) const) {
+  const ProbeOperands<T> op(m, n, k);
+  PanelA pa;
+  PanelB pb;
+  pack_a(op.a.data(), k, m, k, pa);
+  pack_b(op.b.data(), n, k, n, pb);
+  gate_and_time(state, op.c0, static_cast<double>(m) * n * k,
+                [&](const core::M3xuEngine& e, T* c) {
+                  (e.*gemm)(pa, 0, pb, 0, m, n, c, n);
+                });
 }
 
 void BM_MicrokernelFp32Prepacked(benchmark::State& state) {
@@ -271,6 +293,44 @@ void BM_MicrokernelFp32cPrepacked(benchmark::State& state) {
                       &core::M3xuEngine::gemm_fp32c_prepacked);
 }
 BENCHMARK(BM_MicrokernelFp32cPrepacked)->Unit(benchmark::kMillisecond);
+
+/// The FP32 probe's 128x128x512 problem in the tiled driver's own calls
+/// at its default tile: per K-block of 32, one gemm_fp32_prepacked call
+/// per 64x32 warp tile over that K-block's panels (one 128x128 block
+/// tile, as each sgemm_large tile runs). Every K-block's panels are
+/// packed before timing. Per-call and per-K-block costs that the
+/// one-call probes above amortize over all of K show here.
+void BM_MicrokernelFp32WarpTiles(benchmark::State& state) {
+  constexpr int m = 128, n = 128, k = 512;
+  const gemm::TileConfig tile;
+  const ProbeOperands<float> op(m, n, k);
+  const int kblocks = k / tile.block_k;
+  std::vector<core::PackedPanelFp32A> pa(static_cast<std::size_t>(kblocks));
+  std::vector<core::PackedPanelFp32B> pb(static_cast<std::size_t>(kblocks));
+  for (int q = 0; q < kblocks; ++q) {
+    const int k0 = q * tile.block_k;
+    core::pack_fp32_a(op.a.data() + k0, k, m, tile.block_k,
+                      pa[static_cast<std::size_t>(q)]);
+    core::pack_fp32_b(op.b.data() + static_cast<std::size_t>(k0) * n, n,
+                      tile.block_k, n, pb[static_cast<std::size_t>(q)]);
+  }
+  gate_and_time(
+      state, op.c0, static_cast<double>(m) * n * k,
+      [&](const core::M3xuEngine& e, float* c) {
+        for (int q = 0; q < kblocks; ++q) {
+          for (int i = 0; i < m; i += tile.warp_m) {
+            for (int j = 0; j < n; j += tile.warp_n) {
+              e.gemm_fp32_prepacked(pa[static_cast<std::size_t>(q)], i,
+                                    pb[static_cast<std::size_t>(q)], j,
+                                    tile.warp_m, tile.warp_n,
+                                    c + static_cast<std::size_t>(i) * n + j,
+                                    n);
+            }
+          }
+        }
+      });
+}
+BENCHMARK(BM_MicrokernelFp32WarpTiles)->Unit(benchmark::kMillisecond);
 
 void BM_TiledSgemm(benchmark::State& state) {
   Rng rng(13);

@@ -34,10 +34,12 @@ namespace m3xu::core {
 namespace {
 
 // Route counters (no-ops when M3XU_TELEMETRY=OFF). Increments are
-// accumulated in block-local variables and flushed once per block so
-// the pair loop stays free of TLS lookups. block_elements counts the
-// output elements a block covered (blocks alone no longer determine
-// that now that the register-block shape varies). lane_exits counts the
+// accumulated in block-local variables and flushed once per register
+// block (once per strip on AVX-512) so the pair loop stays free of TLS
+// lookups. blocks counts the MR x NR register blocks covered, so a strip
+// books ceil(rows / MR) of them on every variant. block_elements counts
+// the output elements covered (blocks alone no longer determine that
+// now that the register-block shape varies). lane_exits counts the
 // (row, column, chunk) triples the AVX-512 kernel handed back to the
 // scalar pair path.
 struct MkCounters {
@@ -47,11 +49,12 @@ struct MkCounters {
   telemetry::Counter falls;
   telemetry::Counter exits;
 
-  /// One block's flush: rows x cols outputs over nchunks K-chunks.
-  void add_block(int rows, int cols, int nchunks, std::uint64_t fallbacks,
-                 std::uint64_t lane_exits) {
+  /// One flush: `nblocks` register blocks covering rows x cols outputs
+  /// over nchunks K-chunks.
+  void add_blocks(int nblocks, int rows, int cols, int nchunks,
+                  std::uint64_t fallbacks, std::uint64_t lane_exits) {
     const std::uint64_t n = static_cast<std::uint64_t>(rows) * cols;
-    blocks.increment();
+    blocks.add(static_cast<std::uint64_t>(nblocks));
     elems.add(n);
     pairs.add(static_cast<std::uint64_t>(nchunks) * n);
     falls.add(fallbacks);
@@ -69,21 +72,23 @@ MkCounters uk_fp32c{telemetry::Counter("mxu.fp32c.microkernel.blocks"),
                     telemetry::Counter("mxu.fp32c.microkernel.pair_fallbacks"),
                     telemetry::Counter("mxu.fp32c.microkernel.lane_exits")};
 
-// Dispatch counters: which variant's kernel actually ran, per block.
+// Dispatch counters: which variant's kernel actually ran, per register
+// block covered.
 telemetry::Counter mk_var_scalar("mk.variant.scalar.blocks");
 telemetry::Counter mk_var_avx2("mk.variant.avx2.blocks");
 telemetry::Counter mk_var_avx512("mk.variant.avx512.blocks");
 
-inline void count_variant_block(MkVariant v) {
+inline void count_variant_blocks(MkVariant v, int nblocks) {
+  const auto n = static_cast<std::uint64_t>(nblocks);
   switch (v) {
     case MkVariant::kAvx512:
-      mk_var_avx512.increment();
+      mk_var_avx512.add(n);
       break;
     case MkVariant::kAvx2:
-      mk_var_avx2.increment();
+      mk_var_avx2.add(n);
       break;
     default:
-      mk_var_scalar.increment();
+      mk_var_scalar.add(n);
       break;
   }
 }
@@ -390,8 +395,8 @@ __attribute__((target("avx2"))) void build_pair_avx2(const ElemSoA& a,
 #endif
 
 /// `v` must be a resolved variant (mk_variant_resolve): the AVX2 case
-/// assumes the CPU support check already happened, once per block, not
-/// per pair. (AVX-512 blocks run their own lanes-as-columns kernel and
+/// assumes the CPU support check already happened, once per strip, not
+/// per pair. (AVX-512 strips run their own lanes-as-columns kernel and
 /// send only lane exits here, as kScalar.)
 inline void build_pair(MkVariant v, const ElemSoA& a, const ElemSoA& b,
                        bool flip_odd, PairTerms& t) {
@@ -745,19 +750,20 @@ std::uint64_t block_scalar(const PanelA& a, int row0, int rows,
       std::copy_n(acc[i][j], F::kStreams, streams_of(c + i * ldc + j));
     }
   }
-  F::counters().add_block(rows, cols, nchunks, fallbacks, 0);
+  F::counters().add_blocks(1, rows, cols, nchunks, fallbacks, 0);
   return fallbacks;
 }
 
 #ifdef M3XU_ENABLE_SIMD
-// --- AVX-512: SIMD lanes are the block's output columns ---------------
+// --- AVX-512: SIMD lanes are the strip's output columns ---------------
 //
 // The scalar route rounds one (row, column) register at a time through
 // a 128-bit window (step_round). Here the 8 lanes of a 512-bit vector
-// are the (up to) 8 output columns of one block row. Per chunk, each B
+// are the (up to) 8 output columns of one strip row. Per chunk, each B
 // slot's 8 columns are one masked load from the row-major panel words,
-// split into parts in-vector; each A row's chunk is one masked load
-// split the same way, and its slots are broadcast. Each
+// split into parts in-vector once for the whole strip; each A row's
+// chunk is one masked load split the same way, and its slots are
+// broadcast. Each
 // lane carries its own column's exact step sums, register, window
 // check, rounding and FP32 encode. A lane computes exactly what
 // step_round computes - RNE_prec(reg + exact step sum), over the same
@@ -794,12 +800,15 @@ constexpr std::uint64_t kLimbMask = (std::uint64_t{1} << kLimbBits) - 1;
 /// Largest like-field offset from t_lo in a lane that passes the span
 /// check: the field's msb sh + 47 <= t_hi <= t_lo + kMaxSpan.
 constexpr int kMaxFieldOffset = kMaxSpan - 47;
+/// Widest prescan window t_hi - t_lo of a narrow row group: every field
+/// offset is then at most kLimbBits, the high limb's own lsb.
+constexpr int kNarrowSpan = kLimbBits + 47;
 constexpr int kLanes = 8;
 
 /// One K-chunk of up to kLanes B columns, slot t of every column in one
 /// vector (lane j = column j). The parts are signed: negated in lanes
 /// whose word is negative, so a product of signed A and B parts carries
-/// the term's sign. Columns past a partial block's edge hold zero slots
+/// the term's sign. Columns past a partial strip's edge hold zero slots
 /// and no finite flag. Slots past a partial chunk's live count are left
 /// unset: the A slots they pair with are zero and never visited.
 struct BChunkLanes {
@@ -808,6 +817,7 @@ struct BChunkLanes {
   __m512i sig[kMaxSlots];   // signed 24-bit significand, hi * 2^12 + lo
   __m512i off[kMaxSlots];   // hi exp2 - column anchor (0 in zero slots)
   __m512i noff[kMaxSlots];  // kMaxFieldOffset - off
+  __m512i noff_narrow[kMaxSlots];  // kLimbBits - off
   __m512i min_exp;          // column anchors
   __m512i max_exp;
   __mmask8 finite = 0;      // lanes whose column chunk has a finite lane
@@ -869,6 +879,8 @@ M3XU_AVX512_INLINE void set_b_slot(BChunkLanes& out, int t,
   out.off[t] = _mm512_maskz_sub_epi64(s.nz, s.exp, out.min_exp);
   out.noff[t] =
       _mm512_sub_epi64(_mm512_set1_epi64(kMaxFieldOffset), out.off[t]);
+  out.noff_narrow[t] =
+      _mm512_sub_epi64(_mm512_set1_epi64(kLimbBits), out.off[t]);
 }
 
 /// The chunk's prescan for `cols` columns (`meta` is column 0's entry,
@@ -929,8 +941,10 @@ M3XU_AVX512_TARGET void decode_b_lanes(const PackedPanelFp32cB& b, int col0,
   }
 }
 
-/// One block row's A chunk, decoded in-vector for broadcasting: slot
-/// t's signed parts per register stream and its shift offset from the
+/// One strip row's A chunk, decoded in-vector for broadcasting: slot
+/// t's signed parts per register stream - lo and hi pre-scaled by 2^12
+/// (below 2^24, still a signed 32-bit multiplier input), the whole
+/// significand as it is - and its shift offset from the
 /// row anchor (hi exp2 - anchor - 24, so a term's offset from t_lo is
 /// the A and B offsets summed). Stream 0 carries FP32C's -AI
 /// pre-negation on the im slots (the real part's order, as
@@ -939,8 +953,8 @@ M3XU_AVX512_TARGET void decode_b_lanes(const PackedPanelFp32cB& b, int col0,
 /// `nz` marks the nonzero slots.
 template <int S>
 struct ARowSlots {
-  alignas(64) std::int64_t lo[S][kMaxSlots];
-  alignas(64) std::int64_t hi[S][kMaxSlots];
+  alignas(64) std::int64_t lo[S][kMaxSlots];  // lo * 2^12
+  alignas(64) std::int64_t hi[S][kMaxSlots];  // hi * 2^12
   alignas(64) std::int64_t sig[S][kMaxSlots];
   alignas(64) std::int64_t off[kMaxSlots];
   __mmask8 nz;
@@ -949,8 +963,8 @@ struct ARowSlots {
 template <int S>
 M3XU_AVX512_INLINE void store_a_stream(ARowSlots<S>& out, int stream,
                                        const SignedParts& sp) {
-  _mm512_store_si512(out.lo[stream], sp.lo);
-  _mm512_store_si512(out.hi[stream], sp.hi);
+  _mm512_store_si512(out.lo[stream], _mm512_slli_epi64(sp.lo, 12));
+  _mm512_store_si512(out.hi[stream], _mm512_slli_epi64(sp.hi, 12));
   _mm512_store_si512(out.sig[stream], sp.sig);
 }
 
@@ -983,7 +997,7 @@ struct LaneReg {
   __mmask8 nz;
 };
 
-/// accum_prec-dependent constants, built once per block.
+/// accum_prec-dependent constants, built once per strip.
 struct LaneRound {
   __m512i prec_m1;   // prec - 1
   __m512i drop;      // 64 - prec: top-64 window bits below the significand
@@ -1008,26 +1022,32 @@ M3XU_AVX512_TARGET LaneRound lane_round_consts(int prec) {
           prec <= 48};
 }
 
-/// Adds the signed field x placed at cnt above t_lo, where ncnt =
-/// kMaxFieldOffset - cnt. The low part is (x * 2^cnt) mod 2^60; the
-/// high part, its floor over 2^60, is an arithmetic right shift by ncnt
-/// of x pre-scaled by 2^(kMaxFieldOffset - 60) = 2^11. That is exact
-/// for any cnt <= kMaxFieldOffset while |x| * 2^11 < 2^63 (a like field
-/// is below 2^48, a crossed field below 2^37 in its 2^12-scaled form),
-/// and a count of 64 or more sign-fills - the floor of a term below
-/// 2^60.
+/// Adds the signed field x placed at cnt above t_lo. The low part is
+/// (x * 2^cnt) mod 2^60; the high part is its floor over 2^60.
+///
+/// Wide (ncnt = kMaxFieldOffset - cnt): the high part is an arithmetic
+/// right shift by ncnt of x pre-scaled by 2^(kMaxFieldOffset - 60) =
+/// 2^11. That is exact for any cnt <= kMaxFieldOffset while |x| * 2^11
+/// < 2^63 (a like field is below 2^48, a crossed field below 2^37 in
+/// its 2^12-scaled form), and a count of 64 or more sign-fills - the
+/// floor of a term below 2^60.
+///
+/// Narrow (ncnt = kLimbBits - cnt, for cnt <= kLimbBits): the high part
+/// is x itself shifted right arithmetically by ncnt, with no pre-scale.
+/// Zero fields add zero at any count.
+template <bool kNarrow>
 M3XU_AVX512_TARGET inline void add_field(LaneSum& s, __m512i x, __m512i cnt,
                                          __m512i ncnt) {
   s.l = _mm512_add_epi64(s.l, _mm512_and_si512(_mm512_sllv_epi64(x, cnt),
                                                _mm512_set1_epi64(kLimbMask)));
-  s.h = _mm512_add_epi64(
-      s.h, _mm512_srav_epi64(
-               _mm512_slli_epi64(x, kMaxFieldOffset - kLimbBits), ncnt));
+  const __m512i xh =
+      kNarrow ? x : _mm512_slli_epi64(x, kMaxFieldOffset - kLimbBits);
+  s.h = _mm512_add_epi64(s.h, _mm512_srav_epi64(xh, ncnt));
 }
 
-/// Per-slot A broadcasts of one register stream: the signed parts and
-/// the slot's count offset from the row's anchor (sh - t_lo = aoff +
-/// boff).
+/// Per-slot A broadcasts of one register stream: the signed parts (lo
+/// and hi times 2^12) and the slot's count offset from the row's anchor
+/// (sh - t_lo = aoff + boff).
 struct ASlot {
   __m512i lo;
   __m512i hi;
@@ -1045,24 +1065,26 @@ M3XU_AVX512_TARGET inline ASlot a_slot(const ARowSlots<S>& ar, int stream,
 
 /// Adds A slot `a` times B slot `tb` of every lane: the like field into
 /// s0 and the crossed field into s1. With signed parts (sa = ah * 2^12
-/// + al, likewise sb) three signed 32x32 multiplies give both:
+/// + al, likewise sb) three signed 32x32 multiplies give both, A's parts
+/// arriving pre-scaled by 2^12:
 ///   c12  = (ah*bl + al*bh) * 2^12             (below 2^37)
 ///   like = sa*sb - c12 = ah*bh * 2^24 + al*bl  (below 2^48)
 /// c12 is the crossed field scaled to the like field's lsb, so both go
 /// in at the same offset. Each carries the sign of the product: the
 /// same signed integers as the unsigned fields negated by that sign.
+/// kNarrow selects add_field's narrow form (a narrow row group).
+template <bool kNarrow>
 M3XU_AVX512_TARGET inline void add_pair(const ASlot& a, const BChunkLanes& bl,
                                         int tb, LaneSum& s0, LaneSum& s1) {
   const __m512i cnt = _mm512_add_epi64(bl.off[tb], a.off);
-  const __m512i ncnt = _mm512_sub_epi64(bl.noff[tb], a.off);
-  const __m512i c12 = _mm512_slli_epi64(
-      _mm512_add_epi64(_mm512_mul_epi32(a.hi, bl.lo[tb]),
-                       _mm512_mul_epi32(a.lo, bl.hi[tb])),
-      12);
+  const __m512i ncnt = _mm512_sub_epi64(
+      kNarrow ? bl.noff_narrow[tb] : bl.noff[tb], a.off);
+  const __m512i c12 = _mm512_add_epi64(_mm512_mul_epi32(a.hi, bl.lo[tb]),
+                                       _mm512_mul_epi32(a.lo, bl.hi[tb]));
   const __m512i like =
       _mm512_sub_epi64(_mm512_mul_epi32(a.sig, bl.sig[tb]), c12);
-  add_field(s0, like, cnt, ncnt);
-  add_field(s1, c12, cnt, ncnt);
+  add_field<kNarrow>(s0, like, cnt, ncnt);
+  add_field<kNarrow>(s1, c12, cnt, ncnt);
 }
 
 M3XU_AVX512_TARGET inline void normalize(LaneSum& s) {
@@ -1201,8 +1223,8 @@ M3XU_AVX512_INLINE LaneReg fold_step(LaneSum s, __m512i t_lo, __m512i t_hi,
   const __m512i cnt = _mm512_sub_epi64(lsb48, base);
   __m512i x = _mm512_sllv_epi64(r.sig, _mm512_sub_epi64(r.lsb, lsb48));
   x = _mm512_mask_sub_epi64(x, r.neg, _mm512_setzero_si512(), x);
-  add_field(s, x, cnt,
-            _mm512_sub_epi64(_mm512_set1_epi64(kMaxFieldOffset), cnt));
+  add_field<false>(
+      s, x, cnt, _mm512_sub_epi64(_mm512_set1_epi64(kMaxFieldOffset), cnt));
   normalize(s);
   return lane_round(_mm512_srai_epi64(s.h, 64 - kLimbBits),
                     _mm512_or_si512(s.l, _mm512_slli_epi64(s.h, kLimbBits)),
@@ -1275,7 +1297,7 @@ M3XU_AVX512_INLINE __m512i lane_encode(const LaneReg& r, const LaneRound& rc) {
   return _mm512_maskz_mov_epi64(r.nz, bits);
 }
 
-/// One block row's chunk for every lane: decode the chunk-entry
+/// One strip row's chunk for every lane: decode the chunk-entry
 /// registers in `bits`, run both steps (or the idealized single one)
 /// over the sums, and return the new FP32 bits. Lanes that must exit
 /// are added to `exits`.
@@ -1304,8 +1326,10 @@ M3XU_AVX512_TARGET inline void lane_window(const PanelChunkMeta& am,
   t_hi = _mm512_add_epi64(bl.max_exp, _mm512_set1_epi64(am.max_exp + 23));
 }
 
-/// The kernel over a rows x cols block (rows <= 8, cols <= 8; a partial
-/// block masks the missing columns' lanes). FP32C is the two-stream
+/// The kernel over a rows x cols strip (rows <= kStripRows, cols <= 8; a
+/// partial strip masks the missing columns' lanes). Per K-chunk, B's
+/// lanes are decoded once and every row of the strip runs against them;
+/// the strip's C lanes stay in acc_ across chunks. FP32C is the two-stream
 /// instance: per lane, the real stream pairs A slot t with B slot t and
 /// the imaginary stream pairs it with B slot t^1 (with A's unflipped
 /// signs), exactly the scalar build_pair pairings over decode_column's
@@ -1318,7 +1342,9 @@ M3XU_AVX512_TARGET inline void lane_window(const PanelChunkMeta& am,
 /// over B's slots builds both rows' sums, so each B slot vector is
 /// loaded once for two rows, and both rows' lane_chunk calls run back
 /// to back before either row's exits, so their rounding chains
-/// overlap.
+/// overlap. A row pair whose lanes with terms all have prescan windows
+/// of at most kNarrowSpan bits runs the narrow slot loop (add_field's
+/// narrow form); any other takes the wide one.
 template <typename PanelA>
 class Avx512Block {
  public:
@@ -1368,12 +1394,13 @@ class Avx512Block {
             _mm512_castsi256_si512(_mm512_cvtepi64_epi32(acc_[0][i])));
       }
     }
-    F::counters().add_block(rows_, cols_, nchunks_, fallbacks_, exits_);
+    F::counters().add_blocks((rows_ + p_.mr - 1) / p_.mr, rows_, cols_,
+                             nchunks_, fallbacks_, exits_);
     return fallbacks_;
   }
 
  private:
-  /// Chunk `ch` of block rows [i, i + R).
+  /// Chunk `ch` of strip rows [i, i + R).
   template <int R>
   M3XU_AVX512_INLINE void rows_chunk(int i, int ch, int k0, int kc) {
     const PanelChunkMeta* am[R];
@@ -1391,15 +1418,58 @@ class Avx512Block {
       have[r] = finite_chunk(*am[r]) ? bl_.finite : 0;
       if (have[r] != 0) live |= ar[r].nz;
     }
-    // [row][stream][step]. Zero slots contribute nothing: visit the
-    // union of the rows' nonzero ones (a slot zero in one row adds an
-    // exact zero there).
+    // The group is narrow when every lane with terms has a prescan
+    // window of at most kNarrowSpan bits.
+    __m512i t_lo[R], t_hi[R];
+    __mmask8 wide = 0;
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r) {
+      lane_window(*am[r], bl_, t_lo[r], t_hi[r]);
+      wide |= _mm512_mask_cmpgt_epi64_mask(
+          have[r], _mm512_sub_epi64(t_hi[r], t_lo[r]),
+          _mm512_set1_epi64(kNarrowSpan));
+    }
+    // [row][stream][step].
     LaneSum sum[R][S][2] = {};
+    if (wide == 0) {
+      slot_passes<R, true>(ar, live, sum);
+    } else {
+      slot_passes<R, false>(ar, live, sum);
+    }
+    __m512i out[R][S];
+    __mmask8 exits[R];
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r) {
+      exits[r] = 0;
+      out[r][0] = lane_chunk(acc_[0][i + r], sum[r][0][0], sum[r][0][1],
+                             t_lo[r], t_hi[r], have[r], p_, rc_, exits[r]);
+      if constexpr (S == 2) {
+        out[r][1] = lane_chunk(acc_[1][i + r], sum[r][1][0], sum[r][1][1],
+                               t_lo[r], t_hi[r], have[r], p_, rc_, exits[r]);
+      }
+    }
+#pragma GCC unroll 2
+    for (int r = 0; r < R; ++r) {
+      const __mmask8 ex = exits[r] & lanes_;
+      if (ex != 0) redo_exits(i + r, ch, k0, kc, *am[r], ex, out[r]);
+      acc_[0][i + r] = out[r][0];
+      if constexpr (S == 2) acc_[1][i + r] = out[r][1];
+    }
+  }
+
+  /// The slot loop: every stream's step sums for R rows. Zero slots
+  /// contribute nothing: visit the union of the rows' nonzero ones (a
+  /// slot zero in one row adds an exact zero there).
+  template <int R, bool kNarrow>
+  M3XU_AVX512_INLINE void slot_passes(const ARowSlots<S> (&ar)[R],
+                                      unsigned live,
+                                      LaneSum (&sum)[R][S][2]) const {
     for (unsigned l = live; l != 0; l &= l - 1) {
       const int t = __builtin_ctz(l);
 #pragma GCC unroll 2
       for (int r = 0; r < R; ++r) {
-        add_pair(a_slot(ar[r], 0, t), bl_, t, sum[r][0][0], sum[r][0][1]);
+        add_pair<kNarrow>(a_slot(ar[r], 0, t), bl_, t, sum[r][0][0],
+                          sum[r][0][1]);
       }
     }
     if constexpr (S == 2) {
@@ -1410,31 +1480,10 @@ class Avx512Block {
         const int t = __builtin_ctz(l);
 #pragma GCC unroll 2
         for (int r = 0; r < R; ++r) {
-          add_pair(a_slot(ar[r], 1, t), bl_, t ^ 1, sum[r][1][0],
-                   sum[r][1][1]);
+          add_pair<kNarrow>(a_slot(ar[r], 1, t), bl_, t ^ 1, sum[r][1][0],
+                            sum[r][1][1]);
         }
       }
-    }
-    __m512i out[R][S];
-    __mmask8 exits[R];
-#pragma GCC unroll 2
-    for (int r = 0; r < R; ++r) {
-      __m512i t_lo, t_hi;
-      lane_window(*am[r], bl_, t_lo, t_hi);
-      exits[r] = 0;
-      out[r][0] = lane_chunk(acc_[0][i + r], sum[r][0][0], sum[r][0][1], t_lo,
-                             t_hi, have[r], p_, rc_, exits[r]);
-      if constexpr (S == 2) {
-        out[r][1] = lane_chunk(acc_[1][i + r], sum[r][1][0], sum[r][1][1],
-                               t_lo, t_hi, have[r], p_, rc_, exits[r]);
-      }
-    }
-#pragma GCC unroll 2
-    for (int r = 0; r < R; ++r) {
-      const __mmask8 ex = exits[r] & lanes_;
-      if (ex != 0) redo_exits(i + r, ch, k0, kc, *am[r], ex, out[r]);
-      acc_[0][i + r] = out[r][0];
-      if constexpr (S == 2) acc_[1][i + r] = out[r][1];
     }
   }
 
@@ -1483,7 +1532,7 @@ class Avx512Block {
   const int nchunks_;
   // FP32 bits, one column per u64 lane: acc_[0] the real (or only)
   // stream, acc_[1] FP32C's imaginary stream.
-  __m512i acc_[S][kLanes];
+  __m512i acc_[S][kStripRows];
   BChunkLanes bl_;
   std::uint64_t fallbacks_ = 0;
   std::uint64_t exits_ = 0;
@@ -1494,7 +1543,7 @@ M3XU_AVX512_TARGET std::uint64_t block_avx512(
     const PanelA& a, int row0, int rows, const PanelBOf<PanelA>& b,
     int col0, int cols, const DpUnit& unit, const MicrokernelParams& p,
     CElemOf<PanelA>* c, int ldc) {
-  check_block(a, row0, rows, kLanes, b, col0, cols, kLanes);
+  check_block(a, row0, rows, kStripRows, b, col0, cols, kLanes);
   return Avx512Block<PanelA>(a, row0, rows, b, col0, cols, unit, p).run(c,
                                                                          ldc);
 }
@@ -1503,47 +1552,55 @@ M3XU_AVX512_TARGET std::uint64_t block_avx512(
 #undef M3XU_AVX512_TARGET
 #endif  // M3XU_ENABLE_SIMD
 
-/// Resolves the variant once per block and runs the matching body for a
-/// rows x cols block (one p.mr x p.nr register block, full or partial).
+/// Resolves the variant once per strip and runs the matching body for a
+/// rows x cols strip: the AVX-512 kernel takes it whole, the scalar and
+/// AVX2 bodies walk it in p.mr x p.nr register blocks (the last one
+/// partial).
 template <typename PanelA>
-std::uint64_t dispatch_block(const PanelA& a, int row0,
+std::uint64_t dispatch_strip(const PanelA& a, int row0,
                              const PanelBOf<PanelA>& b, int col0, int rows,
                              int cols, const DpUnit& unit,
                              const MicrokernelParams& p, CElemOf<PanelA>* c,
                              int ldc) {
   const MkVariant v = mk_variant_resolve(p.variant);
   M3XU_CHECK(mk_block_supported(p.mr, p.nr));
-  M3XU_CHECK(rows >= 1 && rows <= p.mr && cols >= 1 && cols <= p.nr);
-  count_variant_block(v);
+  M3XU_CHECK(rows >= 1 && rows <= kStripRows && cols >= 1 && cols <= p.nr);
+  count_variant_blocks(v, (rows + p.mr - 1) / p.mr);
 #ifdef M3XU_ENABLE_SIMD
   if (v == MkVariant::kAvx512) {
     return block_avx512(a, row0, rows, b, col0, cols, unit, p, c, ldc);
   }
 #endif
-  if (p.mr == 4) {
-    return block_scalar<PanelA, 4, 4>(a, row0, rows, b, col0, cols, unit, p,
-                                      v, c, ldc);
+  std::uint64_t fallbacks = 0;
+  for (int i = 0; i < rows; i += p.mr) {
+    const int r = std::min(p.mr, rows - i);
+    CElemOf<PanelA>* ci = c + static_cast<std::size_t>(i) * ldc;
+    fallbacks += p.mr == 4 ? block_scalar<PanelA, 4, 4>(a, row0 + i, r, b,
+                                                        col0, cols, unit, p,
+                                                        v, ci, ldc)
+                           : block_scalar<PanelA, 8, 8>(a, row0 + i, r, b,
+                                                        col0, cols, unit, p,
+                                                        v, ci, ldc);
   }
-  return block_scalar<PanelA, 8, 8>(a, row0, rows, b, col0, cols, unit, p, v,
-                                    c, ldc);
+  return fallbacks;
 }
 
 }  // namespace
 
-std::uint64_t microkernel_block(const PackedPanelFp32A& a, int row0,
+std::uint64_t microkernel_strip(const PackedPanelFp32A& a, int row0,
                                 const PackedPanelFp32B& b, int col0, int rows,
                                 int cols, const DpUnit& unit,
                                 const MicrokernelParams& p, float* c,
                                 int ldc) {
-  return dispatch_block(a, row0, b, col0, rows, cols, unit, p, c, ldc);
+  return dispatch_strip(a, row0, b, col0, rows, cols, unit, p, c, ldc);
 }
 
-std::uint64_t microkernel_block(const PackedPanelFp32cA& a, int row0,
+std::uint64_t microkernel_strip(const PackedPanelFp32cA& a, int row0,
                                 const PackedPanelFp32cB& b, int col0, int rows,
                                 int cols, const DpUnit& unit,
                                 const MicrokernelParams& p,
                                 std::complex<float>* c, int ldc) {
-  return dispatch_block(a, row0, b, col0, rows, cols, unit, p, c, ldc);
+  return dispatch_strip(a, row0, b, col0, rows, cols, unit, p, c, ldc);
 }
 
 }  // namespace m3xu::core

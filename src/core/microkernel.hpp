@@ -1,13 +1,16 @@
 // Register-blocked microkernel for the packed M3XU datapath.
 //
 // The packed entry points (mxu.cpp) run every special-free,
-// injector-free call through this kernel: it computes an MR x NR output
-// block per pass over the panels' K, or a partial block (fewer rows
-// and/or columns) at the right and bottom edges:
+// injector-free call through this kernel, one strip of up to
+// kStripRows rows by NR columns per call (fewer at the right and bottom
+// edges). The scalar and AVX2 variants walk the strip in MR x NR
+// register blocks, each one pass over the panels' K; the AVX-512
+// variant runs the whole strip per K-chunk:
 //
 //   - A decode is hoisted once per block row per k-chunk and reused
-//     across the block's columns; each B column decodes once and is
-//     reused across the block's rows. The decode splits each panel
+//     across the block's columns; each B column chunk decodes once per
+//     register block (once per strip on AVX-512) and is reused across
+//     its rows. The decode splits each panel
 //     word into its two 12-bit parts in registers and recombines them
 //     into one 64-bit word (they share a sign and sit 12 apart,
 //     fp/split.hpp), so one 64x64->128 multiply
@@ -124,22 +127,27 @@ struct MicrokernelParams {
 /// (runtime-dispatched; the scalar path is always built).
 bool microkernel_simd_active();
 
-/// Computes the rows x cols block C += A*B at panel offset (row0, col0)
-/// over the panels' full K. `c` points at the block's top-left output
-/// element. Requires 1 <= rows <= p.mr and 1 <= cols <= p.nr (a partial
-/// block at a tile edge is fine), row0+rows <= a.rows, col0+cols <=
-/// b.cols, a.k == b.k, and special-free panels. Returns the number of
-/// (element, K-chunk) pairs that fell back to the generic route (also
-/// counted in mxu.fp32{,c}.microkernel.pair_fallbacks), so the caller
-/// can attribute them to the request trace. Both overloads run the same
-/// bodies: FP32C is their two-register-stream instance.
-std::uint64_t microkernel_block(const PackedPanelFp32A& a, int row0,
+/// Rows per microkernel call: the default warp tile height, so each
+/// driver call is one strip per NR-column block.
+inline constexpr int kStripRows = 64;
+
+/// Computes the rows x cols strip C += A*B at panel offset (row0, col0)
+/// over the panels' full K. `c` points at the strip's top-left output
+/// element. Requires 1 <= rows <= kStripRows and 1 <= cols <= p.nr (a
+/// partial strip at a tile edge is fine), row0+rows <= a.rows,
+/// col0+cols <= b.cols, a.k == b.k, and special-free panels. The route
+/// counters book ceil(rows / p.mr) register blocks per strip. Returns
+/// the number of (element, K-chunk) pairs that fell back to the generic
+/// route (also counted in mxu.fp32{,c}.microkernel.pair_fallbacks), so
+/// the caller can attribute them to the request trace. Both overloads
+/// run the same bodies: FP32C is their two-register-stream instance.
+std::uint64_t microkernel_strip(const PackedPanelFp32A& a, int row0,
                                 const PackedPanelFp32B& b, int col0, int rows,
                                 int cols, const DpUnit& unit,
                                 const MicrokernelParams& p, float* c,
                                 int ldc);
 
-std::uint64_t microkernel_block(const PackedPanelFp32cA& a, int row0,
+std::uint64_t microkernel_strip(const PackedPanelFp32cA& a, int row0,
                                 const PackedPanelFp32cB& b, int col0, int rows,
                                 int cols, const DpUnit& unit,
                                 const MicrokernelParams& p,

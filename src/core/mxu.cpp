@@ -306,8 +306,8 @@ void M3xuEngine::gemm_fp64c(int m, int n, int k,
 // --- Packed-operand path ----------------------------------------------
 //
 // Special-free, injector-free calls run the register-blocked
-// microkernel over MR x NR blocks, partial at the right and bottom
-// edges (core/microkernel.hpp). Otherwise every (i, j, k-chunk) runs the
+// microkernel over strips of kStripRows x NR, partial at the right and
+// bottom edges (core/microkernel.hpp). Otherwise every (i, j, k-chunk) runs the
 // per-dot instruction (mma_dot_fp32 / mma_dot_fp32c) over the panels'
 // words: element-level special bypass depends on the operand *pair*,
 // and operand-buffer fault opportunities must fire in the per-dot
@@ -373,10 +373,10 @@ void M3xuEngine::gemm_prepacked(const PanelA& a, int row0, const PanelB& b,
   if (microkernel_route(config_, a.has_special, b.has_special, k)) {
     const MicrokernelParams mp = microkernel_params(config_);
     std::uint64_t n_fallback = 0;
-    for (int i = 0; i < m; i += mp.mr) {
+    for (int i = 0; i < m; i += kStripRows) {
       for (int j = 0; j < n; j += mp.nr) {
-        n_fallback += microkernel_block(
-            a, row0 + i, b, col0 + j, std::min(mp.mr, m - i),
+        n_fallback += microkernel_strip(
+            a, row0 + i, b, col0 + j, std::min(kStripRows, m - i),
             std::min(mp.nr, n - j), dp12_, mp, c + idx(i, ldc, j), ldc);
       }
     }

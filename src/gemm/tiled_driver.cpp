@@ -355,6 +355,26 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                                  std::to_string(exec.deadline_ms) + " ms");
         }
         const int kc = std::min(cfg.block_k, k - k0);
+        // The B panel for this (K-block, column block) is shared by every
+        // tile row and every request with the same b_key, so the packed
+        // route consults the cache first. Never with an injector
+        // attached: corrupted staging must not be published into shared
+        // state.
+        const bool cacheable = route != Route::kScalarReference &&
+                               allow_cache && exec.b_cache != nullptr &&
+                               exec.b_key != 0 && inj == nullptr;
+        // A cacheable K-block stages B only where it is read: packed on
+        // a cache miss, or run per-dot when packing fails.
+        bool b_staged = false;
+        const auto stage_b = [&] {
+          for (int kk = 0; kk < kc; ++kk) {
+            for (int j = 0; j < n_eff; ++j) {
+              b_stage[static_cast<std::size_t>(kk) * n_eff + j] =
+                  b(k0 + kk, bn + j);
+            }
+          }
+          b_staged = true;
+        };
         {
           // Stage the A and B panels (cp.async in the real kernel).
           const telemetry::ScopedTimer span("tile.stage");
@@ -364,12 +384,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                   a(bm + i, k0 + kk);
             }
           }
-          for (int kk = 0; kk < kc; ++kk) {
-            for (int j = 0; j < n_eff; ++j) {
-              b_stage[static_cast<std::size_t>(kk) * n_eff + j] =
-                  b(k0 + kk, bn + j);
-            }
-          }
+          if (!cacheable) stage_b();
         }
         if (inj != nullptr) {
           for (int i = 0; i < m_eff; ++i) {
@@ -399,13 +414,6 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
               const telemetry::ScopedTimer span("tile.pack");
               PackedOps<T>::pack_a(a_stage.data(), cfg.block_k, m_eff, kc,
                                    a_panel);
-              // The B panel for this (K-block, column block) is shared
-              // by every tile row and every request with the same
-              // b_key, so consult the cache first. Never with an
-              // injector attached: corrupted staging must not be
-              // published into shared state.
-              const bool cacheable = allow_cache && exec.b_cache != nullptr &&
-                                     exec.b_key != 0 && inj == nullptr;
               bool b_cached = false;
               if (cacheable) {
                 const PanelKey key{exec.b_key, k0,   bn,
@@ -416,6 +424,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                                static_cast<long>(t), k0);
                 }
                 if (!b_cached) {
+                  stage_b();
                   PackedOps<T>::pack_b(b_stage.data(), n_eff, kc, n_eff,
                                        b_panel);
                   exec.b_cache->put(key, b_panel);
@@ -430,6 +439,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
             }
           }
           if (!packed) {
+            if (!b_staged) stage_b();
             ++local.recovery.alloc_fallbacks;
             if (trace != nullptr) {
               trace->event("recovery.alloc_fallback", static_cast<long>(t),

@@ -490,8 +490,9 @@ TEST(MicrokernelDispatch, InjectorDeterminismUnderForcedDispatch) {
 
 // --- Route counters ----------------------------------------------------
 //
-// The kernels' own counters: blocks counts register-block calls per
-// variant; block_elements and pair_chunks must count exactly the
+// The kernels' own counters: blocks counts the register blocks covered
+// per variant (ceil(rows / MR) per strip); block_elements and
+// pair_chunks must count exactly the
 // elements a (partial) block covers; lane_exits counts (row, column,
 // chunk) triples the AVX-512 kernel handed back to the scalar pair path.
 
@@ -552,7 +553,9 @@ TEST(MicrokernelDispatch, PartialBlocksCoverEdgesWithExactCounts) {
   // Every m % MR and every n % NR, for every available variant and
   // block shape: each kernel takes the partial blocks at the right and
   // bottom edges, so the counters cover exactly m x n and every block
-  // runs on the requested variant.
+  // runs on the requested variant. m in {63, 64, 65, 130} adds a strip
+  // one row short of kStripRows, a full strip, and full strips followed
+  // by a partial one.
   int seed = 0;
   for (const MkVariant v :
        {MkVariant::kScalar, MkVariant::kAvx2, MkVariant::kAvx512}) {
@@ -564,7 +567,10 @@ TEST(MicrokernelDispatch, PartialBlocksCoverEdgesWithExactCounts) {
       const M3xuConfig cfg = variant_config(v, shape);
       const M3xuEngine micro(cfg);
       const M3xuEngine packed = generic_engine(cfg);
-      for (int m = shape.mr; m < 2 * shape.mr; ++m) {
+      std::vector<int> ms;
+      for (int m = shape.mr; m < 2 * shape.mr; ++m) ms.push_back(m);
+      for (const int m : {63, 64, 65, 130}) ms.push_back(m);
+      for (const int m : ms) {
         for (int r = 1; r <= 7; ++r) {
           const int n = 8 + r;
           const int k = 20;
@@ -800,6 +806,60 @@ TEST(MicrokernelAvx512, EveryAccumPrecisionBothRegisterSemantics) {
   }
 }
 
+TEST(MicrokernelAvx512, NarrowAndWideRowGroupsInOneStrip) {
+  SKIP_WITHOUT_AVX512();
+  // One chunk, one strip of four rows. An element of exponent E
+  // anchors at E - 150 and its hi part sits at E - 138, so a row chunk
+  // spanning dA octaves against a column chunk spanning dB gives the
+  // prescan window t_hi - t_lo = dA + dB + 47, and the product of the
+  // two largest elements is a like field at offset dA + dB above t_lo.
+  // Every B column spans 30 octaves (2^30 at k = 0, 1 at k = 1). Rows 0
+  // and 1 span 30 too: a 107-bit window with a like field at offset 60,
+  // the narrow slot loop's limit. Rows 2 and 3 span 31: a 108-bit
+  // window with a field at offset 61, which only the wide loop places
+  // exactly. C lies inside the products' range, so no lane leaves the
+  // vector.
+  const M3xuConfig cfg = avx512_config();
+  const M3xuEngine micro(cfg);
+  const M3xuEngine packed = generic_engine(cfg);
+  const int m = 4, n = 8, k = 8;
+  Rng rng(41000);
+  const auto octave = [&rng](int e) {  // a signed value in [2^e, 2^(e+1))
+    const float x = __builtin_ldexpf(rng.uniform(1.0f, 1.5f), e);
+    return rng.next_below(2) != 0 ? -x : x;
+  };
+  std::vector<float> a(static_cast<std::size_t>(m) * k);
+  std::vector<float> b(static_cast<std::size_t>(k) * n);
+  for (int i = 0; i < m; ++i) {
+    const int span = i < 2 ? 30 : 31;
+    float* row = a.data() + static_cast<std::size_t>(i) * k;
+    row[0] = octave(span);
+    row[1] = octave(0);
+    for (int kk = 2; kk < k; ++kk) {
+      row[kk] = octave(static_cast<int>(rng.next_below(span + 1)));
+    }
+  }
+  for (int j = 0; j < n; ++j) {
+    b[j] = octave(30);
+    b[static_cast<std::size_t>(n) + j] = octave(0);
+    for (int kk = 2; kk < k; ++kk) {
+      b[static_cast<std::size_t>(kk) * n + j] =
+          octave(static_cast<int>(rng.next_below(31)));
+    }
+  }
+  std::vector<float> c(static_cast<std::size_t>(m) * n);
+  for (auto& x : c) x = octave(static_cast<int>(rng.next_below(31)));
+  const telemetry::Snapshot before = telemetry::snapshot();
+  check_fp32(micro, packed, m, n, k, a, b, c);
+  const MkCounts got = mk_counts(before, telemetry::snapshot(), "fp32");
+#if M3XU_TELEMETRY_ENABLED
+  EXPECT_EQ(got.exits, 0u);
+  EXPECT_EQ(got.fallbacks, 0u);
+#else
+  (void)got;
+#endif
+}
+
 TEST(MicrokernelAvx512, RegisterBelowTermWindowTakesGeneralStep) {
   SKIP_WITHOUT_AVX512();
   // Products of one-octave operands span [t_lo, t_hi] = [-46, 1] while
@@ -959,9 +1019,10 @@ void sweep_operands(SweepFamily f, Rng& rng, int m, int n, int k,
 
 TEST(MicrokernelAvx512, RandomizedDifferentialSweep) {
   SKIP_WITHOUT_AVX512();
-  // Seeded random cases for about 3 s: m, n in 1..17 (full and partial
-  // 8-wide blocks, odd and even row counts), k in 1..70 (partial
-  // chunks), accum_prec in {24, 47, 48, 49, 63} (both sides of the
+  // Seeded random cases for about 3 s: m in 1..80 (partial strips, a
+  // full 64-row strip, and a full strip plus a partial one, odd and even
+  // row counts), n in 1..17 (full and partial 8-wide blocks), k in 1..70
+  // (partial chunks), accum_prec in {24, 47, 48, 49, 63} (both sides of the
   // 48-bit register fold), per-step or idealized rounding, FP32 or
   // FP32C, and one input family per case. Every output bit of the
   // AVX-512 kernel must equal the per-dot route's.
@@ -970,7 +1031,7 @@ TEST(MicrokernelAvx512, RandomizedDifferentialSweep) {
   const auto start = std::chrono::steady_clock::now();
   int cases = 0;
   while (std::chrono::steady_clock::now() - start < std::chrono::seconds(3)) {
-    const int m = 1 + static_cast<int>(rng.next_below(17));
+    const int m = 1 + static_cast<int>(rng.next_below(80));
     const int n = 1 + static_cast<int>(rng.next_below(17));
     const int k = 1 + static_cast<int>(rng.next_below(70));
     M3xuConfig cfg = avx512_config();
