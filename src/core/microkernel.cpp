@@ -812,15 +812,15 @@ constexpr int kLanes = 8;
 /// and no finite flag. Slots past a partial chunk's live count are left
 /// unset: the A slots they pair with are zero and never visited.
 struct BChunkLanes {
-  __m512i lo[kMaxSlots];    // signed lo part sig
-  __m512i hi[kMaxSlots];    // signed hi part sig
-  __m512i sig[kMaxSlots];   // signed 24-bit significand, hi * 2^12 + lo
-  __m512i off[kMaxSlots];   // hi exp2 - column anchor (0 in zero slots)
-  __m512i noff[kMaxSlots];  // kMaxFieldOffset - off
+  __m512i lo[kMaxSlots];           // signed lo part sig
+  __m512i hi[kMaxSlots];           // signed hi part sig
+  __m512i sig[kMaxSlots];          // signed 24-bit significand, hi * 2^12 + lo
+  __m512i off[kMaxSlots];          // hi exp2 - column anchor (0 in zero slots)
+  __m512i noff[kMaxSlots];         // kMaxFieldOffset - off
   __m512i noff_narrow[kMaxSlots];  // kLimbBits - off
-  __m512i min_exp;          // column anchors
+  __m512i min_exp;                 // column anchors
   __m512i max_exp;
-  __mmask8 finite = 0;      // lanes whose column chunk has a finite lane
+  __mmask8 finite = 0;  // lanes whose column chunk has a finite lane
 };
 
 /// Eight FP32 words, one per u64 lane, split as decode_slots splits

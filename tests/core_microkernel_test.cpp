@@ -1022,8 +1022,8 @@ TEST(MicrokernelAvx512, RandomizedDifferentialSweep) {
   // Seeded random cases for about 3 s: m in 1..80 (partial strips, a
   // full 64-row strip, and a full strip plus a partial one, odd and even
   // row counts), n in 1..17 (full and partial 8-wide blocks), k in 1..70
-  // (partial chunks), accum_prec in {24, 47, 48, 49, 63} (both sides of the
-  // 48-bit register fold), per-step or idealized rounding, FP32 or
+  // (partial chunks), accum_prec in {24, 47, 48, 49, 63} (both sides of
+  // the 48-bit register fold), per-step or idealized rounding, FP32 or
   // FP32C, and one input family per case. Every output bit of the
   // AVX-512 kernel must equal the per-dot route's.
   const int precs[] = {24, 47, 48, 49, 63};
