@@ -199,50 +199,20 @@ void BM_OuterProductTile(benchmark::State& state) {
 }
 BENCHMARK(BM_OuterProductTile);
 
-/// Gates and times one single-thread microkernel probe. `run(engine,
-/// c)` makes the probe's engine calls into C; its operands are packed
-/// beforehand, outside the timed loop, so the time is the kernel's (the
-/// microkernel route of gemm_fp32{,c}_prepacked on the host's widest
-/// variant). C is reset to `c0` every iteration. Before timing, one run
-/// is compared bitwise with a force_generic engine (the per-dot route);
-/// a mismatch skips the benchmark with an error. Reports ns_per_mac:
-/// nanoseconds per real or complex multiply-accumulate.
-template <typename T, typename Run>
-void gate_and_time(benchmark::State& state, const std::vector<T>& c0,
-                   double macs, Run run) {
-  const core::M3xuEngine engine;
-  core::M3xuConfig generic_cfg;
-  generic_cfg.force_generic = true;
-  const core::M3xuEngine generic(generic_cfg);
-  std::vector<T> c = c0;
-  std::vector<T> ref = c0;
-  run(engine, c.data());
-  run(generic, ref.data());
-  if (std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)) != 0) {
-    state.SkipWithError("microkernel result differs from the per-dot route");
-    return;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    std::memcpy(c.data(), c0.data(), c.size() * sizeof(T));
-    run(engine, c.data());
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
-  }
-  const std::chrono::duration<double, std::nano> ns =
-      std::chrono::steady_clock::now() - start;
-  state.counters["ns_per_mac"] =
-      ns.count() / (macs * static_cast<double>(state.iterations()));
-}
-
-/// Operands of an m x n x k probe, drawn with Rng::scaled_float (the
-/// perfbench workloads' distribution).
+/// Operands of an m x n x k probe. The timed draw is Rng::scaled_float
+/// (the perfbench workloads' distribution), where an error below the
+/// 48-bit register's rounding almost never reaches an FP32 output. So
+/// the gate also runs a cancelling draw: A holds signed powers of two
+/// (FP32C: purely real or purely imaginary), every odd K index repeats
+/// the A before it against the negated B row before it, and C is 0 or
+/// scaled by 2^-60. Every step's products then sum to exactly zero and
+/// every output is its C, so an error in any product's low bits shows.
 template <typename T>
 struct ProbeOperands {
   std::vector<T> a, b, c0;
 
-  ProbeOperands(int m, int n, int k) {
-    Rng rng(14);
+  ProbeOperands(int m, int n, int k, bool cancelling) {
+    Rng rng(cancelling ? 15 : 14);
     const auto draw = [&rng] {
       if constexpr (std::is_same_v<T, float>) {
         return rng.scaled_float();
@@ -251,14 +221,90 @@ struct ProbeOperands {
         return T(re, rng.scaled_float());
       }
     };
+    const auto power_of_two = [&rng]() -> T {
+      const float p = __builtin_ldexpf(rng.next_below(2) != 0 ? -1.0f : 1.0f,
+                                       static_cast<int>(rng.next_below(9)) - 4);
+      if constexpr (std::is_same_v<T, float>) {
+        return p;
+      } else {
+        return rng.next_below(2) != 0 ? T(p, 0.0f) : T(0.0f, p);
+      }
+    };
     a.resize(static_cast<std::size_t>(m) * k);
     b.resize(static_cast<std::size_t>(k) * n);
     c0.resize(static_cast<std::size_t>(m) * n);
-    for (auto& v : a) v = draw();
+    for (auto& v : a) v = cancelling ? power_of_two() : draw();
     for (auto& v : b) v = draw();
     for (auto& v : c0) v = draw();
+    if (!cancelling) return;
+    for (int kk = 1; kk < k; kk += 2) {
+      for (int i = 0; i < m; ++i) {
+        a[static_cast<std::size_t>(i) * k + kk] =
+            a[static_cast<std::size_t>(i) * k + kk - 1];
+      }
+      for (int j = 0; j < n; ++j) {
+        b[static_cast<std::size_t>(kk) * n + j] =
+            -b[static_cast<std::size_t>(kk - 1) * n + j];
+      }
+    }
+    for (auto& v : c0) {
+      v = rng.next_below(2) != 0 ? T{} : v * __builtin_ldexpf(1.0f, -60);
+    }
   }
 };
+
+/// Gates and times one single-thread microkernel probe of an m x n x k
+/// problem. `probe(operands)` packs the operands and returns `run(engine,
+/// c)`, which makes the probe's engine calls into C; packing stays
+/// outside the timed loop, so the time is the kernel's (the microkernel
+/// route of gemm_fp32{,c}_prepacked on the host's widest variant).
+/// Before timing, one run on each draw is compared bitwise with a
+/// force_generic engine (the per-dot route); a mismatch skips the
+/// benchmark with an error. The timed loop runs the scaled_float draw,
+/// resetting C every iteration. Reports ns_per_mac: nanoseconds per real
+/// or complex multiply-accumulate.
+template <typename T, typename Probe>
+void gate_and_time(benchmark::State& state, int m, int n, int k,
+                   Probe probe) {
+  const core::M3xuEngine engine;
+  core::M3xuConfig generic_cfg;
+  generic_cfg.force_generic = true;
+  const core::M3xuEngine generic(generic_cfg);
+  const auto matches_generic = [&](const ProbeOperands<T>& op,
+                                   const auto& run) {
+    std::vector<T> c = op.c0;
+    std::vector<T> ref = op.c0;
+    run(engine, c.data());
+    run(generic, ref.data());
+    return std::memcmp(c.data(), ref.data(), c.size() * sizeof(T)) == 0;
+  };
+  const ProbeOperands<T> cancelling(m, n, k, true);
+  if (!matches_generic(cancelling, probe(cancelling))) {
+    state.SkipWithError(
+        "microkernel result differs from the per-dot route (cancelling "
+        "operands)");
+    return;
+  }
+  const ProbeOperands<T> op(m, n, k, false);
+  const auto run = probe(op);
+  if (!matches_generic(op, run)) {
+    state.SkipWithError("microkernel result differs from the per-dot route");
+    return;
+  }
+  std::vector<T> c = op.c0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    std::memcpy(c.data(), op.c0.data(), c.size() * sizeof(T));
+    run(engine, c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double, std::nano> ns =
+      std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_mac"] =
+      ns.count() / (static_cast<double>(m) * n * k *
+                    static_cast<double>(state.iterations()));
+}
 
 /// One engine call over all of an m x n x k problem's rows, columns and
 /// K, packed once.
@@ -269,15 +315,15 @@ void run_prepacked_probe(
     void (*pack_b)(const T*, int, int, int, PanelB&),
     void (core::M3xuEngine::*gemm)(const PanelA&, int, const PanelB&, int,
                                    int, int, T*, int) const) {
-  const ProbeOperands<T> op(m, n, k);
-  PanelA pa;
-  PanelB pb;
-  pack_a(op.a.data(), k, m, k, pa);
-  pack_b(op.b.data(), n, k, n, pb);
-  gate_and_time(state, op.c0, static_cast<double>(m) * n * k,
-                [&](const core::M3xuEngine& e, T* c) {
-                  (e.*gemm)(pa, 0, pb, 0, m, n, c, n);
-                });
+  gate_and_time<T>(state, m, n, k, [&](const ProbeOperands<T>& op) {
+    PanelA pa;
+    PanelB pb;
+    pack_a(op.a.data(), k, m, k, pa);
+    pack_b(op.b.data(), n, k, n, pb);
+    return [=](const core::M3xuEngine& e, T* c) {
+      (e.*gemm)(pa, 0, pb, 0, m, n, c, n);
+    };
+  });
 }
 
 void BM_MicrokernelFp32Prepacked(benchmark::State& state) {
@@ -303,32 +349,30 @@ BENCHMARK(BM_MicrokernelFp32cPrepacked)->Unit(benchmark::kMillisecond);
 void BM_MicrokernelFp32WarpTiles(benchmark::State& state) {
   constexpr int m = 128, n = 128, k = 512;
   const gemm::TileConfig tile;
-  const ProbeOperands<float> op(m, n, k);
   const int kblocks = k / tile.block_k;
-  std::vector<core::PackedPanelFp32A> pa(static_cast<std::size_t>(kblocks));
-  std::vector<core::PackedPanelFp32B> pb(static_cast<std::size_t>(kblocks));
-  for (int q = 0; q < kblocks; ++q) {
-    const int k0 = q * tile.block_k;
-    core::pack_fp32_a(op.a.data() + k0, k, m, tile.block_k,
-                      pa[static_cast<std::size_t>(q)]);
-    core::pack_fp32_b(op.b.data() + static_cast<std::size_t>(k0) * n, n,
-                      tile.block_k, n, pb[static_cast<std::size_t>(q)]);
-  }
-  gate_and_time(
-      state, op.c0, static_cast<double>(m) * n * k,
-      [&](const core::M3xuEngine& e, float* c) {
-        for (int q = 0; q < kblocks; ++q) {
-          for (int i = 0; i < m; i += tile.warp_m) {
-            for (int j = 0; j < n; j += tile.warp_n) {
-              e.gemm_fp32_prepacked(pa[static_cast<std::size_t>(q)], i,
-                                    pb[static_cast<std::size_t>(q)], j,
-                                    tile.warp_m, tile.warp_n,
-                                    c + static_cast<std::size_t>(i) * n + j,
-                                    n);
-            }
+  gate_and_time<float>(state, m, n, k, [&](const ProbeOperands<float>& op) {
+    std::vector<core::PackedPanelFp32A> pa(static_cast<std::size_t>(kblocks));
+    std::vector<core::PackedPanelFp32B> pb(static_cast<std::size_t>(kblocks));
+    for (int q = 0; q < kblocks; ++q) {
+      const int k0 = q * tile.block_k;
+      core::pack_fp32_a(op.a.data() + k0, k, m, tile.block_k,
+                        pa[static_cast<std::size_t>(q)]);
+      core::pack_fp32_b(op.b.data() + static_cast<std::size_t>(k0) * n, n,
+                        tile.block_k, n, pb[static_cast<std::size_t>(q)]);
+    }
+    return [=](const core::M3xuEngine& e, float* c) {
+      for (int q = 0; q < kblocks; ++q) {
+        for (int i = 0; i < m; i += tile.warp_m) {
+          for (int j = 0; j < n; j += tile.warp_n) {
+            e.gemm_fp32_prepacked(pa[static_cast<std::size_t>(q)], i,
+                                  pb[static_cast<std::size_t>(q)], j,
+                                  tile.warp_m, tile.warp_n,
+                                  c + static_cast<std::size_t>(i) * n + j, n);
           }
         }
-      });
+      }
+    };
+  });
 }
 BENCHMARK(BM_MicrokernelFp32WarpTiles)->Unit(benchmark::kMillisecond);
 

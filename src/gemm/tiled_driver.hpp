@@ -43,8 +43,8 @@ struct TileConfig {
 
   bool valid() const {
     // Positivity first: the divisibility checks below are UB on a zero
-    // warp tile, and an autotuner search enumerates exactly that kind
-    // of malformed candidate. A validator must be safe on any input.
+    // warp tile, and the tile arrives from the caller (PlanOptions::tile,
+    // ServerConfig::tile) unchecked. A validator must be safe on any input.
     if (block_m <= 0 || block_n <= 0 || block_k <= 0 || warp_m <= 0 ||
         warp_n <= 0) {
       return false;

@@ -32,8 +32,7 @@ bool git_dirty() {
   return any;
 }
 
-}  // namespace
-
+/// Environment::compiler: the compiler's __VERSION__, or "unknown".
 std::string compiler_version() {
 #if defined(__VERSION__)
   return __VERSION__;
@@ -41,6 +40,8 @@ std::string compiler_version() {
   return "unknown";
 #endif
 }
+
+}  // namespace
 
 Environment collect_environment() {
   Environment env;

@@ -28,10 +28,6 @@ struct Environment {
 
 Environment collect_environment();
 
-/// The compiler's __VERSION__ string, or "unknown". Unlike
-/// collect_environment() it starts no process.
-std::string compiler_version();
-
 /// Short git revision of the working tree, or "unknown" outside a
 /// checkout.
 std::string git_revision();

@@ -3,9 +3,9 @@
 // the Chrome trace), replacing per-bench string concatenation - plus
 // its read-side counterpart, a small recursive-descent parser
 // (JsonValue::parse) for artifacts the toolchain reads back, e.g. the
-// autotuner's persisted tuned-config cache. The writer produces
-// pretty-printed, key-ordered output; the writer tracks nesting and
-// comma placement so callers only name structure.
+// metrics document bench_serving --metrics-dump writes and reads back.
+// The writer produces pretty-printed, key-ordered output; the writer
+// tracks nesting and comma placement so callers only name structure.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +70,9 @@ class JsonWriter {
 
 /// Parsed JSON document node. The accessors are total: a type-mismatch
 /// read returns the caller's fallback instead of throwing, so loaders
-/// validating untrusted artifacts (the autotune cache survives stray
-/// edits and truncation) can probe fields and reject gracefully.
+/// validating artifacts read back from disk (bench_serving's metrics
+/// read-back checks the schema version and sections) can probe fields
+/// and reject gracefully.
 /// Object key order is preserved; duplicate keys keep the last value
 /// on lookup.
 class JsonValue {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
 #include <string>
 #include <type_traits>
 
@@ -59,35 +60,80 @@ TiledGemmStats run_plan(const TileConfig& tile, const Matrix<T>& a,
   return plan.execute(a, b, c, rails);
 }
 
-class TileSweep : public ::testing::TestWithParam<TileConfig> {};
+/// The sweep's problem for one dtype: 100x90x130, which no tile shape
+/// below divides, and its flat engine loop result, computed once.
+template <typename T>
+struct SweepCase {
+  Matrix<T> a{100, 130}, b{130, 90}, c{100, 90}, flat;
+};
 
-TEST_P(TileSweep, BitIdenticalToFlatEngineLoop) {
-  // Same K-chunk rounding boundaries -> the hierarchy is invisible to
-  // the arithmetic.
-  const core::M3xuEngine engine;
-  const Problem p = make(100, 90, 130, 501);
-  Matrix<float> flat = p.c;
-  engine.gemm_fp32(100, 90, 130, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
-                   flat.data(), flat.ld());
-  Matrix<float> tiled = p.c;
-  run_plan(GetParam(), p.a, p.b, tiled);
+template <typename T>
+const SweepCase<T>& sweep_case() {
+  static const SweepCase<T> sc = [] {
+    SweepCase<T> out;
+    Rng rng(std::is_same_v<T, float> ? 501 : 510);
+    fill_random(out.a, rng);
+    fill_random(out.b, rng);
+    fill_random(out.c, rng);
+    out.flat = out.c;
+    const core::M3xuEngine engine;
+    if constexpr (std::is_same_v<T, float>) {
+      engine.gemm_fp32(100, 90, 130, out.a.data(), out.a.ld(), out.b.data(),
+                       out.b.ld(), out.flat.data(), out.flat.ld());
+    } else {
+      engine.gemm_fp32c(100, 90, 130, out.a.data(), out.a.ld(), out.b.data(),
+                        out.b.ld(), out.flat.data(), out.flat.ld());
+    }
+    return out;
+  }();
+  return sc;
+}
+
+// Same K-chunk rounding boundaries -> the hierarchy is invisible to the
+// arithmetic.
+template <typename T>
+void expect_tiled_matches_flat(const TileConfig& tile) {
+  const SweepCase<T>& sc = sweep_case<T>();
+  Matrix<T> tiled = sc.c;
+  run_plan(tile, sc.a, sc.b, tiled);
   for (int i = 0; i < 100; ++i) {
     for (int j = 0; j < 90; ++j) {
-      ASSERT_EQ(bits_of(tiled(i, j)), bits_of(flat(i, j))) << i << "," << j;
+      ASSERT_EQ(std::memcmp(&tiled(i, j), &sc.flat(i, j), sizeof(T)), 0)
+          << i << "," << j;
     }
   }
 }
 
+class TileSweep : public ::testing::TestWithParam<TileConfig> {};
+
+TEST_P(TileSweep, BitIdenticalToFlatEngineLoop) {
+  expect_tiled_matches_flat<float>(GetParam());
+}
+
+TEST_P(TileSweep, ComplexBitIdenticalToFlatEngineLoop) {
+  expect_tiled_matches_flat<std::complex<float>>(GetParam());
+}
+
+// Block, warp and block_k shapes from small to the default's 128x128
+// block, including block_k = 64 with a warp tile spanning the whole
+// 128-column block.
 INSTANTIATE_TEST_SUITE_P(
     Tiles, TileSweep,
     ::testing::Values(TileConfig{64, 64, 16, 32, 32},
                       TileConfig{128, 128, 32, 64, 32},
                       TileConfig{32, 32, 8, 16, 16},
-                      TileConfig{128, 64, 64, 32, 64}),
+                      TileConfig{128, 64, 64, 32, 64},
+                      TileConfig{64, 64, 32, 32, 32},
+                      TileConfig{64, 64, 16, 64, 32},
+                      TileConfig{32, 32, 32, 16, 16},
+                      TileConfig{128, 128, 64, 64, 128},
+                      TileConfig{32, 128, 64, 32, 128},
+                      TileConfig{128, 128, 64, 64, 32}),
     [](const auto& info) {
-      return "b" + std::to_string(info.param.block_m) + "x" +
-             std::to_string(info.param.block_n) + "x" +
-             std::to_string(info.param.block_k);
+      const TileConfig& t = info.param;
+      return "b" + std::to_string(t.block_m) + "x" +
+             std::to_string(t.block_n) + "x" + std::to_string(t.block_k) +
+             "_w" + std::to_string(t.warp_m) + "x" + std::to_string(t.warp_n);
     });
 
 TEST(TiledGemm, StatsMatchGeometry) {
@@ -313,9 +359,10 @@ TEST(TiledGemm, InvalidTileConfigReportsClearMessage) {
 
 TEST(TileConfigValid, RejectsNonPositiveFieldsWithoutUb) {
   // Regression: valid() used to run the % divisibility checks before
-  // checking positivity, which is UB (division by zero) on the zero
-  // warp tiles an autotuner search enumerates. Under the UBSan CI
-  // matrix this test fails loudly if that ordering ever regresses.
+  // checking positivity, which is UB (division by zero) on a zero warp
+  // tile, and plan compile validates whatever tile its caller passes.
+  // Under the UBSan CI matrix this test fails loudly if that ordering
+  // ever regresses.
   EXPECT_TRUE(TileConfig{}.valid());
   const auto mutate = [](int TileConfig::* field, int value) {
     TileConfig tile{};
