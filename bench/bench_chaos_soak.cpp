@@ -22,7 +22,7 @@
 //     stall window; the call must abort with DeadlineExceeded;
 //   clean_guarded - fully guarded clean runs (token + generous
 //     deadline + stall window): bit-exact, zero ABFT detections, and
-//     zero watchdog/cancellation counter deltas (no false positives).
+//     zero gemm.guard.* abort counter deltas (no false positives).
 //
 // Flags: --quick (CI-sized trial counts), --seed, --trials (per-site
 // override), --json=path (coverage table; default stdout).
@@ -31,9 +31,8 @@
 // references are the flat engine loop.
 //
 // Exit status: nonzero on any escape, non-bit-exact clean-domain
-// result, unrecovered detection, missing expected abort, or watchdog
+// result, unrecovered detection, missing expected abort, or guard
 // false positive.
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -59,31 +58,6 @@
 using namespace m3xu;
 
 namespace {
-
-bool bitwise_equal(const gemm::Matrix<float>& x, const gemm::Matrix<float>& y) {
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < x.cols(); ++j) {
-      if (std::bit_cast<std::uint32_t>(x(i, j)) !=
-          std::bit_cast<std::uint32_t>(y(i, j))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool bitwise_equal(const gemm::Matrix<std::complex<float>>& x,
-                   const gemm::Matrix<std::complex<float>>& y) {
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < x.cols(); ++j) {
-      if (std::bit_cast<std::uint64_t>(x(i, j)) !=
-          std::bit_cast<std::uint64_t>(y(i, j))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 template <typename T>
 void fill(Rng& rng, gemm::Matrix<T>& mat) {
@@ -412,8 +386,8 @@ void soak_watchdog_domain(DomainStats& d, int trials, const Rng& root) {
 }
 
 /// Clean guarded domain: with no faults and generous limits, a guarded
-/// run must be bit-exact and must not bump a single cancellation or
-/// watchdog-abort counter (zero false positives).
+/// run must be bit-exact and must not bump a single guard-abort
+/// counter (zero false positives).
 void soak_clean_domain(DomainStats& d, int trials, const Rng& root) {
   const Geometry g = multi_tile();
   const gemm::GemmPlan plan = soak_plan(core::M3xuConfig{}, g, soak_abft());
@@ -436,9 +410,9 @@ void soak_clean_domain(DomainStats& d, int trials, const Rng& root) {
     if (!bitwise_equal(out, ref)) ++d.bitexact_failures;
     if (stats.abft_detected > 0) ++d.false_positives;
     d.false_positives += static_cast<long>(
-        after.counter_delta(before, "threadpool.cancellations") +
-        after.counter_delta(before, "threadpool.watchdog.deadline_fired") +
-        after.counter_delta(before, "threadpool.watchdog.stalls_detected"));
+        after.counter_delta(before, "gemm.guard.cancellations") +
+        after.counter_delta(before, "gemm.guard.deadline_fired") +
+        after.counter_delta(before, "gemm.guard.stalls_detected"));
     ++d.trials;
   }
 }
@@ -483,9 +457,8 @@ std::string coverage_json(const std::vector<DomainStats>& domains,
        {"recovery.retries", "recovery.demotions", "recovery.recovered",
         "recovery.alloc_fallbacks", "recovery.quarantined", "abft.detected",
         "abft.recovered", "abft.false_alarms",
-        "threadpool.cancellations", "threadpool.watchdog.watches",
-        "threadpool.watchdog.deadline_fired",
-        "threadpool.watchdog.stalls_detected"}) {
+        "gemm.guard.cancellations", "gemm.guard.watches",
+        "gemm.guard.deadline_fired", "gemm.guard.stalls_detected"}) {
     w.kv(name, after.counter_delta(before, name));
   }
   w.end_object();

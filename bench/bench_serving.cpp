@@ -48,7 +48,6 @@
 // <prefix>.json at exit and read it back; exits 2 unless it parses
 // with the current schema_version and its counters and histograms).
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -82,18 +81,6 @@ using serve::RequestStatus;
 namespace {
 
 constexpr int kStatusCount = 8;  // RequestStatus values span 0..7
-
-bool bitwise_equal(const gemm::Matrix<float>& x, const gemm::Matrix<float>& y) {
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < x.cols(); ++j) {
-      if (std::bit_cast<std::uint32_t>(x(i, j)) !=
-          std::bit_cast<std::uint32_t>(y(i, j))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 double now_ms() {
   return std::chrono::duration<double, std::milli>(

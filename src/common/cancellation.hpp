@@ -3,12 +3,12 @@
 // A CancellationToken is a thread-safe flag plus a human-readable
 // reason and a machine-readable CancelReason tag. Producers (the
 // serving layer's admission control, an RPC layer, a user) call
-// request_cancel(); consumers (ThreadPool::parallel_for, the tiled
-// GEMM driver's per-K-block checkpoints) poll cancelled() or call
+// request_cancel(); the consumer, the tiled GEMM driver's guard
+// checkpoint (at tile entry and before every staged K-block), calls
 // check(), which throws CancelledError. Cancellation is purely
-// cooperative: work only stops at the next checkpoint. Wall deadlines
-// and stall windows (ParallelOptions, gemm::ExecRails) are read off
-// the clock at those same checkpoints and abort with DeadlineExceeded.
+// cooperative: work only stops at the next checkpoint. The same
+// checkpoint reads the clock for gemm::ExecRails' wall deadline and
+// stall window and aborts with DeadlineExceeded.
 // The reason tag distinguishes who pulled the trigger (user cancel,
 // deadline, load shed, stall), is carried on CancelledError, and is
 // mirrored into cancel.* telemetry counters when a token latches. See
@@ -34,24 +34,8 @@ enum class CancelReason : int {
   kUser = 1,         // an explicit caller-initiated cancel
   kDeadline = 2,     // a wall deadline elapsed
   kShed = 3,         // admission control / load shedding
-  kStall = 4,        // no iteration completed for the stall window
+  kStall = 4,        // no tile completed for the stall window
 };
-
-inline const char* cancel_reason_name(CancelReason reason) {
-  switch (reason) {
-    case CancelReason::kUnspecified:
-      return "unspecified";
-    case CancelReason::kUser:
-      return "user";
-    case CancelReason::kDeadline:
-      return "deadline";
-    case CancelReason::kShed:
-      return "shed";
-    case CancelReason::kStall:
-      return "stall";
-  }
-  return "?";
-}
 
 namespace detail {
 /// One bump per latch/abort, by reason - no-ops with M3XU_TELEMETRY=OFF.
@@ -98,8 +82,8 @@ class CancelledError : public std::runtime_error {
 };
 
 /// A guarded run hit a time limit at a checkpoint: either the wall
-/// deadline elapsed (reason kDeadline) or no iteration completed for
-/// the stall window (reason kStall). The message distinguishes the two
+/// deadline elapsed (reason kDeadline) or no tile completed for the
+/// stall window (reason kStall). The message distinguishes the two
 /// as well.
 class DeadlineExceeded : public CancelledError {
  public:

@@ -1,10 +1,8 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <string>
 
 #include "common/check.hpp"
 #include "telemetry/stopwatch.hpp"
@@ -23,29 +21,10 @@ telemetry::Counter tp_iters("threadpool.iterations");
 telemetry::Counter tp_busy_ns("threadpool.worker_busy_ns");
 telemetry::Counter tp_wall_ns("threadpool.wall_ns");
 telemetry::Histogram tp_depth("threadpool.queue_depth");
-// Guard-rail outcomes: every pooled call with a time limit, and every
-// abort the pool's own checks latch, by cause. Clean guarded runs bump
-// watches only - the zero-false-positive property tests assert on
-// exactly these counters.
-telemetry::Counter tp_cancellations("threadpool.cancellations");
-telemetry::Counter tp_watches("threadpool.watchdog.watches");
-telemetry::Counter tp_deadline_fired("threadpool.watchdog.deadline_fired");
-telemetry::Counter tp_stalls("threadpool.watchdog.stalls_detected");
 // Concurrent-submission contention: calls that found the pool busy,
 // and how long they queued before acquiring it.
 telemetry::Counter tp_submit_queued("threadpool.submissions_queued");
 telemetry::Histogram tp_submit_wait("threadpool.submit_wait_ns");
-
-/// The now_ns() instant `options.deadline_ms` after `start_ns`.
-std::uint64_t deadline_at(const ParallelOptions& options,
-                          std::uint64_t start_ns) {
-  return start_ns + static_cast<std::uint64_t>(options.deadline_ms) * 1'000'000;
-}
-
-std::string deadline_message(const ParallelOptions& options) {
-  return "parallel_for exceeded its deadline of " +
-         std::to_string(options.deadline_ms) + " ms";
-}
 
 }  // namespace
 
@@ -70,39 +49,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-bool ThreadPool::Task::stopping(bool completed) {
-  if (stop_cause.load(std::memory_order_relaxed) != kStopNone) return true;
-  int cause = kStopNone;
-  if (!completed && token != nullptr && token->cancelled()) {
-    cause = kStopToken;
-  } else if (timed()) {
-    const std::uint64_t now = telemetry::now_ns();
-    if (completed && stall_ns != 0) {
-      // The gap since the previous completion. A gap that reached the
-      // stall window before the deadline is a stall even if it ends
-      // past the deadline: the window was the first limit crossed.
-      // Concurrent completions may swap in slightly out of order; a
-      // negative gap is no stall.
-      const std::uint64_t last = last_progress_ns.exchange(now);
-      if (now > last && now - last >= stall_ns &&
-          (deadline_ns == 0 || last + stall_ns < deadline_ns)) {
-        cause = kStopStall;
-      }
-    }
-    if (cause == kStopNone && deadline_ns != 0 && now >= deadline_ns) {
-      cause = kStopDeadline;
-    }
-  }
-  if (cause == kStopNone) return false;
-  int expected = kStopNone;
-  if (stop_cause.compare_exchange_strong(expected, cause)) {
-    if (cause == kStopToken) tp_cancellations.increment();
-    if (cause == kStopDeadline) tp_deadline_fired.increment();
-    if (cause == kStopStall) tp_stalls.increment();
-  }
-  return true;
-}
-
 void ThreadPool::drain(Task& task) {
   const ThreadPool* const prev_pool = draining_pool_;
   draining_pool_ = this;
@@ -114,9 +60,6 @@ void ThreadPool::drain(Task& task) {
     std::size_t end = std::min(begin + task.chunk, task.end);
     if (!task.failed.load(std::memory_order_relaxed)) {
       for (std::size_t i = begin; i < end; ++i) {
-        if (task.guarded && task.stopping(false)) {
-          break;  // remaining iterations counted below
-        }
         try {
           (*task.fn)(i);
         } catch (...) {
@@ -127,11 +70,10 @@ void ThreadPool::drain(Task& task) {
           task.failed.store(true, std::memory_order_relaxed);
           break;  // skip the rest of this chunk
         }
-        if (task.timed()) task.stopping(true);
       }
     }
-    // Iterations skipped after a failure or guard abort still count as
-    // done so the caller's completion wait terminates.
+    // Iterations skipped after a failure still count as done so the
+    // caller's completion wait terminates.
     task.done.fetch_add(end - begin);
   }
   tp_busy_ns.add(busy.elapsed_ns());
@@ -159,22 +101,16 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  parallel_for(n, 0, fn, ParallelOptions{});
+  parallel_for(n, 0, fn);
 }
 
 void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
                               const std::function<void(std::size_t)>& fn) {
-  parallel_for(n, grain, fn, ParallelOptions{});
-}
-
-void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
-                              const std::function<void(std::size_t)>& fn,
-                              const ParallelOptions& options) {
   if (n == 0) return;
   tp_tasks.increment();
   tp_iters.add(n);
   if (workers_.empty() || n == 1) {
-    run_inline(n, fn, options);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
   const telemetry::ScopedTimer span("threadpool.parallel_for");
@@ -186,44 +122,25 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   Task task;
   {
     // Acquire the pool. The pool runs one task at a time; concurrent
-    // submitters queue here until the running task retires. The wait
-    // is cancellable (token) and counts against the caller's deadline,
-    // so a shed or expired request never occupies the pool at all.
+    // submitters queue here until the running task retires.
     std::unique_lock<std::mutex> lock(mu_);
     if (current_ != nullptr) {
       tp_submit_queued.increment();
       const telemetry::Stopwatch queued;
-      while (current_ != nullptr) {
-        submit_cv_.wait_for(lock, std::chrono::milliseconds(1));
-        if (current_ == nullptr) break;
-        if (options.token != nullptr && options.token->cancelled()) {
-          tp_cancellations.increment();
-          throw CancelledError(
-              "parallel_for cancelled while queued for the pool: " +
-                  options.token->reason(),
-              options.token->reason_tag());
-        }
-        if (options.deadline_ms > 0 &&
-            telemetry::now_ns() >= deadline_at(options, start_ns)) {
-          tp_deadline_fired.increment();
-          throw DeadlineExceeded(deadline_message(options) +
-                                 " while queued for the pool");
-        }
-      }
+      submit_cv_.wait(lock, [&] { return current_ == nullptr; });
       tp_submit_wait.record(static_cast<std::uint64_t>(queued.elapsed_ns()));
     }
-    prepare(task, n, grain, fn, options, start_ns);
+    prepare(task, n, grain, fn);
     current_ = &task;
     ++generation_;
   }
-  run_claimed(task, options, start_ns);
+  run_claimed(task, start_ns);
 }
 
 bool ThreadPool::try_parallel_for(std::size_t n, std::size_t grain,
-                                  const std::function<void(std::size_t)>& fn,
-                                  const ParallelOptions& options) {
+                                  const std::function<void(std::size_t)>& fn) {
   if (workers_.empty() || n <= 1) {
-    parallel_for(n, grain, fn, options);
+    parallel_for(n, grain, fn);
     return true;
   }
   const std::uint64_t start_ns = telemetry::now_ns();
@@ -234,51 +151,19 @@ bool ThreadPool::try_parallel_for(std::size_t n, std::size_t grain,
     // reported, never waited for, so submissions_queued cannot move.
     const std::lock_guard<std::mutex> lock(mu_);
     if (current_ != nullptr) return false;
-    prepare(task, n, grain, fn, options, start_ns);
+    prepare(task, n, grain, fn);
     current_ = &task;
     ++generation_;
   }
   tp_tasks.increment();
   tp_iters.add(n);
   const telemetry::ScopedTimer span("threadpool.parallel_for");
-  run_claimed(task, options, start_ns);
+  run_claimed(task, start_ns);
   return true;
 }
 
-void ThreadPool::run_inline(std::size_t n,
-                            const std::function<void(std::size_t)>& fn,
-                            const ParallelOptions& options) {
-  if (!options.guarded()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Guarded: the token is checked before every iteration, the
-  // deadline before and after each.
-  const std::uint64_t deadline_ns =
-      options.deadline_ms > 0 ? deadline_at(options, telemetry::now_ns()) : 0;
-  const auto check_deadline = [&] {
-    if (deadline_ns != 0 && telemetry::now_ns() >= deadline_ns) {
-      tp_deadline_fired.increment();
-      throw DeadlineExceeded(deadline_message(options));
-    }
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (options.token != nullptr && options.token->cancelled()) {
-      tp_cancellations.increment();
-      throw CancelledError(
-          "parallel_for cancelled: " + options.token->reason(),
-          options.token->reason_tag());
-    }
-    check_deadline();
-    fn(i);
-  }
-  check_deadline();
-}
-
 void ThreadPool::prepare(Task& task, std::size_t n, std::size_t grain,
-                         const std::function<void(std::size_t)>& fn,
-                         const ParallelOptions& options,
-                         std::uint64_t start_ns) const {
+                         const std::function<void(std::size_t)>& fn) const {
   task.fn = &fn;
   task.end = n;
   // Default grain aims for ~4 chunks per thread to balance load
@@ -286,20 +171,9 @@ void ThreadPool::prepare(Task& task, std::size_t n, std::size_t grain,
   task.chunk = grain != 0
                    ? grain
                    : std::max<std::size_t>(1, n / (4 * thread_count()));
-  task.guarded = options.guarded();
-  task.token = options.token;
-  if (options.deadline_ms > 0) {
-    task.deadline_ns = deadline_at(options, start_ns);
-  }
-  if (options.stall_ms > 0) {
-    task.stall_ns = static_cast<std::uint64_t>(options.stall_ms) * 1'000'000;
-    task.last_progress_ns.store(telemetry::now_ns(), std::memory_order_relaxed);
-  }
 }
 
-void ThreadPool::run_claimed(Task& task, const ParallelOptions& options,
-                             std::uint64_t start_ns) {
-  if (task.timed()) tp_watches.increment();
+void ThreadPool::run_claimed(Task& task, std::uint64_t start_ns) {
   cv_.notify_all();
   drain(task);
   {
@@ -315,27 +189,8 @@ void ThreadPool::run_claimed(Task& task, const ParallelOptions& options,
   submit_cv_.notify_one();
   tp_wall_ns.add(telemetry::now_ns() - start_ns);
   // All workers have quiesced: rethrow the first captured exception on
-  // the calling thread (no lock needed past the wait above). fn errors
-  // outrank guard aborts - a real failure should not be masked by the
-  // cancellation it triggered.
+  // the calling thread (no lock needed past the wait above).
   if (task.error) std::rethrow_exception(task.error);
-  switch (task.stop_cause.load(std::memory_order_relaxed)) {
-    case kStopToken:
-      throw CancelledError(
-          "parallel_for cancelled: " +
-              (task.token != nullptr ? task.token->reason() : std::string()),
-          task.token != nullptr ? task.token->reason_tag()
-                                : CancelReason::kUnspecified);
-    case kStopDeadline:
-      throw DeadlineExceeded(deadline_message(options));
-    case kStopStall:
-      throw DeadlineExceeded(
-          "parallel_for stalled: no iteration completed for " +
-              std::to_string(options.stall_ms) + " ms",
-          CancelReason::kStall);
-    default:
-      break;
-  }
 }
 
 namespace {
@@ -386,19 +241,4 @@ void parallel_for(std::size_t n, std::size_t grain,
   ThreadPool::global().parallel_for(n, grain, fn);
 }
 
-void parallel_for(std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t)>& fn,
-                  const ParallelOptions& options) {
-  ThreadPool::global().parallel_for(n, grain, fn, options);
-}
-
 }  // namespace m3xu
-
-// Time-limit limitation, documented here next to the implementation: a
-// worker that never returns from fn cannot be preempted - the
-// completion wait above still blocks on its chunk, and the checks only
-// run at iteration boundaries. Their job is to convert a *finite*
-// stall (a slow syscall, an injected delay, a contended lock) into a
-// clean DeadlineExceeded instead of silently absorbing it, and to stop
-// the rest of the grid from piling in after it. Truly unbounded hangs
-// need process-level supervision.

@@ -1,6 +1,5 @@
 #include "fault/campaign.hpp"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -22,18 +21,6 @@ std::uint64_t mix(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-bool bitwise_equal(const gemm::Matrix<float>& x, const gemm::Matrix<float>& y) {
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < x.cols(); ++j) {
-      if (std::bit_cast<std::uint32_t>(x(i, j)) !=
-          std::bit_cast<std::uint32_t>(y(i, j))) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 struct TrialOutcome {

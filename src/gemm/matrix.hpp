@@ -4,6 +4,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "common/check.hpp"
@@ -47,6 +48,15 @@ class Matrix {
   int cols_ = 0;
   std::vector<T> data_;
 };
+
+/// Same shape and the same bytes in every element: the bit-identity
+/// check of the tests, the benches and the fault campaign.
+template <typename T>
+bool bitwise_equal(const Matrix<T>& x, const Matrix<T>& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         (x.size() == 0 ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
 
 /// Fills with well-scaled random values (benign GEMM range).
 void fill_random(Matrix<float>& m, Rng& rng);

@@ -118,16 +118,20 @@ struct RecoveryPolicy {
 };
 
 /// Per-execute guard rails: the request-scoped counterpart of a plan's
-/// frozen PlanOptions (gemm/plan.hpp), read by the driver's tile loop,
-/// its parallel_for calls and its per-chunk checkpoints. All
-/// default-off: default rails leave the driver byte-identical to the
-/// unguarded path.
+/// frozen PlanOptions (gemm/plan.hpp), read by the driver's tile loop.
+/// token, deadline_ms and stall_ms are enforced in one place, the
+/// driver's guard checkpoint (gemm/tiled_driver.cpp), which counts
+/// every abort once in gemm.guard.* telemetry. All default-off:
+/// default rails leave the driver byte-identical to the unguarded
+/// path.
 struct ExecRails {
-  /// Cooperative cancellation, polled per tile and per staged K-block.
+  /// Cooperative cancellation, polled at tile entry and per staged
+  /// K-block.
   const CancellationToken* token = nullptr;
-  /// Wall deadline for the execute, in ms (0 = none). Binds where the
-  /// token does, per tile and per staged K-block: once it has elapsed
-  /// the execute throws DeadlineExceeded (kDeadline).
+  /// Wall deadline for the execute, in ms (0 = none), counted from the
+  /// execute's start. Checked where the token is and again at tile
+  /// exit: once it has elapsed the execute throws DeadlineExceeded
+  /// (kDeadline).
   std::int64_t deadline_ms = 0;
   /// No-progress window, in ms (0 = none): a tile that completes after
   /// a gap this long since the previous completion aborts the execute

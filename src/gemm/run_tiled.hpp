@@ -49,6 +49,17 @@ struct FrozenPlan {
 /// calling thread runs the tiles itself in tile order instead of
 /// queueing (ThreadPool::try_parallel_for). Same grid, same panel
 /// keys, same bits either way.
+///
+/// Guard: this is the one place the rails' token, deadline and stall
+/// window are enforced - token and deadline at tile entry and before
+/// every staged K-block, the deadline again at tile exit. On a grid
+/// fanned out over the pool, a tile completion that ends a gap of at
+/// least stall_ms since the previous one (or since the grid started)
+/// is a stall, unless the deadline passed before the gap reached the
+/// window. An abort throws CancelledError or DeadlineExceeded
+/// (kDeadline / kStall) and bumps one gemm.guard.* counter. Aborts are
+/// cooperative: a tile is stopped at its next checkpoint, and the
+/// first exception stops every tile not yet started.
 template <typename T>
 TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
                          const TileGrid& grid, const Matrix<T>& a,

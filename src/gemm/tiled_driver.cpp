@@ -1,6 +1,7 @@
 #include "gemm/tiled_driver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -60,6 +61,13 @@ telemetry::Counter rec_alloc_fallbacks_ctr("recovery.alloc_fallbacks");
 telemetry::Counter grid_fanout_ctr("gemm.grid.fanout");
 telemetry::Counter grid_inline_busy_ctr("gemm.grid.inline_busy");
 telemetry::Histogram grid_balance_hist("gemm.grid.balance");
+// ExecRails guard outcomes: executes run with a time limit, and every
+// aborted execute once, by cause. Clean guarded runs bump watches only
+// - the zero-false-positive checks assert on exactly these counters.
+telemetry::Counter guard_watches_ctr("gemm.guard.watches");
+telemetry::Counter guard_cancellations_ctr("gemm.guard.cancellations");
+telemetry::Counter guard_deadline_ctr("gemm.guard.deadline_fired");
+telemetry::Counter guard_stalls_ctr("gemm.guard.stalls_detected");
 
 long instr_count(int m_eff, int n_eff, int kc, int inst_m, int inst_n,
                  int inst_k) {
@@ -221,15 +229,50 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
   const int k = a.cols();
   const long grid_n = grid.grid_n();
   const long chunks = chunk_roundings(k, cfg.block_k, inst_k);
-  const ParallelOptions popts{exec.token, exec.deadline_ms, exec.stall_ms};
-  // The per-K-block checkpoint below enforces the token and the
-  // deadline inside a tile (the pool checks them between tiles); the
-  // deadline counts from this call's start.
+  // The guard checkpoint (run_tiled.hpp). The deadline counts from
+  // this call's start; a token-only execute reads no clock.
+  const std::uint64_t start_ns = exec.deadline_ms > 0 ? telemetry::now_ns() : 0;
   const std::uint64_t deadline_ns =
       exec.deadline_ms > 0
-          ? telemetry::now_ns() +
-                static_cast<std::uint64_t>(exec.deadline_ms) * 1'000'000
+          ? start_ns + static_cast<std::uint64_t>(exec.deadline_ms) * 1'000'000
           : 0;
+  const std::uint64_t stall_ns =
+      static_cast<std::uint64_t>(exec.stall_ms) * 1'000'000;
+  // The latest tile completion (the grid's start before the first):
+  // the stall window's heartbeat.
+  std::atomic<std::uint64_t> last_done_ns{start_ns};
+  const auto throw_deadline = [&] {
+    throw DeadlineExceeded("GEMM exceeded its deadline of " +
+                           std::to_string(exec.deadline_ms) + " ms");
+  };
+  // Tile entry and every staged K-block.
+  const auto check_rails = [&] {
+    if (exec.token != nullptr) exec.token->check();
+    if (deadline_ns != 0 && telemetry::now_ns() >= deadline_ns) {
+      throw_deadline();
+    }
+  };
+  // Tile exit: the stall window on a fanned-out grid (`pooled`) - a
+  // gap that reached it before the deadline is a stall even if it ends
+  // past the deadline - then the deadline. stall_ms requires a
+  // deadline (validated per execute), so an execute without one reads
+  // no clock here.
+  const auto check_tile_done = [&](bool pooled) {
+    if (deadline_ns == 0) return;
+    const std::uint64_t now = telemetry::now_ns();
+    if (pooled && stall_ns != 0) {
+      // Concurrent completions may swap in slightly out of order; a
+      // negative gap is no stall.
+      const std::uint64_t last = last_done_ns.exchange(now);
+      if (now > last && now - last >= stall_ns &&
+          last + stall_ns < deadline_ns) {
+        throw DeadlineExceeded("GEMM stalled: no tile completed for " +
+                                   std::to_string(exec.stall_ms) + " ms",
+                               CancelReason::kStall);
+      }
+    }
+    if (now >= deadline_ns) throw_deadline();
+  };
   // Tile partitioning runs on the caller-selected pool (null = the
   // process-wide default). Tiles are independent and each tile's
   // K-chunk schedule is fixed, so the result is bit-identical for
@@ -290,7 +333,8 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
   const bool fan_out = grid.tiles() > 1 && pool.thread_count() > 1;
   const char* const how = fan_out ? "fanout" : "serial";
 
-  const std::function<void(std::size_t)> run_tile = [&](std::size_t t) {
+  const auto run_tile = [&](std::size_t t, bool pooled) {
+    check_rails();
     std::call_once(dispatch_logged, log_dispatch, how);
     const long tile_row = static_cast<long>(t) / grid_n;
     const long tile_col = static_cast<long>(t) % grid_n;
@@ -349,11 +393,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
       if (a_stage.size() < a_need) a_stage.resize(a_need);
       if (b_stage.size() < b_need) b_stage.resize(b_need);
       for (int k0 = 0; k0 < k; k0 += cfg.block_k) {
-        if (exec.token != nullptr) exec.token->check();
-        if (deadline_ns != 0 && telemetry::now_ns() >= deadline_ns) {
-          throw DeadlineExceeded("GEMM exceeded its deadline of " +
-                                 std::to_string(exec.deadline_ms) + " ms");
-        }
+        check_rails();
         const int kc = std::min(cfg.block_k, k - k0);
         // The B panel for this (K-block, column block) is shared by every
         // tile row and every request with the same b_key, so the packed
@@ -698,6 +738,7 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
         static_cast<std::uint64_t>(rec.quarantine_hits));
     rec_alloc_fallbacks_ctr.add(
         static_cast<std::uint64_t>(rec.alloc_fallbacks));
+    check_tile_done(pooled);
     const std::lock_guard<std::mutex> lock(stats_mu);
     stats.mainloop_iterations += local.mainloop_iterations;
     stats.staged_bytes += local.staged_bytes;
@@ -720,15 +761,27 @@ TiledGemmStats run_tiled(const FrozenPlan& plan, const ExecRails& exec,
 
   // Fan out only onto an idle pool: checking and claiming it are one
   // step, and a pool held by another request means this caller runs
-  // its own tiles in tile order instead of queueing behind it.
-  if (pool.try_parallel_for(static_cast<std::size_t>(grid.tiles()), 1,
-                            run_tile, popts)) {
-    if (fan_out) grid_fanout_ctr.increment();
-  } else {
-    grid_inline_busy_ctr.increment();
-    std::call_once(dispatch_logged, log_dispatch, "inline_busy");
-    ThreadPool::run_inline(static_cast<std::size_t>(grid.tiles()), run_tile,
-                           popts);
+  // its own tiles in tile order instead of queueing behind it. A guard
+  // abort is the first exception a tile throws; it is counted here,
+  // once per execute.
+  const auto tiles = static_cast<std::size_t>(grid.tiles());
+  if (deadline_ns != 0) guard_watches_ctr.increment();
+  try {
+    if (pool.try_parallel_for(tiles, 1,
+                              [&](std::size_t t) { run_tile(t, fan_out); })) {
+      if (fan_out) grid_fanout_ctr.increment();
+    } else {
+      grid_inline_busy_ctr.increment();
+      std::call_once(dispatch_logged, log_dispatch, "inline_busy");
+      for (std::size_t t = 0; t < tiles; ++t) run_tile(t, false);
+    }
+  } catch (const DeadlineExceeded& e) {
+    (e.reason() == CancelReason::kStall ? guard_stalls_ctr : guard_deadline_ctr)
+        .increment();
+    throw;
+  } catch (const CancelledError&) {
+    guard_cancellations_ctr.increment();
+    throw;
   }
   if (exec.trace != nullptr) {
     exec.trace->event("exec.done", grid.tiles(),

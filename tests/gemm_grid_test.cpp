@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <complex>
-#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -43,12 +42,6 @@ Problem<T> make(int m, int n, int k, std::uint64_t seed) {
   fill_random(p.b, rng);
   fill_random(p.c, rng);
   return p;
-}
-
-template <typename T>
-bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
-  return x.size() == y.size() &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
 /// C + A*B on the per-dot engine route: the bit-identity reference.
@@ -139,7 +132,7 @@ void sweep_dtype() {
         Matrix<T> c = p.c;
         const TiledGemmStats stats = plan.execute(p.a, p.b, c, rails);
         EXPECT_EQ(stats.block_tiles, grid.tiles());
-        EXPECT_TRUE(bits_equal(c, want));
+        EXPECT_TRUE(bitwise_equal(c, want));
         if (abft_on) {
           EXPECT_EQ(stats.abft_tile_checks, grid.tiles());
           EXPECT_EQ(stats.abft_detected, 0);

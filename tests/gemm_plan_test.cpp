@@ -41,12 +41,6 @@ Problem<T> make(int m, int n, int k, std::uint64_t seed) {
   return p;
 }
 
-template <typename T>
-bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
-  return x.size() == y.size() &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
-}
-
 /// C <- A*B + C on the flat engine loop: the reference every tiled
 /// route matches bit for bit.
 template <typename T>
@@ -90,7 +84,7 @@ TEST(GemmPlan, SgemmBitIdenticalToFlatLoopOnEveryRoute) {
                                             options);
     Matrix<float> planned = p.c;
     plan.execute(p.a, p.b, planned);
-    EXPECT_TRUE(bits_equal(planned, flat)) << "route " << name;
+    EXPECT_TRUE(bitwise_equal(planned, flat)) << "route " << name;
     EXPECT_EQ(plan.executions(), 1u);
   }
 }
@@ -112,7 +106,7 @@ TEST(GemmPlan, CgemmBitIdenticalToFlatLoopOnEveryRoute) {
         GemmPlan::compile(cfg, {60, 52, 68, true}, options);
     Matrix<C> planned = p.c;
     plan.execute(p.a, p.b, planned);
-    EXPECT_TRUE(bits_equal(planned, flat)) << "route " << name;
+    EXPECT_TRUE(bitwise_equal(planned, flat)) << "route " << name;
   }
 }
 
@@ -130,7 +124,7 @@ TEST(GemmPlan, RepeatExecutesServePanelsFromPlanStore) {
   const PlanPanelStats second = plan.panel_stats();
   EXPECT_EQ(second.misses, first.misses);  // no new packs
   EXPECT_GT(second.hits, first.hits);      // panels served from the store
-  EXPECT_TRUE(bits_equal(c1, c2));
+  EXPECT_TRUE(bitwise_equal(c1, c2));
 }
 
 TEST(GemmPlan, DifferentBRefreshesStoreAndStaysCorrect) {
@@ -150,7 +144,7 @@ TEST(GemmPlan, DifferentBRefreshesStoreAndStaysCorrect) {
   // panel from the first B would corrupt it.
   const core::M3xuEngine engine;
   const Matrix<float> ref = flat_ref(engine, p.a, b2, p.c);
-  EXPECT_TRUE(bits_equal(c2, ref));
+  EXPECT_TRUE(bitwise_equal(c2, ref));
 
   // One flipped bit in B's last element must refresh the store too. The
   // fingerprint hashes B as 64-bit words plus a byte tail: 64x64 floats
@@ -170,9 +164,9 @@ TEST(GemmPlan, DifferentBRefreshesStoreAndStaysCorrect) {
     Matrix<float> c_flip = q.c;
     flip_plan.execute(q.a, b_flip, c_flip);
     EXPECT_EQ(flip_plan.panel_stats().refreshes, 1u) << s.n << "x" << s.k;
-    EXPECT_FALSE(bits_equal(c_first, c_flip)) << s.n << "x" << s.k;
+    EXPECT_FALSE(bitwise_equal(c_first, c_flip)) << s.n << "x" << s.k;
     const Matrix<float> flip_ref = flat_ref(engine, q.a, b_flip, q.c);
-    EXPECT_TRUE(bits_equal(c_flip, flip_ref)) << s.n << "x" << s.k;
+    EXPECT_TRUE(bitwise_equal(c_flip, flip_ref)) << s.n << "x" << s.k;
   }
 }
 
@@ -187,7 +181,7 @@ TEST(GemmPlan, PrepackMakesFirstExecuteAllHits) {
   EXPECT_GT(stats.hits, 0u);
 
   const Matrix<float> ref = flat_ref(core::M3xuEngine{}, p.a, p.b, p.c);
-  EXPECT_TRUE(bits_equal(c, ref));
+  EXPECT_TRUE(bitwise_equal(c, ref));
 }
 
 TEST(GemmPlan, CgemmPrepackServesComplexPanels) {
@@ -200,7 +194,7 @@ TEST(GemmPlan, CgemmPrepackServesComplexPanels) {
   EXPECT_EQ(plan.panel_stats().misses, 0u);
 
   const Matrix<C> ref = flat_ref(core::M3xuEngine{}, p.a, p.b, p.c);
-  EXPECT_TRUE(bits_equal(c, ref));
+  EXPECT_TRUE(bitwise_equal(c, ref));
 }
 
 TEST(GemmPlan, ConcurrentExecutesOnDifferentBNeverShareStorePanels) {
@@ -231,7 +225,7 @@ TEST(GemmPlan, ConcurrentExecutesOnDifferentBNeverShareStorePanels) {
         const int which = (t + i) % 2;
         Matrix<float> c = p.c;
         plan.execute(p.a, *bs[which], c);
-        wrong[static_cast<std::size_t>(t)] += !bits_equal(c, refs[which]);
+        wrong[static_cast<std::size_t>(t)] += !bitwise_equal(c, refs[which]);
       }
     });
   }
@@ -253,7 +247,7 @@ TEST(GemmPlan, PlanSurvivesMove) {
   const GemmPlan moved = std::move(original);
   Matrix<float> after = p.c;
   moved.execute(p.a, p.b, after);
-  EXPECT_TRUE(bits_equal(before, after));
+  EXPECT_TRUE(bitwise_equal(before, after));
   EXPECT_EQ(moved.executions(), 2u);
 }
 

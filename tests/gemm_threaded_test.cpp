@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <complex>
-#include <cstring>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -42,12 +41,6 @@ Problem<T> make(int m, int n, int k, std::uint64_t seed) {
   fill_random(p.b, rng);
   fill_random(p.c, rng);
   return p;
-}
-
-template <typename T>
-bool bits_equal(const Matrix<T>& x, const Matrix<T>& y) {
-  return x.size() == y.size() &&
-         std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
 }
 
 std::vector<std::pair<const char*, core::M3xuConfig>> route_configs() {
@@ -101,8 +94,8 @@ void expect_pool_invariance(const char* route, const core::M3xuConfig& cfg,
     // Second run on the same (already warm) pool: chunk claiming order
     // differs run to run; the bits must not.
     run_on(plan, &pool, p, c2);
-    EXPECT_TRUE(bits_equal(c1, ref)) << "pool size " << threads;
-    EXPECT_TRUE(bits_equal(c1, c2)) << "repeat on pool size " << threads;
+    EXPECT_TRUE(bitwise_equal(c1, ref)) << "pool size " << threads;
+    EXPECT_TRUE(bitwise_equal(c1, c2)) << "repeat on pool size " << threads;
   }
 }
 
@@ -161,10 +154,10 @@ TEST(ThreadedDriver, PlanExecuteHonorsRailsPool) {
     for (int rep = 0; rep < 2; ++rep) {
       Matrix<float> cs = ps.c;
       splan.execute(ps.a, ps.b, cs, rails);
-      EXPECT_TRUE(bits_equal(cs, sref)) << "sgemm rep " << rep;
+      EXPECT_TRUE(bitwise_equal(cs, sref)) << "sgemm rep " << rep;
       Matrix<std::complex<float>> cc = pc.c;
       cplan.execute(pc.a, pc.b, cc, rails);
-      EXPECT_TRUE(bits_equal(cc, cref)) << "cgemm rep " << rep;
+      EXPECT_TRUE(bitwise_equal(cc, cref)) << "cgemm rep " << rep;
     }
   }
 }
@@ -235,7 +228,7 @@ TEST(ThreadedDriver, BusyPoolRunsPlanTilesInlineWithoutQueueing) {
 
   EXPECT_TRUE(finished_while_held)
       << "execute waited for the busy pool instead of running inline";
-  EXPECT_TRUE(bits_equal(got, want));
+  EXPECT_TRUE(bitwise_equal(got, want));
   EXPECT_EQ(after.counter_delta(before, "threadpool.submissions_queued"), 0u);
 #if M3XU_TELEMETRY_ENABLED
   EXPECT_EQ(after.counter_delta(before, "gemm.grid.inline_busy"), 1u);

@@ -1,14 +1,15 @@
 // Tests for the resilient execution layer around the tiled GEMM
 // driver: the retry-then-demote ladder, tile quarantine,
 // allocation-failure fallback, staged-panel faults, the NaN-aware
-// checksum, and the clean-recompute protocol.
+// checksum, the clean-recompute protocol, and the guard checkpoint
+// that enforces ExecRails' token, deadline and stall window and counts
+// each abort once.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <set>
 #include <string>
@@ -31,16 +32,6 @@ namespace m3xu::gemm {
 namespace {
 
 std::uint32_t bits32(float v) { return std::bit_cast<std::uint32_t>(v); }
-
-template <typename T>
-bool bitwise_equal(const Matrix<T>& x, const Matrix<T>& y) {
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < x.cols(); ++j) {
-      if (std::memcmp(&x(i, j), &y(i, j), sizeof(T)) != 0) return false;
-    }
-  }
-  return true;
-}
 
 struct Problem {
   Matrix<float> a, b, c;
@@ -82,6 +73,31 @@ ExecRails one_thread() {
   ExecRails rails;
   rails.pool = &pool;
   return rails;
+}
+
+/// Rails on a 4-thread pool: a multi-tile grid fans out over it.
+ExecRails four_threads() {
+  static ThreadPool pool(4);
+  ExecRails rails;
+  rails.pool = &pool;
+  return rails;
+}
+
+/// Expects the guard's abort counters to have moved by exactly these
+/// amounts over [before, after). The telemetry-off build compiles the
+/// counters out, so there it checks nothing.
+void expect_guard_aborts(const telemetry::Snapshot& before,
+                         const telemetry::Snapshot& after,
+                         std::uint64_t cancellations,
+                         std::uint64_t deadline_fired,
+                         std::uint64_t stalls_detected) {
+  if (!M3XU_TELEMETRY_ENABLED) return;
+  EXPECT_EQ(after.counter_delta(before, "gemm.guard.cancellations"),
+            cancellations);
+  EXPECT_EQ(after.counter_delta(before, "gemm.guard.deadline_fired"),
+            deadline_fired);
+  EXPECT_EQ(after.counter_delta(before, "gemm.guard.stalls_detected"),
+            stalls_detected);
 }
 
 /// C <- A*B + C through a plan compiled for this one call.
@@ -547,6 +563,127 @@ TEST(Resilience, DeadlineBindsInsideASingleTile) {
     FAIL() << "expected DeadlineExceeded";
   } catch (const DeadlineExceeded& e) {
     EXPECT_EQ(e.reason(), CancelReason::kDeadline);
+  }
+}
+
+/// The multi-tile geometry of the guard tests: 3 x 3 tiles, which a
+/// plan keeps on a 4-thread pool (65536 MACs per tile).
+const TileConfig kGuardTile{32, 32, 32, 16, 16};
+
+TEST(Resilience, PreCancelledTokenAbortsWithCUntouched) {
+  // The tile-entry checkpoint runs before a tile reads or writes C, so
+  // a token latched before the execute aborts it with the token's tag
+  // and C bitwise unchanged, fanned out or serial.
+  const Problem p = make(96, 96, 64, 91);
+  CancellationToken token;
+  token.request_cancel("shed before execute", CancelReason::kShed);
+  for (ExecRails rails : {four_threads(), one_thread()}) {
+    rails.token = &token;
+    Matrix<float> out = p.c;
+    const telemetry::Snapshot before = telemetry::snapshot();
+    try {
+      run_plan(core::M3xuConfig{}, {kGuardTile, abft_on(), {}}, p.a, p.b, out,
+               rails);
+      ADD_FAILURE() << "expected CancelledError";
+    } catch (const CancelledError& e) {
+      EXPECT_EQ(e.reason(), CancelReason::kShed);
+    }
+    expect_guard_aborts(before, telemetry::snapshot(), 1, 0, 0);
+    EXPECT_TRUE(bitwise_equal(out, p.c));
+  }
+}
+
+TEST(Resilience, StallWindowAbortsAFannedOutGrid) {
+  // Every tile pass sleeps 50 ms, past the 20 ms stall window, long
+  // before the deadline: the first tile completion ends a stalled gap
+  // and the execute aborts with kStall, counted once however many
+  // tiles were in flight.
+  const Problem p = make(96, 96, 64, 92);
+  fault::FaultInjector inj(
+      92, fault::SiteRates::only(fault::Site::kWorkerStall, 1.0));
+  inj.stall_duration_ms = 50;
+  core::M3xuConfig engine;
+  engine.injector = &inj;
+  const GemmPlan plan =
+      GemmPlan::compile(engine, {96, 96, 64, false}, {kGuardTile, {}, {}});
+  ExecRails rails = four_threads();
+  ASSERT_EQ(plan.grid(rails.pool).tiles(), 9);
+  rails.deadline_ms = 60'000;
+  rails.stall_ms = 20;
+  Matrix<float> out = p.c;
+  const telemetry::Snapshot before = telemetry::snapshot();
+  try {
+    plan.execute(p.a, p.b, out, rails);
+    ADD_FAILURE() << "expected DeadlineExceeded";
+  } catch (const DeadlineExceeded& e) {
+    EXPECT_EQ(e.reason(), CancelReason::kStall);
+  }
+  expect_guard_aborts(before, telemetry::snapshot(), 0, 0, 1);
+}
+
+TEST(Resilience, StallWindowIsNotCheckedOnASerialGrid) {
+  // The same stalls on a 1-thread pool: the tiles run one after
+  // another, so the stall window does not apply, and the execute
+  // completes bit-exactly.
+  const Problem p = make(96, 96, 64, 92);
+  fault::FaultInjector inj(
+      92, fault::SiteRates::only(fault::Site::kWorkerStall, 1.0));
+  inj.stall_duration_ms = 50;
+  core::M3xuConfig engine;
+  engine.injector = &inj;
+  ExecRails rails = one_thread();
+  rails.deadline_ms = 60'000;
+  rails.stall_ms = 20;
+  Matrix<float> out = p.c;
+  const telemetry::Snapshot before = telemetry::snapshot();
+  run_plan(engine, {kGuardTile, {}, {}}, p.a, p.b, out, rails);
+  expect_guard_aborts(before, telemetry::snapshot(), 0, 0, 0);
+  EXPECT_TRUE(bitwise_equal(out, flat_ref(p)));
+}
+
+TEST(Resilience, DeadlineAbortInsideATileCountsOnce) {
+  // DeadlineBindsInsideASingleTile's setup: the K-block checkpoint
+  // throws, and the driver counts the aborted execute once.
+  const Problem p = make(32, 32, 32, 89);
+  fault::FaultInjector inj(
+      89, fault::SiteRates::only(fault::Site::kWorkerStall, 1.0));
+  inj.stall_duration_ms = 50;
+  core::M3xuConfig engine;
+  engine.injector = &inj;
+  ExecRails rails = one_thread();
+  rails.deadline_ms = 20;
+  Matrix<float> out = p.c;
+  const telemetry::Snapshot before = telemetry::snapshot();
+  EXPECT_THROW(
+      run_plan(engine, {single_tile_cfg(), {}, {}}, p.a, p.b, out, rails),
+      DeadlineExceeded);
+  expect_guard_aborts(before, telemetry::snapshot(), 0, 1, 0);
+}
+
+TEST(Resilience, CleanGuardedExecutesBumpNoAbortCounter) {
+  // Zero false positives: fully guarded clean executes, fanned out
+  // and serial, are bit-exact and count as watches only.
+  constexpr int kReps = 10;
+  const Problem p = make(96, 96, 64, 93);
+  const Matrix<float> ref = flat_ref(p);
+  CancellationToken token;  // never latched
+  for (ExecRails rails : {four_threads(), one_thread()}) {
+    rails.token = &token;
+    rails.deadline_ms = 60'000;
+    rails.stall_ms = 60'000;
+    const telemetry::Snapshot before = telemetry::snapshot();
+    for (int rep = 0; rep < kReps; ++rep) {
+      Matrix<float> out = p.c;
+      run_plan(core::M3xuConfig{}, {kGuardTile, abft_on(), {}}, p.a, p.b, out,
+               rails);
+      ASSERT_TRUE(bitwise_equal(out, ref)) << "rep " << rep;
+    }
+    const telemetry::Snapshot after = telemetry::snapshot();
+    expect_guard_aborts(before, after, 0, 0, 0);
+    if (M3XU_TELEMETRY_ENABLED) {
+      EXPECT_EQ(after.counter_delta(before, "gemm.guard.watches"),
+                static_cast<std::uint64_t>(kReps));
+    }
   }
 }
 

@@ -32,15 +32,6 @@ using gemm::Matrix;
 
 std::uint32_t bits32(float v) { return std::bit_cast<std::uint32_t>(v); }
 
-bool bitwise_equal(const Matrix<float>& x, const Matrix<float>& y) {
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < x.cols(); ++j) {
-      if (bits32(x(i, j)) != bits32(y(i, j))) return false;
-    }
-  }
-  return true;
-}
-
 struct Problem {
   Matrix<float> a, b, c;
 };

@@ -1,10 +1,10 @@
 // Stress tests for the thread pool: repeated exception propagation
 // rounds, concurrent submissions from many OS threads (which queue
 // rather than abort - the multi-tenant serving layer depends on it),
-// cancellable/deadline-bounded queue waits, and the one remaining
-// misuse shape - a body resubmitting to its own pool - which must
-// fail as a clean CheckError (via ScopedCheckHandler) rather than
-// deadlocking. Runs under TSan via the "tsan" ctest label.
+// and the one remaining misuse shape - a body resubmitting to its own
+// pool - which must fail as a clean CheckError (via
+// ScopedCheckHandler) rather than deadlocking. Runs under TSan via the
+// "tsan" ctest label.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/cancellation.hpp"
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
@@ -69,91 +68,6 @@ TEST(ThreadPoolStress, ConcurrentSubmissionsQueueAndAllComplete) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(sums[t].load(), per_round * kRounds) << "client " << t;
   }
-}
-
-TEST(ThreadPoolStress, QueuedSubmissionIsCancellable) {
-  // While one call occupies the pool, a queued second call whose token
-  // latches must throw CancelledError (tagged with the cancel reason)
-  // without running a single iteration.
-  ThreadPool pool(2);
-  std::atomic<bool> inside{false};
-  std::atomic<bool> release{false};
-  CancellationToken token;
-  std::atomic<int> queued_ran{0};
-  std::atomic<bool> got_cancel{false};
-  std::thread waiter([&] {
-    while (!inside.load(std::memory_order_acquire)) std::this_thread::yield();
-    ParallelOptions options;
-    options.token = &token;
-    try {
-      pool.parallel_for(16, 1,
-                        [&](std::size_t) {
-                          queued_ran.fetch_add(1, std::memory_order_relaxed);
-                        },
-                        options);
-    } catch (const CancelledError& e) {
-      got_cancel.store(true, std::memory_order_release);
-      EXPECT_EQ(e.reason(), CancelReason::kShed);
-    }
-    release.store(true, std::memory_order_release);
-  });
-  pool.parallel_for(8, [&](std::size_t i) {
-    inside.store(true, std::memory_order_release);
-    if (i == 0) {
-      // Latch the queued caller's token while it waits for the pool,
-      // then let the occupying call finish.
-      while (!inside.load(std::memory_order_acquire)) {}
-      token.request_cancel("shed while queued", CancelReason::kShed);
-    }
-    while (!release.load(std::memory_order_acquire) &&
-           !token.cancelled()) {
-      std::this_thread::yield();
-    }
-  });
-  waiter.join();
-  EXPECT_TRUE(got_cancel.load());
-  EXPECT_EQ(queued_ran.load(), 0);
-  // The pool stays usable.
-  std::atomic<int> clean{0};
-  pool.parallel_for(32, [&](std::size_t) {
-    clean.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(clean.load(), 32);
-}
-
-TEST(ThreadPoolStress, QueuedSubmissionHonorsDeadline) {
-  // A queued call's deadline_ms covers the queue wait: if the pool
-  // stays busy past the deadline, the queued caller gets
-  // DeadlineExceeded without executing anything.
-  ThreadPool pool(2);
-  std::atomic<bool> inside{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> queued_ran{0};
-  std::atomic<bool> got_deadline{false};
-  std::thread waiter([&] {
-    while (!inside.load(std::memory_order_acquire)) std::this_thread::yield();
-    ParallelOptions options;
-    options.deadline_ms = 20;
-    try {
-      pool.parallel_for(16, 1,
-                        [&](std::size_t) {
-                          queued_ran.fetch_add(1, std::memory_order_relaxed);
-                        },
-                        options);
-    } catch (const DeadlineExceeded&) {
-      got_deadline.store(true, std::memory_order_release);
-    }
-    release.store(true, std::memory_order_release);
-  });
-  pool.parallel_for(8, [&](std::size_t) {
-    inside.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  });
-  waiter.join();
-  EXPECT_TRUE(got_deadline.load());
-  EXPECT_EQ(queued_ran.load(), 0);
 }
 
 TEST(ThreadPoolStress, NestedSubmissionFromBodyFailsWithCheckError) {
